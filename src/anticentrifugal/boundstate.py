@@ -72,10 +72,14 @@ def density_profile(dimension: int, k: float, r):
     elif form is DensityForm.EXP_RADIAL:
         out = 2.0 * k * np.exp(-2.0 * k * flat)
     else:
-        out = np.empty(flat.shape)
-        for i, ri in enumerate(flat):
-            # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence
-            out[i] = 0.0 if ri == 0.0 else 2.0 * k * k * ri * besselk(0, k * ri) ** 2
+        # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence.  A single
+        # radius stays on the scalar path: the quadrature integrand calls
+        # this once per node, where an array evaluation would cost more.
+        out = np.zeros(flat.shape)
+        pos = flat > 0.0
+        if pos.any():
+            rp = float(flat[0]) if scalar else flat[pos]
+            out[pos] = 2.0 * k * k * rp * besselk(0, k * rp) ** 2
     return float(out[0]) if scalar else out
 
 

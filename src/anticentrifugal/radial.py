@@ -166,7 +166,7 @@ def analytic_radial(
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
     r = grid.points
-    u = np.array([math.sqrt(ri) * fn(order, k * ri) for ri in r])
+    u = np.sqrt(r) * fn(order, k * r)
     return RadialWave(grid, u, order, k, sign, family)
 
 
@@ -242,23 +242,31 @@ def ode_residual(
     return float(np.max(np.abs(d2 - rhs)))
 
 
+def _polar_stencil(m: int, k: float, grid: RadialGrid):
+    """Phi = K_m(k r) on the interior points with its five-point first and
+    second derivatives, and the polar defect they give."""
+    r = grid.points
+    if r.shape[0] < 5:
+        raise ValueError("residual stencil needs at least 5 grid points")
+    h = grid.spacing
+    phi = besselk(m, k * r)
+    d1 = (phi[:-4] - 8.0 * phi[1:-3] + 8.0 * phi[3:-1] - phi[4:]) / (12.0 * h)
+    d2 = (
+        -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
+    ) / (12.0 * h * h)
+    rc = r[2:-2]
+    phic = phi[2:-2]
+    polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic
+    return rc, phic, d1, d2, polar
+
+
 def polar_mode_residual(m: int, k: float, grid: RadialGrid) -> np.ndarray:
     """Defect of the full polar equation for Phi(r) = K_m(k r).
 
     Returns Phi'' + Phi'/r - (m^2/r^2 + k^2) Phi on the interior points,
     with both derivatives from five-point stencils.
     """
-    r = grid.points
-    if r.shape[0] < 5:
-        raise ValueError("residual stencil needs at least 5 grid points")
-    h = grid.spacing
-    phi = np.array([besselk(m, k * ri) for ri in r])
-    d1 = (phi[:-4] - 8.0 * phi[1:-3] + 8.0 * phi[3:-1] - phi[4:]) / (12.0 * h)
-    d2 = (
-        -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
-    ) / (12.0 * h * h)
-    rc = r[2:-2]
-    return d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phi[2:-2]
+    return _polar_stencil(m, k, grid)[-1]
 
 
 def laplacian_reduction_check(m: int, k: float, grid: RadialGrid) -> float:
@@ -270,18 +278,7 @@ def laplacian_reduction_check(m: int, k: float, grid: RadialGrid) -> float:
     cancellation of the +1/(4r^2) and -1/(4r^2) pieces, so any mismatch
     beyond rounding means the reduction was implemented inconsistently.
     """
-    r = grid.points
-    if r.shape[0] < 5:
-        raise ValueError("residual stencil needs at least 5 grid points")
-    h = grid.spacing
-    phi = np.array([besselk(m, k * ri) for ri in r])
-    d1 = (phi[:-4] - 8.0 * phi[1:-3] + 8.0 * phi[3:-1] - phi[4:]) / (12.0 * h)
-    d2 = (
-        -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
-    ) / (12.0 * h * h)
-    rc = r[2:-2]
-    phic = phi[2:-2]
-    polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic
+    rc, phic, d1, d2, polar = _polar_stencil(m, k, grid)
     root = np.sqrt(rc)
     half_power = root * (d2 + d1 / rc - 0.25 * phic / (rc * rc)) - (
         (m * m - 0.25) / (rc * rc) + k * k
@@ -305,4 +302,4 @@ def assemble_phi2(k: float, grid: RadialGrid) -> np.ndarray:
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
     pref = k / math.sqrt(math.pi)
-    return np.array([pref * besselk(0, k * ri) for ri in grid.points])
+    return pref * besselk(0, k * grid.points)

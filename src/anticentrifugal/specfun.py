@@ -17,8 +17,14 @@ arithmetic holds the relative error near 1e-14 across the supported range
 (target: 1e-12 on (0, 50]).  Orders above 1 come from the three-term
 recurrence in whichever direction is stable for the family.
 
-All functions are pure; the only shared state is a bounded memo of
-per-argument recurrence tables, which is safe under concurrent callers.
+Every evaluator takes a float or an array of arguments.  A float runs the
+pure-Python kernels; an array runs their array twins, which repeat the
+same floating-point operations in the same order with one lane per
+argument.  J, Y and I therefore agree bit for bit between the two paths;
+K agrees to a few units in the last place, because numpy's exp and cosh
+round differently from the math module's.
+
+All functions are pure and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+
+import numpy as np
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -43,7 +50,9 @@ SERIES_SWITCH_K = 3.0
 #: I_m overflows double precision shortly above this argument.
 MAX_ARGUMENT_I = 700.0
 
-_MEMO_SIZE = 4096
+#: Doubles in one block of array Miller tables (orders times arguments),
+#: so a dense grid never holds more than 1 MB of table at once.
+_BLOCK_DOUBLES = 1 << 17
 
 
 class CylinderFamily(Enum):
@@ -53,6 +62,15 @@ class CylinderFamily(Enum):
     NEUMANN_Y = "Y"
     MODIFIED_I = "I"
     MODIFIED_K = "K"
+
+
+def _check_order(m) -> int:
+    """The order as an int; negative, bool and non-integer orders are rejected."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"order must be an integer, got {m!r}")
+    if m < 0:
+        raise ValueError(f"order must be non-negative, got {m}")
+    return int(m)
 
 
 @dataclass(frozen=True)
@@ -65,10 +83,7 @@ class CylinderKind:
     def __post_init__(self):
         if not isinstance(self.family, CylinderFamily):
             raise ValueError(f"family must be a CylinderFamily, got {self.family!r}")
-        if not isinstance(self.order, int) or isinstance(self.order, bool):
-            raise ValueError(f"order must be an integer, got {self.order!r}")
-        if self.order < 0:
-            raise ValueError(f"order must be non-negative, got {self.order}")
+        object.__setattr__(self, "order", _check_order(self.order))
 
 
 def _check_argument(family: CylinderFamily, x: float) -> float:
@@ -88,14 +103,41 @@ def _check_argument(family: CylinderFamily, x: float) -> float:
     return x
 
 
+def _check_arguments(family: CylinderFamily, x) -> np.ndarray:
+    """Array twin of _check_argument: the first rejected element raises the
+    scalar check's error."""
+    xs = np.asarray(x, dtype=float)
+    if family in (CylinderFamily.BESSEL_J, CylinderFamily.MODIFIED_I):
+        ok = xs >= 0.0
+    else:
+        ok = xs > 0.0
+    ok &= np.isfinite(xs)
+    if family is CylinderFamily.MODIFIED_I:
+        ok &= xs <= MAX_ARGUMENT_I
+    if not ok.all():
+        _check_argument(family, xs[~ok].flat[0])
+    return xs
+
+
+def _is_array(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _map(fn, xs: np.ndarray, *args) -> np.ndarray:
+    # Per-element math-module calls: numpy's log, exp and pow may round
+    # differently, which would break the bit-for-bit match with the scalar path.
+    return np.array([fn(v, *args) for v in xs.tolist()])
+
+
 # ----------------------------------------------------------------------
 # ascending series (small argument)
 # ----------------------------------------------------------------------
 
-def _j_series(m: int, x: float) -> float:
-    # J_m(x) = sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!)
+def _ascending_series(m: int, x: float, sign: float) -> float:
+    # sum_k sign^k (x/2)^(m+2k) / (k! (m+k)!): J_m for sign -1, I_m for
+    # sign +1 (all terms positive, perfectly conditioned).
     half = 0.5 * x
-    q = half * half
+    sq = sign * (half * half)
     term = 1.0
     for i in range(1, m + 1):
         term *= half / i
@@ -103,144 +145,251 @@ def _j_series(m: int, x: float) -> float:
     k = 0
     while True:
         k += 1
-        term *= -q / (k * (k + m))
+        term *= sq / (k * (k + m))
         total += term
-        if abs(term) <= 1e-17 * abs(total) or k > 200:
+        if abs(term) <= 1e-17 * abs(total) or k > 500:
             return total
 
 
-def _i_series(m: int, x: float) -> float:
-    # Same series as J_m with all signs positive; perfectly conditioned.
+def _ascending_series_array(m: int, x: np.ndarray, sign: float) -> np.ndarray:
     half = 0.5 * x
-    q = half * half
-    term = 1.0
+    sq = sign * (half * half)
+    term = np.ones_like(x)
     for i in range(1, m + 1):
         term *= half / i
-    total = term
+    total = term.copy()
+    live = np.arange(x.size)
     k = 0
-    while True:
+    while live.size:
         k += 1
-        term *= q / (k * (k + m))
-        total += term
-        if term <= 1e-17 * total or k > 500:
-            return total
+        t = term[live] * (sq[live] / (k * (k + m)))
+        term[live] = t
+        total[live] += t
+        live = live[~((np.abs(t) <= 1e-17 * np.abs(total[live])) | (k > 500))]
+    return total
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _y01_series(x: float) -> tuple[float, float]:
-    """Y_0 and Y_1 from the log-augmented ascending series (x below the switch)."""
+def _log_series(x: float, sign: float) -> tuple[float, float]:
+    """Y_0, Y_1 (sign -1) or K_0, K_1 (sign +1) from the log-augmented
+    ascending series (x below the switch)."""
     q = 0.25 * x * x
     lg = math.log(0.5 * x)
-    j0 = _j_series(0, x)
-    j1 = _j_series(1, x)
+    c0 = _ascending_series(0, x, sign)
+    c1 = _ascending_series(1, x, sign)
 
-    # sum_{k>=1} (-1)^(k+1) H_k q^k / (k!)^2
+    # sum_{k>=1} sign^(k+1) H_k q^k / (k!)^2
     s0 = 0.0
     term = 1.0
     h = 0.0
+    alt = sign
     k = 0
     while True:
         k += 1
         term *= q / (k * k)
         h += 1.0 / k
-        piece = term * h if k % 2 else -term * h
-        s0 += piece
+        alt *= sign
+        s0 += alt * (term * h)
         if term * h <= 1e-17 * (abs(s0) + 1e-30) or k > 60:
             break
-    y0 = (2.0 / math.pi) * ((lg + EULER_GAMMA) * j0 + s0)
 
-    # sum_{k>=0} (-1)^k (H_k + H_{k+1} - 2*gamma) q^k / (k! (k+1)!)
+    # sum_{k>=0} sign^k (H_k + H_{k+1} - 2*gamma) q^k / (k! (k+1)!)
     s1 = 0.0
     term = 1.0
     hk = 0.0
+    alt = 1.0
     k = 0
     while True:
         coeff = hk + hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
-        piece = term * coeff
-        s1 += piece if k % 2 == 0 else -piece
+        s1 += alt * (term * coeff)
         k += 1
         term *= q / (k * (k + 1))
         hk += 1.0 / k
+        alt *= sign
         if term * (2.0 * hk + 1.0) <= 1e-17 * (abs(s1) + 1e-30) or k > 60:
             break
-    y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
-    return y0, y1
+    return _log_series_assemble(x, sign, lg, c0, c1, s0, s1)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _k01_series(x: float) -> tuple[float, float]:
-    """K_0 and K_1 from the log-augmented ascending series (x below the switch)."""
-    q = 0.25 * x * x
-    lg = math.log(0.5 * x)
-    i0 = _i_series(0, x)
-    i1 = _i_series(1, x)
-
-    s0 = 0.0
-    term = 1.0
-    h = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        h += 1.0 / k
-        s0 += term * h
-        if term * h <= 1e-17 * (s0 + 1e-30) or k > 60:
-            break
-    k0 = -(lg + EULER_GAMMA) * i0 + s0
-
-    s1 = 0.0
-    term = 1.0
-    hk = 0.0
-    k = 0
-    while True:
-        coeff = hk + hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
-        s1 += term * coeff
-        k += 1
-        term *= q / (k * (k + 1))
-        hk += 1.0 / k
-        if term * (2.0 * hk + 1.0) <= 1e-17 * (abs(s1) + 1e-30) or k > 60:
-            break
-    k1 = 1.0 / x + lg * i1 - 0.25 * x * s1
+def _log_series_assemble(x, sign, lg, c0, c1, s0, s1):
+    # The family-specific combinations of the shared sums, for floats and
+    # arrays alike: c0, c1 are J_0, J_1 (sign -1) or I_0, I_1 (sign +1).
+    if sign < 0.0:
+        y0 = (2.0 / math.pi) * ((lg + EULER_GAMMA) * c0 + s0)
+        y1 = (2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
+        return y0, y1
+    k0 = -(lg + EULER_GAMMA) * c0 + s0
+    k1 = 1.0 / x + lg * c1 - 0.25 * x * s1
     return k0, k1
+
+
+def _log_series_array(x: np.ndarray, sign: float) -> np.ndarray:
+    q = 0.25 * x * x
+    lg = _map(math.log, 0.5 * x)
+    c0 = _ascending_series_array(0, x, sign)
+    c1 = _ascending_series_array(1, x, sign)
+
+    # H_k, its sign and the coefficients do not depend on x: only the
+    # powers of q and the partial sums run per element.
+    s0 = np.zeros_like(x)
+    term = np.ones_like(x)
+    h = 0.0
+    alt = sign
+    live = np.arange(x.size)
+    k = 0
+    while live.size:
+        k += 1
+        t = term[live] * (q[live] / (k * k))
+        term[live] = t
+        h += 1.0 / k
+        alt *= sign
+        s0[live] += alt * (t * h)
+        live = live[~((t * h <= 1e-17 * (np.abs(s0[live]) + 1e-30)) | (k > 60))]
+
+    s1 = np.zeros_like(x)
+    term = np.ones_like(x)
+    hk = 0.0
+    alt = 1.0
+    live = np.arange(x.size)
+    k = 0
+    while live.size:
+        coeff = hk + hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
+        s1[live] += alt * (term[live] * coeff)
+        k += 1
+        t = term[live] * (q[live] / (k * (k + 1)))
+        term[live] = t
+        hk += 1.0 / k
+        alt *= sign
+        live = live[~((t * (2.0 * hk + 1.0) <= 1e-17 * (np.abs(s1[live]) + 1e-30)) | (k > 60))]
+    return np.stack(_log_series_assemble(x, sign, lg, c0, c1, s0, s1))
 
 
 # ----------------------------------------------------------------------
 # backward recurrence (Miller) tables
 # ----------------------------------------------------------------------
 
-def _rescale(tail: list, top: int, k: int, *scalars: float):
-    for i in range(k, top + 1):
-        tail[i] *= 1e-250
-    return tuple(s * 1e-250 for s in scalars)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _j_table(x: float) -> tuple[float, ...]:
-    """Normalized J_0..J_M by downward recurrence, M comfortably past the
-    Airy turning point so the start order carries no contamination."""
+def _j_start(x: float, m: int) -> int:
+    """Even start order for the J table, comfortably past the Airy turning
+    point and at least half the default start order past m, so the order
+    served carries no contamination from the arbitrary start."""
     top = int(x + 12.0 * (0.5 * x + 1.0) ** (1.0 / 3.0)) + 18
-    if top % 2:
-        top += 1
+    top = max(top, m + top // 2)
+    return top + top % 2  # the sum rule starts on an even order
+
+
+def _i_start(x: float, m: int) -> int:
+    """Start order for the I table: past the e^(-m^2/2x) decay band, and at
+    least half the default start order past m."""
+    top = int(1.2 * math.sqrt(92.0 * x)) + 30
+    return max(top, m + top // 2)
+
+
+def _miller_table(x: float, top: int, sign: float) -> tuple[list, float]:
+    """Unnormalized C_0..C_top by downward recurrence from order top, and
+    the sum-rule denominator C_0 + 2 sum_k C_k.
+
+    sign -1 gives the J table, whose sum rule runs over even orders
+    (J_0 + 2 sum J_2k = 1); sign +1 gives the I table, whose sum rule runs
+    over all orders (I_0 + 2 sum I_k = e^x).  Values are rescaled by
+    1e-250 whenever they pass 1e250.
+    """
+    stride = 2 if sign < 0.0 else 1
     table = [0.0] * (top + 1)
-    jp = 0.0
-    jc = 1e-300
-    table[top] = jc
-    even_sum = jc  # top is even and >= 2
+    prev = 0.0
+    cur = 1e-300
+    table[top] = cur
+    total = cur  # top is even for J
     k = top
     while k > 0:
-        jm = (2.0 * k / x) * jc - jp
+        nxt = (2.0 * k / x) * cur + sign * prev
         k -= 1
-        jp, jc = jc, jm
-        if abs(jc) > 1e250:
-            jp, jc, even_sum = _rescale(table, top, k + 1, jp, jc, even_sum)
-        table[k] = jc
-        if k >= 2 and k % 2 == 0:
-            even_sum += jc
-    norm = 1.0 / (jc + 2.0 * even_sum)  # sum rule J_0 + 2*sum_{k>=1} J_{2k} = 1
-    return tuple(v * norm for v in table)
+        prev, cur = cur, nxt
+        if abs(cur) > 1e250:
+            for i in range(k + 1, top + 1):
+                table[i] *= 1e-250
+            prev *= 1e-250
+            cur *= 1e-250
+            total *= 1e-250
+        table[k] = cur
+        if k >= stride and k % stride == 0:
+            total += cur
+    return table, cur + 2.0 * total
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+def _miller_table_array(x: np.ndarray, top: np.ndarray, sign: float):
+    """Array twin of _miller_table with a start order per element; the
+    table has one row per order and one column per argument."""
+    stride = 2 if sign < 0.0 else 1
+    n = x.size
+    top_max = int(top.max())
+    table = np.zeros((top_max + 1, n))
+    prev = np.zeros(n)
+    cur = np.zeros(n)
+    total = np.zeros(n)
+    for k in range(top_max, 0, -1):
+        # elements whose start order is k begin here; the rest of the
+        # columns are zero above their start order and stay zero
+        start = top == k
+        if start.any():
+            cur[start] = 1e-300
+            total[start] = 1e-300
+            table[k, start] = 1e-300
+        nxt = (2.0 * k / x) * cur + sign * prev
+        prev, cur = cur, nxt
+        big = np.abs(cur) > 1e250
+        if big.any():
+            table[k:, big] *= 1e-250
+            prev[big] *= 1e-250
+            cur[big] *= 1e-250
+            total[big] *= 1e-250
+        table[k - 1] = cur
+        if k - 1 >= stride and (k - 1) % stride == 0:
+            total += cur
+    return table, cur + 2.0 * total
+
+
+def _miller_blocks(x: np.ndarray, top: np.ndarray, sign: float, finish) -> np.ndarray:
+    """Run _miller_table_array over blocks of arguments, passing each
+    block's (table, denominator, arguments, start orders) to *finish* and
+    joining the results along the last axis."""
+    rows = max(1, _BLOCK_DOUBLES // (int(top.max()) + 1))
+    parts = []
+    for lo in range(0, x.size, rows):
+        xb, tb = x[lo : lo + rows], top[lo : lo + rows]
+        table, denom = _miller_table_array(xb, tb, sign)
+        parts.append(finish(table, denom, xb, tb))
+    return np.concatenate(parts, axis=-1)
+
+
+def _j_large(m: int, x: float) -> float:
+    """J_m from the normalized Miller table."""
+    table, denom = _miller_table(x, _j_start(x, m), -1.0)
+    return table[m] * (1.0 / denom)
+
+
+def _j_large_array(m: int, x: np.ndarray) -> np.ndarray:
+    return _miller_blocks(
+        x, _map(_j_start, x, m), -1.0, lambda t, d, xb, tb: t[m] * (1.0 / d)
+    )
+
+
+def _i_large(m: int, x: float) -> float:
+    """I_m from the Miller table.  Every term in the normalization sum is
+    positive, so the result carries plain rounding error only."""
+    table, denom = _miller_table(x, _i_start(x, m), 1.0)
+    # Divide by the unnormalized sum first: v/denom is I_m/e^x <= 1, so no
+    # intermediate can overflow even though e^x/denom alone would.
+    return (table[m] / denom) * math.exp(x)
+
+
+def _i_large_array(m: int, x: np.ndarray) -> np.ndarray:
+    return _miller_blocks(
+        x,
+        _map(_i_start, x, m),
+        1.0,
+        lambda t, d, xb, tb: (t[m] / d) * _map(math.exp, xb),
+    )
+
+
 def _y01_large(x: float) -> tuple[float, float]:
     """Y_0 and Y_1 from Neumann-type series over the Miller J table.
 
@@ -248,9 +397,11 @@ def _y01_large(x: float) -> tuple[float, float]:
     Y_1 = -Y_0', with every J and J' read off the normalized table, so the
     accuracy matches the table itself (~1e-15 of the envelope).
     """
-    t = _j_table(x)
+    top = _j_start(x, 0)
+    table, denom = _miller_table(x, top, -1.0)
+    norm = 1.0 / denom
+    t = [v * norm for v in table]
     lg = math.log(0.5 * x) + EULER_GAMMA
-    top = len(t) - 1
     s0 = 0.0
     s1 = 0.0
     sign = 1.0
@@ -265,38 +416,27 @@ def _y01_large(x: float) -> tuple[float, float]:
     return y0, -dy0
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _i_table(x: float) -> tuple[float, ...]:
-    """Normalized I_0..I_M by downward recurrence with the e^x sum rule.
-
-    Every term in the normalization sum is positive, so the result carries
-    plain rounding error only.  M sits past the e^(-m^2/2x) decay band.
-    """
-    top = int(1.2 * math.sqrt(92.0 * x)) + 30
-    table = [0.0] * (top + 1)
-    ip = 0.0
-    ic = 1e-300
-    table[top] = ic
-    total = ic
-    k = top
-    while k > 0:
-        im = ip + (2.0 * k / x) * ic
-        k -= 1
-        ip, ic = ic, im
-        if abs(ic) > 1e250:
-            ip, ic, total = _rescale(table, top, k + 1, ip, ic, total)
-        table[k] = ic
-        if k >= 1:
-            total += ic
-    # Sum rule I_0 + 2*sum_{k>=1} I_k = e^x.  Divide by the unnormalized sum
-    # first: v/denom is I_m/e^x <= 1, so no intermediate can overflow even
-    # though e^x/denom alone would.
-    denom = ic + 2.0 * total
-    ex = math.exp(x)
-    return tuple((v / denom) * ex for v in table)
+def _neumann_y01(table: np.ndarray, denom: np.ndarray, x: np.ndarray, top: np.ndarray):
+    """Array twin of _y01_large's Neumann sums, over one block of J tables."""
+    t = table * (1.0 / denom)
+    lg = _map(math.log, 0.5 * x) + EULER_GAMMA
+    s0 = np.zeros_like(x)
+    s1 = np.zeros_like(x)
+    sign = 1.0
+    for k in range(1, (int(top.max()) - 1) // 2 + 1):
+        live = 2 * k + 1 <= top
+        s0 = np.where(live, s0 + sign * t[2 * k] / k, s0)
+        s1 = np.where(live, s1 + sign * (t[2 * k - 1] - t[2 * k + 1]) / (2.0 * k), s1)
+        sign = -sign
+    y0 = (2.0 / math.pi) * lg * t[0] + (4.0 / math.pi) * s0
+    dy0 = (2.0 / math.pi) * (t[0] / x - lg * t[1]) + (4.0 / math.pi) * s1
+    return np.stack((y0, -dy0))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+def _y01_large_array(x: np.ndarray) -> np.ndarray:
+    return _miller_blocks(x, _map(_j_start, x, 0), -1.0, _neumann_y01)
+
+
 def _k01_large(x: float) -> tuple[float, float]:
     """K_0 and K_1 by trapezoid sums on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt.
 
@@ -323,62 +463,121 @@ def _k01_large(x: float) -> tuple[float, float]:
     return h * s0, h * s1
 
 
+def _k01_large_array(x: np.ndarray) -> np.ndarray:
+    h = np.minimum(0.15, 0.7 / np.sqrt(x))
+    f0 = np.exp(-x)
+    s0 = 0.5 * f0
+    s1 = 0.5 * f0
+    live = np.arange(x.size)
+    j = 1
+    while live.size:
+        # math.cosh once per distinct node, as the scalar path rounds it:
+        # x * c amplifies any difference in c, and below x = 21.8 every
+        # element shares the step h, so one call serves them all
+        nodes, at = np.unique(j * h[live], return_inverse=True)
+        c = _map(math.cosh, nodes)[at]
+        f = np.exp(-x[live] * c)
+        s0[live] += f
+        s1[live] += f * c
+        live = live[~((x[live] * (c - 1.0) > 55.0) & (j >= 3))]
+        j += 1
+        if j > 200000:  # unreachable; defensive
+            raise ArithmeticError("trapezoid failed to terminate")
+    return np.stack((h * s0, h * s1))
+
+
 # ----------------------------------------------------------------------
 # per-family dispatch
 # ----------------------------------------------------------------------
 
-def besselj(m: int, x: float) -> float:
-    """J_m(x) for integer m >= 0, x >= 0."""
-    x = _check_argument(CylinderFamily.BESSEL_J, x)
-    if x < SERIES_SWITCH_JY:
-        return _j_series(m, x)
-    table = _j_table(x)
-    if m < len(table):
-        return table[m]
-    return _j_series(m, x)  # order far past the turning point: series is safe
+def _by_regime(x: np.ndarray, switch: float, small, large, width: int = 1) -> np.ndarray:
+    """Evaluate *small* on the arguments below the switch and *large* on
+    the rest; *width* is the number of rows each route returns."""
+    flat = x.ravel()
+    out = np.empty((width, flat.size))
+    below = flat < switch
+    for mask, route in ((below, small), (~below, large)):
+        if mask.any():
+            out[:, mask] = route(flat[mask])
+    return out.reshape((width,) + x.shape)
 
 
-def bessely(m: int, x: float) -> float:
-    """Y_m(x) for integer m >= 0, x > 0."""
-    x = _check_argument(CylinderFamily.NEUMANN_Y, x)
-    y0, y1 = _y01_series(x) if x < SERIES_SWITCH_JY else _y01_large(x)
-    return _recur_up(m, x, y0, y1, "Y")
+def besselj(m: int, x):
+    """J_m(x) for integer m >= 0, x >= 0; x is a float or an array."""
+    m = _check_order(m)
+    if not _is_array(x):
+        x = _check_argument(CylinderFamily.BESSEL_J, x)
+        return _ascending_series(m, x, -1.0) if x < SERIES_SWITCH_JY else _j_large(m, x)
+    x = _check_arguments(CylinderFamily.BESSEL_J, x)
+    return _by_regime(
+        x,
+        SERIES_SWITCH_JY,
+        lambda v: _ascending_series_array(m, v, -1.0),
+        lambda v: _j_large_array(m, v),
+    )[0]
 
 
-def besseli(m: int, x: float) -> float:
-    """I_m(x) for integer m >= 0, 0 <= x <= 700."""
-    x = _check_argument(CylinderFamily.MODIFIED_I, x)
-    if x < SERIES_SWITCH_I:
-        return _i_series(m, x)
-    table = _i_table(x)
-    if m < len(table):
-        return table[m]
-    return _i_series(m, x)
+def bessely(m: int, x):
+    """Y_m(x) for integer m >= 0, x > 0; x is a float or an array."""
+    m = _check_order(m)
+    if not _is_array(x):
+        x = _check_argument(CylinderFamily.NEUMANN_Y, x)
+        y0, y1 = _log_series(x, -1.0) if x < SERIES_SWITCH_JY else _y01_large(x)
+    else:
+        x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
+        y0, y1 = _by_regime(
+            x, SERIES_SWITCH_JY, lambda v: _log_series_array(v, -1.0), _y01_large_array, 2
+        )
+    return _recur_up(m, x, y0, y1, -1.0)
 
 
-def besselk(m: int, x: float) -> float:
-    """K_m(x) for integer m >= 0, x > 0."""
-    x = _check_argument(CylinderFamily.MODIFIED_K, x)
-    k0, k1 = _k01_series(x) if x < SERIES_SWITCH_K else _k01_large(x)
-    return _recur_up(m, x, k0, k1, "K")
+def besseli(m: int, x):
+    """I_m(x) for integer m >= 0, 0 <= x <= 700; x is a float or an array."""
+    m = _check_order(m)
+    if not _is_array(x):
+        x = _check_argument(CylinderFamily.MODIFIED_I, x)
+        return _ascending_series(m, x, 1.0) if x < SERIES_SWITCH_I else _i_large(m, x)
+    x = _check_arguments(CylinderFamily.MODIFIED_I, x)
+    return _by_regime(
+        x,
+        SERIES_SWITCH_I,
+        lambda v: _ascending_series_array(m, v, 1.0),
+        lambda v: _i_large_array(m, v),
+    )[0]
 
 
-def _recur_up(m: int, x: float, f0: float, f1: float, tag: str) -> float:
-    # Upward three-term recurrence; stable for Y and K, whose magnitude
-    # grows with order.
+def besselk(m: int, x):
+    """K_m(x) for integer m >= 0, x > 0; x is a float or an array."""
+    m = _check_order(m)
+    if not _is_array(x):
+        x = _check_argument(CylinderFamily.MODIFIED_K, x)
+        k0, k1 = _log_series(x, 1.0) if x < SERIES_SWITCH_K else _k01_large(x)
+    else:
+        x = _check_arguments(CylinderFamily.MODIFIED_K, x)
+        k0, k1 = _by_regime(
+            x, SERIES_SWITCH_K, lambda v: _log_series_array(v, 1.0), _k01_large_array, 2
+        )
+    return _recur_up(m, x, k0, k1, 1.0)
+
+
+def _recur_up(m: int, x, f0, f1, sign: float):
+    # Upward recurrence C_{k+1} = (2k/x) C_k + sign C_{k-1}: sign -1 for Y,
+    # +1 for K, whose magnitudes grow with order so the direction is
+    # stable.  The same arithmetic serves floats and arrays.
     if m == 0:
         return f0
     if m == 1:
         return f1
     prev, cur = f0, f1
-    if tag == "K":
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, m):
-            prev, cur = cur, prev + (2.0 * k / x) * cur
-    else:
-        for k in range(1, m):
-            prev, cur = cur, (2.0 * k / x) * cur - prev
-    if math.isinf(cur):
-        raise OverflowError(f"{tag}_{m}({x}) exceeds the double-precision range")
+            prev, cur = cur, (2.0 * k / x) * cur + sign * prev
+    # an overflowed Y turns into inf - inf = nan on the next step
+    over = ~np.isfinite(cur)
+    if over.any():
+        at = np.atleast_1d(x)[np.atleast_1d(over)][0]
+        name = "Y" if sign < 0.0 else "K"
+        raise OverflowError(f"{name}_{m}({at}) exceeds the double-precision range")
     return cur
 
 
@@ -390,35 +589,33 @@ _FAMILY_EVAL = {
 }
 
 
-def eval_cylinder(kind: CylinderKind, x: float) -> float:
-    """Evaluate the cylinder function selected by *kind* at argument *x*."""
+def eval_cylinder(kind: CylinderKind, x):
+    """Evaluate the cylinder function selected by *kind* at argument(s) *x*."""
     return _FAMILY_EVAL[kind.family](kind.order, x)
 
 
-def eval_cylinder_derivative(kind: CylinderKind, x: float) -> float:
+#: Per family (a, b, c) with C_0' = a C_1 and C_m' = b (C_{m-1} + c C_{m+1}).
+_DERIVATIVE_SIGNS = {
+    CylinderFamily.BESSEL_J: (-1.0, 0.5, -1.0),
+    CylinderFamily.NEUMANN_Y: (-1.0, 0.5, -1.0),
+    CylinderFamily.MODIFIED_I: (1.0, 0.5, 1.0),
+    CylinderFamily.MODIFIED_K: (-1.0, -0.5, 1.0),
+}
+
+
+def eval_cylinder_derivative(kind: CylinderKind, x):
     """First derivative via the exact neighbor-order recurrences.
 
     J_0' = -J_1, I_0' = I_1, K_0' = -K_1, Y_0' = -Y_1, and for m >= 1 the
-    symmetric forms (C_{m-1} -/+ C_{m+1})/2 of each family.
+    symmetric forms (C_{m-1} -/+ C_{m+1})/2 of each family.  *x* is a
+    float or an array.
     """
-    m = kind.order
     f = _FAMILY_EVAL[kind.family]
-    fam = kind.family
+    a, b, c = _DERIVATIVE_SIGNS[kind.family]
+    m = kind.order
     if m == 0:
-        if fam is CylinderFamily.BESSEL_J:
-            return -f(1, x)
-        if fam is CylinderFamily.NEUMANN_Y:
-            return -f(1, x)
-        if fam is CylinderFamily.MODIFIED_I:
-            return f(1, x)
-        return -f(1, x)
-    lo = f(m - 1, x)
-    hi = f(m + 1, x)
-    if fam in (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y):
-        return 0.5 * (lo - hi)
-    if fam is CylinderFamily.MODIFIED_I:
-        return 0.5 * (lo + hi)
-    return -0.5 * (lo + hi)
+        return a * f(1, x)
+    return b * (f(m - 1, x) + c * f(m + 1, x))
 
 
 # ----------------------------------------------------------------------

@@ -48,14 +48,12 @@ from .specfun import (
     SERIES_SWITCH_K,
     CylinderFamily,
     CylinderKind,
-    _i_series,
-    _i_table,
-    _j_series,
-    _j_table,
+    _ascending_series,
+    _i_large,
+    _j_large,
     _k01_large,
-    _k01_series,
+    _log_series,
     _y01_large,
-    _y01_series,
     besselj,
     besselk,
     eval_cylinder,
@@ -97,16 +95,14 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
         ky = CylinderKind(CylinderFamily.NEUMANN_Y, m)
         ki = CylinderKind(CylinderFamily.MODIFIED_I, m)
         kk = CylinderKind(CylinderFamily.MODIFIED_K, m)
-        for x in xs:
-            x = float(x)
-            w = eval_cylinder(kj, x) * eval_cylinder_derivative(ky, x) - eval_cylinder_derivative(
-                kj, x
-            ) * eval_cylinder(ky, x)
-            worst_osc = max(worst_osc, abs(w - 2.0 / (math.pi * x)))
-            w = eval_cylinder(ki, x) * eval_cylinder_derivative(kk, x) - eval_cylinder_derivative(
-                ki, x
-            ) * eval_cylinder(kk, x)
-            worst_mod = max(worst_mod, abs(w + 1.0 / x))
+        w = eval_cylinder(kj, xs) * eval_cylinder_derivative(ky, xs) - eval_cylinder_derivative(
+            kj, xs
+        ) * eval_cylinder(ky, xs)
+        worst_osc = max(worst_osc, float(np.max(np.abs(w - 2.0 / (math.pi * xs)))))
+        w = eval_cylinder(ki, xs) * eval_cylinder_derivative(kk, xs) - eval_cylinder_derivative(
+            ki, xs
+        ) * eval_cylinder(kk, xs)
+        worst_mod = max(worst_mod, float(np.max(np.abs(w + 1.0 / xs))))
     detail = "orders 0 and 1 on 1000 points of [0.1, 50]"
     return [
         _res("wronskian-oscillatory", worst_osc, 1e-10, scale, detail),
@@ -175,18 +171,18 @@ def suite_special_limits(scale: float = 1.0) -> list[SuiteResult]:
     # both evaluation routes agree at the switch points
     worst = 0.0
     for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
-        t = _j_table(x)
-        y_small = _y01_series(x)
+        y_small = _log_series(x, -1.0)
         y_large = _y01_large(x)
         for m in (0, 1):
-            worst = max(worst, abs(_j_series(m, x) - t[m]) / abs(t[m]))
+            j_large = _j_large(m, x)
+            worst = max(worst, abs(_ascending_series(m, x, -1.0) - j_large) / abs(j_large))
             worst = max(worst, abs(y_small[m] - y_large[m]) / abs(y_large[m]))
     for x in (SERIES_SWITCH_I - 1e-6, SERIES_SWITCH_I + 1e-6):
-        t = _i_table(x)
         for m in (0, 1):
-            worst = max(worst, abs(_i_series(m, x) - t[m]) / abs(t[m]))
+            i_large = _i_large(m, x)
+            worst = max(worst, abs(_ascending_series(m, x, 1.0) - i_large) / abs(i_large))
     for x in (SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K + 1e-6):
-        k_small = _k01_series(x)
+        k_small = _log_series(x, 1.0)
         k_large = _k01_large(x)
         for m in (0, 1):
             worst = max(worst, abs(k_small[m] - k_large[m]) / abs(k_large[m]))

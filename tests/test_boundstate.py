@@ -134,6 +134,17 @@ def test_ring_maximum_scales_inversely_with_k():
     assert val5 == pytest.approx(5.0 * val1, rel=1e-12)
 
 
+def test_ring_density_array_matches_pointwise_evaluation():
+    """The ring branch evaluates a whole array at once; a single radius
+    stays a float on the scalar path, and the origin gives exactly zero."""
+    radii = np.concatenate(([0.0], np.linspace(1e-3, 12.0, 801)))
+    got = density_profile(2, 1.3, radii)
+    want = [density_profile(2, 1.3, float(r)) for r in radii]
+    assert all(isinstance(w, float) for w in want)
+    assert got[0] == 0.0 and want[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_ring_density_diverges_less_than_the_amplitude():
     """The amplitude K_0 diverges logarithmically at the axis while the
     weight r K_0^2 still goes to zero: probability leaves the origin."""

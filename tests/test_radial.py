@@ -30,8 +30,16 @@ from anticentrifugal.radial import (
     polar_mode_residual,
     wavenumber_from_energy,
 )
+from anticentrifugal.specfun import besseli, besselj, besselk, bessely
 
 QUANTUM_ANTI = EffectivePotentialSpec(PotentialFamily.QUANTUM_ANTICENTRIFUGAL)
+
+_SCALAR_EVAL = {
+    SolutionFamily.OSCILLATORY_REGULAR: besselj,
+    SolutionFamily.OSCILLATORY_SINGULAR: bessely,
+    SolutionFamily.GROWING_MODIFIED: besseli,
+    SolutionFamily.DECAYING_MODIFIED: besselk,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +234,38 @@ def test_zero_wave_has_zero_residual():
     grid = RadialGrid(0.5, 5.0, 100)
     wave = integrate_radial(QUANTUM_ANTI, 0.5, grid, (0.0, 0.0))
     assert ode_residual(wave, QUANTUM_ANTI, 0.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "family, order",
+    [
+        (SolutionFamily.OSCILLATORY_REGULAR, 0),
+        (SolutionFamily.OSCILLATORY_REGULAR, 1),
+        (SolutionFamily.OSCILLATORY_SINGULAR, 0),
+        (SolutionFamily.OSCILLATORY_SINGULAR, 1),
+        (SolutionFamily.GROWING_MODIFIED, 0),
+        (SolutionFamily.DECAYING_MODIFIED, 0),
+    ],
+)
+def test_analytic_radial_matches_pointwise_evaluation(family, order):
+    """The grid-wide evaluation agrees with one scalar call per point:
+    exactly for J, Y and I, to the rounding of numpy's exp for K."""
+    grid = RadialGrid(0.05, 30.05, 3001)
+    k = 1.7
+    got = analytic_radial(family, order, k, grid).values
+    fn = _SCALAR_EVAL[family]
+    want = np.array([math.sqrt(r) * fn(order, k * r) for r in grid.points.tolist()])
+    if family is SolutionFamily.DECAYING_MODIFIED:
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_polar_residual_rejects_short_grid():
+    with pytest.raises(ValueError):
+        polar_mode_residual(0, 1.0, RadialGrid(1.0, 2.0, 4))
+    with pytest.raises(ValueError):
+        laplacian_reduction_check(0, 1.0, RadialGrid(1.0, 2.0, 4))
 
 
 def test_residual_needs_five_points():

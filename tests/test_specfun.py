@@ -9,8 +9,9 @@ not depend on any reference implementation at all.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 from anticentrifugal.specfun import (
@@ -30,14 +31,14 @@ from anticentrifugal.specfun import (
     sommerfeld_j0_components,
 )
 from anticentrifugal.specfun import (
-    _i_series,
-    _i_table,
-    _j_series,
-    _j_table,
+    _ascending_series,
+    _i_large,
+    _i_start,
+    _j_large,
+    _j_start,
     _k01_large,
-    _k01_series,
+    _log_series,
     _y01_large,
-    _y01_series,
 )
 
 mp.mp.dps = 40
@@ -294,35 +295,35 @@ def test_series_and_large_argument_routes_overlap():
     """Both routes agree on a band around each switch point, evaluated
     at identical arguments so the comparison sees only route error."""
     for x in (SERIES_SWITCH_JY - 0.1, SERIES_SWITCH_JY, SERIES_SWITCH_JY + 0.1):
-        for lo, hi in zip(_y01_series(x), _y01_large(x)):
+        for lo, hi in zip(_log_series(x, -1.0), _y01_large(x)):
             assert lo == pytest.approx(hi, rel=1e-9)
         for m in (0, 1, 2):
-            assert _j_series(m, x) == pytest.approx(_j_table(x)[m], rel=1e-9, abs=1e-15)
+            assert _ascending_series(m, x, -1.0) == pytest.approx(_j_large(m, x), rel=1e-9, abs=1e-15)
 
     for x in (SERIES_SWITCH_K - 0.2, SERIES_SWITCH_K, SERIES_SWITCH_K + 0.2):
-        for lo, hi in zip(_k01_series(x), _k01_large(x)):
+        for lo, hi in zip(_log_series(x, 1.0), _k01_large(x)):
             assert lo == pytest.approx(hi, rel=1e-9)
 
     for x in (SERIES_SWITCH_I - 0.5, SERIES_SWITCH_I, SERIES_SWITCH_I + 0.5):
         for m in (0, 1, 2):
-            assert _i_series(m, x) == pytest.approx(_i_table(x)[m], rel=1e-9)
+            assert _ascending_series(m, x, 1.0) == pytest.approx(_i_large(m, x), rel=1e-9)
 
 
 def test_routes_agree_tightly_at_switch_points():
     """Both routes evaluated at the same point, not merely nearby ones."""
-    y_lo = _y01_series(SERIES_SWITCH_JY)
+    y_lo = _log_series(SERIES_SWITCH_JY, -1.0)
     y_hi = _y01_large(SERIES_SWITCH_JY)
     for a, b in zip(y_lo, y_hi):
         assert a == pytest.approx(b, rel=1e-10)
-    k_lo = _k01_series(SERIES_SWITCH_K)
+    k_lo = _log_series(SERIES_SWITCH_K, 1.0)
     k_hi = _k01_large(SERIES_SWITCH_K)
     for a, b in zip(k_lo, k_hi):
         assert a == pytest.approx(b, rel=1e-10)
     for m in (0, 1, 2, 5):
-        assert _j_series(m, SERIES_SWITCH_JY) == pytest.approx(
-            _j_table(SERIES_SWITCH_JY)[m], rel=1e-10, abs=1e-14)
-        assert _i_series(m, SERIES_SWITCH_I) == pytest.approx(
-            _i_table(SERIES_SWITCH_I)[m], rel=1e-10)
+        assert _ascending_series(m, SERIES_SWITCH_JY, -1.0) == pytest.approx(
+            _j_large(m, SERIES_SWITCH_JY), rel=1e-10, abs=1e-14)
+        assert _ascending_series(m, SERIES_SWITCH_I, 1.0) == pytest.approx(
+            _i_large(m, SERIES_SWITCH_I), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +405,122 @@ def test_family_enum_round_trip():
     kind = CylinderKind(CylinderFamily.NEUMANN_Y, 2)
     assert kind.family.value == "Y"
     assert kind.order == 2
+
+
+def test_recurrence_overflow_is_not_returned_as_nan():
+    # Y_200(1e-3) overflows; the next recurrence step gives inf - inf, which
+    # was once returned as nan instead of raising.
+    with pytest.raises(OverflowError, match="Y_200"):
+        bessely(200, 1e-3)
+    with pytest.raises(OverflowError, match="K_200"):
+        besselk(200, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# order validation, shared by every family and both paths
+
+_EVAL = {
+    CylinderFamily.BESSEL_J: besselj,
+    CylinderFamily.NEUMANN_Y: bessely,
+    CylinderFamily.MODIFIED_I: besseli,
+    CylinderFamily.MODIFIED_K: besselk,
+}
+
+
+@pytest.mark.parametrize("family", list(CylinderFamily))
+@pytest.mark.parametrize("order", [-1, -4, True, False, 1.5, 2.0, "1", None])
+@pytest.mark.parametrize("x", [3.0, np.array([0.5, 3.0, 9.0])], ids=["scalar", "array"])
+def test_invalid_order_rejected(family, order, x):
+    with pytest.raises(ValueError, match="order"):
+        _EVAL[family](order, x)
+
+
+def test_negative_neumann_order_rejected():
+    # Y_{-1} = -Y_1, but the recurrence once returned +Y_1 = 0.3247 here
+    with pytest.raises(ValueError, match="non-negative"):
+        bessely(-1, 3.0)
+
+
+def test_negative_bessel_order_rejected():
+    # once read from the top of the Miller table through a negative index
+    with pytest.raises(ValueError, match="non-negative"):
+        besselj(-1, 3.0)
+
+
+def test_fractional_order_rejected():
+    # once an opaque TypeError from indexing the table with a float
+    with pytest.raises(ValueError, match="integer"):
+        besselj(1.5, 3.0)
+
+
+def test_numpy_integer_orders_accepted():
+    assert besselj(np.int64(3), 4.0) == besselj(3, 4.0)
+    assert CylinderKind(CylinderFamily.MODIFIED_K, np.int32(2)).order == 2
+
+
+# ---------------------------------------------------------------------------
+# Miller tables serve no order near their start order
+
+#: Orders 0 and 1 as computed before the start order depended on the
+#: order served; they must not move by a single bit.
+_LOW_ORDER_PINS = [
+    (besselj, 0, 2.0, 0.2238907791412357),
+    (besselj, 0, 5.5, -0.0068438694178191714),
+    (besselj, 0, 37.25, 0.04272280640862728),
+    (besselj, 0, 320.0, 0.01498201721182354),
+    (besselj, 1, 2.0, 0.5767248077568734),
+    (besselj, 1, 5.5, -0.34143821542904335),
+    (besselj, 1, 37.25, -0.12298405791995143),
+    (besselj, 1, 320.0, -0.0419882298686447),
+    (bessely, 0, 2.0, 0.5103756726497453),
+    (bessely, 0, 37.25, -0.12354629801686486),
+    (bessely, 0, 320.0, -0.042011587930493983),
+    (bessely, 1, 5.5, -0.0237582389563894),
+    (bessely, 1, 320.0, -0.015047678446024643),
+    (besseli, 0, 37.25, 986947100407430.2),
+    (besseli, 0, 320.0, 2.1025154601542675e137),
+    (besseli, 1, 37.25, 973608085191015.4),
+    (besseli, 1, 320.0, 2.0992277051407053e137),
+]
+
+
+@pytest.mark.parametrize("fn, m, x, pinned", _LOW_ORDER_PINS)
+def test_low_orders_bit_identical(fn, m, x, pinned):
+    assert fn(m, x) == pinned
+    assert fn(m, np.array([x]))[0] == pinned
+
+
+@pytest.mark.parametrize(
+    "fn, mp_fn, m, x",
+    [
+        (besselj, mp.besselj, 104, 50.0),  # was 6.5% off: the start order itself
+        (besselj, mp.besselj, 98, 50.0),  # was 7.8e-9 off
+        (besseli, mp.besseli, 145, 100.0),  # was 9.6% off
+    ],
+)
+def test_orders_at_the_default_start_order(fn, mp_fn, m, x):
+    ref = float(mp_fn(m, mp.mpf(x)))
+    assert fn(m, x) == pytest.approx(ref, rel=1e-13)
+    assert fn(m, np.array([x, x + 1.0]))[0] == fn(m, x)
+
+
+@given(x=st.floats(min_value=SERIES_SWITCH_JY, max_value=120.0), data=st.data())
+def test_bessel_orders_past_the_start_order(x, data):
+    m = data.draw(st.integers(min_value=0, max_value=_j_start(x, 0) + 60))
+    ref = float(mp.besselj(m, mp.mpf(x)))
+    # at a zero of J_m, |J_{m+1}| = |J_m'| carries the local envelope
+    scale = max(abs(ref), abs(float(mp.besselj(m + 1, mp.mpf(x)))))
+    assume(scale > 1e-290)
+    got = besselj(m, x)
+    assert abs(got - ref) <= 1e-13 * scale
+    assert besselj(m, np.array([x, 0.5 * x + 1.0]))[0] == got
+
+
+@given(x=st.floats(min_value=SERIES_SWITCH_I, max_value=400.0), data=st.data())
+def test_modified_orders_past_the_start_order(x, data):
+    m = data.draw(st.integers(min_value=0, max_value=_i_start(x, 0) + 60))
+    ref = float(mp.besseli(m, mp.mpf(x)))
+    assume(ref > 1e-290)
+    got = besseli(m, x)
+    assert got == pytest.approx(ref, rel=1e-13)
+    assert besseli(m, np.array([x, 0.5 * x + 1.0]))[0] == got
