@@ -10,7 +10,8 @@ Subcommands expose each computation as plot-ready CSV or JSON:
 
 Output is deterministic byte for byte: CSV uses a single header row, LF
 line endings and 17-significant-digit floats; JSON is one object with a
-fixed key order. Exit codes: 0 success, 2 validation error, 3 a verify
+fixed key order and only finite numbers. Exit codes: 0 success, 2 a
+validation or numerical error (one ``error:`` line on stderr), 3 a verify
 suite failed.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -33,7 +35,7 @@ from .boundstate import (
     normalize_check,
     one_three_d_bound_energy,
 )
-from .nodes import bunching_verdict, find_zeros, node_density
+from .nodes import BracketingError, bunching_verdict, find_zeros, node_density
 from .potentials import (
     UNITS,
     EffectivePotentialSpec,
@@ -41,6 +43,7 @@ from .potentials import (
     classify_potential,
     eval_potential,
 )
+from .quadrature import QuadratureError
 from .radial import RadialGrid, assemble_phi2
 from .specfun import CylinderFamily
 from .verify import run_all
@@ -52,6 +55,12 @@ _FAMILY_MAP = {
     "classical": PotentialFamily.CLASSICAL,
     "quantum-anti": PotentialFamily.QUANTUM_ANTICENTRIFUGAL,
 }
+
+#: Size limits: the cost of the zero tables grows about quadratically in
+#: --n-max (several seconds at the limit), and of the grids linearly in
+#: --n-points (about 1.5 s and 11 MB of JSON at the limit).
+_MAX_N_MAX = 1000
+_MAX_N_POINTS = 100_000
 
 
 def _fmt(v: float) -> str:
@@ -66,7 +75,12 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _check_n_points(n_points: int) -> None:
+    if n_points > _MAX_N_POINTS:
+        raise ValueError(f"--n-points must be at most {_MAX_N_POINTS}, got {n_points}")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -104,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--r-min", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=10.0)
-    p.add_argument("--n-points", type=int, default=200)
+    p.add_argument("--n-points", type=int, default=200, help=f"at most {_MAX_N_POINTS}")
     _add_output_args(p)
 
     p = sub.add_parser(
@@ -113,11 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True, help="bound-state wavenumber")
     p.add_argument("--r-min", type=float, default=None, help="default 0.05/k")
     p.add_argument("--r-max", type=float, default=None, help="default 20/k")
-    p.add_argument("--n-points", type=int, default=2000)
+    p.add_argument("--n-points", type=int, default=2000, help=f"at most {_MAX_N_POINTS}")
     _add_output_args(p)
 
     p = sub.add_parser("nodes", help="zero tables and bunching statistics")
-    p.add_argument("--n-max", type=int, default=20, help="zeros per table (at least 2)")
+    p.add_argument(
+        "--n-max", type=int, default=20, help=f"zeros per table (2 to {_MAX_N_MAX})"
+    )
     _add_output_args(p)
 
     p = sub.add_parser("boundstate", help="contact-potential bound state (JSON)")
@@ -147,6 +163,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
         n_dim=args.n_dim,
         classical_l_squared=args.l_squared,
     )
+    _check_n_points(args.n_points)
     grid = RadialGrid(args.r_min, args.r_max, args.n_points)
     r = grid.points
     v = eval_potential(spec, r)
@@ -179,6 +196,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         raise ValueError(f"wavenumber must be positive, got {k!r}")
     r_min = args.r_min if args.r_min is not None else 0.05 / k
     r_max = args.r_max if args.r_max is not None else 20.0 / k
+    _check_n_points(args.n_points)
     grid = RadialGrid(r_min, r_max, args.n_points)
     r = grid.points
     phi = assemble_phi2(k, grid)
@@ -204,8 +222,8 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def _cmd_nodes(args: argparse.Namespace) -> int:
-    if args.n_max < 2:
-        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+    if not 2 <= args.n_max <= _MAX_N_MAX:
+        raise ValueError(f"--n-max must lie in [2, {_MAX_N_MAX}], got {args.n_max}")
     families = (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y)
     reports = {}
     for fam in families:
@@ -293,20 +311,21 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
             raise ValueError("dimension 2 needs --k or --coupling with --cutoff")
     pd = density(dim, k, np.linspace(0.1 / k, 10.0 / k, 16))
     loc, val = density_maximum(pd)
-    text = _json(
-        {
-            "command": "boundstate",
-            "dimension": dim,
-            "wavenumber": k,
-            "energy": -0.5 * k * k,
-            "coupling": coupling,
-            "cutoff": cutoff,
-            "normalization": normalize_check(pd),
-            "max_location": loc,
-            "max_value": val,
-        }
-    )
-    _write(text, args.output)
+    record = {
+        "command": "boundstate",
+        "dimension": dim,
+        "wavenumber": k,
+        "energy": -0.5 * k * k,
+        "coupling": coupling,
+        "cutoff": cutoff,
+        "normalization": normalize_check(pd),
+        "max_location": loc,
+        "max_value": val,
+    }
+    bad = [key for key, v in record.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ArithmeticError(f"non-finite {', '.join(bad)} for dimension {dim}, k = {k!r}")
+    _write(_json(record), args.output)
     return 0
 
 
@@ -345,7 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError, QuadratureError, BracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -502,6 +502,28 @@ def _by_regime(x: np.ndarray, switch: float, small, large, width: int = 1) -> np
     return out.reshape((width,) + x.shape)
 
 
+def _oscillatory01_array(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
+    """Rows C_0, C_1 of the J or Y family on valid arguments.
+
+    Both orders come from one series pass or one Miller table per
+    argument, bit for bit as two besselj or bessely calls: orders 0 and 1
+    share the J table's start order.
+    """
+    if family is CylinderFamily.BESSEL_J:
+        return _by_regime(
+            x,
+            SERIES_SWITCH_JY,
+            lambda v: np.stack([_ascending_series_array(m, v, -1.0) for m in (0, 1)]),
+            lambda v: _miller_blocks(
+                v, _map(_j_start, v, 0), -1.0, lambda t, d, xb, tb: t[:2] * (1.0 / d)
+            ),
+            2,
+        )
+    return _by_regime(
+        x, SERIES_SWITCH_JY, lambda v: _log_series_array(v, -1.0), _y01_large_array, 2
+    )
+
+
 def besselj(m: int, x):
     """J_m(x) for integer m >= 0, x >= 0; x is a float or an array."""
     m = _check_order(m)
@@ -525,9 +547,7 @@ def bessely(m: int, x):
         y0, y1 = _log_series(x, -1.0) if x < SERIES_SWITCH_JY else _y01_large(x)
     else:
         x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
-        y0, y1 = _by_regime(
-            x, SERIES_SWITCH_JY, lambda v: _log_series_array(v, -1.0), _y01_large_array, 2
-        )
+        y0, y1 = _oscillatory01_array(CylinderFamily.NEUMANN_Y, x)
     return _recur_up(m, x, y0, y1, -1.0)
 
 
@@ -626,7 +646,10 @@ def sommerfeld_j0_components(kr: float, quadrature_points: int = 256) -> tuple[f
     """Real and imaginary parts of the closed-contour mean of e^(i kr sin(theta)).
 
     The periodic trapezoid with N points is exact up to the N-th Fourier
-    mode, so for kr <= 20 and N >= 256 the real part reproduces J_0(kr) to
+    mode: its mean is the sum of J_{jN}(kr) over all integers j, so it
+    misses J_0 by about 2 |J_N(kr)| <= 2 (kr/2)^N / N!.  Arguments where
+    that bound is not below rounding raise ValueError (|kr| above about
+    165 for N = 256); below it the real part reproduces J_0(kr) to
     rounding and the imaginary part cancels pairwise.
     """
     if quadrature_points < 16:
@@ -635,6 +658,12 @@ def sommerfeld_j0_components(kr: float, quadrature_points: int = 256) -> tuple[f
     if math.isnan(kr) or math.isinf(kr):
         raise ValueError(f"kr must be finite, got {kr!r}")
     n = int(quadrature_points)
+    kr_max = 2.0 * math.exp((math.lgamma(n + 1) - 54.0 * math.log(2.0)) / n)
+    if abs(kr) > kr_max:
+        raise ValueError(
+            f"{n} quadrature points resolve J_0 to rounding only for |kr| <= "
+            f"{kr_max:.6g}, got {kr!r}"
+        )
     step = 2.0 * math.pi / n
     re = 0.0
     im = 0.0

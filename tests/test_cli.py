@@ -8,10 +8,14 @@ subprocesses.
 import json
 import math
 
+import numpy as np
 import pytest
 
 import oracles
+from anticentrifugal import cli
 from anticentrifugal.cli import main
+from anticentrifugal.nodes import BracketingError
+from anticentrifugal.quadrature import QuadratureError
 
 
 def run(capsys, *argv):
@@ -151,6 +155,37 @@ def test_nodes_requires_two_zeros(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("n_max", ["1001", "100000000"])
+def test_nodes_size_is_bounded(capsys, n_max):
+    rc, out, err = run(capsys, "nodes", "--n-max", n_max)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --n-max")
+
+
+@pytest.mark.parametrize("command", [
+    ["potential", "--family", "twodim"],
+    ["wavefunction", "--k", "1.0"],
+])
+def test_grid_size_is_bounded(capsys, command):
+    rc, out, err = run(capsys, *command, "--n-points", "100001")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --n-points")
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError, QuadratureError, BracketingError])
+def test_numerical_errors_exit_with_code_two(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc("no sign change")
+
+    monkeypatch.setattr(cli, "find_zeros", fail)
+    rc, out, err = run(capsys, "nodes")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no sign change\n"
+
+
 # ---------------------------------------------------------------------------
 # boundstate
 
@@ -198,6 +233,23 @@ def test_boundstate_error_paths(capsys):
     assert rc == 2  # missing cutoff
     rc, _, _ = run(capsys, "boundstate", "--dimension", "4", "--k", "1.0")
     assert rc == 2
+
+
+def test_boundstate_refuses_non_finite_output(capsys):
+    # E = -k^2/2 overflows: the document used to carry -Infinity and exit 0
+    rc, out, err = run(capsys, "boundstate", "--dimension", "2", "--k", "1e200")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: non-finite energy")
+
+
+def test_json_output_carries_only_finite_numbers(capsys):
+    with np.errstate(divide="ignore"):
+        rc, out, err = run(capsys, "potential", "--family", "twodim", "--r-min", "1e-200",
+                           "--format", "json")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

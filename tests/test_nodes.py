@@ -9,10 +9,12 @@ oscillatory family alike.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import oracles
+from anticentrifugal import nodes
 from anticentrifugal.nodes import (
     BracketingError,
     ZeroTable,
@@ -57,6 +59,64 @@ def test_deep_zeros_frozen():
     assert table.zeros[50] == pytest.approx(oracles.J0_ZERO_51, abs=2e-11)
     spacing = table.zeros[50] - table.zeros[49]
     assert spacing == pytest.approx(oracles.J0_ZERO_51 - oracles.J0_ZERO_50, abs=2e-11)
+
+
+_MPMATH_ZEROS = {J: mp.besseljzero, Y: mp.besselyzero}
+
+
+@pytest.mark.parametrize("family, order", [(J, 0), (J, 1), (Y, 0), (Y, 1)])
+def test_hundred_zeros_match_mpmath(family, order):
+    zeros = find_zeros(family, order, 100).zeros
+    # double precision is enough for correctly rounded zeros, and keeps
+    # mpmath's Y zeros to seconds (other modules raise the global precision)
+    with mp.workdps(15):
+        ref = np.array([float(_MPMATH_ZEROS[family](order, n)) for n in range(1, 101)])
+    assert np.max(np.abs(zeros - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("family, order", [(J, 0), (J, 1), (Y, 0), (Y, 1)])
+def test_newton_zeros_agree_with_scan_and_bisection(family, order):
+    # the independent route: a sign-change scan in steps of 0.1 followed
+    # by bisection of each bracket, sharing nothing with the seeds
+    fn = {J: besselj, Y: bessely}[family]
+    grid = 1e-6 + 0.1 * np.arange(3300)
+    values = fn(order, grid)
+    cross = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))[:100]
+    assert cross.size == 100
+    scanned = [
+        refine_zero(lambda x: fn(order, x), grid[i], grid[i + 1], method="bisect")
+        for i in cross
+    ]
+    assert np.max(np.abs(find_zeros(family, order, 100).zeros - scanned)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad_seeds", [
+    lambda z: z + math.pi,           # skips the first zero
+    lambda z: z[0] + 0.5 * math.pi * np.arange(z.size),  # twice too dense
+    lambda z: z[::-1].copy(),        # not increasing: empty brackets
+])
+def test_bad_seeds_raise_instead_of_returning_wrong_zeros(monkeypatch, bad_seeds):
+    good = nodes._mcmahon_seeds
+    monkeypatch.setattr(nodes, "_mcmahon_seeds", lambda *a: bad_seeds(good(*a)))
+    with pytest.raises(BracketingError):
+        find_zeros(J, 0, 10)
+
+
+@pytest.mark.parametrize("family, order", [(J, 0), (J, 1), (Y, 0), (Y, 1)])
+def test_poor_seeds_are_rescued_by_the_bracket(monkeypatch, family, order):
+    # seeds moved most of the way to the next extremum send raw Newton
+    # steps out of their brackets; the midpoint fallback keeps every zero
+    want = find_zeros(family, order, 30).zeros
+    good = nodes._mcmahon_seeds
+    monkeypatch.setattr(nodes, "_mcmahon_seeds", lambda *a: good(*a) + 1.4)
+    got = find_zeros(family, order, 30).zeros
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+def test_unsettled_newton_steps_raise(monkeypatch):
+    monkeypatch.setattr(nodes, "_MAX_STEPS", 1)
+    with pytest.raises(BracketingError):
+        find_zeros(Y, 0, 10)
 
 
 def test_singular_family_nodes_start_earlier(tables):
@@ -134,7 +194,7 @@ def test_find_zeros_validation():
         find_zeros(J, 2, 5)
     with pytest.raises(ValueError):
         find_zeros(J, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the scan and its step are gone
         find_zeros(J, 0, 5, scan_step=0.7)
     with pytest.raises(ValueError):
         find_zeros(CylinderFamily.MODIFIED_K, 0, 5)

@@ -360,6 +360,17 @@ def test_sommerfeld_rejects_bad_input():
         sommerfeld_j0(1.0, quadrature_points=8)
 
 
+def test_sommerfeld_refuses_unresolved_arguments():
+    # 256 points used to give -0.1458 for J_0(300) = -0.0333, and an error
+    # of 6.6e-11 at kr = 200, without raising
+    for kr in (200.0, 300.0, -300.0):
+        with pytest.raises(ValueError):
+            sommerfeld_j0(kr)
+    for kr, n in ((100.0, 256), (165.0, 256), (200.0, 512), (300.0, 512)):
+        assert sommerfeld_j0(kr, quadrature_points=n) == pytest.approx(
+            besselj(0, kr), abs=5e-15)
+
+
 def test_sommerfeld_is_even():
     assert sommerfeld_j0(-3.0) == pytest.approx(sommerfeld_j0(3.0), abs=1e-15)
 

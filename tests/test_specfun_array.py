@@ -17,6 +17,7 @@ from anticentrifugal.specfun import (
     SERIES_SWITCH_K,
     CylinderFamily,
     CylinderKind,
+    _oscillatory01_array,
     besseli,
     besselj,
     besselk,
@@ -75,6 +76,16 @@ def test_array_derivatives_match_scalar_path(family, m):
     got = eval_cylinder_derivative(kind, _GRID)
     want = np.array([eval_cylinder_derivative(kind, float(x)) for x in _GRID])
     _assert_pinned(family, got, want, _GRID)
+
+
+@pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
+def test_orders_zero_and_one_from_one_table(family):
+    # the zero finder reads both orders off one table per argument; they
+    # must be the very numbers two separate calls return
+    x = _GRID[_GRID > 0.0]
+    c0, c1 = _oscillatory01_array(family, x)
+    np.testing.assert_array_equal(c0, _EVAL[family](0, x))
+    np.testing.assert_array_equal(c1, _EVAL[family](1, x))
 
 
 def test_regular_families_at_the_origin():
