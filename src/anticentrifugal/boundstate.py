@@ -26,11 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
 from .radial import RadialGrid
 from .specfun import besselk
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _UNDERFLOW_FRACTION = 1e-300
 
 
@@ -146,50 +146,28 @@ def normalize_check(pd: ProbabilityDensity, *, rel_tol: float = 1e-10) -> float:
     return core + tail
 
 
+#: A bracket of the ring constant: the stationarity defect
+#: K_0(x) - 2 x K_1(x) is positive at its left end and negative at its right.
+_RING_BRACKET = (0.05, 0.5)
+
+
+def _ring_stationarity(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # s = K_0 - 2 x K_1 and s' = 2 x K_0 - K_1, on the scalar path of K:
+    # an array call costs more than the handful of arguments a solve needs
+    k0, k1 = np.array([(besselk(0, x), besselk(1, x)) for x in xs.tolist()]).T
+    return k0 - 2.0 * xs * k1, 2.0 * xs * k0 - k1
+
+
 @lru_cache(maxsize=1)
 def ring_peak_parameter() -> float:
     """The universal ring constant xi solving K_0(xi) = 2 xi K_1(xi).
 
-    Found by scanning xi K_0(xi)^2 for its interior maximum, narrowing
-    with golden-section search, then polishing the stationarity condition
-    with bisection. The most probable planar radius is xi / k.
+    The stationarity condition of x K_0(x)^2, solved by safeguarded Newton
+    steps on a fixed bracket around the maximum.  The most probable planar
+    radius is xi / k.
     """
-    profile = lambda x: x * besselk(0, x) ** 2
-    slope = lambda x: besselk(0, x) - 2.0 * x * besselk(1, x)
-    xs = [0.01 * j for j in range(1, 201)]
-    vals = [profile(x) for x in xs]
-    i = max(range(1, len(xs) - 1), key=lambda j: vals[j])
-    lo, hi = xs[i - 1], xs[i + 1]
-    # golden-section down to a short interval around the maximum
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = profile(c), profile(d)
-    while b - a > 1e-6:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = profile(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = profile(d)
-    # stationarity condition has a sign change across the maximum; polish it
-    pad = 1e-3
-    lo, hi = 0.5 * (a + b) - pad, 0.5 * (a + b) + pad
-    slo, shi = slope(lo), slope(hi)
-    if (slo > 0) == (shi > 0):
-        raise ArithmeticError("stationarity condition does not bracket the peak")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        sm = slope(mid)
-        if sm == 0.0:
-            return mid
-        if (sm > 0) == (slo > 0):
-            lo, slo = mid, sm
-        else:
-            hi, shi = mid, sm
-    return 0.5 * (lo + hi)
+    lo, hi = _RING_BRACKET
+    return float(solve_in_brackets(_ring_stationarity, _RING_BRACKET, [0.5 * (lo + hi)])[0])
 
 
 def density_maximum(pd: ProbabilityDensity) -> tuple[float, float]:

@@ -10,7 +10,7 @@ Subcommands expose each computation as plot-ready CSV or JSON:
 
 Output is deterministic byte for byte: CSV uses a single header row, LF
 line endings and 17-significant-digit floats; JSON is one object with a
-fixed key order and only finite numbers. Exit codes: 0 success, 2 a
+fixed key order. Both carry only finite numbers. Exit codes: 0 success, 2 a
 validation or numerical error (one ``error:`` line on stderr), 3 a verify
 suite failed.
 """
@@ -64,7 +64,10 @@ _MAX_N_POINTS = 100_000
 
 
 def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"Out of range float values are not CSV compliant: {v!r}")
+    return f"{v:.17g}"
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -166,7 +169,9 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     _check_n_points(args.n_points)
     grid = RadialGrid(args.r_min, args.r_max, args.n_points)
     r = grid.points
-    v = eval_potential(spec, r)
+    # a V that overflows is refused by the writers below, with one error line
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = eval_potential(spec, r)
     if args.format == "csv":
         text = _csv(("r", "V"), list(zip(r.tolist(), np.asarray(v).tolist())))
     else:

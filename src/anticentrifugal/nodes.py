@@ -22,28 +22,24 @@ from .specfun import CylinderFamily, _oscillatory01_array
 #: Y_m are far from zero and J_1 is small but positive.
 _FIRST_EDGE = {CylinderFamily.BESSEL_J: 1e-9, CylinderFamily.NEUMANN_Y: 1e-6}
 
-#: Newton steps allowed per table.  McMahon seeds converge in 3 to 5, and
+#: Newton steps allowed per solve.  McMahon seeds converge in 3 to 5, and
 #: even pure bisection of a bracket of width pi reaches 4 ulp in about 55.
 _MAX_STEPS = 100
+
+#: Bracket width at which :func:`refine_zero` stops bisecting.
+_BISECTION_WIDTH = 1e-12
 
 
 class BracketingError(RuntimeError):
     """Raised when a sign change cannot be located where one is expected."""
 
 
-def refine_zero(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-12,
-    method: str = "bisect",
-) -> float:
-    """Polish a bracketed simple zero of f to width ``tol``.
+def refine_zero(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Polish a bracketed simple zero of f by plain bisection to width 1e-12.
 
-    ``method`` selects plain bisection or a secant iteration that falls
-    back to bisection whenever its step leaves the bracket; the two agree
-    to the tolerance and serve as cross-checks on each other.
+    It shares nothing with :func:`solve_in_brackets` but the sign test,
+    which makes it the independent reference the Newton zeros are checked
+    against.
     """
     if not (lo < hi):
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -55,42 +51,65 @@ def refine_zero(
         return hi
     if (flo > 0) == (fhi > 0):
         raise BracketingError(f"no sign change on [{lo}, {hi}]")
-    if method == "bisect":
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi, fhi = mid, fm
-        return 0.5 * (lo + hi)
-    if method == "secant":
-        a, fa = lo, flo
-        b, fb = hi, fhi
-        for _ in range(200):
-            if fb == fa:
-                x = 0.5 * (lo + hi)
-            else:
-                x = b - fb * (b - a) / (fb - fa)
-                if not (lo < x < hi):
-                    x = 0.5 * (lo + hi)
-            fx = f(x)
-            if fx == 0.0:
-                return x
-            if (fx > 0) == (flo > 0):
-                lo, flo = x, fx
-            else:
-                hi, fhi = x, fx
-            a, fa = b, fb
-            b, fb = x, fx
-            if hi - lo <= tol:
-                return 0.5 * (lo + hi)
-        return 0.5 * (lo + hi)
-    raise ValueError(f"unknown method {method!r}")
+    while hi - lo > _BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def solve_in_brackets(
+    value_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    edges,
+    start,
+) -> np.ndarray:
+    """Polish one simple root in each bracket between consecutive edges.
+
+    ``value_and_slope`` maps an array of arguments to the function values
+    and their exact derivatives; ``start`` holds one first guess per
+    bracket.  One evaluation of the edges must find a sign change in every
+    bracket.  All roots then take Newton steps together, each step
+    shrinking its bracket by the sign of the function.  A step that leaves
+    the bracket, or lands on its far end, becomes the midpoint: on a noisy
+    function two points can each send Newton's step onto the other, each
+    being the other's bracket end.  Iteration stops once every step is
+    within 4 ulp, so the roots are accurate to the rounding of the
+    function.  :class:`BracketingError` is raised for a bracket without a
+    sign change or steps that do not settle.
+    """
+    edges = np.asarray(edges, dtype=float)
+    x = np.array(start, dtype=float)
+    if x.ndim != 1 or edges.shape != (x.size + 1,):
+        raise ValueError(f"need one start per bracket, got {x.size} for {edges.size} edges")
+    signs = np.sign(value_and_slope(edges)[0])
+    changes = np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
+    if changes != x.size:
+        raise BracketingError(f"found {changes} sign changes in the {x.size} brackets")
+    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    lo_sign = signs[:-1]
+    live = np.arange(x.size)
+    for _ in range(_MAX_STEPS):
+        xl = x[live]
+        f, slope = value_and_slope(xl)
+        above = np.sign(f) == lo_sign[live]  # the root lies above xl
+        a = np.where(above, xl, lo[live])
+        b = np.where(above, hi[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xl - f / slope
+        inside = (a <= step) & (step <= b) & (step != np.where(above, b, a))
+        step = np.where(inside, step, 0.5 * (a + b))
+        lo[live], hi[live], x[live] = a, b, step
+        live = live[np.abs(step - xl) > 4.0 * np.abs(np.spacing(xl))]
+        if live.size == 0:
+            return x
+    raise BracketingError(f"{live.size} of {x.size} roots unsettled after {_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -144,12 +163,9 @@ def find_zeros(family: CylinderFamily, order: int, n_max: int) -> ZeroTable:
 
     McMahon's asymptotic expansion seeds every zero at once.  The
     midpoints between neighbouring seeds bracket them, from just above
-    the origin to half a spacing (pi/2) past the last seed, and one
-    evaluation must find a sign change in every bracket.  All zeros are then
-    polished together by Newton steps with the exact derivative: each
-    step shrinks its bracket by the sign of the function, a step that
-    leaves the bracket is replaced by its midpoint, and iteration stops
-    once every step is within 4 ulp.  The zeros are accurate to rounding;
+    the origin to half a spacing (pi/2) past the last seed, and
+    :func:`solve_in_brackets` polishes all zeros together with the exact
+    derivative.  The zeros are accurate to rounding;
     :class:`BracketingError` is raised when a bracket holds no sign
     change or the steps fail to settle.
     """
@@ -163,27 +179,8 @@ def find_zeros(family: CylinderFamily, order: int, n_max: int) -> ZeroTable:
     edges = np.concatenate(
         ([_FIRST_EDGE[family]], 0.5 * (seeds[:-1] + seeds[1:]), [seeds[-1] + 0.5 * math.pi])
     )
-    signs = np.sign(_value_and_slope(family, order, edges)[0])
-    changes = np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
-    if changes != n_max:
-        raise BracketingError(f"found {changes} sign changes in the {n_max} seeded brackets")
-    lo, hi, x = edges[:-1].copy(), edges[1:].copy(), seeds.copy()
-    lo_sign = signs[:-1]
-    live = np.arange(n_max)
-    for _ in range(_MAX_STEPS):
-        xl = x[live]
-        f, slope = _value_and_slope(family, order, xl)
-        above = np.sign(f) == lo_sign[live]  # the zero lies above xl
-        a = np.where(above, xl, lo[live])
-        b = np.where(above, hi[live], xl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = xl - f / slope
-        step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
-        lo[live], hi[live], x[live] = a, b, step
-        live = live[np.abs(step - xl) > 4.0 * np.spacing(xl)]
-        if live.size == 0:
-            return ZeroTable(family, order, x)
-    raise BracketingError(f"{live.size} of {n_max} zeros unsettled after {_MAX_STEPS} steps")
+    zeros = solve_in_brackets(lambda x: _value_and_slope(family, order, x), edges, seeds)
+    return ZeroTable(family, order, zeros)
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,7 @@ def quantum_square_2d(m: int) -> float:
     the shift comes from removing the first-derivative term of the polar
     Laplacian, and for m = 0 it leaves a binding coefficient of -1/4.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"angular momentum must be an int, got {m!r}")
-    if m < 0:
-        raise ValueError(f"angular momentum must be non-negative, got {m}")
-    return m * m - 0.25
+    return EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=m).strength
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,6 @@ def integrate_radial(
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ValueError(f"seed values must be finite, got {seeds!r}")
     n = grid.n_points
-    if n < 3:
-        raise ValueError("Numerov integration needs at least 3 grid points")
     r = grid.points
     f = (eval_potential(spec, r) - 2.0 * energy).tolist()
     c = grid.spacing ** 2 / 12.0
@@ -220,6 +218,17 @@ def integrate_radial(
     return RadialWave(grid, np.array(u), 0, k, sign, SolutionFamily.NUMERIC)
 
 
+def five_point_derivatives(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of samples spaced h apart, from the
+    five-point central stencils, on all but the two outermost samples at
+    each end; both are fourth order in h."""
+    if u.shape[0] < 5:
+        raise ValueError("residual stencil needs at least 5 grid points")
+    d1 = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
+    d2 = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2] + 16.0 * u[3:-1] - u[4:]) / (12.0 * h * h)
+    return d1, d2
+
+
 def ode_residual(
     wave: RadialWave, spec: EffectivePotentialSpec, energy: float
 ) -> float:
@@ -231,13 +240,8 @@ def ode_residual(
     of order h^4 times the sixth derivative.
     """
     u = wave.values
-    if u.shape[0] < 5:
-        raise ValueError("residual stencil needs at least 5 grid points")
-    h = wave.grid.spacing
     r = wave.grid.points
-    d2 = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2] + 16.0 * u[3:-1] - u[4:]) / (
-        12.0 * h * h
-    )
+    d2 = five_point_derivatives(u, wave.grid.spacing)[1]
     rhs = (eval_potential(spec, r[2:-2]) - 2.0 * energy) * u[2:-2]
     return float(np.max(np.abs(d2 - rhs)))
 
@@ -246,14 +250,8 @@ def _polar_stencil(m: int, k: float, grid: RadialGrid):
     """Phi = K_m(k r) on the interior points with its five-point first and
     second derivatives, and the polar defect they give."""
     r = grid.points
-    if r.shape[0] < 5:
-        raise ValueError("residual stencil needs at least 5 grid points")
-    h = grid.spacing
     phi = besselk(m, k * r)
-    d1 = (phi[:-4] - 8.0 * phi[1:-3] + 8.0 * phi[3:-1] - phi[4:]) / (12.0 * h)
-    d2 = (
-        -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
-    ) / (12.0 * h * h)
+    d1, d2 = five_point_derivatives(phi, grid.spacing)
     rc = r[2:-2]
     phic = phi[2:-2]
     polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic

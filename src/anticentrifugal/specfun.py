@@ -486,6 +486,29 @@ def _k01_large_array(x: np.ndarray) -> np.ndarray:
     return np.stack((h * s0, h * s1))
 
 
+def _crossover_mismatch() -> float:
+    """Worst relative gap between the small- and large-argument routes of
+    orders 0 and 1, 1e-6 on either side of each switch point."""
+    worst = 0.0
+    for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
+        y_small = _log_series(x, -1.0)
+        y_large = _y01_large(x)
+        for m in (0, 1):
+            j_large = _j_large(m, x)
+            worst = max(worst, abs(_ascending_series(m, x, -1.0) - j_large) / abs(j_large))
+            worst = max(worst, abs(y_small[m] - y_large[m]) / abs(y_large[m]))
+    for x in (SERIES_SWITCH_I - 1e-6, SERIES_SWITCH_I + 1e-6):
+        for m in (0, 1):
+            i_large = _i_large(m, x)
+            worst = max(worst, abs(_ascending_series(m, x, 1.0) - i_large) / abs(i_large))
+    for x in (SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K + 1e-6):
+        k_small = _log_series(x, 1.0)
+        k_large = _k01_large(x)
+        for m in (0, 1):
+            worst = max(worst, abs(k_small[m] - k_large[m]) / abs(k_large[m]))
+    return worst
+
+
 # ----------------------------------------------------------------------
 # per-family dispatch
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .boundstate import (
     normalize_check,
     ring_peak_parameter,
 )
-from .nodes import ZeroTable, bunching_verdict, find_zeros, node_density
+from .nodes import ZeroTable, bunching_verdict, find_zeros, node_density, solve_in_brackets
 from .potentials import (
     EffectivePotentialSpec,
     PotentialFamily,
@@ -38,22 +38,15 @@ from .radial import (
     RadialGrid,
     SolutionFamily,
     analytic_radial,
+    five_point_derivatives,
     integrate_radial,
     laplacian_reduction_check,
     ode_residual,
 )
 from .specfun import (
-    SERIES_SWITCH_I,
-    SERIES_SWITCH_JY,
-    SERIES_SWITCH_K,
     CylinderFamily,
     CylinderKind,
-    _ascending_series,
-    _i_large,
-    _j_large,
-    _k01_large,
-    _log_series,
-    _y01_large,
+    _crossover_mismatch,
     besselj,
     besselk,
     eval_cylinder,
@@ -169,27 +162,10 @@ def suite_special_limits(scale: float = 1.0) -> list[SuiteResult]:
         )
     )
     # both evaluation routes agree at the switch points
-    worst = 0.0
-    for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
-        y_small = _log_series(x, -1.0)
-        y_large = _y01_large(x)
-        for m in (0, 1):
-            j_large = _j_large(m, x)
-            worst = max(worst, abs(_ascending_series(m, x, -1.0) - j_large) / abs(j_large))
-            worst = max(worst, abs(y_small[m] - y_large[m]) / abs(y_large[m]))
-    for x in (SERIES_SWITCH_I - 1e-6, SERIES_SWITCH_I + 1e-6):
-        for m in (0, 1):
-            i_large = _i_large(m, x)
-            worst = max(worst, abs(_ascending_series(m, x, 1.0) - i_large) / abs(i_large))
-    for x in (SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K + 1e-6):
-        k_small = _log_series(x, 1.0)
-        k_large = _k01_large(x)
-        for m in (0, 1):
-            worst = max(worst, abs(k_small[m] - k_large[m]) / abs(k_large[m]))
     out.append(
         _res(
             "crossover-continuity",
-            worst,
+            _crossover_mismatch(),
             1e-10,
             scale,
             "series vs large-argument routes 1e-6 on either side of each switch",
@@ -321,10 +297,9 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
                 Direction.OUTWARD,
             ).values
         )
-    h = wgrid.spacing
     u1, u2 = waves
-    d1 = (u1[:-4] - 8.0 * u1[1:-3] + 8.0 * u1[3:-1] - u1[4:]) / (12.0 * h)
-    d2 = (u2[:-4] - 8.0 * u2[1:-3] + 8.0 * u2[3:-1] - u2[4:]) / (12.0 * h)
+    d1 = five_point_derivatives(u1, wgrid.spacing)[0]
+    d2 = five_point_derivatives(u2, wgrid.spacing)[0]
     w = u1[2:-2] * d2 - d1 * u2[2:-2]
     mid = float(np.median(w))
     drift = float((np.max(w) - np.min(w)) / abs(mid))
@@ -440,25 +415,21 @@ def suite_dimensions(scale: float = 1.0) -> list[SuiteResult]:
 
 def _quadrature_root(coupling: float, cutoff: float, guess: float) -> float:
     """Wavenumber root of the cutoff condition with the integral done by
-    quadrature; secant iteration in log space."""
+    quadrature, by bracketed Newton steps in t = ln k.
+
+    The slope -L^2 / (L^2 + k^2) of the closed form only steers the
+    steps; the root is where the quadrature condition changes sign.
+    """
     target = 2.0 * math.pi / coupling
+    cut2 = cutoff * cutoff
 
-    def g(t: float) -> float:
-        return cutoff_integral(math.exp(t), cutoff) - target
+    def value_and_slope(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ks = np.exp(ts)
+        g = np.array([cutoff_integral(k, cutoff) for k in ks.tolist()]) - target
+        return g, -cut2 / (cut2 + ks * ks)
 
-    t0 = math.log(guess) + 0.2
-    t1 = math.log(guess) - 0.2
-    g0 = g(t0)
-    g1 = g(t1)
-    for _ in range(80):
-        if g1 == g0:
-            break
-        t2 = t1 - g1 * (t1 - t0) / (g1 - g0)
-        t0, g0 = t1, g1
-        t1, g1 = t2, g(t2)
-        if abs(t1 - t0) < 1e-14 * max(1.0, abs(t1)):
-            break
-    return math.exp(t1)
+    t = math.log(guess)
+    return math.exp(float(solve_in_brackets(value_and_slope, [t - 0.2, t + 0.2], [t])[0]))
 
 
 def suite_delta_coupling(scale: float = 1.0) -> list[SuiteResult]:

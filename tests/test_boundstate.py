@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+from anticentrifugal import boundstate
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
@@ -32,6 +33,7 @@ from anticentrifugal.boundstate import (
     phi_point,
     ring_peak_parameter,
 )
+from anticentrifugal.nodes import BracketingError
 from anticentrifugal.radial import RadialGrid
 
 
@@ -106,8 +108,16 @@ def test_ring_tail_warning_when_tolerance_is_absurd():
 
 def test_ring_peak_parameter_value():
     xi = ring_peak_parameter()
-    assert xi == pytest.approx(oracles.RING_XI, abs=2e-13)
+    assert xi == pytest.approx(oracles.RING_XI, rel=1e-15)
     assert 0.1 < xi < 0.3
+
+
+def test_ring_peak_bracket_without_a_sign_change_raises(monkeypatch):
+    # both ends past the peak: the stationarity defect is negative on each
+    monkeypatch.setattr(boundstate, "_RING_BRACKET", (0.2, 0.5))
+    ring_peak_parameter.cache_clear()
+    with pytest.raises(BracketingError):
+        ring_peak_parameter()
 
 
 def test_ring_peak_is_a_local_maximum():
@@ -123,7 +133,7 @@ def test_density_maximum_by_dimension():
     loc, val = density_maximum(density(3, 2.0, np.array([1.0])))
     assert (loc, val) == (0.0, 4.0)
     loc, val = density_maximum(density(2, 1.0, np.array([1.0])))
-    assert loc == pytest.approx(oracles.RING_XI, abs=2e-13)
+    assert loc == pytest.approx(oracles.RING_XI, rel=1e-15)
     assert val == pytest.approx(oracles.RING_W_MAX_K1, rel=1e-12)
 
 

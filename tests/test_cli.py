@@ -243,6 +243,17 @@ def test_boundstate_refuses_non_finite_output(capsys):
     assert err.startswith("error: non-finite energy")
 
 
+def test_csv_output_carries_only_finite_numbers(capsys, recwarn):
+    # V = -1/(4 r^2) overflows at r = 1e-200: the table used to carry -inf,
+    # exit 0 and leave a numpy warning on stderr
+    rc, out, err = run(capsys, "potential", "--family", "twodim", "--r-min", "1e-200",
+                       "--n-points", "3")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: Out of range float values are not CSV compliant: -inf\n"
+    assert len(recwarn) == 0
+
+
 def test_json_output_carries_only_finite_numbers(capsys):
     with np.errstate(divide="ignore"):
         rc, out, err = run(capsys, "potential", "--family", "twodim", "--r-min", "1e-200",

@@ -22,6 +22,7 @@ from anticentrifugal.nodes import (
     find_zeros,
     node_density,
     refine_zero,
+    solve_in_brackets,
 )
 from anticentrifugal.specfun import CylinderFamily, besselj, bessely
 
@@ -84,7 +85,7 @@ def test_newton_zeros_agree_with_scan_and_bisection(family, order):
     cross = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))[:100]
     assert cross.size == 100
     scanned = [
-        refine_zero(lambda x: fn(order, x), grid[i], grid[i + 1], method="bisect")
+        refine_zero(lambda x: fn(order, x), grid[i], grid[i + 1])
         for i in cross
     ]
     assert np.max(np.abs(find_zeros(family, order, 100).zeros - scanned)) <= 1e-12
@@ -143,15 +144,6 @@ def test_orders_interlace(tables):
 # ---------------------------------------------------------------------------
 # root refinement
 
-def test_bisect_and_secant_agree(tables):
-    z = tables[(J, 0)].zeros
-    f = lambda x: besselj(0, x)
-    for zn in z[:20]:
-        a = refine_zero(f, zn - 0.3, zn + 0.3, method="bisect")
-        b = refine_zero(f, zn - 0.3, zn + 0.3, method="secant")
-        assert abs(a - b) <= 1e-10
-
-
 def test_refine_zero_exact_endpoint():
     f = lambda x: x - 2.0
     assert refine_zero(f, 2.0, 3.0) == 2.0
@@ -164,8 +156,48 @@ def test_refine_zero_error_paths():
         refine_zero(f, 0.0, 1.0)
     with pytest.raises(ValueError):
         refine_zero(f, 1.0, 0.0)
+    with pytest.raises(TypeError):  # bisection is the only method
+        refine_zero(lambda x: x, -1.0, 1.0, method="bisect")
+
+
+# ---------------------------------------------------------------------------
+# the bracketed Newton solver
+
+def test_solver_settles_on_a_negative_root():
+    # np.spacing is negative for negative arguments; the 4-ulp stop test
+    # must take its magnitude or it never fires
+    root = solve_in_brackets(lambda x: (x * x - 2.0, 2.0 * x), [-2.0, -1.0], [-1.5])
+    assert root.shape == (1,)
+    assert abs(root[0] + math.sqrt(2.0)) <= 2.0 * np.spacing(math.sqrt(2.0))
+
+
+def test_solver_breaks_a_two_point_newton_cycle():
+    # f = x - 1.2 with a slope that sends the step from either edge exactly
+    # onto the other, as rounding noise in f can: each point is the other's
+    # bracket end, so accepting a step onto the far end would bounce forever
+    p, q = 1.0, 1.5
+
+    def value_and_slope(x):
+        f = x - 1.2
+        other = np.where(x == p, q, p)
+        return f, np.where((x == p) | (x == q), f / (x - other), 1.0)
+
+    root = solve_in_brackets(value_and_slope, [p, q], [p])
+    assert root[0] == pytest.approx(1.2, abs=1e-15)
+
+
+@pytest.mark.parametrize("edges, start", [
+    ([0.0, 1.0], [0.5]),             # x^2 - 4 is negative throughout
+    ([0.0, 1.0, 3.0], [0.5, 2.0]),   # the first of two brackets has no root
+])
+def test_solver_rejects_brackets_without_a_sign_change(edges, start):
+    with pytest.raises(BracketingError):
+        solve_in_brackets(lambda x: (x * x - 4.0, 2.0 * x), edges, start)
+
+
+def test_solver_needs_one_start_per_bracket():
     with pytest.raises(ValueError):
-        refine_zero(lambda x: x, -1.0, 1.0, method="brent")
+        solve_in_brackets(lambda x: (x * x - 4.0, 2.0 * x), [1.0, 3.0, 5.0], [2.0])
 
 
 # ---------------------------------------------------------------------------

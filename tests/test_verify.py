@@ -1,8 +1,11 @@
 """Tests for the self-verification suites."""
 
+import numpy as np
 import pytest
 
-from anticentrifugal.verify import SuiteResult, run_all, suite_dimensions
+from anticentrifugal.boundstate import k_from_coupling
+from anticentrifugal.nodes import BracketingError
+from anticentrifugal.verify import SuiteResult, _quadrature_root, run_all, suite_dimensions
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +54,19 @@ def test_dimension_suite_is_exact():
     for r in suite_dimensions():
         assert r.passed
         assert r.max_error == 0.0
+
+
+def test_quadrature_root_settles_on_the_closed_form():
+    # U0 = 16.2378 of the verify couplings sends plain Newton steps into a
+    # two-point cycle, each point the other's bracket end, on the
+    # quadrature's rounding noise
+    for coupling in np.geomspace(0.1, 100.0, 20)[[0, 14, 19]].tolist():
+        k = k_from_coupling(coupling, 1.0)
+        assert _quadrature_root(coupling, 1.0, k) == pytest.approx(k, rel=1e-12)
+
+
+def test_quadrature_root_bracket_without_a_sign_change_raises():
+    # the bracket spans a factor e^0.4 around its guess, which is 100 k here
+    k = k_from_coupling(1.0, 1.0)
+    with pytest.raises(BracketingError):
+        _quadrature_root(1.0, 1.0, 100.0 * k)
