@@ -19,6 +19,7 @@ coupling U0 > 0 and the wavenumber are tied by
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -60,27 +61,50 @@ def density_profile(dimension: int, k: float, r):
     """Radial probability weight W(r) of the bound state; scalar or array."""
     form = DensityForm.for_dimension(dimension)
     k = _check_k(k)
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    if flat.size and not np.all(np.isfinite(flat)):
+    if not isinstance(r, (int, float)):
+        arr = np.asarray(r, dtype=float)
+        if arr.ndim:
+            return _density_array(form, k, arr)
+    # a single radius, as the quadrature integrand passes once per node,
+    # stays on Python floats; np.exp of a float rounds as on an array
+    r = float(r)
+    if not math.isfinite(r):
         raise ValueError("radii must be finite")
-    if form is not DensityForm.EXP_LINE and flat.size and np.any(flat < 0.0):
+    if form is not DensityForm.EXP_LINE and r < 0.0:
         raise ValueError("radii must be non-negative")
     if form is DensityForm.EXP_LINE:
-        out = k * np.exp(-2.0 * k * np.abs(flat))
-    elif form is DensityForm.EXP_RADIAL:
-        out = 2.0 * k * np.exp(-2.0 * k * flat)
-    else:
-        # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence.  A single
-        # radius stays on the scalar path: the quadrature integrand calls
-        # this once per node, where an array evaluation would cost more.
-        out = np.zeros(flat.shape)
-        pos = flat > 0.0
-        if pos.any():
-            rp = float(flat[0]) if scalar else flat[pos]
-            out[pos] = 2.0 * k * k * rp * besselk(0, k * rp) ** 2
-    return float(out[0]) if scalar else out
+        return float(k * np.exp(-2.0 * k * abs(r)))
+    if form is DensityForm.EXP_RADIAL:
+        return float(2.0 * k * np.exp(-2.0 * k * r))
+    # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence
+    return _ring_weight(k, r) if r > 0.0 else 0.0
+
+
+def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
+    if r.size and not np.all(np.isfinite(r)):
+        raise ValueError("radii must be finite")
+    if form is not DensityForm.EXP_LINE and r.size and np.any(r < 0.0):
+        raise ValueError("radii must be non-negative")
+    if form is DensityForm.EXP_LINE:
+        return k * np.exp(-2.0 * k * np.abs(r))
+    if form is DensityForm.EXP_RADIAL:
+        return 2.0 * k * np.exp(-2.0 * k * r)
+    out = np.zeros(r.shape)
+    pos = r > 0.0
+    if pos.any():
+        out[pos] = _ring_weight(k, r[pos])
+    return out
+
+
+def _ring_weight(k: float, r):
+    # 2 k^2 r K_0(k r)^2 at positive radii; where 2 k^2 underflows (k below
+    # about 1e-154) the factors are grouped as 2 k (k r) K_0^2, each of them
+    # representable
+    kr = k * r
+    k0 = besselk(0, kr)
+    if 2.0 * k * k < sys.float_info.min:
+        return 2.0 * k * kr * k0**2
+    return 2.0 * k * k * r * k0**2
 
 
 @dataclass(frozen=True)

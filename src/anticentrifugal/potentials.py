@@ -117,7 +117,8 @@ def eval_potential(spec: EffectivePotentialSpec, r):
     """Evaluate V_eff(r) = strength / r^2 at positive radii.
 
     Accepts a scalar or an array; the return type matches. Radii must be
-    strictly positive and finite.
+    strictly positive and finite. A vanishing strength gives exact zeros,
+    also where r * r underflows.
     """
     coeff = spec.strength
     arr = np.asarray(r, dtype=float)
@@ -125,10 +126,10 @@ def eval_potential(spec: EffectivePotentialSpec, r):
         rv = float(arr)
         if not (math.isfinite(rv) and rv > 0.0):
             raise ValueError(f"radius must be positive and finite, got {rv!r}")
-        return coeff / (rv * rv)
+        return coeff / (rv * rv) if coeff else 0.0
     if arr.size and (not np.all(np.isfinite(arr)) or not np.all(arr > 0.0)):
         raise ValueError("all radii must be positive and finite")
-    return coeff / (arr * arr)
+    return coeff / (arr * arr) if coeff else np.zeros(arr.shape)
 
 
 def classify_potential(spec: EffectivePotentialSpec) -> SignClass:

@@ -20,9 +20,13 @@ recurrence in whichever direction is stable for the family.
 Every evaluator takes a float or an array of arguments.  A float runs the
 pure-Python kernels; an array runs their array twins, which repeat the
 same floating-point operations in the same order with one lane per
-argument.  J, Y and I therefore agree bit for bit between the two paths;
-K agrees to a few units in the last place, because numpy's exp and cosh
-round differently from the math module's.
+argument.  The twins call the math module per element (``_map``) only for
+log, exp and cosh, whose numpy versions may round differently; start
+orders and square and cube roots are computed over the whole array, and
+the rare J start order whose sum sits next to an integer is recomputed
+the scalar way.  J, Y and I therefore agree bit for bit between the two
+paths; K agrees to a few units in the last place, because its trapezoid
+sums numpy's exp.
 
 All functions are pure and keep no state between calls.
 """
@@ -123,10 +127,10 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
-def _map(fn, xs: np.ndarray, *args) -> np.ndarray:
-    # Per-element math-module calls: numpy's log, exp and pow may round
+def _map(fn, xs: np.ndarray) -> np.ndarray:
+    # Per-element math-module log, exp and cosh: numpy's may round
     # differently, which would break the bit-for-bit match with the scalar path.
-    return np.array([fn(v, *args) for v in xs.tolist()])
+    return np.array([fn(v) for v in xs.tolist()])
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +280,32 @@ def _j_start(x: float, m: int) -> int:
     return top + top % 2  # the sum rule starts on an even order
 
 
+def _j_start_array(x: np.ndarray, m: int) -> np.ndarray:
+    """_j_start per element.  np.power may round the cube root one ulp away
+    from the scalar pow, which can move the truncation only where the sum
+    sits next to an integer: those elements take the scalar route."""
+    v = x + 12.0 * np.power(0.5 * x + 1.0, 1.0 / 3.0)
+    with np.errstate(invalid="ignore"):  # v past 2^63 is near and raises below
+        top = v.astype(np.int64) + 18
+    top = np.maximum(top, m + top // 2)
+    top += top % 2
+    near = np.abs(v - np.rint(v)) <= 1e-9 * v
+    if near.any():
+        top[near] = [_j_start(a, m) for a in x[near].tolist()]
+    return top
+
+
 def _i_start(x: float, m: int) -> int:
     """Start order for the I table: past the e^(-m^2/2x) decay band, and at
     least half the default start order past m."""
     top = int(1.2 * math.sqrt(92.0 * x)) + 30
     return max(top, m + top // 2)
+
+
+def _i_start_array(x: np.ndarray, m: int) -> np.ndarray:
+    # _i_start per element: np.sqrt is correctly rounded like math.sqrt
+    top = (1.2 * np.sqrt(92.0 * x)).astype(np.int64) + 30
+    return np.maximum(top, m + top // 2)
 
 
 def _miller_table(x: float, top: int, sign: float) -> tuple[list, float]:
@@ -368,7 +393,7 @@ def _j_large(m: int, x: float) -> float:
 
 def _j_large_array(m: int, x: np.ndarray) -> np.ndarray:
     return _miller_blocks(
-        x, _map(_j_start, x, m), -1.0, lambda t, d, xb, tb: t[m] * (1.0 / d)
+        x, _j_start_array(x, m), -1.0, lambda t, d, xb, tb: t[m] * (1.0 / d)
     )
 
 
@@ -384,7 +409,7 @@ def _i_large(m: int, x: float) -> float:
 def _i_large_array(m: int, x: np.ndarray) -> np.ndarray:
     return _miller_blocks(
         x,
-        _map(_i_start, x, m),
+        _i_start_array(x, m),
         1.0,
         lambda t, d, xb, tb: (t[m] / d) * _map(math.exp, xb),
     )
@@ -434,7 +459,7 @@ def _neumann_y01(table: np.ndarray, denom: np.ndarray, x: np.ndarray, top: np.nd
 
 
 def _y01_large_array(x: np.ndarray) -> np.ndarray:
-    return _miller_blocks(x, _map(_j_start, x, 0), -1.0, _neumann_y01)
+    return _miller_blocks(x, _j_start_array(x, 0), -1.0, _neumann_y01)
 
 
 def _k01_large(x: float) -> tuple[float, float]:
@@ -471,11 +496,13 @@ def _k01_large_array(x: np.ndarray) -> np.ndarray:
     live = np.arange(x.size)
     j = 1
     while live.size:
-        # math.cosh once per distinct node, as the scalar path rounds it:
-        # x * c amplifies any difference in c, and below x = 21.8 every
-        # element shares the step h, so one call serves them all
-        nodes, at = np.unique(j * h[live], return_inverse=True)
-        c = _map(math.cosh, nodes)[at]
+        # math.cosh as the scalar path rounds it, since x * c amplifies any
+        # difference in c: below x = 21.8 every element has the step 0.15,
+        # so one call serves them all; the rest take one call each
+        c = np.full(live.size, math.cosh(j * 0.15))
+        own = h[live] != 0.15
+        if own.any():
+            c[own] = _map(math.cosh, j * h[live[own]])
         f = np.exp(-x[live] * c)
         s0[live] += f
         s1[live] += f * c
@@ -538,7 +565,7 @@ def _oscillatory01_array(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
             SERIES_SWITCH_JY,
             lambda v: np.stack([_ascending_series_array(m, v, -1.0) for m in (0, 1)]),
             lambda v: _miller_blocks(
-                v, _map(_j_start, v, 0), -1.0, lambda t, d, xb, tb: t[:2] * (1.0 / d)
+                v, _j_start_array(v, 0), -1.0, lambda t, d, xb, tb: t[:2] * (1.0 / d)
             ),
             2,
         )

@@ -49,6 +49,7 @@ from .specfun import (
     _crossover_mismatch,
     besselj,
     besselk,
+    bessely,
     eval_cylinder,
     eval_cylinder_derivative,
     sommerfeld_j0,
@@ -182,20 +183,35 @@ def _match_grid(h: float) -> RadialGrid:
     return RadialGrid(0.05, 20.05, n)
 
 
-def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
-    """Numerov integration against the closed-form radial solutions."""
-    out = []
-    grid = _match_grid(1e-3)
-    # decaying branch, marched inward: pointwise relative error is fair
-    # because the solution never vanishes
-    ana_k = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, grid)
-    num_k = integrate_radial(
+def _seed_pair(fn, k: float, grid: RadialGrid, at: tuple[int, int]) -> tuple[float, float]:
+    """sqrt(r) C_0(k r) at two grid indices only: the array path of *fn* is
+    elementwise, so these equal analytic_radial's values there."""
+    r = grid.points[list(at)]
+    return tuple((np.sqrt(r) * fn(0, k * r)).tolist())
+
+
+def _decaying_match(h: float):
+    """The closed-form decaying wave at k = 1 and its inward Numerov march
+    on the matching grid of spacing h."""
+    grid = _match_grid(h)
+    ana = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, grid)
+    num = integrate_radial(
         _QUANTUM_ANTI,
         -0.5,
         grid,
-        (float(ana_k.values[-1]), float(ana_k.values[-2])),
+        (float(ana.values[-1]), float(ana.values[-2])),
         Direction.INWARD,
     )
+    return ana, num
+
+
+def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
+    """Numerov integration against the closed-form radial solutions."""
+    out = []
+    # decaying branch, marched inward: pointwise relative error is fair
+    # because the solution never vanishes
+    ana_k, num_k = _decaying_match(1e-3)
+    grid = ana_k.grid
     err = float(np.max(np.abs(num_k.values - ana_k.values) / np.abs(ana_k.values)))
     out.append(
         _res("radial-match-decaying", err, 1e-6, scale, "inward Numerov vs closed form, h = 1e-3")
@@ -233,18 +249,8 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
         _res("radial-residual", max(r1, r2), 1e-5, scale, "five-point defect of closed forms")
     )
     # fourth-order convergence, observed from three spacings
-    errs = []
-    for h in (4e-3, 2e-3, 1e-3):
-        g = _match_grid(h)
-        ana = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, g)
-        num = integrate_radial(
-            _QUANTUM_ANTI,
-            -0.5,
-            g,
-            (float(ana.values[-1]), float(ana.values[-2])),
-            Direction.INWARD,
-        )
-        errs.append(float(np.max(np.abs(num.values - ana.values))))
+    pairs = [_decaying_match(h) for h in (4e-3, 2e-3)] + [(ana_k, num_k)]
+    errs = [float(np.max(np.abs(num.values - ana.values))) for ana, num in pairs]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     out.append(
         _res(
@@ -258,12 +264,11 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
     # branch selection: decaying seeds stay bounded inward, generic seeds
     # at the same negative energy blow up outward
     k_big = 30.0
-    ana = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, k_big, grid)
     num = integrate_radial(
         _QUANTUM_ANTI,
         -0.5 * k_big * k_big,
         grid,
-        (float(ana.values[-1]), float(ana.values[-2])),
+        _seed_pair(besselk, k_big, grid, (-1, -2)),
         Direction.INWARD,
     )
     bounded = float(np.max(np.abs(num.values))) < 10.0
@@ -285,19 +290,12 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
     )
     # constancy of the Wronskian of two independent numeric solutions
     wgrid = RadialGrid(0.5, 20.5, 20001)
-    waves = []
-    for fam in (SolutionFamily.OSCILLATORY_REGULAR, SolutionFamily.OSCILLATORY_SINGULAR):
-        ana = analytic_radial(fam, 0, 1.0, wgrid)
-        waves.append(
-            integrate_radial(
-                _QUANTUM_ANTI,
-                0.5,
-                wgrid,
-                (float(ana.values[0]), float(ana.values[1])),
-                Direction.OUTWARD,
-            ).values
-        )
-    u1, u2 = waves
+    u1, u2 = (
+        integrate_radial(
+            _QUANTUM_ANTI, 0.5, wgrid, _seed_pair(fn, 1.0, wgrid, (0, 1)), Direction.OUTWARD
+        ).values
+        for fn in (besselj, bessely)
+    )
     d1 = five_point_derivatives(u1, wgrid.spacing)[0]
     d2 = five_point_derivatives(u2, wgrid.spacing)[0]
     w = u1[2:-2] * d2 - d1 * u2[2:-2]

@@ -10,6 +10,7 @@ adaptive quadrature of the momentum integral it came from.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -35,6 +36,7 @@ from anticentrifugal.boundstate import (
 )
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.radial import RadialGrid
+from anticentrifugal.specfun import besselk
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,63 @@ def test_ring_density_array_matches_pointwise_evaluation():
     assert all(isinstance(w, float) for w in want)
     assert got[0] == 0.0 and want[0] == 0.0
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_single_radius_path_matches_array_path(dimension):
+    """A float radius runs on Python floats, an array on numpy: the
+    exponential forms agree bit for bit.  The ring is compared in
+    test_ring_density_array_matches_pointwise_evaluation."""
+    for k in (0.37, 1.0, 7.0):
+        radii = np.concatenate(([0.0], np.geomspace(1e-6, 30.0, 300))) / k
+        if dimension == 1:
+            radii = np.concatenate((-radii[::-1], radii))
+        got = [density_profile(dimension, k, r) for r in radii.tolist()]
+        assert all(type(w) is float for w in got)
+        np.testing.assert_array_equal(got, density_profile(dimension, k, radii))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_scalar_radii_of_any_type_give_the_float_result(dimension):
+    for r in (0, 2, np.array(0.5), np.float64(0.5), np.int64(3)):
+        w = density_profile(dimension, 1.3, r)
+        assert type(w) is float and w == density_profile(dimension, 1.3, float(r))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_single_radius_and_array_paths_raise_alike(dimension, bad):
+    if dimension == 1 and bad == -0.5:
+        assert density_profile(1, 1.0, bad) == density_profile(1, 1.0, 0.5)
+        return
+    message = "non-negative" if bad == -0.5 else "finite"
+    for r in (bad, np.array([1.0, bad])):
+        with pytest.raises(ValueError, match=message):
+            density_profile(dimension, 1.0, r)
+
+
+def test_ring_weight_where_k_squared_underflows():
+    """2 k^2 underflows below k of about 1e-154, yet W = 2 k (k r) K_0(k r)^2
+    is representable: both paths must keep it, against mpmath."""
+    k = 1e-300
+    radii = np.array([0.05, ring_peak_parameter(), 1.0, 5.0, 20.0]) / k
+    with mp.workdps(30):
+        want = [
+            float(2 * mp.mpf(k) ** 2 * mp.mpf(r) * mp.besselk(0, mp.mpf(k) * mp.mpf(r)) ** 2)
+            for r in radii.tolist()
+        ]
+    got = density_profile(2, k, radii)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    for r, w in zip(radii.tolist(), want):
+        assert density_profile(2, k, r) == pytest.approx(w, rel=1e-13)
+
+
+def test_ring_weight_unchanged_where_k_squared_is_normal():
+    # the regrouping applies only below the underflow: elsewhere the weight
+    # is the plain product 2 k^2 r K_0(k r)^2, bit for bit
+    for k in (1e-150, 1e-3, 1.0, 9.3):
+        r = 0.7 / k
+        assert density_profile(2, k, r) == 2.0 * k * k * r * besselk(0, k * r) ** 2
 
 
 def test_ring_density_diverges_less_than_the_amplitude():

@@ -8,6 +8,7 @@ subprocesses.
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from anticentrifugal import cli
 from anticentrifugal.cli import main
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.quadrature import QuadratureError
+from anticentrifugal.specfun import besselk
 
 
 def run(capsys, *argv):
@@ -210,6 +212,30 @@ def test_boundstate_planar_from_wavenumber(capsys):
     assert doc["max_value"] == pytest.approx(oracles.RING_W_MAX_K1, rel=1e-12)
 
 
+def test_boundstate_planar_where_k_squared_underflows(capsys):
+    # 2 k^2 underflowed to 0: normalization and max_value used to print 0.0
+    k = 1e-200
+    rc, out, _ = run(capsys, "boundstate", "--dimension", "2", "--k", repr(k))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["normalization"] == pytest.approx(1.0, abs=1e-8)
+    xi = oracles.RING_XI
+    assert doc["max_value"] == pytest.approx(2.0 * xi * besselk(0, xi) ** 2 * k, rel=1e-15)
+
+
+def test_wavefunction_weight_where_k_squared_underflows(capsys):
+    # the w2 column used to be all zeros at k = 1e-300
+    k = 1e-300
+    rc, out, _ = run(capsys, "wavefunction", "--k", repr(k), "--n-points", "41")
+    assert rc == 0
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    with mp.workdps(30):
+        for r, _, w2 in rows:
+            want = 2 * mp.mpf(k) ** 2 * mp.mpf(r) * mp.besselk(0, mp.mpf(k) * mp.mpf(r)) ** 2
+            # plus one subnormal step: the far tail lies below 2.2e-308
+            assert abs(w2 - want) <= 1e-13 * want + 2.0**-1074
+
+
 def test_boundstate_line_and_point(capsys):
     rc, out, _ = run(capsys, "boundstate", "--dimension", "1", "--coupling", "-2.0")
     assert rc == 0
@@ -252,6 +278,14 @@ def test_csv_output_carries_only_finite_numbers(capsys, recwarn):
     assert out == ""
     assert err == "error: Out of range float values are not CSV compliant: -inf\n"
     assert len(recwarn) == 0
+
+
+def test_vanishing_potential_prints_zeros_where_r_squared_underflows(capsys):
+    rc, out, err = run(capsys, "potential", "--family", "ndim", "--N", "3",
+                       "--r-min", "1e-200", "--n-points", "3")
+    assert rc == 0
+    assert err == ""
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
 
 
 def test_json_output_carries_only_finite_numbers(capsys):

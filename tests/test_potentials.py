@@ -167,6 +167,18 @@ def test_eval_rejects_bad_radius_inside_array():
         eval_potential(planar(0), np.array([1.0, -2.0]))
 
 
+def test_vanishing_strength_gives_exact_zeros_where_r_squared_underflows():
+    # 0 / (r * r) was 0 / 0: nan on arrays, ZeroDivisionError on floats
+    vanishing = [ndim(1), ndim(3), spatial(0),
+                 EffectivePotentialSpec(PotentialFamily.CLASSICAL, classical_l_squared=0.0)]
+    r = np.array([1e-200, 1e-170, 1.0])
+    for spec in vanishing:
+        assert eval_potential(spec, 1e-200) == 0.0
+        out = eval_potential(spec, r)
+        assert out.shape == r.shape
+        np.testing.assert_array_equal(out, 0.0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=-1)

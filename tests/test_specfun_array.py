@@ -17,6 +17,11 @@ from anticentrifugal.specfun import (
     SERIES_SWITCH_K,
     CylinderFamily,
     CylinderKind,
+    _i_start,
+    _i_start_array,
+    _j_start,
+    _j_start_array,
+    _k01_large_array,
     _oscillatory01_array,
     besseli,
     besselj,
@@ -76,6 +81,53 @@ def test_array_derivatives_match_scalar_path(family, m):
     got = eval_cylinder_derivative(kind, _GRID)
     want = np.array([eval_cylinder_derivative(kind, float(x)) for x in _GRID])
     _assert_pinned(family, got, want, _GRID)
+
+
+def _j_start_sum(x: float) -> float:
+    return x + 12.0 * (0.5 * x + 1.0) ** (1.0 / 3.0)
+
+
+def _near_integer_j_sums() -> np.ndarray:
+    """Arguments within 4 ulp of where the J start sum reaches each integer
+    from 20 to 700: there a one-ulp difference in the cube root flips the
+    truncated start order."""
+    xs = []
+    for n in range(20, 701):
+        lo, hi = 0.0, float(n)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            lo, hi = (lo, mid) if _j_start_sum(mid) >= n else (mid, hi)
+        for toward in (-math.inf, math.inf):
+            x = hi
+            for _ in range(4):
+                x = float(np.nextafter(x, toward))
+                xs.append(x)
+        xs.append(hi)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 150])
+def test_start_orders_match_scalar_path(m):
+    near = _near_integer_j_sums()
+    sums = np.array([_j_start_sum(x) for x in near.tolist()])
+    assert np.all(np.abs(sums - np.rint(sums)) <= 1e-9 * sums)
+    x = np.concatenate((_GRID, near))
+    np.testing.assert_array_equal(_j_start_array(x, m), [_j_start(v, m) for v in x.tolist()])
+    np.testing.assert_array_equal(_i_start_array(x, m), [_i_start(v, m) for v in x.tolist()])
+
+
+def test_k_trapezoid_shared_and_own_steps_match_one_at_a_time():
+    # below x = (0.7 / 0.15)^2 every element shares the step 0.15 and one
+    # cosh per node; above it each element has its own step
+    edge = (0.7 / 0.15) ** 2
+    x = np.array(
+        [3.0, 40.0, 5.5, edge, 5.5, np.nextafter(edge, 0.0), 21.0, np.nextafter(edge, 50.0),
+         22.0, 40.0, 333.3, 3.0 + 1e-12, 700.0]
+    )
+    want = np.concatenate([_k01_large_array(x[i : i + 1]) for i in range(x.size)], axis=1)
+    np.testing.assert_array_equal(_k01_large_array(x), want)
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])

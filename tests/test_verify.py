@@ -5,7 +5,16 @@ import pytest
 
 from anticentrifugal.boundstate import k_from_coupling
 from anticentrifugal.nodes import BracketingError
-from anticentrifugal.verify import SuiteResult, _quadrature_root, run_all, suite_dimensions
+from anticentrifugal.radial import RadialGrid, SolutionFamily, analytic_radial
+from anticentrifugal.specfun import besselj, besselk, bessely
+from anticentrifugal.verify import (
+    SuiteResult,
+    _match_grid,
+    _quadrature_root,
+    _seed_pair,
+    run_all,
+    suite_dimensions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +79,20 @@ def test_quadrature_root_bracket_without_a_sign_change_raises():
     k = k_from_coupling(1.0, 1.0)
     with pytest.raises(BracketingError):
         _quadrature_root(1.0, 1.0, 100.0 * k)
+
+
+@pytest.mark.parametrize(
+    "fn, family, k, grid, at",
+    [
+        (besselk, SolutionFamily.DECAYING_MODIFIED, 30.0, _match_grid(1e-3), (-1, -2)),
+        # k = 7 also puts a sample where the scalar K_0 can round apart from the array one
+        (besselk, SolutionFamily.DECAYING_MODIFIED, 7.0, _match_grid(1e-3), (-1, -2)),
+        (besselj, SolutionFamily.OSCILLATORY_REGULAR, 1.0, RadialGrid(0.5, 20.5, 20001), (0, 1)),
+        (bessely, SolutionFamily.OSCILLATORY_SINGULAR, 1.0, RadialGrid(0.5, 20.5, 20001), (0, 1)),
+    ],
+)
+def test_seed_pair_equals_the_closed_form_wave(fn, family, k, grid, at):
+    # the Numerov seeds come from two samples only, yet must be the very
+    # numbers the whole closed-form wave holds there
+    want = analytic_radial(family, 0, k, grid).values[list(at)].tolist()
+    assert _seed_pair(fn, k, grid, at) == tuple(want)
