@@ -56,10 +56,10 @@ _FAMILY_MAP = {
     "quantum-anti": PotentialFamily.QUANTUM_ANTICENTRIFUGAL,
 }
 
-#: Size limits: the cost of the zero tables grows about quadratically in
-#: --n-max (several seconds at the limit), and of the grids linearly in
-#: --n-points (about 1.5 s and 11 MB of JSON at the limit).
-_MAX_N_MAX = 1000
+#: Size limits: the cost of the zero tables and of the grids grows linearly
+#: in --n-max and --n-points (about 0.5 s and 1.5 s at the limits, and
+#: about 3 MB and 11 MB of JSON).
+_MAX_N_MAX = 10_000
 _MAX_N_POINTS = 100_000
 
 

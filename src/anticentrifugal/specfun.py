@@ -3,28 +3,34 @@
 Evaluates the oscillatory pair J_m, Y_m and the modified pair I_m, K_m for
 non-negative integer order on the positive real axis, plus their first
 derivatives and a direct angular-quadrature route to J_0.  No external
-special-function library is used; every value comes from one of four
+special-function library is used; every value comes from one of five
 classical schemes, selected by argument size:
 
 * ascending power series near the origin (log-augmented for Y_m and K_m),
 * backward (Miller) recurrence with a sum-rule normalization for J_m and
   I_m at moderate and large arguments,
 * a Neumann-type series over the Miller table for Y_0 and Y_1,
+* the Hankel expansions for J_0, J_1, Y_0 and Y_1 from x = 20 on, whose
+  cost does not grow with x, so no argument is too large for J or Y,
 * an exponentially convergent trapezoid on the cosh-integral for K_m.
 
 Each scheme is used only where it is well conditioned, so plain double
 arithmetic holds the relative error near 1e-14 across the supported range
 (target: 1e-12 on (0, 50]).  Orders above 1 come from the three-term
-recurrence in whichever direction is stable for the family.
+recurrence in whichever direction is stable for the family: upward for Y
+and K, and for J above x = 20 while the order is below x; downward
+(Miller) for I, and for J below x = 20 or at orders from x on.  Above
+x = 20 a Miller table's length therefore follows the order served, not
+the argument.
 
 Every evaluator takes a float or an array of arguments.  A float runs the
 pure-Python kernels; an array runs their array twins, which repeat the
 same floating-point operations in the same order with one lane per
 argument.  The twins call the math module per element (``_map``) only for
-log, exp and cosh, whose numpy versions may round differently; start
-orders and square and cube roots are computed over the whole array, and
-the rare J start order whose sum sits next to an integer is recomputed
-the scalar way.  J, Y and I therefore agree bit for bit between the two
+log, exp, cosh, cos and sin, whose numpy versions may round differently;
+start orders and square and cube roots are computed over the whole array,
+and the rare J start order whose sum sits next to an integer is
+recomputed the scalar way.  J, Y and I therefore agree bit for bit between the two
 paths; K agrees to a few units in the last place, because its trapezoid
 sums numpy's exp.
 
@@ -34,6 +40,7 @@ All functions are pure and keep no state between calls.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +57,14 @@ TARGET_REL_ERROR = 1e-12
 SERIES_SWITCH_JY = 2.0
 SERIES_SWITCH_I = 8.0
 SERIES_SWITCH_K = 3.0
+
+#: At and above this argument J_0, J_1, Y_0 and Y_1 come from the Hankel
+#: expansions, whose terms shrink to rounding within _HANKEL_TERMS there.
+_HANKEL_SWITCH = 20.0
+
+#: Terms a_0 .. a_{2 _HANKEL_TERMS - 1} of the Hankel expansions: the terms
+#: a_k / x^k shrink while k < 2x, and a_26 / 20^26 is already below 2^-56.
+_HANKEL_TERMS = 14
 
 #: I_m overflows double precision shortly above this argument.
 MAX_ARGUMENT_I = 700.0
@@ -128,7 +143,7 @@ def _is_array(x) -> bool:
 
 
 def _map(fn, xs: np.ndarray) -> np.ndarray:
-    # Per-element math-module log, exp and cosh: numpy's may round
+    # Per-element math-module log, exp, cosh, cos and sin: numpy's may round
     # differently, which would break the bit-for-bit match with the scalar path.
     return np.array([fn(v) for v in xs.tolist()])
 
@@ -173,11 +188,16 @@ def _ascending_series_array(m: int, x: np.ndarray, sign: float) -> np.ndarray:
     return total
 
 
+def _log_half(x: float) -> float:
+    # ln(x/2), where halving a subnormal x would round (to 0 at the smallest)
+    return math.log(0.5 * x) if x >= 2.0 * sys.float_info.min else math.log(x) - math.log(2.0)
+
+
 def _log_series(x: float, sign: float) -> tuple[float, float]:
     """Y_0, Y_1 (sign -1) or K_0, K_1 (sign +1) from the log-augmented
     ascending series (x below the switch)."""
     q = 0.25 * x * x
-    lg = math.log(0.5 * x)
+    lg = _log_half(x)
     c0 = _ascending_series(0, x, sign)
     c1 = _ascending_series(1, x, sign)
 
@@ -228,7 +248,7 @@ def _log_series_assemble(x, sign, lg, c0, c1, s0, s1):
 
 def _log_series_array(x: np.ndarray, sign: float) -> np.ndarray:
     q = 0.25 * x * x
-    lg = _map(math.log, 0.5 * x)
+    lg = _map(_log_half, x)
     c0 = _ascending_series_array(0, x, sign)
     c1 = _ascending_series_array(1, x, sign)
 
@@ -264,7 +284,8 @@ def _log_series_array(x: np.ndarray, sign: float) -> np.ndarray:
         hk += 1.0 / k
         alt *= sign
         live = live[~((t * (2.0 * hk + 1.0) <= 1e-17 * (np.abs(s1[live]) + 1e-30)) | (k > 60))]
-    return np.stack(_log_series_assemble(x, sign, lg, c0, c1, s0, s1))
+    with np.errstate(over="ignore", divide="ignore"):  # _recur_up raises instead
+        return np.stack(_log_series_assemble(x, sign, lg, c0, c1, s0, s1))
 
 
 # ----------------------------------------------------------------------
@@ -471,6 +492,9 @@ def _k01_large(x: float) -> tuple[float, float]:
     """
     h = min(0.15, 0.7 / math.sqrt(x))
     f0 = math.exp(-x)
+    if f0 == 0.0:
+        # every sample e^(-x cosh t) <= e^(-x) underflows, and so do K_0, K_1
+        return 0.0, 0.0
     s0 = 0.5 * f0
     s1 = 0.5 * f0
     j = 1
@@ -493,7 +517,7 @@ def _k01_large_array(x: np.ndarray) -> np.ndarray:
     f0 = np.exp(-x)
     s0 = 0.5 * f0
     s1 = 0.5 * f0
-    live = np.arange(x.size)
+    live = np.flatnonzero(f0)  # as on the scalar path, K underflows with e^(-x)
     j = 1
     while live.size:
         # math.cosh as the scalar path rounds it, since x * c amplifies any
@@ -513,10 +537,86 @@ def _k01_large_array(x: np.ndarray) -> np.ndarray:
     return np.stack((h * s0, h * s1))
 
 
+# ----------------------------------------------------------------------
+# Hankel expansions (large argument)
+# ----------------------------------------------------------------------
+
+def _hankel_coefficients(nu: int) -> tuple[tuple, tuple]:
+    """Coefficients of P and Q in t = 1/x^2 (DLMF 10.17.3-10.17.4):
+    (-1)^j a_2j(nu) and (-1)^j a_2j+1(nu), with a_k(nu) the product of
+    (4 nu^2 - (2i-1)^2) over i <= k divided by k! 8^k, each correctly
+    rounded from its exact integer ratio."""
+    a = []
+    num, den = 1, 1
+    for k in range(2 * _HANKEL_TERMS):
+        a.append(num / den)
+        num *= 4 * nu * nu - (2 * k + 1) ** 2
+        den *= 8 * (k + 1)
+    return (
+        tuple((-1) ** j * a[2 * j] for j in range(_HANKEL_TERMS)),
+        tuple((-1) ** j * a[2 * j + 1] for j in range(_HANKEL_TERMS)),
+    )
+
+
+_HANKEL_PQ = (_hankel_coefficients(0), _hankel_coefficients(1))
+
+
+def _horner(coefficients: tuple, t):
+    acc = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
+def _hankel01(x, cos_x, sin_x):
+    """J_0, J_1, Y_0 and Y_1 at x >= _HANKEL_SWITCH from the Hankel
+    expansions sqrt(2/(pi x)) (P cos w - Q sin w) and (P sin w + Q cos w),
+    w = x - (2 nu + 1) pi/4.
+
+    The phase is built from the caller's cos x and sin x as
+    sqrt(1/2) (cos x +- sin x): forming x - pi/4 first would lose x times
+    the rounding of pi/4.  The same operations run on a float (with
+    math.cos, math.sin) and an array (with _map of them), so both paths
+    agree bit for bit; the envelope uses a correctly rounded square root
+    for the same reason.
+    """
+    r = 1.0 / x
+    t = r * r
+    env = (np.sqrt if _is_array(x) else math.sqrt)((2.0 / math.pi) * r)
+    (p0c, q0c), (p1c, q1c) = _HANKEL_PQ
+    p0, q0 = _horner(p0c, t), r * _horner(q0c, t)
+    p1, q1 = _horner(p1c, t), r * _horner(q1c, t)
+    h = math.sqrt(0.5)
+    a = h * (cos_x + sin_x)  # cos(x - pi/4) = -sin(x - 3 pi/4)
+    b = h * (sin_x - cos_x)  # sin(x - pi/4) = cos(x - 3 pi/4)
+    return (
+        env * (p0 * a - q0 * b),
+        env * (p1 * b + q1 * a),
+        env * (p0 * b + q0 * a),
+        env * (q1 * b - p1 * a),
+    )
+
+
+def _hankel01_rows(x: np.ndarray) -> np.ndarray:
+    """_hankel01 on an array of arguments, as rows J_0, J_1, Y_0, Y_1."""
+    return np.stack(_hankel01(x, _map(math.cos, x), _map(math.sin, x)))
+
+
+def _hankel_from(m: int) -> float:
+    """Smallest argument at which J_m comes from the Hankel J_0 and J_1:
+    the switch, and past the order, because upward recurrence is stable
+    for J_m only while m < x."""
+    return max(_HANKEL_SWITCH, math.nextafter(m, math.inf))
+
+
 def _crossover_mismatch() -> float:
-    """Worst relative gap between the small- and large-argument routes of
-    orders 0 and 1, 1e-6 on either side of each switch point."""
+    """Worst relative gap between neighbouring routes of orders 0 and 1,
+    1e-6 on either side of each switch point."""
     worst = 0.0
+    for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
+        table = (_j_large(0, x), _j_large(1, x)) + _y01_large(x)
+        for hankel, v in zip(_hankel01(x, math.cos(x), math.sin(x)), table):
+            worst = max(worst, abs(hankel - v) / abs(v))
     for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
         y_small = _log_series(x, -1.0)
         y_large = _y01_large(x)
@@ -540,13 +640,14 @@ def _crossover_mismatch() -> float:
 # per-family dispatch
 # ----------------------------------------------------------------------
 
-def _by_regime(x: np.ndarray, switch: float, small, large, width: int = 1) -> np.ndarray:
-    """Evaluate *small* on the arguments below the switch and *large* on
-    the rest; *width* is the number of rows each route returns."""
+def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, width: int = 1) -> np.ndarray:
+    """Evaluate routes[i] on the arguments from switches[i - 1] up to below
+    switches[i]; *width* is the number of rows each route returns."""
     flat = x.ravel()
     out = np.empty((width, flat.size))
-    below = flat < switch
-    for mask, route in ((below, small), (~below, large)):
+    regime = np.searchsorted(switches, flat, side="right")
+    for i, route in enumerate(routes):
+        mask = regime == i
         if mask.any():
             out[:, mask] = route(flat[mask])
     return out.reshape((width,) + x.shape)
@@ -555,22 +656,29 @@ def _by_regime(x: np.ndarray, switch: float, small, large, width: int = 1) -> np
 def _oscillatory01_array(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
     """Rows C_0, C_1 of the J or Y family on valid arguments.
 
-    Both orders come from one series pass or one Miller table per
-    argument, bit for bit as two besselj or bessely calls: orders 0 and 1
-    share the J table's start order.
+    Both orders come from one series pass, one Miller table or one Hankel
+    evaluation per argument, bit for bit as two besselj or bessely calls:
+    orders 0 and 1 share the J table's start order.
     """
+    switches = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
     if family is CylinderFamily.BESSEL_J:
         return _by_regime(
             x,
-            SERIES_SWITCH_JY,
-            lambda v: np.stack([_ascending_series_array(m, v, -1.0) for m in (0, 1)]),
-            lambda v: _miller_blocks(
-                v, _j_start_array(v, 0), -1.0, lambda t, d, xb, tb: t[:2] * (1.0 / d)
+            switches,
+            (
+                lambda v: np.stack([_ascending_series_array(m, v, -1.0) for m in (0, 1)]),
+                lambda v: _miller_blocks(
+                    v, _j_start_array(v, 0), -1.0, lambda t, d, xb, tb: t[:2] * (1.0 / d)
+                ),
+                lambda v: _hankel01_rows(v)[:2],
             ),
             2,
         )
     return _by_regime(
-        x, SERIES_SWITCH_JY, lambda v: _log_series_array(v, -1.0), _y01_large_array, 2
+        x,
+        switches,
+        (lambda v: _log_series_array(v, -1.0), _y01_large_array, lambda v: _hankel01_rows(v)[2:]),
+        2,
     )
 
 
@@ -579,13 +687,21 @@ def besselj(m: int, x):
     m = _check_order(m)
     if not _is_array(x):
         x = _check_argument(CylinderFamily.BESSEL_J, x)
-        return _ascending_series(m, x, -1.0) if x < SERIES_SWITCH_JY else _j_large(m, x)
+        if x < SERIES_SWITCH_JY:
+            return _ascending_series(m, x, -1.0)
+        if x < _hankel_from(m):
+            return _j_large(m, x)
+        j0, j1 = _hankel01(x, math.cos(x), math.sin(x))[:2]
+        return _recur_up(m, x, j0, j1, -1.0)
     x = _check_arguments(CylinderFamily.BESSEL_J, x)
     return _by_regime(
         x,
-        SERIES_SWITCH_JY,
-        lambda v: _ascending_series_array(m, v, -1.0),
-        lambda v: _j_large_array(m, v),
+        (SERIES_SWITCH_JY, _hankel_from(m)),
+        (
+            lambda v: _ascending_series_array(m, v, -1.0),
+            lambda v: _j_large_array(m, v),
+            lambda v: _recur_up(m, v, *_hankel01_rows(v)[:2], -1.0),
+        ),
     )[0]
 
 
@@ -594,7 +710,12 @@ def bessely(m: int, x):
     m = _check_order(m)
     if not _is_array(x):
         x = _check_argument(CylinderFamily.NEUMANN_Y, x)
-        y0, y1 = _log_series(x, -1.0) if x < SERIES_SWITCH_JY else _y01_large(x)
+        if x < SERIES_SWITCH_JY:
+            y0, y1 = _log_series(x, -1.0)
+        elif x < _HANKEL_SWITCH:
+            y0, y1 = _y01_large(x)
+        else:
+            y0, y1 = _hankel01(x, math.cos(x), math.sin(x))[2:]
     else:
         x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
         y0, y1 = _oscillatory01_array(CylinderFamily.NEUMANN_Y, x)
@@ -610,9 +731,8 @@ def besseli(m: int, x):
     x = _check_arguments(CylinderFamily.MODIFIED_I, x)
     return _by_regime(
         x,
-        SERIES_SWITCH_I,
-        lambda v: _ascending_series_array(m, v, 1.0),
-        lambda v: _i_large_array(m, v),
+        (SERIES_SWITCH_I,),
+        (lambda v: _ascending_series_array(m, v, 1.0), lambda v: _i_large_array(m, v)),
     )[0]
 
 
@@ -625,7 +745,7 @@ def besselk(m: int, x):
     else:
         x = _check_arguments(CylinderFamily.MODIFIED_K, x)
         k0, k1 = _by_regime(
-            x, SERIES_SWITCH_K, lambda v: _log_series_array(v, 1.0), _k01_large_array, 2
+            x, (SERIES_SWITCH_K,), (lambda v: _log_series_array(v, 1.0), _k01_large_array), 2
         )
     return _recur_up(m, x, k0, k1, 1.0)
 
@@ -633,19 +753,19 @@ def besselk(m: int, x):
 def _recur_up(m: int, x, f0, f1, sign: float):
     # Upward recurrence C_{k+1} = (2k/x) C_k + sign C_{k-1}: sign -1 for Y,
     # +1 for K, whose magnitudes grow with order so the direction is
-    # stable.  The same arithmetic serves floats and arrays.
+    # stable, and for J while m < x.  The same arithmetic serves floats and
+    # arrays.
     if m == 0:
-        return f0
-    if m == 1:
-        return f1
+        return f0  # |C_0| grows no faster than ln(1/x)
     prev, cur = f0, f1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, m):
-            prev, cur = cur, (2.0 * k / x) * cur + sign * prev
-    # an overflowed Y turns into inf - inf = nan on the next step
-    over = ~np.isfinite(cur)
-    if over.any():
-        at = np.atleast_1d(x)[np.atleast_1d(over)][0]
+    if m > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, m):
+                prev, cur = cur, (2.0 * k / x) * cur + sign * prev
+    # Y_1 and K_1 overflow for subnormal x, and an overflowed Y turns into
+    # inf - inf = nan on the next step; J stays below one
+    if not (np.isfinite(cur).all() if _is_array(cur) else math.isfinite(cur)):
+        at = np.atleast_1d(x)[~np.isfinite(np.atleast_1d(cur))][0]
         name = "Y" if sign < 0.0 else "K"
         raise OverflowError(f"{name}_{m}({at}) exceeds the double-precision range")
     return cur
@@ -681,11 +801,16 @@ def eval_cylinder_derivative(kind: CylinderKind, x):
     float or an array.
     """
     f = _FAMILY_EVAL[kind.family]
-    a, b, c = _DERIVATIVE_SIGNS[kind.family]
     m = kind.order
+    return _slope(kind.family, m, f(m - 1, x) if m else None, f(m + 1, x))
+
+
+def _slope(family: CylinderFamily, m: int, below, above):
+    """C_m' from C_{m-1} (unread for m = 0) and C_{m+1}."""
+    a, b, c = _DERIVATIVE_SIGNS[family]
     if m == 0:
-        return a * f(1, x)
-    return b * (f(m - 1, x) + c * f(m + 1, x))
+        return a * above
+    return b * (below + c * above)
 
 
 # ----------------------------------------------------------------------

@@ -47,11 +47,11 @@ from .specfun import (
     CylinderFamily,
     CylinderKind,
     _crossover_mismatch,
+    _slope,
     besselj,
     besselk,
     bessely,
     eval_cylinder,
-    eval_cylinder_derivative,
     sommerfeld_j0,
 )
 
@@ -82,21 +82,23 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
     equal -1/x; each mixes all four evaluation regimes across [0.1, 50].
     """
     xs = np.linspace(0.1, 50.0, 1000)
-    worst_osc = 0.0
-    worst_mod = 0.0
-    for m in (0, 1):
-        kj = CylinderKind(CylinderFamily.BESSEL_J, m)
-        ky = CylinderKind(CylinderFamily.NEUMANN_Y, m)
-        ki = CylinderKind(CylinderFamily.MODIFIED_I, m)
-        kk = CylinderKind(CylinderFamily.MODIFIED_K, m)
-        w = eval_cylinder(kj, xs) * eval_cylinder_derivative(ky, xs) - eval_cylinder_derivative(
-            kj, xs
-        ) * eval_cylinder(ky, xs)
-        worst_osc = max(worst_osc, float(np.max(np.abs(w - 2.0 / (math.pi * xs)))))
-        w = eval_cylinder(ki, xs) * eval_cylinder_derivative(kk, xs) - eval_cylinder_derivative(
-            ki, xs
-        ) * eval_cylinder(kk, xs)
-        worst_mod = max(worst_mod, float(np.max(np.abs(w + 1.0 / xs))))
+    # each family at orders 0, 1 and 2 once: the slopes of orders 0 and 1
+    # need nothing else
+    values, slopes = {}, {}
+    for fam in CylinderFamily:
+        c0, c1, c2 = (eval_cylinder(CylinderKind(fam, m), xs) for m in (0, 1, 2))
+        values[fam] = (c0, c1)
+        slopes[fam] = (_slope(fam, 0, None, c1), _slope(fam, 1, c0, c2))
+
+    def wronskian(f: CylinderFamily, g: CylinderFamily, m: int) -> np.ndarray:
+        return values[f][m] * slopes[g][m] - slopes[f][m] * values[g][m]
+
+    osc = (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y)
+    mod = (CylinderFamily.MODIFIED_I, CylinderFamily.MODIFIED_K)
+    worst_osc = max(
+        float(np.max(np.abs(wronskian(*osc, m) - 2.0 / (math.pi * xs)))) for m in (0, 1)
+    )
+    worst_mod = max(float(np.max(np.abs(wronskian(*mod, m) + 1.0 / xs))) for m in (0, 1))
     detail = "orders 0 and 1 on 1000 points of [0.1, 50]"
     return [
         _res("wronskian-oscillatory", worst_osc, 1e-10, scale, detail),

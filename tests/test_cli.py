@@ -157,7 +157,7 @@ def test_nodes_requires_two_zeros(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("n_max", ["1001", "100000000"])
+@pytest.mark.parametrize("n_max", ["10001", "100000000"])
 def test_nodes_size_is_bounded(capsys, n_max):
     rc, out, err = run(capsys, "nodes", "--n-max", n_max)
     assert rc == 2

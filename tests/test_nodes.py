@@ -279,6 +279,31 @@ def test_densities_bracket_one_from_both_sides(tables, family):
     assert np.all(np.diff(g1) > 0.0)
 
 
+@pytest.mark.parametrize("family", [J, Y])
+@pytest.mark.parametrize("order", [0, 1])
+def test_densities_approach_one_like_mcmahon_out_to_ten_thousand(family, order):
+    """beta_s^2 (pi / Delta_s - 1) -> -(4 m^2 - 1) / 8 from the side the
+    paper claims, with beta_s = (s + m/2 - 1/4) pi for J, (s + m/2 - 3/4) pi
+    for Y (DLMF 10.21(vi)).
+
+    McMahon's next term in this product is (4 m^2 - 1) pi / (8 beta_{s+1});
+    twice it bounds the gap together with the O(beta^-2) remainder from
+    s = 1 on.  Past s ~ 10^3 the rounding of the zeros dominates: an error
+    of eps z in each zero moves the product by up to
+    beta^2 pi eps (z_s + z_{s+1}) / Delta_s^2.
+    """
+    z = find_zeros(family, order, 10_001).zeros
+    spacing = np.diff(z)
+    shift = 0.25 if family is J else 0.75
+    beta = (np.arange(1, z.size) + 0.5 * order - shift) * math.pi
+    limit = -(4 * order * order - 1) / 8.0
+    scaled = beta**2 * (math.pi / spacing - 1.0)
+    rounding = beta**2 * math.pi * np.finfo(float).eps * (z[:-1] + z[1:]) / spacing**2
+    assert np.all(np.abs(scaled - limit) <= 2.0 * abs(limit) * math.pi / beta + rounding)
+    # density above one for order 0 and below one for order 1, to s = 10^4
+    assert np.all(np.sign(math.pi / spacing - 1.0) == np.sign(limit))
+
+
 def test_singular_family_bunches_harder(tables):
     g_j = node_density(tables[(J, 0)]).densities[0]
     g_y = node_density(tables[(Y, 0)]).densities[0]

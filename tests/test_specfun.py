@@ -7,6 +7,8 @@ not depend on any reference implementation at all.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+from anticentrifugal import specfun
 from anticentrifugal.specfun import (
     EULER_GAMMA,
     SERIES_SWITCH_I,
@@ -31,7 +34,10 @@ from anticentrifugal.specfun import (
     sommerfeld_j0_components,
 )
 from anticentrifugal.specfun import (
+    _HANKEL_SWITCH,
     _ascending_series,
+    _crossover_mismatch,
+    _hankel01,
     _i_large,
     _i_start,
     _j_large,
@@ -473,21 +479,23 @@ def test_numpy_integer_orders_accepted():
 # Miller tables serve no order near their start order
 
 #: Orders 0 and 1 as computed before the start order depended on the
-#: order served; they must not move by a single bit.
+#: order served; they must not move by a single bit.  The J and Y values
+#: at and above the Hankel switch come from the Hankel expansions, which
+#: hold them within 3 ulp of mpmath (the Miller route was 3-22 ulp off).
 _LOW_ORDER_PINS = [
     (besselj, 0, 2.0, 0.2238907791412357),
     (besselj, 0, 5.5, -0.0068438694178191714),
-    (besselj, 0, 37.25, 0.04272280640862728),
-    (besselj, 0, 320.0, 0.01498201721182354),
+    (besselj, 0, 37.25, 0.04272280640862734),
+    (besselj, 0, 320.0, 0.014982017211823502),
     (besselj, 1, 2.0, 0.5767248077568734),
     (besselj, 1, 5.5, -0.34143821542904335),
-    (besselj, 1, 37.25, -0.12298405791995143),
-    (besselj, 1, 320.0, -0.0419882298686447),
+    (besselj, 1, 37.25, -0.12298405791995136),
+    (besselj, 1, 320.0, -0.041988229868644776),
     (bessely, 0, 2.0, 0.5103756726497453),
-    (bessely, 0, 37.25, -0.12354629801686486),
-    (bessely, 0, 320.0, -0.042011587930493983),
+    (bessely, 0, 37.25, -0.12354629801686481),
+    (bessely, 0, 320.0, -0.04201158793049401),
     (bessely, 1, 5.5, -0.0237582389563894),
-    (bessely, 1, 320.0, -0.015047678446024643),
+    (bessely, 1, 320.0, -0.015047678446024677),
     (besseli, 0, 37.25, 986947100407430.2),
     (besseli, 0, 320.0, 2.1025154601542675e137),
     (besseli, 1, 37.25, 973608085191015.4),
@@ -499,6 +507,15 @@ _LOW_ORDER_PINS = [
 def test_low_orders_bit_identical(fn, m, x, pinned):
     assert fn(m, x) == pinned
     assert fn(m, np.array([x]))[0] == pinned
+
+
+@pytest.mark.parametrize(
+    "fn, m, x, pinned",
+    [p for p in _LOW_ORDER_PINS if p[0] in (besselj, bessely) and p[2] >= _HANKEL_SWITCH],
+)
+def test_hankel_pins_within_three_ulp_of_mpmath(fn, m, x, pinned):
+    ref = mp.besselj(m, mp.mpf(x)) if fn is besselj else mp.bessely(m, mp.mpf(x))
+    assert abs(pinned - ref) <= 3 * math.ulp(float(ref))
 
 
 @pytest.mark.parametrize(
@@ -535,3 +552,117 @@ def test_modified_orders_past_the_start_order(x, data):
     got = besseli(m, x)
     assert got == pytest.approx(ref, rel=1e-13)
     assert besseli(m, np.array([x, 0.5 * x + 1.0]))[0] == got
+
+
+# ---------------------------------------------------------------------------
+# Hankel expansions above the switch, against Miller and mpmath
+
+def _envelope(x: float) -> float:
+    return math.sqrt(2.0 / (math.pi * x))
+
+
+def _miller01(x: float) -> tuple:
+    return (_j_large(0, x), _j_large(1, x)) + _y01_large(x)
+
+
+def _mp01(x: float) -> list:
+    v = mp.mpf(x)
+    return [float(f(m, v)) for f in (mp.besselj, mp.bessely) for m in (0, 1)]
+
+
+@pytest.mark.parametrize("x", [_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH, _HANKEL_SWITCH + 1e-6])
+def test_hankel_meets_miller_at_the_switch(x):
+    hankel = _hankel01(x, math.cos(x), math.sin(x))
+    # rows J_0, J_1, Y_0, Y_1 against J_0, J_1 and the Neumann Y_0, Y_1
+    for h, miller, ref in zip(hankel, _miller01(x), _mp01(x)):
+        assert h == pytest.approx(miller, rel=5e-15)
+        assert abs(h - ref) <= 1e-15 * _envelope(x)
+
+
+@pytest.mark.parametrize("x", np.geomspace(_HANKEL_SWITCH, 3e4, 9).tolist())
+def test_hankel_against_miller_and_mpmath_up_to_3e4(x):
+    # the Miller route's own error grows with x, to about 3e-14 of the
+    # envelope at 3e4; the Hankel route stays at rounding
+    hankel = _hankel01(x, math.cos(x), math.sin(x))
+    for h, miller, r in zip(hankel, _miller01(x), _mp01(x)):
+        assert abs(h - miller) <= 1e-13 * _envelope(x)
+        assert abs(h - r) <= 1e-15 * _envelope(x)
+
+
+def test_large_arguments_without_a_table():
+    # these once built a Miller table of about x entries: 0.5 s and 34 MB
+    # for x = 1e6, and no end in sight for 1e12
+    tracemalloc.start()
+    try:
+        for x in (1e6, 1e12):
+            for fn, mp_fn in ((besselj, mp.besselj), (bessely, mp.bessely)):
+                ref = mp_fn(0, mp.mpf(x))
+                assert abs(fn(0, x) - ref) <= 1e-15 * _envelope(x)
+                assert fn(0, np.array([x, 30.0]))[0] == fn(0, x)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("x", [20.5, 37.25, 99.9, 320.0, 1500.5])
+def test_bessel_orders_near_the_argument(x):
+    # upward recurrence from the Hankel J_0, J_1 serves m < x, Miller the rest
+    top = math.floor(x)
+    for m in sorted({top - 20, top - 5, top - 2, top - 1, top, top + 1, top + 2}):
+        ref = float(mp.besselj(m, mp.mpf(x)))
+        scale = max(abs(ref), abs(float(mp.besselj(m + 1, mp.mpf(x)))))
+        assert abs(besselj(m, x) - ref) <= 1e-14 * scale
+
+
+def test_crossover_check_covers_the_hankel_switch(monkeypatch):
+    assert _crossover_mismatch() <= 1e-13
+    real = specfun._hankel01
+
+    def off(x, cos_x, sin_x):
+        return tuple(v * (1.0 + 1e-9) for v in real(x, cos_x, sin_x))
+
+    monkeypatch.setattr(specfun, "_hankel01", off)
+    assert _crossover_mismatch() >= 0.9e-9
+
+
+# ---------------------------------------------------------------------------
+# the ends of the double range
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("x", [1e300, 1e20, 746.0])
+def test_k_underflows_to_zero(m, x):
+    # once "trapezoid failed to terminate" (scalar) and a math range error
+    # (array) for x = 1e300
+    assert besselk(m, x) == 0.0
+    np.testing.assert_array_equal(besselk(m, np.array([x, x])), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("m, x", [(1, 1e-310), (1, 5e-324), (2, 1e-300)])
+@pytest.mark.parametrize("fn", [bessely, besselk])
+def test_subnormal_arguments_overflow_alike_on_both_paths(fn, m, x):
+    # Y_1 and K_1 once returned -inf and inf at subnormal x, and the array
+    # path emitted a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=f"_{m}"):
+            fn(m, x)
+        with pytest.raises(OverflowError, match=f"_{m}"):
+            fn(m, np.array([1.0, x]))
+
+
+@pytest.mark.parametrize("x", [1e-310, 3 * 5e-324, 5e-324])
+@pytest.mark.parametrize("family", [CylinderFamily.NEUMANN_Y, CylinderFamily.MODIFIED_K])
+def test_order_zero_at_subnormal_arguments(family, x):
+    # C_0 grows only like ln x, so it stays finite; its derivative is -C_1,
+    # which overflows.  ln(x/2) once rounded x/2 (to 0 at the smallest x)
+    ref = {CylinderFamily.NEUMANN_Y: mp.bessely, CylinderFamily.MODIFIED_K: mp.besselk}[family]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_cylinder(CylinderKind(family, 0), x)
+        assert got == pytest.approx(float(ref(0, mp.mpf(x))), rel=1e-15)
+        assert eval_cylinder(CylinderKind(family, 0), np.array([x]))[0] == got
+        with pytest.raises(OverflowError):
+            eval_cylinder_derivative(CylinderKind(family, 0), x)
+        with pytest.raises(OverflowError):
+            eval_cylinder_derivative(CylinderKind(family, 0), np.array([x]))

@@ -15,6 +15,7 @@ from anticentrifugal.specfun import (
     SERIES_SWITCH_I,
     SERIES_SWITCH_JY,
     SERIES_SWITCH_K,
+    _HANKEL_SWITCH,
     CylinderFamily,
     CylinderKind,
     _i_start,
@@ -72,6 +73,28 @@ def test_array_values_match_scalar_path(family, m):
     want = np.array([fn(m, float(x)) for x in _GRID])
     assert isinstance(got, np.ndarray) and got.shape == _GRID.shape
     _assert_pinned(family, got, want, _GRID)
+
+
+#: Both sides of the Hankel switch and of x = m, where J_m leaves the
+#: Miller table for upward recurrence, out to arguments no table could hold.
+_HANKEL_GRID = np.sort(
+    np.concatenate(
+        (
+            [s + d for s in (_HANKEL_SWITCH, 30.0) for d in (-1e-6, 0.0, 1e-6)],
+            np.linspace(15.0, 45.0, 301),
+            np.geomspace(45.0, 3e4, 40),
+            [1e6, 1e12, 1e300],
+        )
+    )
+)
+
+
+@pytest.mark.parametrize("fn", [besselj, bessely])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 30])
+def test_hankel_regime_matches_scalar_path(fn, m):
+    got = fn(m, _HANKEL_GRID)
+    want = np.array([fn(m, x) for x in _HANKEL_GRID.tolist()])
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("family", list(CylinderFamily))
