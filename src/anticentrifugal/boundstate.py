@@ -65,19 +65,24 @@ def density_profile(dimension: int, k: float, r):
         arr = np.asarray(r, dtype=float)
         if arr.ndim:
             return _density_array(form, k, arr)
-    # a single radius, as the quadrature integrand passes once per node,
-    # stays on Python floats; np.exp of a float rounds as on an array
     r = float(r)
     if not math.isfinite(r):
         raise ValueError("radii must be finite")
     if form is not DensityForm.EXP_LINE and r < 0.0:
         raise ValueError("radii must be non-negative")
+    return _density_at(form, k)(r)
+
+
+def _density_at(form: DensityForm, k: float):
+    """W at a single valid radius, as a function of one Python float, for
+    a checked wavenumber.  The quadrature integrand is this function, bound
+    once; np.exp of a float rounds as on an array."""
     if form is DensityForm.EXP_LINE:
-        return float(k * np.exp(-2.0 * k * abs(r)))
+        return lambda r: float(k * np.exp(-2.0 * k * abs(r)))
     if form is DensityForm.EXP_RADIAL:
-        return float(2.0 * k * np.exp(-2.0 * k * r))
+        return lambda r: float(2.0 * k * np.exp(-2.0 * k * r))
     # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence
-    return _ring_weight(k, r) if r > 0.0 else 0.0
+    return lambda r: _ring_weight(k, r) if r > 0.0 else 0.0
 
 
 def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
@@ -96,14 +101,14 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_weight(k: float, r):
-    # 2 k^2 r K_0(k r)^2 at positive radii; where 2 k^2 underflows (k below
-    # about 1e-154) the factors are grouped as 2 k (k r) K_0^2, each of them
-    # representable
-    kr = k * r
-    k0 = besselk(0, kr)
+def _ring_weight(k: float, r, k0=None):
+    # 2 k^2 r K_0(k r)^2 at positive radii, from k0 = K_0(k r) where the
+    # caller has it; where 2 k^2 underflows (k below about 1e-154) the
+    # factors are grouped as 2 k (k r) K_0^2, each of them representable
+    if k0 is None:
+        k0 = besselk(0, k * r)
     if 2.0 * k * k < sys.float_info.min:
-        return 2.0 * k * kr * k0**2
+        return 2.0 * k * (k * r) * k0**2
     return 2.0 * k * k * r * k0**2
 
 
@@ -149,7 +154,8 @@ def normalize_check(pd: ProbabilityDensity, *, rel_tol: float = 1e-10) -> float:
     k = pd.wavenumber
     r_cut = 40.0 / k
     inner_tol = min(1e-12, 0.1 * rel_tol)
-    f = lambda x: density_profile(pd.dimension, k, x)
+    # the quadrature's nodes lie in [0, r_cut], finite and non-negative
+    f = _density_at(pd.form, k)
     if pd.form is DensityForm.EXP_LINE:
         core = 2.0 * integrate_adaptive(f, 0.0, r_cut, rel_tol=inner_tol).value
         tail = math.exp(-2.0 * k * r_cut)

@@ -10,9 +10,17 @@ Subcommands expose each computation as plot-ready CSV or JSON:
 
 Output is deterministic byte for byte: CSV uses a single header row, LF
 line endings and 17-significant-digit floats; JSON is one object with a
-fixed key order. Both carry only finite numbers. Exit codes: 0 success, 2 a
-validation or numerical error (one ``error:`` line on stderr), 3 a verify
-suite failed.
+fixed key order, laid out as ``json.dumps(indent=2)`` lays it out. Both
+carry only finite numbers. Exit codes: 0 success, 2 a validation or
+numerical error (one ``error:`` line on stderr), 3 a verify suite failed.
+
+One writer serves every table (the rows of ``potential`` and
+``wavefunction``, the zero tables of ``nodes``): a float ndarray is
+checked for finiteness once, and formatted by one ``%`` operation over a
+per-row template, ``%.17g`` for CSV and ``%r`` (``float.__repr__``, as in
+``json``) for JSON. A JSON table is spliced into the envelope that
+``json.dumps`` writes around it, and the first non-finite number in
+document order is refused with ``json``'s own message.
 """
 
 from __future__ import annotations
@@ -21,17 +29,18 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .boundstate import (
     DeltaCoupling2D,
+    _ring_weight,
     coupling_from_k,
     density,
     density_maximum,
-    density_profile,
     normalize_check,
     one_three_d_bound_energy,
 )
@@ -44,7 +53,7 @@ from .potentials import (
     eval_potential,
 )
 from .quadrature import QuadratureError
-from .radial import RadialGrid, assemble_phi2
+from .radial import RadialGrid, _phi2_and_k0
 from .specfun import CylinderFamily
 from .verify import run_all
 
@@ -57,28 +66,83 @@ _FAMILY_MAP = {
 }
 
 #: Size limits: the cost of the zero tables and of the grids grows linearly
-#: in --n-max and --n-points (about 0.5 s and 1.5 s at the limits, and
-#: about 3 MB and 11 MB of JSON).
+#: in --n-max and --n-points. At the limits, in process on a 2-core x86-64
+#: host: nodes 0.23 s (3.3 MB of JSON), wavefunction 0.58 s (11.4 MB) and
+#: potential 0.37 s (7.6 MB) as JSON, about half of which is float repr.
 _MAX_N_MAX = 10_000
 _MAX_N_POINTS = 100_000
 
 
-def _fmt(v: float) -> str:
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError(f"Out of range float values are not CSV compliant: {v!r}")
-    return f"{v:.17g}"
+class _Rows(NamedTuple):
+    """A float table with named columns: CSV lines, or a JSON list of objects."""
+
+    keys: tuple
+    table: np.ndarray
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _check_finite(table: np.ndarray, fmt: str) -> None:
+    # the message and the value json.dumps(allow_nan=False) reports for the
+    # first non-finite number, in document order
+    ok = np.isfinite(table)
+    if not ok.all():
+        bad = float(table.ravel()[np.argmin(ok.ravel())])
+        raise ValueError(f"Out of range float values are not {fmt} compliant: {bad!r}")
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+def _render(template: str, sep: str, table: np.ndarray) -> str:
+    # one %-format over the whole table: a row template per row, values
+    # in row order; .tolist() gives Python floats, whose %r is float.__repr__
+    return (sep.join([template] * len(table))) % tuple(table.ravel().tolist())
+
+
+def _csv(header: Sequence[str], blocks: Sequence[tuple[str, np.ndarray]]) -> str:
+    """The header line, then per (prefix, table) block one line per row:
+    the prefix followed by the row's values as 17-digit floats."""
+    parts = [",".join(header)]
+    for prefix, table in blocks:
+        _check_finite(table, "CSV")
+        if len(table):
+            parts.append(_render(prefix + ",".join(["%.17g"] * table.shape[1]), "\n", table))
+    return "\n".join(parts) + "\n"
+
+
+#: Where a table's items go in the envelope text: json.dumps(indent=2)
+#: writes a one-string list ["\x00<i>"] as that string on its own line,
+#: indented as the table's items are.
+_SLOT = re.compile(r'( *)"\\u0000(\d+)"')
+
+
+def _json(doc) -> str:
+    """json.dumps(doc, indent=2, allow_nan=False) plus a newline, where an
+    ndarray in ``doc`` is a list of floats and a _Rows a list of objects;
+    their items are rendered by _render and spliced into the envelope."""
+    tables = []
+
+    def slot(v):
+        if isinstance(v, (np.ndarray, _Rows)):
+            table = v.table if isinstance(v, _Rows) else v
+            _check_finite(table, "JSON")
+            if not len(table):
+                return []
+            tables.append(v)
+            return [f"\x00{len(tables) - 1}"]
+        if isinstance(v, dict):
+            return {key: slot(x) for key, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [slot(x) for x in v]
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return v
+
+    def items(m: re.Match) -> str:
+        pad, v = m[1], tables[int(m[2])]
+        if isinstance(v, np.ndarray):
+            return _render(pad + "%r", ",\n", v)
+        fields = ",\n".join(f"{pad}  {json.dumps(key)}: %r" for key in v.keys)
+        return _render(f"{pad}{{\n{fields}\n{pad}}}", ",\n", v.table)
+
+    text = json.dumps(slot(doc), indent=2, allow_nan=False)
+    return _SLOT.sub(items, text) + "\n"
 
 
 def _check_n_points(n_points: int) -> None:
@@ -172,8 +236,9 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     # a V that overflows is refused by the writers below, with one error line
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = eval_potential(spec, r)
+    rows = _Rows(("r", "V"), np.column_stack((r, v)))
     if args.format == "csv":
-        text = _csv(("r", "V"), list(zip(r.tolist(), np.asarray(v).tolist())))
+        text = _csv(rows.keys, [("", rows.table)])
     else:
         text = _json(
             {
@@ -186,9 +251,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
                 },
                 "classification": classify_potential(spec).value,
                 "units": UNITS,
-                "rows": [
-                    {"r": float(ri), "V": float(vi)} for ri, vi in zip(r, np.asarray(v))
-                ],
+                "rows": rows,
             }
         )
     _write(text, args.output)
@@ -204,24 +267,13 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     _check_n_points(args.n_points)
     grid = RadialGrid(r_min, r_max, args.n_points)
     r = grid.points
-    phi = assemble_phi2(k, grid)
-    w = density_profile(2, k, r)
+    # assemble_phi2 and density_profile(2, k, r) from one K_0(k r)
+    phi, k0 = _phi2_and_k0(k, r)
+    rows = _Rows(("r", "phi2", "w2"), np.column_stack((r, phi, _ring_weight(k, r, k0))))
     if args.format == "csv":
-        text = _csv(
-            ("r", "phi2", "w2"),
-            list(zip(r.tolist(), phi.tolist(), np.asarray(w).tolist())),
-        )
+        text = _csv(rows.keys, [("", rows.table)])
     else:
-        text = _json(
-            {
-                "command": "wavefunction",
-                "k": k,
-                "rows": [
-                    {"r": float(a), "phi2": float(b), "w2": float(c)}
-                    for a, b, c in zip(r, phi, np.asarray(w))
-                ],
-            }
-        )
+        text = _json({"command": "wavefunction", "k": k, "rows": rows})
     _write(text, args.output)
     return 0
 
@@ -235,27 +287,25 @@ def _cmd_nodes(args: argparse.Namespace) -> int:
         for order in (0, 1):
             reports[(fam, order)] = node_density(find_zeros(fam, order, args.n_max))
     if args.format == "csv":
-        rows = []
-        for (fam, order), rep in reports.items():
-            z = rep.table.zeros
-            for i in range(z.size - 1):
-                rows.append(
+        # n is a float column: %.17g prints 1 to 9999 as str(int) does
+        blocks = [
+            (
+                f"{fam.value},{order},",
+                np.column_stack(
                     (
-                        fam.value,
-                        order,
-                        i + 1,
-                        float(z[i]),
-                        float(z[i + 1]),
-                        float(rep.spacings[i]),
-                        float(rep.densities[i]),
+                        np.arange(1.0, rep.table.zeros.size),
+                        rep.table.zeros[:-1],
+                        rep.table.zeros[1:],
+                        rep.spacings,
+                        rep.densities,
                     )
-                )
-        text = _csv(
-            ("family", "order", "n", "zero_n", "zero_next", "spacing", "density"), rows
-        )
+                ),
+            )
+            for (fam, order), rep in reports.items()
+        ]
+        text = _csv(("family", "order", "n", "zero_n", "zero_next", "spacing", "density"), blocks)
     else:
         verdicts = {}
-        tables = []
         for fam in families:
             verdict = bunching_verdict(reports[(fam, 0)], reports[(fam, 1)])
             verdicts[fam.value] = {
@@ -266,17 +316,16 @@ def _cmd_nodes(args: argparse.Namespace) -> int:
                 "passed": verdict.passed,
                 "max_violation": verdict.max_violation,
             }
-            for order in (0, 1):
-                rep = reports[(fam, order)]
-                tables.append(
-                    {
-                        "family": fam.value,
-                        "order": order,
-                        "zeros": [float(v) for v in rep.table.zeros],
-                        "spacings": [float(v) for v in rep.spacings],
-                        "densities": [float(v) for v in rep.densities],
-                    }
-                )
+        tables = [
+            {
+                "family": fam.value,
+                "order": order,
+                "zeros": rep.table.zeros,
+                "spacings": rep.spacings,
+                "densities": rep.densities,
+            }
+            for (fam, order), rep in reports.items()
+        ]
         text = _json(
             {
                 "command": "nodes",

@@ -192,30 +192,51 @@ def integrate_radial(
         raise ValueError(f"seed values must be finite, got {seeds!r}")
     n = grid.n_points
     r = grid.points
-    f = (eval_potential(spec, r) - 2.0 * energy).tolist()
+    f = eval_potential(spec, r) - 2.0 * energy
     c = grid.spacing ** 2 / 12.0
+    # the step's coefficients 2 + 10 c f and 1 - c f, rounded as on floats;
+    # an overflowed f gives inf or nan silently, as float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (2.0 + 10.0 * c * f).tolist()
+        g = (1.0 - c * f).tolist()
     u = [0.0] * n
     if direction is Direction.OUTWARD:
         order_idx = range(1, n - 1)
         u[0], u[1] = s0, s1
         step = 1
+        marched = np.arange(2, n)
     else:
         order_idx = range(n - 2, 0, -1)
         u[n - 1], u[n - 2] = s0, s1
         step = -1
-    for i in order_idx:
-        nxt = i + step
-        prv = i - step
-        num = (2.0 + 10.0 * c * f[i]) * u[i] - (1.0 - c * f[prv]) * u[prv]
-        u[nxt] = num / (1.0 - c * f[nxt])
-        if abs(u[nxt]) > _OVERFLOW_LIMIT:
-            raise OverflowError(
-                f"radial solution exceeded {_OVERFLOW_LIMIT:.0e} at r = {r[nxt]:.6g}; "
-                "the growing branch dominates this integration direction"
-            )
+        marched = np.arange(n - 3, -1, -1)
+    # the march runs on past an overflow, through inf and nan; growth is
+    # checked once at the end, and before a division by zero
+    try:
+        for i in order_idx:
+            u[i + step] = (a[i] * u[i] - g[i - step] * u[i - step]) / g[i + step]
+    except ZeroDivisionError:
+        _check_growth(u, marched, r)
+        raise
+    values = _check_growth(u, marched, r)
     sign = EnergySign.POSITIVE if energy > 0 else EnergySign.NEGATIVE
     k = wavenumber_from_energy(energy)
-    return RadialWave(grid, np.array(u), 0, k, sign, SolutionFamily.NUMERIC)
+    return RadialWave(grid, values, 0, k, sign, SolutionFamily.NUMERIC)
+
+
+def _check_growth(u: list, marched: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """u as an array, once no sample of ``marched`` (indices in marching
+    order, seeds excluded) exceeds the limit; else OverflowError at the
+    radius of the first that does."""
+    values = np.array(u)
+    grown = np.abs(values[marched]) > _OVERFLOW_LIMIT
+    if grown.any():
+        at = r[marched[np.argmax(grown)]]
+        raise OverflowError(
+            f"radial solution exceeded {_OVERFLOW_LIMIT:.0e} at r = {at:.6g}; "
+            "the growing branch dominates this integration direction"
+        )
+    return values
 
 
 def five_point_derivatives(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +318,12 @@ def assemble_phi2(k: float, grid: RadialGrid) -> np.ndarray:
     With this prefactor the integral of 2 pi r |Phi|^2 over the plane
     equals one.
     """
+    return _phi2_and_k0(k, grid.points)[0]
+
+
+def _phi2_and_k0(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k / sqrt(pi)) K_0(k r) and the K_0(k r) it was scaled from."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
-    pref = k / math.sqrt(math.pi)
-    return pref * besselk(0, k * grid.points)
+    k0 = besselk(0, k * r)
+    return k / math.sqrt(math.pi) * k0, k0

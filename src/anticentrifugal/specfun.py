@@ -12,7 +12,8 @@ classical schemes, selected by argument size:
 * a Neumann-type series over the Miller table for Y_0 and Y_1,
 * the Hankel expansions for J_0, J_1, Y_0 and Y_1 from x = 20 on, whose
   cost does not grow with x, so no argument is too large for J or Y,
-* an exponentially convergent trapezoid on the cosh-integral for K_m.
+* an exponentially convergent trapezoid on the cosh-integral for K_m,
+  run on e^x K_m from x = 705 on, where K_0 is subnormal or zero.
 
 Each scheme is used only where it is well conditioned, so plain double
 arithmetic holds the relative error near 1e-14 across the supported range
@@ -31,8 +32,9 @@ log, exp, cosh, cos and sin, whose numpy versions may round differently;
 start orders and square and cube roots are computed over the whole array,
 and the rare J start order whose sum sits next to an integer is
 recomputed the scalar way.  J, Y and I therefore agree bit for bit between the two
-paths; K agrees to a few units in the last place, because its trapezoid
-sums numpy's exp.
+paths; K agrees to a few units in the last place below x = 705, because
+its trapezoid sums numpy's exp, and bit for bit from there on, where both
+paths run the same array kernel.
 
 All functions are pure and keep no state between calls.
 """
@@ -68,6 +70,18 @@ _HANKEL_TERMS = 14
 
 #: I_m overflows double precision shortly above this argument.
 MAX_ARGUMENT_I = 700.0
+
+#: At and above this argument K_0 is subnormal or zero, and K_m comes from
+#: e^x K_m (_k_scaled).
+_K_SCALED_SWITCH = 705.0
+
+#: The scaled K recurrence divides by 2^_K_RESCALE_BITS past that bound.
+_K_RESCALE_BITS = 600
+
+#: ln 2 = _LN2_HI + _LN2_LO, _LN2_HI with 24 significant bits, so that
+#: n * _LN2_HI is exact for n < 2^29.
+_LN2_HI = 0.693147182464599609375
+_LN2_LO = -1.904654299957768e-09
 
 #: Doubles in one block of array Miller tables (orders times arguments),
 #: so a dense grid never holds more than 1 MB of table at once.
@@ -492,9 +506,6 @@ def _k01_large(x: float) -> tuple[float, float]:
     """
     h = min(0.15, 0.7 / math.sqrt(x))
     f0 = math.exp(-x)
-    if f0 == 0.0:
-        # every sample e^(-x cosh t) <= e^(-x) underflows, and so do K_0, K_1
-        return 0.0, 0.0
     s0 = 0.5 * f0
     s1 = 0.5 * f0
     j = 1
@@ -517,7 +528,7 @@ def _k01_large_array(x: np.ndarray) -> np.ndarray:
     f0 = np.exp(-x)
     s0 = 0.5 * f0
     s1 = 0.5 * f0
-    live = np.flatnonzero(f0)  # as on the scalar path, K underflows with e^(-x)
+    live = np.arange(x.size)
     j = 1
     while live.size:
         # math.cosh as the scalar path rounds it, since x * c amplifies any
@@ -535,6 +546,55 @@ def _k01_large_array(x: np.ndarray) -> np.ndarray:
         if j > 200000:  # unreachable; defensive
             raise ArithmeticError("trapezoid failed to terminate")
     return np.stack((h * s0, h * s1))
+
+
+def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
+    """K_m on a 1-d array of arguments from _K_SCALED_SWITCH on.
+
+    K_0 is subnormal or zero there, so the trapezoid of _k01_large and the
+    upward recurrence run on e^x K_m = int_0^inf e^(-x (cosh t - 1))
+    cosh(mt) dt, with cosh t - 1 = 2 sinh(t/2)^2 free of cancellation.
+    The recurrence keeps its values below 2^_K_RESCALE_BITS by exact
+    power-of-two steps, counted in e, and K_m = s 2^e e^-x is unscaled as
+    ldexp(s exp(-(x - n ln 2)), e - n) with n = round(x / ln 2), so no
+    intermediate underflows: a K_m below the double range rounds once to
+    a subnormal or zero, and one above it raises OverflowError.  Floats
+    come here as one-element arrays, so both paths agree bit for bit.
+    """
+    h = 0.7 / np.sqrt(x)
+    s0 = np.full(x.size, 0.5)
+    s1 = np.full(x.size, 0.5)
+    live = np.arange(x.size)
+    j = 1
+    while live.size:
+        d = 2.0 * np.sinh((0.5 * j) * h[live]) ** 2
+        f = np.exp(-x[live] * d)
+        s0[live] += f
+        s1[live] += f * (1.0 + d)
+        live = live[~((x[live] * d > 55.0) & (j >= 3))]
+        j += 1
+    prev, cur = h * s0, h * s1
+    e = np.zeros(x.size, dtype=np.int64)
+    if m == 0:
+        cur = prev
+    for k in range(1, m):
+        prev, cur = cur, (2.0 * k / x) * cur + prev
+        big = cur > 2.0**_K_RESCALE_BITS
+        if big.any():
+            prev[big] = np.ldexp(prev[big], -_K_RESCALE_BITS)
+            cur[big] = np.ldexp(cur[big], -_K_RESCALE_BITS)
+            e[big] += _K_RESCALE_BITS
+    # n stays below 2^29, where n * _LN2_HI is exact; past x = 3.7e8 the
+    # remainder r takes the rest of x, and exp(-r) underflows unless the
+    # order is above x / 2
+    n = np.rint(np.minimum(x, 3.7e8) / math.log(2.0))
+    r = (x - n * _LN2_HI) - n * _LN2_LO
+    with np.errstate(over="ignore"):
+        out = np.ldexp(cur * np.exp(-r), e - n.astype(np.int64))
+    if not np.isfinite(out).all():
+        at = x[~np.isfinite(out)][0]
+        raise OverflowError(f"K_{m}({at}) exceeds the double-precision range")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -741,13 +801,28 @@ def besselk(m: int, x):
     m = _check_order(m)
     if not _is_array(x):
         x = _check_argument(CylinderFamily.MODIFIED_K, x)
+        if x >= _K_SCALED_SWITCH:
+            return float(_k_scaled(m, np.array([x]))[0])
         k0, k1 = _log_series(x, 1.0) if x < SERIES_SWITCH_K else _k01_large(x)
-    else:
-        x = _check_arguments(CylinderFamily.MODIFIED_K, x)
-        k0, k1 = _by_regime(
-            x, (SERIES_SWITCH_K,), (lambda v: _log_series_array(v, 1.0), _k01_large_array), 2
-        )
-    return _recur_up(m, x, k0, k1, 1.0)
+        return _recur_up(m, x, k0, k1, 1.0)
+    x = _check_arguments(CylinderFamily.MODIFIED_K, x)
+    # zeros carry the scaled regime's elements through the shared
+    # recurrence; _k_scaled fills them in afterwards
+    k0, k1 = _by_regime(
+        x,
+        (SERIES_SWITCH_K, _K_SCALED_SWITCH),
+        (
+            lambda v: _log_series_array(v, 1.0),
+            _k01_large_array,
+            lambda v: np.zeros((2, v.size)),
+        ),
+        2,
+    )
+    out = _recur_up(m, x, k0, k1, 1.0)
+    scaled = x >= _K_SCALED_SWITCH
+    if scaled.any():
+        out[scaled] = _k_scaled(m, x[scaled])
+    return out
 
 
 def _recur_up(m: int, x, f0, f1, sign: float):

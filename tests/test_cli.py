@@ -11,13 +11,23 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from anticentrifugal import cli
+from anticentrifugal.boundstate import density_profile
 from anticentrifugal.cli import main
-from anticentrifugal.nodes import BracketingError
+from anticentrifugal.nodes import BracketingError, bunching_verdict, find_zeros, node_density
+from anticentrifugal.potentials import (
+    UNITS,
+    EffectivePotentialSpec,
+    PotentialFamily,
+    classify_potential,
+    eval_potential,
+)
 from anticentrifugal.quadrature import QuadratureError
-from anticentrifugal.specfun import besselk
+from anticentrifugal.radial import RadialGrid, assemble_phi2
+from anticentrifugal.specfun import CylinderFamily, besselk
 
 
 def run(capsys, *argv):
@@ -348,3 +358,178 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "potential" in out and "verify" in out
+
+
+# ---------------------------------------------------------------------------
+# the table writer against the standard library
+
+def _csv_reference(header, rows):
+    """One f"{v:.17g}" per float cell, str() for the rest, the first
+    non-finite float refused in row order."""
+    lines = [",".join(header)]
+    for row in rows:
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"Out of range float values are not CSV compliant: {v!r}")
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_reference(doc):
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _message(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+_KEYS = ("r", "phi2", "w2", "V")
+_SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1)
+_cells = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+_tables = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=6)
+)
+
+
+def _documents(rows, column, after):
+    """The writer's document and the plain-list document json.dumps takes."""
+    width = len(rows[0]) if rows else 1
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    keys = _KEYS[:width]
+    fast = {
+        "command": "test",
+        "k": 0.5,
+        "rows": cli._Rows(keys, table),
+        "tables": [{"family": "J", "zeros": np.array(column, dtype=float)}],
+        "verdicts": {"passed": True, "max_violation": after},
+    }
+    plain = {
+        "command": "test",
+        "k": 0.5,
+        "rows": [dict(zip(keys, row)) for row in rows],
+        "tables": [{"family": "J", "zeros": list(column)}],
+        "verdicts": {"passed": True, "max_violation": after},
+    }
+    return keys, table, fast, plain
+
+
+@settings(max_examples=60)
+@given(rows=_tables, column=st.lists(_cells, max_size=5), after=_cells)
+def test_writers_match_the_standard_library(rows, column, after):
+    keys, table, fast, plain = _documents(rows, column, after)
+    assert cli._csv(keys, [("", table)]) == _csv_reference(keys, rows)
+    assert cli._csv(("family", "n") + keys, [("J,", np.column_stack((np.arange(1.0, len(rows) + 1), table)))]) == (
+        _csv_reference(("family", "n") + keys, [("J", i + 1, *row) for i, row in enumerate(rows)])
+    )
+    assert cli._json(fast) == _json_reference(plain)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["k", "first", "middle", "last", "column", "after", "row and after"])
+def test_writers_refuse_the_first_non_finite_value_as_the_standard_library(bad, where):
+    rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    column = [0.5, 1.5]
+    after = 0.25
+    if where == "first":
+        rows[0][0] = bad
+    elif where == "middle":
+        rows[1][1] = bad
+    elif where == "last":
+        rows[2][2] = bad
+    elif where == "column":
+        column[1] = bad
+    elif where == "after":
+        after = bad
+    elif where == "row and after":
+        rows[2][0] = -bad
+        after = bad
+    keys, table, fast, plain = _documents(rows, column, after)
+    if where == "k":
+        fast["k"] = plain["k"] = bad
+        fast["rows"] = cli._Rows(keys, np.full((3, 3), -bad))
+        plain["rows"] = [dict(zip(keys, row)) for row in np.full((3, 3), -bad).tolist()]
+    want = _message(_json_reference, plain)
+    assert _message(cli._json, fast) == want
+    assert want.startswith("Out of range float values are not JSON compliant: ")
+    if where in ("first", "middle", "last", "row and after"):
+        assert _message(cli._csv, keys, [("", table)]) == _message(_csv_reference, keys, rows)
+
+
+def test_potential_matches_the_standard_library(capsys):
+    spec = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=1)
+    r = RadialGrid(0.5, 10.0, 57).points
+    v = eval_potential(spec, r)
+    argv = ("potential", "--family", "twodim", "--m", "1", "--n-points", "57")
+    assert run(capsys, *argv)[1] == _csv_reference(("r", "V"), zip(r.tolist(), v.tolist()))
+    assert run(capsys, *argv, "--format", "json")[1] == _json_reference(
+        {
+            "command": "potential",
+            "family": "twodim",
+            "parameters": {"m": 1, "N": 2, "l_squared": 0.0},
+            "classification": classify_potential(spec).value,
+            "units": UNITS,
+            "rows": [{"r": a, "V": b} for a, b in zip(r.tolist(), v.tolist())],
+        }
+    )
+
+
+def test_wavefunction_matches_the_standard_library(capsys):
+    k = 0.76
+    grid = RadialGrid(0.05 / k, 20.0 / k, 101)
+    r = grid.points.tolist()
+    phi = assemble_phi2(k, grid).tolist()
+    w = density_profile(2, k, grid.points).tolist()
+    argv = ("wavefunction", "--k", repr(k), "--n-points", "101")
+    assert run(capsys, *argv)[1] == _csv_reference(("r", "phi2", "w2"), zip(r, phi, w))
+    assert run(capsys, *argv, "--format", "json")[1] == _json_reference(
+        {
+            "command": "wavefunction",
+            "k": k,
+            "rows": [{"r": a, "phi2": b, "w2": c} for a, b, c in zip(r, phi, w)],
+        }
+    )
+
+
+def test_nodes_match_the_standard_library(capsys):
+    n_max = 7
+    families = (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y)
+    reports = {
+        (fam, order): node_density(find_zeros(fam, order, n_max))
+        for fam in families
+        for order in (0, 1)
+    }
+    rows = [
+        (fam.value, order, i + 1, *(float(a[i]) for a in (z[:-1], z[1:], rep.spacings, rep.densities)))
+        for (fam, order), rep in reports.items()
+        for z in [rep.table.zeros]
+        for i in range(z.size - 1)
+    ]
+    header = ("family", "order", "n", "zero_n", "zero_next", "spacing", "density")
+    assert run(capsys, "nodes", "--n-max", str(n_max))[1] == _csv_reference(header, rows)
+    verdicts = {}
+    for fam in families:
+        verdict = bunching_verdict(reports[(fam, 0)], reports[(fam, 1)])
+        verdicts[fam.value] = {
+            "order0_bunched": verdict.order0_bunched,
+            "order1_antibunched": verdict.order1_antibunched,
+            "order0_monotone": verdict.order0_monotone,
+            "order1_monotone": verdict.order1_monotone,
+            "passed": verdict.passed,
+            "max_violation": verdict.max_violation,
+        }
+    tables = [
+        {
+            "family": fam.value,
+            "order": order,
+            "zeros": rep.table.zeros.tolist(),
+            "spacings": rep.spacings.tolist(),
+            "densities": rep.densities.tolist(),
+        }
+        for (fam, order), rep in reports.items()
+    ]
+    got = run(capsys, "nodes", "--n-max", str(n_max), "--format", "json")[1]
+    assert got == _json_reference(
+        {"command": "nodes", "n_max": n_max, "tables": tables, "verdicts": verdicts}
+    )

@@ -9,7 +9,6 @@ oscillatory family alike.
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -62,16 +61,18 @@ def test_deep_zeros_frozen():
     assert spacing == pytest.approx(oracles.J0_ZERO_51 - oracles.J0_ZERO_50, abs=2e-11)
 
 
-_MPMATH_ZEROS = {J: mp.besseljzero, Y: mp.besselyzero}
+_MPMATH_ZEROS = {
+    (J, 0): oracles.J0_ZEROS_1_TO_100,
+    (J, 1): oracles.J1_ZEROS_1_TO_100,
+    (Y, 0): oracles.Y0_ZEROS_1_TO_100,
+    (Y, 1): oracles.Y1_ZEROS_1_TO_100,
+}
 
 
 @pytest.mark.parametrize("family, order", [(J, 0), (J, 1), (Y, 0), (Y, 1)])
 def test_hundred_zeros_match_mpmath(family, order):
     zeros = find_zeros(family, order, 100).zeros
-    # double precision is enough for correctly rounded zeros, and keeps
-    # mpmath's Y zeros to seconds (other modules raise the global precision)
-    with mp.workdps(15):
-        ref = np.array([float(_MPMATH_ZEROS[family](order, n)) for n in range(1, 101)])
+    ref = np.array(_MPMATH_ZEROS[(family, order)])
     assert np.max(np.abs(zeros - ref) / ref) <= 1e-15
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from anticentrifugal import radial
 from anticentrifugal.potentials import EffectivePotentialSpec, PotentialFamily
 from anticentrifugal.radial import (
     Direction,
@@ -210,6 +211,115 @@ def test_integration_input_validation():
         integrate_radial(QUANTUM_ANTI, 0.0, grid, (0.0, 1.0))
     with pytest.raises(ValueError):
         integrate_radial(QUANTUM_ANTI, 0.5, grid, (math.nan, 1.0))
+
+
+def _numerov_reference(spec, energy, grid, seeds, direction):
+    """The march as a per-step float loop that recomputes every coefficient
+    and checks each new sample at once: the operations integrate_radial
+    must reproduce bit for bit."""
+    n = grid.n_points
+    r = grid.points
+    f = (radial.eval_potential(spec, r) - 2.0 * energy).tolist()
+    c = grid.spacing ** 2 / 12.0
+    u = [0.0] * n
+    if direction is Direction.OUTWARD:
+        order_idx, step = range(1, n - 1), 1
+        u[0], u[1] = seeds
+    else:
+        order_idx, step = range(n - 2, 0, -1), -1
+        u[n - 1], u[n - 2] = seeds
+    for i in order_idx:
+        nxt, prv = i + step, i - step
+        num = (2.0 + 10.0 * c * f[i]) * u[i] - (1.0 - c * f[prv]) * u[prv]
+        u[nxt] = num / (1.0 - c * f[nxt])
+        if abs(u[nxt]) > 1e250:
+            raise OverflowError(
+                f"radial solution exceeded 1e+250 at r = {r[nxt]:.6g}; "
+                "the growing branch dominates this integration direction"
+            )
+    return np.array(u)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return str(exc)
+
+
+#: Samples 0, 1, 2, 10000, 19998, 19999 and 20000 of the inward K0 and the
+#: outward J0 march at k = 1 on verify's 20001-point matching grid.
+_PINNED_K0 = (0.6963638981851956, 0.6988415457242713, 0.7012527107808803,
+              5.348638166260357e-05, 2.4472627323158307e-09, 2.444817417880022e-09,
+              2.442374546741284e-09)
+_PINNED_J0 = (0.22346706533647018, 0.22568497255760822, 0.22788095935124789,
+              -0.7855570585577074, 0.7326510833342225, 0.7323349643769058,
+              0.732018112629211)
+
+
+@pytest.mark.parametrize("family, energy, direction, pinned", [
+    (SolutionFamily.DECAYING_MODIFIED, -0.5, Direction.INWARD, _PINNED_K0),
+    (SolutionFamily.OSCILLATORY_REGULAR, 0.5, Direction.OUTWARD, _PINNED_J0),
+])
+def test_numerov_march_is_bit_identical_to_the_float_loop(family, energy, direction, pinned):
+    grid = RadialGrid(0.05, 20.05, 20001)
+    exact = analytic_radial(family, 0, 1.0, grid).values
+    at = (0, 1) if direction is Direction.OUTWARD else (-1, -2)
+    seeds = (float(exact[at[0]]), float(exact[at[1]]))
+    wave = integrate_radial(QUANTUM_ANTI, energy, grid, seeds, direction).values
+    assert np.array_equal(wave, _numerov_reference(QUANTUM_ANTI, energy, grid, seeds, direction))
+    assert wave[[0, 1, 2, 10000, 19998, 19999, 20000]].tolist() == list(pinned)
+
+
+@pytest.mark.parametrize("direction, radius", [
+    (Direction.OUTWARD, "20.17"),
+    (Direction.INWARD, "0.83"),
+])
+def test_numerov_overflow_radius_and_message(direction, radius):
+    grid = RadialGrid(0.5, 20.5, 2001)
+    args = (QUANTUM_ANTI, -450.0, grid, (1e-6, 1.1e-6), direction)
+    want = (
+        f"radial solution exceeded 1e+250 at r = {radius}; "
+        "the growing branch dominates this integration direction"
+    )
+    assert _outcome(integrate_radial, *args) == want
+    assert _outcome(_numerov_reference, *args) == want
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("n_points", [3, 5])
+@pytest.mark.parametrize("seeds", [(3e250, 2e250), (1e260, 1e260), (0.0, 1e300)])
+def test_numerov_seeds_past_the_limit_are_not_checked(direction, n_points, seeds):
+    # only marched samples count: on 3 points the (3e250, 2e250) march
+    # ends below the limit and returns, on 5 points it overflows later
+    grid = RadialGrid(0.5, 1.0, n_points)
+    args = (QUANTUM_ANTI, 0.5, grid, seeds, direction)
+    got, want = _outcome(integrate_radial, *args), _outcome(_numerov_reference, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.values, want)
+    if seeds == (3e250, 2e250) and n_points == 3:
+        assert not isinstance(got, str)
+
+
+def test_numerov_overflow_is_reported_before_a_later_division_by_zero(monkeypatch):
+    # past the first overflow the march runs on; a zero coefficient 1 - c f
+    # further along must not replace the overflow error
+    grid = RadialGrid(1.0, 2.0, 31)
+    c = grid.spacing ** 2 / 12.0
+    pole = 1.0 / c
+    while 1.0 - c * pole != 0.0:
+        pole = math.nextafter(pole, math.inf)
+    # next to the pole each step grows u about 1e16-fold
+    f = np.full(31, math.nextafter(pole, 0.0))
+    f[25] = pole
+    monkeypatch.setattr(radial, "eval_potential", lambda spec, r: f + 2.0 * 0.5)
+    args = (QUANTUM_ANTI, 0.5, grid, (1.0, 1.0), Direction.OUTWARD)
+    with pytest.raises(OverflowError, match=r"at r = 1\.[0-7]"):
+        integrate_radial(*args)
+    with pytest.raises(OverflowError, match=r"at r = 1\.[0-7]"):
+        _numerov_reference(QUANTUM_ANTI, 0.5, grid, (1.0, 1.0), Direction.OUTWARD)
 
 
 # ---------------------------------------------------------------------------

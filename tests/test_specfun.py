@@ -638,6 +638,44 @@ def test_k_underflows_to_zero(m, x):
     np.testing.assert_array_equal(besselk(m, np.array([x, x])), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("m, x", sorted(oracles.K_PAST_UNDERFLOW))
+def test_k_where_k0_is_subnormal_matches_mpmath(m, x):
+    # from x = 705 on, K_0 is subnormal or zero: the recurrence once started
+    # from its few significant bits (K_100(740) read 4.3e-321 for 1.63e-320)
+    # or from zero (K_1000(800) read 0.0 for 2.19e-103)
+    ref = oracles.K_PAST_UNDERFLOW[(m, x)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = besselk(m, x)
+        # one subnormal step of slack: the reference is rounded to it
+        assert abs(got - ref) <= 1e-13 * ref + 2.0**-1074
+        # the array path, beside an argument from the other regime
+        assert besselk(m, np.array([1409.0 - x, x]))[1] == got
+
+
+@pytest.mark.parametrize("m, x", [(2000, 800.0), (2000, 720.0), (1600, 705.0)])
+def test_k_past_the_double_range_raises_on_both_paths(m, x):
+    # K_2000(800) = 5.0e493 once returned 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=rf"K_{m}\({x}\) exceeds"):
+            besselk(m, x)
+        with pytest.raises(OverflowError, match=rf"K_{m}\({x}\) exceeds"):
+            besselk(m, np.array([2.0 * x, x]))
+
+
+def test_k_below_the_scaled_switch_is_unchanged():
+    # pinned from the unscaled trapezoid and recurrence, which still serve
+    # every argument below 705
+    assert besselk(0, 700.0) == 4.669776431685222e-306
+    assert besselk(1000, 704.0) == 6.166664957988757e-34
+    assert besselk(1500, np.array([704.0]))[0] == 2.6158293930686937e+256
+    # and the two regimes meet at the switch: one ulp of x moves K_1000 by
+    # about 2e-13 there, and the unscaled side is good to about 1.2e-14
+    below = besselk(1000, np.array([np.nextafter(705.0, 0.0)]))[0]
+    assert abs(besselk(1000, 705.0) / below - 1.0) <= 5e-13
+
+
 @pytest.mark.parametrize("m, x", [(1, 1e-310), (1, 5e-324), (2, 1e-300)])
 @pytest.mark.parametrize("fn", [bessely, besselk])
 def test_subnormal_arguments_overflow_alike_on_both_paths(fn, m, x):
