@@ -9,12 +9,8 @@ rings around the attracting point. Units are hbar = M = 1 throughout.
 """
 
 from .boundstate import (
-    DeltaBoundState,
     DeltaCoupling2D,
-    DensityForm,
-    ProbabilityDensity,
     coupling_from_k,
-    coupling_residual,
     cutoff_integral,
     density,
     density_maximum,
@@ -22,19 +18,14 @@ from .boundstate import (
     k_from_coupling,
     normalize_check,
     one_three_d_bound_energy,
-    phi_line,
-    phi_point,
     ring_peak_parameter,
 )
 from .nodes import (
     BracketingError,
-    BunchingVerdict,
-    NodeDensityReport,
     ZeroTable,
     bunching_verdict,
     find_zeros,
     node_density,
-    refine_zero,
     solve_in_brackets,
 )
 from .potentials import (
@@ -44,29 +35,18 @@ from .potentials import (
     SignClass,
     classify_potential,
     eval_potential,
-    quantum_square_2d,
 )
-from .quadrature import (
-    QuadratureError,
-    QuadratureResult,
-    gauss_kronrod_15,
-    integrate_adaptive,
-)
+from .quadrature import QuadratureError, gauss_kronrod_15, integrate_adaptive
 from .radial import (
     Direction,
-    EnergySign,
     RadialGrid,
-    RadialWave,
     SolutionFamily,
     analytic_radial,
     assemble_phi2,
-    default_grid,
-    energy_from_wavenumber,
     integrate_radial,
     laplacian_reduction_check,
     ode_residual,
     polar_mode_residual,
-    wavenumber_from_energy,
 )
 from .specfun import (
     CylinderFamily,
@@ -78,7 +58,6 @@ from .specfun import (
     eval_cylinder,
     eval_cylinder_derivative,
     sommerfeld_j0,
-    sommerfeld_j0_components,
 )
 from .verify import SuiteResult, run_all
 
@@ -86,22 +65,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketingError",
-    "BunchingVerdict",
     "CylinderFamily",
     "CylinderKind",
-    "DeltaBoundState",
     "DeltaCoupling2D",
-    "DensityForm",
     "Direction",
     "EffectivePotentialSpec",
-    "EnergySign",
-    "NodeDensityReport",
     "PotentialFamily",
-    "ProbabilityDensity",
     "QuadratureError",
-    "QuadratureResult",
     "RadialGrid",
-    "RadialWave",
     "SignClass",
     "SolutionFamily",
     "SuiteResult",
@@ -116,13 +87,10 @@ __all__ = [
     "bunching_verdict",
     "classify_potential",
     "coupling_from_k",
-    "coupling_residual",
     "cutoff_integral",
-    "default_grid",
     "density",
     "density_maximum",
     "density_profile",
-    "energy_from_wavenumber",
     "eval_cylinder",
     "eval_cylinder_derivative",
     "eval_potential",
@@ -136,16 +104,10 @@ __all__ = [
     "normalize_check",
     "ode_residual",
     "one_three_d_bound_energy",
-    "phi_line",
-    "phi_point",
     "polar_mode_residual",
-    "quantum_square_2d",
-    "refine_zero",
     "ring_peak_parameter",
     "run_all",
     "solve_in_brackets",
     "sommerfeld_j0",
-    "sommerfeld_j0_components",
-    "wavenumber_from_energy",
     "__version__",
 ]

@@ -51,10 +51,14 @@ class DensityForm(Enum):
             raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}") from None
 
 
+def _check_positive(name: str, v: float) -> float:
+    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return float(v)
+
+
 def _check_k(k: float) -> float:
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive and finite, got {k!r}")
-    return float(k)
+    return _check_positive("wavenumber", k)
 
 
 def density_profile(dimension: int, k: float, r):
@@ -103,11 +107,12 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
 
 def _ring_weight(k: float, r, k0=None):
     # 2 k^2 r K_0(k r)^2 at positive radii, from k0 = K_0(k r) where the
-    # caller has it; where 2 k^2 underflows (k below about 1e-154) the
-    # factors are grouped as 2 k (k r) K_0^2, each of them representable
+    # caller has it; where 2 k^2 underflows or overflows (k below about
+    # 1e-154 or above about 9e153) the factors are grouped as
+    # 2 k (k r) K_0^2, each of them representable
     if k0 is None:
         k0 = besselk(0, k * r)
-    if 2.0 * k * k < sys.float_info.min:
+    if not sys.float_info.min <= 2.0 * k * k <= sys.float_info.max:
         return 2.0 * k * (k * r) * k0**2
     return 2.0 * k * k * r * k0**2
 
@@ -141,39 +146,28 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
     )
 
 
-def normalize_check(pd: ProbabilityDensity, *, rel_tol: float = 1e-10) -> float:
+def normalize_check(pd: ProbabilityDensity) -> float:
     """Total probability from adaptive quadrature of the sampled form.
 
-    Integrates W out to a radius where the analytic tail is negligible
-    (at least 40 / k) and adds the exact exponential tail for the
-    line and radial forms. For the ring form the tail beyond 40 / k is
-    bounded above by (pi/2) (1 + 1/(8 xi))^2 exp(-2 xi), far below any
-    tolerance used here; a warning is issued if that bound is not
-    negligible against ``rel_tol``.
+    Integrates W out to r = 40 / k and adds the exact exponential tail
+    exp(-80) for the line and radial forms. The ring form's tail beyond
+    40 / k is bounded by (pi/2) (1 + 1/320)^2 exp(-80), about 3e-35, and
+    is left out. Raises ValueError for a wavenumber so small that 40 / k
+    overflows.
     """
     k = pd.wavenumber
     r_cut = 40.0 / k
-    inner_tol = min(1e-12, 0.1 * rel_tol)
+    if math.isinf(r_cut):
+        raise ValueError(
+            f"wavenumber {k!r} is too small: the normalization radius 40 / k overflows"
+        )
     # the quadrature's nodes lie in [0, r_cut], finite and non-negative
-    f = _density_at(pd.form, k)
+    core = integrate_adaptive(_density_at(pd.form, k), 0.0, r_cut).value
     if pd.form is DensityForm.EXP_LINE:
-        core = 2.0 * integrate_adaptive(f, 0.0, r_cut, rel_tol=inner_tol).value
-        tail = math.exp(-2.0 * k * r_cut)
-    elif pd.form is DensityForm.EXP_RADIAL:
-        core = integrate_adaptive(f, 0.0, r_cut, rel_tol=inner_tol).value
-        tail = math.exp(-2.0 * k * r_cut)
-    else:
-        core = integrate_adaptive(f, 0.0, r_cut, rel_tol=inner_tol).value
-        xi = k * r_cut
-        bound = 0.5 * math.pi * (1.0 + 1.0 / (8.0 * xi)) ** 2 * math.exp(-2.0 * xi)
-        tail = 0.0
-        if bound > 0.01 * rel_tol:
-            warnings.warn(
-                f"ring tail bound {bound:.3e} is not negligible at rel_tol={rel_tol}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return core + tail
+        return 2.0 * core + math.exp(-2.0 * k * r_cut)
+    if pd.form is DensityForm.EXP_RADIAL:
+        return core + math.exp(-2.0 * k * r_cut)
+    return core
 
 
 #: A bracket of the ring constant: the stationarity defect
@@ -229,8 +223,7 @@ def cutoff_integral(k: float, cutoff: float) -> float:
     relation (the closed form is ln(1 + L^2/k^2) / 2).
     """
     k = _check_k(k)
-    if not (isinstance(cutoff, (int, float)) and math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
+    _check_positive("cutoff", cutoff)
     edges = [float(cutoff)]
     while edges[-1] > k / 64.0 and len(edges) < 2000:
         edges.append(0.5 * edges[-1])
@@ -260,8 +253,7 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
     """
     if not (isinstance(coupling, (int, float)) and math.isfinite(coupling)):
         raise ValueError(f"coupling must be finite, got {coupling!r}")
-    if not (isinstance(cutoff, (int, float)) and math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
+    _check_positive("cutoff", cutoff)
     if coupling == 0.0:
         raise ValueError("zero coupling binds no state")
     if coupling < 0.0:
@@ -292,8 +284,7 @@ def coupling_from_k(k: float, cutoff: float) -> float:
     regime ln(1 + L^2/k^2) equals 2 ln(L/k) to full precision.
     """
     k = _check_k(k)
-    if not (isinstance(cutoff, (int, float)) and math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
+    _check_positive("cutoff", cutoff)
     log_ratio = math.log(cutoff) - math.log(k)
     if log_ratio > 180.0:
         denom = 2.0 * log_ratio
@@ -314,8 +305,7 @@ def coupling_residual(coupling: float, cutoff: float, k: float) -> float:
     integral rather than the closed form, so it cross-checks both
     k_from_coupling and the quadrature.
     """
-    if not (isinstance(coupling, (int, float)) and math.isfinite(coupling) and coupling > 0.0):
-        raise ValueError(f"coupling must be positive and finite, got {coupling!r}")
+    _check_positive("coupling", coupling)
     return abs(coupling / (2.0 * math.pi) * cutoff_integral(k, cutoff) - 1.0)
 
 

@@ -53,7 +53,7 @@ from .potentials import (
     eval_potential,
 )
 from .quadrature import QuadratureError
-from .radial import RadialGrid, _phi2_and_k0
+from .radial import RadialGrid, _phi2_and_k0, default_grid
 from .specfun import CylinderFamily
 from .verify import run_all
 
@@ -260,10 +260,13 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     k = args.k
-    if not (isinstance(k, float) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
-    r_min = args.r_min if args.r_min is not None else 0.05 / k
-    r_max = args.r_max if args.r_max is not None else 20.0 / k
+    r_min, r_max = args.r_min, args.r_max
+    if r_min is None or r_max is None:
+        # default_grid checks k, as _phi2_and_k0 does below; a window
+        # given in full is used even where the default one overflows
+        window = default_grid(k)
+        r_min = window.r_min if r_min is None else r_min
+        r_max = window.r_max if r_max is None else r_max
     _check_n_points(args.n_points)
     grid = RadialGrid(r_min, r_max, args.n_points)
     r = grid.points
@@ -363,7 +366,10 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
             k = DeltaCoupling2D.from_coupling(coupling, cutoff).wavenumber
         else:
             raise ValueError("dimension 2 needs --k or --coupling with --cutoff")
-    pd = density(dim, k, np.linspace(0.1 / k, 10.0 / k, 16))
+    # both checks read only the form and the wavenumber of pd; the
+    # normalization runs first, as it names a k too small to integrate
+    pd = density(dim, k, [0.0])
+    norm = normalize_check(pd)
     loc, val = density_maximum(pd)
     record = {
         "command": "boundstate",
@@ -372,7 +378,7 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
         "energy": -0.5 * k * k,
         "coupling": coupling,
         "cutoff": cutoff,
-        "normalization": normalize_check(pd),
+        "normalization": norm,
         "max_location": loc,
         "max_value": val,
     }

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import CylinderFamily, _oscillatory01_array
+from .specfun import CylinderFamily, oscillatory_pair
 
 #: Lower edge of the first bracket: just above the origin, where J_0 and
 #: Y_m are far from zero and J_1 is small but positive.
@@ -26,43 +26,9 @@ _FIRST_EDGE = {CylinderFamily.BESSEL_J: 1e-9, CylinderFamily.NEUMANN_Y: 1e-6}
 #: even pure bisection of a bracket of width pi reaches 4 ulp in about 55.
 _MAX_STEPS = 100
 
-#: Bracket width at which :func:`refine_zero` stops bisecting.
-_BISECTION_WIDTH = 1e-12
-
 
 class BracketingError(RuntimeError):
     """Raised when a sign change cannot be located where one is expected."""
-
-
-def refine_zero(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Polish a bracketed simple zero of f by plain bisection to width 1e-12.
-
-    It shares nothing with :func:`solve_in_brackets` but the sign test,
-    which makes it the independent reference the Newton zeros are checked
-    against.
-    """
-    if not (lo < hi):
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketingError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def solve_in_brackets(
@@ -152,7 +118,7 @@ def _mcmahon_seeds(family: CylinderFamily, order: int, n_max: int) -> np.ndarray
 
 def _value_and_slope(family: CylinderFamily, order: int, x: np.ndarray):
     # C_0' = -C_1 and C_1' = C_0 - C_1/x, from one table per argument
-    c0, c1 = _oscillatory01_array(family, x)
+    c0, c1 = oscillatory_pair(family, x)
     if order == 0:
         return c0, -c1
     return c1, c0 - c1 / x

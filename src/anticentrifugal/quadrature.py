@@ -43,6 +43,13 @@ _WG = (
 )
 
 
+#: Summed error estimate below which any integral counts as converged.
+_ABS_TOL = 1e-15
+
+#: Kronrod panels allowed before QuadratureError is raised.
+_MAX_INTERVALS = 4000
+
+
 class QuadratureError(RuntimeError):
     """Raised when the interval budget runs out before the tolerance is met."""
 
@@ -76,10 +83,9 @@ def integrate_adaptive(
     b: float,
     *,
     rel_tol: float = 1e-12,
-    abs_tol: float = 1e-15,
-    max_intervals: int = 4000,
 ) -> QuadratureResult:
-    """Integrate f over [a, b] by worst-first bisection of Kronrod panels."""
+    """Integrate f over [a, b] by worst-first bisection of Kronrod panels,
+    until the summed error estimate is below rel_tol of the integral."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if not (b > a):
@@ -89,8 +95,8 @@ def integrate_adaptive(
     total_v = value
     total_e = err
     count = 1
-    while total_e > max(abs_tol, rel_tol * abs(total_v)):
-        if count >= max_intervals or not heap:
+    while total_e > max(_ABS_TOL, rel_tol * abs(total_v)):
+        if count >= _MAX_INTERVALS or not heap:
             raise QuadratureError(
                 f"tolerance not reached after {count} intervals "
                 f"(error estimate {total_e:.3e})"

@@ -713,12 +713,13 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, width: int = 1) ->
     return out.reshape((width,) + x.shape)
 
 
-def _oscillatory01_array(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
-    """Rows C_0, C_1 of the J or Y family on valid arguments.
+def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
+    """Rows C_0, C_1 of the J or Y family on an array of valid arguments.
 
     Both orders come from one series pass, one Miller table or one Hankel
     evaluation per argument, bit for bit as two besselj or bessely calls:
-    orders 0 and 1 share the J table's start order.
+    orders 0 and 1 share the J table's start order.  The arguments are not
+    checked: they must be finite, x >= 0 for J and x > 0 for Y.
     """
     switches = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
     if family is CylinderFamily.BESSEL_J:
@@ -778,7 +779,7 @@ def bessely(m: int, x):
             y0, y1 = _hankel01(x, math.cos(x), math.sin(x))[2:]
     else:
         x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
-        y0, y1 = _oscillatory01_array(CylinderFamily.NEUMANN_Y, x)
+        y0, y1 = oscillatory_pair(CylinderFamily.NEUMANN_Y, x)
     return _recur_up(m, x, y0, y1, -1.0)
 
 

@@ -93,16 +93,22 @@ def test_form_for_dimension():
 # normalization
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.0])
+# 1e-306 is about the smallest k whose integration radius 40 / k is finite
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.0, 1e-306])
 def test_total_probability_is_one(dimension, k):
     pd = density(dimension, k, np.array([1.0]))
     assert normalize_check(pd) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_ring_tail_warning_when_tolerance_is_absurd():
-    pd = density(2, 1.0, np.array([1.0]))
-    with pytest.warns(RuntimeWarning):
-        normalize_check(pd, rel_tol=1e-34)
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-307])
+def test_normalization_names_a_wavenumber_too_small_to_integrate(dimension, k):
+    # 40 / k overflows: the error names k, and no numpy warning is written
+    pd = density(dimension, k, np.array([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"wavenumber {k!r} is too small"):
+            normalize_check(pd)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +196,8 @@ def test_single_radius_and_array_paths_raise_alike(dimension, bad):
             density_profile(dimension, 1.0, r)
 
 
-def test_ring_weight_where_k_squared_underflows():
-    """2 k^2 underflows below k of about 1e-154, yet W = 2 k (k r) K_0(k r)^2
-    is representable: both paths must keep it, against mpmath."""
-    k = 1e-300
+def _check_ring_weight_against_mpmath(k):
+    # both paths, at radii around the ring, against W = 2 k^2 r K_0(k r)^2
     radii = np.array([0.05, ring_peak_parameter(), 1.0, 5.0, 20.0]) / k
     with mp.workdps(30):
         want = [
@@ -206,10 +210,22 @@ def test_ring_weight_where_k_squared_underflows():
         assert density_profile(2, k, r) == pytest.approx(w, rel=1e-13)
 
 
+def test_ring_weight_where_k_squared_underflows():
+    """2 k^2 underflows below k of about 1e-154, yet W = 2 k (k r) K_0(k r)^2
+    is representable: both paths must keep it, against mpmath."""
+    _check_ring_weight_against_mpmath(1e-300)
+
+
+def test_ring_weight_where_k_squared_overflows():
+    """2 k^2 overflows above k of about 9e153, yet W is representable."""
+    _check_ring_weight_against_mpmath(1e200)
+    assert math.isfinite(density_maximum(density(2, 1e200, np.array([0.0])))[1])
+
+
 def test_ring_weight_unchanged_where_k_squared_is_normal():
     # the regrouping applies only below the underflow: elsewhere the weight
     # is the plain product 2 k^2 r K_0(k r)^2, bit for bit
-    for k in (1e-150, 1e-3, 1.0, 9.3):
+    for k in (1e-150, 1e-3, 1.0, 9.3, 1e150):
         r = 0.7 / k
         assert density_profile(2, k, r) == 2.0 * k * k * r * besselk(0, k * r) ** 2
 
@@ -314,6 +330,20 @@ def test_spatial_bound_state():
     state = one_three_d_bound_energy(3, inverse_scattering_length=1.0)
     assert state.wavenumber == 1.0
     assert state.energy == -0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: density_profile(2, -1.0, 1.0), "wavenumber must be positive and finite, got -1.0"),
+    (lambda: density_profile(1, "1", 0.0), "wavenumber must be positive and finite, got '1'"),
+    (lambda: cutoff_integral(1.0, math.inf), "cutoff must be positive and finite, got inf"),
+    (lambda: k_from_coupling(1.0, 0.0), "cutoff must be positive and finite, got 0.0"),
+    (lambda: coupling_from_k(1.0, math.nan), "cutoff must be positive and finite, got nan"),
+    (lambda: coupling_residual(-1.0, 1.0, 1.0), "coupling must be positive and finite, got -1.0"),
+])
+def test_positive_checks_name_their_argument(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_bound_state_validation():

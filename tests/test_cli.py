@@ -7,6 +7,7 @@ subprocesses.
 
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -136,6 +137,22 @@ def test_wavefunction_rejects_bad_window(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("window", [(), ("--r-min", "1", "--r-max", "2")])
+@pytest.mark.parametrize("k", ["0", "-1", "nan", "inf"])
+def test_wavefunction_rejects_bad_wavenumber(capsys, k, window):
+    rc, out, err = run(capsys, "wavefunction", "--k", k, *window)
+    assert (rc, out) == (2, "")
+    assert err == f"error: wavenumber must be positive, got {float(k)!r}\n"
+
+
+def test_wavefunction_explicit_window_where_the_default_overflows(capsys):
+    # 20 / k overflows at k = 5e-324; a window given in full is still used
+    rc, out, err = run(capsys, "wavefunction", "--k", "5e-324",
+                       "--r-min", "1", "--r-max", "2", "--n-points", "3")
+    assert (rc, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["r", "1", "1.5", "2"]
+
+
 # ---------------------------------------------------------------------------
 # nodes
 
@@ -233,17 +250,29 @@ def test_boundstate_planar_where_k_squared_underflows(capsys):
     assert doc["max_value"] == pytest.approx(2.0 * xi * besselk(0, xi) ** 2 * k, rel=1e-15)
 
 
+def _check_w2_against_mpmath(k, out, floor=0.0):
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    with mp.workdps(30):
+        for r, _, w2 in rows:
+            want = 2 * mp.mpf(k) ** 2 * mp.mpf(r) * mp.besselk(0, mp.mpf(k) * mp.mpf(r)) ** 2
+            assert abs(w2 - want) <= 1e-13 * want + floor
+
+
 def test_wavefunction_weight_where_k_squared_underflows(capsys):
     # the w2 column used to be all zeros at k = 1e-300
     k = 1e-300
     rc, out, _ = run(capsys, "wavefunction", "--k", repr(k), "--n-points", "41")
     assert rc == 0
-    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
-    with mp.workdps(30):
-        for r, _, w2 in rows:
-            want = 2 * mp.mpf(k) ** 2 * mp.mpf(r) * mp.besselk(0, mp.mpf(k) * mp.mpf(r)) ** 2
-            # plus one subnormal step: the far tail lies below 2.2e-308
-            assert abs(w2 - want) <= 1e-13 * want + 2.0**-1074
+    # plus one subnormal step: the far tail lies below 2.2e-308
+    _check_w2_against_mpmath(k, out, floor=2.0**-1074)
+
+
+def test_wavefunction_weight_where_k_squared_overflows(capsys):
+    # 2 k^2 overflows at k = 1e200: the command used to exit 2 on an inf w2
+    k = 1e200
+    rc, out, err = run(capsys, "wavefunction", "--k", repr(k), "--n-points", "3")
+    assert (rc, err) == (0, "")
+    _check_w2_against_mpmath(k, out)
 
 
 def test_boundstate_line_and_point(capsys):
@@ -276,7 +305,26 @@ def test_boundstate_refuses_non_finite_output(capsys):
     rc, out, err = run(capsys, "boundstate", "--dimension", "2", "--k", "1e200")
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: non-finite energy")
+    # the normalization and the ring maximum are finite there
+    assert err == "error: non-finite energy for dimension 2, k = 1e+200\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dimension", "1", "--coupling=-1e-323"),
+    ("--dimension", "2", "--k", "5e-324"),
+    ("--dimension", "2", "--k", "1e-307"),
+    ("--dimension", "3", "--k", "5e-324"),
+])
+def test_boundstate_names_a_wavenumber_too_small_to_integrate(capsys, argv):
+    # 40 / k overflows: one error line naming k, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "boundstate", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: wavenumber ")
+    assert "is too small" in err
+    assert err.count("\n") == 1
 
 
 def test_csv_output_carries_only_finite_numbers(capsys, recwarn):

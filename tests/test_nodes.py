@@ -20,13 +20,46 @@ from anticentrifugal.nodes import (
     bunching_verdict,
     find_zeros,
     node_density,
-    refine_zero,
     solve_in_brackets,
 )
 from anticentrifugal.specfun import CylinderFamily, besselj, bessely
 
 J = CylinderFamily.BESSEL_J
 Y = CylinderFamily.NEUMANN_Y
+
+#: Bracket width at which :func:`refine_zero` stops bisecting.
+_BISECTION_WIDTH = 1e-12
+
+
+def refine_zero(f, lo, hi):
+    """Polish a bracketed simple zero of f by plain bisection to width 1e-12.
+
+    It shares nothing with :func:`solve_in_brackets` but the sign test,
+    which makes it the independent reference the Newton zeros are checked
+    against.
+    """
+    if not (lo < hi):
+        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise BracketingError(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > _BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +176,7 @@ def test_orders_interlace(tables):
 
 
 # ---------------------------------------------------------------------------
-# root refinement
+# the bisection helper
 
 def test_refine_zero_exact_endpoint():
     f = lambda x: x - 2.0

@@ -23,13 +23,13 @@ from anticentrifugal.specfun import (
     _j_start,
     _j_start_array,
     _k01_large_array,
-    _oscillatory01_array,
     besseli,
     besselj,
     besselk,
     bessely,
     eval_cylinder,
     eval_cylinder_derivative,
+    oscillatory_pair,
 )
 
 _EVAL = {
@@ -158,7 +158,7 @@ def test_orders_zero_and_one_from_one_table(family):
     # the zero finder reads both orders off one table per argument; they
     # must be the very numbers two separate calls return
     x = _GRID[_GRID > 0.0]
-    c0, c1 = _oscillatory01_array(family, x)
+    c0, c1 = oscillatory_pair(family, x)
     np.testing.assert_array_equal(c0, _EVAL[family](0, x))
     np.testing.assert_array_equal(c1, _EVAL[family](1, x))
 
