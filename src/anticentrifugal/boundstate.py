@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
@@ -31,9 +30,6 @@ from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
 from .radial import RadialGrid
 from .specfun import besselk
-
-_UNDERFLOW_FRACTION = 1e-300
-
 
 @unique
 class DensityForm(Enum):
@@ -248,8 +244,8 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
 
     Inverts 1 = (U0 / 2 pi) * ln(1 + L^2/k^2) / 2 for k, switching to the
     asymptotic form k = L exp(-2 pi / U0) once exp(4 pi / U0) overflows.
-    Warns when the result underflows to within a few decades of the
-    smallest positive double.
+    Raises ValueError where k falls below the smallest normal double: there
+    it is subnormal or zero and has lost significant bits.
     """
     if not (isinstance(coupling, (int, float)) and math.isfinite(coupling)):
         raise ValueError(f"coupling must be finite, got {coupling!r}")
@@ -266,12 +262,10 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
         k = cutoff / math.sqrt(math.expm1(expo))
     else:
         k = cutoff * math.exp(-0.5 * expo)
-    if k < _UNDERFLOW_FRACTION * cutoff:
-        warnings.warn(
-            f"wavenumber {k:.3e} underflows toward the double-precision floor "
-            f"at coupling {coupling}",
-            RuntimeWarning,
-            stacklevel=2,
+    if k < sys.float_info.min:
+        raise ValueError(
+            f"coupling {coupling!r} gives a wavenumber below the double-precision "
+            f"range (k = {k:.3g} at cutoff {cutoff!r})"
         )
     return k
 

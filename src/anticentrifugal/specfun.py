@@ -8,8 +8,9 @@ classical schemes, selected by argument size:
 
 * ascending power series near the origin (log-augmented for Y_m and K_m),
 * backward (Miller) recurrence with a sum-rule normalization for J_m and
-  I_m at moderate and large arguments,
-* a Neumann-type series over the Miller table for Y_0 and Y_1,
+  I_m at moderate and large arguments, as one downward pass that stores
+  no table, so its memory does not grow with the start order,
+* Neumann's series for Y_0 and Y_1, summed over the same J pass,
 * the Hankel expansions for J_0, J_1, Y_0 and Y_1 from x = 20 on, whose
   cost does not grow with x, so no argument is too large for J or Y,
 * an exponentially convergent trapezoid on the cosh-integral for K_m,
@@ -21,7 +22,7 @@ arithmetic holds the relative error near 1e-14 across the supported range
 recurrence in whichever direction is stable for the family: upward for Y
 and K, and for J above x = 20 while the order is below x; downward
 (Miller) for I, and for J below x = 20 or at orders from x on.  Above
-x = 20 a Miller table's length therefore follows the order served, not
+x = 20 a Miller pass's length therefore follows the order served, not
 the argument.
 
 Every evaluator takes a float or an array of arguments.  A float runs the
@@ -82,10 +83,6 @@ _K_RESCALE_BITS = 600
 #: n * _LN2_HI is exact for n < 2^29.
 _LN2_HI = 0.693147182464599609375
 _LN2_LO = -1.904654299957768e-09
-
-#: Doubles in one block of array Miller tables (orders times arguments),
-#: so a dense grid never holds more than 1 MB of table at once.
-_BLOCK_DOUBLES = 1 << 17
 
 
 class CylinderFamily(Enum):
@@ -303,11 +300,11 @@ def _log_series_array(x: np.ndarray, sign: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# backward recurrence (Miller) tables
+# backward recurrence (Miller)
 # ----------------------------------------------------------------------
 
 def _j_start(x: float, m: int) -> int:
-    """Even start order for the J table, comfortably past the Airy turning
+    """Even start order for the J pass, comfortably past the Airy turning
     point and at least half the default start order past m, so the order
     served carries no contamination from the arbitrary start."""
     top = int(x + 12.0 * (0.5 * x + 1.0) ** (1.0 / 3.0)) + 18
@@ -331,7 +328,7 @@ def _j_start_array(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def _i_start(x: float, m: int) -> int:
-    """Start order for the I table: past the e^(-m^2/2x) decay band, and at
+    """Start order for the I pass: past the e^(-m^2/2x) decay band, and at
     least half the default start order past m."""
     top = int(1.2 * math.sqrt(92.0 * x)) + 30
     return max(top, m + top // 2)
@@ -343,158 +340,148 @@ def _i_start_array(x: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(top, m + top // 2)
 
 
-def _miller_table(x: float, top: int, sign: float) -> tuple[list, float]:
-    """Unnormalized C_0..C_top by downward recurrence from order top, and
-    the sum-rule denominator C_0 + 2 sum_k C_k.
+def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float]:
+    """Unnormalized C_m and the sum-rule denominator C_0 + 2 sum_k C_k, by
+    one downward pass C_{k-1} = (2k/x) C_k + sign C_{k+1} from order top.
 
-    sign -1 gives the J table, whose sum rule runs over even orders
-    (J_0 + 2 sum J_2k = 1); sign +1 gives the I table, whose sum rule runs
-    over all orders (I_0 + 2 sum I_k = e^x).  Values are rescaled by
-    1e-250 whenever they pass 1e250.
+    sign -1 runs the J recurrence, whose sum rule runs over even orders
+    (J_0 + 2 sum J_2k = 1); sign +1 runs the I recurrence, whose sum rule
+    runs over all orders (I_0 + 2 sum I_k = e^x).  The pass stores no
+    table: it captures C_m as it crosses order m, and rescales everything
+    it carries by 1e-250 whenever a value passes 1e250.
     """
     stride = 2 if sign < 0.0 else 1
-    table = [0.0] * (top + 1)
     prev = 0.0
-    cur = 1e-300
-    table[top] = cur
-    total = cur  # top is even for J
+    cur = total = 1e-300  # top is even for J
+    cm = 0.0
     k = top
     while k > 0:
         nxt = (2.0 * k / x) * cur + sign * prev
         k -= 1
         prev, cur = cur, nxt
         if abs(cur) > 1e250:
-            for i in range(k + 1, top + 1):
-                table[i] *= 1e-250
             prev *= 1e-250
             cur *= 1e-250
             total *= 1e-250
-        table[k] = cur
+            cm *= 1e-250
+        if k == m:
+            cm = cur
         if k >= stride and k % stride == 0:
             total += cur
-    return table, cur + 2.0 * total
+    return cm, cur + 2.0 * total
 
 
-def _miller_table_array(x: np.ndarray, top: np.ndarray, sign: float):
-    """Array twin of _miller_table with a start order per element; the
-    table has one row per order and one column per argument."""
+def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: bool = False):
+    """Array twin of _miller with one lane per argument and a start order
+    per lane: a lane holds zeros until the pass reaches its start order.
+
+    Returns unnormalized C_m and C_0 and the denominator, followed with
+    *neumann* (J only) by the sums S_0 and S_1 of _y01_large.
+    """
     stride = 2 if sign < 0.0 else 1
-    n = x.size
-    top_max = int(top.max())
-    table = np.zeros((top_max + 1, n))
-    prev = np.zeros(n)
-    cur = np.zeros(n)
-    total = np.zeros(n)
-    for k in range(top_max, 0, -1):
-        # elements whose start order is k begin here; the rest of the
-        # columns are zero above their start order and stay zero
+    prev, cur, total, cm, s0, s1 = np.zeros((6, x.size))
+    for k in range(int(top.max()), 0, -1):
         start = top == k
         if start.any():
             cur[start] = 1e-300
             total[start] = 1e-300
-            table[k, start] = 1e-300
-        nxt = (2.0 * k / x) * cur + sign * prev
-        prev, cur = cur, nxt
+        prev, cur = cur, (2.0 * k / x) * cur + sign * prev
         big = np.abs(cur) > 1e250
         if big.any():
-            table[k:, big] *= 1e-250
-            prev[big] *= 1e-250
-            cur[big] *= 1e-250
-            total[big] *= 1e-250
-        table[k - 1] = cur
-        if k - 1 >= stride and (k - 1) % stride == 0:
+            for v in (prev, cur, total, cm, s0, s1):
+                v[big] *= 1e-250
+        k -= 1  # cur is C_k from here on
+        if k == m:
+            cm = cur.copy()
+        if k >= stride and k % stride == 0:
             total += cur
-    return table, cur + 2.0 * total
-
-
-def _miller_blocks(x: np.ndarray, top: np.ndarray, sign: float, finish) -> np.ndarray:
-    """Run _miller_table_array over blocks of arguments, passing each
-    block's (table, denominator, arguments, start orders) to *finish* and
-    joining the results along the last axis."""
-    rows = max(1, _BLOCK_DOUBLES // (int(top.max()) + 1))
-    parts = []
-    for lo in range(0, x.size, rows):
-        xb, tb = x[lo : lo + rows], top[lo : lo + rows]
-        table, denom = _miller_table_array(xb, tb, sign)
-        parts.append(finish(table, denom, xb, tb))
-    return np.concatenate(parts, axis=-1)
+        if neumann and k > 1:
+            j = k >> 1
+            if k & 1:
+                t = cur * k / (j * (j + 1))
+                s1 = s1 - t if j & 1 else s1 + t
+            else:
+                t = cur / j
+                s0 = s0 + t if j & 1 else s0 - t
+    out = (cm, cur, cur + 2.0 * total)
+    return out + (s0, s1) if neumann else out
 
 
 def _j_large(m: int, x: float) -> float:
-    """J_m from the normalized Miller table."""
-    table, denom = _miller_table(x, _j_start(x, m), -1.0)
-    return table[m] * (1.0 / denom)
+    """J_m from the normalized Miller pass."""
+    cm, denom = _miller(x, _j_start(x, m), -1.0, m)
+    return cm * (1.0 / denom)
 
 
 def _j_large_array(m: int, x: np.ndarray) -> np.ndarray:
-    return _miller_blocks(
-        x, _j_start_array(x, m), -1.0, lambda t, d, xb, tb: t[m] * (1.0 / d)
-    )
+    cm, _, denom = _miller_array(x, _j_start_array(x, m), -1.0, m)
+    return cm * (1.0 / denom)
+
+
+def _j01_large_array(x: np.ndarray) -> np.ndarray:
+    """Rows J_0, J_1 from one pass: orders 0 and 1 share the start order."""
+    c1, c0, denom = _miller_array(x, _j_start_array(x, 0), -1.0, 1)
+    return np.stack((c0, c1)) * (1.0 / denom)
 
 
 def _i_large(m: int, x: float) -> float:
-    """I_m from the Miller table.  Every term in the normalization sum is
+    """I_m from the Miller pass.  Every term in the normalization sum is
     positive, so the result carries plain rounding error only."""
-    table, denom = _miller_table(x, _i_start(x, m), 1.0)
+    cm, denom = _miller(x, _i_start(x, m), 1.0, m)
     # Divide by the unnormalized sum first: v/denom is I_m/e^x <= 1, so no
     # intermediate can overflow even though e^x/denom alone would.
-    return (table[m] / denom) * math.exp(x)
+    return (cm / denom) * math.exp(x)
 
 
 def _i_large_array(m: int, x: np.ndarray) -> np.ndarray:
-    return _miller_blocks(
-        x,
-        _i_start_array(x, m),
-        1.0,
-        lambda t, d, xb, tb: (t[m] / d) * _map(math.exp, xb),
-    )
+    cm, _, denom = _miller_array(x, _i_start_array(x, m), 1.0, m)
+    return (cm / denom) * _map(math.exp, x)
 
 
 def _y01_large(x: float) -> tuple[float, float]:
-    """Y_0 and Y_1 from Neumann-type series over the Miller J table.
+    """Y_0 and Y_1 from Neumann's expansions over the J Miller pass:
 
-    Y_0 = (2/pi)(ln(x/2)+gamma) J_0 + (4/pi) sum_k (-1)^(k+1) J_{2k}/k and
-    Y_1 = -Y_0', with every J and J' read off the normalized table, so the
-    accuracy matches the table itself (~1e-15 of the envelope).
+    Y_0 = (2/pi) ((ln(x/2) + gamma) J_0 + 2 S_0),
+    S_0 = sum_{k>=1} (-1)^(k+1) J_2k / k,
+    Y_1 = (2/pi) ((ln(x/2) + gamma - 1) J_1 - J_0/x - S_1),
+    S_1 = sum_{k>=1} (-1)^k (2k+1) J_2k+1 / (k(k+1)).
+
+    The pass accumulates both sums from the top down on the unnormalized
+    values, two orders per step, and normalizes once at the end.  From x = 2
+    on, the pass grows by less than 1e42 from its start at 1e-300, so it
+    needs no rescale.
     """
-    top = _j_start(x, 0)
-    table, denom = _miller_table(x, top, -1.0)
+    prev = 0.0
+    cur = total = 1e-300
+    s0 = s1 = 0.0
+    k = _j_start(x, 0)
+    while k > 0:  # cur is C_k, k even
+        odd = (2.0 * k / x) * cur - prev
+        prev, cur = odd, (2.0 * (k - 1) / x) * odd - cur
+        k -= 2
+        j = k >> 1
+        if j:  # orders 2j + 1 and 2j
+            t = odd * (k + 1) / (j * (j + 1))
+            s1 = s1 - t if j & 1 else s1 + t
+            total += cur
+            t = cur / j
+            s0 = s0 + t if j & 1 else s0 - t
+    return _y01_from_sums(x, math.log(0.5 * x) + EULER_GAMMA, cur, prev, cur + 2.0 * total, s0, s1)
+
+
+def _y01_from_sums(x, lg, c0, c1, denom, s0, s1):
+    # _y01_large's closing combination, for floats and arrays alike; lg is
+    # ln(x/2) + gamma
     norm = 1.0 / denom
-    t = [v * norm for v in table]
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    s0 = 0.0
-    s1 = 0.0
-    sign = 1.0
-    k = 1
-    while 2 * k + 1 <= top:
-        s0 += sign * t[2 * k] / k
-        s1 += sign * (t[2 * k - 1] - t[2 * k + 1]) / (2.0 * k)
-        sign = -sign
-        k += 1
-    y0 = (2.0 / math.pi) * lg * t[0] + (4.0 / math.pi) * s0
-    dy0 = (2.0 / math.pi) * (t[0] / x - lg * t[1]) + (4.0 / math.pi) * s1
-    return y0, -dy0
-
-
-def _neumann_y01(table: np.ndarray, denom: np.ndarray, x: np.ndarray, top: np.ndarray):
-    """Array twin of _y01_large's Neumann sums, over one block of J tables."""
-    t = table * (1.0 / denom)
-    lg = _map(math.log, 0.5 * x) + EULER_GAMMA
-    s0 = np.zeros_like(x)
-    s1 = np.zeros_like(x)
-    sign = 1.0
-    for k in range(1, (int(top.max()) - 1) // 2 + 1):
-        live = 2 * k + 1 <= top
-        s0 = np.where(live, s0 + sign * t[2 * k] / k, s0)
-        s1 = np.where(live, s1 + sign * (t[2 * k - 1] - t[2 * k + 1]) / (2.0 * k), s1)
-        sign = -sign
-    y0 = (2.0 / math.pi) * lg * t[0] + (4.0 / math.pi) * s0
-    dy0 = (2.0 / math.pi) * (t[0] / x - lg * t[1]) + (4.0 / math.pi) * s1
-    return np.stack((y0, -dy0))
+    y0 = (2.0 / math.pi) * (lg * c0 + 2.0 * s0) * norm
+    y1 = (2.0 / math.pi) * ((lg - 1.0) * c1 - c0 / x - s1) * norm
+    return y0, y1
 
 
 def _y01_large_array(x: np.ndarray) -> np.ndarray:
-    return _miller_blocks(x, _j_start_array(x, 0), -1.0, _neumann_y01)
+    c1, c0, denom, s0, s1 = _miller_array(x, _j_start_array(x, 0), -1.0, 1, neumann=True)
+    lg = _map(math.log, 0.5 * x) + EULER_GAMMA
+    return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
 
 
 def _k01_large(x: float) -> tuple[float, float]:
@@ -674,8 +661,8 @@ def _crossover_mismatch() -> float:
     1e-6 on either side of each switch point."""
     worst = 0.0
     for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
-        table = (_j_large(0, x), _j_large(1, x)) + _y01_large(x)
-        for hankel, v in zip(_hankel01(x, math.cos(x), math.sin(x)), table):
+        miller = (_j_large(0, x), _j_large(1, x)) + _y01_large(x)
+        for hankel, v in zip(_hankel01(x, math.cos(x), math.sin(x)), miller):
             worst = max(worst, abs(hankel - v) / abs(v))
     for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
         y_small = _log_series(x, -1.0)
@@ -716,9 +703,9 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, width: int = 1) ->
 def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
     """Rows C_0, C_1 of the J or Y family on an array of valid arguments.
 
-    Both orders come from one series pass, one Miller table or one Hankel
+    Both orders come from one series pass, one Miller pass or one Hankel
     evaluation per argument, bit for bit as two besselj or bessely calls:
-    orders 0 and 1 share the J table's start order.  The arguments are not
+    orders 0 and 1 share the J pass's start order.  The arguments are not
     checked: they must be finite, x >= 0 for J and x > 0 for Y.
     """
     switches = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
@@ -728,9 +715,7 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
             switches,
             (
                 lambda v: np.stack([_ascending_series_array(m, v, -1.0) for m in (0, 1)]),
-                lambda v: _miller_blocks(
-                    v, _j_start_array(v, 0), -1.0, lambda t, d, xb, tb: t[:2] * (1.0 / d)
-                ),
+                _j01_large_array,
                 lambda v: _hankel01_rows(v)[:2],
             ),
             2,
@@ -893,27 +878,32 @@ def _slope(family: CylinderFamily, m: int, below, above):
 # angular quadrature for J_0
 # ----------------------------------------------------------------------
 
-def sommerfeld_j0_components(kr: float, quadrature_points: int = 256) -> tuple[float, float]:
+#: Points of the periodic trapezoid in sommerfeld_j0.
+_SOMMERFELD_POINTS = 256
+
+#: Largest |kr| whose truncation bound 2 (kr/2)^N / N! is below 2^-53.
+_SOMMERFELD_KR_MAX = 2.0 * math.exp(
+    (math.lgamma(_SOMMERFELD_POINTS + 1) - 54.0 * math.log(2.0)) / _SOMMERFELD_POINTS
+)
+
+def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
     """Real and imaginary parts of the closed-contour mean of e^(i kr sin(theta)).
 
-    The periodic trapezoid with N points is exact up to the N-th Fourier
-    mode: its mean is the sum of J_{jN}(kr) over all integers j, so it
-    misses J_0 by about 2 |J_N(kr)| <= 2 (kr/2)^N / N!.  Arguments where
-    that bound is not below rounding raise ValueError (|kr| above about
-    165 for N = 256); below it the real part reproduces J_0(kr) to
-    rounding and the imaginary part cancels pairwise.
+    The periodic trapezoid with N = _SOMMERFELD_POINTS points is exact up
+    to the N-th Fourier mode: its mean is the sum of J_{jN}(kr) over all
+    integers j, so it misses J_0 by about 2 |J_N(kr)| <= 2 (kr/2)^N / N!.
+    Arguments where that bound is not below rounding raise ValueError
+    (|kr| above _SOMMERFELD_KR_MAX, about 165); below it the real part
+    reproduces J_0(kr) to rounding and the imaginary part cancels pairwise.
     """
-    if quadrature_points < 16:
-        raise ValueError("quadrature needs at least 16 points")
     kr = float(kr)
     if math.isnan(kr) or math.isinf(kr):
         raise ValueError(f"kr must be finite, got {kr!r}")
-    n = int(quadrature_points)
-    kr_max = 2.0 * math.exp((math.lgamma(n + 1) - 54.0 * math.log(2.0)) / n)
-    if abs(kr) > kr_max:
+    n = _SOMMERFELD_POINTS
+    if abs(kr) > _SOMMERFELD_KR_MAX:
         raise ValueError(
             f"{n} quadrature points resolve J_0 to rounding only for |kr| <= "
-            f"{kr_max:.6g}, got {kr!r}"
+            f"{_SOMMERFELD_KR_MAX:.6g}, got {kr!r}"
         )
     step = 2.0 * math.pi / n
     re = 0.0
@@ -925,9 +915,9 @@ def sommerfeld_j0_components(kr: float, quadrature_points: int = 256) -> tuple[f
     return re / n, im / n
 
 
-def sommerfeld_j0(kr: float, quadrature_points: int = 256) -> float:
+def sommerfeld_j0(kr: float) -> float:
     """J_0(kr) by direct angular quadrature of its plane-wave average."""
-    re, im = sommerfeld_j0_components(kr, quadrature_points)
+    re, im = sommerfeld_j0_components(kr)
     if abs(im) > 1e-12:
         raise ArithmeticError(f"imaginary part failed to cancel: {im!r}")
     return re

@@ -284,9 +284,19 @@ def test_weak_coupling_asymptotic_branch():
     assert coupling_from_k(k, 1.0) == pytest.approx(u0, rel=1e-12)
 
 
-def test_extreme_weak_coupling_warns_of_underflow():
-    u0 = 4.0 * math.pi / 1390.0
-    with pytest.warns(RuntimeWarning):
+def test_extreme_weak_coupling_keeps_a_normal_wavenumber():
+    # k = exp(-695) is about 1.5e-302, normal: no warning, full precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = k_from_coupling(4.0 * math.pi / 1390.0, 1.0)
+    assert math.log(k) == pytest.approx(-695.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("u0", [0.002, 0.0088])
+def test_coupling_whose_wavenumber_leaves_the_normal_range_raises(u0):
+    # k underflows to 0 at 0.002 and is subnormal (about 8e-311) at 0.0088;
+    # both once came back with only a RuntimeWarning
+    with pytest.raises(ValueError, match=f"coupling {u0!r}"):
         k_from_coupling(u0, 1.0)
 
 

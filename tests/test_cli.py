@@ -327,6 +327,31 @@ def test_boundstate_names_a_wavenumber_too_small_to_integrate(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coupling", ["0.002", "0.0088"])
+def test_boundstate_coupling_below_the_normal_range_exits_2(capsys, coupling):
+    # k underflows (0.002) or turns subnormal (0.0088): once a RuntimeWarning
+    # and its source line on stderr before the error, or exit 0 with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "boundstate", "--dimension", "2",
+                           "--coupling", coupling, "--cutoff", "1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: coupling {coupling} ")
+    assert err.count("\n") == 1
+
+
+def test_boundstate_weakest_normal_coupling_exits_0(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "boundstate", "--dimension", "2",
+                           "--coupling", "0.009", "--cutoff", "1")
+    assert rc == 0
+    assert err == ""
+    k = json.loads(out)["wavenumber"]
+    assert k == pytest.approx(math.exp(-2.0 * math.pi / 0.009), rel=1e-12)
+
+
 def test_csv_output_carries_only_finite_numbers(capsys, recwarn):
     # V = -1/(4 r^2) overflows at r = 1e-200: the table used to carry -inf,
     # exit 0 and leave a numpy warning on stderr
