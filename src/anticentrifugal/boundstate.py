@@ -245,7 +245,8 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
     Inverts 1 = (U0 / 2 pi) * ln(1 + L^2/k^2) / 2 for k, switching to the
     asymptotic form k = L exp(-2 pi / U0) once exp(4 pi / U0) overflows.
     Raises ValueError where k falls below the smallest normal double: there
-    it is subnormal or zero and has lost significant bits.
+    it is subnormal or zero and has lost significant bits; and where k
+    overflows, at a strong coupling and a cutoff near the top of the range.
     """
     if not (isinstance(coupling, (int, float)) and math.isfinite(coupling)):
         raise ValueError(f"coupling must be finite, got {coupling!r}")
@@ -262,6 +263,11 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
         k = cutoff / math.sqrt(math.expm1(expo))
     else:
         k = cutoff * math.exp(-0.5 * expo)
+    if not math.isfinite(k):
+        raise ValueError(
+            f"coupling {coupling!r} at cutoff {cutoff!r} gives a wavenumber above "
+            "the double-precision range"
+        )
     if k < sys.float_info.min:
         raise ValueError(
             f"coupling {coupling!r} gives a wavenumber below the double-precision "

@@ -25,17 +25,21 @@ and K, and for J above x = 20 while the order is below x; downward
 x = 20 a Miller pass's length therefore follows the order served, not
 the argument.
 
-Every evaluator takes a float or an array of arguments.  A float runs the
-pure-Python kernels; an array runs their array twins, which repeat the
-same floating-point operations in the same order with one lane per
-argument.  The twins call the math module per element (``_map``) only for
-log, exp, cosh, cos and sin, whose numpy versions may round differently;
-start orders and square and cube roots are computed over the whole array,
-and the rare J start order whose sum sits next to an integer is
-recomputed the scalar way.  J, Y and I therefore agree bit for bit between the two
-paths; K agrees to a few units in the last place below x = 705, because
-its trapezoid sums numpy's exp, and bit for bit from there on, where both
-paths run the same array kernel.
+Every evaluator takes a float or an array of arguments.  The ascending and
+log-augmented series, the Hankel expansions and the upward recurrence are
+each written once and run the same operations on a float (in pure Python,
+returning a float) and on an array (one lane per argument).  The Miller
+pass, Neumann's series and the K trapezoid keep a pure-Python kernel and
+an array twin that repeats its operations in the same order: the twin
+starts each lane at its own order, and the trapezoid twin sums numpy's
+exp, which is cheaper per lane than math.exp and rounds differently.
+Array code calls the math module per element (``_map``) only for log,
+exp, cosh, cos and sin, whose numpy versions may round differently; start
+orders and square and cube roots are computed over the whole array, and
+the rare J start order whose sum sits next to an integer is recomputed the
+scalar way.  J, Y and I therefore agree bit for bit between the two paths;
+K agrees to a few units in the last place on [3, 705), because its
+trapezoid sums numpy's exp, and bit for bit elsewhere.
 
 All functions are pure and keep no state between calls.
 """
@@ -163,9 +167,18 @@ def _map(fn, xs: np.ndarray) -> np.ndarray:
 # ascending series (small argument)
 # ----------------------------------------------------------------------
 
-def _ascending_series(m: int, x: float, sign: float) -> float:
+# The series take a float or an array and run the same operations on both.
+# An array runs every lane until its last lane has converged, adding terms a
+# float would have stopped before.  Past a lane's own stop each further term
+# is below half an ulp of that lane's sum, because the stop test bounds it by
+# 1e-17 of the sum and the terms keep decreasing from there in every regime
+# the series serves; so the extra terms leave the sum unchanged, bit for bit.
+# The kernels see a float or a 1-d array, and test which once per call.
+
+def _ascending_series(m: int, x, sign: float):
     # sum_k sign^k (x/2)^(m+2k) / (k! (m+k)!): J_m for sign -1, I_m for
     # sign +1 (all terms positive, perfectly conditioned).
+    array = isinstance(x, np.ndarray)
     half = 0.5 * x
     sq = sign * (half * half)
     term = 1.0
@@ -175,28 +188,11 @@ def _ascending_series(m: int, x: float, sign: float) -> float:
     k = 0
     while True:
         k += 1
-        term *= sq / (k * (k + m))
+        term = term * (sq / (k * (k + m)))  # not in place: total may share it
         total += term
-        if abs(term) <= 1e-17 * abs(total) or k > 500:
+        done = abs(term) <= 1e-17 * abs(total)
+        if (done.all() if array else done) or k > 500:
             return total
-
-
-def _ascending_series_array(m: int, x: np.ndarray, sign: float) -> np.ndarray:
-    half = 0.5 * x
-    sq = sign * (half * half)
-    term = np.ones_like(x)
-    for i in range(1, m + 1):
-        term *= half / i
-    total = term.copy()
-    live = np.arange(x.size)
-    k = 0
-    while live.size:
-        k += 1
-        t = term[live] * (sq[live] / (k * (k + m)))
-        term[live] = t
-        total[live] += t
-        live = live[~((np.abs(t) <= 1e-17 * np.abs(total[live])) | (k > 500))]
-    return total
 
 
 def _log_half(x: float) -> float:
@@ -204,52 +200,43 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x) if x >= 2.0 * sys.float_info.min else math.log(x) - math.log(2.0)
 
 
-def _log_series(x: float, sign: float) -> tuple[float, float]:
+def _log_series(x, sign: float):
     """Y_0, Y_1 (sign -1) or K_0, K_1 (sign +1) from the log-augmented
-    ascending series (x below the switch)."""
-    q = 0.25 * x * x
-    lg = _log_half(x)
-    c0 = _ascending_series(0, x, sign)
-    c1 = _ascending_series(1, x, sign)
+    ascending series (x below the switch), as two floats or two arrays.
 
-    # sum_{k>=1} sign^(k+1) H_k q^k / (k!)^2
-    s0 = 0.0
-    term = 1.0
-    h = 0.0
-    alt = sign
+    One loop runs both sums until both have converged, with q = x^2/4 and
+    H_k the harmonic numbers:
+    s0 = sum_{k>=1} sign^k H_k q^k / (k!)^2, the sum of DLMF 10.31.2 for K
+    and minus that of 10.8.2 for Y, and
+    s1 = sum_{k>=0} sign^k (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).
+    s1's stop test bounds its next term before adding it.
+    """
+    array = isinstance(x, np.ndarray)
+    q = 0.25 * x * x
+    lg = _map(_log_half, x) if array else _log_half(x)
+    c0 = _ascending_series(0, x, sign)  # J_0 or I_0
+    c1 = _ascending_series(1, x, sign)  # J_1 or I_1
+    s0 = s1 = 0.0
+    t0 = t1 = 1.0
+    h = 0.0  # H_k
+    alt = 1.0  # sign^k
     k = 0
     while True:
+        s1 += alt * (t1 * (h + h + 1.0 / (k + 1) - 2.0 * EULER_GAMMA))
         k += 1
-        term *= q / (k * k)
+        t0 *= q / (k * k)
+        t1 *= q / (k * (k + 1))
         h += 1.0 / k
         alt *= sign
-        s0 += alt * (term * h)
-        if term * h <= 1e-17 * (abs(s0) + 1e-30) or k > 60:
+        u0 = t0 * h
+        s0 += alt * u0
+        done = (u0 <= 1e-17 * (abs(s0) + 1e-30)) & (
+            t1 * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30)
+        )
+        if (done.all() if array else done) or k > 60:
             break
-
-    # sum_{k>=0} sign^k (H_k + H_{k+1} - 2*gamma) q^k / (k! (k+1)!)
-    s1 = 0.0
-    term = 1.0
-    hk = 0.0
-    alt = 1.0
-    k = 0
-    while True:
-        coeff = hk + hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
-        s1 += alt * (term * coeff)
-        k += 1
-        term *= q / (k * (k + 1))
-        hk += 1.0 / k
-        alt *= sign
-        if term * (2.0 * hk + 1.0) <= 1e-17 * (abs(s1) + 1e-30) or k > 60:
-            break
-    return _log_series_assemble(x, sign, lg, c0, c1, s0, s1)
-
-
-def _log_series_assemble(x, sign, lg, c0, c1, s0, s1):
-    # The family-specific combinations of the shared sums, for floats and
-    # arrays alike: c0, c1 are J_0, J_1 (sign -1) or I_0, I_1 (sign +1).
     if sign < 0.0:
-        y0 = (2.0 / math.pi) * ((lg + EULER_GAMMA) * c0 + s0)
+        y0 = (2.0 / math.pi) * ((lg + EULER_GAMMA) * c0 - s0)
         y1 = (2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
         return y0, y1
     k0 = -(lg + EULER_GAMMA) * c0 + s0
@@ -258,45 +245,8 @@ def _log_series_assemble(x, sign, lg, c0, c1, s0, s1):
 
 
 def _log_series_array(x: np.ndarray, sign: float) -> np.ndarray:
-    q = 0.25 * x * x
-    lg = _map(_log_half, x)
-    c0 = _ascending_series_array(0, x, sign)
-    c1 = _ascending_series_array(1, x, sign)
-
-    # H_k, its sign and the coefficients do not depend on x: only the
-    # powers of q and the partial sums run per element.
-    s0 = np.zeros_like(x)
-    term = np.ones_like(x)
-    h = 0.0
-    alt = sign
-    live = np.arange(x.size)
-    k = 0
-    while live.size:
-        k += 1
-        t = term[live] * (q[live] / (k * k))
-        term[live] = t
-        h += 1.0 / k
-        alt *= sign
-        s0[live] += alt * (t * h)
-        live = live[~((t * h <= 1e-17 * (np.abs(s0[live]) + 1e-30)) | (k > 60))]
-
-    s1 = np.zeros_like(x)
-    term = np.ones_like(x)
-    hk = 0.0
-    alt = 1.0
-    live = np.arange(x.size)
-    k = 0
-    while live.size:
-        coeff = hk + hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
-        s1[live] += alt * (term[live] * coeff)
-        k += 1
-        t = term[live] * (q[live] / (k * (k + 1)))
-        term[live] = t
-        hk += 1.0 / k
-        alt *= sign
-        live = live[~((t * (2.0 * hk + 1.0) <= 1e-17 * (np.abs(s1[live]) + 1e-30)) | (k > 60))]
     with np.errstate(over="ignore", divide="ignore"):  # _recur_up raises instead
-        return np.stack(_log_series_assemble(x, sign, lg, c0, c1, s0, s1))
+        return np.stack(_log_series(x, sign))
 
 
 # ----------------------------------------------------------------------
@@ -714,7 +664,7 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
             x,
             switches,
             (
-                lambda v: np.stack([_ascending_series_array(m, v, -1.0) for m in (0, 1)]),
+                lambda v: np.stack([_ascending_series(m, v, -1.0) for m in (0, 1)]),
                 _j01_large_array,
                 lambda v: _hankel01_rows(v)[:2],
             ),
@@ -744,7 +694,7 @@ def besselj(m: int, x):
         x,
         (SERIES_SWITCH_JY, _hankel_from(m)),
         (
-            lambda v: _ascending_series_array(m, v, -1.0),
+            lambda v: _ascending_series(m, v, -1.0),
             lambda v: _j_large_array(m, v),
             lambda v: _recur_up(m, v, *_hankel01_rows(v)[:2], -1.0),
         ),
@@ -778,7 +728,7 @@ def besseli(m: int, x):
     return _by_regime(
         x,
         (SERIES_SWITCH_I,),
-        (lambda v: _ascending_series_array(m, v, 1.0), lambda v: _i_large_array(m, v)),
+        (lambda v: _ascending_series(m, v, 1.0), lambda v: _i_large_array(m, v)),
     )[0]
 
 

@@ -300,6 +300,19 @@ def test_coupling_whose_wavenumber_leaves_the_normal_range_raises(u0):
         k_from_coupling(u0, 1.0)
 
 
+def test_coupling_whose_wavenumber_overflows_names_both_inputs():
+    # L / sqrt(expm1(4 pi / U0)) overflows: once returned inf silently
+    with pytest.raises(ValueError) as excinfo:
+        k_from_coupling(1e6, 1e308)
+    assert str(excinfo.value) == (
+        "coupling 1000000.0 at cutoff 1e+308 gives a wavenumber above the "
+        "double-precision range"
+    )
+    # a thousandth of that cutoff keeps k finite, near L sqrt(U0 / 4 pi)
+    k = k_from_coupling(1e6, 1e305)
+    assert k == pytest.approx(1e305 * math.sqrt(1e6 / (4.0 * math.pi)), rel=1e-5)
+
+
 def test_deep_wavenumber_inversion_stays_finite():
     # far below the cutoff the ratio squared overflows a double, so the
     # inversion must go through log space; far above it saturates

@@ -341,6 +341,20 @@ def test_boundstate_coupling_below_the_normal_range_exits_2(capsys, coupling):
     assert err.count("\n") == 1
 
 
+def test_boundstate_coupling_above_the_range_names_coupling_and_cutoff(capsys):
+    # k overflows: the error once named only the wavenumber, inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "boundstate", "--dimension", "2",
+                           "--coupling", "1e6", "--cutoff", "1e308")
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: coupling 1000000.0 at cutoff 1e+308 gives a wavenumber above "
+        "the double-precision range\n"
+    )
+
+
 def test_boundstate_weakest_normal_coupling_exits_0(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,9 +1,10 @@
 """The array path of the cylinder functions, pinned to the scalar path.
 
-Each array kernel repeats its scalar twin's floating-point operations in
-the same order, so J, Y and I must agree bit for bit.  K may differ only
-where numpy's exp rounds differently from math.exp: a few units in the
-last place.
+An array runs either the very kernel a float runs (the series, the Hankel
+expansions, the upward recurrence) or an array twin that repeats its
+floating-point operations in the same order, so J, Y and I must agree bit
+for bit.  K may differ only where numpy's exp rounds differently from
+math.exp: a few units in the last place.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from anticentrifugal.specfun import (
     SERIES_SWITCH_I,
     SERIES_SWITCH_JY,
@@ -18,11 +20,13 @@ from anticentrifugal.specfun import (
     _HANKEL_SWITCH,
     CylinderFamily,
     CylinderKind,
+    _ascending_series,
     _i_start,
     _i_start_array,
     _j_start,
     _j_start_array,
     _k01_large_array,
+    _log_series,
     besseli,
     besselj,
     besselk,
@@ -73,6 +77,62 @@ def test_array_values_match_scalar_path(family, m):
     want = np.array([fn(m, float(x)) for x in _GRID])
     assert isinstance(got, np.ndarray) and got.shape == _GRID.shape
     _assert_pinned(family, got, want, _GRID)
+
+
+#: Arguments whose series converge after very different numbers of terms:
+#: a subnormal and a tiny one after one term, those next to a switch after
+#: the most.  K's sum s1 crosses zero on [0.90, 1.02].
+SERIES_MIXED = [5e-324, 1e-310, 1e-20, 0.90, 0.92, 0.94, 0.96, 0.98, 1.00, 1.02] + [
+    s + d for s in (SERIES_SWITCH_JY, SERIES_SWITCH_K, SERIES_SWITCH_I) for d in (-1e-6, 1e-6)
+]
+
+
+@pytest.mark.parametrize("fn", [besselj, bessely, besseli, besselk])
+@pytest.mark.parametrize("m", [0, 1])
+def test_mixed_convergence_matches_floats_and_frozen_values(fn, m):
+    # an array keeps iterating every lane until its last lane converges;
+    # the terms a lane adds past its own stop must leave it unchanged
+    name = fn.__name__[-1].upper()
+    x = SERIES_MIXED[2:] if (name in "YK" and m == 1) else SERIES_MIXED
+    got = fn(m, np.array(x))
+    np.testing.assert_array_equal(got, [fn(m, v) for v in x])
+    np.testing.assert_array_equal(got, oracles.SERIES_MIXED_VALUES[name, m])
+
+
+_S1_CROSSING = np.concatenate((SERIES_MIXED[:3], np.linspace(0.90, 1.02, 2001)))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_series_kernels_serve_floats_and_arrays_alike(sign):
+    # the kernels themselves, on the sweep where K's s1 changes sign
+    for m in (0, 1, 2, 5):
+        np.testing.assert_array_equal(
+            _ascending_series(m, _S1_CROSSING, sign),
+            [_ascending_series(m, v, sign) for v in _S1_CROSSING.tolist()],
+        )
+    x = _S1_CROSSING[2:]
+    rows = _log_series(x, sign)
+    for i in (0, 1):
+        np.testing.assert_array_equal(rows[i], [_log_series(v, sign)[i] for v in x.tolist()])
+
+
+_FLOAT_ARGUMENTS = (1e-20, 0.5, 2.5, 5.0, 10.0, 25.0, 100.0, 700.0)
+
+
+@pytest.mark.parametrize("fn", [besselj, bessely, besseli, besselk])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_float_arguments_return_python_floats(fn, m):
+    for x in _FLOAT_ARGUMENTS:
+        assert type(fn(m, x)) is float
+        assert type(fn(m, np.float64(x))) is float
+
+
+def test_series_kernels_return_python_floats():
+    for x in (5e-324, 1e-20, 0.95, 1.99):
+        for sign in (-1.0, 1.0):
+            assert type(_ascending_series(0, x, sign)) is float
+            assert type(_ascending_series(3, x, sign)) is float
+            assert all(type(v) is float for v in _log_series(x, sign))
 
 
 #: Both sides of the Hankel switch and of x = m, where J_m leaves the
