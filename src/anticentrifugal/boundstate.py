@@ -105,11 +105,12 @@ def _ring_weight(k: float, r, k0=None):
     # 2 k^2 r K_0(k r)^2 at positive radii, from k0 = K_0(k r) where the
     # caller has it; where 2 k^2 underflows or overflows (k below about
     # 1e-154 or above about 9e153) the factors are grouped as
-    # 2 k (k r) K_0^2, each of them representable
+    # (2 k ((k r) K_0)) K_0: (k r) K_0(k r) <= 0.47, so the first product is
+    # at most 0.94 k, and it is 0 where K_0 underflows to 0 though k r does not
     if k0 is None:
         k0 = besselk(0, k * r)
     if not sys.float_info.min <= 2.0 * k * k <= sys.float_info.max:
-        return 2.0 * k * (k * r) * k0**2
+        return 2.0 * k * ((k * r) * k0) * k0
     return 2.0 * k * k * r * k0**2
 
 

@@ -11,10 +11,12 @@ classical schemes, selected by argument size:
   I_m at moderate and large arguments, as one downward pass that stores
   no table, so its memory does not grow with the start order,
 * Neumann's series for Y_0 and Y_1, summed over the same J pass,
-* the Hankel expansions for J_0, J_1, Y_0 and Y_1 from x = 20 on, whose
-  cost does not grow with x, so no argument is too large for J or Y,
-* an exponentially convergent trapezoid on the cosh-integral for K_m,
-  run on e^x K_m from x = 705 on, where K_0 is subnormal or zero.
+* the Hankel expansions for J_0, J_1, Y_0, Y_1, K_0 and K_1 from x = 20
+  on, one table of coefficients whose cost does not grow with x, so no
+  argument is too large; K_m runs on e^x K_m from x = 705 on, where K_0
+  is subnormal or zero,
+* an exponentially convergent trapezoid on the cosh-integral for K_0 and
+  K_1 on [3, 20).
 
 Each scheme is used only where it is well conditioned, so plain double
 arithmetic holds the relative error near 1e-14 across the supported range
@@ -26,20 +28,20 @@ x = 20 a Miller pass's length therefore follows the order served, not
 the argument.
 
 Every evaluator takes a float or an array of arguments.  The ascending and
-log-augmented series, the Hankel expansions and the upward recurrence are
-each written once and run the same operations on a float (in pure Python,
-returning a float) and on an array (one lane per argument).  The Miller
-pass, Neumann's series and the K trapezoid keep a pure-Python kernel and
-an array twin that repeats its operations in the same order: the twin
-starts each lane at its own order, and the trapezoid twin sums numpy's
-exp, which is cheaper per lane than math.exp and rounds differently.
-Array code calls the math module per element (``_map``) only for log,
-exp, cosh, cos and sin, whose numpy versions may round differently; start
+log-augmented series, the Hankel expansions, the K trapezoid and the
+upward recurrence are each written once and run the same operations on a
+float (in pure Python, returning a float) and on an array (one lane per
+argument), except that the trapezoid sums numpy's exp on an array, which
+is cheaper per lane than math.exp and rounds differently.  The Miller pass
+and Neumann's series keep a pure-Python kernel and an array twin that
+repeats its operations in the same order, starting each lane at its own
+order.  Array code calls the math module per element (``_map``) only for
+log, exp, cos and sin, whose numpy versions may round differently; start
 orders and square and cube roots are computed over the whole array, and
 the rare J start order whose sum sits next to an integer is recomputed the
 scalar way.  J, Y and I therefore agree bit for bit between the two paths;
-K agrees to a few units in the last place on [3, 705), because its
-trapezoid sums numpy's exp, and bit for bit elsewhere.
+K agrees to a few units in the last place on [3, 20), where the trapezoid
+serves it, and bit for bit elsewhere.
 
 All functions are pure and keep no state between calls.
 """
@@ -65,13 +67,18 @@ SERIES_SWITCH_JY = 2.0
 SERIES_SWITCH_I = 8.0
 SERIES_SWITCH_K = 3.0
 
-#: At and above this argument J_0, J_1, Y_0 and Y_1 come from the Hankel
-#: expansions, whose terms shrink to rounding within _HANKEL_TERMS there.
+#: At and above this argument J_0, J_1, Y_0, Y_1, K_0 and K_1 come from the
+#: Hankel expansions, whose terms shrink to rounding within _HANKEL_TERMS there.
 _HANKEL_SWITCH = 20.0
 
 #: Terms a_0 .. a_{2 _HANKEL_TERMS - 1} of the Hankel expansions: the terms
 #: a_k / x^k shrink while k < 2x, and a_26 / 20^26 is already below 2^-56.
 _HANKEL_TERMS = 14
+
+#: Step of the K trapezoid below _HANKEL_SWITCH, and its nodes cosh(_K_STEP j)
+#: for j = 1 .. 25: from x = SERIES_SWITCH_K on, the sum stops by the last.
+_K_STEP = 0.15
+_K_COSH = tuple(math.cosh(_K_STEP * j) for j in range(1, 26))
 
 #: I_m overflows double precision shortly above this argument.
 MAX_ARGUMENT_I = 700.0
@@ -158,7 +165,7 @@ def _is_array(x) -> bool:
 
 
 def _map(fn, xs: np.ndarray) -> np.ndarray:
-    # Per-element math-module log, exp, cosh, cos and sin: numpy's may round
+    # Per-element math-module log, exp, cos and sin: numpy's may round
     # differently, which would break the bit-for-bit match with the scalar path.
     return np.array([fn(v) for v in xs.tolist()])
 
@@ -434,104 +441,28 @@ def _y01_large_array(x: np.ndarray) -> np.ndarray:
     return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
 
 
-def _k01_large(x: float) -> tuple[float, float]:
-    """K_0 and K_1 by trapezoid sums on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt.
+def _k01_large(x):
+    """K_0 and K_1 on [SERIES_SWITCH_K, _HANKEL_SWITCH) by trapezoid sums
+    with step _K_STEP on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt.
 
     The integrand extends to an even analytic function of t, so the
-    trapezoid converges geometrically; the step is shrunk like 1/sqrt(x)
-    once the integrand narrows to a Gaussian.
+    trapezoid converges geometrically.  A float sums math.exp and stops
+    after the first node with x (cosh t - 1) > 55; an array sums numpy's
+    exp, which is cheaper per lane and rounds differently, and stops once
+    every lane has passed that node.  Each term a lane adds past its own
+    stop is below e^-55 of its sum, so it leaves the sum unchanged.
     """
-    h = min(0.15, 0.7 / math.sqrt(x))
-    f0 = math.exp(-x)
-    s0 = 0.5 * f0
-    s1 = 0.5 * f0
-    j = 1
-    while True:
-        t = j * h
-        c = math.cosh(t)
-        f = math.exp(-x * c)
-        s0 += f
-        s1 += f * c
-        if x * (c - 1.0) > 55.0 and j >= 3:
+    array = isinstance(x, np.ndarray)
+    exp = np.exp if array else math.exp
+    s0 = s1 = 0.5 * exp(-x)
+    for c in _K_COSH:
+        f = exp(-x * c)
+        s0 = s0 + f
+        s1 = s1 + f * c
+        done = x * (c - 1.0) > 55.0
+        if done.all() if array else done:
             break
-        j += 1
-        if j > 200000:  # unreachable; defensive
-            raise ArithmeticError("trapezoid failed to terminate")
-    return h * s0, h * s1
-
-
-def _k01_large_array(x: np.ndarray) -> np.ndarray:
-    h = np.minimum(0.15, 0.7 / np.sqrt(x))
-    f0 = np.exp(-x)
-    s0 = 0.5 * f0
-    s1 = 0.5 * f0
-    live = np.arange(x.size)
-    j = 1
-    while live.size:
-        # math.cosh as the scalar path rounds it, since x * c amplifies any
-        # difference in c: below x = 21.8 every element has the step 0.15,
-        # so one call serves them all; the rest take one call each
-        c = np.full(live.size, math.cosh(j * 0.15))
-        own = h[live] != 0.15
-        if own.any():
-            c[own] = _map(math.cosh, j * h[live[own]])
-        f = np.exp(-x[live] * c)
-        s0[live] += f
-        s1[live] += f * c
-        live = live[~((x[live] * (c - 1.0) > 55.0) & (j >= 3))]
-        j += 1
-        if j > 200000:  # unreachable; defensive
-            raise ArithmeticError("trapezoid failed to terminate")
-    return np.stack((h * s0, h * s1))
-
-
-def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """K_m on a 1-d array of arguments from _K_SCALED_SWITCH on.
-
-    K_0 is subnormal or zero there, so the trapezoid of _k01_large and the
-    upward recurrence run on e^x K_m = int_0^inf e^(-x (cosh t - 1))
-    cosh(mt) dt, with cosh t - 1 = 2 sinh(t/2)^2 free of cancellation.
-    The recurrence keeps its values below 2^_K_RESCALE_BITS by exact
-    power-of-two steps, counted in e, and K_m = s 2^e e^-x is unscaled as
-    ldexp(s exp(-(x - n ln 2)), e - n) with n = round(x / ln 2), so no
-    intermediate underflows: a K_m below the double range rounds once to
-    a subnormal or zero, and one above it raises OverflowError.  Floats
-    come here as one-element arrays, so both paths agree bit for bit.
-    """
-    h = 0.7 / np.sqrt(x)
-    s0 = np.full(x.size, 0.5)
-    s1 = np.full(x.size, 0.5)
-    live = np.arange(x.size)
-    j = 1
-    while live.size:
-        d = 2.0 * np.sinh((0.5 * j) * h[live]) ** 2
-        f = np.exp(-x[live] * d)
-        s0[live] += f
-        s1[live] += f * (1.0 + d)
-        live = live[~((x[live] * d > 55.0) & (j >= 3))]
-        j += 1
-    prev, cur = h * s0, h * s1
-    e = np.zeros(x.size, dtype=np.int64)
-    if m == 0:
-        cur = prev
-    for k in range(1, m):
-        prev, cur = cur, (2.0 * k / x) * cur + prev
-        big = cur > 2.0**_K_RESCALE_BITS
-        if big.any():
-            prev[big] = np.ldexp(prev[big], -_K_RESCALE_BITS)
-            cur[big] = np.ldexp(cur[big], -_K_RESCALE_BITS)
-            e[big] += _K_RESCALE_BITS
-    # n stays below 2^29, where n * _LN2_HI is exact; past x = 3.7e8 the
-    # remainder r takes the rest of x, and exp(-r) underflows unless the
-    # order is above x / 2
-    n = np.rint(np.minimum(x, 3.7e8) / math.log(2.0))
-    r = (x - n * _LN2_HI) - n * _LN2_LO
-    with np.errstate(over="ignore"):
-        out = np.ldexp(cur * np.exp(-r), e - n.astype(np.int64))
-    if not np.isfinite(out).all():
-        at = x[~np.isfinite(out)][0]
-        raise OverflowError(f"K_{m}({at}) exceeds the double-precision range")
-    return out
+    return _K_STEP * s0, _K_STEP * s1
 
 
 # ----------------------------------------------------------------------
@@ -599,6 +530,61 @@ def _hankel01_rows(x: np.ndarray) -> np.ndarray:
     return np.stack(_hankel01(x, _map(math.cos, x), _map(math.sin, x)))
 
 
+def _k01_scaled(x):
+    """e^x K_0 and e^x K_1 at x >= _HANKEL_SWITCH from the Hankel expansion
+    sqrt(pi/(2x)) (P(-t) + Q(-t)/x), t = 1/x^2 (DLMF 10.40.2), with the
+    P and Q of _hankel01.  The same operations run on a float and an
+    array, so both paths agree bit for bit.
+    """
+    r = 1.0 / x
+    t = -(r * r)
+    env = (np.sqrt if _is_array(x) else math.sqrt)((math.pi / 2.0) * r)
+    return tuple(env * (_horner(p, t) + r * _horner(q, t)) for p, q in _HANKEL_PQ)
+
+
+def _k01_hankel(x):
+    """K_0 and K_1 on [_HANKEL_SWITCH, _K_SCALED_SWITCH), a float or an
+    array: _k01_scaled times e^-x, taken from math.exp per element."""
+    e = _map(math.exp, -x) if _is_array(x) else math.exp(-x)
+    return tuple(e * v for v in _k01_scaled(x))
+
+
+def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
+    """K_m on a 1-d array of arguments from _K_SCALED_SWITCH on.
+
+    K_0 is subnormal or zero there, so the upward recurrence runs on
+    e^x K_m, from the e^x K_0 and e^x K_1 of _k01_scaled.  It keeps its
+    values below 2^_K_RESCALE_BITS by exact power-of-two steps, counted in
+    e, and K_m = s 2^e e^-x is unscaled as ldexp(s exp(-(x - n ln 2)),
+    e - n) with n = round(x / ln 2), so no intermediate underflows: a K_m
+    below the double range rounds once to a subnormal or zero, and one
+    above it raises OverflowError.  Floats come here as one-element
+    arrays, so both paths agree bit for bit.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        prev, cur = _k01_scaled(x)
+        e = np.zeros(x.size, dtype=np.int64)
+        if m == 0:
+            cur = prev
+        for k in range(1, m):
+            prev, cur = cur, (2.0 * k / x) * cur + prev
+            big = cur > 2.0**_K_RESCALE_BITS
+            if big.any():
+                prev[big] = np.ldexp(prev[big], -_K_RESCALE_BITS)
+                cur[big] = np.ldexp(cur[big], -_K_RESCALE_BITS)
+                e[big] += _K_RESCALE_BITS
+        # n stays below 2^29, where n * _LN2_HI is exact; past x = 3.7e8 the
+        # remainder r takes the rest of x, and exp(-r) underflows unless the
+        # order is above x / 2
+        n = np.rint(np.minimum(x, 3.7e8) / math.log(2.0))
+        r = (x - n * _LN2_HI) - n * _LN2_LO
+        out = np.ldexp(cur * np.exp(-r), e - n.astype(np.int64))
+    if not np.isfinite(out).all():
+        at = x[~np.isfinite(out)][0]
+        raise OverflowError(f"K_{m}({at}) exceeds the double-precision range")
+    return out
+
+
 def _hankel_from(m: int) -> float:
     """Smallest argument at which J_m comes from the Hankel J_0 and J_1:
     the switch, and past the order, because upward recurrence is stable
@@ -611,9 +597,10 @@ def _crossover_mismatch() -> float:
     1e-6 on either side of each switch point."""
     worst = 0.0
     for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
-        miller = (_j_large(0, x), _j_large(1, x)) + _y01_large(x)
-        for hankel, v in zip(_hankel01(x, math.cos(x), math.sin(x)), miller):
-            worst = max(worst, abs(hankel - v) / abs(v))
+        below = (_j_large(0, x), _j_large(1, x)) + _y01_large(x) + _k01_large(x)
+        hankel = _hankel01(x, math.cos(x), math.sin(x)) + _k01_hankel(x)
+        for h, v in zip(hankel, below):
+            worst = max(worst, abs(h - v) / abs(v))
     for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
         y_small = _log_series(x, -1.0)
         y_large = _y01_large(x)
@@ -739,17 +726,23 @@ def besselk(m: int, x):
         x = _check_argument(CylinderFamily.MODIFIED_K, x)
         if x >= _K_SCALED_SWITCH:
             return float(_k_scaled(m, np.array([x]))[0])
-        k0, k1 = _log_series(x, 1.0) if x < SERIES_SWITCH_K else _k01_large(x)
+        if x < SERIES_SWITCH_K:
+            k0, k1 = _log_series(x, 1.0)
+        elif x < _HANKEL_SWITCH:
+            k0, k1 = _k01_large(x)
+        else:
+            k0, k1 = _k01_hankel(x)
         return _recur_up(m, x, k0, k1, 1.0)
     x = _check_arguments(CylinderFamily.MODIFIED_K, x)
     # zeros carry the scaled regime's elements through the shared
     # recurrence; _k_scaled fills them in afterwards
     k0, k1 = _by_regime(
         x,
-        (SERIES_SWITCH_K, _K_SCALED_SWITCH),
+        (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH),
         (
             lambda v: _log_series_array(v, 1.0),
-            _k01_large_array,
+            lambda v: np.stack(_k01_large(v)),
+            lambda v: np.stack(_k01_hankel(v)),
             lambda v: np.zeros((2, v.size)),
         ),
         2,

@@ -35,7 +35,7 @@ from anticentrifugal.boundstate import (
     ring_peak_parameter,
 )
 from anticentrifugal.nodes import BracketingError
-from anticentrifugal.radial import RadialGrid
+from anticentrifugal.radial import RadialGrid, default_grid
 from anticentrifugal.specfun import besselk
 
 
@@ -220,6 +220,32 @@ def test_ring_weight_where_k_squared_overflows():
     """2 k^2 overflows above k of about 9e153, yet W is representable."""
     _check_ring_weight_against_mpmath(1e200)
     assert math.isfinite(density_maximum(density(2, 1e200, np.array([0.0])))[1])
+
+
+def test_ring_weight_where_k0_underflows_and_2k_kr_overflows():
+    # 2 k (k r) K_0^2 was inf * 0 = nan here, with two numpy warnings
+    k = 1e200
+    r = RadialGrid(1e-3, 40.0, 57).points
+    assert np.all(besselk(0, k * r) == 0.0)
+    with np.errstate(all="raise"):
+        got = density_profile(2, k, r)
+    np.testing.assert_array_equal(got, np.zeros(r.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [density_profile(2, k, v) for v in r[::8].tolist()] == [0.0] * 8
+
+
+def test_ring_weight_near_the_top_of_the_double_range():
+    # 2 k K_0(k r) alone overflows here (k r = 0.05 gives 1.9e308 at
+    # k = 3e307), while 2 k (k r) K_0(k r) <= 0.94 k and W <= 1.24 k do not
+    _check_ring_weight_against_mpmath(3e307)
+    for k in (3e307, 4.7e307, 8e307):
+        r = default_grid(k).points
+        with np.errstate(all="raise"):
+            w = density_profile(2, k, r)
+            peak = density_maximum(density(2, k, np.array([0.0])))[1]
+        assert np.all(np.isfinite(w))
+        assert peak / k == pytest.approx(2.0 * ring_peak_parameter() * besselk(0, ring_peak_parameter()) ** 2, rel=1e-15)
 
 
 def test_ring_weight_unchanged_where_k_squared_is_normal():

@@ -275,6 +275,29 @@ def test_wavefunction_weight_where_k_squared_overflows(capsys):
     _check_w2_against_mpmath(k, out)
 
 
+def test_wavefunction_weight_where_k0_underflows(capsys):
+    # 2 k (k r) overflows where K_0(k r) underflows to 0: the command used to
+    # write two numpy warnings and exit 2 on a nan w2
+    argv = ("wavefunction", "--k", "1e200", "--r-min", "1e-3", "--r-max", "40", "--n-points", "57")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 57
+    assert all(w2 == "0" for _, _, w2 in rows)
+
+
+def test_wavefunction_weight_near_the_top_of_the_double_range(capsys):
+    # 2 k K_0(k r) overflows at the first row (k r = 0.05), though w2 does not
+    k = 3e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "wavefunction", "--k", repr(k), "--n-points", "41")
+    assert (rc, err) == (0, "")
+    _check_w2_against_mpmath(k, out)
+
+
 def test_boundstate_line_and_point(capsys):
     rc, out, _ = run(capsys, "boundstate", "--dimension", "1", "--coupling", "-2.0")
     assert rc == 0

@@ -145,8 +145,7 @@ def test_growing_modified_family_on_grid(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_decaying_modified_family_on_grid(m):
     worst = 0.0
-    for x in _K_GRID:
-        ref = mp_cyl(CylinderFamily.MODIFIED_K, m, x)
+    for x, ref in zip(_K_GRID, oracles.K_ON_GRID[m], strict=True):
         worst = max(worst, abs(besselk(m, x) - ref) / abs(ref))
     assert worst <= 2e-13
 
@@ -695,6 +694,16 @@ def test_crossover_check_covers_the_hankel_switch(monkeypatch):
     assert _crossover_mismatch() >= 0.9e-9
 
 
+def test_crossover_check_covers_the_k_hankel_switch(monkeypatch):
+    # K_0 and K_1 leave the trapezoid for the Hankel pair at the same switch
+    for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
+        for trapezoid, hankel in zip(_k01_large(x), specfun._k01_hankel(x)):
+            assert hankel == pytest.approx(trapezoid, rel=1e-15)
+    real = specfun._k01_scaled
+    monkeypatch.setattr(specfun, "_k01_scaled", lambda v: tuple(u * (1.0 + 1e-9) for u in real(v)))
+    assert _crossover_mismatch() >= 0.9e-9
+
+
 # ---------------------------------------------------------------------------
 # the ends of the double range
 
@@ -735,15 +744,28 @@ def test_k_past_the_double_range_raises_on_both_paths(m, x):
 
 
 def test_k_below_the_scaled_switch_is_unchanged():
-    # pinned from the unscaled trapezoid and recurrence, which still serve
-    # every argument below 705
-    assert besselk(0, 700.0) == 4.669776431685222e-306
-    assert besselk(1000, 704.0) == 6.166664957988757e-34
-    assert besselk(1500, np.array([704.0]))[0] == 2.6158293930686937e+256
+    # pinned from the unscaled Hankel pair and recurrence, which still serve
+    # every argument from 20 up to below 705
+    assert besselk(0, 700.0) == 4.6697764316853765e-306
+    assert besselk(1000, 704.0) == 6.166664957988659e-34
+    assert besselk(1500, np.array([704.0]))[0] == 2.615829393068645e+256
     # and the two regimes meet at the switch: one ulp of x moves K_1000 by
-    # about 2e-13 there, and the unscaled side is good to about 1.2e-14
+    # about 2e-13 there, and both sides start from the same Hankel pair
     below = besselk(1000, np.array([np.nextafter(705.0, 0.0)]))[0]
     assert abs(besselk(1000, 705.0) / below - 1.0) <= 5e-13
+
+
+_K01_HANKEL_X = sorted(oracles.K01_HANKEL_REGIME)
+
+
+def test_k_hankel_regime_matches_mpmath_on_both_paths():
+    # the trapezoid was 7.1e-14 off here, from rounding in exp(-x cosh t)
+    x = np.array(_K01_HANKEL_X)
+    for m in (0, 1):
+        ref = np.array([oracles.K01_HANKEL_REGIME[v][m] for v in _K01_HANKEL_X])
+        floats = np.array([besselk(m, v) for v in _K01_HANKEL_X])
+        assert np.max(np.abs(floats - ref) / ref) <= 1e-15
+        np.testing.assert_array_equal(besselk(m, x), floats)
 
 
 @pytest.mark.parametrize("m, x", [(1, 1e-310), (1, 5e-324), (2, 1e-300)])

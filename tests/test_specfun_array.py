@@ -3,8 +3,9 @@
 An array runs either the very kernel a float runs (the series, the Hankel
 expansions, the upward recurrence) or an array twin that repeats its
 floating-point operations in the same order, so J, Y and I must agree bit
-for bit.  K may differ only where numpy's exp rounds differently from
-math.exp: a few units in the last place.
+for bit, and so must K from x = 20 on.  Below that K may differ only where
+the trapezoid's numpy exp rounds differently from math.exp: a few units in
+the last place.
 """
 
 import math
@@ -25,7 +26,7 @@ from anticentrifugal.specfun import (
     _i_start_array,
     _j_start,
     _j_start_array,
-    _k01_large_array,
+    _K_COSH,
     _log_series,
     besseli,
     besselj,
@@ -62,9 +63,10 @@ _GRID = np.sort(
 
 def _assert_pinned(family, got, want, x):
     if family is CylinderFamily.MODIFIED_K:
-        rel = np.abs(got - want) / np.abs(want)
-        assert np.max(rel[x <= 50.0]) <= 4e-15
-        assert np.max(rel[x > 50.0]) <= 1e-12
+        below = x < _HANKEL_SWITCH
+        rel = np.abs(got[below] - want[below]) / np.abs(want[below])
+        assert np.max(rel) <= 4e-15
+        np.testing.assert_array_equal(got[~below], want[~below])
     else:
         np.testing.assert_array_equal(got, want)
 
@@ -201,16 +203,31 @@ def test_start_orders_match_scalar_path(m):
     np.testing.assert_array_equal(_i_start_array(x, m), [_i_start(v, m) for v in x.tolist()])
 
 
-def test_k_trapezoid_shared_and_own_steps_match_one_at_a_time():
-    # below x = (0.7 / 0.15)^2 every element shares the step 0.15 and one
-    # cosh per node; above it each element has its own step
-    edge = (0.7 / 0.15) ** 2
-    x = np.array(
-        [3.0, 40.0, 5.5, edge, 5.5, np.nextafter(edge, 0.0), 21.0, np.nextafter(edge, 50.0),
-         22.0, 40.0, 333.3, 3.0 + 1e-12, 700.0]
-    )
-    want = np.concatenate([_k01_large_array(x[i : i + 1]) for i in range(x.size)], axis=1)
-    np.testing.assert_array_equal(_k01_large_array(x), want)
+#: Trapezoid arguments that stop after very different numbers of nodes,
+#: from all 25 at x = 3 to 14 just below the Hankel switch, then the
+#: switch's other side.
+_K_MIXED = np.array(
+    [3.0, 19.9, 5.5, np.nextafter(20.0, 0.0), 3.0 + 1e-12, 11.0, np.nextafter(3.0, 4.0),
+     20.0, np.nextafter(20.0, 21.0), 20.5, 7.25]
+)
+
+
+def test_k_batch_matches_one_at_a_time():
+    # the trapezoid sums every lane until its last lane stops; the nodes a
+    # lane adds past its own stop must leave it unchanged
+    for m in (0, 1, 2):
+        want = [besselk(m, _K_MIXED[i : i + 1])[0] for i in range(_K_MIXED.size)]
+        np.testing.assert_array_equal(besselk(m, _K_MIXED), want)
+
+
+@pytest.mark.parametrize("x", [SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K])
+def test_k_trapezoid_nodes_reach_the_stop_at_the_series_switch(x):
+    # the loop runs out of nodes without an error, so the last node must
+    # meet the stop test x (cosh t - 1) > 55 at the smallest argument the
+    # trapezoid serves, and at the crossover check's point below it
+    assert len(_K_COSH) == 25
+    assert x * (_K_COSH[-1] - 1.0) > 55.0
+    assert x * (_K_COSH[-2] - 1.0) <= 55.0
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
