@@ -90,14 +90,17 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
         raise ValueError("radii must be finite")
     if form is not DensityForm.EXP_LINE and r.size and np.any(r < 0.0):
         raise ValueError("radii must be non-negative")
-    if form is DensityForm.EXP_LINE:
-        return k * np.exp(-2.0 * k * np.abs(r))
-    if form is DensityForm.EXP_RADIAL:
-        return 2.0 * k * np.exp(-2.0 * k * r)
-    out = np.zeros(r.shape)
-    pos = r > 0.0
-    if pos.any():
-        out[pos] = _ring_weight(k, r[pos])
+    # the float path's pure-Python arithmetic rounds an overflowing exponent
+    # to -inf and an underflowing product to zero without raising
+    with np.errstate(over="ignore", under="ignore"):
+        if form is DensityForm.EXP_LINE:
+            return k * np.exp(-2.0 * k * np.abs(r))
+        if form is DensityForm.EXP_RADIAL:
+            return 2.0 * k * np.exp(-2.0 * k * r)
+        out = np.zeros(r.shape)
+        pos = r > 0.0
+        if pos.any():
+            out[pos] = _ring_weight(k, r[pos])
     return out
 
 

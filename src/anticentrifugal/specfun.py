@@ -25,7 +25,9 @@ recurrence in whichever direction is stable for the family: upward for Y
 and K, and for J above x = 20 while the order is below x; downward
 (Miller) for I, and for J below x = 20 or at orders from x on.  Above
 x = 20 a Miller pass's length therefore follows the order served, not
-the argument.
+the argument.  Order-0 calls of Y and K sum only the order-0 part of the
+log-augmented series, and K_0 takes only the order-0 Hankel pair: order 1
+is needed only to start the recurrence.
 
 Every evaluator takes a float or an array of arguments.  The ascending and
 log-augmented series, the Hankel expansions, the K trapezoid and the
@@ -207,53 +209,61 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x) if x >= 2.0 * sys.float_info.min else math.log(x) - math.log(2.0)
 
 
-def _log_series(x, sign: float):
-    """Y_0, Y_1 (sign -1) or K_0, K_1 (sign +1) from the log-augmented
-    ascending series (x below the switch), as two floats or two arrays.
+def _log_series(x, sign: float, orders: int = 2):
+    """Y_0 and Y_1 (sign -1) or K_0 and K_1 (sign +1) from the log-augmented
+    ascending series (x below the switch), as a tuple of floats or arrays;
+    with *orders* 1 the tuple holds order 0 alone.
 
-    One loop runs both sums until both have converged, with q = x^2/4 and
-    H_k the harmonic numbers:
+    One loop runs the sums of the orders asked for until each has
+    converged, with q = x^2/4 and H_k the harmonic numbers:
     s0 = sum_{k>=1} sign^k H_k q^k / (k!)^2, the sum of DLMF 10.31.2 for K
     and minus that of 10.8.2 for Y, and
     s1 = sum_{k>=0} sign^k (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).
-    s1's stop test bounds its next term before adding it.
+    s1's stop test bounds its next term before adding it.  Order 0 alone
+    stops on s0's own test: the terms s0 adds past it, while s1 converges,
+    are below half an ulp of s0, so both ways give the same K_0 and Y_0.
     """
     array = isinstance(x, np.ndarray)
+    both = orders > 1
     q = 0.25 * x * x
     lg = _map(_log_half, x) if array else _log_half(x)
     c0 = _ascending_series(0, x, sign)  # J_0 or I_0
-    c1 = _ascending_series(1, x, sign)  # J_1 or I_1
+    g2 = 2.0 * EULER_GAMMA
     s0 = s1 = 0.0
     t0 = t1 = 1.0
     h = 0.0  # H_k
     alt = 1.0  # sign^k
     k = 0
     while True:
-        s1 += alt * (t1 * (h + h + 1.0 / (k + 1) - 2.0 * EULER_GAMMA))
+        if both:
+            s1 += alt * (t1 * (h + h + 1.0 / (k + 1) - g2))
         k += 1
         t0 *= q / (k * k)
-        t1 *= q / (k * (k + 1))
         h += 1.0 / k
         alt *= sign
         u0 = t0 * h
         s0 += alt * u0
-        done = (u0 <= 1e-17 * (abs(s0) + 1e-30)) & (
-            t1 * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30)
-        )
+        done = u0 <= 1e-17 * (abs(s0) + 1e-30)
+        if both:
+            t1 *= q / (k * (k + 1))
+            done = done & (t1 * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30))
         if (done.all() if array else done) or k > 60:
             break
     if sign < 0.0:
-        y0 = (2.0 / math.pi) * ((lg + EULER_GAMMA) * c0 - s0)
-        y1 = (2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
-        return y0, y1
-    k0 = -(lg + EULER_GAMMA) * c0 + s0
-    k1 = 1.0 / x + lg * c1 - 0.25 * x * s1
-    return k0, k1
+        out = ((2.0 / math.pi) * ((lg + EULER_GAMMA) * c0 - s0),)
+    else:
+        out = (-(lg + EULER_GAMMA) * c0 + s0,)
+    if not both:
+        return out
+    c1 = _ascending_series(1, x, sign)  # J_1 or I_1
+    if sign < 0.0:
+        return out + ((2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1,)
+    return out + (1.0 / x + lg * c1 - 0.25 * x * s1,)
 
 
-def _log_series_array(x: np.ndarray, sign: float) -> np.ndarray:
+def _log_series_array(x: np.ndarray, sign: float, orders: int = 2) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):  # _recur_up raises instead
-        return np.stack(_log_series(x, sign))
+        return np.stack(_log_series(x, sign, orders))
 
 
 # ----------------------------------------------------------------------
@@ -530,23 +540,24 @@ def _hankel01_rows(x: np.ndarray) -> np.ndarray:
     return np.stack(_hankel01(x, _map(math.cos, x), _map(math.sin, x)))
 
 
-def _k01_scaled(x):
+def _k01_scaled(x, orders: int = 2):
     """e^x K_0 and e^x K_1 at x >= _HANKEL_SWITCH from the Hankel expansion
     sqrt(pi/(2x)) (P(-t) + Q(-t)/x), t = 1/x^2 (DLMF 10.40.2), with the
-    P and Q of _hankel01.  The same operations run on a float and an
-    array, so both paths agree bit for bit.
+    P and Q of _hankel01; with *orders* 1, e^x K_0 alone.  The same
+    operations run on a float and an array, so both paths agree bit for bit.
     """
     r = 1.0 / x
     t = -(r * r)
     env = (np.sqrt if _is_array(x) else math.sqrt)((math.pi / 2.0) * r)
-    return tuple(env * (_horner(p, t) + r * _horner(q, t)) for p, q in _HANKEL_PQ)
+    return tuple(env * (_horner(p, t) + r * _horner(q, t)) for p, q in _HANKEL_PQ[:orders])
 
 
-def _k01_hankel(x):
-    """K_0 and K_1 on [_HANKEL_SWITCH, _K_SCALED_SWITCH), a float or an
-    array: _k01_scaled times e^-x, taken from math.exp per element."""
+def _k01_hankel(x, orders: int = 2):
+    """K_0 and K_1 (or K_0 alone) on [_HANKEL_SWITCH, _K_SCALED_SWITCH), a
+    float or an array: _k01_scaled times e^-x, taken from math.exp per
+    element."""
     e = _map(math.exp, -x) if _is_array(x) else math.exp(-x)
-    return tuple(e * v for v in _k01_scaled(x))
+    return tuple(e * v for v in _k01_scaled(x, orders))
 
 
 def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
@@ -562,10 +573,9 @@ def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
     arrays, so both paths agree bit for bit.
     """
     with np.errstate(over="ignore", under="ignore"):
-        prev, cur = _k01_scaled(x)
+        scaled = _k01_scaled(x, 2 if m else 1)
+        prev, cur = scaled[0], scaled[-1]
         e = np.zeros(x.size, dtype=np.int64)
-        if m == 0:
-            cur = prev
         for k in range(1, m):
             prev, cur = cur, (2.0 * k / x) * cur + prev
             big = cur > 2.0**_K_RESCALE_BITS
@@ -626,14 +636,20 @@ def _crossover_mismatch() -> float:
 
 def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, width: int = 1) -> np.ndarray:
     """Evaluate routes[i] on the arguments from switches[i - 1] up to below
-    switches[i]; *width* is the number of rows each route returns."""
+    switches[i]; *width* is the number of rows each route returns.
+
+    Underflow is ignored here, on the array path only: a term or a value
+    that rounds to a subnormal or zero is as benign on an array as it is
+    in the float path's pure-Python arithmetic, which never raises.
+    """
     flat = x.ravel()
     out = np.empty((width, flat.size))
     regime = np.searchsorted(switches, flat, side="right")
-    for i, route in enumerate(routes):
-        mask = regime == i
-        if mask.any():
-            out[:, mask] = route(flat[mask])
+    with np.errstate(under="ignore"):
+        for i, route in enumerate(routes):
+            mask = regime == i
+            if mask.any():
+                out[:, mask] = route(flat[mask])
     return out.reshape((width,) + x.shape)
 
 
@@ -645,11 +661,10 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
     orders 0 and 1 share the J pass's start order.  The arguments are not
     checked: they must be finite, x >= 0 for J and x > 0 for Y.
     """
-    switches = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
     if family is CylinderFamily.BESSEL_J:
         return _by_regime(
             x,
-            switches,
+            (SERIES_SWITCH_JY, _HANKEL_SWITCH),
             (
                 lambda v: np.stack([_ascending_series(m, v, -1.0) for m in (0, 1)]),
                 _j01_large_array,
@@ -657,11 +672,21 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
             ),
             2,
         )
+    return _y_rows(x, 2)
+
+
+def _y_rows(x: np.ndarray, orders: int) -> np.ndarray:
+    """Rows Y_0 and Y_1, or Y_0 alone with *orders* 1, on an array of
+    valid arguments."""
     return _by_regime(
         x,
-        switches,
-        (lambda v: _log_series_array(v, -1.0), _y01_large_array, lambda v: _hankel01_rows(v)[2:]),
-        2,
+        (SERIES_SWITCH_JY, _HANKEL_SWITCH),
+        (
+            lambda v: _log_series_array(v, -1.0, orders),
+            lambda v: _y01_large_array(v)[:orders],
+            lambda v: _hankel01_rows(v)[2 : 2 + orders],
+        ),
+        orders,
     )
 
 
@@ -674,8 +699,7 @@ def besselj(m: int, x):
             return _ascending_series(m, x, -1.0)
         if x < _hankel_from(m):
             return _j_large(m, x)
-        j0, j1 = _hankel01(x, math.cos(x), math.sin(x))[:2]
-        return _recur_up(m, x, j0, j1, -1.0)
+        return _recur_up(m, x, _hankel01(x, math.cos(x), math.sin(x))[:2], -1.0)
     x = _check_arguments(CylinderFamily.BESSEL_J, x)
     return _by_regime(
         x,
@@ -683,7 +707,7 @@ def besselj(m: int, x):
         (
             lambda v: _ascending_series(m, v, -1.0),
             lambda v: _j_large_array(m, v),
-            lambda v: _recur_up(m, v, *_hankel01_rows(v)[:2], -1.0),
+            lambda v: _recur_up(m, v, _hankel01_rows(v)[:2], -1.0),
         ),
     )[0]
 
@@ -691,18 +715,19 @@ def besselj(m: int, x):
 def bessely(m: int, x):
     """Y_m(x) for integer m >= 0, x > 0; x is a float or an array."""
     m = _check_order(m)
+    orders = 2 if m else 1
     if not _is_array(x):
         x = _check_argument(CylinderFamily.NEUMANN_Y, x)
         if x < SERIES_SWITCH_JY:
-            y0, y1 = _log_series(x, -1.0)
+            y = _log_series(x, -1.0, orders)
         elif x < _HANKEL_SWITCH:
-            y0, y1 = _y01_large(x)
+            y = _y01_large(x)
         else:
-            y0, y1 = _hankel01(x, math.cos(x), math.sin(x))[2:]
+            y = _hankel01(x, math.cos(x), math.sin(x))[2:]
     else:
         x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
-        y0, y1 = oscillatory_pair(CylinderFamily.NEUMANN_Y, x)
-    return _recur_up(m, x, y0, y1, -1.0)
+        y = _y_rows(x, orders)
+    return _recur_up(m, x, y, -1.0)
 
 
 def besseli(m: int, x):
@@ -722,48 +747,49 @@ def besseli(m: int, x):
 def besselk(m: int, x):
     """K_m(x) for integer m >= 0, x > 0; x is a float or an array."""
     m = _check_order(m)
+    orders = 2 if m else 1
     if not _is_array(x):
         x = _check_argument(CylinderFamily.MODIFIED_K, x)
         if x >= _K_SCALED_SWITCH:
             return float(_k_scaled(m, np.array([x]))[0])
         if x < SERIES_SWITCH_K:
-            k0, k1 = _log_series(x, 1.0)
+            k = _log_series(x, 1.0, orders)
         elif x < _HANKEL_SWITCH:
-            k0, k1 = _k01_large(x)
+            k = _k01_large(x)
         else:
-            k0, k1 = _k01_hankel(x)
-        return _recur_up(m, x, k0, k1, 1.0)
+            k = _k01_hankel(x, orders)
+        return _recur_up(m, x, k, 1.0)
     x = _check_arguments(CylinderFamily.MODIFIED_K, x)
     # zeros carry the scaled regime's elements through the shared
     # recurrence; _k_scaled fills them in afterwards
-    k0, k1 = _by_regime(
+    k = _by_regime(
         x,
         (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH),
         (
-            lambda v: _log_series_array(v, 1.0),
-            lambda v: np.stack(_k01_large(v)),
-            lambda v: np.stack(_k01_hankel(v)),
-            lambda v: np.zeros((2, v.size)),
+            lambda v: _log_series_array(v, 1.0, orders),
+            lambda v: np.stack(_k01_large(v)[:orders]),
+            lambda v: np.stack(_k01_hankel(v, orders)),
+            lambda v: np.zeros((orders, v.size)),
         ),
-        2,
+        orders,
     )
-    out = _recur_up(m, x, k0, k1, 1.0)
+    out = _recur_up(m, x, k, 1.0)
     scaled = x >= _K_SCALED_SWITCH
     if scaled.any():
         out[scaled] = _k_scaled(m, x[scaled])
     return out
 
 
-def _recur_up(m: int, x, f0, f1, sign: float):
-    # Upward recurrence C_{k+1} = (2k/x) C_k + sign C_{k-1}: sign -1 for Y,
-    # +1 for K, whose magnitudes grow with order so the direction is
-    # stable, and for J while m < x.  The same arithmetic serves floats and
-    # arrays.
+def _recur_up(m: int, x, c, sign: float):
+    # Upward recurrence C_{k+1} = (2k/x) C_k + sign C_{k-1} from c, which
+    # holds C_0 and, for m >= 1, C_1: sign -1 for Y, +1 for K, whose
+    # magnitudes grow with order so the direction is stable, and for J
+    # while m < x.  The same arithmetic serves floats and arrays.
     if m == 0:
-        return f0  # |C_0| grows no faster than ln(1/x)
-    prev, cur = f0, f1
+        return c[0]  # |C_0| grows no faster than ln(1/x)
+    prev, cur = c
     if m > 1:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             for k in range(1, m):
                 prev, cur = cur, (2.0 * k / x) * cur + sign * prev
     # Y_1 and K_1 overflow for subnormal x, and an overflowed Y turns into

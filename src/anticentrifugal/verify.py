@@ -301,7 +301,9 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
     d1 = five_point_derivatives(u1, wgrid.spacing)[0]
     d2 = five_point_derivatives(u2, wgrid.spacing)[0]
     w = u1[2:-2] * d2 - d1 * u2[2:-2]
-    mid = float(np.median(w))
+    # the median, as the middle element of an odd count (19997 entries):
+    # np.median would import numpy.ma; a nan in w still makes the drift nan
+    mid = float(np.partition(w, w.size // 2)[w.size // 2])
     drift = float((np.max(w) - np.min(w)) / abs(mid))
     out.append(
         _res(

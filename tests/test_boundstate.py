@@ -100,6 +100,20 @@ def test_total_probability_is_one(dimension, k):
     assert normalize_check(pd) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "k, total",
+    [
+        (0.5, 1.0000000000000093),
+        (1.0, 1.0000000000000093),
+        (2.0, 1.0000000000000093),
+        (7.0, 1.00000000000001),
+    ],
+)
+def test_ring_normalization_is_pinned_bit_for_bit(k, total):
+    # the boundstate output prints this float; a faster K_0 must not move it
+    assert normalize_check(density(2, k, np.array([1.0]))) == total
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-307])
 def test_normalization_names_a_wavenumber_too_small_to_integrate(dimension, k):
@@ -246,6 +260,21 @@ def test_ring_weight_near_the_top_of_the_double_range():
             peak = density_maximum(density(2, k, np.array([0.0])))[1]
         assert np.all(np.isfinite(w))
         assert peak / k == pytest.approx(2.0 * ring_peak_parameter() * besselk(0, ring_peak_parameter()) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "dimension, k, r",
+    [
+        (2, 1e-300, 1e301),  # 2 k ((k r) K_0) K_0 is subnormal
+        (2, 1.0, 1e-300),  # (k r)^2 / 4 in the series of K_0
+        (1, 1e-300, 1e-300),  # the exponent 2 k |r| underflows
+        (3, 1e20, 1e301),  # the exponent overflows to -inf, the weight is 0
+    ],
+)
+def test_array_weight_returns_where_the_float_weight_does_under_raise(dimension, k, r):
+    with np.errstate(all="raise"):
+        want = density_profile(dimension, k, r)
+        np.testing.assert_array_equal(density_profile(dimension, k, np.array([r])), [want])
 
 
 def test_ring_weight_unchanged_where_k_squared_is_normal():

@@ -700,7 +700,9 @@ def test_crossover_check_covers_the_k_hankel_switch(monkeypatch):
         for trapezoid, hankel in zip(_k01_large(x), specfun._k01_hankel(x)):
             assert hankel == pytest.approx(trapezoid, rel=1e-15)
     real = specfun._k01_scaled
-    monkeypatch.setattr(specfun, "_k01_scaled", lambda v: tuple(u * (1.0 + 1e-9) for u in real(v)))
+    monkeypatch.setattr(
+        specfun, "_k01_scaled", lambda v, orders=2: tuple(u * (1.0 + 1e-9) for u in real(v, orders))
+    )
     assert _crossover_mismatch() >= 0.9e-9
 
 

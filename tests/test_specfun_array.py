@@ -118,6 +118,38 @@ def test_series_kernels_serve_floats_and_arrays_alike(sign):
         np.testing.assert_array_equal(rows[i], [_log_series(v, sign)[i] for v in x.tolist()])
 
 
+def _seeded_below(switch: float, n: int = 100_000) -> np.ndarray:
+    # half log-uniform from the smallest subnormal, where the sums stop
+    # after a term or two, half uniform up to the switch, where they run
+    # longest; plus the ends of the range and the smallest normal
+    rng = np.random.default_rng(20261018)
+    x = np.concatenate(
+        (
+            np.exp(rng.uniform(math.log(5e-324), math.log(switch), n // 2)),
+            rng.uniform(0.0, switch, n - n // 2),
+            [5e-324, 1e-310, 2.2250738585072014e-308, math.nextafter(switch, 0.0)],
+        )
+    )
+    return x[x > 0.0]
+
+
+@pytest.mark.parametrize("sign, switch", [(-1.0, SERIES_SWITCH_JY), (1.0, SERIES_SWITCH_K)])
+def test_order_zero_series_is_the_two_order_series_bit_for_bit(sign, switch):
+    # order 0 alone stops on its own sum's test; every term the two-order
+    # loop adds past it, while the order-1 sum converges, is below half an
+    # ulp of the order-0 sum, so Y_0 and K_0 come out the same either way
+    x = _seeded_below(switch)
+    assert x.size >= 100_000 and x.min() == 5e-324
+    with np.errstate(over="ignore", divide="ignore"):  # order 1 overflows at subnormal x
+        (alone,) = _log_series(x, sign, 1)
+        np.testing.assert_array_equal(alone, _log_series(x, sign)[0])
+    v = x.tolist()
+    np.testing.assert_array_equal(
+        [_log_series(u, sign, 1)[0] for u in v], [_log_series(u, sign)[0] for u in v]
+    )
+    np.testing.assert_array_equal(alone, (besselk if sign > 0.0 else bessely)(0, x))
+
+
 _FLOAT_ARGUMENTS = (1e-20, 0.5, 2.5, 5.0, 10.0, 25.0, 100.0, 700.0)
 
 
@@ -290,6 +322,26 @@ def test_array_growing_family_overflow_guard():
     assert np.isfinite(besseli(0, np.array([1.0, 700.0]))).all()
     with pytest.raises(OverflowError):
         besseli(0, np.array([1.0, 705.0]))
+
+
+# ---------------------------------------------------------------------------
+# benign underflow on the array path
+
+
+@pytest.mark.parametrize("fn", [besselj, bessely, besseli, besselk])
+@pytest.mark.parametrize("m", [0, 1, 5, 40])
+def test_array_path_returns_where_the_float_path_does_under_raise(fn, m):
+    # the float path's Python arithmetic rounds an underflow to a subnormal
+    # or zero silently; the array path must do the same, not raise.  Among
+    # these: t = r * r of the Hankel expansions (J_0 and Y_0 at 1e160) and
+    # the leading term (x/2)^5 / 5! of the series (J_5 at 1e-300)
+    for x in (5e-324, 1e-300, 1e-160, 1e-20, 700.0, 704.0, 1e160, 1e300, 1.7e308):
+        try:
+            want = fn(m, x)
+        except (ValueError, OverflowError):
+            continue
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(fn(m, np.array([x])), [want])
 
 
 def test_array_recurrence_overflow_reported():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anticentrifugal import verify
 from anticentrifugal.boundstate import k_from_coupling
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.radial import RadialGrid, SolutionFamily, analytic_radial
@@ -14,6 +15,7 @@ from anticentrifugal.verify import (
     _seed_pair,
     run_all,
     suite_dimensions,
+    suite_radial,
 )
 
 
@@ -96,3 +98,31 @@ def test_seed_pair_equals_the_closed_form_wave(fn, family, k, grid, at):
     # numbers the whole closed-form wave holds there
     want = analytic_radial(family, 0, k, grid).values[list(at)].tolist()
     assert _seed_pair(fn, k, grid, at) == tuple(want)
+
+
+def test_wronskian_constancy_fails_on_a_nan(monkeypatch):
+    # the reference value is the middle element of the sorted Wronskians,
+    # where a nan sorts last; the drift must still turn nan and fail
+    real = verify.five_point_derivatives
+
+    def spoiled(u, h):
+        d1, d2 = real(u, h)
+        d1 = d1.copy()
+        d1[5000] = np.nan
+        return d1, d2
+
+    monkeypatch.setattr(verify, "five_point_derivatives", spoiled)
+    (check,) = [r for r in suite_radial() if r.name == "radial-wronskian-constancy"]
+    assert not check.passed
+    assert np.isnan(check.max_error)
+
+
+
+def test_radial_suite_takes_no_median(monkeypatch):
+    # np.median imports numpy.ma on its first call, about 16 ms of a cold
+    # verify; the middle element of the odd count of Wronskians is the same
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.median called")
+
+    monkeypatch.setattr(verify.np, "median", refuse)
+    assert all(r.passed for r in suite_radial())
