@@ -28,7 +28,7 @@ import numpy as np
 
 from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
-from .radial import RadialGrid
+from .radial import RadialGrid, _k0_at
 from .specfun import besselk
 
 @unique
@@ -81,8 +81,19 @@ def _density_at(form: DensityForm, k: float):
         return lambda r: float(k * np.exp(-2.0 * k * abs(r)))
     if form is DensityForm.EXP_RADIAL:
         return lambda r: float(2.0 * k * np.exp(-2.0 * k * r))
-    # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence
-    return lambda r: _ring_weight(k, r) if r > 0.0 else 0.0
+    weight = _ring_form(k)
+
+    def ring(r: float) -> float:
+        # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence; W is 0
+        # where K_0(k r) is, which includes where k r overflows
+        if r > 0.0:
+            kr = k * r
+            k0 = besselk(0, kr) if kr < math.inf else 0.0
+            if k0 > 0.0:
+                return weight(r, k0)
+        return 0.0
+
+    return ring
 
 
 def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
@@ -100,21 +111,33 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
         out = np.zeros(r.shape)
         pos = r > 0.0
         if pos.any():
-            out[pos] = _ring_weight(k, r[pos])
+            rp = r[pos]
+            out[pos] = _ring_weight(k, rp, _k0_at(k, rp))
     return out
 
 
-def _ring_weight(k: float, r, k0=None):
-    # 2 k^2 r K_0(k r)^2 at positive radii, from k0 = K_0(k r) where the
-    # caller has it; where 2 k^2 underflows or overflows (k below about
-    # 1e-154 or above about 9e153) the factors are grouped as
-    # (2 k ((k r) K_0)) K_0: (k r) K_0(k r) <= 0.47, so the first product is
-    # at most 0.94 k, and it is 0 where K_0 underflows to 0 though k r does not
-    if k0 is None:
-        k0 = besselk(0, k * r)
-    if not sys.float_info.min <= 2.0 * k * k <= sys.float_info.max:
-        return 2.0 * k * ((k * r) * k0) * k0
-    return 2.0 * k * k * r * k0**2
+def _ring_form(k: float):
+    """W = 2 k^2 r K_0(k r)^2 as a function of r and k0 = K_0(k r) > 0, on
+    floats or arrays, with the grouping chosen once per k.
+
+    Where 2 k^2 underflows or overflows (k below about 1e-154 or above
+    about 9e153) the factors are grouped as (2 k ((k r) K_0)) K_0:
+    (k r) K_0(k r) <= 0.47, so the first product is at most 0.94 k. Where
+    2 k^2 is normal and K_0 > 0, k r < 746 keeps 2 k^2 r finite.
+    """
+    two_k2 = 2.0 * k * k
+    if sys.float_info.min <= two_k2 <= sys.float_info.max:
+        return lambda r, k0: two_k2 * r * k0**2
+    return lambda r, k0: 2.0 * k * ((k * r) * k0) * k0
+
+
+def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
+    """W at an array of positive radii from k0 = K_0(k r): 0 where K_0 is
+    0, where 2 k^2 r or k r may have overflowed."""
+    out = np.zeros(r.shape)
+    pos = k0 > 0.0
+    out[pos] = _ring_form(k)(r[pos], k0[pos])
+    return out
 
 
 @dataclass(frozen=True)

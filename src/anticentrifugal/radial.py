@@ -190,7 +190,6 @@ def integrate_radial(
     s0, s1 = float(seeds[0]), float(seeds[1])
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ValueError(f"seed values must be finite, got {seeds!r}")
-    n = grid.n_points
     r = grid.points
     f = eval_potential(spec, r) - 2.0 * energy
     c = grid.spacing ** 2 / 12.0
@@ -199,44 +198,42 @@ def integrate_radial(
     with np.errstate(over="ignore", invalid="ignore"):
         a = (2.0 + 10.0 * c * f).tolist()
         g = (1.0 - c * f).tolist()
-    u = [0.0] * n
-    if direction is Direction.OUTWARD:
-        order_idx = range(1, n - 1)
-        u[0], u[1] = s0, s1
-        step = 1
-        marched = np.arange(2, n)
-    else:
-        order_idx = range(n - 2, 0, -1)
-        u[n - 1], u[n - 2] = s0, s1
-        step = -1
-        marched = np.arange(n - 3, -1, -1)
+    # an inward run marches the reversed grid outward, and reverses back
+    inward = direction is not Direction.OUTWARD
+    if inward:
+        a.reverse()
+        g.reverse()
+        r = r[::-1]
     # the march runs on past an overflow, through inf and nan; growth is
     # checked once at the end, and before a division by zero
+    u = [s0, s1]
+    prev, cur = s0, s1
     try:
-        for i in order_idx:
-            u[i + step] = (a[i] * u[i] - g[i - step] * u[i - step]) / g[i + step]
+        for ai, gb, gf in zip(a[1:-1], g, g[2:]):
+            prev, cur = cur, (ai * cur - gb * prev) / gf
+            u.append(cur)
     except ZeroDivisionError:
-        _check_growth(u, marched, r)
+        _check_growth(np.array(u), r)
         raise
-    values = _check_growth(u, marched, r)
+    values = np.array(u)
+    _check_growth(values, r)
+    if inward:
+        values = values[::-1].copy()
     sign = EnergySign.POSITIVE if energy > 0 else EnergySign.NEGATIVE
     k = wavenumber_from_energy(energy)
     return RadialWave(grid, values, 0, k, sign, SolutionFamily.NUMERIC)
 
 
-def _check_growth(u: list, marched: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """u as an array, once no sample of ``marched`` (indices in marching
-    order, seeds excluded) exceeds the limit; else OverflowError at the
-    radius of the first that does."""
-    values = np.array(u)
-    grown = np.abs(values[marched]) > _OVERFLOW_LIMIT
+def _check_growth(u: np.ndarray, r: np.ndarray) -> None:
+    """OverflowError at the radius of the first marched sample of u (seeds
+    excluded) that exceeds the limit; u and r are in marching order."""
+    grown = np.abs(u[2:]) > _OVERFLOW_LIMIT
     if grown.any():
-        at = r[marched[np.argmax(grown)]]
+        at = r[2 + np.argmax(grown)]
         raise OverflowError(
             f"radial solution exceeded {_OVERFLOW_LIMIT:.0e} at r = {at:.6g}; "
             "the growing branch dominates this integration direction"
         )
-    return values
 
 
 def five_point_derivatives(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,5 +322,16 @@ def _phi2_and_k0(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(k / sqrt(pi)) K_0(k r) and the K_0(k r) it was scaled from."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
-    k0 = besselk(0, k * r)
+    k0 = _k0_at(k, r)
     return k / math.sqrt(math.pi) * k0, k0
+
+
+def _k0_at(k: float, r: np.ndarray) -> np.ndarray:
+    """K_0(k r) over an array of radii, and 0 where k r overflows: K_0
+    falls to 0 long before, and besselk refuses an infinite argument."""
+    with np.errstate(over="ignore"):
+        kr = k * r
+    k0 = np.zeros(kr.shape)
+    finite = kr < math.inf
+    k0[finite] = besselk(0, kr[finite])
+    return k0

@@ -855,6 +855,12 @@ _SOMMERFELD_KR_MAX = 2.0 * math.exp(
     (math.lgamma(_SOMMERFELD_POINTS + 1) - 54.0 * math.log(2.0)) / _SOMMERFELD_POINTS
 )
 
+#: sin(j 2 pi / N) at the trapezoid's N = _SOMMERFELD_POINTS nodes.
+_SOMMERFELD_SIN = tuple(
+    math.sin(j * (2.0 * math.pi / _SOMMERFELD_POINTS)) for j in range(_SOMMERFELD_POINTS)
+)
+
+
 def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
     """Real and imaginary parts of the closed-contour mean of e^(i kr sin(theta)).
 
@@ -874,11 +880,10 @@ def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
             f"{n} quadrature points resolve J_0 to rounding only for |kr| <= "
             f"{_SOMMERFELD_KR_MAX:.6g}, got {kr!r}"
         )
-    step = 2.0 * math.pi / n
     re = 0.0
     im = 0.0
-    for j in range(n):
-        a = kr * math.sin(j * step)
+    for sin_j in _SOMMERFELD_SIN:
+        a = kr * sin_j
         re += math.cos(a)
         im += math.sin(a)
     return re / n, im / n

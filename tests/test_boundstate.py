@@ -249,6 +249,23 @@ def test_ring_weight_where_k0_underflows_and_2k_kr_overflows():
         assert [density_profile(2, k, v) for v in r[::8].tolist()] == [0.0] * 8
 
 
+@pytest.mark.parametrize("k, r", [
+    (1e150, 1e100),  # 2 k^2 r overflows where K_0(k r) is 0: was inf * 0 = nan
+    (1e150, 1e158),  # 2 k^2 r and k r overflow
+    (1e100, 1e210),  # k r overflows: besselk refused an infinite argument
+    (1.0, 1e308),  # K_0(1e308) is 0 and k r is finite
+])
+def test_ring_weight_is_zero_where_k0_is_zero(k, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            assert density_profile(2, k, r) == 0.0
+            got = density_profile(2, k, np.array([0.5 / k, r, 0.0]))
+    want = density_profile(2, k, 0.5 / k)
+    assert want > 0.0
+    assert got.tolist() == [want, 0.0, 0.0]
+
+
 def test_ring_weight_near_the_top_of_the_double_range():
     # 2 k K_0(k r) alone overflows here (k r = 0.05 gives 1.9e308 at
     # k = 3e307), while 2 k (k r) K_0(k r) <= 0.94 k and W <= 1.24 k do not

@@ -2,12 +2,17 @@
 
 Every invocation goes through ``main(argv)`` in process, so exit codes
 and byte-for-byte output stability can be asserted without spawning
-subprocesses.
+subprocesses; only the check that importing the module builds no parser
+needs a fresh interpreter.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -288,6 +293,24 @@ def test_wavefunction_weight_where_k0_underflows(capsys):
     assert all(w2 == "0" for _, _, w2 in rows)
 
 
+@pytest.mark.parametrize("k, r_max", [
+    ("1e150", "1e100"),  # 2 k^2 r overflows where K_0(k r) is 0: w2 was nan
+    ("1e100", "1e210"),  # k r overflows: besselk refused an infinite argument
+])
+def test_wavefunction_where_k0_is_zero_writes_zeros(capsys, k, r_max):
+    # both used to write numpy warnings and exit 2
+    r_min = repr(0.1 / float(k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "wavefunction", "--k", k, "--r-min", r_min,
+                           "--r-max", r_max, "--n-points", "3")
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert float(rows[0][1]) > 0.0 and float(rows[0][2]) > 0.0
+    assert [row[1:] for row in rows[1:]] == [["0", "0"], ["0", "0"]]
+
+
 def test_wavefunction_weight_near_the_top_of_the_double_range(capsys):
     # 2 k K_0(k r) overflows at the first row (k r = 0.05), though w2 does not
     k = 3e307
@@ -468,6 +491,74 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "potential" in out and "verify" in out
+
+
+_PARSER_SEQUENCE = (
+    ("potential", "--bogus-flag"),
+    ("--help",),
+    ("nodes", "--n-max", "5", "--format", "json"),
+    (),
+    ("wavefunction", "--help"),
+    ("wavefunction", "--k", "abc"),
+    ("wavefunction", "--k", "1.5", "--n-points", "4"),
+    ("boundstate", "--dimension", "4"),
+    ("boundstate", "--dimension", "2", "--k", "1.0"),
+    ("potential", "--family", "ndim", "--N", "3", "--n-points", "3", "--format", "json"),
+    ("nodes", "--n-max", "1"),
+    ("nodes", "--n-max", "5", "--format", "json"),
+)
+
+
+def _sequence(capsys):
+    return [run(capsys, *argv) for argv in _PARSER_SEQUENCE]
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, monkeypatch):
+    # one parser serves every main() call in a process: errors, --help and
+    # valid calls after them must read as they do on a parser built anew
+    cli._parser.cache_clear()
+    reused = _sequence(capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _sequence(capsys)
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [2, 0, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0]
+    assert reused[2] == reused[-1]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        _sequence(capsys)
+        assert len(built) == 1
+        # the public builder still gives a new parser on each call
+        assert real() is not real()
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main() call, so the import time a
+    # shell invocation pays does not include it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "from anticentrifugal import cli\n"
+        "print(cli._parser.cache_info().currsize)\n"
+        "cli.main(['nodes', '--n-max', '2', '--output', %r])\n"
+        "print(cli._parser.cache_info().currsize)\n" % os.devnull
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ hbar^2/(2M).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,112 @@ def test_numerov_overflow_is_reported_before_a_later_division_by_zero(monkeypatc
         integrate_radial(*args)
     with pytest.raises(OverflowError, match=r"at r = 1\.[0-7]"):
         _numerov_reference(QUANTUM_ANTI, 0.5, grid, (1.0, 1.0), Direction.OUTWARD)
+
+
+def _index_loop_reference(spec, energy, grid, seeds, direction):
+    """The march as an index loop over the full-length sample list, one
+    branch per direction, with growth checked at the end and before a
+    division by zero: the form integrate_radial had before its march went
+    over zipped lists, kept to pin that it is bit for bit the same."""
+    n = grid.n_points
+    r = grid.points
+    f = radial.eval_potential(spec, r) - 2.0 * energy
+    c = grid.spacing ** 2 / 12.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (2.0 + 10.0 * c * f).tolist()
+        g = (1.0 - c * f).tolist()
+    u = [0.0] * n
+    if direction is Direction.OUTWARD:
+        order_idx = range(1, n - 1)
+        u[0], u[1] = float(seeds[0]), float(seeds[1])
+        step = 1
+        marched = np.arange(2, n)
+    else:
+        order_idx = range(n - 2, 0, -1)
+        u[n - 1], u[n - 2] = float(seeds[0]), float(seeds[1])
+        step = -1
+        marched = np.arange(n - 3, -1, -1)
+
+    def check_growth():
+        values = np.array(u)
+        grown = np.abs(values[marched]) > 1e250
+        if grown.any():
+            raise OverflowError(
+                f"radial solution exceeded 1e+250 at r = {r[marched[np.argmax(grown)]]:.6g}; "
+                "the growing branch dominates this integration direction"
+            )
+        return values
+
+    try:
+        for i in order_idx:
+            u[i + step] = (a[i] * u[i] - g[i - step] * u[i - step]) / g[i + step]
+    except ZeroDivisionError:
+        check_growth()
+        raise
+    return check_growth()
+
+
+def _march_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same_march(*args):
+    got = _march_outcome(lambda *a: integrate_radial(*a).values, *args)
+    want = _march_outcome(_index_loop_reference, *args)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("grid", [
+    RadialGrid(0.05, 20.05, 20001),
+    RadialGrid(0.5, 20.5, 2001),
+    RadialGrid(1e-3, 3.0, 3),
+    RadialGrid(1e-3, 3.0, 4),
+    RadialGrid(2.0, 2.5, 97),
+])
+@pytest.mark.parametrize("energy", [-450.0, -0.5, 2e-3, 80.0])
+@pytest.mark.parametrize("seeds", [(1e-6, 1.1e-6), (0.7, -0.2), (0.0, 1e300)])
+def test_numerov_march_is_bit_identical_to_the_index_loop(direction, grid, energy, seeds):
+    _assert_same_march(QUANTUM_ANTI, energy, grid, seeds, direction)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("pole_at, fill", [(25, "near"), (5, "near"), (25, "flat"), (5, "flat")])
+def test_numerov_zero_coefficient_matches_the_index_loop(monkeypatch, direction, pole_at, fill):
+    # a zero 1 - c f raises ZeroDivisionError, unless a sample marched
+    # before it overflowed; next to the pole each step grows u about
+    # 1e16-fold, on a flat f it grows slowly
+    grid = RadialGrid(1.0, 2.0, 31)
+    c = grid.spacing ** 2 / 12.0
+    pole = 1.0 / c
+    while 1.0 - c * pole != 0.0:
+        pole = math.nextafter(pole, math.inf)
+    f = np.full(31, math.nextafter(pole, 0.0) if fill == "near" else 1.0)
+    f[pole_at] = pole
+    monkeypatch.setattr(radial, "eval_potential", lambda spec, r: f + 2.0 * 0.5)
+    args = (QUANTUM_ANTI, 0.5, grid, (1.0, 1.0), direction)
+    want = _march_outcome(_index_loop_reference, *args)
+    assert isinstance(want, tuple)
+    assert _march_outcome(lambda *a: integrate_radial(*a).values, *args) == want
+
+
+def test_planar_amplitude_is_zero_where_k_r_overflows():
+    # K_0(inf) = 0; besselk refuses an infinite argument, and k r used to
+    # reach it with an overflow warning
+    grid = RadialGrid(1e-101, 1e210, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            phi = assemble_phi2(1e100, grid)
+    assert phi[0] == assemble_phi2(1e100, RadialGrid(1e-101, 1e-100, 3))[0] > 0.0
+    assert phi[1:].tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

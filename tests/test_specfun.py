@@ -359,6 +359,28 @@ def test_sommerfeld_imaginary_part_cancels():
         assert re == pytest.approx(besselj(0, kr), abs=1e-10)
 
 
+def test_sommerfeld_sine_table_is_the_per_node_sine():
+    n = specfun._SOMMERFELD_POINTS
+    step = 2.0 * math.pi / n
+    assert len(specfun._SOMMERFELD_SIN) == n
+    for j in range(n):
+        assert specfun._SOMMERFELD_SIN[j] == math.sin(j * step)
+
+
+def test_sommerfeld_components_match_the_per_node_sine_loop():
+    # the table changes no operation: the sums are bit for bit those of
+    # the loop that took each node's sine in turn
+    n = specfun._SOMMERFELD_POINTS
+    step = 2.0 * math.pi / n
+    for kr in (0.0, 0.07114788067655642, 1.0, 5.0, 19.9, -3.3, 150.0):
+        re = im = 0.0
+        for j in range(n):
+            a = kr * math.sin(j * step)
+            re += math.cos(a)
+            im += math.sin(a)
+        assert sommerfeld_j0_components(kr) == (re / n, im / n)
+
+
 def test_sommerfeld_rejects_bad_input():
     with pytest.raises(ValueError):
         sommerfeld_j0(math.nan)

@@ -1,5 +1,10 @@
 """Tests for the self-verification suites."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,3 +131,26 @@ def test_radial_suite_takes_no_median(monkeypatch):
 
     monkeypatch.setattr(verify.np, "median", refuse)
     assert all(r.passed for r in suite_radial())
+
+
+def test_sommerfeld_sample_is_the_seeded_draw_bit_for_bit():
+    drawn = np.random.default_rng(20240815).uniform(0.0, 20.0, 100)
+    assert all(type(v) is float for v in verify._SOMMERFELD_SAMPLE)
+    assert np.array(verify._SOMMERFELD_SAMPLE).tobytes() == drawn.tobytes()
+
+
+def test_verify_never_imports_numpy_random():
+    # numpy.random costs 10-20 ms of import for 100 fixed doubles; a fresh
+    # interpreter shows whether anything in the package pulls it in
+    src = str(Path(verify.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from anticentrifugal.verify import run_all\n"
+        "assert all(r.passed for r in run_all())\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
