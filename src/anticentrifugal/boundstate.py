@@ -9,9 +9,11 @@ hbar = M = 1) whose radial probability weight is
 
 The planar case is the odd one out: the -1/(4 r^2) effective attraction
 drags the decaying cylinder wave into a profile whose most probable radius
-sits at a finite ring r = xi / k, with xi a universal constant. The planar
-wavenumber also needs regularization; with a sharp momentum cutoff L the
-coupling U0 > 0 and the wavenumber are tied by
+sits at a finite ring r = xi / k, with xi a universal constant. Each
+weight depends on k only through xi = k r, so its total probability is one
+number per form, integrated once in xi. The planar wavenumber also needs
+regularization; with a sharp momentum cutoff L the coupling U0 > 0 and the
+wavenumber are tied by
 
     k = L / sqrt(exp(4 pi / U0) - 1).
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
-from .radial import RadialGrid, _k0_at
+from .radial import RadialGrid, _k0_at, _k0_of
 from .specfun import besselk
 
 @unique
@@ -87,8 +89,7 @@ def _density_at(form: DensityForm, k: float):
         # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence; W is 0
         # where K_0(k r) is, which includes where k r overflows
         if r > 0.0:
-            kr = k * r
-            k0 = besselk(0, kr) if kr < math.inf else 0.0
+            k0 = _k0_of(k, r)
             if k0 > 0.0:
                 return weight(r, k0)
         return 0.0
@@ -133,10 +134,11 @@ def _ring_form(k: float):
 
 def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
     """W at an array of positive radii from k0 = K_0(k r): 0 where K_0 is
-    0, where 2 k^2 r or k r may have overflowed."""
+    0, where 2 k^2 r or k r may have overflowed; underflow rounds silently."""
     out = np.zeros(r.shape)
     pos = k0 > 0.0
-    out[pos] = _ring_form(k)(r[pos], k0[pos])
+    with np.errstate(under="ignore"):
+        out[pos] = _ring_form(k)(r[pos], k0[pos])
     return out
 
 
@@ -170,27 +172,22 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
 
 
 def normalize_check(pd: ProbabilityDensity) -> float:
-    """Total probability from adaptive quadrature of the sampled form.
+    """Total probability of pd's form: one number per form, whatever k.
 
-    Integrates W out to r = 40 / k and adds the exact exponential tail
-    exp(-80) for the line and radial forms. The ring form's tail beyond
-    40 / k is bounded by (pi/2) (1 + 1/320)^2 exp(-80), about 3e-35, and
-    is left out. Raises ValueError for a wavenumber so small that 40 / k
-    overflows.
+    W(r) dr = rho(xi) dxi in xi = k r, with rho the weight at k = 1: the
+    total is quadrature of rho over xi in [0, 40], computed on first use and
+    cached, plus the exact tail exp(-80) of the line and radial forms (the
+    ring's, below (pi/2) (1 + 1/320)^2 exp(-80) ~ 3e-35, is left out).
     """
-    k = pd.wavenumber
-    r_cut = 40.0 / k
-    if math.isinf(r_cut):
-        raise ValueError(
-            f"wavenumber {k!r} is too small: the normalization radius 40 / k overflows"
-        )
-    # the quadrature's nodes lie in [0, r_cut], finite and non-negative
-    core = integrate_adaptive(_density_at(pd.form, k), 0.0, r_cut).value
-    if pd.form is DensityForm.EXP_LINE:
-        return 2.0 * core + math.exp(-2.0 * k * r_cut)
-    if pd.form is DensityForm.EXP_RADIAL:
-        return core + math.exp(-2.0 * k * r_cut)
-    return core
+    return _scale_free_total(pd.form)
+
+
+@lru_cache(maxsize=None)
+def _scale_free_total(form: DensityForm) -> float:
+    core = integrate_adaptive(_density_at(form, 1.0), 0.0, 40.0).value
+    if form is DensityForm.RING:
+        return core
+    return (2.0 * core if form is DensityForm.EXP_LINE else core) + math.exp(-80.0)
 
 
 #: A bracket of the ring constant: the stationarity defect
@@ -221,15 +218,17 @@ def density_maximum(pd: ProbabilityDensity) -> tuple[float, float]:
     """Location and value of the global maximum of W.
 
     Closed forms for the monotone exponential cases; the ring case uses
-    the cached universal constant.
+    the cached universal constant, and raises ValueError where its radius
+    xi / k overflows.
     """
     k = pd.wavenumber
     if pd.form is DensityForm.EXP_LINE:
         return 0.0, k
     if pd.form is DensityForm.EXP_RADIAL:
         return 0.0, 2.0 * k
-    xi = ring_peak_parameter()
-    loc = xi / k
+    loc = ring_peak_parameter() / k
+    if math.isinf(loc):
+        raise ValueError(f"wavenumber {k!r} is too small: the ring radius xi / k overflows")
     return loc, density_profile(2, k, loc)
 
 

@@ -367,8 +367,7 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
             k = DeltaCoupling2D.from_coupling(coupling, cutoff).wavenumber
         else:
             raise ValueError("dimension 2 needs --k or --coupling with --cutoff")
-    # both checks read only the form and the wavenumber of pd; the
-    # normalization runs first, as it names a k too small to integrate
+    # both checks read only the form and the wavenumber of pd
     pd = density(dim, k, [0.0])
     norm = normalize_check(pd)
     loc, val = density_maximum(pd)

@@ -20,15 +20,19 @@ tie the two together, and the normalized bound-state amplitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum, unique
 
 import numpy as np
 
 from .potentials import EffectivePotentialSpec, eval_potential
-from .specfun import besseli, besselj, besselk, bessely
+from .specfun import EULER_GAMMA, besseli, besselj, besselk, bessely
 
 _OVERFLOW_LIMIT = 1e250
+
+#: K_0(x) = (ln 2 - gamma) - ln x + O(x^2 ln x) as x -> 0
+_K0_LOG_OFFSET = math.log(2.0) - EULER_GAMMA
 
 
 @unique
@@ -323,15 +327,30 @@ def _phi2_and_k0(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
     k0 = _k0_at(k, r)
-    return k / math.sqrt(math.pi) * k0, k0
+    with np.errstate(under="ignore"):  # a subnormal k, as on the float path
+        return k / math.sqrt(math.pi) * k0, k0
 
 
 def _k0_at(k: float, r: np.ndarray) -> np.ndarray:
-    """K_0(k r) over an array of radii, and 0 where k r overflows: K_0
-    falls to 0 long before, and besselk refuses an infinite argument."""
-    with np.errstate(over="ignore"):
+    """K_0(k r) over an array of positive radii, as _k0_of gives it."""
+    with np.errstate(over="ignore", under="ignore"):
         kr = k * r
     k0 = np.zeros(kr.shape)
-    finite = kr < math.inf
-    k0[finite] = besselk(0, kr[finite])
+    tiny = kr < sys.float_info.min
+    k0[tiny] = [_k0_of(k, v) for v in r[tiny].tolist()]
+    normal = ~tiny & (kr < math.inf)
+    k0[normal] = besselk(0, kr[normal])
     return k0
+
+
+def _k0_of(k: float, r: float) -> float:
+    """K_0(k r) at one positive radius.
+
+    0 where k r overflows: K_0 falls to 0 long before, and besselk refuses
+    an infinite argument. Where k r underflows (to a subnormal or to 0)
+    the product has lost its digits, so K_0 is taken from ln k + ln r.
+    """
+    kr = k * r
+    if kr < sys.float_info.min:
+        return _K0_LOG_OFFSET - math.log(k) - math.log(r)
+    return besselk(0, kr) if kr < math.inf else 0.0

@@ -8,7 +8,11 @@ adaptive quadrature of the momentum integral it came from.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -35,6 +39,7 @@ from anticentrifugal.boundstate import (
     ring_peak_parameter,
 )
 from anticentrifugal.nodes import BracketingError
+from anticentrifugal.quadrature import integrate_adaptive
 from anticentrifugal.radial import RadialGrid, default_grid
 from anticentrifugal.specfun import besselk
 
@@ -93,7 +98,7 @@ def test_form_for_dimension():
 # normalization
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
-# 1e-306 is about the smallest k whose integration radius 40 / k is finite
+# 40 / k is near the top of the double range at k = 1e-306
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.0, 1e-306])
 def test_total_probability_is_one(dimension, k):
     pd = density(dimension, k, np.array([1.0]))
@@ -106,23 +111,94 @@ def test_total_probability_is_one(dimension, k):
         (0.5, 1.0000000000000093),
         (1.0, 1.0000000000000093),
         (2.0, 1.0000000000000093),
-        (7.0, 1.00000000000001),
+        (7.0, 1.0000000000000093),
     ],
 )
 def test_ring_normalization_is_pinned_bit_for_bit(k, total):
-    # the boundstate output prints this float; a faster K_0 must not move it
+    # the boundstate output prints this float; a faster K_0 must not move it.
+    # It is integrated in xi = k r, so every k gives the k = 1 value
     assert normalize_check(density(2, k, np.array([1.0]))) == total
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-307])
-def test_normalization_names_a_wavenumber_too_small_to_integrate(dimension, k):
-    # 40 / k overflows: the error names k, and no numpy warning is written
+def test_normalization_is_a_value_where_40_over_k_overflows(dimension, k):
+    # the integral runs in xi = k r, so no radius 40 / k is formed, and no
+    # numpy warning is written
     pd = density(dimension, k, np.array([0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"wavenumber {k!r} is too small"):
-            normalize_check(pd)
+        assert normalize_check(pd) == normalize_check(density(dimension, 1.0, [0.0]))
+
+
+#: The total of each form, bit for bit: the ring's is the k = 1 value the
+#: r-space quadrature gave, and the exponential forms' round to 1
+SCALE_FREE_TOTALS = {1: 1.0, 2: 1.0000000000000093, 3: 1.0}
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_normalization_is_one_float_per_form(dimension):
+    rng = np.random.default_rng(14)
+    ks = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 7.0, 1e300]
+    ks += np.exp(rng.uniform(math.log(5e-324), math.log(1e300), 40)).tolist()
+    totals = {normalize_check(density(dimension, k, [0.0])) for k in ks}
+    assert totals == {SCALE_FREE_TOTALS[dimension]}
+
+
+@pytest.fixture
+def cold_totals():
+    boundstate._scale_free_total.cache_clear()
+    yield
+    boundstate._scale_free_total.cache_clear()
+
+
+def test_normalization_integrates_once_per_form(monkeypatch, cold_totals):
+    calls = []
+
+    def counted(f, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return integrate_adaptive(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(boundstate, "integrate_adaptive", counted)
+    for k in (0.5, 1.0, 2.0, 7.0, 1e-300, 1e300):
+        for dimension in (1, 2, 3):
+            assert normalize_check(density(dimension, k, [0.0])) == SCALE_FREE_TOTALS[dimension]
+    assert calls == [(0.0, 40.0)] * 3
+    assert boundstate._scale_free_total.cache_info().misses == 3
+
+
+def test_import_integrates_nothing():
+    # the totals are computed on first use, so an import pays nothing for them
+    src = str(Path(boundstate.__file__).resolve().parents[1])
+    code = (
+        "import anticentrifugal, anticentrifugal.cli, anticentrifugal.verify\n"
+        "from anticentrifugal.boundstate import _scale_free_total\n"
+        "print(_scale_free_total.cache_info().misses)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n"
+
+
+def _r_space_total(form, k):
+    # the integral in r on [0, 40 / k] with the tail exp(-2 k (40 / k)),
+    # as normalize_check computed it for every k before it moved to xi
+    r_cut = 40.0 / k
+    core = integrate_adaptive(boundstate._density_at(form, k), 0.0, r_cut).value
+    if form is DensityForm.EXP_LINE:
+        return 2.0 * core + math.exp(-2.0 * k * r_cut)
+    if form is DensityForm.EXP_RADIAL:
+        return core + math.exp(-2.0 * k * r_cut)
+    return core
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("k", [0.5, 2.0, 7.0])
+def test_scale_free_total_matches_the_r_space_integral(dimension, k):
+    pd = density(dimension, k, [0.0])
+    assert abs(normalize_check(pd) - _r_space_total(pd.form, k)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +240,22 @@ def test_ring_maximum_scales_inversely_with_k():
     loc5, val5 = density_maximum(density(2, 5.0, np.array([1.0])))
     assert loc5 == pytest.approx(loc1 / 5.0, rel=1e-12)
     assert val5 == pytest.approx(5.0 * val1, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [5e-324, 1e-310])
+def test_ring_maximum_names_a_wavenumber_whose_radius_overflows(k):
+    pd = density(2, k, [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            density_maximum(pd)
+    assert str(info.value) == f"wavenumber {k!r} is too small: the ring radius xi / k overflows"
+
+
+def test_ring_maximum_where_40_over_k_overflows_but_xi_over_k_does_not():
+    loc, val = density_maximum(density(2, 1e-307, [0.0]))
+    assert loc == pytest.approx(oracles.RING_XI / 1e-307, rel=1e-15)
+    assert val == pytest.approx(oracles.RING_W_MAX_K1 * 1e-307, rel=1e-12)
 
 
 def test_ring_density_array_matches_pointwise_evaluation():
@@ -292,6 +384,24 @@ def test_array_weight_returns_where_the_float_weight_does_under_raise(dimension,
     with np.errstate(all="raise"):
         want = density_profile(dimension, k, r)
         np.testing.assert_array_equal(density_profile(dimension, k, np.array([r])), [want])
+
+
+@pytest.mark.parametrize("k, r", [
+    (1e-200, 1e-150),  # k r underflows to 0; W underflows to 0 too
+    (1e10, 1e-320),  # k r is subnormal, W = 2 k^2 r K_0^2 is about 1e-294
+    (1.0, 5e-324),  # k r is the smallest subnormal
+])
+def test_ring_weight_where_k_r_underflows(k, r):
+    # besselk refused k r = 0, and a subnormal k r has lost its digits
+    with mp.workdps(30):
+        want = float(2 * mp.mpf(k) ** 2 * mp.mpf(r) * mp.besselk(0, mp.mpf(k) * mp.mpf(r)) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = density_profile(2, k, r)
+            got_array = density_profile(2, k, np.array([r, 0.0]))
+    assert abs(got - want) <= 1e-14 * want + 2.0**-1074  # W is subnormal at r = 5e-324
+    assert got_array.tolist() == [got, 0.0]
 
 
 def test_ring_weight_unchanged_where_k_squared_is_normal():

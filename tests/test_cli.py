@@ -355,22 +355,46 @@ def test_boundstate_refuses_non_finite_output(capsys):
     assert err == "error: non-finite energy for dimension 2, k = 1e+200\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("--dimension", "1", "--coupling=-1e-323"),
-    ("--dimension", "2", "--k", "5e-324"),
-    ("--dimension", "2", "--k", "1e-307"),
-    ("--dimension", "3", "--k", "5e-324"),
+@pytest.mark.parametrize("argv, error", [
+    (("--dimension", "1", "--coupling=-1e-323"), None),
+    (("--dimension", "2", "--k", "5e-324"), "5e-324"),
+    (("--dimension", "2", "--k", "1e-307"), None),
+    (("--dimension", "3", "--k", "5e-324"), None),
 ])
-def test_boundstate_names_a_wavenumber_too_small_to_integrate(capsys, argv):
-    # 40 / k overflows: one error line naming k, and no numpy warning
+def test_boundstate_where_40_over_k_overflows(capsys, argv, error):
+    # the normalization runs in xi = k r and prints the k = 1 value; only
+    # a ring radius xi / k that overflows exits 2, with one line naming k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "boundstate", *argv)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: wavenumber ")
-    assert "is too small" in err
-    assert err.count("\n") == 1
+    if error is not None:
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: wavenumber {error} is too small: the ring radius xi / k overflows\n"
+        )
+        return
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    at_k1 = "--coupling=-2.0" if argv[1] == "1" else "--k=1.0"
+    _, ref, _ = run(capsys, "boundstate", "--dimension", argv[1], at_k1)
+    assert doc["normalization"] == json.loads(ref)["normalization"]
+
+
+def test_wavefunction_where_k_r_underflows(capsys):
+    # K_0(k r) at k r = 0 used to raise "K_m requires x > 0"
+    k = 1e-200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            rc, out, err = run(capsys, "wavefunction", "--k", repr(k), "--r-min", "1e-200",
+                               "--r-max", "1e-150", "--n-points", "3")
+    assert (rc, err) == (0, "")
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    with mp.workdps(40):
+        for r, phi2, w2 in rows:
+            want = mp.mpf(k) / mp.sqrt(mp.pi) * mp.besselk(0, mp.mpf(k) * mp.mpf(r))
+            assert abs(phi2 - want) <= 1e-15 * want
+            assert w2 == 0.0  # 2 k^2 r K_0^2 is below 1e-340
 
 
 @pytest.mark.parametrize("coupling", ["0.002", "0.0088"])

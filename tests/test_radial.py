@@ -9,6 +9,7 @@ hbar^2/(2M).
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -427,6 +428,30 @@ def test_planar_amplitude_is_zero_where_k_r_overflows():
             phi = assemble_phi2(1e100, grid)
     assert phi[0] == assemble_phi2(1e100, RadialGrid(1e-101, 1e-100, 3))[0] > 0.0
     assert phi[1:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k, r", [
+    (1e-200, 1e-150),  # k r underflows to 0
+    (1e-200, 1e-110),  # k r is subnormal
+    (1e10, 1e-320),
+    (1.0, 5e-324),
+    (1e-300, 2.2250738585072014e-308),
+    (1.4e-312, 8e-46),  # the amplitude (k / sqrt(pi)) K_0 is subnormal
+])
+def test_planar_k0_where_k_r_underflows(k, r):
+    # besselk refused k r = 0 and lost digits at a subnormal k r; K_0 is
+    # (ln 2 - gamma) - ln k - ln r there to well below one ulp
+    with mp.workdps(40):
+        want = mp.besselk(0, mp.mpf(k) * mp.mpf(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = radial._k0_of(k, r)
+            got_array = radial._k0_at(k, np.array([r, 2.0]))
+            phi, _ = radial._phi2_and_k0(k, np.array([r]))
+    assert abs(got - want) <= 1e-16 * want
+    assert got_array.tolist() == [got, radial._k0_of(k, 2.0)]
+    assert phi.tolist() == [k / math.sqrt(math.pi) * got]
 
 
 # ---------------------------------------------------------------------------
