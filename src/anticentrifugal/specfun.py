@@ -45,11 +45,20 @@ scalar way.  J, Y and I therefore agree bit for bit between the two paths;
 K agrees to a few units in the last place on [3, 20), where the trapezoid
 serves it, and bit for bit elsewhere.
 
+One table per family pairs each regime's array kernel with its float
+kernel.  A float runs the float kernel of its regime; so does each
+argument of an array regime that holds at most _FEW_LANES of them, since
+an array kernel's numpy calls cost more than that many pure-Python
+evaluations.  K's trapezoid on [3, 20) never does: it keeps its array
+kernel at every lane count, so its values do not depend on how many
+arguments share the array.
+
 All functions are pure and keep no state between calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -307,9 +316,10 @@ def _i_start_array(x: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(top, m + top // 2)
 
 
-def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float]:
-    """Unnormalized C_m and the sum-rule denominator C_0 + 2 sum_k C_k, by
-    one downward pass C_{k-1} = (2k/x) C_k + sign C_{k+1} from order top.
+def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, float]:
+    """Unnormalized C_m and C_0 and the sum-rule denominator
+    C_0 + 2 sum_k C_k, by one downward pass
+    C_{k-1} = (2k/x) C_k + sign C_{k+1} from order top.
 
     sign -1 runs the J recurrence, whose sum rule runs over even orders
     (J_0 + 2 sum J_2k = 1); sign +1 runs the I recurrence, whose sum rule
@@ -335,7 +345,7 @@ def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float]:
             cm = cur
         if k >= stride and k % stride == 0:
             total += cur
-    return cm, cur + 2.0 * total
+    return cm, cur, cur + 2.0 * total
 
 
 def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: bool = False):
@@ -376,7 +386,7 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: 
 
 def _j_large(m: int, x: float) -> float:
     """J_m from the normalized Miller pass."""
-    cm, denom = _miller(x, _j_start(x, m), -1.0, m)
+    cm, _, denom = _miller(x, _j_start(x, m), -1.0, m)
     return cm * (1.0 / denom)
 
 
@@ -385,8 +395,15 @@ def _j_large_array(m: int, x: np.ndarray) -> np.ndarray:
     return cm * (1.0 / denom)
 
 
+def _j01_large(x: float) -> tuple[float, float]:
+    """J_0 and J_1 from one pass: orders 0 and 1 share the start order."""
+    c1, c0, denom = _miller(x, _j_start(x, 0), -1.0, 1)
+    norm = 1.0 / denom
+    return c0 * norm, c1 * norm
+
+
 def _j01_large_array(x: np.ndarray) -> np.ndarray:
-    """Rows J_0, J_1 from one pass: orders 0 and 1 share the start order."""
+    # _j01_large on an array, as rows J_0, J_1
     c1, c0, denom = _miller_array(x, _j_start_array(x, 0), -1.0, 1)
     return np.stack((c0, c1)) * (1.0 / denom)
 
@@ -394,7 +411,7 @@ def _j01_large_array(x: np.ndarray) -> np.ndarray:
 def _i_large(m: int, x: float) -> float:
     """I_m from the Miller pass.  Every term in the normalization sum is
     positive, so the result carries plain rounding error only."""
-    cm, denom = _miller(x, _i_start(x, m), 1.0, m)
+    cm, _, denom = _miller(x, _i_start(x, m), 1.0, m)
     # Divide by the unnormalized sum first: v/denom is I_m/e^x <= 1, so no
     # intermediate can overflow even though e^x/denom alone would.
     return (cm / denom) * math.exp(x)
@@ -506,21 +523,24 @@ def _horner(coefficients: tuple, t):
     return acc
 
 
-def _hankel01(x, cos_x, sin_x):
+def _hankel01(x):
     """J_0, J_1, Y_0 and Y_1 at x >= _HANKEL_SWITCH from the Hankel
     expansions sqrt(2/(pi x)) (P cos w - Q sin w) and (P sin w + Q cos w),
-    w = x - (2 nu + 1) pi/4.
+    w = x - (2 nu + 1) pi/4, as a tuple of floats or arrays.
 
-    The phase is built from the caller's cos x and sin x as
-    sqrt(1/2) (cos x +- sin x): forming x - pi/4 first would lose x times
-    the rounding of pi/4.  The same operations run on a float (with
-    math.cos, math.sin) and an array (with _map of them), so both paths
-    agree bit for bit; the envelope uses a correctly rounded square root
-    for the same reason.
+    The phase is built from cos x and sin x as sqrt(1/2) (cos x +- sin x):
+    forming x - pi/4 first would lose x times the rounding of pi/4.  The
+    same operations run on a float (with math.cos, math.sin) and an array
+    (with _map of them), so both paths agree bit for bit; the envelope uses
+    a correctly rounded square root for the same reason.
     """
+    if _is_array(x):
+        cos_x, sin_x, sqrt = _map(math.cos, x), _map(math.sin, x), np.sqrt
+    else:
+        cos_x, sin_x, sqrt = math.cos(x), math.sin(x), math.sqrt
     r = 1.0 / x
     t = r * r
-    env = (np.sqrt if _is_array(x) else math.sqrt)((2.0 / math.pi) * r)
+    env = sqrt((2.0 / math.pi) * r)
     (p0c, q0c), (p1c, q1c) = _HANKEL_PQ
     p0, q0 = _horner(p0c, t), r * _horner(q0c, t)
     p1, q1 = _horner(p1c, t), r * _horner(q1c, t)
@@ -533,11 +553,6 @@ def _hankel01(x, cos_x, sin_x):
         env * (p0 * b + q0 * a),
         env * (q1 * b - p1 * a),
     )
-
-
-def _hankel01_rows(x: np.ndarray) -> np.ndarray:
-    """_hankel01 on an array of arguments, as rows J_0, J_1, Y_0, Y_1."""
-    return np.stack(_hankel01(x, _map(math.cos, x), _map(math.sin, x)))
 
 
 def _k01_scaled(x, orders: int = 2):
@@ -608,7 +623,7 @@ def _crossover_mismatch() -> float:
     worst = 0.0
     for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
         below = (_j_large(0, x), _j_large(1, x)) + _y01_large(x) + _k01_large(x)
-        hankel = _hankel01(x, math.cos(x), math.sin(x)) + _k01_hankel(x)
+        hankel = _hankel01(x) + _k01_hankel(x)
         for h, v in zip(hankel, below):
             worst = max(worst, abs(h - v) / abs(v))
     for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
@@ -634,23 +649,81 @@ def _crossover_mismatch() -> float:
 # per-family dispatch
 # ----------------------------------------------------------------------
 
-def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, width: int = 1) -> np.ndarray:
-    """Evaluate routes[i] on the arguments from switches[i - 1] up to below
-    switches[i]; *width* is the number of rows each route returns.
+#: A regime that holds at most this many arguments of an array runs its
+#: float kernel lane by lane.  An array kernel pays for its numpy calls
+#: whatever its lane count, 0.05 ms to 2.6 ms a call, and overtakes the
+#: float kernel only from 12 lanes (K_0's Hankel expansion) to 50 or 60
+#: (the Miller and Neumann passes).
+_FEW_LANES = 11
 
-    Underflow is ignored here, on the array path only: a term or a value
-    that rounds to a subnormal or zero is as benign on an array as it is
-    in the float path's pure-Python arithmetic, which never raises.
+# Each family's regimes in order of argument, as (array kernel, float
+# kernel) pairs, both called as kernel(p, x) with p the order (J, I) or the
+# number of orders (Y, K).  A float kernel returns a float or a tuple of
+# floats, its array kernel the same values bit for bit as an array or rows.
+# None marks a regime without a float kernel here: K's trapezoid, whose
+# array form sums numpy's exp, and the zeros that stand in for K from
+# _K_SCALED_SWITCH on.
+_J_ROUTES = (
+    (lambda m, x: _ascending_series(m, x, -1.0),) * 2,
+    (_j_large_array, _j_large),
+    (lambda m, x: _recur_up(m, x, _hankel01(x)[:2], -1.0),) * 2,
+)
+_J01_ROUTES = (
+    (lambda _, x: (_ascending_series(0, x, -1.0), _ascending_series(1, x, -1.0)),) * 2,
+    (lambda _, x: _j01_large_array(x), lambda _, x: _j01_large(x)),
+    (lambda _, x: _hankel01(x)[:2],) * 2,
+)
+_Y_ROUTES = (
+    (lambda n, x: _log_series_array(x, -1.0, n), lambda n, x: _log_series(x, -1.0, n)),
+    (lambda n, x: _y01_large_array(x)[:n], lambda n, x: _y01_large(x)[:n]),
+    (lambda n, x: _hankel01(x)[2 : 2 + n],) * 2,
+)
+_I_ROUTES = (
+    (lambda m, x: _ascending_series(m, x, 1.0),) * 2,
+    (_i_large_array, _i_large),
+)
+_K_ROUTES = (
+    (lambda n, x: _log_series_array(x, 1.0, n), lambda n, x: _log_series(x, 1.0, n)),
+    (lambda n, x: _k01_large(x)[:n], None),
+    (lambda n, x: _k01_hankel(x, n),) * 2,
+    (lambda n, x: np.zeros((n, x.size)), None),
+)
+_JY_SWITCHES = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
+_I_SWITCHES = (SERIES_SWITCH_I,)
+_K_SWITCHES = (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH)
+
+
+def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p: int, width: int = 1):
+    """Evaluate the kernels of routes[i] (a table above) as kernel(p, v) on
+    the arguments v from switches[i - 1] up to below switches[i]; *width*
+    is the number of rows each kernel returns.
+
+    A regime that holds at most _FEW_LANES arguments runs its float kernel
+    on one argument at a time, which gives the same values faster; K's
+    trapezoid, which has none, always runs its array kernel.  Underflow is
+    ignored here, on the array path only: a term or a value that rounds to
+    a subnormal or zero is as benign on an array as it is in the float
+    path's pure-Python arithmetic, which never raises.
     """
     flat = x.ravel()
     out = np.empty((width, flat.size))
     regime = np.searchsorted(switches, flat, side="right")
     with np.errstate(under="ignore"):
-        for i, route in enumerate(routes):
+        for i, (kernel, lane_kernel) in enumerate(routes):
             mask = regime == i
-            if mask.any():
-                out[:, mask] = route(flat[mask])
+            v = flat[mask]
+            if not v.size:
+                continue
+            if lane_kernel is None or v.size > _FEW_LANES:
+                out[:, mask] = kernel(p, v)
+            else:
+                out[:, mask] = np.array([lane_kernel(p, u) for u in v.tolist()]).T
     return out.reshape((width,) + x.shape)
+
+
+def _on_float(x: float, switches: tuple, routes: tuple, p: int):
+    # _by_regime for a float: the float kernel of the regime that holds x
+    return routes[bisect.bisect_right(switches, x)][1](p, x)
 
 
 def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
@@ -662,54 +735,23 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
     checked: they must be finite, x >= 0 for J and x > 0 for Y.
     """
     if family is CylinderFamily.BESSEL_J:
-        return _by_regime(
-            x,
-            (SERIES_SWITCH_JY, _HANKEL_SWITCH),
-            (
-                lambda v: np.stack([_ascending_series(m, v, -1.0) for m in (0, 1)]),
-                _j01_large_array,
-                lambda v: _hankel01_rows(v)[:2],
-            ),
-            2,
-        )
+        return _by_regime(x, _JY_SWITCHES, _J01_ROUTES, 0, 2)
     return _y_rows(x, 2)
 
 
 def _y_rows(x: np.ndarray, orders: int) -> np.ndarray:
     """Rows Y_0 and Y_1, or Y_0 alone with *orders* 1, on an array of
     valid arguments."""
-    return _by_regime(
-        x,
-        (SERIES_SWITCH_JY, _HANKEL_SWITCH),
-        (
-            lambda v: _log_series_array(v, -1.0, orders),
-            lambda v: _y01_large_array(v)[:orders],
-            lambda v: _hankel01_rows(v)[2 : 2 + orders],
-        ),
-        orders,
-    )
+    return _by_regime(x, _JY_SWITCHES, _Y_ROUTES, orders, orders)
 
 
 def besselj(m: int, x):
     """J_m(x) for integer m >= 0, x >= 0; x is a float or an array."""
     m = _check_order(m)
+    switches = (SERIES_SWITCH_JY, _hankel_from(m))
     if not _is_array(x):
-        x = _check_argument(CylinderFamily.BESSEL_J, x)
-        if x < SERIES_SWITCH_JY:
-            return _ascending_series(m, x, -1.0)
-        if x < _hankel_from(m):
-            return _j_large(m, x)
-        return _recur_up(m, x, _hankel01(x, math.cos(x), math.sin(x))[:2], -1.0)
-    x = _check_arguments(CylinderFamily.BESSEL_J, x)
-    return _by_regime(
-        x,
-        (SERIES_SWITCH_JY, _hankel_from(m)),
-        (
-            lambda v: _ascending_series(m, v, -1.0),
-            lambda v: _j_large_array(m, v),
-            lambda v: _recur_up(m, v, _hankel01_rows(v)[:2], -1.0),
-        ),
-    )[0]
+        return _on_float(_check_argument(CylinderFamily.BESSEL_J, x), switches, _J_ROUTES, m)
+    return _by_regime(_check_arguments(CylinderFamily.BESSEL_J, x), switches, _J_ROUTES, m)[0]
 
 
 def bessely(m: int, x):
@@ -718,12 +760,7 @@ def bessely(m: int, x):
     orders = 2 if m else 1
     if not _is_array(x):
         x = _check_argument(CylinderFamily.NEUMANN_Y, x)
-        if x < SERIES_SWITCH_JY:
-            y = _log_series(x, -1.0, orders)
-        elif x < _HANKEL_SWITCH:
-            y = _y01_large(x)
-        else:
-            y = _hankel01(x, math.cos(x), math.sin(x))[2:]
+        y = _on_float(x, _JY_SWITCHES, _Y_ROUTES, orders)
     else:
         x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
         y = _y_rows(x, orders)
@@ -734,14 +771,8 @@ def besseli(m: int, x):
     """I_m(x) for integer m >= 0, 0 <= x <= 700; x is a float or an array."""
     m = _check_order(m)
     if not _is_array(x):
-        x = _check_argument(CylinderFamily.MODIFIED_I, x)
-        return _ascending_series(m, x, 1.0) if x < SERIES_SWITCH_I else _i_large(m, x)
-    x = _check_arguments(CylinderFamily.MODIFIED_I, x)
-    return _by_regime(
-        x,
-        (SERIES_SWITCH_I,),
-        (lambda v: _ascending_series(m, v, 1.0), lambda v: _i_large_array(m, v)),
-    )[0]
+        return _on_float(_check_argument(CylinderFamily.MODIFIED_I, x), _I_SWITCHES, _I_ROUTES, m)
+    return _by_regime(_check_arguments(CylinderFamily.MODIFIED_I, x), _I_SWITCHES, _I_ROUTES, m)[0]
 
 
 def besselk(m: int, x):
@@ -752,28 +783,15 @@ def besselk(m: int, x):
         x = _check_argument(CylinderFamily.MODIFIED_K, x)
         if x >= _K_SCALED_SWITCH:
             return float(_k_scaled(m, np.array([x]))[0])
-        if x < SERIES_SWITCH_K:
-            k = _log_series(x, 1.0, orders)
-        elif x < _HANKEL_SWITCH:
-            k = _k01_large(x)
+        if SERIES_SWITCH_K <= x < _HANKEL_SWITCH:
+            k = _k01_large(x)  # the trapezoid on math.exp
         else:
-            k = _k01_hankel(x, orders)
+            k = _on_float(x, _K_SWITCHES, _K_ROUTES, orders)
         return _recur_up(m, x, k, 1.0)
     x = _check_arguments(CylinderFamily.MODIFIED_K, x)
     # zeros carry the scaled regime's elements through the shared
     # recurrence; _k_scaled fills them in afterwards
-    k = _by_regime(
-        x,
-        (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH),
-        (
-            lambda v: _log_series_array(v, 1.0, orders),
-            lambda v: np.stack(_k01_large(v)[:orders]),
-            lambda v: np.stack(_k01_hankel(v, orders)),
-            lambda v: np.zeros((orders, v.size)),
-        ),
-        orders,
-    )
-    out = _recur_up(m, x, k, 1.0)
+    out = _recur_up(m, x, _by_regime(x, _K_SWITCHES, _K_ROUTES, orders, orders), 1.0)
     scaled = x >= _K_SCALED_SWITCH
     if scaled.any():
         out[scaled] = _k_scaled(m, x[scaled])

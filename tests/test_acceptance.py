@@ -131,8 +131,8 @@ def test_criterion_5_radial_integration_accuracy(reporter):
 def test_criterion_6_density_geometry_and_normalization(reporter):
     """The ring weight vanishes at the origin and has a unique interior
     maximum with stationarity defect below 1e-10; line and spatial weights
-    peak at the origin; all normalizations are 1 within 1e-8 for
-    k in {0.5, 1, 2, 7}."""
+    peak at the origin; every dimension's normalization is 1 within 1e-8,
+    one total per dimension, since the total is scale-free in k."""
     t0 = time.perf_counter()
     geo = by_name(suite_density_geometry())
     norm = by_name(suite_normalization())

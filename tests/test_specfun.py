@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+from lanes import on_array_kernels
 from anticentrifugal import specfun
 from anticentrifugal.specfun import (
     EULER_GAMMA,
@@ -531,6 +532,7 @@ _LOW_ORDER_PINS = [
 def test_low_orders_bit_identical(fn, m, x, pinned):
     assert fn(m, x) == pinned
     assert fn(m, np.array([x]))[0] == pinned
+    assert on_array_kernels(fn, m, [x])[0] == pinned
 
 
 @pytest.mark.parametrize(
@@ -566,6 +568,7 @@ def test_orders_at_the_default_start_order(fn, mp_fn, m, x):
     ref = float(mp_fn(m, mp.mpf(x)))
     assert fn(m, x) == pytest.approx(ref, rel=1e-13)
     assert fn(m, np.array([x, x + 1.0]))[0] == fn(m, x)
+    assert on_array_kernels(fn, m, [x, x + 1.0])[0] == fn(m, x)
 
 
 @given(x=st.floats(min_value=SERIES_SWITCH_JY, max_value=120.0), data=st.data())
@@ -578,6 +581,7 @@ def test_bessel_orders_past_the_start_order(x, data):
     got = besselj(m, x)
     assert abs(got - ref) <= 1e-13 * scale
     assert besselj(m, np.array([x, 0.5 * x + 1.0]))[0] == got
+    assert on_array_kernels(besselj, m, [x, 0.5 * x + 1.0])[0] == got
 
 
 @given(x=st.floats(min_value=SERIES_SWITCH_I, max_value=400.0), data=st.data())
@@ -588,6 +592,7 @@ def test_modified_orders_past_the_start_order(x, data):
     got = besseli(m, x)
     assert got == pytest.approx(ref, rel=1e-13)
     assert besseli(m, np.array([x, 0.5 * x + 1.0]))[0] == got
+    assert on_array_kernels(besseli, m, [x, 0.5 * x + 1.0])[0] == got
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +615,7 @@ def test_miller_rescale_values_frozen(fn, m, x, pinned):
     # rescaled it in place
     assert fn(m, x) == pinned
     assert fn(m, np.array([x, 0.5 * x]))[0] == pinned
+    assert on_array_kernels(fn, m, [x, 0.5 * x])[0] == pinned
 
 
 def test_neumann_y01_against_mpmath_on_a_seeded_sample():
@@ -620,7 +626,7 @@ def test_neumann_y01_against_mpmath_on_a_seeded_sample():
     for m in (0, 1):
         got = bessely(m, x)
         assert got.tolist() == [bessely(m, v) for v in x.tolist()]
-        ref = np.array([float(mp.bessely(m, mp.mpf(v))) for v in x.tolist()])
+        ref = np.array(oracles.NEUMANN_SAMPLE_Y01[m])
         err = np.abs(got - ref) / np.sqrt(2.0 / (np.pi * x))
         assert err.max() <= 1e-15
         assert err.mean() <= 2.5e-16
@@ -631,7 +637,8 @@ def test_miller_pass_memory_does_not_grow_with_the_order(m, x):
     # the stored table peaked at 142 KB (float) and 78 KB (array) for m = 3000
     ref = float(mp.besselj(m, mp.mpf(x)))
     xs = np.array([x, x + 0.5])
-    besselj(m, x), besselj(m, xs)  # first-call allocations out of the count
+    # first-call allocations out of the count
+    besselj(m, x), besselj(m, xs), on_array_kernels(besselj, m, xs)
     tracemalloc.start()
     try:
         got = besselj(m, x)
@@ -639,10 +646,14 @@ def test_miller_pass_memory_does_not_grow_with_the_order(m, x):
         tracemalloc.reset_peak()
         got_array = besselj(m, xs)
         assert tracemalloc.get_traced_memory()[1] < 1 << 14
+        tracemalloc.reset_peak()
+        got_kernel = on_array_kernels(besselj, m, xs)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 14
     finally:
         tracemalloc.stop()
     assert got == pytest.approx(ref, rel=1e-13)
     assert got_array[0] == got
+    assert got_kernel[0] == got
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +674,7 @@ def _mp01(x: float) -> list:
 
 @pytest.mark.parametrize("x", [_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH, _HANKEL_SWITCH + 1e-6])
 def test_hankel_meets_miller_at_the_switch(x):
-    hankel = _hankel01(x, math.cos(x), math.sin(x))
+    hankel = _hankel01(x)
     # rows J_0, J_1, Y_0, Y_1 against J_0, J_1 and the Neumann Y_0, Y_1
     for h, miller, ref in zip(hankel, _miller01(x), _mp01(x)):
         assert h == pytest.approx(miller, rel=5e-15)
@@ -674,7 +685,7 @@ def test_hankel_meets_miller_at_the_switch(x):
 def test_hankel_against_miller_and_mpmath_up_to_3e4(x):
     # the Miller route's own error grows with x, to about 3e-14 of the
     # envelope at 3e4; the Hankel route stays at rounding
-    hankel = _hankel01(x, math.cos(x), math.sin(x))
+    hankel = _hankel01(x)
     for h, miller, r in zip(hankel, _miller01(x), _mp01(x)):
         assert abs(h - miller) <= 1e-13 * _envelope(x)
         assert abs(h - r) <= 1e-15 * _envelope(x)
@@ -690,6 +701,7 @@ def test_large_arguments_without_a_table():
                 ref = mp_fn(0, mp.mpf(x))
                 assert abs(fn(0, x) - ref) <= 1e-15 * _envelope(x)
                 assert fn(0, np.array([x, 30.0]))[0] == fn(0, x)
+                assert on_array_kernels(fn, 0, [x, 30.0])[0] == fn(0, x)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -709,8 +721,8 @@ def test_crossover_check_covers_the_hankel_switch(monkeypatch):
     assert _crossover_mismatch() <= 1e-13
     real = specfun._hankel01
 
-    def off(x, cos_x, sin_x):
-        return tuple(v * (1.0 + 1e-9) for v in real(x, cos_x, sin_x))
+    def off(x):
+        return tuple(v * (1.0 + 1e-9) for v in real(x))
 
     monkeypatch.setattr(specfun, "_hankel01", off)
     assert _crossover_mismatch() >= 0.9e-9
@@ -739,6 +751,7 @@ def test_k_underflows_to_zero(m, x):
     # (array) for x = 1e300
     assert besselk(m, x) == 0.0
     np.testing.assert_array_equal(besselk(m, np.array([x, x])), [0.0, 0.0])
+    np.testing.assert_array_equal(on_array_kernels(besselk, m, [x, x]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("m, x", sorted(oracles.K_PAST_UNDERFLOW))
@@ -754,6 +767,7 @@ def test_k_where_k0_is_subnormal_matches_mpmath(m, x):
         assert abs(got - ref) <= 1e-13 * ref + 2.0**-1074
         # the array path, beside an argument from the other regime
         assert besselk(m, np.array([1409.0 - x, x]))[1] == got
+        assert on_array_kernels(besselk, m, [1409.0 - x, x])[1] == got
 
 
 @pytest.mark.parametrize("m, x", [(2000, 800.0), (2000, 720.0), (1600, 705.0)])
@@ -765,6 +779,8 @@ def test_k_past_the_double_range_raises_on_both_paths(m, x):
             besselk(m, x)
         with pytest.raises(OverflowError, match=rf"K_{m}\({x}\) exceeds"):
             besselk(m, np.array([2.0 * x, x]))
+        with pytest.raises(OverflowError, match=rf"K_{m}\({x}\) exceeds"):
+            on_array_kernels(besselk, m, [2.0 * x, x])
 
 
 def test_k_below_the_scaled_switch_is_unchanged():
@@ -773,10 +789,12 @@ def test_k_below_the_scaled_switch_is_unchanged():
     assert besselk(0, 700.0) == 4.6697764316853765e-306
     assert besselk(1000, 704.0) == 6.166664957988659e-34
     assert besselk(1500, np.array([704.0]))[0] == 2.615829393068645e+256
+    assert on_array_kernels(besselk, 1500, [704.0])[0] == 2.615829393068645e+256
     # and the two regimes meet at the switch: one ulp of x moves K_1000 by
     # about 2e-13 there, and both sides start from the same Hankel pair
     below = besselk(1000, np.array([np.nextafter(705.0, 0.0)]))[0]
     assert abs(besselk(1000, 705.0) / below - 1.0) <= 5e-13
+    assert on_array_kernels(besselk, 1000, [np.nextafter(705.0, 0.0)])[0] == below
 
 
 _K01_HANKEL_X = sorted(oracles.K01_HANKEL_REGIME)
@@ -803,6 +821,8 @@ def test_subnormal_arguments_overflow_alike_on_both_paths(fn, m, x):
             fn(m, x)
         with pytest.raises(OverflowError, match=f"_{m}"):
             fn(m, np.array([1.0, x]))
+        with pytest.raises(OverflowError, match=f"_{m}"):
+            on_array_kernels(fn, m, [1.0, x])
 
 
 @pytest.mark.parametrize("x", [1e-310, 3 * 5e-324, 5e-324])
@@ -816,7 +836,10 @@ def test_order_zero_at_subnormal_arguments(family, x):
         got = eval_cylinder(CylinderKind(family, 0), x)
         assert got == pytest.approx(float(ref(0, mp.mpf(x))), rel=1e-15)
         assert eval_cylinder(CylinderKind(family, 0), np.array([x]))[0] == got
+        assert on_array_kernels(eval_cylinder, CylinderKind(family, 0), [x])[0] == got
         with pytest.raises(OverflowError):
             eval_cylinder_derivative(CylinderKind(family, 0), x)
         with pytest.raises(OverflowError):
             eval_cylinder_derivative(CylinderKind(family, 0), np.array([x]))
+        with pytest.raises(OverflowError):
+            on_array_kernels(eval_cylinder_derivative, CylinderKind(family, 0), [x])

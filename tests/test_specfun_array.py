@@ -5,15 +5,22 @@ expansions, the upward recurrence) or an array twin that repeats its
 floating-point operations in the same order, so J, Y and I must agree bit
 for bit, and so must K from x = 20 on.  Below that K may differ only where
 the trapezoid's numpy exp rounds differently from math.exp: a few units in
-the last place.
+the last place.  A regime that holds at most _FEW_LANES arguments runs the
+float kernels themselves, so a test that means the array kernels repeats
+its arguments past that count (lanes.on_array_kernels).
 """
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from lanes import on_array_kernels
+from anticentrifugal import specfun
+from anticentrifugal.nodes import find_zeros
 from anticentrifugal.specfun import (
     SERIES_SWITCH_I,
     SERIES_SWITCH_JY,
@@ -26,7 +33,9 @@ from anticentrifugal.specfun import (
     _i_start_array,
     _j_start,
     _j_start_array,
+    _FEW_LANES,
     _K_COSH,
+    _K_SCALED_SWITCH,
     _log_series,
     besseli,
     besselj,
@@ -276,6 +285,8 @@ def test_regular_families_at_the_origin():
     x = np.array([0.0, 1.0])
     np.testing.assert_array_equal(besselj(0, x), [1.0, besselj(0, 1.0)])
     np.testing.assert_array_equal(besseli(3, x), [0.0, besseli(3, 1.0)])
+    np.testing.assert_array_equal(on_array_kernels(besselj, 0, x), [1.0, besselj(0, 1.0)])
+    np.testing.assert_array_equal(on_array_kernels(besseli, 3, x), [0.0, besseli(3, 1.0)])
 
 
 def test_shapes():
@@ -287,12 +298,134 @@ def test_shapes():
     got = bessely(1, grid)
     assert got.shape == (3, 4)
     np.testing.assert_array_equal(got.ravel(), bessely(1, grid.ravel()))
+    np.testing.assert_array_equal(got.ravel(), on_array_kernels(bessely, 1, grid.ravel()))
     kind = CylinderKind(CylinderFamily.MODIFIED_I, 2)
     np.testing.assert_array_equal(eval_cylinder(kind, grid), besseli(2, grid))
+    np.testing.assert_array_equal(
+        eval_cylinder(kind, grid).ravel(), on_array_kernels(besseli, 2, grid.ravel())
+    )
 
 
 def test_integer_arrays_are_accepted():
     np.testing.assert_array_equal(besselj(1, np.array([1, 5])), besselj(1, np.array([1.0, 5.0])))
+    np.testing.assert_array_equal(
+        on_array_kernels(besselj, 1, np.array([1, 5])), besselj(1, np.array([1.0, 5.0]))
+    )
+
+
+# ---------------------------------------------------------------------------
+# regimes with few lanes run the float kernels
+
+
+#: Per family, the regimes of orders 0 to 5 from the smallest argument up:
+#: J_5 leaves its Miller pass at the Hankel switch as J_0 does.
+_REGIMES = {
+    CylinderFamily.BESSEL_J: (
+        (0.0, SERIES_SWITCH_JY), (SERIES_SWITCH_JY, _HANKEL_SWITCH), (_HANKEL_SWITCH, 400.0)
+    ),
+    CylinderFamily.NEUMANN_Y: (
+        (1e-3, SERIES_SWITCH_JY), (SERIES_SWITCH_JY, _HANKEL_SWITCH), (_HANKEL_SWITCH, 400.0)
+    ),
+    CylinderFamily.MODIFIED_I: ((0.0, SERIES_SWITCH_I), (SERIES_SWITCH_I, 700.0)),
+    CylinderFamily.MODIFIED_K: (
+        (1e-3, SERIES_SWITCH_K),
+        (SERIES_SWITCH_K, _HANKEL_SWITCH),
+        (_HANKEL_SWITCH, _K_SCALED_SWITCH),
+        (_K_SCALED_SWITCH, 800.0),
+    ),
+}
+
+
+#: Lane counts on both sides of the switch from float to array kernels.
+_AROUND_FEW = (1, _FEW_LANES, _FEW_LANES + 1)
+
+
+def _seeded_regimes(family, seed):
+    """Per regime, its lower end and a long array of seeded arguments inside it."""
+    rng = np.random.default_rng(seed)
+    for lo, hi in _REGIMES[family]:
+        yield lo, rng.uniform(lo, hi, 4 * _FEW_LANES)
+
+
+@contextlib.contextmanager
+def _strict():
+    """Warnings raise, and so does every numpy floating-point error."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.parametrize("family", list(CylinderFamily))
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_few_lanes_match_floats_and_long_arrays(family, m):
+    # the float kernels at few lanes, the array kernels past them and in a
+    # long array, and the float path: the same bits every way
+    fn = _EVAL[family]
+    with _strict():
+        for lo, x in _seeded_regimes(family, [15, m]):
+            in_long = fn(m, x)
+            for n in _AROUND_FEW:
+                got = fn(m, x[:n])
+                np.testing.assert_array_equal(got, in_long[:n])
+                if not (family is CylinderFamily.MODIFIED_K and lo == SERIES_SWITCH_K):
+                    np.testing.assert_array_equal(got, [fn(m, v) for v in x[:n].tolist()])
+
+
+@pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
+def test_few_lane_pairs_match_floats_and_long_arrays(family):
+    fn = _EVAL[family]
+    with _strict():
+        for _, x in _seeded_regimes(family, 16):
+            in_long = oscillatory_pair(family, x)
+            for n in _AROUND_FEW:
+                got = oscillatory_pair(family, x[:n])
+                np.testing.assert_array_equal(got, in_long[:, :n])
+                for m in (0, 1):
+                    np.testing.assert_array_equal(got[m], [fn(m, v) for v in x[:n].tolist()])
+
+
+def test_k_trapezoid_keeps_its_array_kernel_at_few_lanes():
+    # the float kernel sums math.exp, whose rounding moves some of these
+    # values; one lane must read what a long array reads
+    x = np.linspace(SERIES_SWITCH_K, _HANKEL_SWITCH, 200, endpoint=False)
+    with _strict():
+        for m in (0, 1, 2, 5):
+            in_long = besselk(m, x)
+            one_lane = [besselk(m, x[i : i + 1])[0] for i in range(x.size)]
+            np.testing.assert_array_equal(one_lane, in_long)
+            assert any(besselk(m, v) != w for v, w in zip(x.tolist(), in_long.tolist()))
+
+
+@pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
+def test_zero_finder_traffic_matches_floats_and_array_kernels(family):
+    # a Newton step of find_zeros: one series lane, six Miller or Neumann
+    # lanes and 90 Hankel lanes, in no particular order
+    rng = np.random.default_rng(17)
+    lanes = (rng.uniform(0.5, 2.0, 1), rng.uniform(2.0, 20.0, 6), rng.uniform(20.0, 320.0, 90))
+    x = rng.permutation(np.concatenate(lanes))
+    with _strict():
+        got = oscillatory_pair(family, x)
+        np.testing.assert_array_equal(got, on_array_kernels(oscillatory_pair, family, x))
+        for m in (0, 1):
+            np.testing.assert_array_equal(got[m], [_EVAL[family](m, v) for v in x.tolist()])
+            np.testing.assert_array_equal(_EVAL[family](m, x), got[m])
+
+
+@pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
+@pytest.mark.parametrize("m", [0, 1])
+def test_zero_finder_makes_no_array_miller_pass(monkeypatch, family, m):
+    # no Newton step sends more than six arguments into [2, 20), so the
+    # float kernels serve them all; one array Miller pass costs about 1 ms
+    calls = []
+    real = specfun._miller_array
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_miller_array", counted)
+    find_zeros(family, m, 100)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +437,33 @@ def test_integer_arrays_are_accepted():
 def test_array_non_finite_rejected(family, bad):
     with pytest.raises(ValueError, match="finite"):
         _EVAL[family](0, np.array([1.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        on_array_kernels(_EVAL[family], 0, [1.0, bad, 2.0])
 
 
 @pytest.mark.parametrize("family", list(CylinderFamily))
 def test_array_negative_argument_rejected(family):
     with pytest.raises(ValueError, match="requires"):
         _EVAL[family](1, np.array([3.0, -0.5]))
+    with pytest.raises(ValueError, match="requires"):
+        on_array_kernels(_EVAL[family], 1, [3.0, -0.5])
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.NEUMANN_Y, CylinderFamily.MODIFIED_K])
 def test_array_singular_families_reject_zero(family):
     with pytest.raises(ValueError, match="x > 0"):
         _EVAL[family](0, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="x > 0"):
+        on_array_kernels(_EVAL[family], 0, [0.0, 1.0])
 
 
 def test_array_growing_family_overflow_guard():
     assert np.isfinite(besseli(0, np.array([1.0, 700.0]))).all()
+    assert np.isfinite(on_array_kernels(besseli, 0, [1.0, 700.0])).all()
     with pytest.raises(OverflowError):
         besseli(0, np.array([1.0, 705.0]))
+    with pytest.raises(OverflowError):
+        on_array_kernels(besseli, 0, [1.0, 705.0])
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +484,7 @@ def test_array_path_returns_where_the_float_path_does_under_raise(fn, m):
             continue
         with np.errstate(all="raise"):
             np.testing.assert_array_equal(fn(m, np.array([x])), [want])
+            np.testing.assert_array_equal(on_array_kernels(fn, m, [x]), [want])
 
 
 def test_array_recurrence_overflow_reported():
@@ -349,3 +492,7 @@ def test_array_recurrence_overflow_reported():
         bessely(200, np.array([1e-3, 1.0]))
     with pytest.raises(OverflowError, match="K_200"):
         besselk(200, np.array([1.0, 1e-3]))
+    with pytest.raises(OverflowError, match="Y_200"):
+        on_array_kernels(bessely, 200, [1e-3, 1.0])
+    with pytest.raises(OverflowError, match="K_200"):
+        on_array_kernels(besselk, 200, [1.0, 1e-3])
