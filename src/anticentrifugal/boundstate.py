@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record
 from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
 from .radial import RadialGrid, _k0_at, _k0_of
@@ -142,8 +142,7 @@ def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ProbabilityDensity:
+class ProbabilityDensity(Record):
     """Sampled bound-state weight for one dimension and wavenumber."""
 
     dimension: int
@@ -335,8 +334,7 @@ def coupling_residual(coupling: float, cutoff: float, k: float) -> float:
     return abs(coupling / (2.0 * math.pi) * cutoff_integral(k, cutoff) - 1.0)
 
 
-@dataclass(frozen=True)
-class DeltaCoupling2D:
+class DeltaCoupling2D(Record):
     """A planar delta well: coupling, momentum cutoff and wavenumber."""
 
     coupling: float
@@ -359,8 +357,7 @@ class DeltaCoupling2D:
 # --- closed-form bound states in one and three dimensions -----------------
 
 
-@dataclass(frozen=True)
-class DeltaBoundState:
+class DeltaBoundState(Record):
     dimension: int
     wavenumber: float
     energy: float

@@ -26,7 +26,6 @@ document order is refused with ``json``'s own message.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -165,7 +164,7 @@ def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _root_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = argparse.ArgumentParser(
         prog="anticentrifugal",
         description=(
@@ -174,8 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
             f"Units: {UNITS}."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    return parser, parser.add_subparsers(dest="command", required=True)
 
+
+def _add_potential(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("potential", help="evaluate an effective potential on a grid")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_MAP))
     p.add_argument("--m", type=int, default=0, help="angular momentum (twodim/threedim)")
@@ -189,6 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=200, help=f"at most {_MAX_N_POINTS}")
     _add_output_args(p)
 
+
+def _add_wavefunction(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "wavefunction", help="planar bound-state amplitude and weight on a grid"
     )
@@ -198,12 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=2000, help=f"at most {_MAX_N_POINTS}")
     _add_output_args(p)
 
+
+def _add_nodes(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("nodes", help="zero tables and bunching statistics")
     p.add_argument(
         "--n-max", type=int, default=20, help=f"zeros per table (2 to {_MAX_N_MAX})"
     )
     _add_output_args(p)
 
+
+def _add_boundstate(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("boundstate", help="contact-potential bound state (JSON)")
     p.add_argument("--dimension", type=int, required=True, choices=(1, 2, 3))
     p.add_argument(
@@ -214,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, default=None, help="2D momentum cutoff")
     _add_output_args(p, formats=False)
 
+
+def _add_verify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("verify", help="run every cross-check suite (JSON report)")
     p.add_argument(
         "--tolerance-scale", type=float, default=1.0,
@@ -221,6 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_args(p, formats=False)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser, sub = _root_parser()
+    for add, _ in _COMMANDS.values():
+        add(sub)
     return parser
 
 
@@ -397,39 +411,67 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "command": "verify",
             "tolerance_scale": args.tolerance_scale,
             "all_passed": all_passed,
-            "suites": [dataclasses.asdict(r) for r in results],
+            "suites": [r._asdict() for r in results],
         }
     )
     _write(text, args.output)
     return 0 if all_passed else 3
 
 
-_DISPATCH = {
-    "potential": _cmd_potential,
-    "wavefunction": _cmd_wavefunction,
-    "nodes": _cmd_nodes,
-    "boundstate": _cmd_boundstate,
-    "verify": _cmd_verify,
+#: Each command's subparser adder and its runner, in the order the full
+#: usage lists the commands.
+_COMMANDS = {
+    "potential": (_add_potential, _cmd_potential),
+    "wavefunction": (_add_wavefunction, _cmd_wavefunction),
+    "nodes": (_add_nodes, _cmd_nodes),
+    "boundstate": (_add_boundstate, _cmd_boundstate),
+    "verify": (_add_verify, _cmd_verify),
 }
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import, and reused by every
-    # later call in the process: parse_args keeps no state between calls
-    return build_parser()
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    # Built on first use, not at import, and reused by every later call in
+    # the process: parse_args keeps no state between calls.  None gives the
+    # full parser; a command gives the process's one command parser, the
+    # root parser holding the subparsers of the commands parsed so far,
+    # with this command's added on its first call.
+    if command is None:
+        return build_parser()
+    parser, sub = _command_root()
+    if command not in sub.choices:  # already there after a cache_clear()
+        _COMMANDS[command][0](sub)
+    return parser
+
+
+@functools.cache
+def _command_root() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    return _root_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # A command's subparser parses and reports its errors as it does in
+    # the full parser.  What the root parser words from its list of
+    # commands goes to the full parser: help, a missing or unknown
+    # command, and leftover arguments, whose usage lists every command.
+    command = argv[0] if argv else None
+    if command in _COMMANDS and "-h" not in argv and "--help" not in argv:
+        args, rest = _parser(command).parse_known_args(argv)
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):
             return 0
         return 2
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except (ValueError, ArithmeticError, QuadratureError, BracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

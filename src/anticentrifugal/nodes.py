@@ -11,11 +11,11 @@ are what the verification suites and the command line report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .specfun import CylinderFamily, oscillatory_pair
 
 #: Lower edge of the first bracket: just above the origin, where J_0 and
@@ -78,8 +78,7 @@ def solve_in_brackets(
     raise BracketingError(f"{live.size} of {x.size} roots unsettled after {_MAX_STEPS} steps")
 
 
-@dataclass(frozen=True)
-class ZeroTable:
+class ZeroTable(Record):
     """The first positive zeros of one oscillatory cylinder function."""
 
     family: CylinderFamily
@@ -149,8 +148,7 @@ def find_zeros(family: CylinderFamily, order: int, n_max: int) -> ZeroTable:
     return ZeroTable(family, order, zeros)
 
 
-@dataclass(frozen=True)
-class NodeDensityReport:
+class NodeDensityReport(Record):
     """Spacings and local node densities derived from a zero table.
 
     ``spacings[n]`` is zeros[n+1] - zeros[n] and ``densities[n]`` is
@@ -169,8 +167,7 @@ def node_density(table: ZeroTable) -> NodeDensityReport:
     return NodeDensityReport(table, spacings, math.pi / spacings)
 
 
-@dataclass(frozen=True)
-class BunchingVerdict:
+class BunchingVerdict(Record):
     """Outcome of the bunching / anti-bunching comparison for one family.
 
     Order 0 must hold densities above one that decrease toward one, and

@@ -17,12 +17,15 @@ whose strength is -1/4: an attractive term of purely quantum origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
-from fractions import Fraction
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
+
+from ._record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 UNITS = "hbar = M = 1; V(r) in units hbar^2 / (2 M length^2)"
 
@@ -55,8 +58,7 @@ def quantum_square_2d(m: int) -> float:
     return EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=m).strength
 
 
-@dataclass(frozen=True)
-class EffectivePotentialSpec:
+class EffectivePotentialSpec(Record):
     """Parameters selecting one member of the inverse-square family.
 
     Exactly the fields relevant to the chosen family are read:
@@ -91,26 +93,35 @@ class EffectivePotentialSpec:
         if l2 < 0:
             raise ValueError(f"classical_l_squared must be non-negative, got {l2}")
 
-    def strength_quarters(self) -> Fraction:
-        """Exact coefficient of 1/r^2, returned as a fraction.
+    def _ratio(self) -> tuple[int, int]:
+        """Exact coefficient of 1/r^2 as an integer numerator and a positive
+        integer denominator.
 
         Integer arithmetic here keeps the sign classification exact; the
-        classical case is the only one with a free real parameter.
+        classical case is the only one with a free real parameter, whose
+        float or int value has an exact ratio of its own.
         """
         if self.family is PotentialFamily.PLANAR_WAVE:
-            return Fraction(4 * self.angular_momentum**2 - 1, 4)
+            return 4 * self.angular_momentum**2 - 1, 4
         if self.family is PotentialFamily.SPATIAL_WAVE:
-            return Fraction(self.angular_momentum * (self.angular_momentum + 1))
+            return self.angular_momentum * (self.angular_momentum + 1), 1
         if self.family is PotentialFamily.ZERO_MOMENTUM_NDIM:
-            return Fraction((self.n_dim - 1) * (self.n_dim - 3), 4)
+            return (self.n_dim - 1) * (self.n_dim - 3), 4
         if self.family is PotentialFamily.CLASSICAL:
-            return Fraction(self.classical_l_squared)
-        return Fraction(-1, 4)
+            return self.classical_l_squared.as_integer_ratio()
+        return -1, 4
+
+    def strength_quarters(self) -> Fraction:
+        """Exact coefficient of 1/r^2, returned as a fraction."""
+        from fractions import Fraction
+
+        return Fraction(*self._ratio())
 
     @property
     def strength(self) -> float:
-        """Coefficient of 1/r^2 as a float."""
-        return float(self.strength_quarters())
+        """Coefficient of 1/r^2 as a float: the correctly rounded quotient."""
+        num, den = self._ratio()
+        return num / den
 
 
 def eval_potential(spec: EffectivePotentialSpec, r):
@@ -134,9 +145,9 @@ def eval_potential(spec: EffectivePotentialSpec, r):
 
 def classify_potential(spec: EffectivePotentialSpec) -> SignClass:
     """Attractive, repulsive or vanishing, decided by the exact strength."""
-    q = spec.strength_quarters()
-    if q < 0:
+    num, _ = spec._ratio()
+    if num < 0:
         return SignClass.ATTRACTIVE
-    if q > 0:
+    if num > 0:
         return SignClass.REPULSIVE
     return SignClass.VANISHING

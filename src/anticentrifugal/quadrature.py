@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
+
+from ._record import Record
 
 # 15-point Kronrod abscissae (positive half) and weights; the odd-index
 # abscissae are the embedded 7-point Gauss nodes.
@@ -54,8 +55,7 @@ class QuadratureError(RuntimeError):
     """Raised when the interval budget runs out before the tolerance is met."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     value: float
     error_estimate: float
     intervals: int

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum, unique
 
 import numpy as np
 
+from ._record import Record
 from .potentials import EffectivePotentialSpec, eval_potential
 from .specfun import EULER_GAMMA, besseli, besselj, besselk, bessely
 
@@ -58,8 +58,7 @@ class Direction(Enum):
     INWARD = "inward"
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Uniform grid on [r_min, r_max], bounded away from the origin."""
 
     r_min: float
@@ -107,8 +106,7 @@ def wavenumber_from_energy(energy: float) -> float:
     return math.sqrt(2.0 * abs(energy))
 
 
-@dataclass(frozen=True)
-class RadialWave:
+class RadialWave(Record):
     """Samples of the half-power radial function u(r) = sqrt(r) * Phi(r)."""
 
     grid: RadialGrid

@@ -61,10 +61,11 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._record import Record
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -125,8 +126,7 @@ def _check_order(m) -> int:
     return int(m)
 
 
-@dataclass(frozen=True)
-class CylinderKind:
+class CylinderKind(Record):
     """A family tag plus a non-negative integer order."""
 
     family: CylinderFamily

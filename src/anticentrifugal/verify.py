@@ -14,10 +14,10 @@ the supported way to exercise the failure path end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .boundstate import (
     coupling_from_k,
     cutoff_integral,
@@ -88,8 +88,7 @@ _SOMMERFELD_SAMPLE = (
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """One named check: observed worst error against its scaled tolerance."""
 
     name: str

@@ -2,8 +2,9 @@
 
 Every invocation goes through ``main(argv)`` in process, so exit codes
 and byte-for-byte output stability can be asserted without spawning
-subprocesses; only the check that importing the module builds no parser
-needs a fresh interpreter.
+subprocesses; only the checks of what importing the module does (it
+builds no parser and loads neither ``dataclasses`` nor ``fractions``)
+need a fresh interpreter.
 """
 
 import json
@@ -538,11 +539,12 @@ def _sequence(capsys):
 
 
 def test_reused_parser_matches_fresh_parsers(capsys, monkeypatch):
-    # one parser serves every main() call in a process: errors, --help and
-    # valid calls after them must read as they do on a parser built anew
+    # the parsers serve every main() call in a process: errors, --help and
+    # valid calls after them must read as they do on a full parser built
+    # anew for each call
     cli._parser.cache_clear()
     reused = _sequence(capsys)
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.setattr(cli, "_parser", lambda command=None: cli.build_parser())
     fresh = _sequence(capsys)
     assert reused == fresh
     assert [rc for rc, _, _ in reused] == [2, 0, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0]
@@ -583,6 +585,75 @@ def test_import_builds_no_parser():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "0\n1\n"
+
+
+def test_import_loads_neither_dataclasses_nor_fractions():
+    # the records define no generated methods and the potentials keep exact
+    # strengths as integer ratios, so a fresh process pays for neither module
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import anticentrifugal.cli\n"
+        "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+#: Argument lists whose parse ends in help or an error.
+_PARSE_EXITS = [(command, "--help") for command in cli._COMMANDS] + [
+    ("--help",),
+    ("-h",),
+    ("nodes", "--n-max", "abc"),
+    ("nodes", "--bogus"),
+    ("nodes", "--n-max", "5", "potential"),
+    ("boundstate", "--dimension", "4"),
+    ("potential",),
+    (),
+    ("no-such-command",),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no command")
+def test_command_parsers_read_as_the_full_parser(capsys, argv):
+    # main() parses with the named command's parser alone; its help, errors
+    # and exit codes must be those of build_parser(), cold and cached
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(list(argv))
+    full = capsys.readouterr()
+    expected = (0 if exc.value.code in (0, None) else 2, full.out, full.err)
+    cli._parser.cache_clear()
+    cli._command_root.cache_clear()
+    try:
+        assert run(capsys, *argv) == expected
+        assert run(capsys, *argv) == expected
+    finally:
+        cli._parser.cache_clear()
+        cli._command_root.cache_clear()
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    cli._parser.cache_clear()
+    cli._command_root.cache_clear()
+    try:
+        assert run(capsys, "nodes", "--n-max", "2")[0] == 0
+        assert "{nodes}" in cli._parser("nodes").format_usage()
+        assert run(capsys, "potential", "--family", "ndim", "--n-points", "3")[0] == 0
+        assert run(capsys, "nodes", "--n-max", "3")[0] == 0
+        # one root parser, each subparser added once, in the order first run
+        assert cli._parser("nodes") is cli._parser("potential")
+        assert "{nodes,potential}" in cli._parser("nodes").format_usage()
+        assert cli._command_root.cache_info().misses == 1
+    finally:
+        cli._parser.cache_clear()
+        cli._command_root.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,39 @@ def test_strength_is_exact_rational():
     assert planar(3).strength == 8.75
 
 
+_CLASSICAL = [0, 3, 0.0, -0.0, 0.1, 2.5, 1e-320, 1.7976931348623157e308, 10**300]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [planar(m) for m in (0, 1, 7, 10**150)]
+    + [spatial(l) for l in (0, 1, 12, 10**150)]
+    + [ndim(n) for n in (1, 2, 3, 4, 11, 10**150)]
+    + [EffectivePotentialSpec(PotentialFamily.CLASSICAL, classical_l_squared=v) for v in _CLASSICAL]
+    + [EffectivePotentialSpec(PotentialFamily.QUANTUM_ANTICENTRIFUGAL)],
+)
+def test_float_strength_and_sign_follow_the_exact_fraction(spec):
+    # strength and classify_potential read the integer ratio, not a
+    # Fraction: the float is the fraction correctly rounded (+0.0 for every
+    # vanishing strength), and the sign class is the fraction's sign
+    exact = spec.strength_quarters()
+    assert isinstance(exact, Fraction)
+    strength = spec.strength
+    assert type(strength) is float
+    assert strength == float(exact)
+    assert str(strength) == str(float(exact))
+    sign = {-1: SignClass.ATTRACTIVE, 0: SignClass.VANISHING, 1: SignClass.REPULSIVE}
+    assert classify_potential(spec) is sign[(exact > 0) - (exact < 0)]
+
+
+def test_strength_past_the_float_range_raises_as_the_fraction_does():
+    spec = planar(10**200)
+    with pytest.raises(OverflowError):
+        float(spec.strength_quarters())
+    with pytest.raises(OverflowError):
+        spec.strength
+
+
 # ---------------------------------------------------------------------------
 # input validation
 
