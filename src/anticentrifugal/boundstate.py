@@ -78,11 +78,16 @@ def density_profile(dimension: int, k: float, r):
 def _density_at(form: DensityForm, k: float):
     """W at a single valid radius, as a function of one Python float, for
     a checked wavenumber.  The quadrature integrand is this function, bound
-    once; np.exp of a float rounds as on an array."""
+    once; np.exp of a float rounds as on an array.
+
+    The line and radial weights, here and on the array path, are written as
+    k rho(k r) with rho(xi) = e^(-2 xi) or 2 e^(-2 xi): the doublings 2 k
+    and 2 k r, which would overflow first, are never formed, and where they
+    are normal the values are those of the forms above, bit for bit."""
     if form is DensityForm.EXP_LINE:
-        return lambda r: float(k * np.exp(-2.0 * k * abs(r)))
+        return lambda r: k * float(np.exp(-2.0 * (k * abs(r))))
     if form is DensityForm.EXP_RADIAL:
-        return lambda r: float(2.0 * k * np.exp(-2.0 * k * r))
+        return lambda r: k * float(2.0 * np.exp(-2.0 * (k * r)))
     weight = _ring_form(k)
 
     def ring(r: float) -> float:
@@ -106,9 +111,9 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
     # to -inf and an underflowing product to zero without raising
     with np.errstate(over="ignore", under="ignore"):
         if form is DensityForm.EXP_LINE:
-            return k * np.exp(-2.0 * k * np.abs(r))
+            return k * np.exp(-2.0 * (k * np.abs(r)))
         if form is DensityForm.EXP_RADIAL:
-            return 2.0 * k * np.exp(-2.0 * k * r)
+            return k * (2.0 * np.exp(-2.0 * (k * r)))
         out = np.zeros(r.shape)
         pos = r > 0.0
         if pos.any():
@@ -242,11 +247,24 @@ def cutoff_integral(k: float, cutoff: float) -> float:
     fixed Kronrod rule resolves each one; the final stub below k/64 is
     nearly linear. Used as the slow, independent route to the coupling
     relation (the closed form is ln(1 + L^2/k^2) / 2).
+
+    The integral depends on L / k alone, so it runs with k and L scaled by
+    one power of two that puts k in [0.5, 1): k^2 can then neither
+    underflow nor overflow, and wherever the unscaled rule's values are
+    normal they scale exactly, so the value is theirs bit for bit.  Past
+    L / k = 1e154, where (L/k)^2 overflows, ValueError points to the
+    closed form.
     """
     k = _check_k(k)
-    _check_positive("cutoff", cutoff)
-    edges = [float(cutoff)]
-    while edges[-1] > k / 64.0 and len(edges) < 2000:
+    cutoff = _check_positive("cutoff", cutoff)
+    if cutoff / k > 1e154:
+        raise ValueError(
+            f"cutoff {cutoff!r} exceeds 1e154 times the wavenumber {k!r}, where "
+            "(L/k)^2 overflows the quadrature; use the closed form ln(1 + L^2/k^2) / 2"
+        )
+    k, shift = math.frexp(k)
+    edges = [math.ldexp(cutoff, -shift)]
+    while edges[-1] > k / 64.0:
         edges.append(0.5 * edges[-1])
     edges.append(0.0)
     edges.reverse()

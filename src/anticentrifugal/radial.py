@@ -217,7 +217,7 @@ def integrate_radial(
     except ZeroDivisionError:
         _check_growth(np.array(u), r)
         raise
-    values = np.array(u)
+    values = np.fromiter(u, float, len(u))
     _check_growth(values, r)
     if inward:
         values = values[::-1].copy()

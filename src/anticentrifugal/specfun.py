@@ -350,38 +350,71 @@ def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, floa
 
 def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: bool = False):
     """Array twin of _miller with one lane per argument and a start order
-    per lane: a lane holds zeros until the pass reaches its start order.
+    per lane.
+
+    One stable argsort orders the lanes by falling start order, so the
+    lanes the pass has reached by order k are a prefix, and each step runs
+    on that prefix alone: a lane that has not started would only carry its
+    zeros.  The step subtracts or adds C_{k+1} in place of multiplying it
+    by sign, which is exact.  A bound on |C| that grows by the recurrence
+    skips the test for a value past 1e250 until it could pass; the test
+    is then one reduction, and the rescale mask is built only when it
+    finds one.  Each lane therefore runs the operations of _miller in its
+    order, bit for bit.
 
     Returns unnormalized C_m and C_0 and the denominator, followed with
-    *neumann* (J only) by the sums S_0 and S_1 of _y01_large.
+    *neumann* (J only) by the sums S_0 and S_1 of _y01_large, as rows in
+    the order of x.
     """
     stride = 2 if sign < 0.0 else 1
-    prev, cur, total, cm, s0, s1 = np.zeros((6, x.size))
-    for k in range(int(top.max()), 0, -1):
-        start = top == k
-        if start.any():
-            cur[start] = 1e-300
-            total[start] = 1e-300
-        prev, cur = cur, (2.0 * k / x) * cur + sign * prev
-        big = np.abs(cur) > 1e250
-        if big.any():
-            for v in (prev, cur, total, cm, s0, s1):
-                v[big] *= 1e-250
+    combine = np.subtract if sign < 0.0 else np.add
+    lanes = np.argsort(-top, kind="stable")
+    x, starts = x[lanes], top[lanes]
+    # the lanes [0, reach[k]) have started by order k
+    ends = np.append(np.flatnonzero(starts[1:] != starts[:-1]) + 1, x.size)
+    reach = dict(zip(starts[ends - 1].tolist(), ends.tolist()))
+    prev, cur, nxt, total, cm, s0, s1 = np.zeros((7, x.size))
+    grow = 2.0 / float(x.min())
+    high = low = 0.0  # bounds on |C_k| and |C_{k+1}| over the lanes
+    n = 0
+    for k in range(int(starts[0]), 0, -1):
+        if k in reach:
+            cur[n : reach[k]] = 1e-300
+            total[n : reach[k]] = 1e-300
+            n = reach[k]
+            high = max(high, 1e-300)
+        step = np.divide(2.0 * k, x[:n], out=nxt[:n])
+        step *= cur[:n]
+        combine(step, prev[:n], out=step)
+        prev, cur, nxt = cur, nxt, prev  # nxt is scratch until the next step
+        # |C_{k-1}| <= (2k/x) |C_k| + |C_{k+1}|, with room for rounding: a
+        # lane can pass 1e250 only once this bound does
+        high, low = 1.0001 * (k * grow * high + low), high
+        if high > 1e250:
+            high = np.abs(step, out=nxt[:n]).max()
+            if high > 1e250:
+                big = nxt[:n] > 1e250
+                for v in (prev, cur, total, cm, s0, s1):
+                    v[:n][big] *= 1e-250
+                high = np.abs(step, out=nxt[:n]).max()
         k -= 1  # cur is C_k from here on
         if k == m:
             cm = cur.copy()
         if k >= stride and k % stride == 0:
-            total += cur
+            total[:n] += step
         if neumann and k > 1:
             j = k >> 1
             if k & 1:
-                t = cur * k / (j * (j + 1))
-                s1 = s1 - t if j & 1 else s1 + t
+                t = np.multiply(step, k, out=nxt[:n])
+                t /= j * (j + 1)
+                (np.subtract if j & 1 else np.add)(s1[:n], t, out=s1[:n])
             else:
-                t = cur / j
-                s0 = s0 + t if j & 1 else s0 - t
-    out = (cm, cur, cur + 2.0 * total)
-    return out + (s0, s1) if neumann else out
+                t = np.divide(step, j, out=nxt[:n])
+                (np.add if j & 1 else np.subtract)(s0[:n], t, out=s0[:n])
+    rows = (cm, cur, cur + 2.0 * total) + ((s0, s1) if neumann else ())
+    out = np.empty((len(rows), x.size))
+    out[:, lanes] = rows
+    return out
 
 
 def _j_large(m: int, x: float) -> float:
@@ -468,28 +501,34 @@ def _y01_large_array(x: np.ndarray) -> np.ndarray:
     return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
 
 
-def _k01_large(x):
+def _k01_large(x, orders: int = 2):
     """K_0 and K_1 on [SERIES_SWITCH_K, _HANKEL_SWITCH) by trapezoid sums
-    with step _K_STEP on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt.
+    with step _K_STEP on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt, as
+    a tuple of floats or arrays; with *orders* 1 the tuple holds K_0 alone,
+    and only its sum runs.
 
     The integrand extends to an even analytic function of t, so the
     trapezoid converges geometrically.  A float sums math.exp and stops
     after the first node with x (cosh t - 1) > 55; an array sums numpy's
     exp, which is cheaper per lane and rounds differently, and stops once
-    every lane has passed that node.  Each term a lane adds past its own
+    its smallest lane has passed that node: rounding is monotone, so that
+    is exactly when every lane has.  Each term a lane adds past its own
     stop is below e^-55 of its sum, so it leaves the sum unchanged.
     """
     array = isinstance(x, np.ndarray)
     exp = np.exp if array else math.exp
-    s0 = s1 = 0.5 * exp(-x)
+    both = orders > 1
+    last = float(x.min()) if array else x  # the lane that stops last
+    nx = -x
+    s0 = s1 = 0.5 * exp(nx)
     for c in _K_COSH:
-        f = exp(-x * c)
+        f = exp(nx * c)
         s0 = s0 + f
-        s1 = s1 + f * c
-        done = x * (c - 1.0) > 55.0
-        if done.all() if array else done:
+        if both:
+            s1 = s1 + f * c
+        if last * (c - 1.0) > 55.0:
             break
-    return _K_STEP * s0, _K_STEP * s1
+    return (_K_STEP * s0, _K_STEP * s1) if both else (_K_STEP * s0,)
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +723,7 @@ _I_ROUTES = (
 )
 _K_ROUTES = (
     (lambda n, x: _log_series_array(x, 1.0, n), lambda n, x: _log_series(x, 1.0, n)),
-    (lambda n, x: _k01_large(x)[:n], None),
+    (lambda n, x: _k01_large(x, n), None),
     (lambda n, x: _k01_hankel(x, n),) * 2,
     (lambda n, x: np.zeros((n, x.size)), None),
 )
@@ -745,6 +784,13 @@ def _y_rows(x: np.ndarray, orders: int) -> np.ndarray:
     return _by_regime(x, _JY_SWITCHES, _Y_ROUTES, orders, orders)
 
 
+def _k_rows(x: np.ndarray, orders: int) -> np.ndarray:
+    """Rows K_0 and K_1, or K_0 alone with *orders* 1, on an array of
+    valid arguments; zeros from _K_SCALED_SWITCH on, where _k_scaled
+    serves K."""
+    return _by_regime(x, _K_SWITCHES, _K_ROUTES, orders, orders)
+
+
 def besselj(m: int, x):
     """J_m(x) for integer m >= 0, x >= 0; x is a float or an array."""
     m = _check_order(m)
@@ -784,14 +830,14 @@ def besselk(m: int, x):
         if x >= _K_SCALED_SWITCH:
             return float(_k_scaled(m, np.array([x]))[0])
         if SERIES_SWITCH_K <= x < _HANKEL_SWITCH:
-            k = _k01_large(x)  # the trapezoid on math.exp
+            k = _k01_large(x, orders)  # the trapezoid on math.exp
         else:
             k = _on_float(x, _K_SWITCHES, _K_ROUTES, orders)
         return _recur_up(m, x, k, 1.0)
     x = _check_arguments(CylinderFamily.MODIFIED_K, x)
     # zeros carry the scaled regime's elements through the shared
     # recurrence; _k_scaled fills them in afterwards
-    out = _recur_up(m, x, _by_regime(x, _K_SWITCHES, _K_ROUTES, orders, orders), 1.0)
+    out = _recur_up(m, x, _k_rows(x, orders), 1.0)
     scaled = x >= _K_SCALED_SWITCH
     if scaled.any():
         out[scaled] = _k_scaled(m, x[scaled])
@@ -809,7 +855,8 @@ def _recur_up(m: int, x, c, sign: float):
     if m > 1:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             for k in range(1, m):
-                prev, cur = cur, (2.0 * k / x) * cur + sign * prev
+                step = (2.0 * k / x) * cur
+                prev, cur = cur, step - prev if sign < 0.0 else step + prev
     # Y_1 and K_1 overflow for subnormal x, and an overflowed Y turns into
     # inf - inf = nan on the next step; J stays below one
     if not (np.isfinite(cur).all() if _is_array(cur) else math.isfinite(cur)):

@@ -47,13 +47,15 @@ from .radial import (
 )
 from .specfun import (
     CylinderFamily,
-    CylinderKind,
     _crossover_mismatch,
+    _k_rows,
+    _recur_up,
     _slope,
+    besseli,
     besselj,
     besselk,
     bessely,
-    eval_cylinder,
+    oscillatory_pair,
     sommerfeld_j0,
 )
 
@@ -108,13 +110,23 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
 
     J_m Y_m' - J_m' Y_m must equal 2/(pi x) and I_m K_m' - I_m' K_m must
     equal -1/x; each mixes all four evaluation regimes across [0.1, 50].
+    Each family is evaluated at orders 0, 1 and 2, bit for bit as by one
+    call per order, with one pass per family where one gives the rows:
+    orders 0 and 1 of J and Y come from oscillatory_pair, those of K from
+    one regime pass, and Y_2 and K_2 from the upward step that bessely(2)
+    and besselk(2) run on those rows.  J_2 and I keep a call per order.
     """
     xs = np.linspace(0.1, 50.0, 1000)
-    # each family at orders 0, 1 and 2 once: the slopes of orders 0 and 1
-    # need nothing else
+    y01, k01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs), _k_rows(xs, 2)
+    rows = {
+        CylinderFamily.BESSEL_J: (*oscillatory_pair(CylinderFamily.BESSEL_J, xs), besselj(2, xs)),
+        CylinderFamily.NEUMANN_Y: (*y01, _recur_up(2, xs, y01, -1.0)),
+        CylinderFamily.MODIFIED_I: tuple(besseli(m, xs) for m in (0, 1, 2)),
+        CylinderFamily.MODIFIED_K: (*k01, _recur_up(2, xs, k01, 1.0)),
+    }
+    # the slopes of orders 0 and 1 need nothing else
     values, slopes = {}, {}
-    for fam in CylinderFamily:
-        c0, c1, c2 = (eval_cylinder(CylinderKind(fam, m), xs) for m in (0, 1, 2))
+    for fam, (c0, c1, c2) in rows.items():
         values[fam] = (c0, c1)
         slopes[fam] = (_slope(fam, 0, None, c1), _slope(fam, 1, c0, c2))
 

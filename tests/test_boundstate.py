@@ -59,6 +59,44 @@ def test_spatial_density_peaks_at_origin():
     assert density_profile(3, 2.0, 0.0) == 4.0
 
 
+def _exp_weight(dimension, k, r):
+    # k e^(-2 k |x|) and 2 k e^(-2 k r), at 40 digits, rounded once
+    with mp.workdps(40):
+        k = mp.mpf(k)
+        return float((1 if dimension == 1 else 2) * k * mp.exp(-2 * k * abs(mp.mpf(r))))
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("k", [1e-300, 1.0, 9e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("xi", [0.0, 1e-300, 0.25, 1.0, 30.0])
+def test_line_and_radial_weights_against_the_closed_forms(dimension, k, xi):
+    # 2 k and 2 k r overflow from k of about 9e307 on: the weights were nan
+    # (0 * inf) or raised a RuntimeWarning there
+    r = xi / k
+    radii = np.array([r, r, 0.5 * r]) if dimension == 3 else np.array([r, -r, 0.5 * r])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = density_profile(dimension, k, r)
+        got_array = density_profile(dimension, k, radii)
+    np.testing.assert_array_equal(got_array[:2], [got, got])
+    # e^(-2 xi) amplifies the rounding of k r by 2 xi, at most 60 here
+    for v, at in ((got, r), (got_array[2], 0.5 * r)):
+        want = _exp_weight(dimension, k, at)
+        if math.isinf(want):  # 2 k e^(-2 xi) is past the double range
+            assert v == math.inf
+        else:
+            assert v == pytest.approx(want, rel=1e-14)
+
+
+def test_line_and_radial_weights_where_2k_overflows_were_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density_profile(1, 1e308, 0.0) == 1e308
+        assert density_profile(3, 1e308, 0.5) == 0.0
+        assert density_profile(1, 1e308, np.array([0.0, -0.0])).tolist() == [1e308, 1e308]
+        assert density_profile(3, 1e308, np.array([0.5, 1e300])).tolist() == [0.0, 0.0]
+
+
 def test_ring_density_vanishes_at_origin():
     assert density_profile(2, 1.0, 0.0) == 0.0
     assert density_profile(2, 1.0, 1.0) == pytest.approx(oracles.W2_AT_K1_R1, rel=1e-13)
@@ -432,6 +470,44 @@ def test_cutoff_integral_matches_closed_form():
             got = cutoff_integral(k, cutoff)
             want = 0.5 * math.log1p((cutoff / k) ** 2)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, cutoff", [
+    (1e160, 1e170),  # k^2 overflowed: 0.0
+    (1e300, 1e305),  # k^2 overflowed: 0.0
+    (1e-300, 1e-290),  # k^2 underflowed: ZeroDivisionError
+    (5e-324, 1e-320),
+    (1e-150, 1e3),  # (L/k)^2 = 1e306
+])
+def test_cutoff_integral_where_k_squared_leaves_the_range(k, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cutoff_integral(k, cutoff)
+    assert got == pytest.approx(0.5 * math.log1p((cutoff / k) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("k, cutoff", [(0.3, 10.0), (1.0, 1.0), (2.0, 1e-3), (1e-6, 1.0)])
+def test_cutoff_integral_depends_on_the_ratio_alone_bit_for_bit(k, cutoff):
+    # scaling k and L by one power of two leaves every rounding in place
+    want = cutoff_integral(k, cutoff)
+    for j in (-900, -300, -1, 1, 300, 900):
+        assert cutoff_integral(math.ldexp(k, j), math.ldexp(cutoff, j)) == want
+
+
+@pytest.mark.parametrize("k, cutoff", [(1e-170, 1.0), (1e-300, 1e300), (1.0, 1e155)])
+def test_cutoff_integral_past_the_range_of_l_over_k_squared_names_the_closed_form(k, cutoff):
+    with pytest.raises(ValueError, match=r"closed form ln\(1 \+ L\^2/k\^2\) / 2"):
+        cutoff_integral(k, cutoff)
+    with pytest.raises(ValueError, match="closed form"):
+        coupling_residual(1.0, cutoff, k)
+
+
+@pytest.mark.parametrize("cutoff", [1e-200, 1e200])
+def test_coupling_residual_where_k_squared_leaves_the_range(cutoff):
+    # the residual read 1.0 (k^2 overflowed) or raised ZeroDivisionError
+    for u0 in (1.0, 4.0 * math.pi, 40.0):
+        k = k_from_coupling(u0, cutoff)
+        assert coupling_residual(u0, cutoff, k) <= 1e-10
 
 
 def test_wavenumber_from_coupling_frozen():

@@ -381,6 +381,16 @@ def test_boundstate_where_40_over_k_overflows(capsys, argv, error):
     assert doc["normalization"] == json.loads(ref)["normalization"]
 
 
+def test_boundstate_where_2k_overflows_exits_2_with_one_line(capsys):
+    # 2 k exp(-2 k r) was inf * 0 = nan at r = 0, with numpy's two-line
+    # RuntimeWarning before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "boundstate", "--dimension", "3", "--k", "9e307")
+    assert (rc, out) == (2, "")
+    assert err == "error: non-finite energy, max_value for dimension 3, k = 9e+307\n"
+
+
 def test_wavefunction_where_k_r_underflows(capsys):
     # K_0(k r) at k r = 0 used to raise "K_m requires x > 0"
     k = 1e-200

@@ -36,7 +36,10 @@ from anticentrifugal.specfun import (
     _FEW_LANES,
     _K_COSH,
     _K_SCALED_SWITCH,
+    _k01_large,
     _log_series,
+    _miller,
+    _miller_array,
     besseli,
     besselj,
     besselk,
@@ -392,10 +395,10 @@ def test_k_trapezoid_keeps_its_array_kernel_at_few_lanes(monkeypatch):
     lanes = []
     real = specfun._k01_large
 
-    def counted(v):
+    def counted(v, orders=2):
         if isinstance(v, np.ndarray):
             lanes.append(v.size)
-        return real(v)
+        return real(v, orders)
 
     monkeypatch.setattr(specfun, "_k01_large", counted)
     with _strict():
@@ -405,6 +408,53 @@ def test_k_trapezoid_keeps_its_array_kernel_at_few_lanes(monkeypatch):
             one_lane = [besselk(m, x[i : i + 1])[0] for i in range(x.size)]
             np.testing.assert_array_equal(one_lane, in_long)
             assert lanes == [1] * x.size
+
+
+def test_k_trapezoid_sums_order_zero_alone_bit_for_bit():
+    # K_0 alone skips the K_1 sum, and an array stops on its smallest lane:
+    # the same bits as row 0 of both orders, wherever that lane sits
+    x = np.linspace(SERIES_SWITCH_K, _HANKEL_SWITCH, 57, endpoint=False)[1:]
+    low = SERIES_SWITCH_K + 0.01
+    arrays = (
+        np.concatenate(([low], x)),
+        np.concatenate((x, [low])),
+        np.concatenate((x[:20], [low], x[20:])),
+        np.concatenate((x[:9], [low], x[9:30], [low, low], x[30:])),
+    )
+    with _strict():
+        for v in x.tolist() + [low]:
+            assert _k01_large(v, 1) == _k01_large(v, 2)[:1]
+        for a in arrays:
+            (alone,) = _k01_large(a, 1)
+            both = _k01_large(a, 2)
+            np.testing.assert_array_equal(alone, both[0])
+            for i in range(a.size):
+                np.testing.assert_array_equal(_k01_large(a[i : i + 1], 2)[0], both[0][i])
+                np.testing.assert_array_equal(_k01_large(a[i : i + 1], 2)[1], both[1][i])
+
+
+@pytest.mark.parametrize("sign, start, lo, hi", [
+    (-1.0, _j_start, SERIES_SWITCH_JY, _HANKEL_SWITCH),
+    (1.0, _i_start, SERIES_SWITCH_I, 700.0),
+])
+@pytest.mark.parametrize("m", [0, 1, 2, 300])
+def test_miller_pass_on_shuffled_lanes_matches_the_float_pass(sign, start, lo, hi, m):
+    # lanes in no order of their start orders, which interleave and repeat;
+    # at m = 300 the passes rescale on their way down
+    rng = np.random.default_rng(41)
+    x = rng.uniform(lo, hi, 60)
+    x = rng.permutation(np.concatenate((x, x[:7], np.full(4, x[11]))))
+    top = np.array([start(v, m) for v in x.tolist()])
+    assert len(set(top.tolist())) < x.size
+    want = np.array([_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]).T
+    with _strict():
+        with np.errstate(under="ignore"):  # as _by_regime runs the kernels
+            np.testing.assert_array_equal(_miller_array(x, top, sign, m), want)
+            if sign < 0.0:
+                neumann = _miller_array(x, top, sign, m, neumann=True)
+                np.testing.assert_array_equal(neumann[:3], want)
+        fn = besselj if sign < 0.0 else besseli
+        np.testing.assert_array_equal(fn(m, x), [fn(m, v) for v in x.tolist()])
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])

@@ -1,5 +1,6 @@
 """Tests for the self-verification suites."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -8,11 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anticentrifugal import verify
+from anticentrifugal import specfun, verify
 from anticentrifugal.boundstate import k_from_coupling
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.radial import RadialGrid, SolutionFamily, analytic_radial
-from anticentrifugal.specfun import besselj, besselk, bessely
+from anticentrifugal.specfun import (
+    CylinderFamily,
+    _k_rows,
+    _recur_up,
+    besselj,
+    besselk,
+    bessely,
+    oscillatory_pair,
+)
 from anticentrifugal.verify import (
     SuiteResult,
     _match_grid,
@@ -121,6 +130,46 @@ def test_wronskian_constancy_fails_on_a_nan(monkeypatch):
     assert not check.passed
     assert np.isnan(check.max_error)
 
+
+
+def test_wronskian_rows_equal_one_call_per_order():
+    # the suite takes orders 0 and 1 of J, Y and K from one pass per family
+    # and Y_2, K_2 from one upward step: the values of a call per order
+    xs = np.linspace(0.1, 50.0, 1000)
+    j01 = oscillatory_pair(CylinderFamily.BESSEL_J, xs)
+    y01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs)
+    k01 = _k_rows(xs, 2)
+    for m in (0, 1):
+        np.testing.assert_array_equal(j01[m], besselj(m, xs))
+        np.testing.assert_array_equal(y01[m], bessely(m, xs))
+        np.testing.assert_array_equal(k01[m], besselk(m, xs))
+    np.testing.assert_array_equal(_recur_up(2, xs, y01, -1.0), bessely(2, xs))
+    np.testing.assert_array_equal(_recur_up(2, xs, k01, 1.0), besselk(2, xs))
+
+
+def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
+    # counted like test_zero_finder_makes_no_array_miller_pass: a call per
+    # order ran 9 Miller passes, 6 log-series passes, 3 trapezoids and 6
+    # Hankel evaluations
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(specfun, name)
+
+        def counted(x, *args, **kwargs):
+            if isinstance(x, np.ndarray):
+                calls[name] += 1
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, counted)
+
+    for name in ("_miller_array", "_log_series", "_k01_large", "_hankel01"):
+        spy(name)
+    assert all(r.passed for r in verify.suite_wronskians())
+    assert calls["_miller_array"] <= 6
+    assert calls["_log_series"] <= 2
+    assert calls["_k01_large"] <= 1
+    assert calls["_hankel01"] <= 3
 
 
 def test_radial_suite_takes_no_median(monkeypatch):
