@@ -62,7 +62,12 @@ class QuadratureResult(Record):
 
 
 def gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel on [a, b]: returns (integral, error estimate)."""
+    """One Kronrod panel on [a, b]: returns (integral, error estimate).
+
+    a and b may also be arrays of panel edges, with f taking an array: the
+    same operations then run once per panel, bit for bit as on floats, and
+    the integrals and error estimates come back as arrays.
+    """
     center = 0.5 * (a + b)
     halfwidth = 0.5 * (b - a)
     fc = f(center)
@@ -71,9 +76,9 @@ def gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[f
     for i in range(7):
         dx = halfwidth * _XGK[i]
         pair = f(center - dx) + f(center + dx)
-        resk += _WGK[i] * pair
+        resk = resk + _WGK[i] * pair
         if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * pair
+            resg = resg + _WG[(i - 1) // 2] * pair
     return resk * halfwidth, abs((resk - resg) * halfwidth)
 
 

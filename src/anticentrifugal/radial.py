@@ -187,11 +187,22 @@ def integrate_radial(
     order in the spacing. Growth past 1e250 raises OverflowError, which for
     this equation signals that the exponentially growing branch dominates.
     """
+    return _integrate_runs(spec, energy, grid, (seeds,), direction)[0]
+
+
+def _integrate_runs(
+    spec: EffectivePotentialSpec, energy: float, grid: RadialGrid, seed_pairs, direction: Direction
+) -> list[RadialWave]:
+    """integrate_radial for each pair of *seed_pairs*, every march on one
+    build of the step coefficients, which depend on the seeds not at all."""
     if not (math.isfinite(energy) and energy != 0.0):
         raise ValueError(f"energy must be nonzero and finite, got {energy!r}")
-    s0, s1 = float(seeds[0]), float(seeds[1])
-    if not (math.isfinite(s0) and math.isfinite(s1)):
-        raise ValueError(f"seed values must be finite, got {seeds!r}")
+    pairs = []
+    for seeds in seed_pairs:
+        s0, s1 = float(seeds[0]), float(seeds[1])
+        if not (math.isfinite(s0) and math.isfinite(s1)):
+            raise ValueError(f"seed values must be finite, got {seeds!r}")
+        pairs.append((s0, s1))
     r = grid.points
     f = eval_potential(spec, r) - 2.0 * energy
     c = grid.spacing ** 2 / 12.0
@@ -206,24 +217,27 @@ def integrate_radial(
         a.reverse()
         g.reverse()
         r = r[::-1]
-    # the march runs on past an overflow, through inf and nan; growth is
-    # checked once at the end, and before a division by zero
-    u = [s0, s1]
-    prev, cur = s0, s1
-    try:
-        for ai, gb, gf in zip(a[1:-1], g, g[2:]):
-            prev, cur = cur, (ai * cur - gb * prev) / gf
-            u.append(cur)
-    except ZeroDivisionError:
-        _check_growth(np.array(u), r)
-        raise
-    values = np.fromiter(u, float, len(u))
-    _check_growth(values, r)
-    if inward:
-        values = values[::-1].copy()
     sign = EnergySign.POSITIVE if energy > 0 else EnergySign.NEGATIVE
     k = wavenumber_from_energy(energy)
-    return RadialWave(grid, values, 0, k, sign, SolutionFamily.NUMERIC)
+    waves = []
+    for s0, s1 in pairs:
+        # the march runs on past an overflow, through inf and nan; growth
+        # is checked once at the end, and before a division by zero
+        u = [s0, s1]
+        prev, cur = s0, s1
+        try:
+            for ai, gb, gf in zip(a[1:-1], g, g[2:]):
+                prev, cur = cur, (ai * cur - gb * prev) / gf
+                u.append(cur)
+        except ZeroDivisionError:
+            _check_growth(np.array(u), r)
+            raise
+        values = np.fromiter(u, float, len(u))
+        _check_growth(values, r)
+        if inward:
+            values = values[::-1].copy()
+        waves.append(RadialWave(grid, values, 0, k, sign, SolutionFamily.NUMERIC))
+    return waves
 
 
 def _check_growth(u: np.ndarray, r: np.ndarray) -> None:
@@ -266,11 +280,11 @@ def ode_residual(
     return float(np.max(np.abs(d2 - rhs)))
 
 
-def _polar_stencil(m: int, k: float, grid: RadialGrid):
-    """Phi = K_m(k r) on the interior points with its five-point first and
-    second derivatives, and the polar defect they give."""
+def _polar_stencil(m: int, k: float, grid: RadialGrid, phi: np.ndarray):
+    """Phi = K_m(k r), given on the grid's points, on the interior points
+    with its five-point first and second derivatives, and the polar defect
+    they give."""
     r = grid.points
-    phi = besselk(m, k * r)
     d1, d2 = five_point_derivatives(phi, grid.spacing)
     rc = r[2:-2]
     phic = phi[2:-2]
@@ -284,7 +298,7 @@ def polar_mode_residual(m: int, k: float, grid: RadialGrid) -> np.ndarray:
     Returns Phi'' + Phi'/r - (m^2/r^2 + k^2) Phi on the interior points,
     with both derivatives from five-point stencils.
     """
-    return _polar_stencil(m, k, grid)[-1]
+    return _polar_stencil(m, k, grid, besselk(m, k * grid.points))[-1]
 
 
 def laplacian_reduction_check(m: int, k: float, grid: RadialGrid) -> float:
@@ -296,7 +310,13 @@ def laplacian_reduction_check(m: int, k: float, grid: RadialGrid) -> float:
     cancellation of the +1/(4r^2) and -1/(4r^2) pieces, so any mismatch
     beyond rounding means the reduction was implemented inconsistently.
     """
-    rc, phic, d1, d2, polar = _polar_stencil(m, k, grid)
+    return _reduction_check(m, k, grid, besselk(m, k * grid.points))
+
+
+def _reduction_check(m: int, k: float, grid: RadialGrid, phi: np.ndarray) -> float:
+    """laplacian_reduction_check on samples phi = K_m(k r) on the grid's
+    points, however computed."""
+    rc, phic, d1, d2, polar = _polar_stencil(m, k, grid, phi)
     root = np.sqrt(rc)
     half_power = root * (d2 + d1 / rc - 0.25 * phic / (rc * rc)) - (
         (m * m - 0.25) / (rc * rc) + k * k

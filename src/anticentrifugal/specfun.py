@@ -38,7 +38,7 @@ is cheaper per lane than math.exp and rounds differently.  The Miller pass
 and Neumann's series keep a pure-Python kernel and an array twin that
 repeats its operations in the same order, starting each lane at its own
 order.  Array code calls the math module per element (``_map``) only for
-log, exp, cos and sin, whose numpy versions may round differently; start
+log and exp, whose numpy versions may round differently; cos, sin, start
 orders and square and cube roots are computed over the whole array, and
 the rare J start order whose sum sits next to an integer is recomputed the
 scalar way.  J, Y and I therefore agree bit for bit between the two paths;
@@ -46,8 +46,9 @@ K agrees to a few units in the last place on [3, 20), where the trapezoid
 serves it, and bit for bit elsewhere.
 
 One table per family pairs each regime's array kernel with its float
-kernel.  A float runs the float kernel of its regime; so does each
-argument of an array regime that holds at most _FEW_LANES of them, since
+kernel; J and I have a second that serves orders 0 to 2 at once.  A
+float runs the float kernel of its regime; so does each argument of an
+array regime that holds at most _FEW_LANES of them, since
 an array kernel's numpy calls cost more than that many pure-Python
 evaluations.  K's trapezoid on [3, 20) never does: it keeps its array
 kernel at every lane count, so its values do not depend on how many
@@ -176,8 +177,10 @@ def _is_array(x) -> bool:
 
 
 def _map(fn, xs: np.ndarray) -> np.ndarray:
-    # Per-element math-module log, exp, cos and sin: numpy's may round
-    # differently, which would break the bit-for-bit match with the scalar path.
+    # Per-element math-module log and exp: numpy's may round differently, and
+    # their bits change with numpy's CPU dispatch tier, which would break the
+    # bit-for-bit match with the scalar path.  numpy's cos and sin equal the
+    # math module's, so arrays take them directly.
     return np.array([fn(v) for v in xs.tolist()])
 
 
@@ -348,9 +351,9 @@ def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, floa
     return cm, cur, cur + 2.0 * total
 
 
-def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: bool = False):
+def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: bool = False):
     """Array twin of _miller with one lane per argument and a start order
-    per lane.
+    per lane, capturing C_m at each order m of *orders*.
 
     One stable argsort orders the lanes by falling start order, so the
     lanes the pass has reached by order k are a prefix, and each step runs
@@ -359,12 +362,13 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: 
     by sign, which is exact.  A bound on |C| that grows by the recurrence
     skips the test for a value past 1e250 until it could pass; the test
     is then one reduction, and the rescale mask is built only when it
-    finds one.  Each lane therefore runs the operations of _miller in its
-    order, bit for bit.
+    finds one, and scales every row captured so far.  Each lane and each
+    captured order therefore runs the operations of _miller in its order,
+    bit for bit.
 
-    Returns unnormalized C_m and C_0 and the denominator, followed with
-    *neumann* (J only) by the sums S_0 and S_1 of _y01_large, as rows in
-    the order of x.
+    Returns unnormalized C_m for each m of *orders*, C_0 and the
+    denominator, followed with *neumann* (J only) by the sums S_0 and S_1
+    of _y01_large, as rows in the order of x.
     """
     stride = 2 if sign < 0.0 else 1
     combine = np.subtract if sign < 0.0 else np.add
@@ -373,7 +377,9 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: 
     # the lanes [0, reach[k]) have started by order k
     ends = np.append(np.flatnonzero(starts[1:] != starts[:-1]) + 1, x.size)
     reach = dict(zip(starts[ends - 1].tolist(), ends.tolist()))
-    prev, cur, nxt, total, cm, s0, s1 = np.zeros((7, x.size))
+    capture = {m: i for i, m in enumerate(orders)}
+    cms = np.zeros((len(capture), x.size))
+    prev, cur, nxt, total, s0, s1 = np.zeros((6, x.size))
     grow = 2.0 / float(x.min())
     high = low = 0.0  # bounds on |C_k| and |C_{k+1}| over the lanes
     n = 0
@@ -394,12 +400,12 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: 
             high = np.abs(step, out=nxt[:n]).max()
             if high > 1e250:
                 big = nxt[:n] > 1e250
-                for v in (prev, cur, total, cm, s0, s1):
+                for v in (prev, cur, total, *cms, s0, s1):
                     v[:n][big] *= 1e-250
                 high = np.abs(step, out=nxt[:n]).max()
         k -= 1  # cur is C_k from here on
-        if k == m:
-            cm = cur.copy()
+        if k in capture:
+            cms[capture[k]] = cur
         if k >= stride and k % stride == 0:
             total[:n] += step
         if neumann and k > 1:
@@ -411,7 +417,7 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, m: int, neumann: 
             else:
                 t = np.divide(step, j, out=nxt[:n])
                 (np.add if j & 1 else np.subtract)(s0[:n], t, out=s0[:n])
-    rows = (cm, cur, cur + 2.0 * total) + ((s0, s1) if neumann else ())
+    rows = (*cms, cur, cur + 2.0 * total) + ((s0, s1) if neumann else ())
     out = np.empty((len(rows), x.size))
     out[:, lanes] = rows
     return out
@@ -423,9 +429,13 @@ def _j_large(m: int, x: float) -> float:
     return cm * (1.0 / denom)
 
 
-def _j_large_array(m: int, x: np.ndarray) -> np.ndarray:
-    cm, _, denom = _miller_array(x, _j_start_array(x, m), -1.0, m)
-    return cm * (1.0 / denom)
+def _j_large_array(orders, x: np.ndarray) -> np.ndarray:
+    """J_m for each m of *orders*, as rows, from one pass from the start
+    order of the highest.  Each row is its own order's pass bit for bit
+    where the orders share the start order, as orders 0, 1 and 2 always
+    do: _j_start's top is at least 18, so m + top // 2 <= top for m <= 2."""
+    *cms, _, denom = _miller_array(x, _j_start_array(x, max(orders)), -1.0, orders)
+    return np.stack(cms) * (1.0 / denom)
 
 
 def _j01_large(x: float) -> tuple[float, float]:
@@ -433,12 +443,6 @@ def _j01_large(x: float) -> tuple[float, float]:
     c1, c0, denom = _miller(x, _j_start(x, 0), -1.0, 1)
     norm = 1.0 / denom
     return c0 * norm, c1 * norm
-
-
-def _j01_large_array(x: np.ndarray) -> np.ndarray:
-    # _j01_large on an array, as rows J_0, J_1
-    c1, c0, denom = _miller_array(x, _j_start_array(x, 0), -1.0, 1)
-    return np.stack((c0, c1)) * (1.0 / denom)
 
 
 def _i_large(m: int, x: float) -> float:
@@ -450,9 +454,11 @@ def _i_large(m: int, x: float) -> float:
     return (cm / denom) * math.exp(x)
 
 
-def _i_large_array(m: int, x: np.ndarray) -> np.ndarray:
-    cm, _, denom = _miller_array(x, _i_start_array(x, m), 1.0, m)
-    return (cm / denom) * _map(math.exp, x)
+def _i_large_array(orders, x: np.ndarray) -> np.ndarray:
+    """I_m for each m of *orders*, as rows, from one pass as in
+    _j_large_array; _i_start's top is at least 30."""
+    *cms, _, denom = _miller_array(x, _i_start_array(x, max(orders)), 1.0, orders)
+    return (np.stack(cms) / denom) * _map(math.exp, x)
 
 
 def _y01_large(x: float) -> tuple[float, float]:
@@ -496,7 +502,7 @@ def _y01_from_sums(x, lg, c0, c1, denom, s0, s1):
 
 
 def _y01_large_array(x: np.ndarray) -> np.ndarray:
-    c1, c0, denom, s0, s1 = _miller_array(x, _j_start_array(x, 0), -1.0, 1, neumann=True)
+    c1, c0, denom, s0, s1 = _miller_array(x, _j_start_array(x, 0), -1.0, (1,), neumann=True)
     lg = _map(math.log, 0.5 * x) + EULER_GAMMA
     return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
 
@@ -570,11 +576,12 @@ def _hankel01(x):
     The phase is built from cos x and sin x as sqrt(1/2) (cos x +- sin x):
     forming x - pi/4 first would lose x times the rounding of pi/4.  The
     same operations run on a float (with math.cos, math.sin) and an array
-    (with _map of them), so both paths agree bit for bit; the envelope uses
-    a correctly rounded square root for the same reason.
+    (with np.cos, np.sin, which give the math module's bits on every
+    dispatch tier), so both paths agree bit for bit; the envelope uses a
+    correctly rounded square root for the same reason.
     """
     if _is_array(x):
-        cos_x, sin_x, sqrt = _map(math.cos, x), _map(math.sin, x), np.sqrt
+        cos_x, sin_x, sqrt = np.cos(x), np.sin(x), np.sqrt
     else:
         cos_x, sin_x, sqrt = math.cos(x), math.sin(x), math.sqrt
     r = 1.0 / x
@@ -697,20 +704,26 @@ _FEW_LANES = 11
 
 # Each family's regimes in order of argument, as (array kernel, float
 # kernel) pairs, both called as kernel(p, x) with p the order (J, I) or the
-# number of orders (Y, K).  A float kernel returns a float or a tuple of
-# floats, its array kernel the same values bit for bit as an array or rows.
-# None marks a regime without a float kernel here: K's trapezoid, whose
-# array form sums numpy's exp, and the zeros that stand in for K from
-# _K_SCALED_SWITCH on.
+# number of orders (the rows tables, Y, K).  A float kernel returns a float
+# or a tuple of floats, its array kernel the same values bit for bit as an
+# array or rows.  None marks a regime without a float kernel here: K's
+# trapezoid, whose array form sums numpy's exp, and the zeros that stand in
+# for K from _K_SCALED_SWITCH on.  The rows tables serve orders 0 .. n - 1
+# for n <= 3, which share the Miller start order and the switch to the
+# Hankel rows (_hankel_from(2) is _HANKEL_SWITCH), so each row is the
+# single-order table's value bit for bit.
 _J_ROUTES = (
     (lambda m, x: _ascending_series(m, x, -1.0),) * 2,
-    (_j_large_array, _j_large),
+    (lambda m, x: _j_large_array((m,), x), _j_large),
     (lambda m, x: _recur_up(m, x, _hankel01(x)[:2], -1.0),) * 2,
 )
-_J01_ROUTES = (
-    (lambda _, x: (_ascending_series(0, x, -1.0), _ascending_series(1, x, -1.0)),) * 2,
-    (lambda _, x: _j01_large_array(x), lambda _, x: _j01_large(x)),
-    (lambda _, x: _hankel01(x)[:2],) * 2,
+_J_ROWS_ROUTES = (
+    (lambda n, x: [_ascending_series(m, x, -1.0) for m in range(n)],) * 2,
+    (
+        lambda n, x: _j_large_array(range(n), x),
+        lambda n, x: _j01_large(x) + tuple(_j_large(m, x) for m in range(2, n)),
+    ),
+    (lambda n, x: _rows_up(n, x, _hankel01(x)[:2], -1.0),) * 2,
 )
 _Y_ROUTES = (
     (lambda n, x: _log_series_array(x, -1.0, n), lambda n, x: _log_series(x, -1.0, n)),
@@ -719,7 +732,11 @@ _Y_ROUTES = (
 )
 _I_ROUTES = (
     (lambda m, x: _ascending_series(m, x, 1.0),) * 2,
-    (_i_large_array, _i_large),
+    (lambda m, x: _i_large_array((m,), x), _i_large),
+)
+_I_ROWS_ROUTES = (
+    (lambda n, x: [_ascending_series(m, x, 1.0) for m in range(n)],) * 2,
+    (lambda n, x: _i_large_array(range(n), x), lambda n, x: [_i_large(m, x) for m in range(n)]),
 )
 _K_ROUTES = (
     (lambda n, x: _log_series_array(x, 1.0, n), lambda n, x: _log_series(x, 1.0, n)),
@@ -774,8 +791,20 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
     checked: they must be finite, x >= 0 for J and x > 0 for Y.
     """
     if family is CylinderFamily.BESSEL_J:
-        return _by_regime(x, _JY_SWITCHES, _J01_ROUTES, 0, 2)
+        return _j_rows(x, 2)
     return _y_rows(x, 2)
+
+
+def _j_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows J_0 .. J_{n-1}, n <= 3, on an array of valid arguments, from
+    one series, Miller or Hankel pass per argument."""
+    return _by_regime(x, _JY_SWITCHES, _J_ROWS_ROUTES, n, n)
+
+
+def _i_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows I_0 .. I_{n-1}, n <= 3, on an array of valid arguments, from
+    one Miller pass per argument from SERIES_SWITCH_I on."""
+    return _by_regime(x, _I_SWITCHES, _I_ROWS_ROUTES, n, n)
 
 
 def _y_rows(x: np.ndarray, orders: int) -> np.ndarray:
@@ -842,6 +871,12 @@ def besselk(m: int, x):
     if scaled.any():
         out[scaled] = _k_scaled(m, x[scaled])
     return out
+
+
+def _rows_up(n: int, x, c, sign: float):
+    # C_0 .. C_{n-1}, n <= 3, from the C_0 and C_1 in c, as _recur_up
+    # gives each
+    return (*c, _recur_up(2, x, c, sign)) if n > 2 else c
 
 
 def _recur_up(m: int, x, c, sign: float):
@@ -921,8 +956,8 @@ _SOMMERFELD_KR_MAX = 2.0 * math.exp(
 )
 
 #: sin(j 2 pi / N) at the trapezoid's N = _SOMMERFELD_POINTS nodes.
-_SOMMERFELD_SIN = tuple(
-    math.sin(j * (2.0 * math.pi / _SOMMERFELD_POINTS)) for j in range(_SOMMERFELD_POINTS)
+_SOMMERFELD_SIN = np.array(
+    [math.sin(j * (2.0 * math.pi / _SOMMERFELD_POINTS)) for j in range(_SOMMERFELD_POINTS)]
 )
 
 
@@ -935,6 +970,12 @@ def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
     Arguments where that bound is not below rounding raise ValueError
     (|kr| above _SOMMERFELD_KR_MAX, about 165); below it the real part
     reproduces J_0(kr) to rounding and the imaginary part cancels pairwise.
+
+    One np.cos and one np.sin pass take all nodes at once; on these
+    arguments they give math.cos and math.sin bit for bit.  Each sum runs
+    left to right from 0.0 as a loop over the nodes would: np.cumsum adds
+    in that order, and adding 0.0 turns an all-negative-zero sum into the
+    loop's +0.0.  (np.sum adds pairwise, which rounds differently.)
     """
     kr = float(kr)
     if math.isnan(kr) or math.isinf(kr):
@@ -945,12 +986,10 @@ def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
             f"{n} quadrature points resolve J_0 to rounding only for |kr| <= "
             f"{_SOMMERFELD_KR_MAX:.6g}, got {kr!r}"
         )
-    re = 0.0
-    im = 0.0
-    for sin_j in _SOMMERFELD_SIN:
-        a = kr * sin_j
-        re += math.cos(a)
-        im += math.sin(a)
+    with np.errstate(under="ignore"):  # a subnormal kr, as on floats
+        a = kr * _SOMMERFELD_SIN
+        re = float(np.cumsum(np.cos(a))[-1] + 0.0)
+        im = float(np.cumsum(np.sin(a))[-1] + 0.0)
     return re / n, im / n
 
 

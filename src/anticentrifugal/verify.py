@@ -38,20 +38,23 @@ from .potentials import (
 from .radial import (
     Direction,
     RadialGrid,
+    RadialWave,
     SolutionFamily,
+    _integrate_runs,
+    _reduction_check,
     analytic_radial,
     five_point_derivatives,
     integrate_radial,
-    laplacian_reduction_check,
     ode_residual,
 )
 from .specfun import (
     CylinderFamily,
     _crossover_mismatch,
+    _i_rows,
+    _j_rows,
     _k_rows,
-    _recur_up,
+    _rows_up,
     _slope,
-    besseli,
     besselj,
     besselk,
     bessely,
@@ -111,18 +114,19 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
     J_m Y_m' - J_m' Y_m must equal 2/(pi x) and I_m K_m' - I_m' K_m must
     equal -1/x; each mixes all four evaluation regimes across [0.1, 50].
     Each family is evaluated at orders 0, 1 and 2, bit for bit as by one
-    call per order, with one pass per family where one gives the rows:
-    orders 0 and 1 of J and Y come from oscillatory_pair, those of K from
-    one regime pass, and Y_2 and K_2 from the upward step that bessely(2)
-    and besselk(2) run on those rows.  J_2 and I keep a call per order.
+    call per order, with one pass per family: J and I take orders 0 to 2
+    from one series, Miller or Hankel pass, since those orders share the
+    Miller start order and the switch to the Hankel rows; Y and K take
+    orders 0 and 1 from one pass and order 2 from the upward step that
+    bessely(2) and besselk(2) run on those rows.
     """
     xs = np.linspace(0.1, 50.0, 1000)
-    y01, k01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs), _k_rows(xs, 2)
+    y01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs)
     rows = {
-        CylinderFamily.BESSEL_J: (*oscillatory_pair(CylinderFamily.BESSEL_J, xs), besselj(2, xs)),
-        CylinderFamily.NEUMANN_Y: (*y01, _recur_up(2, xs, y01, -1.0)),
-        CylinderFamily.MODIFIED_I: tuple(besseli(m, xs) for m in (0, 1, 2)),
-        CylinderFamily.MODIFIED_K: (*k01, _recur_up(2, xs, k01, 1.0)),
+        CylinderFamily.BESSEL_J: _j_rows(xs, 3),
+        CylinderFamily.NEUMANN_Y: _rows_up(3, xs, y01, -1.0),
+        CylinderFamily.MODIFIED_I: _i_rows(xs, 3),
+        CylinderFamily.MODIFIED_K: _rows_up(3, xs, _k_rows(xs, 2), 1.0),
     }
     # the slopes of orders 0 and 1 need nothing else
     values, slopes = {}, {}
@@ -147,10 +151,12 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
 
 
 def suite_sommerfeld(scale: float = 1.0) -> list[SuiteResult]:
-    """Angular plane-wave quadrature against the series evaluation of J_0."""
+    """Angular plane-wave quadrature against the series evaluation of J_0,
+    taken by one array call, which gives the scalar calls' values."""
+    args = (0.0, 20.0) + _SOMMERFELD_SAMPLE
     worst = 0.0
-    for kr in (0.0, 20.0) + _SOMMERFELD_SAMPLE:
-        worst = max(worst, abs(sommerfeld_j0(kr) - besselj(0, kr)))
+    for kr, j0 in zip(args, besselj(0, np.array(args)).tolist()):
+        worst = max(worst, abs(sommerfeld_j0(kr) - j0))
     return [
         _res(
             "sommerfeld-interference",
@@ -229,11 +235,22 @@ def _seed_pair(fn, k: float, grid: RadialGrid, at: tuple[int, int]) -> tuple[flo
     return tuple((np.sqrt(r) * fn(0, k * r)).tolist())
 
 
-def _decaying_match(h: float):
+def _decaying_match(h: float, fine: RadialWave | None = None):
     """The closed-form decaying wave at k = 1 and its inward Numerov march
-    on the matching grid of spacing h."""
+    on the matching grid of spacing h.
+
+    *fine* is the closed form on a finer matching grid.  Where the points
+    of this grid are every s-th point of that one, as linspace gives for
+    spacings that differ by a power of two, the wave is its slice at
+    stride s: the closed form is elementwise, so these are the values
+    analytic_radial gives here.
+    """
     grid = _match_grid(h)
-    ana = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, grid)
+    stride = round(h / fine.grid.spacing) if fine is not None else 0
+    if stride and np.array_equal(grid.points, fine.grid.points[::stride]):
+        ana = RadialWave(grid, fine.values[::stride], 0, 1.0, fine.energy_sign, fine.family)
+    else:
+        ana = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, grid)
     num = integrate_radial(
         _QUANTUM_ANTI,
         -0.5,
@@ -288,7 +305,7 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
         _res("radial-residual", max(r1, r2), 1e-5, scale, "five-point defect of closed forms")
     )
     # fourth-order convergence, observed from three spacings
-    pairs = [_decaying_match(h) for h in (4e-3, 2e-3)] + [(ana_k, num_k)]
+    pairs = [_decaying_match(h, ana_k) for h in (4e-3, 2e-3)] + [(ana_k, num_k)]
     errs = [float(np.max(np.abs(num.values - ana.values))) for ana, num in pairs]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     out.append(
@@ -329,12 +346,10 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
     )
     # constancy of the Wronskian of two independent numeric solutions
     wgrid = RadialGrid(0.5, 20.5, 20001)
-    u1, u2 = (
-        integrate_radial(
-            _QUANTUM_ANTI, 0.5, wgrid, _seed_pair(fn, 1.0, wgrid, (0, 1)), Direction.OUTWARD
-        ).values
-        for fn in (besselj, bessely)
-    )
+    # the two marches share one build of the step coefficients
+    seeds = [_seed_pair(fn, 1.0, wgrid, (0, 1)) for fn in (besselj, bessely)]
+    waves = _integrate_runs(_QUANTUM_ANTI, 0.5, wgrid, seeds, Direction.OUTWARD)
+    u1, u2 = (wave.values for wave in waves)
     d1 = five_point_derivatives(u1, wgrid.spacing)[0]
     d2 = five_point_derivatives(u2, wgrid.spacing)[0]
     w = u1[2:-2] * d2 - d1 * u2[2:-2]
@@ -351,11 +366,12 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
             "numeric solution pair on [0.5, 20.5]",
         )
     )
-    # the polar equation and its half-power reduction agree
+    # the polar equation and its half-power reduction agree; K_0 and K_1
+    # come from one pass per wavenumber, as laplacian_reduction_check's
+    # besselk(0) and besselk(1) give them
     lap_grid = RadialGrid(0.5, 10.0, 2001)
-    lap = max(
-        laplacian_reduction_check(m, k, lap_grid) for m in (0, 1) for k in (1.0, 2.0)
-    )
+    phi = {k: _k_rows(k * lap_grid.points, 2) for k in (1.0, 2.0)}
+    lap = max(_reduction_check(m, k, lap_grid, phi[k][m]) for m in (0, 1) for k in (1.0, 2.0))
     out.append(
         _res("laplacian-reduction", lap, 1e-5, scale, "orders 0, 1 at k = 1, 2")
     )

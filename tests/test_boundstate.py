@@ -494,6 +494,70 @@ def test_cutoff_integral_depends_on_the_ratio_alone_bit_for_bit(k, cutoff):
         assert cutoff_integral(math.ldexp(k, j), math.ldexp(cutoff, j)) == want
 
 
+def _cutoff_integral_panel_by_panel(k, cutoff):
+    # cutoff_integral as it ran one float Kronrod rule per panel, before
+    # the array pass; the rule is looked up when called, as there
+    k = boundstate._check_k(k)
+    cutoff = boundstate._check_positive("cutoff", cutoff)
+    if cutoff / k > 1e154:
+        raise ValueError(
+            f"cutoff {cutoff!r} exceeds 1e154 times the wavenumber {k!r}, where "
+            "(L/k)^2 overflows the quadrature; use the closed form ln(1 + L^2/k^2) / 2"
+        )
+    k, shift = math.frexp(k)
+    edges = [math.ldexp(cutoff, -shift)]
+    while edges[-1] > k / 64.0:
+        edges.append(0.5 * edges[-1])
+    edges.append(0.0)
+    edges.reverse()
+    total = err = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        v, e = boundstate.gauss_kronrod_15(lambda p: p / (p * p + k * k), a, b)
+        total += v
+        err += e
+    if err > 1e-10 * max(abs(total), 1.0):
+        raise ArithmeticError(
+            f"cutoff integral error estimate {err:.3e} too large for total {total:.6e}"
+        )
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("inflate", [1.0, 1e5])
+def test_cutoff_integral_equals_the_panel_by_panel_loop(monkeypatch, inflate):
+    # seeded (k, L), with L / k from below one panel to past 1e154; the
+    # rule's error estimates, inflated in the module, send some of them
+    # into the ArithmeticError path, on both sides of _FEW_PANELS
+    real = boundstate.gauss_kronrod_15
+
+    def inflated(f, a, b):
+        value, err = real(f, a, b)
+        return value, err * inflate
+
+    monkeypatch.setattr(boundstate, "gauss_kronrod_15", inflated)
+    rng = np.random.default_rng(31)
+    ks = 10.0 ** rng.uniform(-300.0, 300.0, 150)
+    ratios = 10.0 ** rng.uniform(-3.0, 160.0, 150)
+    seen = set()
+    for k, ratio in zip(ks.tolist(), ratios.tolist()):
+        cutoff = k * ratio
+        got = _outcome(cutoff_integral, k, cutoff)
+        assert got == _outcome(_cutoff_integral_panel_by_panel, k, cutoff), (k, cutoff)
+        panels = math.log2(ratio) + 6.0
+        seen.add((str if isinstance(got, str) else got[0], panels > boundstate._FEW_PANELS))
+    if inflate == 1.0:
+        assert seen == {(str, False), (str, True), (ValueError, True)}
+    else:
+        arithmetic = {(ArithmeticError, False), (ArithmeticError, True)}
+        assert seen == {(str, False), (ValueError, True)} | arithmetic
+
+
 @pytest.mark.parametrize("k, cutoff", [(1e-170, 1.0), (1e-300, 1e300), (1.0, 1e155)])
 def test_cutoff_integral_past_the_range_of_l_over_k_squared_names_the_closed_form(k, cutoff):
     with pytest.raises(ValueError, match=r"closed form ln\(1 \+ L\^2/k\^2\) / 2"):

@@ -33,7 +33,7 @@ from anticentrifugal.radial import (
     polar_mode_residual,
     wavenumber_from_energy,
 )
-from anticentrifugal.specfun import besseli, besselj, besselk, bessely
+from anticentrifugal.specfun import _k_rows, besseli, besselj, besselk, bessely
 
 QUANTUM_ANTI = EffectivePotentialSpec(PotentialFamily.QUANTUM_ANTICENTRIFUGAL)
 
@@ -525,6 +525,32 @@ def test_polar_and_half_power_forms_agree(m, k):
     assert defect <= 1e-5
     direct = np.max(np.abs(polar_mode_residual(m, k, grid)))
     assert direct == pytest.approx(defect)
+
+
+@pytest.mark.parametrize("grid", [RadialGrid(0.5, 10.0, 2001), RadialGrid(0.05, 30.0, 3001)])
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.0, 7.0])
+def test_reduction_check_on_shared_rows_is_the_per_order_check(grid, k):
+    # verify takes K_0 and K_1 from one pass per wavenumber; on arguments
+    # below 705 they are besselk's values, and so is every check's result
+    rows = _k_rows(k * grid.points, 2)
+    for m in (0, 1):
+        np.testing.assert_array_equal(rows[m], besselk(m, k * grid.points))
+        got = radial._reduction_check(m, k, grid, rows[m])
+        assert got.hex() == laplacian_reduction_check(m, k, grid).hex()
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_runs_on_shared_coefficients_are_separate_marches(direction):
+    grid = RadialGrid(0.5, 20.5, 4001)
+    seeds = [(0.3, 0.31), (-1e-3, 2e-3), (1.0, 1.0)]
+    waves = radial._integrate_runs(QUANTUM_ANTI, 0.5, grid, seeds, direction)
+    for wave, pair in zip(waves, seeds):
+        alone = integrate_radial(QUANTUM_ANTI, 0.5, grid, pair, direction)
+        np.testing.assert_array_equal(wave.values, alone.values)
+        assert (wave.grid, wave.order, wave.wavenumber, wave.energy_sign, wave.family) == (
+            alone.grid, alone.order, alone.wavenumber, alone.energy_sign, alone.family)
+    with pytest.raises(ValueError, match=r"seed values must be finite, got \(1.0, nan\)"):
+        radial._integrate_runs(QUANTUM_ANTI, 0.5, grid, [(0.3, 0.31), (1.0, math.nan)], direction)
 
 
 # ---------------------------------------------------------------------------

@@ -363,17 +363,23 @@ def test_sommerfeld_sine_table_is_the_per_node_sine():
 
 
 def test_sommerfeld_components_match_the_per_node_sine_loop():
-    # the table changes no operation: the sums are bit for bit those of
-    # the loop that took each node's sine in turn
+    # one np.cos and one np.sin pass over the nodes, summed by np.cumsum,
+    # change no operation: the sums are bit for bit, signed zeros included,
+    # those of the loop that took each node's sine, cosine and sine in turn
     n = specfun._SOMMERFELD_POINTS
     step = 2.0 * math.pi / n
-    for kr in (0.0, 0.07114788067655642, 1.0, 5.0, 19.9, -3.3, 150.0):
+    top = specfun._SOMMERFELD_KR_MAX
+    rng = random.Random(2718)
+    edges = (0.0, -0.0, 5e-324, -5e-324, 0.07114788067655642, 1.0, 5.0, 19.9, -3.3, 150.0)
+    seeded = [rng.uniform(-top, top) for _ in range(200)]
+    for kr in edges + (top, -top, 165.0, -165.0) + tuple(seeded):
         re = im = 0.0
         for j in range(n):
             a = kr * math.sin(j * step)
             re += math.cos(a)
             im += math.sin(a)
-        assert sommerfeld_j0_components(kr) == (re / n, im / n)
+        got = sommerfeld_j0_components(kr)
+        assert [v.hex() for v in got] == [(re / n).hex(), (im / n).hex()], kr
 
 
 def test_sommerfeld_rejects_bad_input():

@@ -38,6 +38,8 @@ from anticentrifugal.specfun import (
     _K_SCALED_SWITCH,
     _k01_large,
     _log_series,
+    _i_rows,
+    _j_rows,
     _miller,
     _miller_array,
     besseli,
@@ -449,12 +451,62 @@ def test_miller_pass_on_shuffled_lanes_matches_the_float_pass(sign, start, lo, h
     want = np.array([_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]).T
     with _strict():
         with np.errstate(under="ignore"):  # as _by_regime runs the kernels
-            np.testing.assert_array_equal(_miller_array(x, top, sign, m), want)
+            np.testing.assert_array_equal(_miller_array(x, top, sign, (m,)), want)
             if sign < 0.0:
-                neumann = _miller_array(x, top, sign, m, neumann=True)
+                neumann = _miller_array(x, top, sign, (m,), neumann=True)
                 np.testing.assert_array_equal(neumann[:3], want)
         fn = besselj if sign < 0.0 else besseli
         np.testing.assert_array_equal(fn(m, x), [fn(m, v) for v in x.tolist()])
+
+
+def test_numpy_cos_and_sin_are_the_math_modules():
+    # the Hankel expansions and the Sommerfeld trapezoid take numpy's cos
+    # and sin on arrays, for math.cos and math.sin bit for bit; CI runs this
+    # on numpy's default, AVX2 and baseline dispatch tiers
+    rng = np.random.default_rng(53)
+    x = np.concatenate((rng.uniform(-200.0, 200.0, 50000), 10.0 ** rng.uniform(1.3, 308.0, 50000)))
+    for array_fn, fn in ((np.cos, math.cos), (np.sin, math.sin)):
+        assert array_fn(x).tolist() == [fn(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("sign, start, x, orders", [
+    # orders 0 to 2 share the default start order on every argument
+    (-1.0, _j_start, np.linspace(SERIES_SWITCH_JY, _HANKEL_SWITCH, 97), (0, 1, 2)),
+    (1.0, _i_start, np.linspace(SERIES_SWITCH_I, 700.0, 97), (0, 1, 2)),
+    # the passes rescale once, near order 150 (J) or 670 (I): after the
+    # captures of the two high orders, which it must scale, and before
+    # order 2's
+    (-1.0, _j_start, np.array([5.0, 4.5, 5.5, 6.0]), (400, 300, 2)),
+    (1.0, _i_start, np.array([700.0, 699.5, 690.0, 650.0]), (1500, 1000, 2)),
+])
+def test_one_miller_pass_captures_each_order_as_its_own_pass(sign, start, x, orders):
+    top = np.array([start(v, max(orders)) for v in x.tolist()])
+    if orders == (0, 1, 2):
+        assert all(start(v, m) == start(v, 0) for v in x.tolist() for m in orders)
+    with _strict(), np.errstate(under="ignore"):  # as _by_regime runs the kernels
+        *rows, c0, denom = _miller_array(x, top, sign, orders)
+    for m, row in zip(orders, rows):
+        want = [_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]
+        np.testing.assert_array_equal(row, [w[0] for w in want])
+        np.testing.assert_array_equal(c0, [w[1] for w in want])
+        np.testing.assert_array_equal(denom, [w[2] for w in want])
+
+
+@pytest.mark.parametrize("rows, fn, hi", [(_j_rows, besselj, 60.0), (_i_rows, besseli, 700.0)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_rows_of_orders_0_to_2_are_one_call_per_order(rows, fn, hi, n):
+    # every regime on a long array (the array kernels) and on few lanes
+    # (the float kernels), up to I's largest argument
+    rng = np.random.default_rng(43)
+    edges = [0.0, SERIES_SWITCH_JY, SERIES_SWITCH_I, _HANKEL_SWITCH, hi]
+    x = np.concatenate((rng.uniform(0.0, hi, 400), edges))
+    for lanes in (x, x[-5:], x[:3]):
+        with _strict():
+            got = rows(lanes, n)
+        assert got.shape == (n, lanes.size)
+        for m in range(n):
+            np.testing.assert_array_equal(got[m], fn(m, lanes))
+            np.testing.assert_array_equal(got[m], [fn(m, v) for v in lanes.tolist()])
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])

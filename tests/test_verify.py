@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anticentrifugal import specfun, verify
+from anticentrifugal import radial, specfun, verify
 from anticentrifugal.boundstate import k_from_coupling
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.radial import RadialGrid, SolutionFamily, analytic_radial
@@ -24,6 +24,7 @@ from anticentrifugal.specfun import (
 )
 from anticentrifugal.verify import (
     SuiteResult,
+    _decaying_match,
     _match_grid,
     _quadrature_root,
     _seed_pair,
@@ -150,7 +151,7 @@ def test_wronskian_rows_equal_one_call_per_order():
 def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
     # counted like test_zero_finder_makes_no_array_miller_pass: a call per
     # order ran 9 Miller passes, 6 log-series passes, 3 trapezoids and 6
-    # Hankel evaluations
+    # Hankel evaluations; J and I now take orders 0 to 2 from one pass
     calls = collections.Counter()
 
     def spy(name):
@@ -166,10 +167,50 @@ def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
     for name in ("_miller_array", "_log_series", "_k01_large", "_hankel01"):
         spy(name)
     assert all(r.passed for r in verify.suite_wronskians())
-    assert calls["_miller_array"] <= 6
+    assert calls["_miller_array"] <= 3
     assert calls["_log_series"] <= 2
     assert calls["_k01_large"] <= 1
-    assert calls["_hankel01"] <= 3
+    assert calls["_hankel01"] <= 2
+
+
+def test_radial_suite_computes_each_kernel_value_once(monkeypatch):
+    # no K pass on the coarse matching grids, whose closed form is a slice
+    # of the fine one; one K_0, K_1 pass per laplacian wavenumber; one
+    # coefficient build for the Wronskian pair's two marches
+    k_passes, builds = [], []
+    by_regime, potential = specfun._by_regime, radial.eval_potential
+
+    def regime_spy(x, switches, routes, p, width=1):
+        if routes is specfun._K_ROUTES:
+            k_passes.append((x.size, p))
+        return by_regime(x, switches, routes, p, width)
+
+    def potential_spy(spec, r):
+        builds.append((r.size, float(r[0])))
+        return potential(spec, r)
+
+    monkeypatch.setattr(specfun, "_by_regime", regime_spy)
+    monkeypatch.setattr(radial, "eval_potential", potential_spy)
+    assert all(r.passed for r in suite_radial())
+    sizes = [size for size, _ in k_passes]
+    assert 5001 not in sizes and 10001 not in sizes
+    assert [p for size, p in k_passes if size == 2001] == [2, 2]
+    assert builds.count((20001, 0.5)) == 1
+
+
+@pytest.mark.parametrize("h", [2e-3, 4e-3])
+def test_match_grid_slices_are_the_closed_form_on_the_coarse_grids(h):
+    fine = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, _match_grid(1e-3))
+    ana, num = _decaying_match(h, fine)
+    want = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, _match_grid(h))
+    assert ana.grid == want.grid
+    np.testing.assert_array_equal(ana.grid.points, want.grid.points)
+    np.testing.assert_array_equal(ana.values, want.values)
+    np.testing.assert_array_equal(num.values, _decaying_match(h)[1].values)
+    # a fine wave whose points are not this grid's at any stride is not sliced
+    other_grid = RadialGrid(0.05, 20.0501, 20001)
+    other = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, other_grid)
+    np.testing.assert_array_equal(_decaying_match(h, other)[0].values, want.values)
 
 
 def test_radial_suite_takes_no_median(monkeypatch):
