@@ -126,23 +126,30 @@ def _ring_form(k: float):
     """W = 2 k^2 r K_0(k r)^2 as a function of r and k0 = K_0(k r) > 0, on
     floats or arrays, with the grouping chosen once per k.
 
-    Where 2 k^2 underflows or overflows (k below about 1e-154 or above
-    about 9e153) the factors are grouped as (2 k ((k r) K_0)) K_0:
-    (k r) K_0(k r) <= 0.47, so the first product is at most 0.94 k. Where
-    2 k^2 is normal and K_0 > 0, k r < 746 keeps 2 k^2 r finite.
+    Where 2 k^2 underflows (k below about 1e-154) the factors are grouped
+    as (2 k ((k r) K_0)) K_0.  Where it overflows (k above about 9e153)
+    they are grouped as (2 (k ((k r) K_0))) K_0, which never forms 2 k,
+    itself past the double range from about 9e307 on: (k r) K_0(k r) <=
+    0.47, so 2 (k ((k r) K_0)) is at most 0.94 k, and k ((k r) K_0) is
+    normal, so doubling it is exact.  Where 2 k^2 is normal and K_0 > 0,
+    k r < 746 keeps 2 k^2 r finite.
     """
     two_k2 = 2.0 * k * k
     if sys.float_info.min <= two_k2 <= sys.float_info.max:
         return lambda r, k0: two_k2 * r * k0**2
+    if two_k2 > 1.0:
+        return lambda r, k0: 2.0 * (k * ((k * r) * k0)) * k0
     return lambda r, k0: 2.0 * k * ((k * r) * k0) * k0
 
 
 def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
     """W at an array of positive radii from k0 = K_0(k r): 0 where K_0 is
-    0, where 2 k^2 r or k r may have overflowed; underflow rounds silently."""
+    0, where 2 k^2 r or k r may have overflowed.  Underflow rounds
+    silently, and so does a W past the double range (k above about
+    1.45e308), as on the float path."""
     out = np.zeros(r.shape)
     pos = k0 > 0.0
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):
         out[pos] = _ring_form(k)(r[pos], k0[pos])
     return out
 

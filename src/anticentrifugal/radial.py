@@ -345,7 +345,9 @@ def _phi2_and_k0(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
     k0 = _k0_at(k, r)
-    with np.errstate(under="ignore"):  # a subnormal k, as on the float path
+    # a subnormal k, or an amplitude past the double range (k above about
+    # 1.03e308), rounds as float arithmetic does, silently
+    with np.errstate(under="ignore", over="ignore"):
         return k / math.sqrt(math.pi) * k0, k0
 
 

@@ -32,27 +32,22 @@ is needed only to start the recurrence.
 Every evaluator takes a float or an array of arguments.  The ascending and
 log-augmented series, the Hankel expansions, the K trapezoid and the
 upward recurrence are each written once and run the same operations on a
-float (in pure Python, returning a float) and on an array (one lane per
-argument), except that the trapezoid sums numpy's exp on an array, which
-is cheaper per lane than math.exp and rounds differently.  The Miller pass
-and Neumann's series keep a pure-Python kernel and an array twin that
-repeats its operations in the same order, starting each lane at its own
-order.  Array code calls the math module per element (``_map``) only for
-log and exp, whose numpy versions may round differently; cos, sin, start
-orders and square and cube roots are computed over the whole array, and
-the rare J start order whose sum sits next to an integer is recomputed the
-scalar way.  J, Y and I therefore agree bit for bit between the two paths;
-K agrees to a few units in the last place on [3, 20), where the trapezoid
-serves it, and bit for bit elsewhere.
+float (in Python floats, returning a float) and on an array (one lane per
+argument).  The Miller pass and Neumann's series keep a pure-Python kernel
+and an array twin that repeats its operations in the same order, starting
+each lane at its own order.  The K trapezoid takes its exp from numpy on
+both paths; elsewhere array code calls the math module per element
+(``_map``) for log and exp, whose numpy versions may round differently.
+cos, sin, start orders and square and cube roots are computed over the
+whole array, and the rare J start order whose sum sits next to an integer
+is recomputed the scalar way.  J, Y, I and K therefore agree bit for bit
+between the two paths.
 
 One table per family pairs each regime's array kernel with its float
 kernel; J and I have a second that serves orders 0 to 2 at once.  A
 float runs the float kernel of its regime; so does each argument of an
-array regime that holds at most _FEW_LANES of them, since
-an array kernel's numpy calls cost more than that many pure-Python
-evaluations.  K's trapezoid on [3, 20) never does: it keeps its array
-kernel at every lane count, so its values do not depend on how many
-arguments share the array.
+array regime that holds at most _FEW_LANES of them, since an array
+kernel's numpy calls cost more than that many pure-Python evaluations.
 
 All functions are pure and keep no state between calls.
 """
@@ -89,9 +84,9 @@ _HANKEL_SWITCH = 20.0
 _HANKEL_TERMS = 14
 
 #: Step of the K trapezoid below _HANKEL_SWITCH, and its nodes cosh(_K_STEP j)
-#: for j = 1 .. 25: from x = SERIES_SWITCH_K on, the sum stops by the last.
+#: for j = 0 .. 25: from x = SERIES_SWITCH_K on, the sum stops by the last.
 _K_STEP = 0.15
-_K_COSH = tuple(math.cosh(_K_STEP * j) for j in range(1, 26))
+_K_COSH = np.array([math.cosh(_K_STEP * j) for j in range(26)])
 
 #: I_m overflows double precision shortly above this argument.
 MAX_ARGUMENT_I = 700.0
@@ -514,21 +509,22 @@ def _k01_large(x, orders: int = 2):
     and only its sum runs.
 
     The integrand extends to an even analytic function of t, so the
-    trapezoid converges geometrically.  A float sums math.exp and stops
-    after the first node with x (cosh t - 1) > 55; an array sums numpy's
-    exp, which is cheaper per lane and rounds differently, and stops once
-    its smallest lane has passed that node: rounding is monotone, so that
-    is exactly when every lane has.  Each term a lane adds past its own
-    stop is below e^-55 of its sum, so it leaves the sum unchanged.
+    trapezoid converges geometrically.  Its exponentials come from numpy's
+    exp on both paths: a float takes all nodes in one call, an array one
+    node per call.  Both sum them in node order and stop after the first
+    node with x (cosh t - 1) > 55; an array stops once its smallest lane
+    has passed that node: rounding is monotone, so that is exactly when
+    every lane has.  Each term a lane adds past its own stop is below e^-55
+    of its sum, so it leaves the sum unchanged.
     """
     array = isinstance(x, np.ndarray)
-    exp = np.exp if array else math.exp
     both = orders > 1
     last = float(x.min()) if array else x  # the lane that stops last
     nx = -x
-    s0 = s1 = 0.5 * exp(nx)
-    for c in _K_COSH:
-        f = exp(nx * c)
+    nodes = _K_COSH.tolist()
+    terms = (np.exp(nx * c) for c in nodes) if array else iter(np.exp(nx * _K_COSH).tolist())
+    s0 = s1 = 0.5 * next(terms)
+    for c, f in zip(nodes[1:], terms):
         s0 = s0 + f
         if both:
             s1 = s1 + f * c
@@ -706,12 +702,11 @@ _FEW_LANES = 11
 # kernel) pairs, both called as kernel(p, x) with p the order (J, I) or the
 # number of orders (the rows tables, Y, K).  A float kernel returns a float
 # or a tuple of floats, its array kernel the same values bit for bit as an
-# array or rows.  None marks a regime without a float kernel here: K's
-# trapezoid, whose array form sums numpy's exp, and the zeros that stand in
-# for K from _K_SCALED_SWITCH on.  The rows tables serve orders 0 .. n - 1
-# for n <= 3, which share the Miller start order and the switch to the
-# Hankel rows (_hankel_from(2) is _HANKEL_SWITCH), so each row is the
-# single-order table's value bit for bit.
+# array or rows; from _K_SCALED_SWITCH on, both give the zeros that stand
+# in for K until _k_scaled serves it.  The rows tables serve orders
+# 0 .. n - 1 for n <= 3, which share the Miller start order and the switch
+# to the Hankel rows (_hankel_from(2) is _HANKEL_SWITCH), so each row is
+# the single-order table's value bit for bit.
 _J_ROUTES = (
     (lambda m, x: _ascending_series(m, x, -1.0),) * 2,
     (lambda m, x: _j_large_array((m,), x), _j_large),
@@ -740,9 +735,9 @@ _I_ROWS_ROUTES = (
 )
 _K_ROUTES = (
     (lambda n, x: _log_series_array(x, 1.0, n), lambda n, x: _log_series(x, 1.0, n)),
-    (lambda n, x: _k01_large(x, n), None),
+    (lambda n, x: _k01_large(x, n),) * 2,
     (lambda n, x: _k01_hankel(x, n),) * 2,
-    (lambda n, x: np.zeros((n, x.size)), None),
+    (lambda n, x: np.zeros((n, x.size)), lambda n, x: (0.0,) * n),
 )
 _JY_SWITCHES = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
 _I_SWITCHES = (SERIES_SWITCH_I,)
@@ -755,11 +750,10 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p: int, width: int
     is the number of rows each kernel returns.
 
     A regime that holds at most _FEW_LANES arguments runs its float kernel
-    on one argument at a time, which gives the same values faster; K's
-    trapezoid, which has none, always runs its array kernel.  Underflow is
-    ignored here, on the array path only: a term or a value that rounds to
-    a subnormal or zero is as benign on an array as it is in the float
-    path's pure-Python arithmetic, which never raises.
+    on one argument at a time, which gives the same values faster.
+    Underflow is ignored here, on the array path only: a term or a value
+    that rounds to a subnormal or zero is as benign on an array as it is in
+    the float path's pure-Python arithmetic, which never raises.
     """
     flat = x.ravel()
     out = np.empty((width, flat.size))
@@ -770,7 +764,7 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p: int, width: int
             v = flat[mask]
             if not v.size:
                 continue
-            if lane_kernel is None or v.size > _FEW_LANES:
+            if v.size > _FEW_LANES:
                 out[:, mask] = kernel(p, v)
             else:
                 out[:, mask] = np.array([lane_kernel(p, u) for u in v.tolist()]).T
@@ -858,11 +852,7 @@ def besselk(m: int, x):
         x = _check_argument(CylinderFamily.MODIFIED_K, x)
         if x >= _K_SCALED_SWITCH:
             return float(_k_scaled(m, np.array([x]))[0])
-        if SERIES_SWITCH_K <= x < _HANKEL_SWITCH:
-            k = _k01_large(x, orders)  # the trapezoid on math.exp
-        else:
-            k = _on_float(x, _K_SWITCHES, _K_ROUTES, orders)
-        return _recur_up(m, x, k, 1.0)
+        return _recur_up(m, x, _on_float(x, _K_SWITCHES, _K_ROUTES, orders), 1.0)
     x = _check_arguments(CylinderFamily.MODIFIED_K, x)
     # zeros carry the scaled regime's elements through the shared
     # recurrence; _k_scaled fills them in afterwards

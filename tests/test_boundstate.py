@@ -398,9 +398,11 @@ def test_ring_weight_is_zero_where_k0_is_zero(k, r):
 
 def test_ring_weight_near_the_top_of_the_double_range():
     # 2 k K_0(k r) alone overflows here (k r = 0.05 gives 1.9e308 at
-    # k = 3e307), while 2 k (k r) K_0(k r) <= 0.94 k and W <= 1.24 k do not
-    _check_ring_weight_against_mpmath(3e307)
-    for k in (3e307, 4.7e307, 8e307):
+    # k = 3e307), and 2 k itself from k of about 9e307 on, while
+    # 2 k (k r) K_0(k r) <= 0.94 k and W <= 1.24 k do not
+    for k in (3e307, 1e308, 1.4e308):
+        _check_ring_weight_against_mpmath(k)
+    for k in (3e307, 4.7e307, 8e307, 1e308, 1.4e308):
         r = default_grid(k).points
         with np.errstate(all="raise"):
             w = density_profile(2, k, r)

@@ -312,14 +312,29 @@ def test_wavefunction_where_k0_is_zero_writes_zeros(capsys, k, r_max):
     assert [row[1:] for row in rows[1:]] == [["0", "0"], ["0", "0"]]
 
 
-def test_wavefunction_weight_near_the_top_of_the_double_range(capsys):
-    # 2 k K_0(k r) overflows at the first row (k r = 0.05), though w2 does not
-    k = 3e307
+@pytest.mark.parametrize("k", [3e307, 1e308])
+def test_wavefunction_weight_near_the_top_of_the_double_range(capsys, k):
+    # 2 k K_0(k r) overflows at the first row (k r = 0.05), and 2 k itself
+    # from k of about 9e307 on, though w2 <= 1.24 k does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "wavefunction", "--k", repr(k), "--n-points", "41")
     assert (rc, err) == (0, "")
     _check_w2_against_mpmath(k, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "1.4e308"),  # the amplitude k / sqrt(pi) K_0 exceeds the double range
+    ("--k", "1.7e308"),
+    ("--k", "1.79e308", "--n-points", "2000"),  # and so does W near the ring
+])
+def test_wavefunction_past_the_double_range_exits_2_with_one_line(capsys, argv):
+    # numpy's two-line RuntimeWarning used to come before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "wavefunction", *argv)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_boundstate_line_and_point(capsys):

@@ -1,13 +1,11 @@
 """The array path of the cylinder functions, pinned to the scalar path.
 
 An array runs either the very kernel a float runs (the series, the Hankel
-expansions, the upward recurrence) or an array twin that repeats its
-floating-point operations in the same order, so J, Y and I must agree bit
-for bit, and so must K from x = 20 on.  Below that K may differ only where
-the trapezoid's numpy exp rounds differently from math.exp: a few units in
-the last place.  A regime that holds at most _FEW_LANES arguments runs the
-float kernels themselves, so a test that means the array kernels repeats
-its arguments past that count (lanes.on_array_kernels).
+expansions, the K trapezoid, the upward recurrence) or an array twin that
+repeats its floating-point operations in the same order, so J, Y, I and K
+must agree bit for bit.  A regime that holds at most _FEW_LANES arguments
+runs the float kernels themselves, so a test that means the array kernels
+repeats its arguments past that count (lanes.on_array_kernels).
 """
 
 import contextlib
@@ -75,16 +73,6 @@ _GRID = np.sort(
 )
 
 
-def _assert_pinned(family, got, want, x):
-    if family is CylinderFamily.MODIFIED_K:
-        below = x < _HANKEL_SWITCH
-        rel = np.abs(got[below] - want[below]) / np.abs(want[below])
-        assert np.max(rel) <= 4e-15
-        np.testing.assert_array_equal(got[~below], want[~below])
-    else:
-        np.testing.assert_array_equal(got, want)
-
-
 @pytest.mark.parametrize("family", list(CylinderFamily))
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_array_values_match_scalar_path(family, m):
@@ -92,7 +80,7 @@ def test_array_values_match_scalar_path(family, m):
     got = fn(m, _GRID)
     want = np.array([fn(m, float(x)) for x in _GRID])
     assert isinstance(got, np.ndarray) and got.shape == _GRID.shape
-    _assert_pinned(family, got, want, _GRID)
+    np.testing.assert_array_equal(got, want)
 
 
 #: Arguments whose series converge after very different numbers of terms:
@@ -211,7 +199,7 @@ def test_array_derivatives_match_scalar_path(family, m):
     kind = CylinderKind(family, m)
     got = eval_cylinder_derivative(kind, _GRID)
     want = np.array([eval_cylinder_derivative(kind, float(x)) for x in _GRID])
-    _assert_pinned(family, got, want, _GRID)
+    np.testing.assert_array_equal(got, want)
 
 
 def _j_start_sum(x: float) -> float:
@@ -271,7 +259,7 @@ def test_k_trapezoid_nodes_reach_the_stop_at_the_series_switch(x):
     # the loop runs out of nodes without an error, so the last node must
     # meet the stop test x (cosh t - 1) > 55 at the smallest argument the
     # trapezoid serves, and at the crossover check's point below it
-    assert len(_K_COSH) == 25
+    assert len(_K_COSH) == 26
     assert x * (_K_COSH[-1] - 1.0) > 55.0
     assert x * (_K_COSH[-2] - 1.0) <= 55.0
 
@@ -346,10 +334,10 @@ _AROUND_FEW = (1, _FEW_LANES, _FEW_LANES + 1)
 
 
 def _seeded_regimes(family, seed):
-    """Per regime, its lower end and a long array of seeded arguments inside it."""
+    """Per regime, a long array of seeded arguments inside it."""
     rng = np.random.default_rng(seed)
     for lo, hi in _REGIMES[family]:
-        yield lo, rng.uniform(lo, hi, 4 * _FEW_LANES)
+        yield rng.uniform(lo, hi, 4 * _FEW_LANES)
 
 
 @contextlib.contextmanager
@@ -367,49 +355,25 @@ def test_few_lanes_match_floats_and_long_arrays(family, m):
     # long array, and the float path: the same bits every way
     fn = _EVAL[family]
     with _strict():
-        for lo, x in _seeded_regimes(family, [15, m]):
+        for x in _seeded_regimes(family, [15, m]):
             in_long = fn(m, x)
             for n in _AROUND_FEW:
                 got = fn(m, x[:n])
                 np.testing.assert_array_equal(got, in_long[:n])
-                if not (family is CylinderFamily.MODIFIED_K and lo == SERIES_SWITCH_K):
-                    np.testing.assert_array_equal(got, [fn(m, v) for v in x[:n].tolist()])
+                np.testing.assert_array_equal(got, [fn(m, v) for v in x[:n].tolist()])
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
 def test_few_lane_pairs_match_floats_and_long_arrays(family):
     fn = _EVAL[family]
     with _strict():
-        for _, x in _seeded_regimes(family, 16):
+        for x in _seeded_regimes(family, 16):
             in_long = oscillatory_pair(family, x)
             for n in _AROUND_FEW:
                 got = oscillatory_pair(family, x[:n])
                 np.testing.assert_array_equal(got, in_long[:, :n])
                 for m in (0, 1):
                     np.testing.assert_array_equal(got[m], [fn(m, v) for v in x[:n].tolist()])
-
-
-def test_k_trapezoid_keeps_its_array_kernel_at_few_lanes(monkeypatch):
-    # the float kernel sums math.exp, which may round apart from numpy's
-    # exp; one lane must enter the array trapezoid and read what a long
-    # array reads
-    x = np.linspace(SERIES_SWITCH_K, _HANKEL_SWITCH, 200, endpoint=False)
-    lanes = []
-    real = specfun._k01_large
-
-    def counted(v, orders=2):
-        if isinstance(v, np.ndarray):
-            lanes.append(v.size)
-        return real(v, orders)
-
-    monkeypatch.setattr(specfun, "_k01_large", counted)
-    with _strict():
-        for m in (0, 1, 2, 5):
-            in_long = besselk(m, x)
-            lanes.clear()
-            one_lane = [besselk(m, x[i : i + 1])[0] for i in range(x.size)]
-            np.testing.assert_array_equal(one_lane, in_long)
-            assert lanes == [1] * x.size
 
 
 def test_k_trapezoid_sums_order_zero_alone_bit_for_bit():
