@@ -246,24 +246,24 @@ def density_maximum(pd: ProbabilityDensity) -> tuple[float, float]:
 # --- planar coupling regularized by a sharp momentum cutoff ---------------
 
 
-#: cutoff_integral takes an array pass of the Kronrod rule past this many
-#: panels.  The pass pays about 0.1 ms of numpy calls whatever its panel
-#: count, as much as that many panels at one float rule each (Python 3.11,
-#: numpy 2.4, a shared 2-vCPU x86-64 host).
-_FEW_PANELS = 24
-
-
-def cutoff_integral(k: float, cutoff: float) -> float:
+def cutoff_integral(k, cutoff: float):
     """Quadrature value of the loop integral int_0^L p / (p^2 + k^2) dp.
 
     Split into dyadic panels from the cutoff down to well below the scale
     of k, so the integrand's poles at +-ik stay far from every panel and a
     fixed Kronrod rule resolves each one; the final stub below k/64 is
     nearly linear. Used as the slow, independent route to the coupling
-    relation (the closed form is ln(1 + L^2/k^2) / 2). Past _FEW_PANELS
-    panels they all run through one array pass of the Kronrod rule, which
-    gives each panel's values bit for bit; the values and error estimates
-    are summed from the bottom panel up either way.
+    relation (the closed form is ln(1 + L^2/k^2) / 2).
+
+    k is a float or an array of wavenumbers, giving a float or an array of
+    its shape.  The panels of every wavenumber run through one array pass
+    of the Kronrod rule, which gives each panel's values bit for bit as a
+    float rule would, and each wavenumber's values and error estimates are
+    summed from its bottom panel up, so its value is that of a loop over
+    its panels.  The checks run one at a time over all wavenumbers, in the
+    order a float call makes them: bad wavenumbers, the cutoff, L / k past
+    1e154, then the error estimates; the first wavenumber that fails the
+    first failing check raises that check's error, as its float call would.
 
     The integral depends on L / k alone, so it runs with k and L scaled by
     one power of two that puts k in [0.5, 1): k^2 can then neither
@@ -272,34 +272,46 @@ def cutoff_integral(k: float, cutoff: float) -> float:
     L / k = 1e154, where (L/k)^2 overflows, ValueError points to the
     closed form.
     """
-    k = _check_k(k)
+    array = isinstance(k, np.ndarray) and k.ndim > 0
+    ks = np.ravel(k).astype(float) if array else np.array([_check_k(k)])
+    bad = ~(np.isfinite(ks) & (ks > 0.0))
+    if bad.any():
+        _check_k(ks[bad][0].item())
     cutoff = _check_positive("cutoff", cutoff)
-    if cutoff / k > 1e154:
+    with np.errstate(over="ignore"):  # an infinite L / k, as on floats
+        over = cutoff / ks > 1e154
+    if over.any():
         raise ValueError(
-            f"cutoff {cutoff!r} exceeds 1e154 times the wavenumber {k!r}, where "
-            "(L/k)^2 overflows the quadrature; use the closed form ln(1 + L^2/k^2) / 2"
+            f"cutoff {cutoff!r} exceeds 1e154 times the wavenumber {ks[over][0].item()!r}, "
+            "where (L/k)^2 overflows the quadrature; use the closed form ln(1 + L^2/k^2) / 2"
         )
-    k, shift = math.frexp(k)
-    edges = [math.ldexp(cutoff, -shift)]
-    while edges[-1] > k / 64.0:
-        edges.append(0.5 * edges[-1])
-    edges.append(0.0)
-    edges.reverse()
-    f = lambda p: p / (p * p + k * k)
-    if len(edges) - 1 > _FEW_PANELS:
-        ends = np.array(edges)
-        panels = zip(*(v.tolist() for v in gauss_kronrod_15(f, ends[:-1], ends[1:])))
-    else:
-        panels = [gauss_kronrod_15(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    total = err = 0.0
-    for v, e in panels:
-        total += v
-        err += e
-    if err > 1e-10 * max(abs(total), 1.0):
+    ks, shift = np.frexp(ks)
+    top = np.ldexp(cutoff, -shift)
+    # the panel edges halve from the top while above k / 64: with top =
+    # t 2^e and k / 64 = c 2^d, t and c in [0.5, 1), that is e - d times,
+    # once more where t > c
+    t, e = np.frexp(top)
+    c, d = np.frexp(ks / 64.0)
+    halvings = np.where(top > ks / 64.0, e - d + (t > c), 0)
+    # panel j of each lane, from the bottom: [0, top 2^-halvings] for j = 0,
+    # then [b / 2, b] with b = top 2^(j - halvings)
+    lane, j = np.nonzero(np.arange(halvings.max(initial=0) + 1) <= halvings[:, None])
+    upper = np.ldexp(top[lane], j - halvings[lane])
+    lower = np.where(j == 0, 0.0, 0.5 * upper)
+    k2 = (ks * ks)[lane]
+    values, errors = gauss_kronrod_15(lambda p: p / (p * p + k2), lower, upper)
+    # each lane's values and error estimates in a row, padded with zeros
+    # past its top panel, summed from the bottom panel up
+    grid = np.zeros((2, ks.size, j.max(initial=0) + 1))
+    grid[:, lane, j] = values, errors
+    total, err = np.cumsum(grid, axis=2)[:, :, -1]
+    failed = err > 1e-10 * np.maximum(np.abs(total), 1.0)
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
         raise ArithmeticError(
-            f"cutoff integral error estimate {err:.3e} too large for total {total:.6e}"
+            f"cutoff integral error estimate {err[i]:.3e} too large for total {total[i]:.6e}"
         )
-    return total
+    return total.reshape(np.shape(k)) if array else total.item()
 
 
 def k_from_coupling(coupling: float, cutoff: float) -> float:

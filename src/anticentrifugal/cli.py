@@ -360,6 +360,18 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
     dim = args.dimension
     coupling = args.coupling
     cutoff = args.cutoff
+    # a flag the dimension does not read would be dropped or echoed
+    # unused in the record, so it is refused
+    if dim != 2:
+        reads = "coupling" if dim == 1 else "k"
+        unread = [
+            f"--{flag}" for flag in ("k", "coupling", "cutoff")
+            if flag != reads and getattr(args, flag) is not None
+        ]
+        if unread:
+            raise ValueError(f"dimension {dim} reads only --{reads}, not {' or '.join(unread)}")
+    elif args.k is not None and coupling is not None:
+        raise ValueError("dimension 2 reads --k or --coupling, not both")
     if dim == 1:
         if coupling is None:
             raise ValueError("dimension 1 needs --coupling (negative)")

@@ -31,39 +31,47 @@ class BracketingError(RuntimeError):
     """Raised when a sign change cannot be located where one is expected."""
 
 
-def solve_in_brackets(
-    value_and_slope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    edges,
-    start,
-) -> np.ndarray:
-    """Polish one simple root in each bracket between consecutive edges.
+def solve_in_brackets(value_and_slope: Callable, edges, start) -> np.ndarray:
+    """Polish one simple root in each bracket between consecutive edges,
+    or in each of n independent brackets given as an (n, 2) array of
+    (lo, hi) pairs.
 
     ``value_and_slope`` maps an array of arguments to the function values
-    and their exact derivatives; ``start`` holds one first guess per
+    and their exact derivatives; for pairs it is called as
+    ``value_and_slope(x, lanes)``, with the bracket of each argument, so
+    the function may depend on it.  ``start`` holds one first guess per
     bracket.  One evaluation of the edges must find a sign change in every
-    bracket.  All roots then take Newton steps together, each step
-    shrinking its bracket by the sign of the function.  A step that leaves
-    the bracket, or lands on its far end, becomes the midpoint: on a noisy
-    function two points can each send Newton's step onto the other, each
-    being the other's bracket end.  Iteration stops once every step is
-    within 4 ulp, so the roots are accurate to the rounding of the
-    function.  :class:`BracketingError` is raised for a bracket without a
-    sign change or steps that do not settle.
+    bracket.  All roots then take Newton steps together, each as it would
+    alone, each step shrinking its bracket by the sign of the function.  A
+    step that leaves the bracket, or lands on its far end, becomes the
+    midpoint: on a noisy function two points can each send Newton's step
+    onto the other, each being the other's bracket end.  Iteration stops
+    once every step is within 4 ulp, so the roots are accurate to the
+    rounding of the function.  :class:`BracketingError` is raised for a
+    bracket without a sign change or steps that do not settle.
     """
     edges = np.asarray(edges, dtype=float)
     x = np.array(start, dtype=float)
-    if x.ndim != 1 or edges.shape != (x.size + 1,):
-        raise ValueError(f"need one start per bracket, got {x.size} for {edges.size} edges")
-    signs = np.sign(value_and_slope(edges)[0])
-    changes = np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
+    if x.ndim == 1 and edges.shape == (x.size + 1,):
+        fn = lambda v, lanes: value_and_slope(v)
+        signs = np.sign(value_and_slope(edges)[0])
+        lo, hi = edges[:-1].copy(), edges[1:].copy()
+        lo_sign, hi_sign = signs[:-1], signs[1:]
+    elif x.ndim == 1 and edges.shape == (x.size, 2):
+        fn = value_and_slope
+        lanes = np.arange(x.size)
+        signs = np.sign(fn(edges.T.ravel(), np.concatenate((lanes, lanes)))[0])
+        lo, hi = edges.T.copy()
+        lo_sign, hi_sign = signs[: x.size], signs[x.size :]
+    else:
+        raise ValueError(f"need one start per bracket, got {x.size} for edges {edges.shape}")
+    changes = np.count_nonzero(lo_sign * hi_sign < 0.0)
     if changes != x.size:
         raise BracketingError(f"found {changes} sign changes in the {x.size} brackets")
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    lo_sign = signs[:-1]
     live = np.arange(x.size)
     for _ in range(_MAX_STEPS):
         xl = x[live]
-        f, slope = value_and_slope(xl)
+        f, slope = fn(xl, live)
         above = np.sign(f) == lo_sign[live]  # the root lies above xl
         a = np.where(above, xl, lo[live])
         b = np.where(above, hi[live], xl)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._record import Record
 from .potentials import EffectivePotentialSpec, eval_potential
-from .specfun import EULER_GAMMA, besseli, besselj, besselk, bessely
+from .specfun import EULER_GAMMA, _besselk_float, besseli, besselj, besselk, bessely
 
 _OVERFLOW_LIMIT = 1e250
 
@@ -369,8 +369,10 @@ def _k0_of(k: float, r: float) -> float:
     0 where k r overflows: K_0 falls to 0 long before, and besselk refuses
     an infinite argument. Where k r underflows (to a subnormal or to 0)
     the product has lost its digits, so K_0 is taken from ln k + ln r.
+    Elsewhere k r is a valid argument, and K_0 comes from besselk's float
+    path without its checks.
     """
     kr = k * r
     if kr < sys.float_info.min:
         return _K0_LOG_OFFSET - math.log(k) - math.log(r)
-    return besselk(0, kr) if kr < math.inf else 0.0
+    return _besselk_float(0, kr) if kr < math.inf else 0.0

@@ -847,20 +847,25 @@ def besseli(m: int, x):
 def besselk(m: int, x):
     """K_m(x) for integer m >= 0, x > 0; x is a float or an array."""
     m = _check_order(m)
-    orders = 2 if m else 1
     if not _is_array(x):
-        x = _check_argument(CylinderFamily.MODIFIED_K, x)
-        if x >= _K_SCALED_SWITCH:
-            return float(_k_scaled(m, np.array([x]))[0])
-        return _recur_up(m, x, _on_float(x, _K_SWITCHES, _K_ROUTES, orders), 1.0)
+        return _besselk_float(m, _check_argument(CylinderFamily.MODIFIED_K, x))
     x = _check_arguments(CylinderFamily.MODIFIED_K, x)
     # zeros carry the scaled regime's elements through the shared
     # recurrence; _k_scaled fills them in afterwards
-    out = _recur_up(m, x, _k_rows(x, orders), 1.0)
+    out = _recur_up(m, x, _k_rows(x, 2 if m else 1), 1.0)
     scaled = x >= _K_SCALED_SWITCH
     if scaled.any():
         out[scaled] = _k_scaled(m, x[scaled])
     return out
+
+
+def _besselk_float(m: int, x: float) -> float:
+    """K_m(x) for an int m >= 0 and a float x > 0, finite: besselk's float
+    path after its checks.  Neither is checked, so a caller that has
+    already validated its argument pays for no second check."""
+    if x >= _K_SCALED_SWITCH:
+        return float(_k_scaled(m, np.array([x]))[0])
+    return _recur_up(m, x, _on_float(x, _K_SWITCHES, _K_ROUTES, 2 if m else 1), 1.0)
 
 
 def _rows_up(n: int, x, c, sign: float):
@@ -951,7 +956,7 @@ _SOMMERFELD_SIN = np.array(
 )
 
 
-def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
+def sommerfeld_j0_components(kr):
     """Real and imaginary parts of the closed-contour mean of e^(i kr sin(theta)).
 
     The periodic trapezoid with N = _SOMMERFELD_POINTS points is exact up
@@ -961,31 +966,48 @@ def sommerfeld_j0_components(kr: float) -> tuple[float, float]:
     (|kr| above _SOMMERFELD_KR_MAX, about 165); below it the real part
     reproduces J_0(kr) to rounding and the imaginary part cancels pairwise.
 
-    One np.cos and one np.sin pass take all nodes at once; on these
-    arguments they give math.cos and math.sin bit for bit.  Each sum runs
-    left to right from 0.0 as a loop over the nodes would: np.cumsum adds
-    in that order, and adding 0.0 turns an all-negative-zero sum into the
-    loop's +0.0.  (np.sum adds pairwise, which rounds differently.)
+    kr is a float, giving two floats, or an array, giving two arrays of
+    its shape.  The checks run one at a time over all arguments, in the
+    order a float call makes them: non-finite arguments, then |kr| past
+    _SOMMERFELD_KR_MAX; the first argument that fails the first failing
+    check raises that check's error.  One np.cos and one np.sin pass take
+    all nodes of every argument at once, so n arguments hold a few n x 256
+    float temporaries (about 10 kB per argument); on these arguments they
+    give math.cos and math.sin bit for bit.  Each sum runs left to right from 0.0 as a loop over the
+    nodes would: np.cumsum adds in that order along the nodes, and adding
+    0.0 turns an all-negative-zero sum into the loop's +0.0.  (np.sum adds
+    pairwise, which rounds differently.)
     """
-    kr = float(kr)
-    if math.isnan(kr) or math.isinf(kr):
-        raise ValueError(f"kr must be finite, got {kr!r}")
+    array = _is_array(kr)
+    x = np.asarray(kr, dtype=float) if array else np.float64(kr)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"kr must be finite, got {x[bad].flat[0].item()!r}")
     n = _SOMMERFELD_POINTS
-    if abs(kr) > _SOMMERFELD_KR_MAX:
+    far = np.abs(x) > _SOMMERFELD_KR_MAX
+    if far.any():
         raise ValueError(
             f"{n} quadrature points resolve J_0 to rounding only for |kr| <= "
-            f"{_SOMMERFELD_KR_MAX:.6g}, got {kr!r}"
+            f"{_SOMMERFELD_KR_MAX:.6g}, got {x[far].flat[0].item()!r}"
         )
     with np.errstate(under="ignore"):  # a subnormal kr, as on floats
-        a = kr * _SOMMERFELD_SIN
-        re = float(np.cumsum(np.cos(a))[-1] + 0.0)
-        im = float(np.cumsum(np.sin(a))[-1] + 0.0)
-    return re / n, im / n
+        a = x[..., None] * _SOMMERFELD_SIN
+        re = np.cumsum(np.cos(a), axis=-1)[..., -1] + 0.0
+        im = np.cumsum(np.sin(a), axis=-1)[..., -1] + 0.0
+    if array:
+        return re / n, im / n
+    return re.item() / n, im.item() / n
 
 
-def sommerfeld_j0(kr: float) -> float:
-    """J_0(kr) by direct angular quadrature of its plane-wave average."""
+def sommerfeld_j0(kr):
+    """J_0(kr) by direct angular quadrature of its plane-wave average; kr
+    is a float or an array.  The imaginary parts are checked after all of
+    sommerfeld_j0_components' checks; the first that fails to cancel
+    raises."""
     re, im = sommerfeld_j0_components(kr)
-    if abs(im) > 1e-12:
-        raise ArithmeticError(f"imaginary part failed to cancel: {im!r}")
+    failed = np.abs(im) > 1e-12
+    if failed.any():
+        raise ArithmeticError(
+            f"imaginary part failed to cancel: {np.ravel(im)[failed.ravel()][0].item()!r}"
+        )
     return re

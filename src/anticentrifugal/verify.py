@@ -152,11 +152,9 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
 
 def suite_sommerfeld(scale: float = 1.0) -> list[SuiteResult]:
     """Angular plane-wave quadrature against the series evaluation of J_0,
-    taken by one array call, which gives the scalar calls' values."""
-    args = (0.0, 20.0) + _SOMMERFELD_SAMPLE
-    worst = 0.0
-    for kr, j0 in zip(args, besselj(0, np.array(args)).tolist()):
-        worst = max(worst, abs(sommerfeld_j0(kr) - j0))
+    each taken by one array call, which gives the scalar calls' values."""
+    args = np.array((0.0, 20.0) + _SOMMERFELD_SAMPLE)
+    worst = float(np.max(np.abs(sommerfeld_j0(args) - besselj(0, args))))
     return [
         _res(
             "sommerfeld-interference",
@@ -466,23 +464,26 @@ def suite_dimensions(scale: float = 1.0) -> list[SuiteResult]:
     ]
 
 
-def _quadrature_root(coupling: float, cutoff: float, guess: float) -> float:
-    """Wavenumber root of the cutoff condition with the integral done by
-    quadrature, by bracketed Newton steps in t = ln k.
+def _quadrature_roots(couplings: np.ndarray, cutoff: float, guesses: np.ndarray) -> np.ndarray:
+    """Wavenumber roots of the cutoff condition with the integral done by
+    quadrature, one per coupling, by bracketed Newton steps in t = ln k
+    on [ln guess - 0.2, ln guess + 0.2].
 
     The slope -L^2 / (L^2 + k^2) of the closed form only steers the
-    steps; the root is where the quadrature condition changes sign.
+    steps; each root is where its quadrature condition changes sign.  All
+    roots step together, one cutoff_integral pass per step, and each is
+    the root its coupling's own solve gives.
     """
-    target = 2.0 * math.pi / coupling
+    targets = 2.0 * math.pi / couplings
     cut2 = cutoff * cutoff
 
-    def value_and_slope(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(ts: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ks = np.exp(ts)
-        g = np.array([cutoff_integral(k, cutoff) for k in ks.tolist()]) - target
-        return g, -cut2 / (cut2 + ks * ks)
+        return cutoff_integral(ks, cutoff) - targets[lanes], -cut2 / (cut2 + ks * ks)
 
-    t = math.log(guess)
-    return math.exp(float(solve_in_brackets(value_and_slope, [t - 0.2, t + 0.2], [t])[0]))
+    ts = np.array([math.log(g) for g in guesses.tolist()])
+    roots = solve_in_brackets(value_and_slope, np.stack((ts - 0.2, ts + 0.2), axis=1), ts)
+    return np.array([math.exp(t) for t in roots.tolist()])
 
 
 def suite_delta_coupling(scale: float = 1.0) -> list[SuiteResult]:
@@ -490,16 +491,13 @@ def suite_delta_coupling(scale: float = 1.0) -> list[SuiteResult]:
     condition, plus the coupling round trip."""
     cutoff = 1.0
     couplings = np.geomspace(0.1, 100.0, 20)
+    k_closed = np.array([k_from_coupling(u0, cutoff) for u0 in couplings.tolist()])
+    k_roots = _quadrature_roots(couplings, cutoff, k_closed)
     worst_root = 0.0
     worst_trip = 0.0
-    for u0 in couplings:
-        u0 = float(u0)
-        k_closed = k_from_coupling(u0, cutoff)
-        k_root = _quadrature_root(u0, cutoff, k_closed)
-        worst_root = max(worst_root, abs(k_root - k_closed) / k_closed)
-        worst_trip = max(
-            worst_trip, abs(coupling_from_k(k_closed, cutoff) - u0) / u0
-        )
+    for u0, k, root in zip(couplings.tolist(), k_closed.tolist(), k_roots.tolist()):
+        worst_root = max(worst_root, abs(root - k) / k)
+        worst_trip = max(worst_trip, abs(coupling_from_k(k, cutoff) - u0) / u0)
     return [
         _res(
             "delta-coupling-root",

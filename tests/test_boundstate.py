@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from anticentrifugal import boundstate
+from anticentrifugal import boundstate, radial, specfun
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
@@ -203,6 +203,45 @@ def test_normalization_integrates_once_per_form(monkeypatch, cold_totals):
             assert normalize_check(density(dimension, k, [0.0])) == SCALE_FREE_TOTALS[dimension]
     assert calls == [(0.0, 40.0)] * 3
     assert boundstate._scale_free_total.cache_info().misses == 3
+
+
+def test_cold_ring_total_makes_no_checked_k_call(monkeypatch, cold_totals):
+    # the ring integrand's K_0 goes straight to besselk's float path, its
+    # argument being valid by construction
+    def refuse(*args):
+        raise AssertionError("besselk called")
+
+    monkeypatch.setattr(radial, "besselk", refuse)
+    monkeypatch.setattr(specfun, "besselk", refuse)
+    assert boundstate._scale_free_total(DensityForm.RING) == SCALE_FREE_TOTALS[2]
+
+
+def _k0_of_checked(k, r):
+    # radial._k0_of as it called the checked besselk
+    kr = k * r
+    if kr < sys.float_info.min:
+        return radial._K0_LOG_OFFSET - math.log(k) - math.log(r)
+    return besselk(0, kr) if kr < math.inf else 0.0
+
+
+def test_k0_of_is_the_checked_besselk_bit_for_bit():
+    # every K regime: the series below 3, the trapezoid to 20, the Hankel
+    # expansion to 705, the scaled recurrence from 705 on, subnormal and
+    # infinite k r, at the switches and on seeded arguments
+    rng = np.random.default_rng(33)
+    switches = [3.0, 20.0, 705.0]
+    xs = [5e-324, 1e-310, sys.float_info.min, 1e-8, 1.0, 745.0, 746.0, 1e300, 1.7e308]
+    xs += [math.nextafter(x, d) for x in switches for d in (0.0, math.inf)] + switches
+    xs += (10.0 ** rng.uniform(-320.0, 308.0, 300)).tolist()
+    xs += rng.uniform(0.0, 800.0, 300).tolist()
+    for x in xs:
+        for k in (1.0, 0.5, 3.0):
+            r = x / k
+            if r > 0.0:
+                assert radial._k0_of(k, r).hex() == _k0_of_checked(k, r).hex(), (k, r)
+        assert radial._k0_of(1e200, x).hex() == _k0_of_checked(1e200, x).hex(), x
+        for m in (0, 1, 2, 5):
+            assert _outcome(specfun._besselk_float, m, x) == _outcome(besselk, m, x), (m, x)
 
 
 def test_import_integrates_nothing():
@@ -535,7 +574,7 @@ def _outcome(fn, *args):
 def test_cutoff_integral_equals_the_panel_by_panel_loop(monkeypatch, inflate):
     # seeded (k, L), with L / k from below one panel to past 1e154; the
     # rule's error estimates, inflated in the module, send some of them
-    # into the ArithmeticError path, on both sides of _FEW_PANELS
+    # into the ArithmeticError path
     real = boundstate.gauss_kronrod_15
 
     def inflated(f, a, b):
@@ -551,13 +590,93 @@ def test_cutoff_integral_equals_the_panel_by_panel_loop(monkeypatch, inflate):
         cutoff = k * ratio
         got = _outcome(cutoff_integral, k, cutoff)
         assert got == _outcome(_cutoff_integral_panel_by_panel, k, cutoff), (k, cutoff)
-        panels = math.log2(ratio) + 6.0
-        seen.add((str if isinstance(got, str) else got[0], panels > boundstate._FEW_PANELS))
+        seen.add(str if isinstance(got, str) else got[0])
     if inflate == 1.0:
-        assert seen == {(str, False), (str, True), (ValueError, True)}
+        assert seen == {str, ValueError}
     else:
-        arithmetic = {(ArithmeticError, False), (ArithmeticError, True)}
-        assert seen == {(str, False), (ValueError, True)} | arithmetic
+        assert seen == {str, ValueError, ArithmeticError}
+
+
+@pytest.mark.parametrize("inflate", [1.0, 1e5])
+def test_array_cutoff_integral_equals_its_float_calls(monkeypatch, inflate):
+    # seeded k in [1e-300, 1e293] and L / k from below one panel to 1e100,
+    # as arrays of 1 to 60 lanes.  The rule's error estimates, inflated in
+    # the module, send some lanes into the ArithmeticError path
+    real = boundstate.gauss_kronrod_15
+
+    def inflated(f, a, b):
+        value, err = real(f, a, b)
+        return value, err * inflate
+
+    monkeypatch.setattr(boundstate, "gauss_kronrod_15", inflated)
+    rng = np.random.default_rng(32)
+    seen = set()
+    for size in (1, 1, 2, 3, 7, 60) * 5:
+        cutoff = 10.0 ** rng.uniform(-200.0, 290.0)
+        ks = cutoff / 10.0 ** rng.uniform(-3.0, rng.choice([6.0, 12.0, 100.0]), size)
+        outcomes = [_outcome(cutoff_integral, k, cutoff) for k in ks.tolist()]
+        try:
+            got = [v.hex() for v in cutoff_integral(ks, cutoff).tolist()]
+        except (ValueError, ArithmeticError) as exc:
+            got = (type(exc), str(exc))
+            # the first lane whose float call raises names the error
+            assert got == next(o for o in outcomes if not isinstance(o, str)), (ks, cutoff)
+        else:
+            assert got == outcomes, (ks, cutoff)
+        seen.add(type(got))
+    assert seen == ({list} if inflate == 1.0 else {list, tuple})
+
+
+def test_array_cutoff_integral_raises_for_a_lane_past_1e154():
+    ks = np.array([0.3, 2.0, 1e-160, 1e-170, 5.0])
+    with pytest.raises(ValueError) as joint:
+        cutoff_integral(ks, 1.0)
+    with pytest.raises(ValueError) as alone:
+        cutoff_integral(1e-160, 1.0)
+    assert str(joint.value) == str(alone.value)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError) as joint:
+            cutoff_integral(np.array([1.0, bad, 2.0]), 1.0)
+        with pytest.raises(ValueError) as alone:
+            cutoff_integral(bad, 1.0)
+        assert str(joint.value) == str(alone.value)
+
+
+def test_array_cutoff_integral_checks_one_kind_at_a_time(monkeypatch):
+    # each check runs over all wavenumbers before the next, in a float
+    # call's order: a bad wavenumber is named ahead of a lane past 1e154
+    # before it, the cutoff ahead of such a lane, and a lane past 1e154
+    # ahead of a failed error estimate before it
+    def same_error(joint_args, alone_args):
+        with pytest.raises((ValueError, ArithmeticError)) as joint:
+            cutoff_integral(*joint_args)
+        with pytest.raises((ValueError, ArithmeticError)) as alone:
+            cutoff_integral(*alone_args)
+        assert (type(joint.value), str(joint.value)) == (type(alone.value), str(alone.value))
+
+    same_error((np.array([1e-160, math.nan]), 1.0), (math.nan, 1.0))
+    same_error((np.array([1e-160, 2.0, 0.0]), 1.0), (0.0, 1.0))
+    same_error((np.array([1e-160, 2.0]), -1.0), (2.0, -1.0))
+    real = boundstate.gauss_kronrod_15
+
+    def inflated(f, a, b):
+        value, err = real(f, a, b)
+        return value, err * 1e5
+
+    monkeypatch.setattr(boundstate, "gauss_kronrod_15", inflated)
+    with pytest.raises(ArithmeticError):
+        cutoff_integral(0.1, 1.0)
+    same_error((np.array([0.1, 1e-160]), 1.0), (1e-160, 1.0))
+    same_error((np.array([1.0, 0.1, 1e-3]), 1.0), (0.1, 1.0))
+
+
+def test_array_cutoff_integral_keeps_the_shape():
+    ks = np.array([[0.5, 1.0, 2.0], [1e-3, 1e3, 7.0]])
+    got = cutoff_integral(ks, 10.0)
+    assert got.shape == (2, 3)
+    assert got.ravel().tolist() == [cutoff_integral(k, 10.0) for k in ks.ravel().tolist()]
+    assert type(cutoff_integral(1.0, 10.0)) is float
+    assert cutoff_integral(np.zeros((0, 2)), 10.0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("k, cutoff", [(1e-170, 1.0), (1e-300, 1e300), (1.0, 1e155)])

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from anticentrifugal import cli
-from anticentrifugal.boundstate import density_profile
+from anticentrifugal.boundstate import coupling_from_k, density_profile, k_from_coupling
 from anticentrifugal.cli import main
 from anticentrifugal.nodes import BracketingError, bunching_verdict, find_zeros, node_density
 from anticentrifugal.potentials import (
@@ -360,6 +360,52 @@ def test_boundstate_error_paths(capsys):
     assert rc == 2  # missing cutoff
     rc, _, _ = run(capsys, "boundstate", "--dimension", "4", "--k", "1.0")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        # the given coupling was discarded for the one --k and --cutoff give
+        (("--dimension", "2", "--k", "1.0", "--coupling", "3.0", "--cutoff", "1.0"),
+         ("--k", "--coupling")),
+        (("--dimension", "2", "--k", "1.0", "--coupling", "3.0"), ("--k", "--coupling")),
+        # the wavenumber printed was the coupling's, not the given one
+        (("--dimension", "1", "--coupling=-2.0", "--k", "5.0"), ("--k",)),
+        # the coupling or cutoff was echoed although nothing read it
+        (("--dimension", "3", "--k", "1.0", "--coupling", "3.0"), ("--coupling",)),
+        (("--dimension", "1", "--coupling=-2.0", "--cutoff", "5.0"), ("--cutoff",)),
+        (("--dimension", "3", "--k", "1.0", "--cutoff", "5.0"), ("--cutoff",)),
+        (("--dimension", "3", "--k", "1.0", "--coupling", "3.0", "--cutoff", "5.0"),
+         ("--coupling", "--cutoff")),
+        (("--dimension", "1", "--k", "5.0"), ("--k",)),
+    ],
+)
+def test_boundstate_refuses_a_flag_its_dimension_does_not_read(capsys, argv, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "boundstate", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags), err
+
+
+@pytest.mark.parametrize(
+    "argv, wavenumber, coupling, cutoff",
+    [
+        (("--dimension", "1", "--coupling=-2.0"), 1.0, -2.0, None),
+        (("--dimension", "2", "--k", "1.0"), 1.0, None, None),
+        (("--dimension", "2", "--k", "1.0", "--cutoff", "2.0"), 1.0, coupling_from_k(1.0, 2.0), 2.0),
+        (("--dimension", "2", "--coupling", "3.0", "--cutoff", "1.0"),
+         k_from_coupling(3.0, 1.0), 3.0, 1.0),
+        (("--dimension", "3", "--k", "1.0"), 1.0, None, None),
+    ],
+)
+def test_boundstate_prints_the_inputs_it_read(capsys, argv, wavenumber, coupling, cutoff):
+    rc, out, _ = run(capsys, "boundstate", *argv)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["wavenumber"], doc["coupling"], doc["cutoff"]) == (wavenumber, coupling, cutoff)
 
 
 def test_boundstate_refuses_non_finite_output(capsys):

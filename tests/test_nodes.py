@@ -234,6 +234,59 @@ def test_solver_needs_one_start_per_bracket():
         solve_in_brackets(lambda x: (x * x - 4.0, 2.0 * x), [1.0, 3.0, 5.0], [2.0])
 
 
+def _cube_root_problem(n, seed):
+    # x^3 - a on [0, a + 1], a different function per bracket, with starts
+    # spread over the brackets so the roots take different step counts
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    pairs = np.stack((np.zeros(n), a + 1.0), axis=1)
+    return a, pairs, rng.uniform(0.0, 1.0, n) * (a + 1.0)
+
+
+def test_independent_brackets_are_solved_as_one_bracket_at_a_time():
+    a, pairs, starts = _cube_root_problem(40, 8)
+    calls = []
+
+    def value_and_slope(x, lanes):
+        calls.append(x.size)
+        return x**3 - a[lanes], 3.0 * x * x
+
+    joint = solve_in_brackets(value_and_slope, pairs, starts)
+    assert calls[0] == 80  # both ends of every bracket in one evaluation
+    assert len(calls) > 3
+    for i in range(a.size):
+        alone = solve_in_brackets(lambda x: (x**3 - a[i], 3.0 * x * x), pairs[i], [starts[i]])
+        assert joint[i].hex() == alone[0].hex(), i
+
+
+@pytest.mark.parametrize("family, order", [(J, 0), (Y, 1)])
+def test_consecutive_edges_as_pairs_give_the_same_zeros(family, order):
+    # the zero finder's brackets, given as independent (lo, hi) pairs
+    seeds = nodes._mcmahon_seeds(family, order, 30)
+    edges = np.concatenate(
+        ([nodes._FIRST_EDGE[family]], 0.5 * (seeds[:-1] + seeds[1:]), [seeds[-1] + 0.5 * math.pi])
+    )
+    pairs = np.stack((edges[:-1], edges[1:]), axis=1)
+    zeros = solve_in_brackets(
+        lambda x, lanes: nodes._value_and_slope(family, order, x), pairs, seeds
+    )
+    np.testing.assert_array_equal(zeros, find_zeros(family, order, 30).zeros)
+
+
+def test_independent_brackets_without_a_sign_change_raise():
+    a, pairs, starts = _cube_root_problem(5, 9)
+    value_and_slope = lambda x, lanes: (x**3 - a[lanes], 3.0 * x * x)
+    pairs[2] = (a[2] + 1.0, a[2] + 2.0)  # above the root: x^3 - a > 0 throughout
+    with pytest.raises(BracketingError, match="found 4 sign changes in the 5 brackets"):
+        solve_in_brackets(value_and_slope, pairs, starts)
+    with pytest.raises(BracketingError):
+        solve_in_brackets(
+            lambda x: (x**3 - a[2], 3.0 * x * x), pairs[2], [pairs[2, 0]]
+        )
+    with pytest.raises(ValueError):
+        solve_in_brackets(value_and_slope, pairs, starts[:4])
+
+
 # ---------------------------------------------------------------------------
 # table integrity
 

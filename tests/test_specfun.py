@@ -382,6 +382,57 @@ def test_sommerfeld_components_match_the_per_node_sine_loop():
         assert [v.hex() for v in got] == [(re / n).hex(), (im / n).hex()], kr
 
 
+def test_array_sommerfeld_equals_its_float_calls():
+    # one 2-d pass over all arguments gives each float call's bits, signed
+    # zeros included, and keeps the shape; the verify sample among them
+    top = specfun._SOMMERFELD_KR_MAX
+    rng = random.Random(2719)
+    kr = [0.0, -0.0, 5e-324, -5e-324, 1.0, -3.3, 20.0, top, -top]
+    kr += [rng.uniform(-top, top) for _ in range(150)] + [rng.uniform(0.0, 20.0) for _ in range(40)]
+    for shape in ((len(kr),), (1,), (7, 3)):
+        xs = np.array(kr[: math.prod(shape)]).reshape(shape)
+        re, im = sommerfeld_j0_components(xs)
+        assert re.shape == im.shape == shape
+        floats = [sommerfeld_j0_components(v) for v in xs.ravel().tolist()]
+        assert [v.hex() for v in re.ravel().tolist()] == [r.hex() for r, _ in floats]
+        assert [v.hex() for v in im.ravel().tolist()] == [i.hex() for _, i in floats]
+        j0 = sommerfeld_j0(xs)
+        assert j0.ravel().tolist() == [sommerfeld_j0(v) for v in xs.ravel().tolist()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, 200.0, -165.1, 1e300])
+def test_array_sommerfeld_raises_the_float_calls_error(bad):
+    with pytest.raises(ValueError) as alone:
+        sommerfeld_j0_components(bad)
+    for kr in ([bad], [1.0, bad, 2.0], [0.0, 3.0, bad, -bad]):
+        with pytest.raises(ValueError) as joint:
+            sommerfeld_j0(np.array(kr))
+        assert str(joint.value) == str(alone.value)
+
+
+def test_array_sommerfeld_checks_one_kind_at_a_time():
+    # the non-finite check runs over all arguments before the range check,
+    # so a non-finite argument is named ahead of an unresolved one before it
+    for kr in ([200.0, math.nan], [1.0, -300.0, math.inf, math.nan]):
+        bad = next(v for v in kr if not math.isfinite(v))
+        with pytest.raises(ValueError) as joint:
+            sommerfeld_j0_components(np.array(kr))
+        with pytest.raises(ValueError) as alone:
+            sommerfeld_j0_components(bad)
+        assert str(joint.value) == str(alone.value)
+
+
+def test_array_sommerfeld_raises_where_the_imaginary_part_fails(monkeypatch):
+    real = specfun.sommerfeld_j0_components
+    monkeypatch.setattr(
+        specfun, "sommerfeld_j0_components", lambda kr: (real(kr)[0], real(kr)[0] * 0.0 + 1e-9)
+    )
+    with pytest.raises(ArithmeticError, match="1e-09"):
+        sommerfeld_j0(np.array([1.0, 2.0]))
+    with pytest.raises(ArithmeticError, match="1e-09"):
+        sommerfeld_j0(1.0)
+
+
 def test_sommerfeld_rejects_bad_input():
     with pytest.raises(ValueError):
         sommerfeld_j0(math.nan)

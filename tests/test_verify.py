@@ -1,6 +1,7 @@
 """Tests for the self-verification suites."""
 
 import collections
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anticentrifugal import radial, specfun, verify
-from anticentrifugal.boundstate import k_from_coupling
-from anticentrifugal.nodes import BracketingError
+from anticentrifugal import boundstate, radial, specfun, verify
+from anticentrifugal.boundstate import cutoff_integral, k_from_coupling
+from anticentrifugal.nodes import BracketingError, solve_in_brackets
 from anticentrifugal.radial import RadialGrid, SolutionFamily, analytic_radial
 from anticentrifugal.specfun import (
     CylinderFamily,
@@ -26,7 +27,7 @@ from anticentrifugal.verify import (
     SuiteResult,
     _decaying_match,
     _match_grid,
-    _quadrature_root,
+    _quadrature_roots,
     _seed_pair,
     run_all,
     suite_dimensions,
@@ -86,16 +87,91 @@ def test_quadrature_root_settles_on_the_closed_form():
     # U0 = 16.2378 of the verify couplings sends plain Newton steps into a
     # two-point cycle, each point the other's bracket end, on the
     # quadrature's rounding noise
-    for coupling in np.geomspace(0.1, 100.0, 20)[[0, 14, 19]].tolist():
-        k = k_from_coupling(coupling, 1.0)
-        assert _quadrature_root(coupling, 1.0, k) == pytest.approx(k, rel=1e-12)
+    couplings = np.geomspace(0.1, 100.0, 20)[[0, 14, 19]]
+    ks = np.array([k_from_coupling(u0, 1.0) for u0 in couplings.tolist()])
+    np.testing.assert_allclose(_quadrature_roots(couplings, 1.0, ks), ks, rtol=1e-12)
 
 
 def test_quadrature_root_bracket_without_a_sign_change_raises():
-    # the bracket spans a factor e^0.4 around its guess, which is 100 k here
-    k = k_from_coupling(1.0, 1.0)
+    # the bracket spans a factor e^0.4 around its guess, which is 100 k here;
+    # one such bracket among good ones fails the joint solve
+    couplings = np.array([1.0, 4.0, 16.0])
+    ks = np.array([k_from_coupling(u0, 1.0) for u0 in couplings.tolist()])
     with pytest.raises(BracketingError):
-        _quadrature_root(1.0, 1.0, 100.0 * k)
+        _quadrature_roots(couplings[:1], 1.0, 100.0 * ks[:1])
+    with pytest.raises(BracketingError):
+        _quadrature_roots(couplings, 1.0, ks * np.array([1.0, 100.0, 1.0]))
+
+
+def _quadrature_root_alone(coupling, cutoff, guess):
+    # one coupling's root as the suite solved it before it stepped all
+    # couplings together: a bracket of its own and one float
+    # cutoff_integral call per argument
+    target = 2.0 * math.pi / coupling
+    cut2 = cutoff * cutoff
+
+    def value_and_slope(ts):
+        ks = np.exp(ts)
+        g = np.array([cutoff_integral(k, cutoff) for k in ks.tolist()]) - target
+        return g, -cut2 / (cut2 + ks * ks)
+
+    t = math.log(guess)
+    return math.exp(float(solve_in_brackets(value_and_slope, [t - 0.2, t + 0.2], [t])[0]))
+
+
+@pytest.mark.parametrize("cutoff", [1.0, 1e-3, 7.5e4])
+def test_joint_quadrature_roots_are_the_per_coupling_roots(cutoff):
+    # the suite's 20 couplings and 20 seeded ones, with guesses off the
+    # closed form so the roots take several steps, in different numbers
+    rng = np.random.default_rng(20)
+    couplings = np.concatenate((np.geomspace(0.1, 100.0, 20), 10.0 ** rng.uniform(-1, 2, 20)))
+    ks = np.array([k_from_coupling(u0, cutoff) for u0 in couplings.tolist()])
+    guesses = ks * np.exp(rng.uniform(-0.15, 0.15, ks.size))
+    joint = _quadrature_roots(couplings, cutoff, guesses)
+    alone = [
+        _quadrature_root_alone(u0, cutoff, g)
+        for u0, g in zip(couplings.tolist(), guesses.tolist())
+    ]
+    assert [v.hex() for v in joint.tolist()] == [v.hex() for v in alone]
+
+
+def test_delta_coupling_suite_takes_one_kronrod_pass_per_newton_step(monkeypatch):
+    # each evaluation of the joint solve, the bracket check and then every
+    # Newton step, is one cutoff_integral call with one array pass of the
+    # Kronrod rule over the panels of all its lanes; the per-coupling loop
+    # made 63 cutoff_integral calls
+    evaluations, passes = [], []
+    solve, rule = verify.solve_in_brackets, boundstate.gauss_kronrod_15
+
+    def counted_solve(value_and_slope, edges, start):
+        def counted(x, lanes):
+            evaluations.append(x.size)
+            return value_and_slope(x, lanes)
+
+        return solve(counted, edges, start)
+
+    def counted_rule(f, a, b):
+        passes.append(np.size(a))
+        return rule(f, a, b)
+
+    monkeypatch.setattr(verify, "solve_in_brackets", counted_solve)
+    monkeypatch.setattr(boundstate, "gauss_kronrod_15", counted_rule)
+    assert all(r.passed for r in verify.suite_delta_coupling())
+    assert evaluations[0] == 40  # both ends of the 20 brackets at once
+    assert len(passes) == len(evaluations) <= 4
+
+
+def test_sommerfeld_suite_makes_one_quadrature_call(monkeypatch):
+    calls = []
+    real = specfun.sommerfeld_j0_components
+
+    def counted(kr):
+        calls.append(np.shape(kr))
+        return real(kr)
+
+    monkeypatch.setattr(specfun, "sommerfeld_j0_components", counted)
+    assert all(r.passed for r in verify.suite_sommerfeld())
+    assert calls == [(102,)]
 
 
 @pytest.mark.parametrize(
