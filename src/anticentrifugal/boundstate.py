@@ -60,46 +60,15 @@ def _check_k(k: float) -> float:
 
 
 def density_profile(dimension: int, k: float, r):
-    """Radial probability weight W(r) of the bound state; scalar or array."""
+    """Radial probability weight W(r) of the bound state; scalar or array.
+    A scalar radius runs as a one-element array: it gives that array's
+    value, or raises its error, under any np.seterr setting."""
     form = DensityForm.for_dimension(dimension)
     k = _check_k(k)
-    if not isinstance(r, (int, float)):
-        arr = np.asarray(r, dtype=float)
-        if arr.ndim:
-            return _density_array(form, k, arr)
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError("radii must be finite")
-    if form is not DensityForm.EXP_LINE and r < 0.0:
-        raise ValueError("radii must be non-negative")
-    return _density_at(form, k)(r)
-
-
-def _density_at(form: DensityForm, k: float):
-    """W at a single valid radius, as a function of one Python float, for
-    a checked wavenumber.  The quadrature integrand is this function, bound
-    once; np.exp of a float rounds as on an array.
-
-    The line and radial weights, here and on the array path, are written as
-    k rho(k r) with rho(xi) = e^(-2 xi) or 2 e^(-2 xi): the doublings 2 k
-    and 2 k r, which would overflow first, are never formed, and where they
-    are normal the values are those of the forms above, bit for bit."""
-    if form is DensityForm.EXP_LINE:
-        return lambda r: k * float(np.exp(-2.0 * (k * abs(r))))
-    if form is DensityForm.EXP_RADIAL:
-        return lambda r: k * float(2.0 * np.exp(-2.0 * (k * r)))
-    weight = _ring_form(k)
-
-    def ring(r: float) -> float:
-        # r K_0(k r)^2 -> 0 as r -> 0 despite the log divergence; W is 0
-        # where K_0(k r) is, which includes where k r overflows
-        if r > 0.0:
-            k0 = _k0_of(k, r)
-            if k0 > 0.0:
-                return weight(r, k0)
-        return 0.0
-
-    return ring
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim:
+        return _density_array(form, k, radii)
+    return _density_array(form, k, radii.reshape(1)).item()
 
 
 def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
@@ -107,8 +76,11 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
         raise ValueError("radii must be finite")
     if form is not DensityForm.EXP_LINE and r.size and np.any(r < 0.0):
         raise ValueError("radii must be non-negative")
-    # the float path's pure-Python arithmetic rounds an overflowing exponent
-    # to -inf and an underflowing product to zero without raising
+    # an overflowing exponent rounds to -inf and an underflowing product to
+    # zero, silently.  The line and radial weights are k rho(k r), rho(xi) =
+    # e^(-2 xi) or 2 e^(-2 xi): 2 k and 2 k r, which would overflow first,
+    # are never formed, and where they are normal the values are those of
+    # the forms above, bit for bit.  The ring weight is 0 at r = 0.
     with np.errstate(over="ignore", under="ignore"):
         if form is DensityForm.EXP_LINE:
             return k * np.exp(-2.0 * (k * np.abs(r)))
@@ -116,15 +88,15 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
             return k * (2.0 * np.exp(-2.0 * (k * r)))
         out = np.zeros(r.shape)
         pos = r > 0.0
-        if pos.any():
-            rp = r[pos]
-            out[pos] = _ring_weight(k, rp, _k0_at(k, rp))
+        out[pos] = _ring_weight(k, r[pos], _k0_at(k, r[pos]))
     return out
 
 
-def _ring_form(k: float):
-    """W = 2 k^2 r K_0(k r)^2 as a function of r and k0 = K_0(k r) > 0, on
-    floats or arrays, with the grouping chosen once per k.
+def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
+    """W = 2 k^2 r K_0(k r)^2 at an array of positive radii from
+    k0 = K_0(k r): 0 where K_0 is 0, where 2 k^2 r or k r may have
+    overflowed.  Underflow rounds silently, and so does a W past the
+    double range (k above about 1.45e308).
 
     Where 2 k^2 underflows (k below about 1e-154) the factors are grouped
     as (2 k ((k r) K_0)) K_0.  Where it overflows (k above about 9e153)
@@ -134,24 +106,33 @@ def _ring_form(k: float):
     normal, so doubling it is exact.  Where 2 k^2 is normal and K_0 > 0,
     k r < 746 keeps 2 k^2 r finite.
     """
-    two_k2 = 2.0 * k * k
-    if sys.float_info.min <= two_k2 <= sys.float_info.max:
-        return lambda r, k0: two_k2 * r * k0**2
-    if two_k2 > 1.0:
-        return lambda r, k0: 2.0 * (k * ((k * r) * k0)) * k0
-    return lambda r, k0: 2.0 * k * ((k * r) * k0) * k0
-
-
-def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
-    """W at an array of positive radii from k0 = K_0(k r): 0 where K_0 is
-    0, where 2 k^2 r or k r may have overflowed.  Underflow rounds
-    silently, and so does a W past the double range (k above about
-    1.45e308), as on the float path."""
     out = np.zeros(r.shape)
     pos = k0 > 0.0
+    r, k0 = r[pos], k0[pos]
+    two_k2 = 2.0 * k * k
     with np.errstate(under="ignore", over="ignore"):
-        out[pos] = _ring_form(k)(r[pos], k0[pos])
+        if sys.float_info.min <= two_k2 <= sys.float_info.max:
+            out[pos] = two_k2 * r * k0**2
+        elif two_k2 > 1.0:
+            out[pos] = 2.0 * (k * ((k * r) * k0)) * k0
+        else:
+            out[pos] = 2.0 * k * ((k * r) * k0) * k0
     return out
+
+
+def _ring_rho(xi: float) -> float:
+    k0 = _k0_of(1.0, xi) if xi > 0.0 else 0.0
+    return 2.0 * xi * (k0 * k0)
+
+
+#: rho(xi) = W(xi / k) / k of each form, the weight at k = 1, at one float
+#: xi >= 0: bit for bit density_profile(dimension, 1.0, xi), since np.exp
+#: of a float rounds as on an array, and k0 * k0 as numpy's square.
+_RHO = {
+    DensityForm.EXP_LINE: lambda xi: float(np.exp(-2.0 * xi)),
+    DensityForm.RING: _ring_rho,
+    DensityForm.EXP_RADIAL: lambda xi: float(2.0 * np.exp(-2.0 * xi)),
+}
 
 
 class ProbabilityDensity(Record):
@@ -195,7 +176,7 @@ def normalize_check(pd: ProbabilityDensity) -> float:
 
 @lru_cache(maxsize=None)
 def _scale_free_total(form: DensityForm) -> float:
-    core = integrate_adaptive(_density_at(form, 1.0), 0.0, 40.0).value
+    core = integrate_adaptive(_RHO[form], 0.0, 40.0).value
     if form is DensityForm.RING:
         return core
     return (2.0 * core if form is DensityForm.EXP_LINE else core) + math.exp(-80.0)

@@ -111,7 +111,6 @@ class RadialWave(Record):
 
     grid: RadialGrid
     values: np.ndarray
-    order: int
     wavenumber: float
     energy_sign: EnergySign
     family: SolutionFamily
@@ -124,10 +123,6 @@ class RadialWave(Record):
                 f"values shape {vals.shape} does not match grid "
                 f"({self.grid.n_points} points)"
             )
-        if not isinstance(self.order, int) or isinstance(self.order, bool):
-            raise TypeError(f"order must be an int, got {self.order!r}")
-        if self.order < 0:
-            raise ValueError(f"order must be non-negative, got {self.order}")
         if not (math.isfinite(self.wavenumber) and self.wavenumber > 0.0):
             raise ValueError(f"wavenumber must be positive, got {self.wavenumber!r}")
         osc = (SolutionFamily.OSCILLATORY_REGULAR, SolutionFamily.OSCILLATORY_SINGULAR)
@@ -136,10 +131,6 @@ class RadialWave(Record):
             raise ValueError("oscillatory branches carry positive energy only")
         if self.energy_sign is EnergySign.POSITIVE and self.family in mod:
             raise ValueError("modified branches carry negative energy only")
-        if self.energy_sign is EnergySign.NEGATIVE and self.order != 0:
-            raise ValueError(
-                "negative-energy radial waves exist only at zero angular momentum"
-            )
 
     @property
     def energy(self) -> float:
@@ -169,7 +160,7 @@ def analytic_radial(
         raise ValueError(f"wavenumber must be positive, got {k!r}")
     r = grid.points
     u = np.sqrt(r) * fn(order, k * r)
-    return RadialWave(grid, u, order, k, sign, family)
+    return RadialWave(grid, u, k, sign, family)
 
 
 def integrate_radial(
@@ -236,7 +227,7 @@ def _integrate_runs(
         _check_growth(values, r)
         if inward:
             values = values[::-1].copy()
-        waves.append(RadialWave(grid, values, 0, k, sign, SolutionFamily.NUMERIC))
+        waves.append(RadialWave(grid, values, k, sign, SolutionFamily.NUMERIC))
     return waves
 
 

@@ -44,10 +44,11 @@ is recomputed the scalar way.  J, Y, I and K therefore agree bit for bit
 between the two paths.
 
 One table per family pairs each regime's array kernel with its float
-kernel; J and I have a second that serves orders 0 to 2 at once.  A
-float runs the float kernel of its regime; so does each argument of an
-array regime that holds at most _FEW_LANES of them, since an array
-kernel's numpy calls cost more than that many pure-Python evaluations.
+kernel; the J and I kernels take a tuple of orders and return one value
+per order, so orders 0 to 2 come from one pass.  A float runs the float
+kernel of its regime; so does each argument of an array regime that
+holds at most _FEW_LANES of them, since an array kernel's numpy calls
+cost more than that many pure-Python evaluations.
 
 All functions are pure and keep no state between calls.
 """
@@ -268,11 +269,6 @@ def _log_series(x, sign: float, orders: int = 2):
     return out + (1.0 / x + lg * c1 - 0.25 * x * s1,)
 
 
-def _log_series_array(x: np.ndarray, sign: float, orders: int = 2) -> np.ndarray:
-    with np.errstate(over="ignore", divide="ignore"):  # _recur_up raises instead
-        return np.stack(_log_series(x, sign, orders))
-
-
 # ----------------------------------------------------------------------
 # backward recurrence (Miller)
 # ----------------------------------------------------------------------
@@ -314,8 +310,8 @@ def _i_start_array(x: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(top, m + top // 2)
 
 
-def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, float]:
-    """Unnormalized C_m and C_0 and the sum-rule denominator
+def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, float, float]:
+    """Unnormalized C_m, C_1 and C_0 and the sum-rule denominator
     C_0 + 2 sum_k C_k, by one downward pass
     C_{k-1} = (2k/x) C_k + sign C_{k+1} from order top.
 
@@ -343,7 +339,7 @@ def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, floa
             cm = cur
         if k >= stride and k % stride == 0:
             total += cur
-    return cm, cur, cur + 2.0 * total
+    return cm, prev, cur, cur + 2.0 * total
 
 
 def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: bool = False):
@@ -418,10 +414,13 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: 
     return out
 
 
-def _j_large(m: int, x: float) -> float:
-    """J_m from the normalized Miller pass."""
-    cm, _, denom = _miller(x, _j_start(x, m), -1.0, m)
-    return cm * (1.0 / denom)
+def _j_large(orders, x: float) -> tuple:
+    """J_m for each m of *orders*, each 0, 1 or the highest, from one
+    normalized Miller pass from the start order of the highest."""
+    m = max(orders)
+    cm, c1, c0, denom = _miller(x, _j_start(x, m), -1.0, m)
+    norm = 1.0 / denom
+    return tuple((c0, c1, cm)[min(k, 2)] * norm for k in orders)
 
 
 def _j_large_array(orders, x: np.ndarray) -> np.ndarray:
@@ -433,20 +432,16 @@ def _j_large_array(orders, x: np.ndarray) -> np.ndarray:
     return np.stack(cms) * (1.0 / denom)
 
 
-def _j01_large(x: float) -> tuple[float, float]:
-    """J_0 and J_1 from one pass: orders 0 and 1 share the start order."""
-    c1, c0, denom = _miller(x, _j_start(x, 0), -1.0, 1)
-    norm = 1.0 / denom
-    return c0 * norm, c1 * norm
-
-
-def _i_large(m: int, x: float) -> float:
-    """I_m from the Miller pass.  Every term in the normalization sum is
-    positive, so the result carries plain rounding error only."""
-    cm, _, denom = _miller(x, _i_start(x, m), 1.0, m)
+def _i_large(orders, x: float) -> tuple:
+    """I_m for each m of *orders* from one Miller pass, as in _j_large.
+    Every term in the normalization sum is positive, so the result carries
+    plain rounding error only."""
+    m = max(orders)
+    cm, c1, c0, denom = _miller(x, _i_start(x, m), 1.0, m)
+    e = math.exp(x)
     # Divide by the unnormalized sum first: v/denom is I_m/e^x <= 1, so no
     # intermediate can overflow even though e^x/denom alone would.
-    return (cm / denom) * math.exp(x)
+    return tuple(((c0, c1, cm)[min(k, 2)] / denom) * e for k in orders)
 
 
 def _i_large_array(orders, x: np.ndarray) -> np.ndarray:
@@ -664,21 +659,21 @@ def _crossover_mismatch() -> float:
     1e-6 on either side of each switch point."""
     worst = 0.0
     for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
-        below = (_j_large(0, x), _j_large(1, x)) + _y01_large(x) + _k01_large(x)
+        below = _j_large((0, 1), x) + _y01_large(x) + _k01_large(x)
         hankel = _hankel01(x) + _k01_hankel(x)
         for h, v in zip(hankel, below):
             worst = max(worst, abs(h - v) / abs(v))
     for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
         y_small = _log_series(x, -1.0)
         y_large = _y01_large(x)
+        j_large = _j_large((0, 1), x)
         for m in (0, 1):
-            j_large = _j_large(m, x)
-            worst = max(worst, abs(_ascending_series(m, x, -1.0) - j_large) / abs(j_large))
+            worst = max(worst, abs(_ascending_series(m, x, -1.0) - j_large[m]) / abs(j_large[m]))
             worst = max(worst, abs(y_small[m] - y_large[m]) / abs(y_large[m]))
     for x in (SERIES_SWITCH_I - 1e-6, SERIES_SWITCH_I + 1e-6):
+        i_large = _i_large((0, 1), x)
         for m in (0, 1):
-            i_large = _i_large(m, x)
-            worst = max(worst, abs(_ascending_series(m, x, 1.0) - i_large) / abs(i_large))
+            worst = max(worst, abs(_ascending_series(m, x, 1.0) - i_large[m]) / abs(i_large[m]))
     for x in (SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K + 1e-6):
         k_small = _log_series(x, 1.0)
         k_large = _k01_large(x)
@@ -699,42 +694,31 @@ def _crossover_mismatch() -> float:
 _FEW_LANES = 11
 
 # Each family's regimes in order of argument, as (array kernel, float
-# kernel) pairs, both called as kernel(p, x) with p the order (J, I) or the
-# number of orders (the rows tables, Y, K).  A float kernel returns a float
-# or a tuple of floats, its array kernel the same values bit for bit as an
-# array or rows; from _K_SCALED_SWITCH on, both give the zeros that stand
-# in for K until _k_scaled serves it.  The rows tables serve orders
+# kernel) pairs, both called as kernel(p, x): for J and I, p is a tuple of
+# orders, and each kernel returns one value or row per order; for Y and K,
+# p is the number of orders, 1 for C_0 alone or 2 for C_0 and C_1.  A
+# float kernel returns floats, its array kernel the same values bit for
+# bit as rows; from _K_SCALED_SWITCH on, both give the zeros that stand in
+# for K until _k_scaled serves it.  The J and I orders are (m,) or
 # 0 .. n - 1 for n <= 3, which share the Miller start order and the switch
 # to the Hankel rows (_hankel_from(2) is _HANKEL_SWITCH), so each row is
-# the single-order table's value bit for bit.
+# the single order's value bit for bit.
 _J_ROUTES = (
-    (lambda m, x: _ascending_series(m, x, -1.0),) * 2,
-    (lambda m, x: _j_large_array((m,), x), _j_large),
-    (lambda m, x: _recur_up(m, x, _hankel01(x)[:2], -1.0),) * 2,
-)
-_J_ROWS_ROUTES = (
-    (lambda n, x: [_ascending_series(m, x, -1.0) for m in range(n)],) * 2,
-    (
-        lambda n, x: _j_large_array(range(n), x),
-        lambda n, x: _j01_large(x) + tuple(_j_large(m, x) for m in range(2, n)),
-    ),
-    (lambda n, x: _rows_up(n, x, _hankel01(x)[:2], -1.0),) * 2,
+    (lambda ms, x: [_ascending_series(m, x, -1.0) for m in ms],) * 2,
+    (_j_large_array, _j_large),
+    (lambda ms, x: [_recur_up(m, x, c, -1.0) for c in (_hankel01(x)[:2],) for m in ms],) * 2,
 )
 _Y_ROUTES = (
-    (lambda n, x: _log_series_array(x, -1.0, n), lambda n, x: _log_series(x, -1.0, n)),
+    (lambda n, x: _log_series(x, -1.0, n),) * 2,
     (lambda n, x: _y01_large_array(x)[:n], lambda n, x: _y01_large(x)[:n]),
     (lambda n, x: _hankel01(x)[2 : 2 + n],) * 2,
 )
 _I_ROUTES = (
-    (lambda m, x: _ascending_series(m, x, 1.0),) * 2,
-    (lambda m, x: _i_large_array((m,), x), _i_large),
-)
-_I_ROWS_ROUTES = (
-    (lambda n, x: [_ascending_series(m, x, 1.0) for m in range(n)],) * 2,
-    (lambda n, x: _i_large_array(range(n), x), lambda n, x: [_i_large(m, x) for m in range(n)]),
+    (lambda ms, x: [_ascending_series(m, x, 1.0) for m in ms],) * 2,
+    (_i_large_array, _i_large),
 )
 _K_ROUTES = (
-    (lambda n, x: _log_series_array(x, 1.0, n), lambda n, x: _log_series(x, 1.0, n)),
+    (lambda n, x: _log_series(x, 1.0, n),) * 2,
     (lambda n, x: _k01_large(x, n),) * 2,
     (lambda n, x: _k01_hankel(x, n),) * 2,
     (lambda n, x: np.zeros((n, x.size)), lambda n, x: (0.0,) * n),
@@ -744,7 +728,7 @@ _I_SWITCHES = (SERIES_SWITCH_I,)
 _K_SWITCHES = (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH)
 
 
-def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p: int, width: int = 1):
+def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p, width: int = 1):
     """Evaluate the kernels of routes[i] (a table above) as kernel(p, v) on
     the arguments v from switches[i - 1] up to below switches[i]; *width*
     is the number of rows each kernel returns.
@@ -753,12 +737,14 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p: int, width: int
     on one argument at a time, which gives the same values faster.
     Underflow is ignored here, on the array path only: a term or a value
     that rounds to a subnormal or zero is as benign on an array as it is in
-    the float path's pure-Python arithmetic, which never raises.
+    the float path's pure-Python arithmetic, which never raises.  So are
+    overflow and division by zero: the log-augmented series' Y_1 and K_1
+    overflow for a subnormal x, and _recur_up raises OverflowError for them.
     """
     flat = x.ravel()
     out = np.empty((width, flat.size))
     regime = np.searchsorted(switches, flat, side="right")
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
         for i, (kernel, lane_kernel) in enumerate(routes):
             mask = regime == i
             v = flat[mask]
@@ -771,7 +757,7 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p: int, width: int
     return out.reshape((width,) + x.shape)
 
 
-def _on_float(x: float, switches: tuple, routes: tuple, p: int):
+def _on_float(x: float, switches: tuple, routes: tuple, p):
     # _by_regime for a float: the float kernel of the regime that holds x
     return routes[bisect.bisect_right(switches, x)][1](p, x)
 
@@ -792,13 +778,13 @@ def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
 def _j_rows(x: np.ndarray, n: int) -> np.ndarray:
     """Rows J_0 .. J_{n-1}, n <= 3, on an array of valid arguments, from
     one series, Miller or Hankel pass per argument."""
-    return _by_regime(x, _JY_SWITCHES, _J_ROWS_ROUTES, n, n)
+    return _by_regime(x, _JY_SWITCHES, _J_ROUTES, range(n), n)
 
 
 def _i_rows(x: np.ndarray, n: int) -> np.ndarray:
     """Rows I_0 .. I_{n-1}, n <= 3, on an array of valid arguments, from
     one Miller pass per argument from SERIES_SWITCH_I on."""
-    return _by_regime(x, _I_SWITCHES, _I_ROWS_ROUTES, n, n)
+    return _by_regime(x, _I_SWITCHES, _I_ROUTES, range(n), n)
 
 
 def _y_rows(x: np.ndarray, orders: int) -> np.ndarray:
@@ -819,8 +805,9 @@ def besselj(m: int, x):
     m = _check_order(m)
     switches = (SERIES_SWITCH_JY, _hankel_from(m))
     if not _is_array(x):
-        return _on_float(_check_argument(CylinderFamily.BESSEL_J, x), switches, _J_ROUTES, m)
-    return _by_regime(_check_arguments(CylinderFamily.BESSEL_J, x), switches, _J_ROUTES, m)[0]
+        return _on_float(_check_argument(CylinderFamily.BESSEL_J, x), switches, _J_ROUTES, (m,))[0]
+    x = _check_arguments(CylinderFamily.BESSEL_J, x)
+    return _by_regime(x, switches, _J_ROUTES, (m,))[0]
 
 
 def bessely(m: int, x):
@@ -840,8 +827,10 @@ def besseli(m: int, x):
     """I_m(x) for integer m >= 0, 0 <= x <= 700; x is a float or an array."""
     m = _check_order(m)
     if not _is_array(x):
-        return _on_float(_check_argument(CylinderFamily.MODIFIED_I, x), _I_SWITCHES, _I_ROUTES, m)
-    return _by_regime(_check_arguments(CylinderFamily.MODIFIED_I, x), _I_SWITCHES, _I_ROUTES, m)[0]
+        x = _check_argument(CylinderFamily.MODIFIED_I, x)
+        return _on_float(x, _I_SWITCHES, _I_ROUTES, (m,))[0]
+    x = _check_arguments(CylinderFamily.MODIFIED_I, x)
+    return _by_regime(x, _I_SWITCHES, _I_ROUTES, (m,))[0]
 
 
 def besselk(m: int, x):
@@ -866,12 +855,6 @@ def _besselk_float(m: int, x: float) -> float:
     if x >= _K_SCALED_SWITCH:
         return float(_k_scaled(m, np.array([x]))[0])
     return _recur_up(m, x, _on_float(x, _K_SWITCHES, _K_ROUTES, 2 if m else 1), 1.0)
-
-
-def _rows_up(n: int, x, c, sign: float):
-    # C_0 .. C_{n-1}, n <= 3, from the C_0 and C_1 in c, as _recur_up
-    # gives each
-    return (*c, _recur_up(2, x, c, sign)) if n > 2 else c
 
 
 def _recur_up(m: int, x, c, sign: float):

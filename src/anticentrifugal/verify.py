@@ -53,7 +53,7 @@ from .specfun import (
     _i_rows,
     _j_rows,
     _k_rows,
-    _rows_up,
+    _recur_up,
     _slope,
     besselj,
     besselk,
@@ -122,11 +122,12 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
     """
     xs = np.linspace(0.1, 50.0, 1000)
     y01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs)
+    k01 = _k_rows(xs, 2)
     rows = {
         CylinderFamily.BESSEL_J: _j_rows(xs, 3),
-        CylinderFamily.NEUMANN_Y: _rows_up(3, xs, y01, -1.0),
+        CylinderFamily.NEUMANN_Y: [_recur_up(m, xs, y01, -1.0) for m in range(3)],
         CylinderFamily.MODIFIED_I: _i_rows(xs, 3),
-        CylinderFamily.MODIFIED_K: _rows_up(3, xs, _k_rows(xs, 2), 1.0),
+        CylinderFamily.MODIFIED_K: [_recur_up(m, xs, k01, 1.0) for m in range(3)],
     }
     # the slopes of orders 0 and 1 need nothing else
     values, slopes = {}, {}
@@ -246,7 +247,7 @@ def _decaying_match(h: float, fine: RadialWave | None = None):
     grid = _match_grid(h)
     stride = round(h / fine.grid.spacing) if fine is not None else 0
     if stride and np.array_equal(grid.points, fine.grid.points[::stride]):
-        ana = RadialWave(grid, fine.values[::stride], 0, 1.0, fine.energy_sign, fine.family)
+        ana = RadialWave(grid, fine.values[::stride], 1.0, fine.energy_sign, fine.family)
     else:
         ana = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, 1.0, grid)
     num = integrate_radial(
@@ -553,7 +554,8 @@ def suite_density_geometry(scale: float = 1.0) -> list[SuiteResult]:
             "origin maxima for line/spatial, interior ring otherwise",
         )
     )
-    d2 = [2.0 * density_profile(2, k, d) / (d * d) for d in (1e-2, 1e-3, 1e-4)]
+    d = np.array([1e-2, 1e-3, 1e-4])
+    d2 = (2.0 * density_profile(2, k, d) / (d * d)).tolist()
     ratio_min = min(d2[1] / d2[0], d2[2] / d2[1])
     out.append(
         _res(

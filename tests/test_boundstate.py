@@ -41,7 +41,7 @@ from anticentrifugal.boundstate import (
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.quadrature import integrate_adaptive
 from anticentrifugal.radial import RadialGrid, default_grid
-from anticentrifugal.specfun import besselk
+from anticentrifugal.specfun import _FEW_LANES, besselk
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +259,12 @@ def test_import_integrates_nothing():
     assert out == "0\n"
 
 
-def _r_space_total(form, k):
+def _r_space_total(dimension, k):
     # the integral in r on [0, 40 / k] with the tail exp(-2 k (40 / k)),
     # as normalize_check computed it for every k before it moved to xi
+    form = DensityForm.for_dimension(dimension)
     r_cut = 40.0 / k
-    core = integrate_adaptive(boundstate._density_at(form, k), 0.0, r_cut).value
+    core = integrate_adaptive(lambda r: density_profile(dimension, k, r), 0.0, r_cut).value
     if form is DensityForm.EXP_LINE:
         return 2.0 * core + math.exp(-2.0 * k * r_cut)
     if form is DensityForm.EXP_RADIAL:
@@ -275,7 +276,7 @@ def _r_space_total(form, k):
 @pytest.mark.parametrize("k", [0.5, 2.0, 7.0])
 def test_scale_free_total_matches_the_r_space_integral(dimension, k):
     pd = density(dimension, k, [0.0])
-    assert abs(normalize_check(pd) - _r_space_total(pd.form, k)) <= 1e-14
+    assert abs(normalize_check(pd) - _r_space_total(dimension, k)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +338,20 @@ def test_ring_maximum_where_40_over_k_overflows_but_xi_over_k_does_not():
 
 def test_ring_density_array_matches_pointwise_evaluation():
     """The ring branch evaluates a whole array at once; a single radius
-    stays a float on the scalar path, and the origin gives exactly zero."""
+    runs as a one-element array and returns a float, and the origin gives
+    exactly zero."""
     radii = np.concatenate(([0.0], np.linspace(1e-3, 12.0, 801)))
     got = density_profile(2, 1.3, radii)
     want = [density_profile(2, 1.3, float(r)) for r in radii]
     assert all(isinstance(w, float) for w in want)
     assert got[0] == 0.0 and want[0] == 0.0
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
 def test_single_radius_path_matches_array_path(dimension):
-    """A float radius runs on Python floats, an array on numpy: the
-    exponential forms agree bit for bit.  The ring is compared in
+    """A float radius runs as a one-element array: the exponential forms
+    agree bit for bit with a long array.  The ring is compared in
     test_ring_density_array_matches_pointwise_evaluation."""
     for k in (0.37, 1.0, 7.0):
         radii = np.concatenate(([0.0], np.geomspace(1e-6, 30.0, 300))) / k
@@ -377,6 +379,63 @@ def test_single_radius_and_array_paths_raise_alike(dimension, bad):
     for r in (bad, np.array([1.0, bad])):
         with pytest.raises(ValueError, match=message):
             density_profile(dimension, 1.0, r)
+
+
+def _strict_outcome(fn):
+    """fn()'s values as hex strings, or its error's type and message, with
+    every numpy floating-point error and every warning raised."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            return [float(v).hex() for v in np.ravel(fn())]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_K = (5e-324, 1e-300, 1e-160, 1e-10, 0.1, 1.0, 7.0, 1e10, 1e150, 1e300, 1.7e308)
+_EDGE_R = (0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 40.0, 373.0, 746.0, 1e5, 1e301, 1.7e308)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_scalar_radius_is_a_one_lane_array_under_raise(dimension):
+    # a float radius gives the value or error of a one-lane array and of
+    # an array past the float kernels' lane count, under
+    # np.errstate(all="raise"); 84 of these 418 cases differed while a
+    # float radius ran a path of its own
+    radii = _EDGE_R + ((-746.0, -1e-300) if dimension == 1 else ())
+    for k in _EDGE_K:
+        for r in radii:
+            got = _strict_outcome(lambda: density_profile(dimension, k, r))
+            one = _strict_outcome(lambda: density_profile(dimension, k, np.array([r])))
+            assert one == got, (k, r)
+            lanes = np.full(_FEW_LANES + 1, r)
+            many = got * lanes.size if isinstance(got, list) else got
+            assert _strict_outcome(lambda: density_profile(dimension, k, lanes)) == many, (k, r)
+
+
+def test_underflowing_scalar_weights_return_under_raise():
+    with np.errstate(all="raise"):
+        assert density_profile(1, 1.0, 746.0) == 0.0
+        assert density_profile(3, 0.1, 1e5) == 0.0
+        w = density_profile(2, 1e-300, 1e301)
+    with mp.workdps(40):
+        want = 2 * mp.mpf(1e-300) ** 2 * mp.mpf(1e301) * mp.besselk(0, 10) ** 2
+    # W is subnormal here, rounded once
+    assert type(w) is float and w == pytest.approx(float(want), rel=1e-14)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_scale_free_integrand_is_the_weight_at_k_1(dimension):
+    rng = np.random.default_rng(61)
+    xi = np.concatenate((
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 40.0], rng.uniform(0.0, 40.0, 2000)
+    ))
+    rho = boundstate._RHO[DensityForm.for_dimension(dimension)]
+    got = [rho(v) for v in xi.tolist()]
+    assert all(type(v) is float for v in got)
+    want = density_profile(dimension, 1.0, xi).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got == [density_profile(dimension, 1.0, v) for v in xi.tolist()]
 
 
 def _check_ring_weight_against_mpmath(k):

@@ -105,29 +105,29 @@ def test_energy_round_trip(k, sign):
 # ---------------------------------------------------------------------------
 # wave container invariants
 
-def _wave(family, sign, order=0):
+def _wave(family, sign):
     grid = RadialGrid(1.0, 2.0, 5)
-    return RadialWave(grid, np.ones(5), order, 1.0, sign, family)
+    return RadialWave(grid, np.ones(5), 1.0, sign, family)
 
 
 def test_branch_energy_sign_pairing_enforced():
-    with pytest.raises(ValueError):
-        _wave(SolutionFamily.OSCILLATORY_REGULAR, EnergySign.NEGATIVE)
-    with pytest.raises(ValueError):
-        _wave(SolutionFamily.DECAYING_MODIFIED, EnergySign.POSITIVE)
-    with pytest.raises(ValueError):
-        _wave(SolutionFamily.DECAYING_MODIFIED, EnergySign.NEGATIVE, order=1)
-    with pytest.raises(ValueError):
-        _wave(SolutionFamily.NUMERIC, EnergySign.NEGATIVE, order=1)
-    # the allowed pairings construct fine
-    _wave(SolutionFamily.OSCILLATORY_REGULAR, EnergySign.POSITIVE, order=3)
-    _wave(SolutionFamily.DECAYING_MODIFIED, EnergySign.NEGATIVE, order=0)
+    for family in (SolutionFamily.OSCILLATORY_REGULAR, SolutionFamily.OSCILLATORY_SINGULAR):
+        with pytest.raises(ValueError, match="oscillatory branches carry positive energy only"):
+            _wave(family, EnergySign.NEGATIVE)
+        _wave(family, EnergySign.POSITIVE)
+    for family in (SolutionFamily.DECAYING_MODIFIED, SolutionFamily.GROWING_MODIFIED):
+        with pytest.raises(ValueError, match="modified branches carry negative energy only"):
+            _wave(family, EnergySign.POSITIVE)
+        _wave(family, EnergySign.NEGATIVE)
+    # a numeric wave carries either sign
+    for sign in EnergySign:
+        _wave(SolutionFamily.NUMERIC, sign)
 
 
 def test_wave_shape_must_match_grid():
     grid = RadialGrid(1.0, 2.0, 5)
     with pytest.raises(ValueError):
-        RadialWave(grid, np.ones(4), 0, 1.0, EnergySign.POSITIVE,
+        RadialWave(grid, np.ones(4), 1.0, EnergySign.POSITIVE,
                    SolutionFamily.OSCILLATORY_REGULAR)
 
 
@@ -197,6 +197,40 @@ def test_inward_march_tracks_decaying_branch():
     wave = integrate_radial(QUANTUM_ANTI, -0.5 * k * k, grid, seeds, Direction.INWARD)
     rel = np.max(np.abs(wave.values - exact.values) / np.abs(exact.values))
     assert rel <= 1e-5
+
+
+@pytest.mark.parametrize("family, mp_fn", [
+    (SolutionFamily.DECAYING_MODIFIED, mp.besselk),
+    (SolutionFamily.GROWING_MODIFIED, mp.besseli),
+], ids=["K", "I"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_modified_waves_exist_at_every_order(family, mp_fn, m):
+    # sqrt(r) K_m(k r) and sqrt(r) I_m(k r) solve the planar equation at
+    # E = -k^2/2 for every order m (DLMF 10.25); only the bound state
+    # needs m = 0
+    k = 1.3
+    grid = RadialGrid(0.05, 20.05, 21)
+    wave = analytic_radial(family, m, k, grid)
+    assert wave.energy_sign is EnergySign.NEGATIVE and wave.energy == -0.5 * k * k
+    r = grid.points.tolist()
+    want = [float(mp.sqrt(v) * mp_fn(m, k * v)) for v in r]
+    np.testing.assert_allclose(wave.values, want, rtol=1e-14, atol=0.0)
+
+
+def test_inward_march_tracks_the_decaying_wave_at_order_1():
+    # the planar m = 1 equation at E = -k^2/2, seeded from sqrt(r) K_1(k r)
+    # at the far end; the error falls as h^4
+    k = 1.0
+    spec = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=1)
+    errors = []
+    for n in (5001, 20001):
+        grid = RadialGrid(0.05, 20.05, n)
+        exact = analytic_radial(SolutionFamily.DECAYING_MODIFIED, 1, k, grid)
+        seeds = (exact.values[-1], exact.values[-2])
+        wave = integrate_radial(spec, -0.5 * k * k, grid, seeds, Direction.INWARD)
+        errors.append(np.max(np.abs(wave.values - exact.values) / np.abs(exact.values)))
+    assert errors[1] <= 1e-6
+    assert errors[0] / errors[1] >= 0.75 * 4.0**4
 
 
 def test_outward_march_into_growing_region_overflows():
@@ -486,7 +520,9 @@ def test_zero_wave_has_zero_residual():
         (SolutionFamily.OSCILLATORY_SINGULAR, 0),
         (SolutionFamily.OSCILLATORY_SINGULAR, 1),
         (SolutionFamily.GROWING_MODIFIED, 0),
+        (SolutionFamily.GROWING_MODIFIED, 2),
         (SolutionFamily.DECAYING_MODIFIED, 0),
+        (SolutionFamily.DECAYING_MODIFIED, 1),
     ],
 )
 def test_analytic_radial_matches_pointwise_evaluation(family, order):
@@ -547,8 +583,8 @@ def test_runs_on_shared_coefficients_are_separate_marches(direction):
     for wave, pair in zip(waves, seeds):
         alone = integrate_radial(QUANTUM_ANTI, 0.5, grid, pair, direction)
         np.testing.assert_array_equal(wave.values, alone.values)
-        assert (wave.grid, wave.order, wave.wavenumber, wave.energy_sign, wave.family) == (
-            alone.grid, alone.order, alone.wavenumber, alone.energy_sign, alone.family)
+        assert (wave.grid, wave.wavenumber, wave.energy_sign, wave.family) == (
+            alone.grid, alone.wavenumber, alone.energy_sign, alone.family)
     with pytest.raises(ValueError, match=r"seed values must be finite, got \(1.0, nan\)"):
         radial._integrate_runs(QUANTUM_ANTI, 0.5, grid, [(0.3, 0.31), (1.0, math.nan)], direction)
 

@@ -53,9 +53,9 @@ CASES = [
     ),
     Case(RadialGrid, ("r_min", "r_max", "n_points"), (0.5, 2.0, 4), (0.5, 2.0, 5), True),
     Case(
-        RadialWave, ("grid", "values", "order", "wavenumber", "energy_sign", "family"),
-        (_GRID, np.ones(4), 0, 1.0, EnergySign.POSITIVE, SolutionFamily.OSCILLATORY_REGULAR),
-        (_GRID, np.ones(4), 0, 2.0, EnergySign.POSITIVE, SolutionFamily.OSCILLATORY_REGULAR),
+        RadialWave, ("grid", "values", "wavenumber", "energy_sign", "family"),
+        (_GRID, np.ones(4), 1.0, EnergySign.POSITIVE, SolutionFamily.OSCILLATORY_REGULAR),
+        (_GRID, np.ones(4), 2.0, EnergySign.POSITIVE, SolutionFamily.OSCILLATORY_REGULAR),
         False,
     ),
     Case(
@@ -172,7 +172,7 @@ def test_record_defaults():
         (lambda: RadialGrid(0.5, 2.0, 4.0), TypeError, "n_points must be an int"),
         (
             lambda: RadialWave(
-                _GRID, np.ones(3), 0, 1.0, EnergySign.POSITIVE,
+                _GRID, np.ones(3), 1.0, EnergySign.POSITIVE,
                 SolutionFamily.OSCILLATORY_REGULAR,
             ),
             ValueError, "does not match grid",

@@ -299,7 +299,8 @@ def test_series_and_large_argument_routes_overlap():
         for lo, hi in zip(_log_series(x, -1.0), _y01_large(x)):
             assert lo == pytest.approx(hi, rel=1e-9)
         for m in (0, 1, 2):
-            assert _ascending_series(m, x, -1.0) == pytest.approx(_j_large(m, x), rel=1e-9, abs=1e-15)
+            assert _ascending_series(m, x, -1.0) == pytest.approx(
+                _j_large((m,), x)[0], rel=1e-9, abs=1e-15)
 
     for x in (SERIES_SWITCH_K - 0.2, SERIES_SWITCH_K, SERIES_SWITCH_K + 0.2):
         for lo, hi in zip(_log_series(x, 1.0), _k01_large(x)):
@@ -307,7 +308,7 @@ def test_series_and_large_argument_routes_overlap():
 
     for x in (SERIES_SWITCH_I - 0.5, SERIES_SWITCH_I, SERIES_SWITCH_I + 0.5):
         for m in (0, 1, 2):
-            assert _ascending_series(m, x, 1.0) == pytest.approx(_i_large(m, x), rel=1e-9)
+            assert _ascending_series(m, x, 1.0) == pytest.approx(_i_large((m,), x)[0], rel=1e-9)
 
 
 def test_routes_agree_tightly_at_switch_points():
@@ -322,9 +323,9 @@ def test_routes_agree_tightly_at_switch_points():
         assert a == pytest.approx(b, rel=1e-10)
     for m in (0, 1, 2, 5):
         assert _ascending_series(m, SERIES_SWITCH_JY, -1.0) == pytest.approx(
-            _j_large(m, SERIES_SWITCH_JY), rel=1e-10, abs=1e-14)
+            _j_large((m,), SERIES_SWITCH_JY)[0], rel=1e-10, abs=1e-14)
         assert _ascending_series(m, SERIES_SWITCH_I, 1.0) == pytest.approx(
-            _i_large(m, SERIES_SWITCH_I), rel=1e-10)
+            _i_large((m,), SERIES_SWITCH_I)[0], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +716,7 @@ def _envelope(x: float) -> float:
 
 
 def _miller01(x: float) -> tuple:
-    return (_j_large(0, x), _j_large(1, x)) + _y01_large(x)
+    return _j_large((0,), x) + _j_large((1,), x) + _y01_large(x)
 
 
 def _mp01(x: float) -> list:

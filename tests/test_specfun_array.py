@@ -415,10 +415,12 @@ def test_miller_pass_on_shuffled_lanes_matches_the_float_pass(sign, start, lo, h
     want = np.array([_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]).T
     with _strict():
         with np.errstate(under="ignore"):  # as _by_regime runs the kernels
-            np.testing.assert_array_equal(_miller_array(x, top, sign, (m,)), want)
+            # the float pass returns C_m, C_1, C_0 and the denominator
+            np.testing.assert_array_equal(_miller_array(x, top, sign, (m,)), want[[0, 2, 3]])
+            np.testing.assert_array_equal(_miller_array(x, top, sign, (1,))[0], want[1])
             if sign < 0.0:
                 neumann = _miller_array(x, top, sign, (m,), neumann=True)
-                np.testing.assert_array_equal(neumann[:3], want)
+                np.testing.assert_array_equal(neumann[:3], want[[0, 2, 3]])
         fn = besselj if sign < 0.0 else besseli
         np.testing.assert_array_equal(fn(m, x), [fn(m, v) for v in x.tolist()])
 
@@ -452,8 +454,30 @@ def test_one_miller_pass_captures_each_order_as_its_own_pass(sign, start, x, ord
     for m, row in zip(orders, rows):
         want = [_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]
         np.testing.assert_array_equal(row, [w[0] for w in want])
-        np.testing.assert_array_equal(c0, [w[1] for w in want])
-        np.testing.assert_array_equal(denom, [w[2] for w in want])
+        np.testing.assert_array_equal(c0, [w[2] for w in want])
+        np.testing.assert_array_equal(denom, [w[3] for w in want])
+
+
+@pytest.mark.parametrize("rows, fn, lo, hi", [
+    (_j_rows, besselj, SERIES_SWITCH_JY, _HANKEL_SWITCH),
+    (_i_rows, besseli, SERIES_SWITCH_I, 700.0),
+])
+def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch, rows, fn, lo, hi):
+    # _FEW_LANES arguments inside the Miller regime run the float kernel,
+    # which serves orders 0, 1 and 2 from one pass
+    x = np.linspace(lo, hi, _FEW_LANES + 2)[1:-1]
+    passes = []
+
+    def spy(v, *args):
+        passes.append(v)
+        return _miller(v, *args)
+
+    monkeypatch.setattr(specfun, "_miller", spy)
+    got = rows(x, 3)
+    assert passes == x.tolist()
+    monkeypatch.undo()
+    for m in range(3):
+        np.testing.assert_array_equal(got[m], [fn(m, v) for v in x.tolist()])
 
 
 @pytest.mark.parametrize("rows, fn, hi", [(_j_rows, besselj, 60.0), (_i_rows, besseli, 700.0)])
