@@ -146,7 +146,7 @@ class ProbabilityDensity(Record):
 
     @property
     def energy(self) -> float:
-        return -0.5 * self.wavenumber**2
+        return -0.5 * self.wavenumber * self.wavenumber
 
 
 def density(dimension: int, k: float, grid) -> ProbabilityDensity:
@@ -382,7 +382,7 @@ class DeltaCoupling2D(Record):
 
     @property
     def energy(self) -> float:
-        return -0.5 * self.wavenumber**2
+        return -0.5 * self.wavenumber * self.wavenumber
 
 
 # --- closed-form bound states in one and three dimensions -----------------

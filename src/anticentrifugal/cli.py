@@ -14,6 +14,11 @@ fixed key order, laid out as ``json.dumps(indent=2)`` lays it out. Both
 carry only finite numbers. Exit codes: 0 success, 2 a validation or
 numerical error (one ``error:`` line on stderr), 3 a verify suite failed.
 
+Each command's options are declared once, in ``_COMMANDS``. A valid
+command line is parsed from that table, without argparse or the locale
+module its gettext loads; any other goes to a new ``build_parser()``,
+built from the same table, which writes every help text and error.
+
 One writer serves every table (the rows of ``potential`` and
 ``wavefunction``, the zero tables of ``nodes``): a float ndarray is
 checked for finiteness once, and formatted by one ``%`` operation over a
@@ -25,13 +30,12 @@ document order is refused with ``json``'s own message.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import re
 import sys
-from typing import NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +60,9 @@ from .quadrature import QuadratureError
 from .radial import RadialGrid, _phi2_and_k0, default_grid
 from .specfun import CylinderFamily
 from .verify import run_all
+
+if TYPE_CHECKING:
+    import argparse
 
 _FAMILY_MAP = {
     "twodim": PotentialFamily.PLANAR_WAVE,
@@ -158,13 +165,32 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _add_output_args(p: argparse.ArgumentParser, formats: bool = True) -> None:
-    if formats:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default="-", help="output path, '-' for stdout")
+class _Option(NamedTuple):
+    """One ``--flag value`` option of a command, as ``add_argument`` takes it."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: Sequence | None = None
+    required: bool = False
+    help: str | None = None
 
 
-def _root_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    options: tuple[_Option, ...]
+
+
+_FORMAT = _Option("--format", "format", choices=("csv", "json"), default="csv")
+_OUTPUT = _Option("--output", "output", default="-", help="output path, '-' for stdout")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new full parser over the option table of every command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="anticentrifugal",
         description=(
@@ -173,69 +199,46 @@ def _root_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
             f"Units: {UNITS}."
         ),
     )
-    return parser, parser.add_subparsers(dest="command", required=True)
-
-
-def _add_potential(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("potential", help="evaluate an effective potential on a grid")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_MAP))
-    p.add_argument("--m", type=int, default=0, help="angular momentum (twodim/threedim)")
-    p.add_argument("--N", dest="n_dim", type=int, default=2, help="space dimension (ndim)")
-    p.add_argument(
-        "--l-squared", dest="l_squared", type=float, default=0.0,
-        help="squared classical angular momentum (classical)",
-    )
-    p.add_argument("--r-min", type=float, default=0.5)
-    p.add_argument("--r-max", type=float, default=10.0)
-    p.add_argument("--n-points", type=int, default=200, help=f"at most {_MAX_N_POINTS}")
-    _add_output_args(p)
-
-
-def _add_wavefunction(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "wavefunction", help="planar bound-state amplitude and weight on a grid"
-    )
-    p.add_argument("--k", type=float, required=True, help="bound-state wavenumber")
-    p.add_argument("--r-min", type=float, default=None, help="default 0.05/k")
-    p.add_argument("--r-max", type=float, default=None, help="default 20/k")
-    p.add_argument("--n-points", type=int, default=2000, help=f"at most {_MAX_N_POINTS}")
-    _add_output_args(p)
-
-
-def _add_nodes(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("nodes", help="zero tables and bunching statistics")
-    p.add_argument(
-        "--n-max", type=int, default=20, help=f"zeros per table (2 to {_MAX_N_MAX})"
-    )
-    _add_output_args(p)
-
-
-def _add_boundstate(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("boundstate", help="contact-potential bound state (JSON)")
-    p.add_argument("--dimension", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument(
-        "--k", type=float, default=None,
-        help="wavenumber (3D inverse scattering length; alternative 2D input)",
-    )
-    p.add_argument("--coupling", type=float, default=None, help="contact strength")
-    p.add_argument("--cutoff", type=float, default=None, help="2D momentum cutoff")
-    _add_output_args(p, formats=False)
-
-
-def _add_verify(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("verify", help="run every cross-check suite (JSON report)")
-    p.add_argument(
-        "--tolerance-scale", type=float, default=1.0,
-        help="multiply every tolerance; 0 forces the failure path",
-    )
-    _add_output_args(p, formats=False)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser, sub = _root_parser()
-    for add, _ in _COMMANDS.values():
-        add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            p.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
+                           choices=opt.choices, required=opt.required, help=opt.help)
     return parser
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser().parse_args(argv)'s attributes where argv is a command
+    and exact ``--flag value`` or ``--flag=value`` options of it, with every
+    value valid and every required flag given; None for any other argv."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    values = {opt.dest: opt.default for opt in command.options}
+    missing = {opt.flag for opt in command.options if opt.required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        opt = options.get(flag)
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as "-"
+        # argparse may read a separate value that starts with '-' as an
+        # option, and before Python 3.13 it drops a "--" given after '='
+        if opt is None or value == "--" or not eq and value.startswith("-"):
+            return None
+        try:
+            value = opt.type(value)
+        except (TypeError, ValueError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value  # the last occurrence wins, as in argparse
+        missing.discard(flag)
+    if missing:
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
@@ -430,60 +433,59 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 3
 
 
-#: Each command's subparser adder and its runner, in the order the full
-#: usage lists the commands.
+#: Each command's help line, runner and options, in the order the full
+#: usage lists the commands: the one table build_parser() and _parse_table() read.
 _COMMANDS = {
-    "potential": (_add_potential, _cmd_potential),
-    "wavefunction": (_add_wavefunction, _cmd_wavefunction),
-    "nodes": (_add_nodes, _cmd_nodes),
-    "boundstate": (_add_boundstate, _cmd_boundstate),
-    "verify": (_add_verify, _cmd_verify),
+    "potential": _Command("evaluate an effective potential on a grid", _cmd_potential, (
+        _Option("--family", "family", required=True, choices=sorted(_FAMILY_MAP)),
+        _Option("--m", "m", int, 0, help="angular momentum (twodim/threedim)"),
+        _Option("--N", "n_dim", int, 2, help="space dimension (ndim)"),
+        _Option("--l-squared", "l_squared", float, 0.0,
+                help="squared classical angular momentum (classical)"),
+        _Option("--r-min", "r_min", float, 0.5),
+        _Option("--r-max", "r_max", float, 10.0),
+        _Option("--n-points", "n_points", int, 200, help=f"at most {_MAX_N_POINTS}"),
+        _FORMAT, _OUTPUT,
+    )),
+    "wavefunction": _Command(
+        "planar bound-state amplitude and weight on a grid", _cmd_wavefunction, (
+        _Option("--k", "k", float, required=True, help="bound-state wavenumber"),
+        _Option("--r-min", "r_min", float, help="default 0.05/k"),
+        _Option("--r-max", "r_max", float, help="default 20/k"),
+        _Option("--n-points", "n_points", int, 2000, help=f"at most {_MAX_N_POINTS}"),
+        _FORMAT, _OUTPUT,
+    )),
+    "nodes": _Command("zero tables and bunching statistics", _cmd_nodes, (
+        _Option("--n-max", "n_max", int, 20, help=f"zeros per table (2 to {_MAX_N_MAX})"),
+        _FORMAT, _OUTPUT,
+    )),
+    "boundstate": _Command("contact-potential bound state (JSON)", _cmd_boundstate, (
+        _Option("--dimension", "dimension", int, required=True, choices=(1, 2, 3)),
+        _Option("--k", "k", float,
+                help="wavenumber (3D inverse scattering length; alternative 2D input)"),
+        _Option("--coupling", "coupling", float, help="contact strength"),
+        _Option("--cutoff", "cutoff", float, help="2D momentum cutoff"),
+        _OUTPUT,
+    )),
+    "verify": _Command("run every cross-check suite (JSON report)", _cmd_verify, (
+        _Option("--tolerance-scale", "tolerance_scale", float, 1.0,
+                help="multiply every tolerance; 0 forces the failure path"),
+        _OUTPUT,
+    )),
 }
 
 
-@functools.cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    # Built on first use, not at import, and reused by every later call in
-    # the process: parse_args keeps no state between calls.  None gives the
-    # full parser; a command gives the process's one command parser, the
-    # root parser holding the subparsers of the commands parsed so far,
-    # with this command's added on its first call.
-    if command is None:
-        return build_parser()
-    parser, sub = _command_root()
-    if command not in sub.choices:  # already there after a cache_clear()
-        _COMMANDS[command][0](sub)
-    return parser
-
-
-@functools.cache
-def _command_root() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
-    return _root_parser()
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    # A command's subparser parses and reports its errors as it does in
-    # the full parser.  What the root parser words from its list of
-    # commands goes to the full parser: help, a missing or unknown
-    # command, and leftover arguments, whose usage lists every command.
-    command = argv[0] if argv else None
-    if command in _COMMANDS and "-h" not in argv and "--help" not in argv:
-        args, rest = _parser(command).parse_known_args(argv)
-        if not rest:
-            return args
-    return _parser().parse_args(argv)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_table(argv)
+    if args is None:
+        # help, errors and exit codes come from the full parser alone
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
-    try:
-        return _COMMANDS[args.command][1](args)
+        return _COMMANDS[args.command].run(args)
     except (ValueError, ArithmeticError, QuadratureError, BracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

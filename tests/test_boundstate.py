@@ -841,6 +841,20 @@ def test_delta_coupling_record_round_trip():
     assert back.coupling == pytest.approx(4.0 * math.pi, rel=1e-12)
 
 
+def test_record_energies_match_energy_from_wavenumber_bit_for_bit():
+    # k * k is correctly rounded where k**2 (libm pow) need not be: at the
+    # first k, -0.5 * k**2 reads -0.23611022511931076
+    rng = np.random.default_rng(20261019)
+    ks = [0.6871829816276168, *rng.uniform(0.1, 10.0, 10_000).tolist()]
+    for k in ks:
+        expected = radial.energy_from_wavenumber(k, radial.EnergySign.NEGATIVE)
+        pd = ProbabilityDensity(2, k, np.empty(0), np.empty(0), DensityForm.RING)
+        assert pd.energy == expected, k
+        assert DeltaCoupling2D(1.0, 1.0, k).energy == expected, k
+    assert expected == -0.5 * ks[-1] * ks[-1]
+    assert radial.energy_from_wavenumber(ks[0], radial.EnergySign.NEGATIVE) == -0.2361102251193108
+
+
 # ---------------------------------------------------------------------------
 # closed forms in one and three dimensions
 

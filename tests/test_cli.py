@@ -2,23 +2,30 @@
 
 Every invocation goes through ``main(argv)`` in process, so exit codes
 and byte-for-byte output stability can be asserted without spawning
-subprocesses; only the checks of what importing the module does (it
-builds no parser and loads neither ``dataclasses`` nor ``fractions``)
-need a fresh interpreter.
+subprocesses; only the checks of which modules importing the package and
+a valid call load (no ``argparse``, ``locale``, ``dataclasses`` or
+``fractions``) need a fresh interpreter.
 """
 
+import ast
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from anticentrifugal import cli
@@ -609,69 +616,71 @@ def _sequence(capsys):
     return [run(capsys, *argv) for argv in _PARSER_SEQUENCE]
 
 
-def test_reused_parser_matches_fresh_parsers(capsys, monkeypatch):
-    # the parsers serve every main() call in a process: errors, --help and
-    # valid calls after them must read as they do on a full parser built
-    # anew for each call
-    cli._parser.cache_clear()
-    reused = _sequence(capsys)
-    monkeypatch.setattr(cli, "_parser", lambda command=None: cli.build_parser())
+def test_mixed_calls_read_as_fresh_full_parsers(capsys, monkeypatch):
+    # valid calls, --help and errors in one process must read as they do
+    # when a new full parser reads every call
+    mixed = _sequence(capsys)
+    monkeypatch.setattr(cli, "_parse_table", lambda argv: None)
     fresh = _sequence(capsys)
-    assert reused == fresh
-    assert [rc for rc, _, _ in reused] == [2, 0, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0]
-    assert reused[2] == reused[-1]
+    assert mixed == fresh
+    assert [rc for rc, _, _ in mixed] == [2, 0, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0]
+    assert mixed[2] == mixed[-1]
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-
-    def counted():
-        built.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    try:
-        _sequence(capsys)
-        assert len(built) == 1
-        # the public builder still gives a new parser on each call
-        assert real() is not real()
-    finally:
-        cli._parser.cache_clear()
-
-
-def test_import_builds_no_parser():
-    # the parser is built by the first main() call, so the import time a
-    # shell invocation pays does not include it
+def _fresh_process(code: str) -> str:
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        "from anticentrifugal import cli\n"
-        "print(cli._parser.cache_info().currsize)\n"
-        "cli.main(['nodes', '--n-max', '2', '--output', %r])\n"
-        "print(cli._parser.cache_info().currsize)\n" % os.devnull
-    )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "0\n1\n"
+
+
+def test_import_builds_no_parser():
+    # argparse is imported by build_parser() alone, so the import time a
+    # shell invocation pays includes neither it nor its gettext
+    code = (
+        "import sys\n"
+        "import anticentrifugal.cli\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    assert _fresh_process(code) == "[]\n"
+
+
+#: One valid command line per command, writing nowhere.
+_VALID_CALLS = (
+    ["potential", "--family", "ndim", "--n-points", "3"],
+    ["wavefunction", "--k=1.5", "--n-points", "4"],
+    ["nodes", "--n-max", "2", "--format", "json"],
+    ["boundstate", "--dimension", "1", "--coupling=-2"],
+    ["verify", "--tolerance-scale", "1"],
+)
+
+
+def test_valid_calls_build_no_parser():
+    # a valid call of each command is parsed from the option table alone,
+    # so it builds no parser and loads neither argparse nor locale
+    code = (
+        "import sys\n"
+        "from anticentrifugal import cli\n"
+        "def no_parser():\n"
+        "    raise AssertionError('a parser was built')\n"
+        "cli.build_parser = no_parser\n"
+        "print([cli.main([*argv, '--output', %r]) for argv in %r])\n"
+        "print(sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+        % (os.devnull, _VALID_CALLS)
+    )
+    assert _fresh_process(code) == "[0, 0, 0, 0, 0]\n[]\n"
 
 
 def test_import_loads_neither_dataclasses_nor_fractions():
     # the records define no generated methods and the potentials keep exact
     # strengths as integer ratios, so a fresh process pays for neither module
-    src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         "import anticentrifugal.cli\n"
         "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out == "[]\n"
+    assert _fresh_process(code) == "[]\n"
 
 
 #: Argument lists whose parse ends in help or an error.
@@ -689,42 +698,153 @@ _PARSE_EXITS = [(command, "--help") for command in cli._COMMANDS] + [
 
 
 @pytest.mark.parametrize("argv", _PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no command")
-def test_command_parsers_read_as_the_full_parser(capsys, argv):
-    # main() parses with the named command's parser alone; its help, errors
-    # and exit codes must be those of build_parser(), cold and cached
+def test_parse_exits_read_as_the_full_parser(capsys, argv):
+    # the option table declines these, so their help, errors and exit
+    # codes are those of build_parser(), on every call
+    assert cli._parse_table(list(argv)) is None
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(list(argv))
     full = capsys.readouterr()
     expected = (0 if exc.value.code in (0, None) else 2, full.out, full.err)
-    cli._parser.cache_clear()
-    cli._command_root.cache_clear()
-    try:
-        assert run(capsys, *argv) == expected
-        assert run(capsys, *argv) == expected
-    finally:
-        cli._parser.cache_clear()
-        cli._command_root.cache_clear()
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv) == expected
 
 
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
-    def full_parser():
-        raise AssertionError("the full parser was built")
+# ---------------------------------------------------------------------------
+# the option table against argparse
 
-    monkeypatch.setattr(cli, "build_parser", full_parser)
-    cli._parser.cache_clear()
-    cli._command_root.cache_clear()
-    try:
-        assert run(capsys, "nodes", "--n-max", "2")[0] == 0
-        assert "{nodes}" in cli._parser("nodes").format_usage()
-        assert run(capsys, "potential", "--family", "ndim", "--n-points", "3")[0] == 0
-        assert run(capsys, "nodes", "--n-max", "3")[0] == 0
-        # one root parser, each subparser added once, in the order first run
-        assert cli._parser("nodes") is cli._parser("potential")
-        assert "{nodes,potential}" in cli._parser("nodes").format_usage()
-        assert cli._command_root.cache_info().misses == 1
-    finally:
-        cli._parser.cache_clear()
-        cli._command_root.cache_clear()
+_OPTIONS = {name: command.options for name, command in cli._COMMANDS.items()}
+_FLAGS = sorted({opt.flag for options in _OPTIONS.values() for opt in options})
+#: the proper prefixes of the flags, which argparse takes as abbreviations
+_ABBREVIATIONS = sorted({flag[:n] for flag in _FLAGS for n in range(3, len(flag))} - set(_FLAGS))
+_CHOICES = sorted({str(c) for options in _OPTIONS.values() for opt in options for c in opt.choices or ()})
+_values = st.sampled_from(
+    ["1", "-1", "-1e-3", "-", "", "nan", "abc", "json", "0", "4", "xml", "-h", "--", *_CHOICES]
+)
+_tokens = st.one_of(
+    st.sampled_from(
+        [*_FLAGS, *_ABBREVIATIONS, "-h", "--help", "--", "--bogus", "-k", "bogus", *cli._COMMANDS]
+    ),
+    _values,
+    st.builds("{}={}".format, st.sampled_from([*_FLAGS, *_ABBREVIATIONS, "--bogus"]), _values),
+)
+
+
+def _good_values(opt):
+    if opt.choices:
+        return st.sampled_from([str(c) for c in opt.choices])
+    return st.sampled_from({int: ["2", "3"], float: ["0.5", "2", "1e-3"]}.get(opt.type, ["out.csv"]))
+
+
+def _option(opt):
+    """``opt``'s flag or one of its abbreviations, with a value that is
+    valid or drawn from the shared list, separate or joined by '='."""
+    flag = st.one_of(st.just(opt.flag), st.sampled_from([opt.flag[:n] for n in range(3, len(opt.flag) + 1)]))
+    value = st.one_of(_good_values(opt), _good_values(opt), _values)  # mostly valid
+    return st.one_of(
+        st.tuples(flag, value),
+        st.builds("{}={}".format, flag, value).map(lambda token: (token,)),
+    )
+
+
+def _command_lines(name):
+    """``name``, its required flags with valid values or not, then its own
+    options and a few stray tokens in any order."""
+    options = _OPTIONS.get(name, _OPTIONS["potential"])
+    required = [
+        [opt.flag, str(opt.choices[0]) if opt.choices else "1"]
+        for opt in options if opt.required
+    ]
+    parts = st.tuples(
+        st.booleans(),
+        st.lists(st.sampled_from(options).flatmap(_option), max_size=5),
+        st.lists(_tokens.map(lambda token: (token,)), max_size=1),
+    )
+    return parts.flatmap(
+        lambda drawn: st.permutations(drawn[1] + drawn[2]).map(
+            lambda order: [name, *(t for part in required for t in part if drawn[0]),
+                           *(t for part in order for t in part)]
+        )
+    )
+
+
+_argvs = st.one_of(
+    st.just([]),
+    # each command twice, so that more lines parse
+    st.sampled_from([*cli._COMMANDS] * 2 + ["bogus", "-h", "--help", "--"]).flatmap(_command_lines),
+)
+
+
+def _attributes(args):
+    return repr(sorted(vars(args).items()))  # repr: nan equals itself, 1 differs from 1.0
+
+
+def _echo(args):
+    print(_attributes(args))
+    return 0
+
+
+def _triple(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = call()
+        except SystemExit as exc:
+            rc = 0 if exc.code in (0, None) else 2
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs)
+@example(["nodes", "--output", "-h"])
+@example(["nodes", "--output", "--"])
+@example(["nodes", "--output", "-"])
+@example(["verify", "--output=--"])
+@example(["wavefunction", "--k", "-1e-3"])
+@example(["nodes", "--n-max", "3", "--n-max=4", "--format", "json"])
+@example(["boundstate", "--dimension=2", "--k", "nan", "--output="])
+def test_option_table_parses_as_argparse(argv):
+    # what the table parser accepts, argparse reads to the same attributes;
+    # what it declines, main() hands to the full parser, so the exit code,
+    # stdout and stderr are the full parser's (the commands only echo here)
+    echoing = {name: command._replace(run=_echo) for name, command in cli._COMMANDS.items()}
+    with mock.patch.object(cli, "_COMMANDS", echoing):
+        parsed = cli._parse_table(list(argv))
+        if parsed is not None:
+            assert _attributes(parsed) == _attributes(cli.build_parser().parse_args(list(argv)))
+        else:
+            full = _triple(lambda: _echo(cli.build_parser().parse_args(list(argv))))
+            assert _triple(lambda: cli.main(list(argv))) == full
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_option_table_parses_every_benchmark_invocation():
+    # the benchmark's calls must not fall back to argparse
+    workloads = _bench_workloads()
+    argvs = [
+        argv
+        for workload in workloads.WORKLOADS
+        for seed in range(21)
+        for sample in range(10)
+        for argv in workloads.invocations(workload, seed, sample)
+    ]
+    assert len(argvs) == 21 * 10 * 10
+    assert [argv for argv in argvs if cli._parse_table(argv) is None] == []
+
+
+def test_option_table_parses_every_workflow_command_line():
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    shell = [shlex.split(line) for line in re.findall(r"-m anticentrifugal ([^|>)\\\n]*)", workflow)]
+    python = [ast.literal_eval(argv) for argv in re.findall(r"main\((\[[^\]]*\])\)", workflow)]
+    assert len(shell) >= 20 and len(python) >= 5
+    assert [argv for argv in shell + python if cli._parse_table(argv) is None] == []
 
 
 # ---------------------------------------------------------------------------
