@@ -12,7 +12,8 @@ Output is deterministic byte for byte: CSV uses a single header row, LF
 line endings and 17-significant-digit floats; JSON is one object with a
 fixed key order, laid out as ``json.dumps(indent=2)`` lays it out. Both
 carry only finite numbers. Exit codes: 0 success, 2 a validation or
-numerical error (one ``error:`` line on stderr), 3 a verify suite failed.
+numerical error or an ``--output`` path that cannot be opened (one
+``error:`` line on stderr), 3 a verify suite failed.
 
 Each command's options are declared once, in ``_COMMANDS``. A valid
 command line is parsed from that table, without argparse or the locale
@@ -160,9 +161,16 @@ def _check_n_points(n_points: int) -> None:
 def _write(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    # argparse before Python 3.13 reads --output=-- as an empty list
+    if not isinstance(path, str):
+        raise ValueError("--output needs a file path or '-', got '--'")
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot open --output {path!r}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 class _Option(NamedTuple):

@@ -200,35 +200,43 @@ def _integrate_runs(
     # the step's coefficients 2 + 10 c f and 1 - c f, rounded as on floats;
     # an overflowed f gives inf or nan silently, as float arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        a = (2.0 + 10.0 * c * f).tolist()
-        g = (1.0 - c * f).tolist()
+        a = 2.0 + 10.0 * c * f
+        g = 1.0 - c * f
     # an inward run marches the reversed grid outward, and reverses back
     inward = direction is not Direction.OUTWARD
     if inward:
-        a.reverse()
-        g.reverse()
-        r = r[::-1]
+        a, g, r = a[::-1], g[::-1], r[::-1]
+    # the march streams the coefficients from memoryviews, whose items are
+    # Python floats, into one np.fromiter per run; it stops before its
+    # first zero divisor 1 - c f, where float division would raise
+    zero = np.flatnonzero(g[2:] == 0.0)
+    stop = 2 + int(zero[0]) if zero.size else grid.n_points
+    a, g = memoryview(a), memoryview(g)
     sign = EnergySign.POSITIVE if energy > 0 else EnergySign.NEGATIVE
     k = wavenumber_from_energy(energy)
     waves = []
     for s0, s1 in pairs:
         # the march runs on past an overflow, through inf and nan; growth
-        # is checked once at the end, and before a division by zero
-        u = [s0, s1]
-        prev, cur = s0, s1
-        try:
-            for ai, gb, gf in zip(a[1:-1], g, g[2:]):
-                prev, cur = cur, (ai * cur - gb * prev) / gf
-                u.append(cur)
-        except ZeroDivisionError:
-            _check_growth(np.array(u), r)
-            raise
-        values = np.fromiter(u, float, len(u))
+        # is checked once at its end, so an overflow before a zero divisor
+        # is reported in place of the division by zero
+        values = np.fromiter(_march(a[1 : stop - 1], g, g[2:stop], s0, s1), float, stop)
         _check_growth(values, r)
+        if zero.size:
+            raise ZeroDivisionError("float division by zero")
         if inward:
             values = values[::-1].copy()
         waves.append(RadialWave(grid, values, k, sign, SolutionFamily.NUMERIC))
     return waves
+
+
+def _march(a, g_back, g_next, prev: float, cur: float):
+    """The seeds, then u_{i+1} = (a_i u_i - g_{i-1} u_{i-1}) / g_{i+1} for
+    each step of the zipped coefficients, one float at a time."""
+    yield prev
+    yield cur
+    for ai, gb, gf in zip(a, g_back, g_next):
+        prev, cur = cur, (ai * cur - gb * prev) / gf
+        yield cur
 
 
 def _check_growth(u: np.ndarray, r: np.ndarray) -> None:

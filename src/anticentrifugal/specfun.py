@@ -26,8 +26,9 @@ and K, and for J above x = 20 while the order is below x; downward
 (Miller) for I, and for J below x = 20 or at orders from x on.  Above
 x = 20 a Miller pass's length therefore follows the order served, not
 the argument.  Order-0 calls of Y and K sum only the order-0 part of the
-log-augmented series, and K_0 takes only the order-0 Hankel pair: order 1
-is needed only to start the recurrence.
+log-augmented series, whose loop also sums its J_0 or I_0, and K_0 takes
+only the order-0 Hankel pair: order 1 is needed only to start the
+recurrence.
 
 Every evaluator takes a float or an array of arguments.  The ascending and
 log-augmented series, the Hankel expansions, the K trapezoid and the
@@ -227,18 +228,21 @@ def _log_series(x, sign: float, orders: int = 2):
     s0 = sum_{k>=1} sign^k H_k q^k / (k!)^2, the sum of DLMF 10.31.2 for K
     and minus that of 10.8.2 for Y, and
     s1 = sum_{k>=0} sign^k (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).
-    s1's stop test bounds its next term before adding it.  Order 0 alone
-    stops on s0's own test: the terms s0 adds past it, while s1 converges,
-    are below half an ulp of s0, so both ways give the same K_0 and Y_0.
+    It also sums C_0 = sum_k sign^k q^k / (k!)^2 (J_0 or I_0) from s0's
+    terms without H_k, which are _ascending_series(0)'s bit for bit, as
+    0.25 x x and (x/2)^2 round alike.  s1's stop test bounds its next term
+    before adding it; the others are the series' own.  The loop runs until
+    every sum has met its test: the terms a sum adds past it are below
+    half an ulp of it, so C_0 is _ascending_series(0)'s value, and order 0
+    alone gives the K_0 and Y_0 of both orders.
     """
     array = isinstance(x, np.ndarray)
     both = orders > 1
     q = 0.25 * x * x
     lg = _map(_log_half, x) if array else _log_half(x)
-    c0 = _ascending_series(0, x, sign)  # J_0 or I_0
     g2 = 2.0 * EULER_GAMMA
     s0 = s1 = 0.0
-    t0 = t1 = 1.0
+    c0 = t0 = t1 = 1.0
     h = 0.0  # H_k
     alt = 1.0  # sign^k
     k = 0
@@ -249,9 +253,10 @@ def _log_series(x, sign: float, orders: int = 2):
         t0 *= q / (k * k)
         h += 1.0 / k
         alt *= sign
+        c0 += alt * t0
         u0 = t0 * h
         s0 += alt * u0
-        done = u0 <= 1e-17 * (abs(s0) + 1e-30)
+        done = (u0 <= 1e-17 * (abs(s0) + 1e-30)) & (t0 <= 1e-17 * abs(c0))
         if both:
             t1 *= q / (k * (k + 1))
             done = done & (t1 * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30))

@@ -284,8 +284,20 @@ def test_scale_free_total_matches_the_r_space_integral(dimension, k):
 
 def test_ring_peak_parameter_value():
     xi = ring_peak_parameter()
+    assert xi == 0.16572151618344258  # bit for bit
     assert xi == pytest.approx(oracles.RING_XI, rel=1e-15)
     assert 0.1 < xi < 0.3
+
+
+def test_ring_stationarity_rows_are_those_of_besselk():
+    # one K pass per lane gives the K_0 and K_1 of besselk(0) and besselk(1)
+    lo, hi = boundstate._RING_BRACKET
+    xs = np.concatenate(([lo, hi], np.random.default_rng(67).uniform(lo, hi, 1000)))
+    k0 = np.array([besselk(0, x) for x in xs.tolist()])
+    k1 = np.array([besselk(1, x) for x in xs.tolist()])
+    s, slope = boundstate._ring_stationarity(xs)
+    assert s.tobytes() == (k0 - 2.0 * xs * k1).tobytes()
+    assert slope.tobytes() == (2.0 * xs * k0 - k1).tobytes()
 
 
 def test_ring_peak_bracket_without_a_sign_change_raises(monkeypatch):

@@ -577,6 +577,21 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == stdout_text
 
 
+@pytest.mark.parametrize("value", ["{tmp}/no/such/dir/x.csv", "", "--"])
+def test_output_path_that_cannot_be_opened_exits_two(tmp_path, monkeypatch, capsys, value):
+    # a missing directory, an empty path, and --output=--, which argparse
+    # before Python 3.13 reads as an empty list: one error line, no file
+    argv = ["nodes", "--n-max", "2", "--output=" + value.format(tmp=tmp_path)]
+    if value == "--" and isinstance(cli.build_parser().parse_args(argv).output, str):
+        pytest.skip("this argparse keeps '--' as the path")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     args = ("nodes", "--n-max", "5", "--format", "json")
     _, first, _ = run(capsys, *args)

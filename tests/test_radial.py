@@ -433,11 +433,14 @@ def test_numerov_march_is_bit_identical_to_the_index_loop(direction, grid, energ
 
 
 @pytest.mark.parametrize("direction", list(Direction))
-@pytest.mark.parametrize("pole_at, fill", [(25, "near"), (5, "near"), (25, "flat"), (5, "flat")])
+@pytest.mark.parametrize("pole_at, fill", [
+    (25, "near"), (17, "near"), (13, "near"), (5, "near"), (25, "flat"), (5, "flat"),
+])
 def test_numerov_zero_coefficient_matches_the_index_loop(monkeypatch, direction, pole_at, fill):
     # a zero 1 - c f raises ZeroDivisionError, unless a sample marched
     # before it overflowed; next to the pole each step grows u about
-    # 1e16-fold, on a flat f it grows slowly
+    # 1e16-fold, on a flat f it grows slowly.  Poles at 17 and 13 sit one
+    # step past the first overflow, outward and inward
     grid = RadialGrid(1.0, 2.0, 31)
     c = grid.spacing ** 2 / 12.0
     pole = 1.0 / c

@@ -135,21 +135,86 @@ def _seeded_below(switch: float, n: int = 100_000) -> np.ndarray:
     return x[x > 0.0]
 
 
+def _two_pass_log_series(x, sign, orders):
+    """_log_series summed in two passes: C_0 (J_0 or I_0) from
+    _ascending_series(0), then the s0 and s1 loop on its own stop tests."""
+    array = isinstance(x, np.ndarray)
+    both = orders > 1
+    q = 0.25 * x * x
+    lg = specfun._map(specfun._log_half, x) if array else specfun._log_half(x)
+    c0 = _ascending_series(0, x, sign)
+    g2 = 2.0 * specfun.EULER_GAMMA
+    s0 = s1 = 0.0
+    t0 = t1 = 1.0
+    h, alt, k = 0.0, 1.0, 0
+    while True:
+        if both:
+            s1 += alt * (t1 * (h + h + 1.0 / (k + 1) - g2))
+        k += 1
+        t0 *= q / (k * k)
+        h += 1.0 / k
+        alt *= sign
+        u0 = t0 * h
+        s0 += alt * u0
+        done = u0 <= 1e-17 * (abs(s0) + 1e-30)
+        if both:
+            t1 *= q / (k * (k + 1))
+            done = done & (t1 * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30))
+        if (done.all() if array else done) or k > 60:
+            break
+    if sign < 0.0:
+        out = ((2.0 / math.pi) * ((lg + specfun.EULER_GAMMA) * c0 - s0),)
+    else:
+        out = (-(lg + specfun.EULER_GAMMA) * c0 + s0,)
+    if not both:
+        return out
+    c1 = _ascending_series(1, x, sign)
+    if sign < 0.0:
+        return out + ((2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1,)
+    return out + (1.0 / x + lg * c1 - 0.25 * x * s1,)
+
+
 @pytest.mark.parametrize("sign, switch", [(-1.0, SERIES_SWITCH_JY), (1.0, SERIES_SWITCH_K)])
-def test_order_zero_series_is_the_two_order_series_bit_for_bit(sign, switch):
-    # order 0 alone stops on its own sum's test; every term the two-order
-    # loop adds past it, while the order-1 sum converges, is below half an
-    # ulp of the order-0 sum, so Y_0 and K_0 come out the same either way
+def test_fused_series_is_the_two_pass_series_bit_for_bit(sign, switch):
+    # C_0 summed from s0's terms is what the separate _ascending_series
+    # pass gave, and order 0 alone is Y_0 and K_0 of both orders: the terms
+    # a sum adds past its own stop test are below half an ulp of it.  The
+    # floats are held to the array reference, which the float reference
+    # equals bit for bit (test_series_kernels_serve_floats_and_arrays_alike);
+    # one-lane arrays run the float path's operations, on a seeded 500
+    # of the arguments and the ends of the range
     x = _seeded_below(switch)
     assert x.size >= 100_000 and x.min() == 5e-324
     with np.errstate(over="ignore", divide="ignore"):  # order 1 overflows at subnormal x
+        want = np.array(_two_pass_log_series(x, sign, 2))
+        np.testing.assert_array_equal(_two_pass_log_series(x, sign, 1), want[:1])
         (alone,) = _log_series(x, sign, 1)
-        np.testing.assert_array_equal(alone, _log_series(x, sign)[0])
-    v = x.tolist()
-    np.testing.assert_array_equal(
-        [_log_series(u, sign, 1)[0] for u in v], [_log_series(u, sign)[0] for u in v]
-    )
+        np.testing.assert_array_equal(alone, want[0])
+        np.testing.assert_array_equal(_log_series(x, sign), want)
+        v = x.tolist()
+        np.testing.assert_array_equal([_log_series(u, sign, 1)[0] for u in v], want[0])
+        np.testing.assert_array_equal(np.array([_log_series(u, sign) for u in v]).T, want)
+        at = np.concatenate((np.arange(x.size - 4, x.size), np.random.default_rng(23).choice(x.size, 500)))
+        for orders in (1, 2):
+            lanes = [x[i : i + 1] for i in at.tolist()]
+            got = np.hstack([np.array(_log_series(u, sign, orders)) for u in lanes])
+            ref = np.hstack([np.array(_two_pass_log_series(u, sign, orders)) for u in lanes])
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(got, want[:orders, at])
     np.testing.assert_array_equal(alone, (besselk if sign > 0.0 else bessely)(0, x))
+
+
+def test_log_series_sums_the_ascending_series_for_order_1_only(monkeypatch):
+    calls = []
+    ascending = specfun._ascending_series
+    monkeypatch.setattr(specfun, "_ascending_series", lambda m, x, sign: calls.append(m) or ascending(m, x, sign))
+    for x in (1e-300, 0.5, 1.99, np.array([0.5]), np.linspace(0.1, 1.9, 40)):
+        for sign in (-1.0, 1.0):
+            calls.clear()
+            _log_series(x, sign, 1)
+            assert calls == []
+            _log_series(x, sign, 2)
+            assert calls == [1]
 
 
 _FLOAT_ARGUMENTS = (1e-20, 0.5, 2.5, 5.0, 10.0, 25.0, 100.0, 700.0)
