@@ -31,7 +31,7 @@ from ._record import Record
 from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
 from .radial import RadialGrid, _k0_at, _k0_of
-from .specfun import _K_ROUTES, _K_SCALED_SWITCH, _K_SWITCHES, _on_float
+from .specfun import CylinderFamily, _besselk_float, cylinder_rows
 
 @unique
 class DensityForm(Enum):
@@ -121,10 +121,10 @@ def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
 
 
 def _ring_rho(xi: float) -> float:
-    # K_0 from its route table where xi is normal and below the scaled
-    # switch, as _k0_of gives it there; _k0_of serves the rest
-    if sys.float_info.min <= xi < _K_SCALED_SWITCH:
-        k0 = _on_float(xi, _K_SWITCHES, _K_ROUTES, 1)[0]
+    # K_0 from besselk's float path where xi is normal, as _k0_of gives it
+    # there; _k0_of serves the subnormal rest
+    if xi >= sys.float_info.min:
+        k0 = _besselk_float(0, xi)
     else:
         k0 = _k0_of(1.0, xi) if xi > 0.0 else 0.0
     return 2.0 * xi * (k0 * k0)
@@ -196,7 +196,7 @@ def _ring_stationarity(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # s = K_0 - 2 x K_1 and s' = 2 x K_0 - K_1, with K_0 and K_1 from one
     # float pass per lane, as besselk(0) and besselk(1) give them at the
     # normal arguments below the scaled switch where the bracket lies
-    k0, k1 = np.array([_on_float(x, _K_SWITCHES, _K_ROUTES, 2) for x in xs.tolist()]).T
+    k0, k1 = np.array([cylinder_rows(CylinderFamily.MODIFIED_K, x, 2) for x in xs.tolist()]).T
     return k0 - 2.0 * xs * k1, 2.0 * xs * k0 - k1
 
 

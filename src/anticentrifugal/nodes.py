@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._record import Record
-from .specfun import CylinderFamily, oscillatory_pair
+from .specfun import CylinderFamily, cylinder_rows
 
 #: Lower edge of the first bracket: just above the origin, where J_0 and
 #: Y_m are far from zero and J_1 is small but positive.
@@ -124,8 +124,8 @@ def _mcmahon_seeds(family: CylinderFamily, order: int, n_max: int) -> np.ndarray
 
 
 def _value_and_slope(family: CylinderFamily, order: int, x: np.ndarray):
-    # C_0' = -C_1 and C_1' = C_0 - C_1/x, from one table per argument
-    c0, c1 = oscillatory_pair(family, x)
+    # C_0' = -C_1 and C_1' = C_0 - C_1/x, from one cylinder_rows pass per argument
+    c0, c1 = cylinder_rows(family, x, 2)
     if order == 0:
         return c0, -c1
     return c1, c0 - c1 / x

@@ -44,12 +44,14 @@ whole array, and the rare J start order whose sum sits next to an integer
 is recomputed the scalar way.  J, Y, I and K therefore agree bit for bit
 between the two paths.
 
-One table per family pairs each regime's array kernel with its float
-kernel; the J and I kernels take a tuple of orders and return one value
-per order, so orders 0 to 2 come from one pass.  A float runs the float
-kernel of its regime; so does each argument of an array regime that
-holds at most _FEW_LANES of them, since an array kernel's numpy calls
-cost more than that many pure-Python evaluations.
+One table gives each family its switch points, the array and float
+kernels of each regime, and its recurrence sign.  Every kernel takes a
+tuple of orders: J and I serve each order in it, so orders 0 to 2 come
+from one pass; Y and K read its length, 1 or 2.  One dispatcher serves
+floats and arrays: a float runs the float kernel of its regime; so does
+each argument of an array regime that holds at most _FEW_LANES of them,
+since an array kernel's numpy calls cost more than that many
+pure-Python evaluations.
 
 All functions are pure and keep no state between calls.
 """
@@ -218,10 +220,11 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x) if x >= 2.0 * sys.float_info.min else math.log(x) - math.log(2.0)
 
 
-def _log_series(x, sign: float, orders: int = 2):
-    """Y_0 and Y_1 (sign -1) or K_0 and K_1 (sign +1) from the log-augmented
+def _log_series(ms, x, sign: float = 1.0):
+    """K_0 and K_1 (sign +1) or Y_0 and Y_1 (sign -1) from the log-augmented
     ascending series (x below the switch), as a tuple of floats or arrays;
-    with *orders* 1 the tuple holds order 0 alone.
+    with one order in *ms* the tuple holds order 0 alone.  K's sign is the
+    default, so K's route table holds this kernel itself.
 
     One loop runs the sums of the orders asked for until each has
     converged, with q = x^2/4 and H_k the harmonic numbers:
@@ -237,7 +240,7 @@ def _log_series(x, sign: float, orders: int = 2):
     alone gives the K_0 and Y_0 of both orders.
     """
     array = isinstance(x, np.ndarray)
-    both = orders > 1
+    both = len(ms) > 1
     q = 0.25 * x * x
     lg = _map(_log_half, x) if array else _log_half(x)
     g2 = 2.0 * EULER_GAMMA
@@ -502,11 +505,11 @@ def _y01_large_array(x: np.ndarray) -> np.ndarray:
     return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
 
 
-def _k01_large(x, orders: int = 2):
+def _k01_large(ms, x):
     """K_0 and K_1 on [SERIES_SWITCH_K, _HANKEL_SWITCH) by trapezoid sums
     with step _K_STEP on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt, as
-    a tuple of floats or arrays; with *orders* 1 the tuple holds K_0 alone,
-    and only its sum runs.
+    a tuple of floats or arrays; with one order in *ms* the tuple holds
+    K_0 alone, and only its sum runs.
 
     The integrand extends to an even analytic function of t, so the
     trapezoid converges geometrically.  Its exponentials come from numpy's
@@ -518,7 +521,7 @@ def _k01_large(x, orders: int = 2):
     of its sum, so it leaves the sum unchanged.
     """
     array = isinstance(x, np.ndarray)
-    both = orders > 1
+    both = len(ms) > 1
     last = float(x.min()) if array else x  # the lane that stops last
     nx = -x
     nodes = _K_COSH.tolist()
@@ -597,6 +600,13 @@ def _hankel01(x):
     )
 
 
+def _j_hankel(ms, x):
+    """J_m for each m of *ms*, each below x, by upward recurrence from the
+    J_0 and J_1 of one Hankel evaluation."""
+    c = _hankel01(x)[:2]
+    return [_recur_up(m, x, c, -1.0) for m in ms]
+
+
 def _k01_scaled(x, orders: int = 2):
     """e^x K_0 and e^x K_1 at x >= _HANKEL_SWITCH from the Hankel expansion
     sqrt(pi/(2x)) (P(-t) + Q(-t)/x), t = 1/x^2 (DLMF 10.40.2), with the
@@ -609,12 +619,12 @@ def _k01_scaled(x, orders: int = 2):
     return tuple(env * (_horner(p, t) + r * _horner(q, t)) for p, q in _HANKEL_PQ[:orders])
 
 
-def _k01_hankel(x, orders: int = 2):
+def _k01_hankel(ms, x):
     """K_0 and K_1 (or K_0 alone) on [_HANKEL_SWITCH, _K_SCALED_SWITCH), a
     float or an array: _k01_scaled times e^-x, taken from math.exp per
     element."""
     e = _map(math.exp, -x) if _is_array(x) else math.exp(-x)
-    return tuple(e * v for v in _k01_scaled(x, orders))
+    return tuple(e * v for v in _k01_scaled(x, len(ms)))
 
 
 def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
@@ -652,41 +662,6 @@ def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hankel_from(m: int) -> float:
-    """Smallest argument at which J_m comes from the Hankel J_0 and J_1:
-    the switch, and past the order, because upward recurrence is stable
-    for J_m only while m < x."""
-    return max(_HANKEL_SWITCH, math.nextafter(m, math.inf))
-
-
-def _crossover_mismatch() -> float:
-    """Worst relative gap between neighbouring routes of orders 0 and 1,
-    1e-6 on either side of each switch point."""
-    worst = 0.0
-    for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
-        below = _j_large((0, 1), x) + _y01_large(x) + _k01_large(x)
-        hankel = _hankel01(x) + _k01_hankel(x)
-        for h, v in zip(hankel, below):
-            worst = max(worst, abs(h - v) / abs(v))
-    for x in (SERIES_SWITCH_JY - 1e-6, SERIES_SWITCH_JY + 1e-6):
-        y_small = _log_series(x, -1.0)
-        y_large = _y01_large(x)
-        j_large = _j_large((0, 1), x)
-        for m in (0, 1):
-            worst = max(worst, abs(_ascending_series(m, x, -1.0) - j_large[m]) / abs(j_large[m]))
-            worst = max(worst, abs(y_small[m] - y_large[m]) / abs(y_large[m]))
-    for x in (SERIES_SWITCH_I - 1e-6, SERIES_SWITCH_I + 1e-6):
-        i_large = _i_large((0, 1), x)
-        for m in (0, 1):
-            worst = max(worst, abs(_ascending_series(m, x, 1.0) - i_large[m]) / abs(i_large[m]))
-    for x in (SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K + 1e-6):
-        k_small = _log_series(x, 1.0)
-        k_large = _k01_large(x)
-        for m in (0, 1):
-            worst = max(worst, abs(k_small[m] - k_large[m]) / abs(k_large[m]))
-    return worst
-
-
 # ----------------------------------------------------------------------
 # per-family dispatch
 # ----------------------------------------------------------------------
@@ -698,56 +673,78 @@ def _crossover_mismatch() -> float:
 #: (the Miller and Neumann passes).
 _FEW_LANES = 11
 
-# Each family's regimes in order of argument, as (array kernel, float
-# kernel) pairs, both called as kernel(p, x): for J and I, p is a tuple of
-# orders, and each kernel returns one value or row per order; for Y and K,
-# p is the number of orders, 1 for C_0 alone or 2 for C_0 and C_1.  A
-# float kernel returns floats, its array kernel the same values bit for
-# bit as rows; from _K_SCALED_SWITCH on, both give the zeros that stand in
-# for K until _k_scaled serves it.  The J and I orders are (m,) or
-# 0 .. n - 1 for n <= 3, which share the Miller start order and the switch
-# to the Hankel rows (_hankel_from(2) is _HANKEL_SWITCH), so each row is
-# the single order's value bit for bit.
-_J_ROUTES = (
-    (lambda ms, x: [_ascending_series(m, x, -1.0) for m in ms],) * 2,
-    (_j_large_array, _j_large),
-    (lambda ms, x: [_recur_up(m, x, c, -1.0) for c in (_hankel01(x)[:2],) for m in ms],) * 2,
-)
-_Y_ROUTES = (
-    (lambda n, x: _log_series(x, -1.0, n),) * 2,
-    (lambda n, x: _y01_large_array(x)[:n], lambda n, x: _y01_large(x)[:n]),
-    (lambda n, x: _hankel01(x)[2 : 2 + n],) * 2,
-)
-_I_ROUTES = (
-    (lambda ms, x: [_ascending_series(m, x, 1.0) for m in ms],) * 2,
-    (_i_large_array, _i_large),
-)
-_K_ROUTES = (
-    (lambda n, x: _log_series(x, 1.0, n),) * 2,
-    (lambda n, x: _k01_large(x, n),) * 2,
-    (lambda n, x: _k01_hankel(x, n),) * 2,
-    (lambda n, x: np.zeros((n, x.size)), lambda n, x: (0.0,) * n),
-)
-_JY_SWITCHES = (SERIES_SWITCH_JY, _HANKEL_SWITCH)
-_I_SWITCHES = (SERIES_SWITCH_I,)
-_K_SWITCHES = (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH)
+#: Per family: its switch points; each regime's (array kernel, float
+#: kernel), both called as kernel(ms, x) with a tuple ms of orders, the
+#: float kernel returning floats and the array kernel their bits as rows;
+#: and the sign of the recurrence that takes Y and K past order 1 (None
+#: for J and I, which serve (m,) or 0 .. n - 1 for n <= 3: these orders
+#: share the Miller start order and the switch to the Hankel rows, so
+#: each row is the single order's value bit for bit).  From
+#: _K_SCALED_SWITCH on, K's kernels give zeros until _k_scaled serves K.
+_FAMILIES = {
+    CylinderFamily.BESSEL_J: (
+        (SERIES_SWITCH_JY, _HANKEL_SWITCH),
+        (
+            (lambda ms, x: [_ascending_series(m, x, -1.0) for m in ms],) * 2,
+            (_j_large_array, _j_large),
+            (_j_hankel,) * 2,
+        ),
+        None,
+    ),
+    CylinderFamily.NEUMANN_Y: (
+        (SERIES_SWITCH_JY, _HANKEL_SWITCH),
+        (
+            (lambda ms, x: _log_series(ms, x, -1.0),) * 2,
+            (lambda ms, x: _y01_large_array(x)[: len(ms)], lambda ms, x: _y01_large(x)[: len(ms)]),
+            (lambda ms, x: _hankel01(x)[2 : 2 + len(ms)],) * 2,
+        ),
+        -1.0,
+    ),
+    CylinderFamily.MODIFIED_I: (
+        (SERIES_SWITCH_I,),
+        (
+            (lambda ms, x: [_ascending_series(m, x, 1.0) for m in ms],) * 2,
+            (_i_large_array, _i_large),
+        ),
+        None,
+    ),
+    # the kernels themselves, with no wrapper, serve the ring integrand's K_0
+    CylinderFamily.MODIFIED_K: (
+        (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH),
+        (
+            (_log_series,) * 2,
+            (_k01_large,) * 2,
+            (_k01_hankel,) * 2,
+            (lambda ms, x: np.zeros((len(ms), x.size)), lambda ms, x: (0.0,) * len(ms)),
+        ),
+        1.0,
+    ),
+}
+
+# K's row, which _besselk_float reads without hashing an enum member
+_K_SWITCHES, _K_ROUTES = _FAMILIES[CylinderFamily.MODIFIED_K][:2]
 
 
-def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p, width: int = 1):
-    """Evaluate the kernels of routes[i] (a table above) as kernel(p, v) on
-    the arguments v from switches[i - 1] up to below switches[i]; *width*
-    is the number of rows each kernel returns.
-
-    A regime that holds at most _FEW_LANES arguments runs its float kernel
-    on one argument at a time, which gives the same values faster.
-    Underflow is ignored here, on the array path only: a term or a value
-    that rounds to a subnormal or zero is as benign on an array as it is in
-    the float path's pure-Python arithmetic, which never raises.  So are
-    overflow and division by zero: the log-augmented series' Y_1 and K_1
-    overflow for a subnormal x, and _recur_up raises OverflowError for them.
+def _regimes(x, switches: tuple, routes: tuple, ms):
+    """Values (at a float x) or rows (on an array x) of the orders *ms* from
+    the kernels of routes[i] on the arguments from switches[i - 1] up to
+    below switches[i]; a regime of at most _FEW_LANES arguments runs its
+    float kernel per argument.  Underflow is ignored on the array path: it
+    is as benign there as in the float path's Python arithmetic, which
+    never raises.  So are overflow and division by zero: the series' Y_1
+    and K_1 overflow for a subnormal x, and _recur_up raises for them.
     """
+    if isinstance(x, float):
+        return routes[bisect.bisect_right(switches, x)][1](ms, x)
+    return _on_lanes(x, switches, routes, ms)
+
+
+def _on_lanes(x: np.ndarray, switches: tuple, routes: tuple, ms) -> np.ndarray:
+    # _regimes' array path, kept out of it so that a float call, such as
+    # each of the ring integrand's K_0, sets up a small frame: about 0.1
+    # microsecond a call less
     flat = x.ravel()
-    out = np.empty((width, flat.size))
+    out = np.empty((len(ms), flat.size))
     regime = np.searchsorted(switches, flat, side="right")
     with np.errstate(under="ignore", over="ignore", divide="ignore"):
         for i, (kernel, lane_kernel) in enumerate(routes):
@@ -756,101 +753,86 @@ def _by_regime(x: np.ndarray, switches: tuple, routes: tuple, p, width: int = 1)
             if not v.size:
                 continue
             if v.size > _FEW_LANES:
-                out[:, mask] = kernel(p, v)
+                out[:, mask] = kernel(ms, v)
             else:
-                out[:, mask] = np.array([lane_kernel(p, u) for u in v.tolist()]).T
-    return out.reshape((width,) + x.shape)
+                out[:, mask] = np.array([lane_kernel(ms, u) for u in v.tolist()]).T
+    return out.reshape((len(ms),) + x.shape)
 
 
-def _on_float(x: float, switches: tuple, routes: tuple, p):
-    # _by_regime for a float: the float kernel of the regime that holds x
-    return routes[bisect.bisect_right(switches, x)][1](p, x)
+def _crossover_mismatch() -> float:
+    """Worst relative gap between neighbouring regimes of orders 0 and 1,
+    1e-6 on either side of each switch point below _K_SCALED_SWITCH, each
+    relative to the family's middle regime."""
+    worst = 0.0
+    for switches, routes, _ in _FAMILIES.values():
+        for i, s in enumerate(switches):
+            if s >= _K_SCALED_SWITCH:
+                continue
+            for x in (s - 1e-6, s + 1e-6):
+                below, above = (routes[j][1]((0, 1), x) for j in (i, i + 1))
+                for a, b, middle in zip(below, above, above if i == 0 else below):
+                    worst = max(worst, abs(a - b) / abs(middle))
+    return worst
 
 
-def oscillatory_pair(family: CylinderFamily, x: np.ndarray) -> np.ndarray:
-    """Rows C_0, C_1 of the J or Y family on an array of valid arguments.
-
-    Both orders come from one series pass, one Miller pass or one Hankel
-    evaluation per argument, bit for bit as two besselj or bessely calls:
-    orders 0 and 1 share the J pass's start order.  The arguments are not
-    checked: they must be finite, x >= 0 for J and x > 0 for Y.
+def cylinder_rows(family: CylinderFamily, x, n: int):
+    """C_0 .. C_{n-1}, n <= 3, of *family* at a float or as rows on an
+    array, from one pass per argument, bit for bit as a besselj, bessely,
+    besseli or besselk call per order (Y_2 and K_2 from their upward step).
+    The arguments are not checked: they must be finite, x >= 0 for J and
+    I, at most 700 for I, and x > 0 for Y and K, whose rows are zeros from
+    _K_SCALED_SWITCH on.
     """
-    if family is CylinderFamily.BESSEL_J:
-        return _j_rows(x, 2)
-    return _y_rows(x, 2)
+    switches, routes, sign = _FAMILIES[family]
+    if sign is None or n < 3:
+        return _regimes(x, switches, routes, range(n))
+    rows = _regimes(x, switches, routes, range(2))
+    return (*rows, _recur_up(2, x, rows, sign))
 
 
-def _j_rows(x: np.ndarray, n: int) -> np.ndarray:
-    """Rows J_0 .. J_{n-1}, n <= 3, on an array of valid arguments, from
-    one series, Miller or Hankel pass per argument."""
-    return _by_regime(x, _JY_SWITCHES, _J_ROUTES, range(n), n)
-
-
-def _i_rows(x: np.ndarray, n: int) -> np.ndarray:
-    """Rows I_0 .. I_{n-1}, n <= 3, on an array of valid arguments, from
-    one Miller pass per argument from SERIES_SWITCH_I on."""
-    return _by_regime(x, _I_SWITCHES, _I_ROUTES, range(n), n)
-
-
-def _y_rows(x: np.ndarray, orders: int) -> np.ndarray:
-    """Rows Y_0 and Y_1, or Y_0 alone with *orders* 1, on an array of
-    valid arguments."""
-    return _by_regime(x, _JY_SWITCHES, _Y_ROUTES, orders, orders)
-
-
-def _k_rows(x: np.ndarray, orders: int) -> np.ndarray:
-    """Rows K_0 and K_1, or K_0 alone with *orders* 1, on an array of
-    valid arguments; zeros from _K_SCALED_SWITCH on, where _k_scaled
-    serves K."""
-    return _by_regime(x, _K_SWITCHES, _K_ROUTES, orders, orders)
+def _cylinder(family: CylinderFamily, m, x):
+    """C_m(x) of *family* after the checks of the order and of x, a float or
+    an array: besselj, bessely, besseli and besselk."""
+    m = _check_order(m)
+    if not _is_array(x):
+        x = _check_argument(family, x)
+        if family is CylinderFamily.MODIFIED_K:
+            return _besselk_float(m, x)
+    else:
+        x = _check_arguments(family, x)
+    switches, routes, sign = _FAMILIES[family]
+    if sign is None:
+        if family is CylinderFamily.BESSEL_J:
+            # upward recurrence from the Hankel J_0, J_1 is stable while m < x
+            switches = (SERIES_SWITCH_JY, max(_HANKEL_SWITCH, math.nextafter(m, math.inf)))
+        return _regimes(x, switches, routes, (m,))[0]
+    out = _recur_up(m, x, _regimes(x, switches, routes, (0, 1) if m else (0,)), sign)
+    if family is CylinderFamily.MODIFIED_K:
+        # the zeros of the scaled regime rode through the recurrence
+        scaled = x >= _K_SCALED_SWITCH
+        if scaled.any():
+            out[scaled] = _k_scaled(m, x[scaled])
+    return out
 
 
 def besselj(m: int, x):
     """J_m(x) for integer m >= 0, x >= 0; x is a float or an array."""
-    m = _check_order(m)
-    switches = (SERIES_SWITCH_JY, _hankel_from(m))
-    if not _is_array(x):
-        return _on_float(_check_argument(CylinderFamily.BESSEL_J, x), switches, _J_ROUTES, (m,))[0]
-    x = _check_arguments(CylinderFamily.BESSEL_J, x)
-    return _by_regime(x, switches, _J_ROUTES, (m,))[0]
+    return _cylinder(CylinderFamily.BESSEL_J, m, x)
 
 
 def bessely(m: int, x):
     """Y_m(x) for integer m >= 0, x > 0; x is a float or an array."""
-    m = _check_order(m)
-    orders = 2 if m else 1
-    if not _is_array(x):
-        x = _check_argument(CylinderFamily.NEUMANN_Y, x)
-        y = _on_float(x, _JY_SWITCHES, _Y_ROUTES, orders)
-    else:
-        x = _check_arguments(CylinderFamily.NEUMANN_Y, x)
-        y = _y_rows(x, orders)
-    return _recur_up(m, x, y, -1.0)
+    return _cylinder(CylinderFamily.NEUMANN_Y, m, x)
 
 
 def besseli(m: int, x):
     """I_m(x) for integer m >= 0, 0 <= x <= 700; x is a float or an array."""
-    m = _check_order(m)
-    if not _is_array(x):
-        x = _check_argument(CylinderFamily.MODIFIED_I, x)
-        return _on_float(x, _I_SWITCHES, _I_ROUTES, (m,))[0]
-    x = _check_arguments(CylinderFamily.MODIFIED_I, x)
-    return _by_regime(x, _I_SWITCHES, _I_ROUTES, (m,))[0]
+    return _cylinder(CylinderFamily.MODIFIED_I, m, x)
 
 
 def besselk(m: int, x):
     """K_m(x) for integer m >= 0, x > 0; x is a float or an array."""
-    m = _check_order(m)
-    if not _is_array(x):
-        return _besselk_float(m, _check_argument(CylinderFamily.MODIFIED_K, x))
-    x = _check_arguments(CylinderFamily.MODIFIED_K, x)
-    # zeros carry the scaled regime's elements through the shared
-    # recurrence; _k_scaled fills them in afterwards
-    out = _recur_up(m, x, _k_rows(x, 2 if m else 1), 1.0)
-    scaled = x >= _K_SCALED_SWITCH
-    if scaled.any():
-        out[scaled] = _k_scaled(m, x[scaled])
-    return out
+    return _cylinder(CylinderFamily.MODIFIED_K, m, x)
 
 
 def _besselk_float(m: int, x: float) -> float:
@@ -859,7 +841,9 @@ def _besselk_float(m: int, x: float) -> float:
     already validated its argument pays for no second check."""
     if x >= _K_SCALED_SWITCH:
         return float(_k_scaled(m, np.array([x]))[0])
-    return _recur_up(m, x, _on_float(x, _K_SWITCHES, _K_ROUTES, 2 if m else 1), 1.0)
+    if not m:
+        return _regimes(x, _K_SWITCHES, _K_ROUTES, (0,))[0]
+    return _recur_up(m, x, _regimes(x, _K_SWITCHES, _K_ROUTES, (0, 1)), 1.0)
 
 
 def _recur_up(m: int, x, c, sign: float):
@@ -884,17 +868,9 @@ def _recur_up(m: int, x, c, sign: float):
     return cur
 
 
-_FAMILY_EVAL = {
-    CylinderFamily.BESSEL_J: besselj,
-    CylinderFamily.NEUMANN_Y: bessely,
-    CylinderFamily.MODIFIED_I: besseli,
-    CylinderFamily.MODIFIED_K: besselk,
-}
-
-
 def eval_cylinder(kind: CylinderKind, x):
     """Evaluate the cylinder function selected by *kind* at argument(s) *x*."""
-    return _FAMILY_EVAL[kind.family](kind.order, x)
+    return _cylinder(kind.family, kind.order, x)
 
 
 #: Per family (a, b, c) with C_0' = a C_1 and C_m' = b (C_{m-1} + c C_{m+1}).
@@ -913,9 +889,9 @@ def eval_cylinder_derivative(kind: CylinderKind, x):
     symmetric forms (C_{m-1} -/+ C_{m+1})/2 of each family.  *x* is a
     float or an array.
     """
-    f = _FAMILY_EVAL[kind.family]
-    m = kind.order
-    return _slope(kind.family, m, f(m - 1, x) if m else None, f(m + 1, x))
+    family, m = kind.family, kind.order
+    below = _cylinder(family, m - 1, x) if m else None
+    return _slope(family, m, below, _cylinder(family, m + 1, x))
 
 
 def _slope(family: CylinderFamily, m: int, below, above):

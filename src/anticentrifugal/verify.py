@@ -50,15 +50,11 @@ from .radial import (
 from .specfun import (
     CylinderFamily,
     _crossover_mismatch,
-    _i_rows,
-    _j_rows,
-    _k_rows,
-    _recur_up,
     _slope,
     besselj,
     besselk,
     bessely,
-    oscillatory_pair,
+    cylinder_rows,
     sommerfeld_j0,
 )
 
@@ -113,25 +109,18 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
 
     J_m Y_m' - J_m' Y_m must equal 2/(pi x) and I_m K_m' - I_m' K_m must
     equal -1/x; each mixes all four evaluation regimes across [0.1, 50].
-    Each family is evaluated at orders 0, 1 and 2, bit for bit as by one
-    call per order, with one pass per family: J and I take orders 0 to 2
-    from one series, Miller or Hankel pass, since those orders share the
-    Miller start order and the switch to the Hankel rows; Y and K take
-    orders 0 and 1 from one pass and order 2 from the upward step that
-    bessely(2) and besselk(2) run on those rows.
+    Each family is evaluated at orders 0, 1 and 2 by cylinder_rows, bit
+    for bit as by one call per order, with one pass per family: J and I
+    take orders 0 to 2 from one series, Miller or Hankel pass, since those
+    orders share the Miller start order and the switch to the Hankel rows;
+    Y and K take orders 0 and 1 from one pass and order 2 from the upward
+    step that bessely(2) and besselk(2) run on those rows.
     """
     xs = np.linspace(0.1, 50.0, 1000)
-    y01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs)
-    k01 = _k_rows(xs, 2)
-    rows = {
-        CylinderFamily.BESSEL_J: _j_rows(xs, 3),
-        CylinderFamily.NEUMANN_Y: [_recur_up(m, xs, y01, -1.0) for m in range(3)],
-        CylinderFamily.MODIFIED_I: _i_rows(xs, 3),
-        CylinderFamily.MODIFIED_K: [_recur_up(m, xs, k01, 1.0) for m in range(3)],
-    }
     # the slopes of orders 0 and 1 need nothing else
     values, slopes = {}, {}
-    for fam, (c0, c1, c2) in rows.items():
+    for fam in CylinderFamily:
+        c0, c1, c2 = cylinder_rows(fam, xs, 3)
         values[fam] = (c0, c1)
         slopes[fam] = (_slope(fam, 0, None, c1), _slope(fam, 1, c0, c2))
 
@@ -369,7 +358,7 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
     # come from one pass per wavenumber, as laplacian_reduction_check's
     # besselk(0) and besselk(1) give them
     lap_grid = RadialGrid(0.5, 10.0, 2001)
-    phi = {k: _k_rows(k * lap_grid.points, 2) for k in (1.0, 2.0)}
+    phi = {k: cylinder_rows(CylinderFamily.MODIFIED_K, k * lap_grid.points, 2) for k in (1.0, 2.0)}
     lap = max(_reduction_check(m, k, lap_grid, phi[k][m]) for m in (0, 1) for k in (1.0, 2.0))
     out.append(
         _res("laplacian-reduction", lap, 1e-5, scale, "orders 0, 1 at k = 1, 2")

@@ -33,7 +33,14 @@ from anticentrifugal.radial import (
     polar_mode_residual,
     wavenumber_from_energy,
 )
-from anticentrifugal.specfun import _k_rows, besseli, besselj, besselk, bessely
+from anticentrifugal.specfun import (
+    CylinderFamily,
+    besseli,
+    besselj,
+    besselk,
+    bessely,
+    cylinder_rows,
+)
 
 QUANTUM_ANTI = EffectivePotentialSpec(PotentialFamily.QUANTUM_ANTICENTRIFUGAL)
 
@@ -571,7 +578,7 @@ def test_polar_and_half_power_forms_agree(m, k):
 def test_reduction_check_on_shared_rows_is_the_per_order_check(grid, k):
     # verify takes K_0 and K_1 from one pass per wavenumber; on arguments
     # below 705 they are besselk's values, and so is every check's result
-    rows = _k_rows(k * grid.points, 2)
+    rows = cylinder_rows(CylinderFamily.MODIFIED_K, k * grid.points, 2)
     for m in (0, 1):
         np.testing.assert_array_equal(rows[m], besselk(m, k * grid.points))
         got = radial._reduction_check(m, k, grid, rows[m])

@@ -296,14 +296,14 @@ def test_series_and_large_argument_routes_overlap():
     """Both routes agree on a band around each switch point, evaluated
     at identical arguments so the comparison sees only route error."""
     for x in (SERIES_SWITCH_JY - 0.1, SERIES_SWITCH_JY, SERIES_SWITCH_JY + 0.1):
-        for lo, hi in zip(_log_series(x, -1.0), _y01_large(x)):
+        for lo, hi in zip(_log_series((0, 1), x, -1.0), _y01_large(x)):
             assert lo == pytest.approx(hi, rel=1e-9)
         for m in (0, 1, 2):
             assert _ascending_series(m, x, -1.0) == pytest.approx(
                 _j_large((m,), x)[0], rel=1e-9, abs=1e-15)
 
     for x in (SERIES_SWITCH_K - 0.2, SERIES_SWITCH_K, SERIES_SWITCH_K + 0.2):
-        for lo, hi in zip(_log_series(x, 1.0), _k01_large(x)):
+        for lo, hi in zip(_log_series((0, 1), x, 1.0), _k01_large((0, 1), x)):
             assert lo == pytest.approx(hi, rel=1e-9)
 
     for x in (SERIES_SWITCH_I - 0.5, SERIES_SWITCH_I, SERIES_SWITCH_I + 0.5):
@@ -313,12 +313,12 @@ def test_series_and_large_argument_routes_overlap():
 
 def test_routes_agree_tightly_at_switch_points():
     """Both routes evaluated at the same point, not merely nearby ones."""
-    y_lo = _log_series(SERIES_SWITCH_JY, -1.0)
+    y_lo = _log_series((0, 1), SERIES_SWITCH_JY, -1.0)
     y_hi = _y01_large(SERIES_SWITCH_JY)
     for a, b in zip(y_lo, y_hi):
         assert a == pytest.approx(b, rel=1e-10)
-    k_lo = _log_series(SERIES_SWITCH_K, 1.0)
-    k_hi = _k01_large(SERIES_SWITCH_K)
+    k_lo = _log_series((0, 1), SERIES_SWITCH_K, 1.0)
+    k_hi = _k01_large((0, 1), SERIES_SWITCH_K)
     for a, b in zip(k_lo, k_hi):
         assert a == pytest.approx(b, rel=1e-10)
     for m in (0, 1, 2, 5):
@@ -783,7 +783,7 @@ def test_crossover_check_covers_the_hankel_switch(monkeypatch):
 def test_crossover_check_covers_the_k_hankel_switch(monkeypatch):
     # K_0 and K_1 leave the trapezoid for the Hankel pair at the same switch
     for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
-        for trapezoid, hankel in zip(_k01_large(x), specfun._k01_hankel(x)):
+        for trapezoid, hankel in zip(_k01_large((0, 1), x), specfun._k01_hankel((0, 1), x)):
             assert hankel == pytest.approx(trapezoid, rel=1e-15)
     real = specfun._k01_scaled
     monkeypatch.setattr(

@@ -36,17 +36,15 @@ from anticentrifugal.specfun import (
     _K_SCALED_SWITCH,
     _k01_large,
     _log_series,
-    _i_rows,
-    _j_rows,
     _miller,
     _miller_array,
     besseli,
     besselj,
     besselk,
     bessely,
+    cylinder_rows,
     eval_cylinder,
     eval_cylinder_derivative,
-    oscillatory_pair,
 )
 
 _EVAL = {
@@ -115,9 +113,10 @@ def test_series_kernels_serve_floats_and_arrays_alike(sign):
             [_ascending_series(m, v, sign) for v in _S1_CROSSING.tolist()],
         )
     x = _S1_CROSSING[2:]
-    rows = _log_series(x, sign)
+    rows = _log_series((0, 1), x, sign)
     for i in (0, 1):
-        np.testing.assert_array_equal(rows[i], [_log_series(v, sign)[i] for v in x.tolist()])
+        floats = [_log_series((0, 1), v, sign)[i] for v in x.tolist()]
+        np.testing.assert_array_equal(rows[i], floats)
 
 
 def _seeded_below(switch: float, n: int = 100_000) -> np.ndarray:
@@ -188,16 +187,16 @@ def test_fused_series_is_the_two_pass_series_bit_for_bit(sign, switch):
     with np.errstate(over="ignore", divide="ignore"):  # order 1 overflows at subnormal x
         want = np.array(_two_pass_log_series(x, sign, 2))
         np.testing.assert_array_equal(_two_pass_log_series(x, sign, 1), want[:1])
-        (alone,) = _log_series(x, sign, 1)
+        (alone,) = _log_series((0,), x, sign)
         np.testing.assert_array_equal(alone, want[0])
-        np.testing.assert_array_equal(_log_series(x, sign), want)
+        np.testing.assert_array_equal(_log_series((0, 1), x, sign), want)
         v = x.tolist()
-        np.testing.assert_array_equal([_log_series(u, sign, 1)[0] for u in v], want[0])
-        np.testing.assert_array_equal(np.array([_log_series(u, sign) for u in v]).T, want)
+        np.testing.assert_array_equal([_log_series((0,), u, sign)[0] for u in v], want[0])
+        np.testing.assert_array_equal(np.array([_log_series((0, 1), u, sign) for u in v]).T, want)
         at = np.concatenate((np.arange(x.size - 4, x.size), np.random.default_rng(23).choice(x.size, 500)))
         for orders in (1, 2):
             lanes = [x[i : i + 1] for i in at.tolist()]
-            got = np.hstack([np.array(_log_series(u, sign, orders)) for u in lanes])
+            got = np.hstack([np.array(_log_series(range(orders), u, sign)) for u in lanes])
             ref = np.hstack([np.array(_two_pass_log_series(u, sign, orders)) for u in lanes])
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(got, want[:orders, at])
@@ -211,9 +210,9 @@ def test_log_series_sums_the_ascending_series_for_order_1_only(monkeypatch):
     for x in (1e-300, 0.5, 1.99, np.array([0.5]), np.linspace(0.1, 1.9, 40)):
         for sign in (-1.0, 1.0):
             calls.clear()
-            _log_series(x, sign, 1)
+            _log_series((0,), x, sign)
             assert calls == []
-            _log_series(x, sign, 2)
+            _log_series((0, 1), x, sign)
             assert calls == [1]
 
 
@@ -233,7 +232,7 @@ def test_series_kernels_return_python_floats():
         for sign in (-1.0, 1.0):
             assert type(_ascending_series(0, x, sign)) is float
             assert type(_ascending_series(3, x, sign)) is float
-            assert all(type(v) is float for v in _log_series(x, sign))
+            assert all(type(v) is float for v in _log_series((0, 1), x, sign))
 
 
 #: Both sides of the Hankel switch and of x = m, where J_m leaves the
@@ -334,7 +333,7 @@ def test_orders_zero_and_one_from_one_table(family):
     # the zero finder reads both orders off one table per argument; they
     # must be the very numbers two separate calls return
     x = _GRID[_GRID > 0.0]
-    c0, c1 = oscillatory_pair(family, x)
+    c0, c1 = cylinder_rows(family, x, 2)
     np.testing.assert_array_equal(c0, _EVAL[family](0, x))
     np.testing.assert_array_equal(c1, _EVAL[family](1, x))
 
@@ -433,9 +432,9 @@ def test_few_lane_pairs_match_floats_and_long_arrays(family):
     fn = _EVAL[family]
     with _strict():
         for x in _seeded_regimes(family, 16):
-            in_long = oscillatory_pair(family, x)
+            in_long = cylinder_rows(family, x, 2)
             for n in _AROUND_FEW:
-                got = oscillatory_pair(family, x[:n])
+                got = cylinder_rows(family, x[:n], 2)
                 np.testing.assert_array_equal(got, in_long[:, :n])
                 for m in (0, 1):
                     np.testing.assert_array_equal(got[m], [fn(m, v) for v in x[:n].tolist()])
@@ -454,14 +453,14 @@ def test_k_trapezoid_sums_order_zero_alone_bit_for_bit():
     )
     with _strict():
         for v in x.tolist() + [low]:
-            assert _k01_large(v, 1) == _k01_large(v, 2)[:1]
+            assert _k01_large((0,), v) == _k01_large((0, 1), v)[:1]
         for a in arrays:
-            (alone,) = _k01_large(a, 1)
-            both = _k01_large(a, 2)
+            (alone,) = _k01_large((0,), a)
+            both = _k01_large((0, 1), a)
             np.testing.assert_array_equal(alone, both[0])
             for i in range(a.size):
-                np.testing.assert_array_equal(_k01_large(a[i : i + 1], 2)[0], both[0][i])
-                np.testing.assert_array_equal(_k01_large(a[i : i + 1], 2)[1], both[1][i])
+                np.testing.assert_array_equal(_k01_large((0, 1), a[i : i + 1])[0], both[0][i])
+                np.testing.assert_array_equal(_k01_large((0, 1), a[i : i + 1])[1], both[1][i])
 
 
 @pytest.mark.parametrize("sign, start, lo, hi", [
@@ -479,7 +478,7 @@ def test_miller_pass_on_shuffled_lanes_matches_the_float_pass(sign, start, lo, h
     assert len(set(top.tolist())) < x.size
     want = np.array([_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]).T
     with _strict():
-        with np.errstate(under="ignore"):  # as _by_regime runs the kernels
+        with np.errstate(under="ignore"):  # as _regimes runs the kernels
             # the float pass returns C_m, C_1, C_0 and the denominator
             np.testing.assert_array_equal(_miller_array(x, top, sign, (m,)), want[[0, 2, 3]])
             np.testing.assert_array_equal(_miller_array(x, top, sign, (1,))[0], want[1])
@@ -514,7 +513,7 @@ def test_one_miller_pass_captures_each_order_as_its_own_pass(sign, start, x, ord
     top = np.array([start(v, max(orders)) for v in x.tolist()])
     if orders == (0, 1, 2):
         assert all(start(v, m) == start(v, 0) for v in x.tolist() for m in orders)
-    with _strict(), np.errstate(under="ignore"):  # as _by_regime runs the kernels
+    with _strict(), np.errstate(under="ignore"):  # as _regimes runs the kernels
         *rows, c0, denom = _miller_array(x, top, sign, orders)
     for m, row in zip(orders, rows):
         want = [_miller(v, t, sign, m) for v, t in zip(x.tolist(), top.tolist())]
@@ -523,11 +522,11 @@ def test_one_miller_pass_captures_each_order_as_its_own_pass(sign, start, x, ord
         np.testing.assert_array_equal(denom, [w[3] for w in want])
 
 
-@pytest.mark.parametrize("rows, fn, lo, hi", [
-    (_j_rows, besselj, SERIES_SWITCH_JY, _HANKEL_SWITCH),
-    (_i_rows, besseli, SERIES_SWITCH_I, 700.0),
+@pytest.mark.parametrize("family, fn, lo, hi", [
+    (CylinderFamily.BESSEL_J, besselj, SERIES_SWITCH_JY, _HANKEL_SWITCH),
+    (CylinderFamily.MODIFIED_I, besseli, SERIES_SWITCH_I, 700.0),
 ])
-def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch, rows, fn, lo, hi):
+def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch, family, fn, lo, hi):
     # _FEW_LANES arguments inside the Miller regime run the float kernel,
     # which serves orders 0, 1 and 2 from one pass
     x = np.linspace(lo, hi, _FEW_LANES + 2)[1:-1]
@@ -538,16 +537,18 @@ def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch, rows, fn, 
         return _miller(v, *args)
 
     monkeypatch.setattr(specfun, "_miller", spy)
-    got = rows(x, 3)
+    got = cylinder_rows(family, x, 3)
     assert passes == x.tolist()
     monkeypatch.undo()
     for m in range(3):
         np.testing.assert_array_equal(got[m], [fn(m, v) for v in x.tolist()])
 
 
-@pytest.mark.parametrize("rows, fn, hi", [(_j_rows, besselj, 60.0), (_i_rows, besseli, 700.0)])
+@pytest.mark.parametrize("family, fn, hi", [
+    (CylinderFamily.BESSEL_J, besselj, 60.0), (CylinderFamily.MODIFIED_I, besseli, 700.0)
+])
 @pytest.mark.parametrize("n", [2, 3])
-def test_rows_of_orders_0_to_2_are_one_call_per_order(rows, fn, hi, n):
+def test_rows_of_orders_0_to_2_are_one_call_per_order(family, fn, hi, n):
     # every regime on a long array (the array kernels) and on few lanes
     # (the float kernels), up to I's largest argument
     rng = np.random.default_rng(43)
@@ -555,11 +556,34 @@ def test_rows_of_orders_0_to_2_are_one_call_per_order(rows, fn, hi, n):
     x = np.concatenate((rng.uniform(0.0, hi, 400), edges))
     for lanes in (x, x[-5:], x[:3]):
         with _strict():
-            got = rows(lanes, n)
+            got = cylinder_rows(family, lanes, n)
         assert got.shape == (n, lanes.size)
         for m in range(n):
             np.testing.assert_array_equal(got[m], fn(m, lanes))
             np.testing.assert_array_equal(got[m], [fn(m, v) for v in lanes.tolist()])
+
+
+@pytest.mark.parametrize("family", list(CylinderFamily))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cylinder_rows_are_one_call_per_order(family, n):
+    # every regime below K's scaled switch on a long array (the array
+    # kernels), on at most _FEW_LANES lanes (the float kernels) and at
+    # floats, with 0 and subnormal arguments for J and I, whose rows stay
+    # finite there: the public functions' values bit for bit
+    fn = _EVAL[family]
+    rng = np.random.default_rng([47, n])
+    regimes = [r for r in _REGIMES[family] if r[1] <= _K_SCALED_SWITCH]
+    regular = family in (CylinderFamily.BESSEL_J, CylinderFamily.MODIFIED_I)
+    edges = [0.0, 5e-324, 1e-310] if regular else []
+    x = rng.permutation(np.concatenate([rng.uniform(lo, hi, 4 * _FEW_LANES) for lo, hi in regimes]))
+    with _strict():
+        for lanes in (np.concatenate((x, edges)), x[:_FEW_LANES], np.array(edges + x[:2].tolist())):
+            got = cylinder_rows(family, lanes, n)
+            assert len(got) == n
+            for m in range(n):
+                np.testing.assert_array_equal(got[m], fn(m, lanes))
+        for v in edges + x[:_FEW_LANES].tolist():
+            np.testing.assert_array_equal(cylinder_rows(family, v, n), [fn(m, v) for m in range(n)])
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
@@ -570,8 +594,9 @@ def test_zero_finder_traffic_matches_floats_and_array_kernels(family):
     lanes = (rng.uniform(0.5, 2.0, 1), rng.uniform(2.0, 20.0, 6), rng.uniform(20.0, 320.0, 90))
     x = rng.permutation(np.concatenate(lanes))
     with _strict():
-        got = oscillatory_pair(family, x)
-        np.testing.assert_array_equal(got, on_array_kernels(oscillatory_pair, family, x))
+        got = cylinder_rows(family, x, 2)
+        repeated = on_array_kernels(lambda f, v: cylinder_rows(f, v, 2), family, x)
+        np.testing.assert_array_equal(got, repeated)
         for m in (0, 1):
             np.testing.assert_array_equal(got[m], [_EVAL[family](m, v) for v in x.tolist()])
             np.testing.assert_array_equal(_EVAL[family](m, x), got[m])

@@ -14,15 +14,7 @@ from anticentrifugal import boundstate, radial, specfun, verify
 from anticentrifugal.boundstate import cutoff_integral, k_from_coupling
 from anticentrifugal.nodes import BracketingError, solve_in_brackets
 from anticentrifugal.radial import RadialGrid, SolutionFamily, analytic_radial
-from anticentrifugal.specfun import (
-    CylinderFamily,
-    _k_rows,
-    _recur_up,
-    besselj,
-    besselk,
-    bessely,
-    oscillatory_pair,
-)
+from anticentrifugal.specfun import CylinderFamily, besselj, besselk, bessely, cylinder_rows
 from anticentrifugal.verify import (
     SuiteResult,
     _decaying_match,
@@ -213,40 +205,42 @@ def test_wronskian_rows_equal_one_call_per_order():
     # the suite takes orders 0 and 1 of J, Y and K from one pass per family
     # and Y_2, K_2 from one upward step: the values of a call per order
     xs = np.linspace(0.1, 50.0, 1000)
-    j01 = oscillatory_pair(CylinderFamily.BESSEL_J, xs)
-    y01 = oscillatory_pair(CylinderFamily.NEUMANN_Y, xs)
-    k01 = _k_rows(xs, 2)
+    j01 = cylinder_rows(CylinderFamily.BESSEL_J, xs, 2)
+    y012 = cylinder_rows(CylinderFamily.NEUMANN_Y, xs, 3)
+    k012 = cylinder_rows(CylinderFamily.MODIFIED_K, xs, 3)
     for m in (0, 1):
         np.testing.assert_array_equal(j01[m], besselj(m, xs))
-        np.testing.assert_array_equal(y01[m], bessely(m, xs))
-        np.testing.assert_array_equal(k01[m], besselk(m, xs))
-    np.testing.assert_array_equal(_recur_up(2, xs, y01, -1.0), bessely(2, xs))
-    np.testing.assert_array_equal(_recur_up(2, xs, k01, 1.0), besselk(2, xs))
+        np.testing.assert_array_equal(y012[m], bessely(m, xs))
+        np.testing.assert_array_equal(k012[m], besselk(m, xs))
+    np.testing.assert_array_equal(y012[2], bessely(2, xs))
+    np.testing.assert_array_equal(k012[2], besselk(2, xs))
 
 
 def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
     # counted like test_zero_finder_makes_no_array_miller_pass: a call per
     # order ran 9 Miller passes, 6 log-series passes, 3 trapezoids and 6
-    # Hankel evaluations; J and I now take orders 0 to 2 from one pass
+    # Hankel evaluations; now each regime's array kernel runs once per
+    # family, J and I taking orders 0 to 2 from one pass
     calls = collections.Counter()
 
-    def spy(name):
-        real = getattr(specfun, name)
+    def counted(key, fn):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
 
-        def counted(x, *args, **kwargs):
-            if isinstance(x, np.ndarray):
-                calls[name] += 1
-            return real(x, *args, **kwargs)
+        return run
 
-        monkeypatch.setattr(specfun, name, counted)
-
-    for name in ("_miller_array", "_log_series", "_k01_large", "_hankel01"):
-        spy(name)
+    for family, (switches, routes, sign) in list(specfun._FAMILIES.items()):
+        spied = tuple((counted((family, i), k), lane) for i, (k, lane) in enumerate(routes))
+        monkeypatch.setitem(specfun._FAMILIES, family, (switches, spied, sign))
+    for name in ("_miller_array", "_hankel01"):
+        monkeypatch.setattr(specfun, name, counted(name, getattr(specfun, name)))
     assert all(r.passed for r in verify.suite_wronskians())
-    assert calls["_miller_array"] <= 3
-    assert calls["_log_series"] <= 2
-    assert calls["_k01_large"] <= 1
-    assert calls["_hankel01"] <= 2
+    assert calls.pop("_miller_array") == 3
+    assert calls.pop("_hankel01") == 2
+    # one pass in each regime that [0.1, 50] reaches: three each for J, Y
+    # and K, two for I
+    assert list(calls.values()) == [1] * 11
 
 
 def test_radial_suite_computes_each_kernel_value_once(monkeypatch):
@@ -254,18 +248,19 @@ def test_radial_suite_computes_each_kernel_value_once(monkeypatch):
     # of the fine one; one K_0, K_1 pass per laplacian wavenumber; one
     # coefficient build for the Wronskian pair's two marches
     k_passes, builds = [], []
-    by_regime, potential = specfun._by_regime, radial.eval_potential
+    regimes, potential = specfun._regimes, radial.eval_potential
+    k_routes = specfun._FAMILIES[CylinderFamily.MODIFIED_K][1]
 
-    def regime_spy(x, switches, routes, p, width=1):
-        if routes is specfun._K_ROUTES:
-            k_passes.append((x.size, p))
-        return by_regime(x, switches, routes, p, width)
+    def regime_spy(x, switches, routes, ms):
+        if routes is k_routes:
+            k_passes.append((np.size(x), len(ms)))
+        return regimes(x, switches, routes, ms)
 
     def potential_spy(spec, r):
         builds.append((r.size, float(r[0])))
         return potential(spec, r)
 
-    monkeypatch.setattr(specfun, "_by_regime", regime_spy)
+    monkeypatch.setattr(specfun, "_regimes", regime_spy)
     monkeypatch.setattr(radial, "eval_potential", potential_spy)
     assert all(r.passed for r in suite_radial())
     sizes = [size for size, _ in k_passes]
