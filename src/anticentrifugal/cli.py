@@ -13,7 +13,10 @@ line endings and 17-significant-digit floats; JSON is one object with a
 fixed key order, laid out as ``json.dumps(indent=2)`` lays it out. Both
 carry only finite numbers. Exit codes: 0 success, 2 a validation or
 numerical error or an ``--output`` path that cannot be opened (one
-``error:`` line on stderr), 3 a verify suite failed.
+``error:`` line on stderr), 3 a verify suite failed. Each command checks
+its ``--output`` after its arguments and before it computes, so a path
+that cannot exist costs no computation; the file is opened only once the
+output is complete, so a failing command writes none.
 
 Each command's options are declared once, in ``_COMMANDS``. A valid
 command line is parsed from that table, without argparse or the locale
@@ -31,8 +34,10 @@ document order is refused with ``json``'s own message.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -158,13 +163,34 @@ def _check_n_points(n_points: int) -> None:
         raise ValueError(f"--n-points must be at most {_MAX_N_POINTS}, got {n_points}")
 
 
-def _write(text: str, path: str | None) -> None:
+def _check_output(path) -> None:
+    """Refuse, before a command computes, an --output that _write could not
+    open, with _write's error: argparse's '--', an empty path, an existing
+    directory, or a path whose directory cannot be reached.  It creates no
+    file; what only the open can tell still raises from _write."""
     if path in (None, "-"):
-        sys.stdout.write(text)
         return
     # argparse before Python 3.13 reads --output=-- as an empty list
     if not isinstance(path, str):
         raise ValueError("--output needs a file path or '-', got '--'")
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            # a trailing separator makes open's error EISDIR, so it is left to open
+            os.stat(os.path.dirname(path.rstrip(os.sep)) or ".")
+            return
+        except OSError as exc:
+            code = exc.errno
+    raise ValueError(f"cannot open --output {path!r}: {os.strerror(code)}")
+
+
+def _write(text: str, path: str | None) -> None:
+    if path in (None, "-"):
+        sys.stdout.write(text)
+        return
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -258,6 +284,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     )
     _check_n_points(args.n_points)
     grid = RadialGrid(args.r_min, args.r_max, args.n_points)
+    _check_output(args.output)
     r = grid.points
     # a V that overflows is refused by the writers below, with one error line
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -295,6 +322,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         r_max = window.r_max if r_max is None else r_max
     _check_n_points(args.n_points)
     grid = RadialGrid(r_min, r_max, args.n_points)
+    _check_output(args.output)
     r = grid.points
     # assemble_phi2 and density_profile(2, k, r) from one K_0(k r)
     phi, k0 = _phi2_and_k0(k, r)
@@ -310,6 +338,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 def _cmd_nodes(args: argparse.Namespace) -> int:
     if not 2 <= args.n_max <= _MAX_N_MAX:
         raise ValueError(f"--n-max must lie in [2, {_MAX_N_MAX}], got {args.n_max}")
+    _check_output(args.output)
     families = (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y)
     reports = {}
     for fam in families:
@@ -404,6 +433,7 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
             k = DeltaCoupling2D.from_coupling(coupling, cutoff).wavenumber
         else:
             raise ValueError("dimension 2 needs --k or --coupling with --cutoff")
+    _check_output(args.output)
     # both checks read only the form and the wavenumber of pd
     pd = density(dim, k, [0.0])
     norm = normalize_check(pd)
@@ -427,6 +457,7 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     results = run_all(args.tolerance_scale)
     all_passed = all(r.passed for r in results)
     text = _json(

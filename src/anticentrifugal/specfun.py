@@ -176,11 +176,12 @@ def _is_array(x) -> bool:
 
 
 def _map(fn, xs: np.ndarray) -> np.ndarray:
-    # Per-element math-module log and exp: numpy's may round differently, and
-    # their bits change with numpy's CPU dispatch tier, which would break the
+    # Per-element math-module log and exp, mapped in one C-level pass with no
+    # Python frame per element: numpy's may round differently, and their bits
+    # change with numpy's CPU dispatch tier, which would break the
     # bit-for-bit match with the scalar path.  numpy's cos and sin equal the
     # math module's, so arrays take them directly.
-    return np.array([fn(v) for v in xs.tolist()])
+    return np.fromiter(map(fn, xs.tolist()), float, xs.size)
 
 
 # ----------------------------------------------------------------------
@@ -188,17 +189,22 @@ def _map(fn, xs: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 # The series take a float or an array and run the same operations on both.
-# An array runs every lane until its last lane has converged, adding terms a
-# float would have stopped before.  Past a lane's own stop each further term
-# is below half an ulp of that lane's sum, because the stop test bounds it by
-# 1e-17 of the sum and the terms keep decreasing from there in every regime
-# the series serves; so the extra terms leave the sum unchanged, bit for bit.
-# The kernels see a float or a 1-d array, and test which once per call.
+# Their stop test runs after every 4th term on an array, where it costs more
+# numpy calls than a term does, and after every 2nd on a float; an array runs
+# until its last lane has passed it.  So a lane may add terms past its own
+# stop, and each is below half an ulp of its sum, because the stop test
+# bounds it by 1e-17 of the sum and the terms keep decreasing from there in
+# every regime the series serves.  Every sum is therefore the one a test
+# after each term gives, bit for bit, on a float and in each lane.  The caps
+# (terms 501 and 61) end the loop after any term, so a sum that reaches one
+# stops there on both paths.  The kernels see a float or a 1-d array, and
+# test which once per call.
 
 def _ascending_series(m: int, x, sign: float):
     # sum_k sign^k (x/2)^(m+2k) / (k! (m+k)!): J_m for sign -1, I_m for
     # sign +1 (all terms positive, perfectly conditioned).
     array = isinstance(x, np.ndarray)
+    gap = 3 if array else 1  # the stop test runs where k & gap is 0
     half = 0.5 * x
     sq = sign * (half * half)
     term = 1.0
@@ -206,13 +212,16 @@ def _ascending_series(m: int, x, sign: float):
         term *= half / i
     total = term
     k = 0
-    while True:
+    while k <= 500:
         k += 1
         term = term * (sq / (k * (k + m)))  # not in place: total may share it
         total += term
+        if k & gap:
+            continue
         done = abs(term) <= 1e-17 * abs(total)
-        if (done.all() if array else done) or k > 500:
-            return total
+        if done.all() if array else done:
+            break
+    return total
 
 
 def _log_half(x: float) -> float:
@@ -227,43 +236,56 @@ def _log_series(ms, x, sign: float = 1.0):
     default, so K's route table holds this kernel itself.
 
     One loop runs the sums of the orders asked for until each has
-    converged, with q = x^2/4 and H_k the harmonic numbers:
+    converged, with q = x^2/4 and H_k the harmonic numbers; each term
+    carries its sign from the signed ratio sign q, which gives the bits of
+    sign^k times the unsigned term, since IEEE products and quotients are
+    symmetric in sign:
     s0 = sum_{k>=1} sign^k H_k q^k / (k!)^2, the sum of DLMF 10.31.2 for K
     and minus that of 10.8.2 for Y, and
     s1 = sum_{k>=0} sign^k (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).
     It also sums C_0 = sum_k sign^k q^k / (k!)^2 (J_0 or I_0) from s0's
     terms without H_k, which are _ascending_series(0)'s bit for bit, as
     0.25 x x and (x/2)^2 round alike.  s1's stop test bounds its next term
-    before adding it; the others are the series' own.  The loop runs until
-    every sum has met its test: the terms a sum adds past it are below
-    half an ulp of it, so C_0 is _ascending_series(0)'s value, and order 0
-    alone gives the K_0 and Y_0 of both orders.
+    before adding it; the others are the series' own.  The tests run on
+    _ascending_series' schedule (see above), and the loop runs until every
+    sum has met its test: the terms a sum adds past it are below half an
+    ulp of it, so C_0 is _ascending_series(0)'s value, and order 0 alone
+    gives the K_0 and Y_0 of both orders.  On an array ln(x/2) is
+    math.log(0.5 x) per lane, _log_half's value, unless a lane is below
+    2 * sys.float_info.min, where every lane takes _log_half.
     """
     array = isinstance(x, np.ndarray)
+    gap = 3 if array else 1  # the stop test runs where k & gap is 0
     both = len(ms) > 1
-    q = 0.25 * x * x
-    lg = _map(_log_half, x) if array else _log_half(x)
+    sq = sign * (0.25 * x * x)
+    if not array:
+        lg = _log_half(x)
+    elif (x >= 2.0 * sys.float_info.min).all():
+        lg = _map(math.log, 0.5 * x)
+    else:
+        lg = _map(_log_half, x)
     g2 = 2.0 * EULER_GAMMA
     s0 = s1 = 0.0
     c0 = t0 = t1 = 1.0
     h = 0.0  # H_k
-    alt = 1.0  # sign^k
     k = 0
-    while True:
+    while k <= 60:
         if both:
-            s1 += alt * (t1 * (h + h + 1.0 / (k + 1) - g2))
+            s1 += t1 * (h + h + 1.0 / (k + 1) - g2)
         k += 1
-        t0 *= q / (k * k)
+        t0 *= sq / (k * k)
         h += 1.0 / k
-        alt *= sign
-        c0 += alt * t0
+        c0 += t0
         u0 = t0 * h
-        s0 += alt * u0
-        done = (u0 <= 1e-17 * (abs(s0) + 1e-30)) & (t0 <= 1e-17 * abs(c0))
+        s0 += u0
         if both:
-            t1 *= q / (k * (k + 1))
-            done = done & (t1 * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30))
-        if (done.all() if array else done) or k > 60:
+            t1 *= sq / (k * (k + 1))
+        if k & gap:
+            continue
+        done = (abs(u0) <= 1e-17 * (abs(s0) + 1e-30)) & (abs(t0) <= 1e-17 * abs(c0))
+        if both:
+            done = done & (abs(t1) * (2.0 * h + 1.0) <= 1e-17 * (abs(s1) + 1e-30))
+        if done.all() if array else done:
             break
     if sign < 0.0:
         out = ((2.0 / math.pi) * ((lg + EULER_GAMMA) * c0 - s0),)

@@ -592,6 +592,56 @@ def test_output_path_that_cannot_be_opened_exits_two(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+#: Per command: arguments that pass its checks, and the name in cli of the
+#: first call that computes.
+_FIRST_COMPUTE = {
+    "potential": (["--family", "ndim", "--n-points", "100000"], "eval_potential"),
+    "wavefunction": (["--k", "1.0", "--n-points", "100000"], "_phi2_and_k0"),
+    "nodes": (["--n-max", "10000"], "find_zeros"),
+    "boundstate": (["--dimension", "2", "--k", "1.0"], "density"),
+    "verify": ([], "run_all"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIRST_COMPUTE))
+@pytest.mark.parametrize("value", ["{tmp}/no/such/dir/x.json", "", "{tmp}"])
+def test_output_that_cannot_exist_is_refused_before_computing(tmp_path, monkeypatch, capsys, command, value):
+    # a missing directory, an empty path and an existing directory: the
+    # error the late open gives, before the command computes anything
+    path = value.format(tmp=tmp_path)
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    args, compute = _FIRST_COMPUTE[command]
+    calls = []
+    monkeypatch.setattr(cli, compute, lambda *a, **kw: calls.append(a))
+    rc, out, err = run(capsys, command, *args, "--output=" + path)
+    assert (rc, out, calls) == (2, "", [])
+    assert err == f"error: cannot open --output {path!r}: {opened.value.strerror}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_check_raises_only_the_error_of_the_open(tmp_path, monkeypatch):
+    # every path the early check refuses, open refuses with the same
+    # message; the paths it lets through are left to open, which may
+    # still fail (a trailing separator, a file standing in for a directory)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    paths = ["", "/", "d", "d/", "d/new", "f/x", "f/x/y", "missing/x", "missing/", "missing/x/", "-"]
+    refused = []
+    for p in [str(tmp_path / p) for p in paths] + paths:
+        try:
+            cli._check_output(p)
+        except ValueError as exc:
+            refused.append(p)
+            with pytest.raises(OSError) as opened:
+                open(p, "w")
+            assert str(exc) == f"cannot open --output {p!r}: {opened.value.strerror}"
+    for p in ("", "/", "d", "d/", "missing/x", str(tmp_path / "d"), str(tmp_path / "missing/x/")):
+        assert p in refused
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["d", "f"]
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     args = ("nodes", "--n-max", "5", "--format", "json")
     _, first, _ = run(capsys, *args)

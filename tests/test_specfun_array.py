@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lanes import on_array_kernels
@@ -425,6 +426,38 @@ def test_few_lanes_match_floats_and_long_arrays(family, m):
                 got = fn(m, x[:n])
                 np.testing.assert_array_equal(got, in_long[:n])
                 np.testing.assert_array_equal(got, [fn(m, v) for v in x[:n].tolist()])
+
+
+def _outcome(call):
+    """A call's bits, as one per lane, or its exception's type and message,
+    with every warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.atleast_1d(np.asarray(call(), dtype=float)).view(np.int64).tolist()
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_EVAL, key=lambda family: family.value)),
+    st.integers(0, 2),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True),
+)
+@example(CylinderFamily.MODIFIED_K, 2, 5e-324)
+@example(CylinderFamily.NEUMANN_Y, 1, 1e-310)
+@example(CylinderFamily.MODIFIED_I, 0, 700.0000000000001)
+@example(CylinderFamily.MODIFIED_K, 1, 705.0)
+@example(CylinderFamily.BESSEL_J, 2, 1.7976931348623157e308)
+def test_public_functions_give_the_same_bits_on_floats_and_lanes(family, m, x):
+    # a float, a one-lane array and an array past _FEW_LANES: the same bits
+    # in every lane, or the same exception type and message
+    fn = _EVAL[family]
+    alone = _outcome(lambda: fn(m, x))
+    assert _outcome(lambda: fn(m, np.array([x]))) == alone
+    many = _outcome(lambda: fn(m, np.full(_FEW_LANES + 1, x)))
+    assert many == (alone * (_FEW_LANES + 1) if isinstance(alone, list) else alone)
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
