@@ -10,7 +10,9 @@ rings around the attracting point. Units are hbar = M = 1 throughout.
 
 from .boundstate import (
     DeltaCoupling2D,
+    assemble_phi2,
     coupling_from_k,
+    coupling_residual,
     cutoff_integral,
     density,
     density_maximum,
@@ -42,21 +44,17 @@ from .radial import (
     RadialGrid,
     SolutionFamily,
     analytic_radial,
-    assemble_phi2,
     integrate_radial,
     laplacian_reduction_check,
     ode_residual,
-    polar_mode_residual,
 )
 from .specfun import (
     CylinderFamily,
-    CylinderKind,
     besseli,
     besselj,
     besselk,
     bessely,
-    eval_cylinder,
-    eval_cylinder_derivative,
+    cylinder_slope,
     sommerfeld_j0,
 )
 from .verify import SuiteResult, run_all
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketingError",
     "CylinderFamily",
-    "CylinderKind",
     "DeltaCoupling2D",
     "Direction",
     "EffectivePotentialSpec",
@@ -87,12 +84,12 @@ __all__ = [
     "bunching_verdict",
     "classify_potential",
     "coupling_from_k",
+    "coupling_residual",
     "cutoff_integral",
+    "cylinder_slope",
     "density",
     "density_maximum",
     "density_profile",
-    "eval_cylinder",
-    "eval_cylinder_derivative",
     "eval_potential",
     "find_zeros",
     "gauss_kronrod_15",
@@ -104,7 +101,6 @@ __all__ = [
     "normalize_check",
     "ode_residual",
     "one_three_d_bound_energy",
-    "polar_mode_residual",
     "ring_peak_parameter",
     "run_all",
     "solve_in_brackets",

@@ -9,9 +9,11 @@ hbar = M = 1) whose radial probability weight is
 
 The planar case is the odd one out: the -1/(4 r^2) effective attraction
 drags the decaying cylinder wave into a profile whose most probable radius
-sits at a finite ring r = xi / k, with xi a universal constant. Each
-weight depends on k only through xi = k r, so its total probability is one
-number per form, integrated once in xi. The planar wavenumber also needs
+sits at a finite ring r = xi / k, with xi a universal constant. Its
+normalized bound-state amplitude is (k / sqrt(pi)) K_0(k r), whose
+2 pi r |Phi|^2 is W above. Each weight depends on k only through
+xi = k r, so its total probability is one number per form, integrated
+once in xi. The planar wavenumber also needs
 regularization; with a sharp momentum cutoff L the coupling U0 > 0 and the
 wavenumber are tied by
 
@@ -30,8 +32,8 @@ import numpy as np
 from ._record import Record
 from .nodes import solve_in_brackets
 from .quadrature import gauss_kronrod_15, integrate_adaptive
-from .radial import RadialGrid, _k0_at, _k0_of
-from .specfun import CylinderFamily, _besselk_float, cylinder_rows
+from .radial import RadialGrid
+from .specfun import CylinderFamily, cylinder_rows, k0_product
 
 @unique
 class DensityForm(Enum):
@@ -88,8 +90,31 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
             return k * (2.0 * np.exp(-2.0 * (k * r)))
         out = np.zeros(r.shape)
         pos = r > 0.0
-        out[pos] = _ring_weight(k, r[pos], _k0_at(k, r[pos]))
+        out[pos] = planar_rows(k, r[pos])[1]
     return out
+
+
+def planar_rows(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized planar amplitude (k / sqrt(pi)) K_0(k r) and the
+    weight W = 2 k^2 r K_0(k r)^2 at an array of positive radii, both from
+    one K_0(k r) pass: the phi2 and w2 columns of ``wavefunction``.
+
+    With this prefactor the integral of 2 pi r |Phi|^2 over the plane
+    equals one.  A subnormal k, or an amplitude past the double range (k
+    above about 1.03e308), rounds as float arithmetic does, silently.
+    """
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    k0 = k0_product(k, r)
+    with np.errstate(under="ignore", over="ignore"):
+        phi2 = k / math.sqrt(math.pi) * k0
+    return phi2, _ring_weight(k, r, k0)
+
+
+def assemble_phi2(k: float, grid: RadialGrid) -> np.ndarray:
+    """Normalized planar bound-state amplitude (k / sqrt(pi)) K_0(k r) on
+    the grid's points: planar_rows' first row."""
+    return planar_rows(k, grid.points)[0]
 
 
 def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
@@ -121,12 +146,9 @@ def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
 
 
 def _ring_rho(xi: float) -> float:
-    # K_0 from besselk's float path where xi is normal, as _k0_of gives it
-    # there; _k0_of serves the subnormal rest
-    if xi >= sys.float_info.min:
-        k0 = _besselk_float(0, xi)
-    else:
-        k0 = _k0_of(1.0, xi) if xi > 0.0 else 0.0
+    # K_0 from besselk's float path without its checks where xi is normal,
+    # and from ln xi where it is subnormal
+    k0 = k0_product(1.0, xi) if xi > 0.0 else 0.0
     return 2.0 * xi * (k0 * k0)
 
 

@@ -47,12 +47,12 @@ import numpy as np
 
 from .boundstate import (
     DeltaCoupling2D,
-    _ring_weight,
     coupling_from_k,
     density,
     density_maximum,
     normalize_check,
     one_three_d_bound_energy,
+    planar_rows,
 )
 from .nodes import BracketingError, bunching_verdict, find_zeros, node_density
 from .potentials import (
@@ -63,7 +63,7 @@ from .potentials import (
     eval_potential,
 )
 from .quadrature import QuadratureError
-from .radial import RadialGrid, _phi2_and_k0, default_grid
+from .radial import RadialGrid, default_grid
 from .specfun import CylinderFamily
 from .verify import run_all
 
@@ -315,7 +315,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     k = args.k
     r_min, r_max = args.r_min, args.r_max
     if r_min is None or r_max is None:
-        # default_grid checks k, as _phi2_and_k0 does below; a window
+        # default_grid checks k, as planar_rows does below; a window
         # given in full is used even where the default one overflows
         window = default_grid(k)
         r_min = window.r_min if r_min is None else r_min
@@ -324,9 +324,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     grid = RadialGrid(r_min, r_max, args.n_points)
     _check_output(args.output)
     r = grid.points
-    # assemble_phi2 and density_profile(2, k, r) from one K_0(k r)
-    phi, k0 = _phi2_and_k0(k, r)
-    rows = _Rows(("r", "phi2", "w2"), np.column_stack((r, phi, _ring_weight(k, r, k0))))
+    rows = _Rows(("r", "phi2", "w2"), np.column_stack((r, *planar_rows(k, r))))
     if args.format == "csv":
         text = _csv(rows.keys, [("", rows.table)])
     else:

@@ -13,8 +13,8 @@ negative energy E = -k^2/2 they are sqrt(r) times the modified ones, and
 only the decaying branch with m = 0 survives as a bound state.
 
 The module provides the analytic solutions, a fourth-order Numerov
-integrator for the same equation, finite-difference residual checks that
-tie the two together, and the normalized bound-state amplitude.
+integrator for the same equation, and finite-difference residual checks
+that tie the two together.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ import numpy as np
 
 from ._record import Record
 from .potentials import EffectivePotentialSpec, eval_potential
-from .specfun import EULER_GAMMA, _besselk_float, besseli, besselj, besselk, bessely
+from .specfun import CylinderFamily, besseli, besselj, besselk, bessely, cylinder_rows
 
 _OVERFLOW_LIMIT = 1e250
-
-#: K_0(x) = (ln 2 - gamma) - ln x + O(x^2 ln x) as x -> 0
-_K0_LOG_OFFSET = math.log(2.0) - EULER_GAMMA
 
 
 @unique
@@ -178,22 +175,11 @@ def integrate_radial(
     order in the spacing. Growth past 1e250 raises OverflowError, which for
     this equation signals that the exponentially growing branch dominates.
     """
-    return _integrate_runs(spec, energy, grid, (seeds,), direction)[0]
-
-
-def _integrate_runs(
-    spec: EffectivePotentialSpec, energy: float, grid: RadialGrid, seed_pairs, direction: Direction
-) -> list[RadialWave]:
-    """integrate_radial for each pair of *seed_pairs*, every march on one
-    build of the step coefficients, which depend on the seeds not at all."""
     if not (math.isfinite(energy) and energy != 0.0):
         raise ValueError(f"energy must be nonzero and finite, got {energy!r}")
-    pairs = []
-    for seeds in seed_pairs:
-        s0, s1 = float(seeds[0]), float(seeds[1])
-        if not (math.isfinite(s0) and math.isfinite(s1)):
-            raise ValueError(f"seed values must be finite, got {seeds!r}")
-        pairs.append((s0, s1))
+    s0, s1 = float(seeds[0]), float(seeds[1])
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise ValueError(f"seed values must be finite, got {seeds!r}")
     r = grid.points
     f = eval_potential(spec, r) - 2.0 * energy
     c = grid.spacing ** 2 / 12.0
@@ -207,26 +193,22 @@ def _integrate_runs(
     if inward:
         a, g, r = a[::-1], g[::-1], r[::-1]
     # the march streams the coefficients from memoryviews, whose items are
-    # Python floats, into one np.fromiter per run; it stops before its
-    # first zero divisor 1 - c f, where float division would raise
+    # Python floats, into one np.fromiter; it stops before its first zero
+    # divisor 1 - c f, where float division would raise
     zero = np.flatnonzero(g[2:] == 0.0)
     stop = 2 + int(zero[0]) if zero.size else grid.n_points
     a, g = memoryview(a), memoryview(g)
+    # the march runs on past an overflow, through inf and nan; growth is
+    # checked once at its end, so an overflow before a zero divisor is
+    # reported in place of the division by zero
+    values = np.fromiter(_march(a[1 : stop - 1], g, g[2:stop], s0, s1), float, stop)
+    _check_growth(values, r)
+    if zero.size:
+        raise ZeroDivisionError("float division by zero")
+    if inward:
+        values = values[::-1].copy()
     sign = EnergySign.POSITIVE if energy > 0 else EnergySign.NEGATIVE
-    k = wavenumber_from_energy(energy)
-    waves = []
-    for s0, s1 in pairs:
-        # the march runs on past an overflow, through inf and nan; growth
-        # is checked once at its end, so an overflow before a zero divisor
-        # is reported in place of the division by zero
-        values = np.fromiter(_march(a[1 : stop - 1], g, g[2:stop], s0, s1), float, stop)
-        _check_growth(values, r)
-        if zero.size:
-            raise ZeroDivisionError("float division by zero")
-        if inward:
-            values = values[::-1].copy()
-        waves.append(RadialWave(grid, values, k, sign, SolutionFamily.NUMERIC))
-    return waves
+    return RadialWave(grid, values, wavenumber_from_energy(energy), sign, SolutionFamily.NUMERIC)
 
 
 def _march(a, g_back, g_next, prev: float, cur: float):
@@ -279,99 +261,41 @@ def ode_residual(
     return float(np.max(np.abs(d2 - rhs)))
 
 
-def _polar_stencil(m: int, k: float, grid: RadialGrid, phi: np.ndarray):
-    """Phi = K_m(k r), given on the grid's points, on the interior points
-    with its five-point first and second derivatives, and the polar defect
-    they give."""
-    r = grid.points
-    d1, d2 = five_point_derivatives(phi, grid.spacing)
-    rc = r[2:-2]
-    phic = phi[2:-2]
-    polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic
-    return rc, phic, d1, d2, polar
+def laplacian_reduction_check(k: float, grid: RadialGrid) -> float:
+    """Max polar-equation defect of Phi = K_m(k r) over the orders m = 0
+    and 1, after an identity check.
 
-
-def polar_mode_residual(m: int, k: float, grid: RadialGrid) -> np.ndarray:
-    """Defect of the full polar equation for Phi(r) = K_m(k r).
-
-    Returns Phi'' + Phi'/r - (m^2/r^2 + k^2) Phi on the interior points,
-    with both derivatives from five-point stencils.
-    """
-    return _polar_stencil(m, k, grid, besselk(m, k * grid.points))[-1]
-
-
-def laplacian_reduction_check(m: int, k: float, grid: RadialGrid) -> float:
-    """Max polar-equation defect for Phi = K_m(k r), after an identity check.
-
-    Before reporting, verify on the same stencil data that multiplying the
-    polar defect by sqrt(r) reproduces the defect of the half-power
-    equation term by term: the two formulations differ only by the exact
+    Each defect is Phi'' + Phi'/r - (m^2/r^2 + k^2) Phi on the interior
+    points, with both derivatives from five-point stencils.  Before
+    reporting, verify on the same stencil data that multiplying the polar
+    defect by sqrt(r) reproduces the defect of the half-power equation
+    term by term: the two formulations differ only by the exact
     cancellation of the +1/(4r^2) and -1/(4r^2) pieces, so any mismatch
     beyond rounding means the reduction was implemented inconsistently.
+
+    k r_min must be a normal double and k^2 finite.  K_0 and K_1 come from
+    one cylinder_rows pass, besselk's values bit for bit below k r = 705
+    and zeros from there on, where both are below 1e-306.
     """
-    return _reduction_check(m, k, grid, besselk(m, k * grid.points))
-
-
-def _reduction_check(m: int, k: float, grid: RadialGrid, phi: np.ndarray) -> float:
-    """laplacian_reduction_check on samples phi = K_m(k r) on the grid's
-    points, however computed."""
-    rc, phic, d1, d2, polar = _polar_stencil(m, k, grid, phi)
+    if not (k * grid.r_min >= sys.float_info.min and math.isfinite(k * k)):
+        raise ValueError(f"need k r_min normal and k^2 finite, got k = {k!r}")
+    r = grid.points
+    rc = r[2:-2]
     root = np.sqrt(rc)
-    half_power = root * (d2 + d1 / rc - 0.25 * phic / (rc * rc)) - (
-        (m * m - 0.25) / (rc * rc) + k * k
-    ) * (root * phic)
-    scale = 1.0 + float(np.max(np.abs(root * polar)))
-    mismatch = float(np.max(np.abs(half_power - root * polar)))
-    if mismatch > 1e-8 * scale:
-        raise ArithmeticError(
-            f"half-power reduction is inconsistent with the polar form "
-            f"(mismatch {mismatch:.3e})"
-        )
-    return float(np.max(np.abs(polar)))
-
-
-def assemble_phi2(k: float, grid: RadialGrid) -> np.ndarray:
-    """Normalized planar bound-state amplitude (k / sqrt(pi)) K_0(k r).
-
-    With this prefactor the integral of 2 pi r |Phi|^2 over the plane
-    equals one.
-    """
-    return _phi2_and_k0(k, grid.points)[0]
-
-
-def _phi2_and_k0(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k / sqrt(pi)) K_0(k r) and the K_0(k r) it was scaled from."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
-    k0 = _k0_at(k, r)
-    # a subnormal k, or an amplitude past the double range (k above about
-    # 1.03e308), rounds as float arithmetic does, silently
-    with np.errstate(under="ignore", over="ignore"):
-        return k / math.sqrt(math.pi) * k0, k0
-
-
-def _k0_at(k: float, r: np.ndarray) -> np.ndarray:
-    """K_0(k r) over an array of positive radii, as _k0_of gives it."""
-    with np.errstate(over="ignore", under="ignore"):
-        kr = k * r
-    k0 = np.zeros(kr.shape)
-    tiny = kr < sys.float_info.min
-    k0[tiny] = [_k0_of(k, v) for v in r[tiny].tolist()]
-    normal = ~tiny & (kr < math.inf)
-    k0[normal] = besselk(0, kr[normal])
-    return k0
-
-
-def _k0_of(k: float, r: float) -> float:
-    """K_0(k r) at one positive radius.
-
-    0 where k r overflows: K_0 falls to 0 long before, and besselk refuses
-    an infinite argument. Where k r underflows (to a subnormal or to 0)
-    the product has lost its digits, so K_0 is taken from ln k + ln r.
-    Elsewhere k r is a valid argument, and K_0 comes from besselk's float
-    path without its checks.
-    """
-    kr = k * r
-    if kr < sys.float_info.min:
-        return _K0_LOG_OFFSET - math.log(k) - math.log(r)
-    return _besselk_float(0, kr) if kr < math.inf else 0.0
+    defects = []
+    for m, phi in enumerate(cylinder_rows(CylinderFamily.MODIFIED_K, k * r, 2)):
+        d1, d2 = five_point_derivatives(phi, grid.spacing)
+        phic = phi[2:-2]
+        polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic
+        half_power = root * (d2 + d1 / rc - 0.25 * phic / (rc * rc)) - (
+            (m * m - 0.25) / (rc * rc) + k * k
+        ) * (root * phic)
+        scale = 1.0 + float(np.max(np.abs(root * polar)))
+        mismatch = float(np.max(np.abs(half_power - root * polar)))
+        if mismatch > 1e-8 * scale:
+            raise ArithmeticError(
+                f"half-power reduction is inconsistent with the polar form "
+                f"(mismatch {mismatch:.3e})"
+            )
+        defects.append(float(np.max(np.abs(polar))))
+    return max(defects)

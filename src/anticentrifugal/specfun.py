@@ -1,8 +1,9 @@
 """Integer-order cylinder functions built from scratch in double precision.
 
 Evaluates the oscillatory pair J_m, Y_m and the modified pair I_m, K_m for
-non-negative integer order on the positive real axis, plus their first
-derivatives and a direct angular-quadrature route to J_0.  No external
+non-negative integer order on the positive real axis, plus the rule that
+gives their first derivatives from the neighbouring orders, K_0 of a
+product k r, and a direct angular-quadrature route to J_0.  No external
 special-function library is used; every value comes from one of five
 classical schemes, selected by argument size:
 
@@ -65,8 +66,6 @@ from enum import Enum
 
 import numpy as np
 
-from ._record import Record
-
 EULER_GAMMA = 0.57721566490153286061
 
 #: Relative accuracy targeted on the primary argument range (0, 50].
@@ -124,18 +123,6 @@ def _check_order(m) -> int:
     if m < 0:
         raise ValueError(f"order must be non-negative, got {m}")
     return int(m)
-
-
-class CylinderKind(Record):
-    """A family tag plus a non-negative integer order."""
-
-    family: CylinderFamily
-    order: int
-
-    def __post_init__(self):
-        if not isinstance(self.family, CylinderFamily):
-            raise ValueError(f"family must be a CylinderFamily, got {self.family!r}")
-        object.__setattr__(self, "order", _check_order(self.order))
 
 
 def _check_argument(family: CylinderFamily, x: float) -> float:
@@ -781,7 +768,7 @@ def _on_lanes(x: np.ndarray, switches: tuple, routes: tuple, ms) -> np.ndarray:
     return out.reshape((len(ms),) + x.shape)
 
 
-def _crossover_mismatch() -> float:
+def crossover_mismatch() -> float:
     """Worst relative gap between neighbouring regimes of orders 0 and 1,
     1e-6 on either side of each switch point below _K_SCALED_SWITCH, each
     relative to the family's middle regime."""
@@ -868,6 +855,39 @@ def _besselk_float(m: int, x: float) -> float:
     return _recur_up(m, x, _regimes(x, _K_SWITCHES, _K_ROUTES, (0, 1)), 1.0)
 
 
+#: K_0(x) = (ln 2 - gamma) - ln x + O(x^2 ln x) as x -> 0 (DLMF 10.31.2)
+_K0_LOG_OFFSET = math.log(2.0) - EULER_GAMMA
+
+
+def k0_product(k: float, r):
+    """K_0(k r) at a float r, or over an array of radii.
+
+    The domain is k > 0 and r > 0, both finite; neither is checked.  Where
+    k r overflows, K_0 is 0: it falls to 0 long before, and besselk refuses
+    an infinite argument.  Where k r underflows (to a subnormal or to 0)
+    the product has lost its digits, so K_0 is taken from ln k + ln r
+    (DLMF 10.31.2), whose remainder O(x^2 ln x) is far below an ulp
+    there.  Elsewhere k r is a valid
+    argument, and K_0 is besselk's value bit for bit; a float r takes
+    besselk's float path without its checks, so a caller that has already
+    validated k and r pays for no second check.
+    """
+    # _is_array inlined, a call less for each of the ring integrand's floats
+    if not (isinstance(r, np.ndarray) and r.ndim):
+        kr = k * r
+        if kr < sys.float_info.min:
+            return _K0_LOG_OFFSET - math.log(k) - math.log(r)
+        return _besselk_float(0, kr) if kr < math.inf else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        kr = k * r
+    k0 = np.zeros(kr.shape)
+    tiny = kr < sys.float_info.min
+    k0[tiny] = [_K0_LOG_OFFSET - math.log(k) - math.log(v) for v in r[tiny].tolist()]
+    normal = ~tiny & (kr < math.inf)
+    k0[normal] = besselk(0, kr[normal])
+    return k0
+
+
 def _recur_up(m: int, x, c, sign: float):
     # Upward recurrence C_{k+1} = (2k/x) C_k + sign C_{k-1} from c, which
     # holds C_0 and, for m >= 1, C_1: sign -1 for Y, +1 for K, whose
@@ -890,11 +910,6 @@ def _recur_up(m: int, x, c, sign: float):
     return cur
 
 
-def eval_cylinder(kind: CylinderKind, x):
-    """Evaluate the cylinder function selected by *kind* at argument(s) *x*."""
-    return _cylinder(kind.family, kind.order, x)
-
-
 #: Per family (a, b, c) with C_0' = a C_1 and C_m' = b (C_{m-1} + c C_{m+1}).
 _DERIVATIVE_SIGNS = {
     CylinderFamily.BESSEL_J: (-1.0, 0.5, -1.0),
@@ -904,20 +919,15 @@ _DERIVATIVE_SIGNS = {
 }
 
 
-def eval_cylinder_derivative(kind: CylinderKind, x):
-    """First derivative via the exact neighbor-order recurrences.
+def cylinder_slope(family: CylinderFamily, m: int, below, above):
+    """C_m' of *family* from its neighbouring orders: below = C_{m-1}
+    (unread for m = 0) and above = C_{m+1}, floats or arrays alike.
 
-    J_0' = -J_1, I_0' = I_1, K_0' = -K_1, Y_0' = -Y_1, and for m >= 1 the
-    symmetric forms (C_{m-1} -/+ C_{m+1})/2 of each family.  *x* is a
-    float or an array.
+    J_0' = -J_1, Y_0' = -Y_1, I_0' = I_1 and K_0' = -K_1; for m >= 1,
+    J_m' = (J_{m-1} - J_{m+1}) / 2 and Y alike (DLMF 10.6.2),
+    I_m' = (I_{m-1} + I_{m+1}) / 2 and K_m' = -(K_{m-1} + K_{m+1}) / 2
+    (DLMF 10.29.2).
     """
-    family, m = kind.family, kind.order
-    below = _cylinder(family, m - 1, x) if m else None
-    return _slope(family, m, below, _cylinder(family, m + 1, x))
-
-
-def _slope(family: CylinderFamily, m: int, below, above):
-    """C_m' from C_{m-1} (unread for m = 0) and C_{m+1}."""
     a, b, c = _DERIVATIVE_SIGNS[family]
     if m == 0:
         return a * above

@@ -40,21 +40,20 @@ from .radial import (
     RadialGrid,
     RadialWave,
     SolutionFamily,
-    _integrate_runs,
-    _reduction_check,
     analytic_radial,
     five_point_derivatives,
     integrate_radial,
+    laplacian_reduction_check,
     ode_residual,
 )
 from .specfun import (
     CylinderFamily,
-    _crossover_mismatch,
-    _slope,
     besselj,
     besselk,
     bessely,
+    crossover_mismatch,
     cylinder_rows,
+    cylinder_slope,
     sommerfeld_j0,
 )
 
@@ -122,7 +121,7 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
     for fam in CylinderFamily:
         c0, c1, c2 = cylinder_rows(fam, xs, 3)
         values[fam] = (c0, c1)
-        slopes[fam] = (_slope(fam, 0, None, c1), _slope(fam, 1, c0, c2))
+        slopes[fam] = (cylinder_slope(fam, 0, None, c1), cylinder_slope(fam, 1, c0, c2))
 
     def wronskian(f: CylinderFamily, g: CylinderFamily, m: int) -> np.ndarray:
         return values[f][m] * slopes[g][m] - slopes[f][m] * values[g][m]
@@ -199,7 +198,7 @@ def suite_special_limits(scale: float = 1.0) -> list[SuiteResult]:
     out.append(
         _res(
             "crossover-continuity",
-            _crossover_mismatch(),
+            crossover_mismatch(),
             1e-10,
             scale,
             "series vs large-argument routes 1e-6 on either side of each switch",
@@ -334,10 +333,10 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
     )
     # constancy of the Wronskian of two independent numeric solutions
     wgrid = RadialGrid(0.5, 20.5, 20001)
-    # the two marches share one build of the step coefficients
-    seeds = [_seed_pair(fn, 1.0, wgrid, (0, 1)) for fn in (besselj, bessely)]
-    waves = _integrate_runs(_QUANTUM_ANTI, 0.5, wgrid, seeds, Direction.OUTWARD)
-    u1, u2 = (wave.values for wave in waves)
+    u1, u2 = (
+        integrate_radial(_QUANTUM_ANTI, 0.5, wgrid, _seed_pair(fn, 1.0, wgrid, (0, 1))).values
+        for fn in (besselj, bessely)
+    )
     d1 = five_point_derivatives(u1, wgrid.spacing)[0]
     d2 = five_point_derivatives(u2, wgrid.spacing)[0]
     w = u1[2:-2] * d2 - d1 * u2[2:-2]
@@ -354,12 +353,9 @@ def suite_radial(scale: float = 1.0) -> list[SuiteResult]:
             "numeric solution pair on [0.5, 20.5]",
         )
     )
-    # the polar equation and its half-power reduction agree; K_0 and K_1
-    # come from one pass per wavenumber, as laplacian_reduction_check's
-    # besselk(0) and besselk(1) give them
+    # the polar equation and its half-power reduction agree
     lap_grid = RadialGrid(0.5, 10.0, 2001)
-    phi = {k: cylinder_rows(CylinderFamily.MODIFIED_K, k * lap_grid.points, 2) for k in (1.0, 2.0)}
-    lap = max(_reduction_check(m, k, lap_grid, phi[k][m]) for m in (0, 1) for k in (1.0, 2.0))
+    lap = max(laplacian_reduction_check(k, lap_grid) for k in (1.0, 2.0))
     out.append(
         _res("laplacian-reduction", lap, 1e-5, scale, "orders 0, 1 at k = 1, 2")
     )

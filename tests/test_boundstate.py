@@ -25,6 +25,7 @@ from anticentrifugal.boundstate import (
     DeltaCoupling2D,
     DensityForm,
     ProbabilityDensity,
+    assemble_phi2,
     coupling_from_k,
     coupling_residual,
     cutoff_integral,
@@ -36,12 +37,13 @@ from anticentrifugal.boundstate import (
     one_three_d_bound_energy,
     phi_line,
     phi_point,
+    planar_rows,
     ring_peak_parameter,
 )
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.quadrature import integrate_adaptive
 from anticentrifugal.radial import RadialGrid, default_grid
-from anticentrifugal.specfun import _FEW_LANES, besselk
+from anticentrifugal.specfun import _FEW_LANES, EULER_GAMMA, besselk, k0_product
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +211,22 @@ def test_cold_ring_total_makes_no_checked_k_call(monkeypatch, cold_totals):
     # the ring integrand's K_0 goes straight to besselk's float path, its
     # argument being valid by construction
     def refuse(*args):
-        raise AssertionError("besselk called")
+        raise AssertionError("besselk or its argument check called")
 
-    monkeypatch.setattr(radial, "besselk", refuse)
     monkeypatch.setattr(specfun, "besselk", refuse)
+    monkeypatch.setattr(specfun, "_check_argument", refuse)
     assert boundstate._scale_free_total(DensityForm.RING) == SCALE_FREE_TOTALS[2]
 
 
-def _k0_of_checked(k, r):
-    # radial._k0_of as it called the checked besselk
+def _k0_product_checked(k, r):
+    # k0_product as it would be with the checked besselk
     kr = k * r
     if kr < sys.float_info.min:
-        return radial._K0_LOG_OFFSET - math.log(k) - math.log(r)
+        return (math.log(2.0) - EULER_GAMMA) - math.log(k) - math.log(r)
     return besselk(0, kr) if kr < math.inf else 0.0
 
 
-def test_k0_of_is_the_checked_besselk_bit_for_bit():
+def test_k0_product_is_the_checked_besselk_bit_for_bit():
     # every K regime: the series below 3, the trapezoid to 20, the Hankel
     # expansion to 705, the scaled recurrence from 705 on, subnormal and
     # infinite k r, at the switches and on seeded arguments
@@ -238,10 +240,10 @@ def test_k0_of_is_the_checked_besselk_bit_for_bit():
         for k in (1.0, 0.5, 3.0):
             r = x / k
             if r > 0.0:
-                assert radial._k0_of(k, r).hex() == _k0_of_checked(k, r).hex(), (k, r)
-        assert radial._k0_of(1e200, x).hex() == _k0_of_checked(1e200, x).hex(), x
-        for m in (0, 1, 2, 5):
-            assert _outcome(specfun._besselk_float, m, x) == _outcome(besselk, m, x), (m, x)
+                assert k0_product(k, r).hex() == _k0_product_checked(k, r).hex(), (k, r)
+        assert k0_product(1e200, x).hex() == _k0_product_checked(1e200, x).hex(), x
+        if x >= sys.float_info.min:
+            assert _outcome(k0_product, 1.0, x) == _outcome(besselk, 0, x), x
 
 
 def test_import_integrates_nothing():
@@ -910,6 +912,78 @@ def test_bound_state_validation():
         one_three_d_bound_energy(2, coupling=-1.0)
     with pytest.raises(ValueError):
         one_three_d_bound_energy(5, coupling=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# normalized planar amplitude
+
+def test_phi2_spot_value():
+    grid = RadialGrid(1.0, 2.0, 3)
+    phi = assemble_phi2(1.0, grid)
+    assert phi[0] == pytest.approx(oracles.PHI2_AT_K1_R1, rel=1e-13)
+
+
+def test_phi2_scaling_identity():
+    """Phi_{2k}(r) = 2 Phi_k(2r): doubling the wavenumber squeezes and
+    rescales the profile without changing its shape."""
+    grid_r = RadialGrid(0.5, 5.0, 19)
+    grid_2r = RadialGrid(1.0, 10.0, 19)
+    left = assemble_phi2(2.0, grid_r)
+    right = 2.0 * assemble_phi2(1.0, grid_2r)
+    assert left == pytest.approx(right, rel=1e-13)
+
+
+def test_phi2_decays_far_out():
+    grid = RadialGrid(0.1, 25.0, 250)
+    phi = assemble_phi2(1.0, grid)
+    assert phi[-1] < 1e-9
+    assert np.all(np.diff(phi) < 0.0)  # monotone falloff
+
+
+def test_planar_amplitude_is_zero_where_k_r_overflows():
+    # K_0(inf) = 0; besselk refuses an infinite argument, and k r used to
+    # reach it with an overflow warning
+    grid = RadialGrid(1e-101, 1e210, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            phi = assemble_phi2(1e100, grid)
+    assert phi[0] == assemble_phi2(1e100, RadialGrid(1e-101, 1e-100, 3))[0] > 0.0
+    assert phi[1:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k, r", [
+    (1e-200, 1e-150),  # k r underflows to 0
+    (1e-200, 1e-110),  # k r is subnormal
+    (1e10, 1e-320),
+    (1.0, 5e-324),
+    (1e-300, 2.2250738585072014e-308),
+    (1.4e-312, 8e-46),  # the amplitude (k / sqrt(pi)) K_0 is subnormal
+])
+def test_planar_k0_where_k_r_underflows(k, r):
+    # besselk refused k r = 0 and lost digits at a subnormal k r; K_0 is
+    # (ln 2 - gamma) - ln k - ln r there to well below one ulp
+    with mp.workdps(40):
+        want = mp.besselk(0, mp.mpf(k) * mp.mpf(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = k0_product(k, r)
+            got_array = k0_product(k, np.array([r, 2.0]))
+            phi = planar_rows(k, np.array([r]))[0]
+    assert abs(got - want) <= 1e-16 * want
+    assert got_array.tolist() == [got, k0_product(k, 2.0)]
+    assert phi.tolist() == [k / math.sqrt(math.pi) * got]
+
+
+def test_planar_rows_are_the_amplitude_and_its_weight():
+    # W = 2 pi r |Phi|^2, and each row is its own function's, bit for bit
+    k = 0.76
+    grid = RadialGrid(0.05 / k, 20.0 / k, 101)
+    phi2, w2 = planar_rows(k, grid.points)
+    np.testing.assert_array_equal(phi2, assemble_phi2(k, grid))
+    np.testing.assert_array_equal(w2, density_profile(2, k, grid.points))
+    np.testing.assert_allclose(2.0 * math.pi * grid.points * phi2**2, w2, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

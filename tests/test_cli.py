@@ -9,6 +9,7 @@ a valid call load (no ``argparse``, ``locale``, ``dataclasses`` or
 
 import ast
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -29,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from anticentrifugal import cli
-from anticentrifugal.boundstate import coupling_from_k, density_profile, k_from_coupling
+from anticentrifugal.boundstate import assemble_phi2, coupling_from_k, density_profile, k_from_coupling
 from anticentrifugal.cli import main
 from anticentrifugal.nodes import BracketingError, bunching_verdict, find_zeros, node_density
 from anticentrifugal.potentials import (
@@ -40,7 +41,7 @@ from anticentrifugal.potentials import (
     eval_potential,
 )
 from anticentrifugal.quadrature import QuadratureError
-from anticentrifugal.radial import RadialGrid, assemble_phi2
+from anticentrifugal.radial import RadialGrid
 from anticentrifugal.specfun import CylinderFamily, besselk
 
 
@@ -596,7 +597,7 @@ def test_output_path_that_cannot_be_opened_exits_two(tmp_path, monkeypatch, caps
 #: first call that computes.
 _FIRST_COMPUTE = {
     "potential": (["--family", "ndim", "--n-points", "100000"], "eval_potential"),
-    "wavefunction": (["--k", "1.0", "--n-points", "100000"], "_phi2_and_k0"),
+    "wavefunction": (["--k", "1.0", "--n-points", "100000"], "planar_rows"),
     "nodes": (["--n-max", "10000"], "find_zeros"),
     "boundstate": (["--dimension", "2", "--k", "1.0"], "density"),
     "verify": ([], "run_all"),
@@ -849,6 +850,18 @@ def _echo(args):
     return 0
 
 
+#: Every command, echoing its parsed attributes in place of running.
+_ECHOING = {name: command._replace(run=_echo) for name, command in cli._COMMANDS.items()}
+
+
+@functools.lru_cache(maxsize=1)
+def _echoing_parser():
+    # the full parser over the echoing commands, built once for every
+    # example: argparse keeps no state from one parse to the next
+    with mock.patch.object(cli, "_COMMANDS", _ECHOING):
+        return cli.build_parser()
+
+
 def _triple(call):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -872,13 +885,16 @@ def test_option_table_parses_as_argparse(argv):
     # what the table parser accepts, argparse reads to the same attributes;
     # what it declines, main() hands to the full parser, so the exit code,
     # stdout and stderr are the full parser's (the commands only echo here)
-    echoing = {name: command._replace(run=_echo) for name, command in cli._COMMANDS.items()}
-    with mock.patch.object(cli, "_COMMANDS", echoing):
+    parser = _echoing_parser()
+    with (
+        mock.patch.object(cli, "_COMMANDS", _ECHOING),
+        mock.patch.object(cli, "build_parser", lambda: parser),
+    ):
         parsed = cli._parse_table(list(argv))
         if parsed is not None:
-            assert _attributes(parsed) == _attributes(cli.build_parser().parse_args(list(argv)))
+            assert _attributes(parsed) == _attributes(parser.parse_args(list(argv)))
         else:
-            full = _triple(lambda: _echo(cli.build_parser().parse_args(list(argv))))
+            full = _triple(lambda: _echo(parser.parse_args(list(argv))))
             assert _triple(lambda: cli.main(list(argv))) == full
 
 

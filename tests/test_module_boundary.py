@@ -1,9 +1,11 @@
-"""The private names that the package's modules reach across each other.
+"""No module of the package reaches a private name of a sibling.
 
-Each module's underscore imports from its siblings are pinned here, so a
-new one is a deliberate change of this file.  specfun keeps its dispatch to
-itself: no other module names its family table, a route table, a switch
-tuple or the dispatcher, whether by import or as an attribute.
+A module neither imports an underscore name from a sibling module nor
+reads one as an attribute of a sibling it imported, so each module's
+private names are free to change with the module alone.  specfun keeps
+its dispatch to itself: no other module names its family table, a route
+table, a switch tuple or the dispatcher, whether by import or as an
+attribute.
 """
 
 import ast
@@ -15,13 +17,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anticentrifugal"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-#: Per module, the underscore names it imports from sibling modules.
-PRIVATE_IMPORTS = {
-    "boundstate": {"_besselk_float", "_k0_at", "_k0_of"},
-    "cli": {"_phi2_and_k0", "_ring_weight"},
-    "radial": {"_besselk_float"},
-    "verify": {"_crossover_mismatch", "_integrate_runs", "_reduction_check", "_slope"},
-}
+#: Per module, the underscore names it reaches in its siblings: none.
+PRIVATE_IMPORTS = {}
 
 #: specfun's family table, route tables, switch tuples and dispatcher (with
 #: its array path).
@@ -32,19 +29,48 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_private_imports_between_modules_are_pinned():
-    got = {}
-    for path in MODULES:
-        names = {
-            alias.name
-            for node in ast.walk(_tree(path))
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names
-            if alias.name.startswith("_")
-        }
-        if names:
-            got[path.stem] = names
+def _sibling_private_names(tree: ast.Module) -> set[str]:
+    """The underscore names a module imports from its siblings, and those
+    it reads as attributes of a sibling module it imported, as
+    ``module._name``."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:  # from . import sibling [as name]
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            names.add(f"{node.value.id}.{node.attr}")
+    return names
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    got = {path.stem: names for path in MODULES if (names := _sibling_private_names(_tree(path)))}
     assert got == PRIVATE_IMPORTS
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .radial import _k0_of, RadialGrid", {"_k0_of"}),
+        ("from .specfun import besselk as _k", set()),
+        ("from . import radial\nradial._k0_of(1.0, 2.0)", {"radial._k0_of"}),
+        ("from . import radial as r\nr._march", {"r._march"}),
+        ("from . import radial\nradial.integrate_radial", set()),
+        ("import numpy as np\nnp._NoValue", set()),
+    ],
+)
+def test_the_check_sees_imports_and_attribute_reads(source, found):
+    # the check above is not vacuous: it finds both forms of reaching across
+    assert _sibling_private_names(ast.parse(source)) == found
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "specfun"], ids=lambda p: p.stem)

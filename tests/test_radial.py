@@ -7,7 +7,6 @@ hbar^2/(2M).
 """
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -24,13 +23,12 @@ from anticentrifugal.radial import (
     RadialWave,
     SolutionFamily,
     analytic_radial,
-    assemble_phi2,
     default_grid,
     energy_from_wavenumber,
+    five_point_derivatives,
     integrate_radial,
     laplacian_reduction_check,
     ode_residual,
-    polar_mode_residual,
     wavenumber_from_energy,
 )
 from anticentrifugal.specfun import (
@@ -462,42 +460,6 @@ def test_numerov_zero_coefficient_matches_the_index_loop(monkeypatch, direction,
     assert _march_outcome(lambda *a: integrate_radial(*a).values, *args) == want
 
 
-def test_planar_amplitude_is_zero_where_k_r_overflows():
-    # K_0(inf) = 0; besselk refuses an infinite argument, and k r used to
-    # reach it with an overflow warning
-    grid = RadialGrid(1e-101, 1e210, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(all="raise"):
-            phi = assemble_phi2(1e100, grid)
-    assert phi[0] == assemble_phi2(1e100, RadialGrid(1e-101, 1e-100, 3))[0] > 0.0
-    assert phi[1:].tolist() == [0.0, 0.0]
-
-
-@pytest.mark.parametrize("k, r", [
-    (1e-200, 1e-150),  # k r underflows to 0
-    (1e-200, 1e-110),  # k r is subnormal
-    (1e10, 1e-320),
-    (1.0, 5e-324),
-    (1e-300, 2.2250738585072014e-308),
-    (1.4e-312, 8e-46),  # the amplitude (k / sqrt(pi)) K_0 is subnormal
-])
-def test_planar_k0_where_k_r_underflows(k, r):
-    # besselk refused k r = 0 and lost digits at a subnormal k r; K_0 is
-    # (ln 2 - gamma) - ln k - ln r there to well below one ulp
-    with mp.workdps(40):
-        want = mp.besselk(0, mp.mpf(k) * mp.mpf(r))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(all="raise"):
-            got = radial._k0_of(k, r)
-            got_array = radial._k0_at(k, np.array([r, 2.0]))
-            phi, _ = radial._phi2_and_k0(k, np.array([r]))
-    assert abs(got - want) <= 1e-16 * want
-    assert got_array.tolist() == [got, radial._k0_of(k, 2.0)]
-    assert phi.tolist() == [k / math.sqrt(math.pi) * got]
-
-
 # ---------------------------------------------------------------------------
 # residual diagnostics
 
@@ -550,10 +512,8 @@ def test_analytic_radial_matches_pointwise_evaluation(family, order):
 
 
 def test_polar_residual_rejects_short_grid():
-    with pytest.raises(ValueError):
-        polar_mode_residual(0, 1.0, RadialGrid(1.0, 2.0, 4))
-    with pytest.raises(ValueError):
-        laplacian_reduction_check(0, 1.0, RadialGrid(1.0, 2.0, 4))
+    with pytest.raises(ValueError, match="at least 5 grid points"):
+        laplacian_reduction_check(1.0, RadialGrid(1.0, 2.0, 4))
 
 
 def test_residual_needs_five_points():
@@ -563,63 +523,50 @@ def test_residual_needs_five_points():
         ode_residual(wave, QUANTUM_ANTI, -0.5)
 
 
-@pytest.mark.parametrize("m", [0, 1])
+def _polar_defect(m, k, grid, phi):
+    """Phi'' + Phi'/r - (m^2/r^2 + k^2) Phi on the interior points, for
+    samples phi of K_m(k r) on the grid, with five-point derivatives."""
+    rc = grid.points[2:-2]
+    d1, d2 = five_point_derivatives(phi, grid.spacing)
+    return d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phi[2:-2]
+
+
 @pytest.mark.parametrize("k", [1.0, 2.0])
-def test_polar_and_half_power_forms_agree(m, k):
+def test_polar_and_half_power_forms_agree(k):
     grid = RadialGrid(0.5, 10.0, 2001)
-    defect = laplacian_reduction_check(m, k, grid)
+    defect = laplacian_reduction_check(k, grid)
     assert defect <= 1e-5
-    direct = np.max(np.abs(polar_mode_residual(m, k, grid)))
+    direct = max(
+        np.max(np.abs(_polar_defect(m, k, grid, besselk(m, k * grid.points)))) for m in (0, 1)
+    )
     assert direct == pytest.approx(defect)
 
 
 @pytest.mark.parametrize("grid", [RadialGrid(0.5, 10.0, 2001), RadialGrid(0.05, 30.0, 3001)])
 @pytest.mark.parametrize("k", [0.3, 1.0, 2.0, 7.0])
 def test_reduction_check_on_shared_rows_is_the_per_order_check(grid, k):
-    # verify takes K_0 and K_1 from one pass per wavenumber; on arguments
-    # below 705 they are besselk's values, and so is every check's result
+    # the check takes K_0 and K_1 from one pass; on arguments below 705
+    # they are besselk's values, and its result is the worse of the two
+    # defects that besselk's values give, bit for bit
     rows = cylinder_rows(CylinderFamily.MODIFIED_K, k * grid.points, 2)
+    per_order = []
     for m in (0, 1):
-        np.testing.assert_array_equal(rows[m], besselk(m, k * grid.points))
-        got = radial._reduction_check(m, k, grid, rows[m])
-        assert got.hex() == laplacian_reduction_check(m, k, grid).hex()
+        phi = besselk(m, k * grid.points)
+        np.testing.assert_array_equal(rows[m], phi)
+        per_order.append(float(np.max(np.abs(_polar_defect(m, k, grid, phi)))))
+    assert laplacian_reduction_check(k, grid).hex() == max(per_order).hex()
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e300])
+def test_reduction_check_refuses_a_wavenumber_off_its_domain(k):
+    # K_m(k r) for a subnormal k r overflows or has lost its digits, and
+    # past k^2 = inf the defect was inf * 0 = nan, with a warning
+    with pytest.raises(ValueError, match="k r_min normal and k\\^2 finite"):
+        laplacian_reduction_check(k, RadialGrid(0.5, 10.0, 21))
 
 
 @pytest.mark.parametrize("direction", list(Direction))
-def test_runs_on_shared_coefficients_are_separate_marches(direction):
+def test_non_finite_seeds_are_refused(direction):
     grid = RadialGrid(0.5, 20.5, 4001)
-    seeds = [(0.3, 0.31), (-1e-3, 2e-3), (1.0, 1.0)]
-    waves = radial._integrate_runs(QUANTUM_ANTI, 0.5, grid, seeds, direction)
-    for wave, pair in zip(waves, seeds):
-        alone = integrate_radial(QUANTUM_ANTI, 0.5, grid, pair, direction)
-        np.testing.assert_array_equal(wave.values, alone.values)
-        assert (wave.grid, wave.wavenumber, wave.energy_sign, wave.family) == (
-            alone.grid, alone.wavenumber, alone.energy_sign, alone.family)
     with pytest.raises(ValueError, match=r"seed values must be finite, got \(1.0, nan\)"):
-        radial._integrate_runs(QUANTUM_ANTI, 0.5, grid, [(0.3, 0.31), (1.0, math.nan)], direction)
-
-
-# ---------------------------------------------------------------------------
-# normalized planar amplitude
-
-def test_phi2_spot_value():
-    grid = RadialGrid(1.0, 2.0, 3)
-    phi = assemble_phi2(1.0, grid)
-    assert phi[0] == pytest.approx(oracles.PHI2_AT_K1_R1, rel=1e-13)
-
-
-def test_phi2_scaling_identity():
-    """Phi_{2k}(r) = 2 Phi_k(2r): doubling the wavenumber squeezes and
-    rescales the profile without changing its shape."""
-    grid_r = RadialGrid(0.5, 5.0, 19)
-    grid_2r = RadialGrid(1.0, 10.0, 19)
-    left = assemble_phi2(2.0, grid_r)
-    right = 2.0 * assemble_phi2(1.0, grid_2r)
-    assert left == pytest.approx(right, rel=1e-13)
-
-
-def test_phi2_decays_far_out():
-    grid = RadialGrid(0.1, 25.0, 250)
-    phi = assemble_phi2(1.0, grid)
-    assert phi[-1] < 1e-9
-    assert np.all(np.diff(phi) < 0.0)  # monotone falloff
+        integrate_radial(QUANTUM_ANTI, 0.5, grid, (1.0, math.nan), direction)

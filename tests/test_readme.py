@@ -36,3 +36,14 @@ def test_readme_imports_only_exported_names():
     }
     assert len(imported) >= 20
     assert imported <= set(anticentrifugal.__all__)
+
+
+def test_readme_names_every_export():
+    # as code: in a python block, or in backticks in the prose
+    code = "\n".join(BLOCKS + re.findall(r"`([^`\n]+)`", README))
+    missing = [
+        name
+        for name in anticentrifugal.__all__
+        if name != "__version__" and not re.search(rf"\b{name}\b", code)
+    ]
+    assert missing == []

@@ -22,7 +22,7 @@ from anticentrifugal.nodes import BunchingVerdict, NodeDensityReport, ZeroTable
 from anticentrifugal.potentials import UNITS, EffectivePotentialSpec, PotentialFamily
 from anticentrifugal.quadrature import QuadratureResult
 from anticentrifugal.radial import EnergySign, RadialGrid, RadialWave, SolutionFamily
-from anticentrifugal.specfun import CylinderFamily, CylinderKind
+from anticentrifugal.specfun import CylinderFamily
 from anticentrifugal.verify import SuiteResult
 
 _GRID = RadialGrid(0.5, 2.0, 4)
@@ -39,10 +39,6 @@ class Case(NamedTuple):
 
 
 CASES = [
-    Case(
-        CylinderKind, ("family", "order"),
-        (CylinderFamily.MODIFIED_K, 2), (CylinderFamily.MODIFIED_K, 3), True,
-    ),
     Case(
         QuadratureResult, ("value", "error_estimate", "intervals"),
         (1.5, 1e-14, 3), (1.5, 1e-14, 4), True,
@@ -161,8 +157,6 @@ def test_record_defaults():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: CylinderKind("J", 0), ValueError, "family must be a CylinderFamily"),
-        (lambda: CylinderKind(CylinderFamily.BESSEL_J, -1), ValueError, "order"),
         (lambda: EffectivePotentialSpec("planar"), TypeError, "family must be a PotentialFamily"),
         (
             lambda: EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=-1),

@@ -25,20 +25,18 @@ from anticentrifugal.specfun import (
     SERIES_SWITCH_JY,
     SERIES_SWITCH_K,
     CylinderFamily,
-    CylinderKind,
     besseli,
     besselj,
     besselk,
     bessely,
-    eval_cylinder,
-    eval_cylinder_derivative,
+    crossover_mismatch,
+    cylinder_slope,
     sommerfeld_j0,
     sommerfeld_j0_components,
 )
 from anticentrifugal.specfun import (
     _HANKEL_SWITCH,
     _ascending_series,
-    _crossover_mismatch,
     _hankel01,
     _i_large,
     _i_start,
@@ -60,6 +58,20 @@ def mp_cyl(family: CylinderFamily, m: int, x: float) -> float:
         CylinderFamily.MODIFIED_K: mp.besselk,
     }[family]
     return float(fn(m, mp.mpf(x)))
+
+
+_EVAL = {
+    CylinderFamily.BESSEL_J: besselj,
+    CylinderFamily.NEUMANN_Y: bessely,
+    CylinderFamily.MODIFIED_I: besseli,
+    CylinderFamily.MODIFIED_K: besselk,
+}
+
+
+def _derivative(family: CylinderFamily, m: int, x):
+    """C_m'(x) by cylinder_slope from C_{m-1}(x) and C_{m+1}(x)."""
+    fn = _EVAL[family]
+    return cylinder_slope(family, m, fn(m - 1, x) if m else None, fn(m + 1, x))
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +109,8 @@ def test_values_at_origin():
     ],
 )
 def test_frozen_spot_values(family, m, x, expected):
-    got = eval_cylinder(CylinderKind(family, m), x)
+    got = _EVAL[family](m, x)
     assert got == pytest.approx(expected, rel=5e-13)
-
-
-def test_named_wrappers_agree_with_dispatch():
-    for m, x in [(0, 0.7), (1, 3.0), (4, 11.0)]:
-        assert besselj(m, x) == eval_cylinder(CylinderKind(CylinderFamily.BESSEL_J, m), x)
-        assert bessely(m, x) == eval_cylinder(CylinderKind(CylinderFamily.NEUMANN_Y, m), x)
-        assert besseli(m, x) == eval_cylinder(CylinderKind(CylinderFamily.MODIFIED_I, m), x)
-        assert besselk(m, x) == eval_cylinder(CylinderKind(CylinderFamily.MODIFIED_K, m), x)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def test_decaying_modified_family_on_grid(m):
 def test_derivative_matches_mpmath(family, m):
     refs = oracles.DERIVATIVES[(family.value, m)]
     for x, ref in zip(oracles.DERIVATIVE_XS, refs, strict=True):
-        got = eval_cylinder_derivative(CylinderKind(family, m), x)
+        got = _derivative(family, m, x)
         assert got == pytest.approx(ref, rel=5e-13, abs=1e-290)
 
 
@@ -169,18 +173,18 @@ def test_derivative_consistent_with_finite_difference(family, m):
     """The analytic derivative must agree with a central difference of
     the function values themselves, independent of any oracle."""
     x, h = 2.0, 1e-5
-    kind = CylinderKind(family, m)
-    fd = (eval_cylinder(kind, x + h) - eval_cylinder(kind, x - h)) / (2.0 * h)
-    got = eval_cylinder_derivative(kind, x)
+    fn = _EVAL[family]
+    fd = (fn(m, x + h) - fn(m, x - h)) / (2.0 * h)
+    got = _derivative(family, m, x)
     assert got == pytest.approx(fd, rel=1e-8)
 
 
 def test_low_order_derivative_identities():
     x = 1.7
-    assert eval_cylinder_derivative(CylinderKind(CylinderFamily.BESSEL_J, 0), x) == -besselj(1, x)
-    assert eval_cylinder_derivative(CylinderKind(CylinderFamily.MODIFIED_I, 0), x) == besseli(1, x)
-    assert eval_cylinder_derivative(CylinderKind(CylinderFamily.MODIFIED_K, 0), x) == -besselk(1, x)
-    assert eval_cylinder_derivative(CylinderKind(CylinderFamily.NEUMANN_Y, 0), x) == -bessely(1, x)
+    assert _derivative(CylinderFamily.BESSEL_J, 0, x) == -besselj(1, x)
+    assert _derivative(CylinderFamily.MODIFIED_I, 0, x) == besseli(1, x)
+    assert _derivative(CylinderFamily.MODIFIED_K, 0, x) == -besselk(1, x)
+    assert _derivative(CylinderFamily.NEUMANN_Y, 0, x) == -bessely(1, x)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +193,12 @@ def test_low_order_derivative_identities():
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_wronskian_oscillatory(m):
     """J_m Y_m' - J_m' Y_m = 2 / (pi x) on a wide grid."""
-    jk = CylinderKind(CylinderFamily.BESSEL_J, m)
-    yk = CylinderKind(CylinderFamily.NEUMANN_Y, m)
+    fam_j, fam_y = CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y
     n = 101
     worst = 0.0
     for i in range(n):
         x = 0.1 + (30.0 - 0.1) * i / (n - 1)
-        w = (eval_cylinder(jk, x) * eval_cylinder_derivative(yk, x)
-             - eval_cylinder_derivative(jk, x) * eval_cylinder(yk, x))
+        w = besselj(m, x) * _derivative(fam_y, m, x) - _derivative(fam_j, m, x) * bessely(m, x)
         worst = max(worst, abs(w - 2.0 / (math.pi * x)) * x)
     assert worst <= 1e-12
 
@@ -204,14 +206,12 @@ def test_wronskian_oscillatory(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_wronskian_modified(m):
     """I_m K_m' - I_m' K_m = -1 / x on a wide grid."""
-    ik = CylinderKind(CylinderFamily.MODIFIED_I, m)
-    kk = CylinderKind(CylinderFamily.MODIFIED_K, m)
+    fam_i, fam_k = CylinderFamily.MODIFIED_I, CylinderFamily.MODIFIED_K
     n = 101
     worst = 0.0
     for i in range(n):
         x = 0.1 + (30.0 - 0.1) * i / (n - 1)
-        w = (eval_cylinder(ik, x) * eval_cylinder_derivative(kk, x)
-             - eval_cylinder_derivative(ik, x) * eval_cylinder(kk, x))
+        w = besseli(m, x) * _derivative(fam_k, m, x) - _derivative(fam_i, m, x) * besselk(m, x)
         worst = max(worst, abs(w + 1.0 / x) * x)
     assert worst <= 1e-12
 
@@ -461,13 +461,13 @@ def test_sommerfeld_is_even():
 @pytest.mark.parametrize("family", list(CylinderFamily))
 def test_negative_argument_rejected(family):
     with pytest.raises(ValueError):
-        eval_cylinder(CylinderKind(family, 0), -1.0)
+        _EVAL[family](0, -1.0)
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.NEUMANN_Y, CylinderFamily.MODIFIED_K])
 def test_singular_families_reject_zero(family):
     with pytest.raises(ValueError):
-        eval_cylinder(CylinderKind(family, 0), 0.0)
+        _EVAL[family](0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -481,21 +481,10 @@ def test_growing_family_overflow_guard():
         besseli(0, 705.0)
 
 
-def test_kind_validation():
-    with pytest.raises(ValueError):
-        CylinderKind(CylinderFamily.BESSEL_J, -1)
-    with pytest.raises(ValueError):
-        CylinderKind(CylinderFamily.BESSEL_J, 1.5)
-    with pytest.raises(ValueError):
-        CylinderKind("J", 0)
-
-
 def test_family_enum_round_trip():
     assert CylinderFamily("J") is CylinderFamily.BESSEL_J
     assert CylinderFamily("K") is CylinderFamily.MODIFIED_K
-    kind = CylinderKind(CylinderFamily.NEUMANN_Y, 2)
-    assert kind.family.value == "Y"
-    assert kind.order == 2
+    assert CylinderFamily.NEUMANN_Y.value == "Y"
 
 
 def test_recurrence_overflow_is_not_returned_as_nan():
@@ -509,14 +498,6 @@ def test_recurrence_overflow_is_not_returned_as_nan():
 
 # ---------------------------------------------------------------------------
 # order validation, shared by every family and both paths
-
-_EVAL = {
-    CylinderFamily.BESSEL_J: besselj,
-    CylinderFamily.NEUMANN_Y: bessely,
-    CylinderFamily.MODIFIED_I: besseli,
-    CylinderFamily.MODIFIED_K: besselk,
-}
-
 
 @pytest.mark.parametrize("family", list(CylinderFamily))
 @pytest.mark.parametrize("order", [-1, -4, True, False, 1.5, 2.0, "1", None])
@@ -546,7 +527,7 @@ def test_fractional_order_rejected():
 
 def test_numpy_integer_orders_accepted():
     assert besselj(np.int64(3), 4.0) == besselj(3, 4.0)
-    assert CylinderKind(CylinderFamily.MODIFIED_K, np.int32(2)).order == 2
+    assert besselk(np.int32(2), 4.0) == besselk(2, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -770,14 +751,14 @@ def test_bessel_orders_near_the_argument(x):
 
 
 def test_crossover_check_covers_the_hankel_switch(monkeypatch):
-    assert _crossover_mismatch() <= 1e-13
+    assert crossover_mismatch() <= 1e-13
     real = specfun._hankel01
 
     def off(x):
         return tuple(v * (1.0 + 1e-9) for v in real(x))
 
     monkeypatch.setattr(specfun, "_hankel01", off)
-    assert _crossover_mismatch() >= 0.9e-9
+    assert crossover_mismatch() >= 0.9e-9
 
 
 def test_crossover_check_covers_the_k_hankel_switch(monkeypatch):
@@ -789,7 +770,7 @@ def test_crossover_check_covers_the_k_hankel_switch(monkeypatch):
     monkeypatch.setattr(
         specfun, "_k01_scaled", lambda v, orders=2: tuple(u * (1.0 + 1e-9) for u in real(v, orders))
     )
-    assert _crossover_mismatch() >= 0.9e-9
+    assert crossover_mismatch() >= 0.9e-9
 
 
 # ---------------------------------------------------------------------------
@@ -885,13 +866,13 @@ def test_order_zero_at_subnormal_arguments(family, x):
     ref = {CylinderFamily.NEUMANN_Y: mp.bessely, CylinderFamily.MODIFIED_K: mp.besselk}[family]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = eval_cylinder(CylinderKind(family, 0), x)
+        got = _EVAL[family](0, x)
         assert got == pytest.approx(float(ref(0, mp.mpf(x))), rel=1e-15)
-        assert eval_cylinder(CylinderKind(family, 0), np.array([x]))[0] == got
-        assert on_array_kernels(eval_cylinder, CylinderKind(family, 0), [x])[0] == got
+        assert _EVAL[family](0, np.array([x]))[0] == got
+        assert on_array_kernels(_EVAL[family], 0, [x])[0] == got
         with pytest.raises(OverflowError):
-            eval_cylinder_derivative(CylinderKind(family, 0), x)
+            _derivative(family, 0, x)
         with pytest.raises(OverflowError):
-            eval_cylinder_derivative(CylinderKind(family, 0), np.array([x]))
+            _derivative(family, 0, np.array([x]))
         with pytest.raises(OverflowError):
-            on_array_kernels(eval_cylinder_derivative, CylinderKind(family, 0), [x])
+            on_array_kernels(lambda m, v: _derivative(family, m, v), 0, [x])

@@ -26,7 +26,6 @@ from anticentrifugal.specfun import (
     SERIES_SWITCH_K,
     _HANKEL_SWITCH,
     CylinderFamily,
-    CylinderKind,
     _ascending_series,
     _i_start,
     _i_start_array,
@@ -44,8 +43,7 @@ from anticentrifugal.specfun import (
     besselk,
     bessely,
     cylinder_rows,
-    eval_cylinder,
-    eval_cylinder_derivative,
+    cylinder_slope,
 )
 
 _EVAL = {
@@ -261,9 +259,13 @@ def test_hankel_regime_matches_scalar_path(fn, m):
 @pytest.mark.parametrize("family", list(CylinderFamily))
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_array_derivatives_match_scalar_path(family, m):
-    kind = CylinderKind(family, m)
-    got = eval_cylinder_derivative(kind, _GRID)
-    want = np.array([eval_cylinder_derivative(kind, float(x)) for x in _GRID])
+    fn = _EVAL[family]
+
+    def derivative(x):
+        return cylinder_slope(family, m, fn(m - 1, x) if m else None, fn(m + 1, x))
+
+    got = derivative(_GRID)
+    want = np.array([derivative(float(x)) for x in _GRID])
     np.testing.assert_array_equal(got, want)
 
 
@@ -357,10 +359,8 @@ def test_shapes():
     assert got.shape == (3, 4)
     np.testing.assert_array_equal(got.ravel(), bessely(1, grid.ravel()))
     np.testing.assert_array_equal(got.ravel(), on_array_kernels(bessely, 1, grid.ravel()))
-    kind = CylinderKind(CylinderFamily.MODIFIED_I, 2)
-    np.testing.assert_array_equal(eval_cylinder(kind, grid), besseli(2, grid))
     np.testing.assert_array_equal(
-        eval_cylinder(kind, grid).ravel(), on_array_kernels(besseli, 2, grid.ravel())
+        besseli(2, grid).ravel(), on_array_kernels(besseli, 2, grid.ravel())
     )
 
 

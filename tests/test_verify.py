@@ -246,7 +246,7 @@ def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
 def test_radial_suite_computes_each_kernel_value_once(monkeypatch):
     # no K pass on the coarse matching grids, whose closed form is a slice
     # of the fine one; one K_0, K_1 pass per laplacian wavenumber; one
-    # coefficient build for the Wronskian pair's two marches
+    # coefficient build for each of the Wronskian pair's two marches
     k_passes, builds = [], []
     regimes, potential = specfun._regimes, radial.eval_potential
     k_routes = specfun._FAMILIES[CylinderFamily.MODIFIED_K][1]
@@ -266,7 +266,7 @@ def test_radial_suite_computes_each_kernel_value_once(monkeypatch):
     sizes = [size for size, _ in k_passes]
     assert 5001 not in sizes and 10001 not in sizes
     assert [p for size, p in k_passes if size == 2001] == [2, 2]
-    assert builds.count((20001, 0.5)) == 1
+    assert builds.count((20001, 0.5)) == 2
 
 
 @pytest.mark.parametrize("h", [2e-3, 4e-3])
