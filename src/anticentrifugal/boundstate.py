@@ -31,8 +31,8 @@ import numpy as np
 
 from ._record import Record
 from .nodes import solve_in_brackets
+from .potentials import RadialGrid
 from .quadrature import gauss_kronrod_15, integrate_adaptive
-from .radial import RadialGrid
 from .specfun import CylinderFamily, cylinder_rows, k0_product
 
 @unique
@@ -64,7 +64,9 @@ def _check_k(k: float) -> float:
 def density_profile(dimension: int, k: float, r):
     """Radial probability weight W(r) of the bound state; scalar or array.
     A scalar radius runs as a one-element array: it gives that array's
-    value, or raises its error, under any np.seterr setting."""
+    value, or raises its error, under any np.seterr setting.  The ring's
+    K_0 of one radius comes from k0_product's float path, and radii that
+    are all 0 make no K_0 call."""
     form = DensityForm.for_dimension(dimension)
     k = _check_k(k)
     radii = np.asarray(r, dtype=float)
@@ -90,7 +92,11 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
             return k * (2.0 * np.exp(-2.0 * (k * r)))
         out = np.zeros(r.shape)
         pos = r > 0.0
-        out[pos] = planar_rows(k, r[pos])[1]
+        if pos.any():
+            rp = r[pos]
+            # one radius, as a scalar's, takes K_0's float path: the same bits
+            k0 = np.array([k0_product(k, rp.item())]) if rp.size == 1 else k0_product(k, rp)
+            out[pos] = _ring_weight(k, rp, k0)
     return out
 
 

@@ -18,6 +18,10 @@ its ``--output`` after its arguments and before it computes, so a path
 that cannot exist costs no computation; the file is opened only once the
 output is complete, so a failing command writes none.
 
+The module imports what every command but ``verify`` runs; ``verify``
+imports its suites, and through them the radial solvers, when it runs,
+so no other command compiles either.
+
 Each command's options are declared once, in ``_COMMANDS``. A valid
 command line is parsed from that table, without argparse or the locale
 module its gettext loads; any other goes to a new ``build_parser()``,
@@ -59,13 +63,13 @@ from .potentials import (
     UNITS,
     EffectivePotentialSpec,
     PotentialFamily,
+    RadialGrid,
     classify_potential,
+    default_grid,
     eval_potential,
 )
 from .quadrature import QuadratureError
-from .radial import RadialGrid, default_grid
 from .specfun import CylinderFamily
-from .verify import run_all
 
 if TYPE_CHECKING:
     import argparse
@@ -455,6 +459,8 @@ def _cmd_boundstate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all  # see the module docstring
+
     _check_output(args.output)
     results = run_all(args.tolerance_scale)
     all_passed = all(r.passed for r in results)

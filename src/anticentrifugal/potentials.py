@@ -12,6 +12,9 @@ The strength depends only on the dimension and the angular momentum, and its
 sign decides whether the term pushes probability outward or pulls it inward.
 The notable member of the family is the planar zero-angular-momentum case,
 whose strength is -1/4: an attractive term of purely quantum origin.
+
+The module also defines the uniform radial grid on which the potential,
+the planar bound state and the radial solvers are sampled.
 """
 
 from __future__ import annotations
@@ -151,3 +154,38 @@ def classify_potential(spec: EffectivePotentialSpec) -> SignClass:
     if num > 0:
         return SignClass.REPULSIVE
     return SignClass.VANISHING
+
+
+class RadialGrid(Record):
+    """Uniform grid on [r_min, r_max], bounded away from the origin."""
+
+    r_min: float
+    r_max: float
+    n_points: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError("grid endpoints must be finite")
+        if not (0.0 < self.r_min < self.r_max):
+            raise ValueError(
+                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
+            )
+        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
+            raise TypeError(f"n_points must be an int, got {self.n_points!r}")
+        if self.n_points < 3:
+            raise ValueError(f"n_points must be at least 3, got {self.n_points}")
+
+    @property
+    def spacing(self) -> float:
+        return (self.r_max - self.r_min) / (self.n_points - 1)
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.linspace(self.r_min, self.r_max, self.n_points)
+
+
+def default_grid(k: float, n_points: int = 2000) -> RadialGrid:
+    """Grid spanning the natural window for wavenumber k."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    return RadialGrid(0.05 / k, 20.0 / k, n_points)

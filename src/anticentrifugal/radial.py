@@ -26,7 +26,7 @@ from enum import Enum, unique
 import numpy as np
 
 from ._record import Record
-from .potentials import EffectivePotentialSpec, eval_potential
+from .potentials import EffectivePotentialSpec, RadialGrid, eval_potential
 from .specfun import CylinderFamily, besseli, besselj, besselk, bessely, cylinder_rows
 
 _OVERFLOW_LIMIT = 1e250
@@ -53,41 +53,6 @@ class SolutionFamily(Enum):
 class Direction(Enum):
     OUTWARD = "outward"
     INWARD = "inward"
-
-
-class RadialGrid(Record):
-    """Uniform grid on [r_min, r_max], bounded away from the origin."""
-
-    r_min: float
-    r_max: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise ValueError("grid endpoints must be finite")
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
-            )
-        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
-            raise TypeError(f"n_points must be an int, got {self.n_points!r}")
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be at least 3, got {self.n_points}")
-
-    @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_points - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_points)
-
-
-def default_grid(k: float, n_points: int = 2000) -> RadialGrid:
-    """Grid spanning the natural window for wavenumber k."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
-    return RadialGrid(0.05 / k, 20.0 / k, n_points)
 
 
 def energy_from_wavenumber(k: float, sign: EnergySign) -> float:
@@ -275,7 +240,9 @@ def laplacian_reduction_check(k: float, grid: RadialGrid) -> float:
 
     k r_min must be a normal double and k^2 finite.  K_0 and K_1 come from
     one cylinder_rows pass, besselk's values bit for bit below k r = 705
-    and zeros from there on, where both are below 1e-306.
+    and zeros from there on, where both are below 1e-306.  A defect or
+    mismatch that leaves the double range, as where K_1(k r_min) nears it
+    (k below about 1e-306 with r_min = 0.5), raises ValueError.
     """
     if not (k * grid.r_min >= sys.float_info.min and math.isfinite(k * k)):
         raise ValueError(f"need k r_min normal and k^2 finite, got k = {k!r}")
@@ -284,18 +251,23 @@ def laplacian_reduction_check(k: float, grid: RadialGrid) -> float:
     root = np.sqrt(rc)
     defects = []
     for m, phi in enumerate(cylinder_rows(CylinderFamily.MODIFIED_K, k * r, 2)):
-        d1, d2 = five_point_derivatives(phi, grid.spacing)
-        phic = phi[2:-2]
-        polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic
-        half_power = root * (d2 + d1 / rc - 0.25 * phic / (rc * rc)) - (
-            (m * m - 0.25) / (rc * rc) + k * k
-        ) * (root * phic)
-        scale = 1.0 + float(np.max(np.abs(root * polar)))
-        mismatch = float(np.max(np.abs(half_power - root * polar)))
+        # an overflow is refused below, so numpy need not warn of it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d1, d2 = five_point_derivatives(phi, grid.spacing)
+            phic = phi[2:-2]
+            polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic
+            half_power = root * (d2 + d1 / rc - 0.25 * phic / (rc * rc)) - (
+                (m * m - 0.25) / (rc * rc) + k * k
+            ) * (root * phic)
+            scale = 1.0 + float(np.max(np.abs(root * polar)))
+            mismatch = float(np.max(np.abs(half_power - root * polar)))
+        defect = float(np.max(np.abs(polar)))
+        if not (math.isfinite(defect) and math.isfinite(mismatch)):
+            raise ValueError(f"the order-{m} stencils leave the double range at k = {k!r}")
         if mismatch > 1e-8 * scale:
             raise ArithmeticError(
                 f"half-power reduction is inconsistent with the polar form "
                 f"(mismatch {mismatch:.3e})"
             )
-        defects.append(float(np.max(np.abs(polar))))
+        defects.append(defect)
     return max(defects)

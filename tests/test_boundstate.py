@@ -17,6 +17,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from anticentrifugal import boundstate, radial, specfun
@@ -41,8 +42,8 @@ from anticentrifugal.boundstate import (
     ring_peak_parameter,
 )
 from anticentrifugal.nodes import BracketingError
+from anticentrifugal.potentials import RadialGrid, default_grid
 from anticentrifugal.quadrature import integrate_adaptive
-from anticentrifugal.radial import RadialGrid, default_grid
 from anticentrifugal.specfun import _FEW_LANES, EULER_GAMMA, besselk, k0_product
 
 
@@ -425,6 +426,36 @@ def test_scalar_radius_is_a_one_lane_array_under_raise(dimension):
             lanes = np.full(_FEW_LANES + 1, r)
             many = got * lanes.size if isinstance(got, list) else got
             assert _strict_outcome(lambda: density_profile(dimension, k, lanes)) == many, (k, r)
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POSITIVE, _POSITIVE)
+@example(5e-324, 5e-324)  # k r underflows to 0
+@example(1e-300, 1e301)  # 2 k^2 underflows
+@example(1.0, 705.0)  # the scaled K regime
+@example(1e200, 1e200)  # k r overflows
+def test_k0_and_ring_weight_give_the_same_bits_on_a_float_and_one_lane(k, r):
+    # over k0_product's domain, k > 0 and r > 0 finite: a float radius runs
+    # K_0's float path and a one-lane array its array path, and a scalar
+    # ring weight takes the float K_0 while an array past _FEW_LANES runs
+    # the array kernels: the same bits, or the same error, under raise
+    alone = _strict_outcome(lambda: k0_product(k, r))
+    assert _strict_outcome(lambda: k0_product(k, np.array([r]))) == alone
+    weight = _strict_outcome(lambda: density_profile(2, k, r))
+    assert _strict_outcome(lambda: density_profile(2, k, np.array([r]))) == weight
+    many = _strict_outcome(lambda: density_profile(2, k, np.full(_FEW_LANES + 1, r)))
+    assert many == (weight * (_FEW_LANES + 1) if isinstance(weight, list) else weight)
+
+
+def test_radii_all_at_the_origin_make_no_k0_call(monkeypatch):
+    # the ring weight is 0 at r = 0, so density(2, k, [0.0]), which the
+    # boundstate command builds, computes no K_0
+    monkeypatch.setattr(boundstate, "k0_product", lambda *a: pytest.fail("K_0 computed"))
+    assert density_profile(2, 1.0, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert density(2, 1.0, [0.0]).weights.tolist() == [0.0]
 
 
 def test_underflowing_scalar_weights_return_under_raise():

@@ -593,14 +593,15 @@ def test_output_path_that_cannot_be_opened_exits_two(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
-#: Per command: arguments that pass its checks, and the name in cli of the
-#: first call that computes.
+#: Per command: arguments that pass its checks, and where the first call
+#: that computes is looked up when the command runs: in cli, or in verify,
+#: which _cmd_verify imports.
 _FIRST_COMPUTE = {
-    "potential": (["--family", "ndim", "--n-points", "100000"], "eval_potential"),
-    "wavefunction": (["--k", "1.0", "--n-points", "100000"], "planar_rows"),
-    "nodes": (["--n-max", "10000"], "find_zeros"),
-    "boundstate": (["--dimension", "2", "--k", "1.0"], "density"),
-    "verify": ([], "run_all"),
+    "potential": (["--family", "ndim", "--n-points", "100000"], "cli.eval_potential"),
+    "wavefunction": (["--k", "1.0", "--n-points", "100000"], "cli.planar_rows"),
+    "nodes": (["--n-max", "10000"], "cli.find_zeros"),
+    "boundstate": (["--dimension", "2", "--k", "1.0"], "cli.density"),
+    "verify": ([], "verify.run_all"),
 }
 
 
@@ -614,7 +615,7 @@ def test_output_that_cannot_exist_is_refused_before_computing(tmp_path, monkeypa
         open(path, "w")
     args, compute = _FIRST_COMPUTE[command]
     calls = []
-    monkeypatch.setattr(cli, compute, lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(f"anticentrifugal.{compute}", lambda *a, **kw: calls.append(a))
     rc, out, err = run(capsys, command, *args, "--output=" + path)
     assert (rc, out, calls) == (2, "", [])
     assert err == f"error: cannot open --output {path!r}: {opened.value.strerror}\n"
@@ -736,6 +737,36 @@ def test_valid_calls_build_no_parser():
         % (os.devnull, _VALID_CALLS)
     )
     assert _fresh_process(code) == "[0, 0, 0, 0, 0]\n[]\n"
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # the package root loads no module; the CLI loads those that every
+    # command but verify shares; verify alone adds itself and the radial
+    # solvers it checks, which its import brings in
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m.partition('.')[2] for m in sys.modules if m.startswith('anticentrifugal.'))\n"
+        "import anticentrifugal\n"
+        "print(loaded())\n"
+        "from anticentrifugal import cli\n"
+        "print(loaded())\n"
+        "print([cli.main([*argv, '--output', %r]) for argv in %r])\n"
+        "print(loaded())\n"
+        "print(cli.main([*%r, '--output', %r]))\n"
+        "print(loaded())\n"
+        % (os.devnull, _VALID_CALLS[:-1], _VALID_CALLS[-1], os.devnull)
+    )
+    shared = ["_record", "boundstate", "cli", "nodes", "potentials", "quadrature", "specfun"]
+    assert _VALID_CALLS[-1][0] == "verify"
+    assert _fresh_process(code).splitlines() == [
+        "[]",
+        str(shared),
+        "[0, 0, 0, 0]",
+        str(shared),
+        "0",
+        str(sorted([*shared, "radial", "verify"])),
+    ]
 
 
 def test_import_loads_neither_dataclasses_nor_fractions():

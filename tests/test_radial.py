@@ -7,6 +7,7 @@ hbar^2/(2M).
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from anticentrifugal import radial
-from anticentrifugal.potentials import EffectivePotentialSpec, PotentialFamily
+from anticentrifugal.potentials import EffectivePotentialSpec, PotentialFamily, default_grid
 from anticentrifugal.radial import (
     Direction,
     EnergySign,
@@ -23,7 +24,6 @@ from anticentrifugal.radial import (
     RadialWave,
     SolutionFamily,
     analytic_radial,
-    default_grid,
     energy_from_wavenumber,
     five_point_derivatives,
     integrate_radial,
@@ -563,6 +563,20 @@ def test_reduction_check_refuses_a_wavenumber_off_its_domain(k):
     # past k^2 = inf the defect was inf * 0 = nan, with a warning
     with pytest.raises(ValueError, match="k r_min normal and k\\^2 finite"):
         laplacian_reduction_check(k, RadialGrid(0.5, 10.0, 21))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", range(300, 309))
+def test_reduction_check_is_finite_or_refuses_k_as_k1_nears_overflow(exponent):
+    # K_1(k r_min) nears the double range as k falls: at k = 1e-307 the
+    # stencils overflowed, with a RuntimeWarning, and the defect was inf
+    k = 10.0 ** -exponent
+    grid = RadialGrid(0.5, 10.0, 21)
+    if exponent < 307:
+        assert math.isfinite(laplacian_reduction_check(k, grid))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"k = {k!r}") + "$"):
+            laplacian_reduction_check(k, grid)
 
 
 @pytest.mark.parametrize("direction", list(Direction))
