@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum, unique
 from functools import lru_cache
 
 import numpy as np
@@ -35,20 +34,10 @@ from .potentials import RadialGrid
 from .quadrature import gauss_kronrod_15, integrate_adaptive
 from .specfun import CylinderFamily, cylinder_rows, k0_product
 
-@unique
-class DensityForm(Enum):
-    EXP_LINE = "line"      # N = 1, two-sided exponential in |x|
-    RING = "ring"          # N = 2, r K_0(k r)^2 profile
-    EXP_RADIAL = "radial"  # N = 3, exponential in r
 
-    @staticmethod
-    def for_dimension(dimension: int) -> "DensityForm":
-        try:
-            return {1: DensityForm.EXP_LINE, 2: DensityForm.RING, 3: DensityForm.EXP_RADIAL}[
-                dimension
-            ]
-        except KeyError:
-            raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}") from None
+def _check_dimension(dimension: int) -> None:
+    if dimension not in _RHO:
+        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}")
 
 
 def _check_positive(name: str, v: float) -> float:
@@ -67,18 +56,18 @@ def density_profile(dimension: int, k: float, r):
     value, or raises its error, under any np.seterr setting.  The ring's
     K_0 of one radius comes from k0_product's float path, and radii that
     are all 0 make no K_0 call."""
-    form = DensityForm.for_dimension(dimension)
+    _check_dimension(dimension)
     k = _check_k(k)
     radii = np.asarray(r, dtype=float)
     if radii.ndim:
-        return _density_array(form, k, radii)
-    return _density_array(form, k, radii.reshape(1)).item()
+        return _density_array(dimension, k, radii)
+    return _density_array(dimension, k, radii.reshape(1)).item()
 
 
-def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
+def _density_array(dimension: int, k: float, r: np.ndarray) -> np.ndarray:
     if r.size and not np.all(np.isfinite(r)):
         raise ValueError("radii must be finite")
-    if form is not DensityForm.EXP_LINE and r.size and np.any(r < 0.0):
+    if dimension != 1 and r.size and np.any(r < 0.0):
         raise ValueError("radii must be non-negative")
     # an overflowing exponent rounds to -inf and an underflowing product to
     # zero, silently.  The line and radial weights are k rho(k r), rho(xi) =
@@ -86,9 +75,9 @@ def _density_array(form: DensityForm, k: float, r: np.ndarray) -> np.ndarray:
     # are never formed, and where they are normal the values are those of
     # the forms above, bit for bit.  The ring weight is 0 at r = 0.
     with np.errstate(over="ignore", under="ignore"):
-        if form is DensityForm.EXP_LINE:
+        if dimension == 1:
             return k * np.exp(-2.0 * (k * np.abs(r)))
-        if form is DensityForm.EXP_RADIAL:
+        if dimension == 3:
             return k * (2.0 * np.exp(-2.0 * (k * r)))
         out = np.zeros(r.shape)
         pos = r > 0.0
@@ -158,13 +147,14 @@ def _ring_rho(xi: float) -> float:
     return 2.0 * xi * (k0 * k0)
 
 
-#: rho(xi) = W(xi / k) / k of each form, the weight at k = 1, at one float
-#: xi >= 0: bit for bit density_profile(dimension, 1.0, xi), since np.exp
-#: of a float rounds as on an array, and k0 * k0 as numpy's square.
+#: rho(xi) = W(xi / k) / k of each dimension's form, the weight at k = 1,
+#: at one float xi >= 0: bit for bit density_profile(dimension, 1.0, xi),
+#: since np.exp of a float rounds as on an array, and k0 * k0 as numpy's
+#: square.
 _RHO = {
-    DensityForm.EXP_LINE: lambda xi: float(np.exp(-2.0 * xi)),
-    DensityForm.RING: _ring_rho,
-    DensityForm.EXP_RADIAL: lambda xi: float(2.0 * np.exp(-2.0 * xi)),
+    1: lambda xi: float(np.exp(-2.0 * xi)),
+    2: _ring_rho,
+    3: lambda xi: float(2.0 * np.exp(-2.0 * xi)),
 }
 
 
@@ -175,11 +165,9 @@ class ProbabilityDensity(Record):
     wavenumber: float
     radii: np.ndarray
     weights: np.ndarray
-    form: DensityForm
 
-    @property
-    def energy(self) -> float:
-        return -0.5 * self.wavenumber * self.wavenumber
+    def __post_init__(self) -> None:
+        _check_dimension(self.dimension)
 
 
 def density(dimension: int, k: float, grid) -> ProbabilityDensity:
@@ -191,9 +179,7 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
         if radii.ndim != 1 or radii.size == 0:
             raise ValueError("grid must be a RadialGrid or a 1-d array of radii")
     w = density_profile(dimension, k, radii)
-    return ProbabilityDensity(
-        dimension, _check_k(k), radii, w, DensityForm.for_dimension(dimension)
-    )
+    return ProbabilityDensity(dimension, _check_k(k), radii, w)
 
 
 def normalize_check(pd: ProbabilityDensity) -> float:
@@ -204,15 +190,15 @@ def normalize_check(pd: ProbabilityDensity) -> float:
     cached, plus the exact tail exp(-80) of the line and radial forms (the
     ring's, below (pi/2) (1 + 1/320)^2 exp(-80) ~ 3e-35, is left out).
     """
-    return _scale_free_total(pd.form)
+    return _scale_free_total(pd.dimension)
 
 
 @lru_cache(maxsize=None)
-def _scale_free_total(form: DensityForm) -> float:
-    core = integrate_adaptive(_RHO[form], 0.0, 40.0).value
-    if form is DensityForm.RING:
+def _scale_free_total(dimension: int) -> float:
+    core = integrate_adaptive(_RHO[dimension], 0.0, 40.0).value
+    if dimension == 2:
         return core
-    return (2.0 * core if form is DensityForm.EXP_LINE else core) + math.exp(-80.0)
+    return (2.0 * core if dimension == 1 else core) + math.exp(-80.0)
 
 
 #: A bracket of the ring constant: the stationarity defect
@@ -248,9 +234,9 @@ def density_maximum(pd: ProbabilityDensity) -> tuple[float, float]:
     xi / k overflows.
     """
     k = pd.wavenumber
-    if pd.form is DensityForm.EXP_LINE:
+    if pd.dimension == 1:
         return 0.0, k
-    if pd.form is DensityForm.EXP_RADIAL:
+    if pd.dimension == 3:
         return 0.0, 2.0 * k
     loc = ring_peak_parameter() / k
     if math.isinf(loc):
@@ -410,10 +396,6 @@ class DeltaCoupling2D(Record):
     def from_coupling(coupling: float, cutoff: float) -> "DeltaCoupling2D":
         return DeltaCoupling2D(coupling, cutoff, k_from_coupling(coupling, cutoff))
 
-    @staticmethod
-    def from_wavenumber(k: float, cutoff: float) -> "DeltaCoupling2D":
-        return DeltaCoupling2D(coupling_from_k(k, cutoff), cutoff, k)
-
     @property
     def energy(self) -> float:
         return -0.5 * self.wavenumber * self.wavenumber
@@ -466,25 +448,3 @@ def one_three_d_bound_energy(
     if dimension == 2:
         raise ValueError("use DeltaCoupling2D for the planar case")
     raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}")
-
-
-def phi_line(k: float, x) -> np.ndarray | float:
-    """Normalized line bound-state amplitude sqrt(k) exp(-k |x|)."""
-    k = _check_k(k)
-    arr = np.asarray(x, dtype=float)
-    out = math.sqrt(k) * np.exp(-k * np.abs(arr))
-    return float(out) if arr.ndim == 0 else out
-
-
-def phi_point(k: float, r) -> np.ndarray | float:
-    """Normalized spatial amplitude sqrt(k / 2 pi) exp(-k r) / r."""
-    k = _check_k(k)
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim == 0:
-        rv = float(arr)
-        if rv <= 0.0:
-            raise ValueError("the spatial amplitude requires r > 0")
-        return math.sqrt(k / (2.0 * math.pi)) * math.exp(-k * rv) / rv
-    if arr.size and not np.all(arr > 0.0):
-        raise ValueError("the spatial amplitude requires r > 0")
-    return math.sqrt(k / (2.0 * math.pi)) * np.exp(-k * arr) / arr

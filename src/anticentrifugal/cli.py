@@ -291,9 +291,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     _check_output(args.output)
     r = grid.points
     # a V that overflows is refused by the writers below, with one error line
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = eval_potential(spec, r)
-    rows = _Rows(("r", "V"), np.column_stack((r, v)))
+    rows = _Rows(("r", "V"), np.column_stack((r, eval_potential(spec, r))))
     if args.format == "csv":
         text = _csv(rows.keys, [("", rows.table)])
     else:

@@ -51,16 +51,6 @@ class SignClass(Enum):
     VANISHING = "vanishing"
 
 
-def quantum_square_2d(m: int) -> float:
-    """Coefficient of 1/r^2 for the planar mode of angular momentum m.
-
-    The centrifugal number is m**2 - 1/4 rather than the classical m**2:
-    the shift comes from removing the first-derivative term of the polar
-    Laplacian, and for m = 0 it leaves a binding coefficient of -1/4.
-    """
-    return EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=m).strength
-
-
 class EffectivePotentialSpec(Record):
     """Parameters selecting one member of the inverse-square family.
 
@@ -130,20 +120,22 @@ class EffectivePotentialSpec(Record):
 def eval_potential(spec: EffectivePotentialSpec, r):
     """Evaluate V_eff(r) = strength / r^2 at positive radii.
 
-    Accepts a scalar or an array; the return type matches. Radii must be
-    strictly positive and finite. A vanishing strength gives exact zeros,
-    also where r * r underflows.
+    Accepts a scalar or an array; the return type matches. A scalar radius
+    runs as a one-element array: it gives that array's value, or raises its
+    error, under any np.seterr setting.  Radii must be strictly positive
+    and finite; ValueError names the first that is not.  Where r * r
+    underflows or overflows, a nonzero strength gives +-inf or 0 and a
+    vanishing one exact zeros, silently.
     """
     coeff = spec.strength
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim == 0:
-        rv = float(arr)
-        if not (math.isfinite(rv) and rv > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {rv!r}")
-        return coeff / (rv * rv) if coeff else 0.0
-    if arr.size and (not np.all(np.isfinite(arr)) or not np.all(arr > 0.0)):
-        raise ValueError("all radii must be positive and finite")
-    return coeff / (arr * arr) if coeff else np.zeros(arr.shape)
+    radii = np.asarray(r, dtype=float)
+    lanes = np.atleast_1d(radii)
+    bad = ~(np.isfinite(lanes) & (lanes > 0.0))
+    if bad.any():
+        raise ValueError(f"radius must be positive and finite, got {lanes[bad][0].item()!r}")
+    with np.errstate(all="ignore"):
+        v = coeff / (lanes * lanes) if coeff else np.zeros(lanes.shape)
+    return v if radii.ndim else v.item()
 
 
 def classify_potential(spec: EffectivePotentialSpec) -> SignClass:

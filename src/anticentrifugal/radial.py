@@ -55,13 +55,6 @@ class Direction(Enum):
     INWARD = "inward"
 
 
-def energy_from_wavenumber(k: float, sign: EnergySign) -> float:
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
-    half = 0.5 * k * k
-    return half if sign is EnergySign.POSITIVE else -half
-
-
 def wavenumber_from_energy(energy: float) -> float:
     if not (math.isfinite(energy) and energy != 0.0):
         raise ValueError(f"energy must be nonzero and finite, got {energy!r}")
@@ -93,14 +86,6 @@ class RadialWave(Record):
             raise ValueError("oscillatory branches carry positive energy only")
         if self.energy_sign is EnergySign.POSITIVE and self.family in mod:
             raise ValueError("modified branches carry negative energy only")
-
-    @property
-    def energy(self) -> float:
-        return energy_from_wavenumber(self.wavenumber, self.energy_sign)
-
-    def full_wave(self) -> np.ndarray:
-        """Phi(r) = u(r) / sqrt(r)."""
-        return self.values / np.sqrt(self.grid.points)
 
 
 _ANALYTIC = {
@@ -251,8 +236,8 @@ def laplacian_reduction_check(k: float, grid: RadialGrid) -> float:
     root = np.sqrt(rc)
     defects = []
     for m, phi in enumerate(cylinder_rows(CylinderFamily.MODIFIED_K, k * r, 2)):
-        # an overflow is refused below, so numpy need not warn of it
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # an overflow is refused below, and underflow rounds silently
+        with np.errstate(all="ignore"):
             d1, d2 = five_point_derivatives(phi, grid.spacing)
             phic = phi[2:-2]
             polar = d2 + d1 / rc - (m * m / (rc * rc) + k * k) * phic

@@ -9,9 +9,11 @@ adaptive quadrature of the momentum integral it came from.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -20,11 +22,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from anticentrifugal import boundstate, radial, specfun
+from anticentrifugal import boundstate, specfun
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
-    DensityForm,
     ProbabilityDensity,
     assemble_phi2,
     coupling_from_k,
@@ -36,8 +37,6 @@ from anticentrifugal.boundstate import (
     k_from_coupling,
     normalize_check,
     one_three_d_bound_energy,
-    phi_line,
-    phi_point,
     planar_rows,
     ring_peak_parameter,
 )
@@ -120,19 +119,19 @@ def test_density_sampling_accepts_grid_and_array():
     grid = RadialGrid(0.1, 5.0, 50)
     pd = density(2, 1.0, grid)
     assert isinstance(pd, ProbabilityDensity)
-    assert pd.form is DensityForm.RING
+    assert pd.dimension == 2
     assert pd.weights.shape == (50,)
     pd2 = density(2, 1.0, grid.points)
     assert np.array_equal(pd.weights, pd2.weights)
-    assert pd.energy == -0.5
 
 
-def test_form_for_dimension():
-    assert DensityForm.for_dimension(1) is DensityForm.EXP_LINE
-    assert DensityForm.for_dimension(2) is DensityForm.RING
-    assert DensityForm.for_dimension(3) is DensityForm.EXP_RADIAL
-    with pytest.raises(ValueError):
-        DensityForm.for_dimension(0)
+@pytest.mark.parametrize("dimension", [0, 4, 2.5, None])
+def test_the_dimension_is_checked_by_the_weight_and_the_record(dimension):
+    message = re.escape(f"dimension must be 1, 2 or 3, got {dimension!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        density_profile(dimension, 1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        ProbabilityDensity(dimension, 1.0, np.empty(0), np.empty(0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_cold_ring_total_makes_no_checked_k_call(monkeypatch, cold_totals):
 
     monkeypatch.setattr(specfun, "besselk", refuse)
     monkeypatch.setattr(specfun, "_check_argument", refuse)
-    assert boundstate._scale_free_total(DensityForm.RING) == SCALE_FREE_TOTALS[2]
+    assert boundstate._scale_free_total(2) == SCALE_FREE_TOTALS[2]
 
 
 def _k0_product_checked(k, r):
@@ -265,12 +264,11 @@ def test_import_integrates_nothing():
 def _r_space_total(dimension, k):
     # the integral in r on [0, 40 / k] with the tail exp(-2 k (40 / k)),
     # as normalize_check computed it for every k before it moved to xi
-    form = DensityForm.for_dimension(dimension)
     r_cut = 40.0 / k
     core = integrate_adaptive(lambda r: density_profile(dimension, k, r), 0.0, r_cut).value
-    if form is DensityForm.EXP_LINE:
+    if dimension == 1:
         return 2.0 * core + math.exp(-2.0 * k * r_cut)
-    if form is DensityForm.EXP_RADIAL:
+    if dimension == 3:
         return core + math.exp(-2.0 * k * r_cut)
     return core
 
@@ -475,7 +473,7 @@ def test_scale_free_integrand_is_the_weight_at_k_1(dimension):
     xi = np.concatenate((
         [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 40.0], rng.uniform(0.0, 40.0, 2000)
     ))
-    rho = boundstate._RHO[DensityForm.for_dimension(dimension)]
+    rho = boundstate._RHO[dimension]
     got = [rho(v) for v in xi.tolist()]
     assert all(type(v) is float for v in got)
     want = density_profile(dimension, 1.0, xi).tolist()
@@ -882,22 +880,18 @@ def test_delta_coupling_record_round_trip():
     well = DeltaCoupling2D.from_coupling(4.0 * math.pi, 1.0)
     assert well.wavenumber == pytest.approx(oracles.K_AT_U0_4PI, rel=1e-14)
     assert well.energy == pytest.approx(oracles.E_AT_U0_4PI, rel=1e-14)
-    back = DeltaCoupling2D.from_wavenumber(well.wavenumber, 1.0)
-    assert back.coupling == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert coupling_from_k(well.wavenumber, 1.0) == pytest.approx(4.0 * math.pi, rel=1e-12)
 
 
-def test_record_energies_match_energy_from_wavenumber_bit_for_bit():
-    # k * k is correctly rounded where k**2 (libm pow) need not be: at the
-    # first k, -0.5 * k**2 reads -0.23611022511931076
+def test_delta_coupling_energy_is_the_correctly_rounded_half_square():
+    # -k^2 / 2 rounded once, from the exact square: k * k is correctly
+    # rounded where k**2 (libm pow) need not be, and at the first k
+    # -0.5 * k**2 reads -0.23611022511931076
     rng = np.random.default_rng(20261019)
     ks = [0.6871829816276168, *rng.uniform(0.1, 10.0, 10_000).tolist()]
     for k in ks:
-        expected = radial.energy_from_wavenumber(k, radial.EnergySign.NEGATIVE)
-        pd = ProbabilityDensity(2, k, np.empty(0), np.empty(0), DensityForm.RING)
-        assert pd.energy == expected, k
-        assert DeltaCoupling2D(1.0, 1.0, k).energy == expected, k
-    assert expected == -0.5 * ks[-1] * ks[-1]
-    assert radial.energy_from_wavenumber(ks[0], radial.EnergySign.NEGATIVE) == -0.2361102251193108
+        assert DeltaCoupling2D(1.0, 1.0, k).energy == float(-Fraction(k) ** 2 / 2), k
+    assert DeltaCoupling2D(1.0, 1.0, ks[0]).energy == -0.2361102251193108
 
 
 # ---------------------------------------------------------------------------
@@ -1015,33 +1009,3 @@ def test_planar_rows_are_the_amplitude_and_its_weight():
     np.testing.assert_array_equal(phi2, assemble_phi2(k, grid))
     np.testing.assert_array_equal(w2, density_profile(2, k, grid.points))
     np.testing.assert_allclose(2.0 * math.pi * grid.points * phi2**2, w2, rtol=1e-14, atol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# amplitudes versus weights
-
-def test_line_amplitude_squares_to_the_weight():
-    k = 1.3
-    for x in (-2.0, 0.0, 0.4, 3.0):
-        assert phi_line(k, x) ** 2 == pytest.approx(density_profile(1, k, abs(x)), rel=1e-15)
-
-
-def test_line_amplitude_slope_jump_matches_coupling():
-    """The bound amplitude must satisfy the contact matching condition:
-    the kink at the origin equals the coupling times the amplitude."""
-    k, h = 1.0, 1e-7
-    coupling = -2.0 * k
-    jump = (phi_line(k, h) - phi_line(k, 0.0)) / h - (phi_line(k, 0.0) - phi_line(k, -h)) / h
-    assert jump == pytest.approx(coupling * phi_line(k, 0.0), rel=1e-5)
-
-
-def test_spatial_amplitude_squares_to_the_weight():
-    k = 0.8
-    for r in (0.2, 1.0, 4.0):
-        got = 4.0 * math.pi * r**2 * phi_point(k, r) ** 2
-        assert got == pytest.approx(density_profile(3, k, r), rel=1e-14)
-
-
-def test_point_amplitude_rejects_the_origin():
-    with pytest.raises(ValueError):
-        phi_point(1.0, 0.0)

@@ -1,11 +1,14 @@
-"""No module of the package reaches a private name of a sibling.
+"""No module of the package reaches a private name of a sibling, and no
+public name lacks a caller.
 
 A module neither imports an underscore name from a sibling module nor
 reads one as an attribute of a sibling it imported, so each module's
 private names are free to change with the module alone.  specfun keeps
 its dispatch to itself: no other module names its family table, a route
 table, a switch tuple or the dispatcher, whether by import or as an
-attribute.
+attribute.  Every module-level public function and class is exported,
+read by code of the package outside its own definition, or the console
+script's target.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anticentrifugal"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "anticentrifugal"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 #: Per module, the underscore names it reaches in its siblings: none.
@@ -92,3 +96,49 @@ def test_the_dispatch_pattern_finds_specfuns_own_names():
 
     names = {n for n in vars(specfun) if DISPATCH.search(n)}
     assert {"_FAMILIES", "_K_ROUTES", "_K_SWITCHES", "_regimes", "_on_lanes"} <= names
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _uncalled(trees: dict[str, ast.Module], kept: set[str]) -> list[str]:
+    """``module.name`` of each module-level public function or class that
+    is not in ``kept`` and that no code outside its own definition reads,
+    as a name or an attribute."""
+    tops = [(top, _names_read(top)) for tree in trees.values() for top in tree.body]
+    return [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in kept
+        and not any(node.name in names for top, names in tops if top is not node)
+    ]
+
+
+def test_every_public_function_and_class_has_a_caller():
+    import anticentrifugal
+
+    scripts = re.findall(r'^\w+ = "anticentrifugal\.\w+:(\w+)"$',
+                         (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert scripts == ["entry"]
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert _uncalled(trees, {*anticentrifugal.__all__, *scripts}) == []
+
+
+def test_the_caller_check_sees_uncalled_names():
+    # the check above is not vacuous: a name read only inside its own
+    # definition, or nowhere, has no caller
+    trees = {
+        "a": ast.parse("def used(): pass\ndef alone(): used()\ndef loop(): loop()\n"
+                       "class Kept: pass\n_private = 1\ndef _hidden(): pass"),
+        "b": ast.parse("from . import a\na.Kept"),
+    }
+    assert _uncalled(trees, set()) == ["a.alone", "a.loop"]
+    assert _uncalled(trees, {"alone"}) == ["a.loop"]

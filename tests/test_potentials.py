@@ -6,6 +6,7 @@ angular-momentum channel l(l+1) can reproduce, and every N-dimensional
 zero-angular-momentum strength (N-1)(N-3)/4 follows a fixed sign pattern.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,6 @@ from anticentrifugal.potentials import (
     SignClass,
     classify_potential,
     eval_potential,
-    quantum_square_2d,
 )
 
 
@@ -66,11 +66,8 @@ def test_classical_and_quantum_families():
     assert eval_potential(anti, 2.0) == -0.0625
 
 
-def test_quantum_square_values():
-    assert quantum_square_2d(0) == -0.25
-    assert quantum_square_2d(1) == 0.75
-    assert quantum_square_2d(2) == 3.75
-    assert quantum_square_2d(3) == 8.75
+def test_planar_strength_values():
+    assert [planar(m).strength for m in range(4)] == [-0.25, 0.75, 3.75, 8.75]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +193,9 @@ def test_eval_rejects_bad_radii(bad_r):
 
 
 def test_eval_rejects_bad_radius_inside_array():
-    with pytest.raises(ValueError):
-        eval_potential(planar(0), np.array([1.0, -2.0]))
+    # the error names the first radius that is not positive and finite
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        eval_potential(planar(0), np.array([1.0, -2.0, float("nan"), 0.0]))
 
 
 def test_vanishing_strength_gives_exact_zeros_where_r_squared_underflows():
@@ -210,6 +208,35 @@ def test_vanishing_strength_gives_exact_zeros_where_r_squared_underflows():
         out = eval_potential(spec, r)
         assert out.shape == r.shape
         np.testing.assert_array_equal(out, 0.0)
+
+
+def _outcome(spec, r):
+    # the value's bits, lane by lane, or the error's message
+    try:
+        v = eval_potential(spec, r)
+    except ValueError as exc:
+        return str(exc)
+    assert type(v) is (np.ndarray if np.ndim(r) else float)
+    return [x.hex() for x in np.ravel(v).tolist()]
+
+
+@pytest.mark.parametrize("spec", [planar(0), planar(1), ndim(3), spatial(0)],
+                         ids=["planar0", "planar1", "ndim3", "spatial0"])
+@pytest.mark.parametrize("r", [1e-200, 1e-170, 1e-160, 1e-100, 1.0, 1e160, 1e200,
+                               float("nan"), float("inf"), 0.0, -1.0])
+def test_a_float_gives_the_bits_or_the_error_of_an_array(spec, r):
+    # one body for floats and arrays: r * r underflowing at a nonzero
+    # strength gives +-inf, silently, on a float as on an array
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _outcome(spec, r)
+        assert _outcome(spec, np.array([r])) == got
+        twelve = _outcome(spec, np.full(12, r))
+    assert twelve == (got if isinstance(got, str) else got * 12)
+    if isinstance(got, str):
+        assert got == f"radius must be positive and finite, got {r!r}"
+    elif r in (1e-200, 1e-170) and spec.strength:
+        assert float.fromhex(got[0]) == np.copysign(np.inf, spec.strength)
 
 
 def test_spec_validation():

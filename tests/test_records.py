@@ -15,7 +15,6 @@ import pytest
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
-    DensityForm,
     ProbabilityDensity,
 )
 from anticentrifugal.nodes import BunchingVerdict, NodeDensityReport, ZeroTable
@@ -74,9 +73,8 @@ CASES = [
         True,
     ),
     Case(
-        ProbabilityDensity, ("dimension", "wavenumber", "radii", "weights", "form"),
-        (2, 1.0, _GRID.points, np.ones(4), DensityForm.RING),
-        (2, 1.0, _GRID.points, np.ones(4), DensityForm.EXP_LINE),
+        ProbabilityDensity, ("dimension", "wavenumber", "radii", "weights"),
+        (2, 1.0, _GRID.points, np.ones(4)), (1, 1.0, _GRID.points, np.ones(4)),
         False,
     ),
     Case(
