@@ -18,7 +18,6 @@ from importlib import import_module as _import_module
 _HOMES = {
     "boundstate": (
         "DeltaCoupling2D",
-        "assemble_phi2",
         "coupling_from_k",
         "coupling_residual",
         "cutoff_integral",

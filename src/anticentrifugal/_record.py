@@ -16,16 +16,13 @@ class Record:
     AttributeError on assignment, value equality and hash over the fields
     in order, and a ``Name(field=value, ...)`` repr."""
 
-    #: field name -> default, or _MISSING; ClassVar annotations are not fields
+    #: field name -> default, or _MISSING
     _fields: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        fields = dict(cls._fields)
-        for name, annotation in cls.__dict__.get("__annotations__", {}).items():
-            if not str(annotation).startswith(("ClassVar", "typing.ClassVar")):
-                fields[name] = cls.__dict__.get(name, _MISSING)
-        cls._fields = fields
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = {**cls._fields, **{name: cls.__dict__.get(name, _MISSING) for name in own}}
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields

@@ -46,10 +46,6 @@ def _check_positive(name: str, v: float) -> float:
     return float(v)
 
 
-def _check_k(k: float) -> float:
-    return _check_positive("wavenumber", k)
-
-
 def density_profile(dimension: int, k: float, r):
     """Radial probability weight W(r) of the bound state; scalar or array.
     A scalar radius runs as a one-element array: it gives that array's
@@ -57,7 +53,7 @@ def density_profile(dimension: int, k: float, r):
     K_0 of one radius comes from k0_product's float path, and radii that
     are all 0 make no K_0 call."""
     _check_dimension(dimension)
-    k = _check_k(k)
+    k = _check_positive("wavenumber", k)
     radii = np.asarray(r, dtype=float)
     if radii.ndim:
         return _density_array(dimension, k, radii)
@@ -104,12 +100,6 @@ def planar_rows(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(under="ignore", over="ignore"):
         phi2 = k / math.sqrt(math.pi) * k0
     return phi2, _ring_weight(k, r, k0)
-
-
-def assemble_phi2(k: float, grid: RadialGrid) -> np.ndarray:
-    """Normalized planar bound-state amplitude (k / sqrt(pi)) K_0(k r) on
-    the grid's points: planar_rows' first row."""
-    return planar_rows(k, grid.points)[0]
 
 
 def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
@@ -179,7 +169,7 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
         if radii.ndim != 1 or radii.size == 0:
             raise ValueError("grid must be a RadialGrid or a 1-d array of radii")
     w = density_profile(dimension, k, radii)
-    return ProbabilityDensity(dimension, _check_k(k), radii, w)
+    return ProbabilityDensity(dimension, _check_positive("wavenumber", k), radii, w)
 
 
 def normalize_check(pd: ProbabilityDensity) -> float:
@@ -274,10 +264,10 @@ def cutoff_integral(k, cutoff: float):
     closed form.
     """
     array = isinstance(k, np.ndarray) and k.ndim > 0
-    ks = np.ravel(k).astype(float) if array else np.array([_check_k(k)])
+    ks = np.ravel(k).astype(float) if array else np.array([_check_positive("wavenumber", k)])
     bad = ~(np.isfinite(ks) & (ks > 0.0))
     if bad.any():
-        _check_k(ks[bad][0].item())
+        _check_positive("wavenumber", ks[bad][0].item())
     cutoff = _check_positive("cutoff", cutoff)
     with np.errstate(over="ignore"):  # an infinite L / k, as on floats
         over = cutoff / ks > 1e154
@@ -359,7 +349,7 @@ def coupling_from_k(k: float, cutoff: float) -> float:
     cutoff (where (L/k)^2 would overflow a double) still invert; in that
     regime ln(1 + L^2/k^2) equals 2 ln(L/k) to full precision.
     """
-    k = _check_k(k)
+    k = _check_positive("wavenumber", k)
     _check_positive("cutoff", cutoff)
     log_ratio = math.log(cutoff) - math.log(k)
     if log_ratio > 180.0:

@@ -110,9 +110,6 @@ class ZeroTable(Record):
             if not np.all((d > 2.0) & (d < 2.0 * math.pi)):
                 raise ValueError("spacings outside (2, 2 pi); zero table is corrupt")
 
-    def __len__(self) -> int:
-        return int(self.zeros.size)
-
 
 def _mcmahon_seeds(family: CylinderFamily, order: int, n_max: int) -> np.ndarray:
     """The first n_max zeros from McMahon's three-term expansion (DLMF 10.21.19)."""
@@ -169,7 +166,7 @@ class NodeDensityReport(Record):
 
 
 def node_density(table: ZeroTable) -> NodeDensityReport:
-    if len(table) < 2:
+    if table.zeros.size < 2:
         raise ValueError("node density needs at least two zeros")
     spacings = np.diff(table.zeros)
     return NodeDensityReport(table, spacings, math.pi / spacings)

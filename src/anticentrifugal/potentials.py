@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum, unique
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,8 +64,6 @@ class EffectivePotentialSpec(Record):
     angular_momentum: int = 0
     n_dim: int = 2
     classical_l_squared: float = 0.0
-
-    units: ClassVar[str] = UNITS
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, PotentialFamily):
@@ -176,8 +174,8 @@ class RadialGrid(Record):
         return np.linspace(self.r_min, self.r_max, self.n_points)
 
 
-def default_grid(k: float, n_points: int = 2000) -> RadialGrid:
-    """Grid spanning the natural window for wavenumber k."""
+def default_grid(k: float) -> RadialGrid:
+    """The 2000-point grid spanning the natural window for wavenumber k."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"wavenumber must be positive, got {k!r}")
-    return RadialGrid(0.05 / k, 20.0 / k, n_points)
+    return RadialGrid(0.05 / k, 20.0 / k, 2000)

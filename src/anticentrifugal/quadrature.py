@@ -47,6 +47,9 @@ _WG = (
 #: Summed error estimate below which any integral counts as converged.
 _ABS_TOL = 1e-15
 
+#: Summed error estimate, relative to the integral, that counts as converged.
+_REL_TOL = 1e-12
+
 #: Kronrod panels allowed before QuadratureError is raised.
 _MAX_INTERVALS = 4000
 
@@ -82,15 +85,9 @@ def gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[f
     return resk * halfwidth, abs((resk - resg) * halfwidth)
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-12,
-) -> QuadratureResult:
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> QuadratureResult:
     """Integrate f over [a, b] by worst-first bisection of Kronrod panels,
-    until the summed error estimate is below rel_tol of the integral."""
+    until the summed error estimate is below _REL_TOL of the integral."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if not (b > a):
@@ -100,7 +97,7 @@ def integrate_adaptive(
     total_v = value
     total_e = err
     count = 1
-    while total_e > max(_ABS_TOL, rel_tol * abs(total_v)):
+    while total_e > max(_ABS_TOL, _REL_TOL * abs(total_v)):
         if count >= _MAX_INTERVALS or not heap:
             raise QuadratureError(
                 f"tolerance not reached after {count} intervals "

@@ -55,12 +55,6 @@ class Direction(Enum):
     INWARD = "inward"
 
 
-def wavenumber_from_energy(energy: float) -> float:
-    if not (math.isfinite(energy) and energy != 0.0):
-        raise ValueError(f"energy must be nonzero and finite, got {energy!r}")
-    return math.sqrt(2.0 * abs(energy))
-
-
 class RadialWave(Record):
     """Samples of the half-power radial function u(r) = sqrt(r) * Phi(r)."""
 
@@ -124,6 +118,8 @@ def integrate_radial(
     outward runs, (u[-1], u[-2]) for inward ones. The scheme is fourth
     order in the spacing. Growth past 1e250 raises OverflowError, which for
     this equation signals that the exponentially growing branch dominates.
+    A step coefficient that is not finite, as where r^2 underflows, raises
+    ValueError at its radius.
     """
     if not (math.isfinite(energy) and energy != 0.0):
         raise ValueError(f"energy must be nonzero and finite, got {energy!r}")
@@ -133,8 +129,7 @@ def integrate_radial(
     r = grid.points
     f = eval_potential(spec, r) - 2.0 * energy
     c = grid.spacing ** 2 / 12.0
-    # the step's coefficients 2 + 10 c f and 1 - c f, rounded as on floats;
-    # an overflowed f gives inf or nan silently, as float arithmetic does
+    # the step's coefficients 2 + 10 c f and 1 - c f, rounded as on floats
     with np.errstate(over="ignore", invalid="ignore"):
         a = 2.0 + 10.0 * c * f
         g = 1.0 - c * f
@@ -142,6 +137,9 @@ def integrate_radial(
     inward = direction is not Direction.OUTWARD
     if inward:
         a, g, r = a[::-1], g[::-1], r[::-1]
+    bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(g)))
+    if bad.size:
+        raise ValueError(f"the Numerov coefficients are not finite at r = {float(r[bad[0]])!r}")
     # the march streams the coefficients from memoryviews, whose items are
     # Python floats, into one np.fromiter; it stops before its first zero
     # divisor 1 - c f, where float division would raise
@@ -158,7 +156,7 @@ def integrate_radial(
     if inward:
         values = values[::-1].copy()
     sign = EnergySign.POSITIVE if energy > 0 else EnergySign.NEGATIVE
-    return RadialWave(grid, values, wavenumber_from_energy(energy), sign, SolutionFamily.NUMERIC)
+    return RadialWave(grid, values, math.sqrt(2.0 * abs(energy)), sign, SolutionFamily.NUMERIC)
 
 
 def _march(a, g_back, g_next, prev: float, cur: float):
@@ -173,8 +171,9 @@ def _march(a, g_back, g_next, prev: float, cur: float):
 
 def _check_growth(u: np.ndarray, r: np.ndarray) -> None:
     """OverflowError at the radius of the first marched sample of u (seeds
-    excluded) that exceeds the limit; u and r are in marching order."""
-    grown = np.abs(u[2:]) > _OVERFLOW_LIMIT
+    excluded) past the limit, or nan from an overflowed step; u and r are
+    in marching order."""
+    grown = ~(np.abs(u[2:]) <= _OVERFLOW_LIMIT)
     if grown.any():
         at = r[2 + np.argmax(grown)]
         raise OverflowError(

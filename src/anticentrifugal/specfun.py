@@ -125,36 +125,28 @@ def _check_order(m) -> int:
     return int(m)
 
 
-def _check_argument(family: CylinderFamily, x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    if family in (CylinderFamily.BESSEL_J, CylinderFamily.MODIFIED_I):
-        if x < 0.0:
-            raise ValueError(f"{family.value}_m requires x >= 0, got {x}")
+def _check_argument(family: CylinderFamily, x):
+    """x as a float, or as a float array if it is an array of one dimension or
+    more, when each element lies in the domain of *family*; else the first
+    element that does not raises."""
+    closed = family in (CylinderFamily.BESSEL_J, CylinderFamily.MODIFIED_I)
+    if _is_array(x):
+        xs = np.asarray(x, dtype=float)
+        top = MAX_ARGUMENT_I if family is CylinderFamily.MODIFIED_I else sys.float_info.max
+        ok = (xs >= 0.0 if closed else xs > 0.0) & (xs <= top)  # nan and inf fail
+        if ok.all():
+            return xs
+        v = float(xs[~ok].flat[0])
     else:
-        if x <= 0.0:
-            raise ValueError(f"{family.value}_m requires x > 0, got {x}")
-    if family is CylinderFamily.MODIFIED_I and x > MAX_ARGUMENT_I:
+        xs = v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"argument must be finite, got {v!r}")
+    if v < 0.0 or (v == 0.0 and not closed):
+        raise ValueError(f"{family.value}_m requires x {'>=' if closed else '>'} 0, got {v}")
+    if family is CylinderFamily.MODIFIED_I and v > MAX_ARGUMENT_I:
         raise OverflowError(
-            f"I_m({x}) would exceed the double-precision range (limit x <= {MAX_ARGUMENT_I:g})"
+            f"I_m({v}) would exceed the double-precision range (limit x <= {MAX_ARGUMENT_I:g})"
         )
-    return x
-
-
-def _check_arguments(family: CylinderFamily, x) -> np.ndarray:
-    """Array twin of _check_argument: the first rejected element raises the
-    scalar check's error."""
-    xs = np.asarray(x, dtype=float)
-    if family in (CylinderFamily.BESSEL_J, CylinderFamily.MODIFIED_I):
-        ok = xs >= 0.0
-    else:
-        ok = xs > 0.0
-    ok &= np.isfinite(xs)
-    if family is CylinderFamily.MODIFIED_I:
-        ok &= xs <= MAX_ARGUMENT_I
-    if not ok.all():
-        _check_argument(family, xs[~ok].flat[0])
     return xs
 
 
@@ -803,12 +795,9 @@ def _cylinder(family: CylinderFamily, m, x):
     """C_m(x) of *family* after the checks of the order and of x, a float or
     an array: besselj, bessely, besseli and besselk."""
     m = _check_order(m)
-    if not _is_array(x):
-        x = _check_argument(family, x)
-        if family is CylinderFamily.MODIFIED_K:
-            return _besselk_float(m, x)
-    else:
-        x = _check_arguments(family, x)
+    x = _check_argument(family, x)
+    if family is CylinderFamily.MODIFIED_K and isinstance(x, float):
+        return _besselk_float(m, x)
     switches, routes, sign = _FAMILIES[family]
     if sign is None:
         if family is CylinderFamily.BESSEL_J:

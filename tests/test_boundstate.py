@@ -27,7 +27,6 @@ from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
     ProbabilityDensity,
-    assemble_phi2,
     coupling_from_k,
     coupling_residual,
     cutoff_integral,
@@ -640,7 +639,7 @@ def test_cutoff_integral_depends_on_the_ratio_alone_bit_for_bit(k, cutoff):
 def _cutoff_integral_panel_by_panel(k, cutoff):
     # cutoff_integral as it ran one float Kronrod rule per panel, before
     # the array pass; the rule is looked up when called, as there
-    k = boundstate._check_k(k)
+    k = boundstate._check_positive("wavenumber", k)
     cutoff = boundstate._check_positive("cutoff", cutoff)
     if cutoff / k > 1e154:
         raise ValueError(
@@ -944,7 +943,7 @@ def test_bound_state_validation():
 
 def test_phi2_spot_value():
     grid = RadialGrid(1.0, 2.0, 3)
-    phi = assemble_phi2(1.0, grid)
+    phi = planar_rows(1.0, grid.points)[0]
     assert phi[0] == pytest.approx(oracles.PHI2_AT_K1_R1, rel=1e-13)
 
 
@@ -953,14 +952,14 @@ def test_phi2_scaling_identity():
     rescales the profile without changing its shape."""
     grid_r = RadialGrid(0.5, 5.0, 19)
     grid_2r = RadialGrid(1.0, 10.0, 19)
-    left = assemble_phi2(2.0, grid_r)
-    right = 2.0 * assemble_phi2(1.0, grid_2r)
+    left = planar_rows(2.0, grid_r.points)[0]
+    right = 2.0 * planar_rows(1.0, grid_2r.points)[0]
     assert left == pytest.approx(right, rel=1e-13)
 
 
 def test_phi2_decays_far_out():
     grid = RadialGrid(0.1, 25.0, 250)
-    phi = assemble_phi2(1.0, grid)
+    phi = planar_rows(1.0, grid.points)[0]
     assert phi[-1] < 1e-9
     assert np.all(np.diff(phi) < 0.0)  # monotone falloff
 
@@ -972,8 +971,8 @@ def test_planar_amplitude_is_zero_where_k_r_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise"):
-            phi = assemble_phi2(1e100, grid)
-    assert phi[0] == assemble_phi2(1e100, RadialGrid(1e-101, 1e-100, 3))[0] > 0.0
+            phi = planar_rows(1e100, grid.points)[0]
+    assert phi[0] == planar_rows(1e100, RadialGrid(1e-101, 1e-100, 3).points)[0][0] > 0.0
     assert phi[1:].tolist() == [0.0, 0.0]
 
 
@@ -1002,10 +1001,9 @@ def test_planar_k0_where_k_r_underflows(k, r):
 
 
 def test_planar_rows_are_the_amplitude_and_its_weight():
-    # W = 2 pi r |Phi|^2, and each row is its own function's, bit for bit
+    # W = 2 pi r |Phi|^2, and the weight row is density_profile's, bit for bit
     k = 0.76
     grid = RadialGrid(0.05 / k, 20.0 / k, 101)
     phi2, w2 = planar_rows(k, grid.points)
-    np.testing.assert_array_equal(phi2, assemble_phi2(k, grid))
     np.testing.assert_array_equal(w2, density_profile(2, k, grid.points))
     np.testing.assert_allclose(2.0 * math.pi * grid.points * phi2**2, w2, rtol=1e-14, atol=0.0)

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from anticentrifugal import cli
-from anticentrifugal.boundstate import assemble_phi2, coupling_from_k, density_profile, k_from_coupling
+from anticentrifugal.boundstate import coupling_from_k, density_profile, k_from_coupling, planar_rows
 from anticentrifugal.cli import main
 from anticentrifugal.nodes import BracketingError, bunching_verdict, find_zeros, node_density
 from anticentrifugal.potentials import (
@@ -1078,7 +1078,7 @@ def test_wavefunction_matches_the_standard_library(capsys):
     k = 0.76
     grid = RadialGrid(0.05 / k, 20.0 / k, 101)
     r = grid.points.tolist()
-    phi = assemble_phi2(k, grid).tolist()
+    phi = planar_rows(k, grid.points)[0].tolist()
     w = density_profile(2, k, grid.points).tolist()
     argv = ("wavefunction", "--k", repr(k), "--n-points", "101")
     assert run(capsys, *argv)[1] == _csv_reference(("r", "phi2", "w2"), zip(r, phi, w))

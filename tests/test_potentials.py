@@ -250,7 +250,3 @@ def test_spec_validation():
         EffectivePotentialSpec(PotentialFamily.ZERO_MOMENTUM_NDIM, n_dim=0)
     with pytest.raises(ValueError):
         EffectivePotentialSpec(PotentialFamily.CLASSICAL, classical_l_squared=-1.0)
-
-
-def test_units_are_documented_on_the_spec_type():
-    assert "hbar" in EffectivePotentialSpec.units

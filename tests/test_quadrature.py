@@ -49,7 +49,7 @@ def test_adaptive_known_integrals():
 
 
 def test_adaptive_integrable_endpoint_singularity():
-    res = integrate_adaptive(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, rel_tol=1e-10)
+    res = integrate_adaptive(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0)
     assert res.value == pytest.approx(2.0, rel=1e-9)
     assert res.intervals > 10  # must actually have refined toward 0
 

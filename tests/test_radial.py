@@ -28,7 +28,6 @@ from anticentrifugal.radial import (
     integrate_radial,
     laplacian_reduction_check,
     ode_residual,
-    wavenumber_from_energy,
 )
 from anticentrifugal.specfun import (
     CylinderFamily,
@@ -86,16 +85,21 @@ def test_default_grid_scales_with_wavenumber():
 # ---------------------------------------------------------------------------
 # energy bookkeeping
 
+def _wavenumber_of(energy):
+    # the wavenumber a Numerov run records for its energy
+    return integrate_radial(QUANTUM_ANTI, energy, RadialGrid(1.0, 2.0, 3), (1.0, 1.0)).wavenumber
+
+
 def test_wavenumber_from_energy():
-    assert wavenumber_from_energy(-0.5) == 1.0
-    assert wavenumber_from_energy(2.0) == 2.0
+    assert _wavenumber_of(-0.5) == 1.0
+    assert _wavenumber_of(2.0) == 2.0
     with pytest.raises(ValueError):
-        wavenumber_from_energy(0.0)
+        _wavenumber_of(0.0)
 
 
 @given(k=st.floats(min_value=1e-6, max_value=1e3), sign=st.sampled_from([1.0, -1.0]))
 def test_energy_round_trip(k, sign):
-    assert wavenumber_from_energy(sign * 0.5 * k * k) == pytest.approx(k, rel=1e-15)
+    assert _wavenumber_of(sign * 0.5 * k * k) == pytest.approx(k, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +439,26 @@ def test_numerov_zero_coefficient_matches_the_index_loop(monkeypatch, direction,
     want = _march_outcome(_index_loop_reference, *args)
     assert isinstance(want, tuple)
     assert _march_outcome(lambda *a: integrate_radial(*a).values, *args) == want
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("seeds", [(0.0, 1.0), (1.0, 1.0)])
+def test_numerov_refuses_coefficients_that_are_not_finite(direction, seeds):
+    # r^2 underflows at r = 1e-200, so V and the coefficients are infinite
+    # there: the outward march gave nan samples, the inward one a silent 0.0
+    spec = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE)
+    grid = RadialGrid(1e-200, 1.0, 5)
+    with pytest.raises(ValueError, match=r"^the Numerov coefficients are not finite at r = 1e-200$"):
+        integrate_radial(spec, -0.5, grid, seeds, direction)
+
+
+@pytest.mark.parametrize("direction, radius", [(Direction.OUTWARD, "1.25"), (Direction.INWARD, "1.75")])
+def test_numerov_overflow_to_nan_is_reported(direction, radius):
+    # at m = 1e150 every coefficient is finite, near 1e298, but a u and
+    # g u overflow to infinities of one sign, whose difference is nan
+    spec = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=10**150)
+    with pytest.raises(OverflowError, match=rf"exceeded 1e\+250 at r = {radius};"):
+        integrate_radial(spec, -0.5, RadialGrid(1.0, 2.0, 9), (1e20, -1e20), direction)
 
 
 # ---------------------------------------------------------------------------

@@ -681,6 +681,38 @@ def test_array_singular_families_reject_zero(family):
         on_array_kernels(_EVAL[family], 0, [0.0, 1.0])
 
 
+def _bad_arguments():
+    for family in CylinderFamily:
+        for bad in (math.nan, math.inf, -math.inf, -0.5):
+            yield family, bad
+    yield CylinderFamily.NEUMANN_Y, 0.0
+    yield CylinderFamily.MODIFIED_K, 0.0
+    yield CylinderFamily.MODIFIED_I, 700.5
+
+
+@pytest.mark.parametrize("family, bad", list(_bad_arguments()))
+def test_float_and_array_arguments_share_one_check(family, bad):
+    # a float, a 0-d array, a one-lane array and an array past _FEW_LANES
+    # whose only bad element sits among good ones: the same error
+    def error(x):
+        with pytest.raises((ValueError, OverflowError)) as info:
+            _EVAL[family](0, x)
+        return type(info.value), str(info.value)
+
+    lanes = np.full(_FEW_LANES + 1, 1.0)
+    lanes[5] = bad
+    want = error(bad)
+    assert error(np.array(bad)) == want
+    assert error(np.array([bad])) == want
+    assert error(lanes) == want
+
+
+@pytest.mark.parametrize("family", list(CylinderFamily))
+def test_none_argument_is_a_type_error(family):
+    with pytest.raises(TypeError):
+        _EVAL[family](0, None)
+
+
 def test_array_growing_family_overflow_guard():
     assert np.isfinite(besseli(0, np.array([1.0, 700.0]))).all()
     assert np.isfinite(on_array_kernels(besseli, 0, [1.0, 700.0])).all()
