@@ -4,11 +4,34 @@ A subclass of :class:`Record` declares its fields as annotations, with
 optional defaults, as a frozen dataclass would. The fields are read from
 the annotations once, when the class is defined; every method below is
 shared by all records, so defining one compiles nothing.
+
+:func:`check_real` is the one check of a real argument, a record's field
+or a function's.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 _MISSING = object()
+
+
+def check_real(name: str, value, *, positive: bool = False):
+    """value as a Python float, or as a float64 array if it has one
+    dimension or more, when every element is finite (and positive, if
+    asked); else ValueError names the first element that is not.  A bool,
+    str or None raises the same error."""
+    if type(value) is float and math.isfinite(value) and (value > 0.0 or not positive):
+        return value  # about 20 times cheaper than the numpy pass, which would agree
+    if not (value is None or isinstance(value, (bool, np.bool_, str))):
+        xs = np.asarray(value, dtype=float)
+        ok = np.isfinite(xs) & (xs > 0.0) if positive else np.isfinite(xs)
+        if ok.all():
+            return xs if xs.ndim else float(xs)
+        value = xs[~ok][0].item()
+    raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
 
 
 class Record:

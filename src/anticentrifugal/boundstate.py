@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, check_real
 from .nodes import solve_in_brackets
 from .potentials import RadialGrid
 from .quadrature import gauss_kronrod_15, integrate_adaptive
@@ -40,12 +40,6 @@ def _check_dimension(dimension: int) -> None:
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}")
 
 
-def _check_positive(name: str, v: float) -> float:
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    return float(v)
-
-
 def density_profile(dimension: int, k: float, r):
     """Radial probability weight W(r) of the bound state; scalar or array.
     A scalar radius runs as a one-element array: it gives that array's
@@ -53,7 +47,7 @@ def density_profile(dimension: int, k: float, r):
     K_0 of one radius comes from k0_product's float path, and radii that
     are all 0 make no K_0 call."""
     _check_dimension(dimension)
-    k = _check_positive("wavenumber", k)
+    k = check_real("wavenumber", k, positive=True)
     radii = np.asarray(r, dtype=float)
     if radii.ndim:
         return _density_array(dimension, k, radii)
@@ -94,8 +88,7 @@ def planar_rows(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equals one.  A subnormal k, or an amplitude past the double range (k
     above about 1.03e308), rounds as float arithmetic does, silently.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    k = check_real("wavenumber", k, positive=True)
     k0 = k0_product(k, r)
     with np.errstate(under="ignore", over="ignore"):
         phi2 = k / math.sqrt(math.pi) * k0
@@ -169,7 +162,7 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
         if radii.ndim != 1 or radii.size == 0:
             raise ValueError("grid must be a RadialGrid or a 1-d array of radii")
     w = density_profile(dimension, k, radii)
-    return ProbabilityDensity(dimension, _check_positive("wavenumber", k), radii, w)
+    return ProbabilityDensity(dimension, check_real("wavenumber", k, positive=True), radii, w)
 
 
 def normalize_check(pd: ProbabilityDensity) -> float:
@@ -263,12 +256,8 @@ def cutoff_integral(k, cutoff: float):
     L / k = 1e154, where (L/k)^2 overflows, ValueError points to the
     closed form.
     """
-    array = isinstance(k, np.ndarray) and k.ndim > 0
-    ks = np.ravel(k).astype(float) if array else np.array([_check_positive("wavenumber", k)])
-    bad = ~(np.isfinite(ks) & (ks > 0.0))
-    if bad.any():
-        _check_positive("wavenumber", ks[bad][0].item())
-    cutoff = _check_positive("cutoff", cutoff)
+    ks = np.atleast_1d(check_real("wavenumber", k, positive=True)).ravel()
+    cutoff = check_real("cutoff", cutoff, positive=True)
     with np.errstate(over="ignore"):  # an infinite L / k, as on floats
         over = cutoff / ks > 1e154
     if over.any():
@@ -302,7 +291,7 @@ def cutoff_integral(k, cutoff: float):
         raise ArithmeticError(
             f"cutoff integral error estimate {err[i]:.3e} too large for total {total[i]:.6e}"
         )
-    return total.reshape(np.shape(k)) if array else total.item()
+    return total.reshape(np.shape(k)) if np.ndim(k) else total.item()
 
 
 def k_from_coupling(coupling: float, cutoff: float) -> float:
@@ -314,9 +303,8 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
     it is subnormal or zero and has lost significant bits; and where k
     overflows, at a strong coupling and a cutoff near the top of the range.
     """
-    if not (isinstance(coupling, (int, float)) and math.isfinite(coupling)):
-        raise ValueError(f"coupling must be finite, got {coupling!r}")
-    _check_positive("cutoff", cutoff)
+    coupling = check_real("coupling", coupling)
+    cutoff = check_real("cutoff", cutoff, positive=True)
     if coupling == 0.0:
         raise ValueError("zero coupling binds no state")
     if coupling < 0.0:
@@ -349,8 +337,8 @@ def coupling_from_k(k: float, cutoff: float) -> float:
     cutoff (where (L/k)^2 would overflow a double) still invert; in that
     regime ln(1 + L^2/k^2) equals 2 ln(L/k) to full precision.
     """
-    k = _check_positive("wavenumber", k)
-    _check_positive("cutoff", cutoff)
+    k = check_real("wavenumber", k, positive=True)
+    cutoff = check_real("cutoff", cutoff, positive=True)
     log_ratio = math.log(cutoff) - math.log(k)
     if log_ratio > 180.0:
         denom = 2.0 * log_ratio
@@ -371,7 +359,7 @@ def coupling_residual(coupling: float, cutoff: float, k: float) -> float:
     integral rather than the closed form, so it cross-checks both
     k_from_coupling and the quadrature.
     """
-    _check_positive("coupling", coupling)
+    coupling = check_real("coupling", coupling, positive=True)
     return abs(coupling / (2.0 * math.pi) * cutoff_integral(k, cutoff) - 1.0)
 
 
@@ -417,8 +405,7 @@ def one_three_d_bound_energy(
     if dimension == 1:
         if coupling is None:
             raise ValueError("the line case needs the coupling")
-        if not (isinstance(coupling, (int, float)) and math.isfinite(coupling)):
-            raise ValueError(f"coupling must be finite, got {coupling!r}")
+        coupling = check_real("coupling", coupling)
         if coupling >= 0.0:
             raise ValueError("the line delta binds only for negative coupling")
         k = 0.5 * abs(coupling)
@@ -426,15 +413,12 @@ def one_three_d_bound_energy(
     if dimension == 3:
         if inverse_scattering_length is None:
             raise ValueError("the spatial case needs the inverse scattering length")
-        a_inv = inverse_scattering_length
-        if not (isinstance(a_inv, (int, float)) and math.isfinite(a_inv)):
-            raise ValueError(f"inverse scattering length must be finite, got {a_inv!r}")
+        a_inv = check_real("inverse scattering length", inverse_scattering_length)
         if a_inv <= 0.0:
             raise ValueError(
                 "the spatial contact potential binds only for positive inverse "
                 "scattering length"
             )
         return DeltaBoundState(3, a_inv, -0.5 * a_inv * a_inv)
-    if dimension == 2:
-        raise ValueError("use DeltaCoupling2D for the planar case")
-    raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}")
+    _check_dimension(dimension)
+    raise ValueError("use DeltaCoupling2D for the planar case")

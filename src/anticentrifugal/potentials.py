@@ -19,13 +19,12 @@ the planar bound state and the radial solvers are sampled.
 
 from __future__ import annotations
 
-import math
 from enum import Enum, unique
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, check_real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -69,20 +68,20 @@ class EffectivePotentialSpec(Record):
         if not isinstance(self.family, PotentialFamily):
             raise TypeError(f"family must be a PotentialFamily, got {self.family!r}")
         m = self.angular_momentum
-        if not isinstance(m, int) or isinstance(m, bool):
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
             raise TypeError(f"angular_momentum must be an int, got {m!r}")
         if m < 0:
             raise ValueError(f"angular_momentum must be non-negative, got {m}")
         n = self.n_dim
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise TypeError(f"n_dim must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"n_dim must be at least 1, got {n}")
-        l2 = self.classical_l_squared
-        if not (isinstance(l2, (int, float)) and math.isfinite(l2)):
-            raise ValueError(f"classical_l_squared must be finite, got {l2!r}")
+        l2 = check_real("classical_l_squared", self.classical_l_squared)
         if l2 < 0:
             raise ValueError(f"classical_l_squared must be non-negative, got {l2}")
+        # numpy integers as ints, whose products in _ratio cannot wrap
+        self.__dict__.update(angular_momentum=int(m), n_dim=int(n), classical_l_squared=l2)
 
     def _ratio(self) -> tuple[int, int]:
         """Exact coefficient of 1/r^2 as an integer numerator and a positive
@@ -90,7 +89,7 @@ class EffectivePotentialSpec(Record):
 
         Integer arithmetic here keeps the sign classification exact; the
         classical case is the only one with a free real parameter, whose
-        float or int value has an exact ratio of its own.
+        float value has an exact ratio of its own.
         """
         if self.family is PotentialFamily.PLANAR_WAVE:
             return 4 * self.angular_momentum**2 - 1, 4
@@ -126,14 +125,11 @@ def eval_potential(spec: EffectivePotentialSpec, r):
     vanishing one exact zeros, silently.
     """
     coeff = spec.strength
-    radii = np.asarray(r, dtype=float)
+    radii = check_real("radius", r, positive=True)
     lanes = np.atleast_1d(radii)
-    bad = ~(np.isfinite(lanes) & (lanes > 0.0))
-    if bad.any():
-        raise ValueError(f"radius must be positive and finite, got {lanes[bad][0].item()!r}")
     with np.errstate(all="ignore"):
         v = coeff / (lanes * lanes) if coeff else np.zeros(lanes.shape)
-    return v if radii.ndim else v.item()
+    return v if np.ndim(radii) else v.item()
 
 
 def classify_potential(spec: EffectivePotentialSpec) -> SignClass:
@@ -154,16 +150,15 @@ class RadialGrid(Record):
     n_points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise ValueError("grid endpoints must be finite")
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
-            )
-        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
-            raise TypeError(f"n_points must be an int, got {self.n_points!r}")
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be at least 3, got {self.n_points}")
+        r_min, r_max = check_real("r_min", self.r_min), check_real("r_max", self.r_max)
+        if not (0.0 < r_min < r_max):
+            raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
+        n = self.n_points
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise TypeError(f"n_points must be an int, got {n!r}")
+        if n < 3:
+            raise ValueError(f"n_points must be at least 3, got {n}")
+        self.__dict__.update(r_min=r_min, r_max=r_max, n_points=int(n))
 
     @property
     def spacing(self) -> float:
@@ -176,6 +171,5 @@ class RadialGrid(Record):
 
 def default_grid(k: float) -> RadialGrid:
     """The 2000-point grid spanning the natural window for wavenumber k."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    k = check_real("wavenumber", k, positive=True)
     return RadialGrid(0.05 / k, 20.0 / k, 2000)

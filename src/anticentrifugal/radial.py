@@ -25,7 +25,7 @@ from enum import Enum, unique
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, check_real
 from .potentials import EffectivePotentialSpec, RadialGrid, eval_potential
 from .specfun import CylinderFamily, besseli, besselj, besselk, bessely, cylinder_rows
 
@@ -66,14 +66,13 @@ class RadialWave(Record):
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n_points,):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid "
                 f"({self.grid.n_points} points)"
             )
-        if not (math.isfinite(self.wavenumber) and self.wavenumber > 0.0):
-            raise ValueError(f"wavenumber must be positive, got {self.wavenumber!r}")
+        k = check_real("wavenumber", self.wavenumber, positive=True)
+        self.__dict__.update(values=vals, wavenumber=k)
         osc = (SolutionFamily.OSCILLATORY_REGULAR, SolutionFamily.OSCILLATORY_SINGULAR)
         mod = (SolutionFamily.GROWING_MODIFIED, SolutionFamily.DECAYING_MODIFIED)
         if self.energy_sign is EnergySign.NEGATIVE and self.family in osc:
@@ -97,8 +96,7 @@ def analytic_radial(
     if family not in _ANALYTIC:
         raise ValueError(f"no closed form for family {family!r}")
     fn, sign = _ANALYTIC[family]
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    k = check_real("wavenumber", k, positive=True)
     r = grid.points
     u = np.sqrt(r) * fn(order, k * r)
     return RadialWave(grid, u, k, sign, family)

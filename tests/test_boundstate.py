@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from anticentrifugal import boundstate, specfun
+from anticentrifugal._record import check_real
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
@@ -639,8 +640,8 @@ def test_cutoff_integral_depends_on_the_ratio_alone_bit_for_bit(k, cutoff):
 def _cutoff_integral_panel_by_panel(k, cutoff):
     # cutoff_integral as it ran one float Kronrod rule per panel, before
     # the array pass; the rule is looked up when called, as there
-    k = boundstate._check_positive("wavenumber", k)
-    cutoff = boundstate._check_positive("cutoff", cutoff)
+    k = check_real("wavenumber", k, positive=True)
+    cutoff = check_real("cutoff", cutoff, positive=True)
     if cutoff / k > 1e154:
         raise ValueError(
             f"cutoff {cutoff!r} exceeds 1e154 times the wavenumber {k!r}, where "

@@ -156,7 +156,7 @@ def test_wavefunction_rejects_bad_window(capsys):
 def test_wavefunction_rejects_bad_wavenumber(capsys, k, window):
     rc, out, err = run(capsys, "wavefunction", "--k", k, *window)
     assert (rc, out) == (2, "")
-    assert err == f"error: wavenumber must be positive, got {float(k)!r}\n"
+    assert err == f"error: wavenumber must be positive and finite, got {float(k)!r}\n"
 
 
 def test_wavefunction_explicit_window_where_the_default_overflows(capsys):

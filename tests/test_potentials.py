@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from anticentrifugal.potentials import (
     EffectivePotentialSpec,
     PotentialFamily,
+    RadialGrid,
     SignClass,
     classify_potential,
     eval_potential,
@@ -250,3 +251,22 @@ def test_spec_validation():
         EffectivePotentialSpec(PotentialFamily.ZERO_MOMENTUM_NDIM, n_dim=0)
     with pytest.raises(ValueError):
         EffectivePotentialSpec(PotentialFamily.CLASSICAL, classical_l_squared=-1.0)
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    # a numpy order is stored as an int, so 4 m^2 - 1 cannot wrap past int64
+    spec = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE, angular_momentum=np.int64(2**40))
+    assert type(spec.angular_momentum) is int
+    assert spec.strength_quarters() == Fraction(4 * 2**80 - 1, 4)
+    ndim7 = EffectivePotentialSpec(PotentialFamily.ZERO_MOMENTUM_NDIM, n_dim=np.uint8(7))
+    assert ndim7 == ndim(7) and type(ndim7.n_dim) is int
+    with pytest.raises(TypeError, match=r"^n_dim must be an int, got np.True_$"):
+        EffectivePotentialSpec(PotentialFamily.ZERO_MOMENTUM_NDIM, n_dim=np.True_)
+
+
+def test_grid_takes_a_numpy_integer_point_count():
+    grid = RadialGrid(0.5, 1.0, np.int64(5))
+    assert grid == RadialGrid(0.5, 1.0, 5) and type(grid.n_points) is int
+    np.testing.assert_array_equal(grid.points, [0.5, 0.625, 0.75, 0.875, 1.0])
+    with pytest.raises(TypeError, match=r"^n_points must be an int, got True$"):
+        RadialGrid(0.5, 1.0, True)

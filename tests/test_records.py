@@ -3,24 +3,46 @@
 Each record is built by position or by keyword, fills in its declared
 defaults, runs its ``__post_init__`` checks, refuses assignment, compares
 and hashes by the values of its fields in order, and prints as
-``Name(field=value, ...)``.
+``Name(field=value, ...)``.  Every real argument, a record's field or a
+function's, passes one check, which refuses it in one wording.
 """
 
 import copy
+import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from anticentrifugal._record import Record
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
     ProbabilityDensity,
+    coupling_from_k,
+    coupling_residual,
+    cutoff_integral,
+    density,
+    density_profile,
+    k_from_coupling,
+    one_three_d_bound_energy,
+    planar_rows,
 )
 from anticentrifugal.nodes import BunchingVerdict, NodeDensityReport, ZeroTable
-from anticentrifugal.potentials import EffectivePotentialSpec, PotentialFamily
+from anticentrifugal.potentials import (
+    EffectivePotentialSpec,
+    PotentialFamily,
+    default_grid,
+    eval_potential,
+)
 from anticentrifugal.quadrature import QuadratureResult
-from anticentrifugal.radial import EnergySign, RadialGrid, RadialWave, SolutionFamily
+from anticentrifugal.radial import (
+    EnergySign,
+    RadialGrid,
+    RadialWave,
+    SolutionFamily,
+    analytic_radial,
+)
 from anticentrifugal.specfun import CylinderFamily
 from anticentrifugal.verify import SuiteResult
 
@@ -178,8 +200,117 @@ def test_post_init_checks(build, error, message):
 
 
 def test_post_init_may_replace_a_field():
-    # __post_init__ stores the converted value through object.__setattr__
+    # __post_init__ stores the converted value through the instance __dict__
     zeros = [2.404825557695773, 5.520078110286311]
     table = ZeroTable(CylinderFamily.BESSEL_J, 0, zeros)
     assert isinstance(table.zeros, np.ndarray)
     np.testing.assert_array_equal(table.zeros, zeros)
+
+
+# ---------------------------------------------------------------------------
+# one check for every real argument
+
+_K_WAVE = (EnergySign.NEGATIVE, SolutionFamily.DECAYING_MODIFIED)
+_PLANAR0 = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE)
+
+
+class Real(NamedTuple):
+    name: str
+    positive: bool
+    call: object  # the entry point with this argument set to its parameter
+    good: int  # a valid value that a float32 and an int64 hold exactly
+    lane: bool = False  # the value is one lane of an array argument
+
+
+#: every entry point that checks a real argument, with the argument it checks
+REALS = {
+    "density_profile": Real("wavenumber", True, lambda v: density_profile(2, v, 1.0), 1),
+    "density": Real("wavenumber", True, lambda v: density(2, v, [0.5]), 1),
+    "planar_rows": Real("wavenumber", True, lambda v: planar_rows(v, np.array([0.5, 2.0])), 1),
+    "default_grid": Real("wavenumber", True, default_grid, 2),
+    "analytic_radial": Real(
+        "wavenumber", True, lambda v: analytic_radial(SolutionFamily.DECAYING_MODIFIED, 0, v, _GRID), 1
+    ),
+    "RadialWave": Real("wavenumber", True, lambda v: RadialWave(_GRID, np.ones(4), v, *_K_WAVE), 1),
+    "coupling_from_k.k": Real("wavenumber", True, lambda v: coupling_from_k(v, 1.0), 1),
+    "coupling_from_k.cutoff": Real("cutoff", True, lambda v: coupling_from_k(1.0, v), 2),
+    "cutoff_integral.k": Real("wavenumber", True, lambda v: cutoff_integral(v, 2.0), 1),
+    "cutoff_integral.cutoff": Real("cutoff", True, lambda v: cutoff_integral(1.0, v), 2),
+    "cutoff_integral.lane": Real(
+        "wavenumber", True, lambda v: cutoff_integral(np.array([1.0, v, 1.0]), 2.0), 1, True
+    ),
+    "k_from_coupling.coupling": Real("coupling", False, lambda v: k_from_coupling(v, 1.0), 10),
+    "k_from_coupling.cutoff": Real("cutoff", True, lambda v: k_from_coupling(10.0, v), 2),
+    "coupling_residual": Real("coupling", True, lambda v: coupling_residual(v, 1.0, 1.0), 10),
+    "one_three_d_bound_energy.1": Real(
+        "coupling", False, lambda v: one_three_d_bound_energy(1, coupling=v), -2
+    ),
+    "one_three_d_bound_energy.3": Real(
+        "inverse scattering length", False,
+        lambda v: one_three_d_bound_energy(3, inverse_scattering_length=v), 2,
+    ),
+    "eval_potential": Real("radius", True, lambda v: eval_potential(_PLANAR0, v), 2),
+    "eval_potential.lane": Real(
+        "radius", True, lambda v: eval_potential(_PLANAR0, np.array([1.0, v])), 2, True
+    ),
+    "classical_l_squared": Real(
+        "classical_l_squared", False,
+        lambda v: EffectivePotentialSpec(PotentialFamily.CLASSICAL, classical_l_squared=v), 3,
+    ),
+    "RadialGrid.r_min": Real("r_min", False, lambda v: RadialGrid(v, 2.0, 5), 1),
+    "RadialGrid.r_max": Real("r_max", False, lambda v: RadialGrid(0.5, v, 5), 2),
+}
+
+def _refusals():
+    """(entry, bad value) for each value that the entry's rule refuses.  An
+    array lane holds floats only, and None is the default of
+    one_three_d_bound_energy's keywords: the argument is missing."""
+    for entry, real in REALS.items():
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", None):
+            if isinstance(bad, float) and math.isfinite(bad) and not real.positive:
+                continue
+            if (real.lane and not isinstance(bad, float)) or (
+                bad is None and entry.startswith("one_three_d")
+            ):
+                continue
+            yield pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+
+
+@pytest.mark.parametrize("entry, bad", _refusals())
+def test_every_real_argument_is_refused_in_one_wording(entry, bad):
+    name, positive, call = REALS[entry][:3]
+    rule = "positive and finite" if positive else "finite"
+    with pytest.raises(ValueError) as excinfo:
+        call(bad)
+    assert str(excinfo.value) == f"{name} must be {rule}, got {bad!r}"
+
+
+def _bits(x):
+    """x with every float as its type and hex digits, every array as its
+    dtype, shape and bytes, and every record as its fields in order."""
+    if isinstance(x, Record):
+        return type(x).__name__, _bits(x._astuple())
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, np.floating)):
+        return type(x).__name__, float(x).hex()
+    return x
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, lambda v: np.array(float(v))],
+                         ids=["float32", "int64", "0-d array"])
+@pytest.mark.parametrize("entry", REALS)
+def test_numpy_scalars_give_the_bits_of_a_float(entry, kind):
+    real = REALS[entry]
+    value = kind(real.good)
+    assert _bits(real.call(value)) == _bits(real.call(float(real.good)))
+
+
+def test_a_single_precision_endpoint_gives_a_double_precision_grid():
+    r_min = np.float32(0.1)
+    grid = RadialGrid(r_min, 2.0, 7)
+    assert grid.points.dtype == np.float64 and type(grid.r_min) is float
+    assert _bits(grid) == _bits(RadialGrid(float(r_min), 2.0, 7))
+    assert type(grid.spacing) is float
