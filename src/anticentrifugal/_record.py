@@ -5,33 +5,48 @@ optional defaults, as a frozen dataclass would. The fields are read from
 the annotations once, when the class is defined; every method below is
 shared by all records, so defining one compiles nothing.
 
-:func:`check_real` is the one check of a real argument, a record's field
+:func:`check_real` is the one check of a real argument and
+:func:`check_int` the one check of an integer argument, a record's field
 or a function's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 _MISSING = object()
 
+#: the sign words of check_real and the test each makes against 0
+_SIGNS = {None: None, "positive": operator.gt, "non-negative": operator.ge}
 
-def check_real(name: str, value, *, positive: bool = False):
+
+def check_real(name: str, value, *, sign: str | None = None):
     """value as a Python float, or as a float64 array if it has one
-    dimension or more, when every element is finite (and positive, if
-    asked); else ValueError names the first element that is not.  A bool,
-    str or None raises the same error."""
-    if type(value) is float and math.isfinite(value) and (value > 0.0 or not positive):
+    dimension or more, when every element is finite (and of the sign
+    named, "positive" or "non-negative", if one is); else ValueError names
+    the first element that is not.  A bool, str or None raises the same
+    error."""
+    above = _SIGNS[sign]
+    if type(value) is float and math.isfinite(value) and (above is None or above(value, 0.0)):
         return value  # about 20 times cheaper than the numpy pass, which would agree
     if not (value is None or isinstance(value, (bool, np.bool_, str))):
         xs = np.asarray(value, dtype=float)
-        ok = np.isfinite(xs) & (xs > 0.0) if positive else np.isfinite(xs)
+        ok = np.isfinite(xs) if above is None else np.isfinite(xs) & above(xs, 0.0)
         if ok.all():
             return xs if xs.ndim else float(xs)
         value = xs[~ok][0].item()
-    raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
+    raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+
+
+def check_int(name: str, value, low: int) -> int:
+    """value as a Python int, when it is a Python or numpy integer of at
+    least low; else ValueError.  A bool is refused."""
+    if isinstance(value, (int, np.integer)) and type(value) is not bool and value >= low:
+        return int(value)
+    raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 class Record:

@@ -28,37 +28,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._record import Record, check_real
+from ._record import Record, check_int, check_real
 from .nodes import solve_in_brackets
 from .potentials import RadialGrid
 from .quadrature import gauss_kronrod_15, integrate_adaptive
 from .specfun import CylinderFamily, cylinder_rows, k0_product
 
 
-def _check_dimension(dimension: int) -> None:
+def _check_dimension(dimension) -> int:
+    dimension = check_int("dimension", dimension, 1)
     if dimension not in _RHO:
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}")
+    return dimension
 
 
 def density_profile(dimension: int, k: float, r):
     """Radial probability weight W(r) of the bound state; scalar or array.
-    A scalar radius runs as a one-element array: it gives that array's
-    value, or raises its error, under any np.seterr setting.  The ring's
-    K_0 of one radius comes from k0_product's float path, and radii that
-    are all 0 make no K_0 call."""
-    _check_dimension(dimension)
-    k = check_real("wavenumber", k, positive=True)
-    radii = np.asarray(r, dtype=float)
-    if radii.ndim:
+    The line's r is a signed coordinate, and the ring's and the sphere's
+    radii are non-negative.  A scalar radius runs as a one-element array:
+    it gives that array's value, or raises its error, under any np.seterr
+    setting.  The ring's K_0 of one radius comes from k0_product's float
+    path, and radii that are all 0 make no K_0 call."""
+    dimension = _check_dimension(dimension)
+    k = check_real("wavenumber", k, sign="positive")
+    radii = check_real("radius", r, sign=None if dimension == 1 else "non-negative")
+    if np.ndim(radii):
         return _density_array(dimension, k, radii)
-    return _density_array(dimension, k, radii.reshape(1)).item()
+    return _density_array(dimension, k, np.array([radii])).item()
 
 
 def _density_array(dimension: int, k: float, r: np.ndarray) -> np.ndarray:
-    if r.size and not np.all(np.isfinite(r)):
-        raise ValueError("radii must be finite")
-    if dimension != 1 and r.size and np.any(r < 0.0):
-        raise ValueError("radii must be non-negative")
     # an overflowing exponent rounds to -inf and an underflowing product to
     # zero, silently.  The line and radial weights are k rho(k r), rho(xi) =
     # e^(-2 xi) or 2 e^(-2 xi): 2 k and 2 k r, which would overflow first,
@@ -88,7 +87,7 @@ def planar_rows(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equals one.  A subnormal k, or an amplitude past the double range (k
     above about 1.03e308), rounds as float arithmetic does, silently.
     """
-    k = check_real("wavenumber", k, positive=True)
+    k = check_real("wavenumber", k, sign="positive")
     k0 = k0_product(k, r)
     with np.errstate(under="ignore", over="ignore"):
         phi2 = k / math.sqrt(math.pi) * k0
@@ -150,7 +149,7 @@ class ProbabilityDensity(Record):
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_dimension(self.dimension)
+        self.__dict__["dimension"] = _check_dimension(self.dimension)
 
 
 def density(dimension: int, k: float, grid) -> ProbabilityDensity:
@@ -162,7 +161,7 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
         if radii.ndim != 1 or radii.size == 0:
             raise ValueError("grid must be a RadialGrid or a 1-d array of radii")
     w = density_profile(dimension, k, radii)
-    return ProbabilityDensity(dimension, check_real("wavenumber", k, positive=True), radii, w)
+    return ProbabilityDensity(dimension, check_real("wavenumber", k, sign="positive"), radii, w)
 
 
 def normalize_check(pd: ProbabilityDensity) -> float:
@@ -256,8 +255,8 @@ def cutoff_integral(k, cutoff: float):
     L / k = 1e154, where (L/k)^2 overflows, ValueError points to the
     closed form.
     """
-    ks = np.atleast_1d(check_real("wavenumber", k, positive=True)).ravel()
-    cutoff = check_real("cutoff", cutoff, positive=True)
+    ks = np.atleast_1d(check_real("wavenumber", k, sign="positive")).ravel()
+    cutoff = check_real("cutoff", cutoff, sign="positive")
     with np.errstate(over="ignore"):  # an infinite L / k, as on floats
         over = cutoff / ks > 1e154
     if over.any():
@@ -304,7 +303,7 @@ def k_from_coupling(coupling: float, cutoff: float) -> float:
     overflows, at a strong coupling and a cutoff near the top of the range.
     """
     coupling = check_real("coupling", coupling)
-    cutoff = check_real("cutoff", cutoff, positive=True)
+    cutoff = check_real("cutoff", cutoff, sign="positive")
     if coupling == 0.0:
         raise ValueError("zero coupling binds no state")
     if coupling < 0.0:
@@ -337,8 +336,8 @@ def coupling_from_k(k: float, cutoff: float) -> float:
     cutoff (where (L/k)^2 would overflow a double) still invert; in that
     regime ln(1 + L^2/k^2) equals 2 ln(L/k) to full precision.
     """
-    k = check_real("wavenumber", k, positive=True)
-    cutoff = check_real("cutoff", cutoff, positive=True)
+    k = check_real("wavenumber", k, sign="positive")
+    cutoff = check_real("cutoff", cutoff, sign="positive")
     log_ratio = math.log(cutoff) - math.log(k)
     if log_ratio > 180.0:
         denom = 2.0 * log_ratio
@@ -359,7 +358,7 @@ def coupling_residual(coupling: float, cutoff: float, k: float) -> float:
     integral rather than the closed form, so it cross-checks both
     k_from_coupling and the quadrature.
     """
-    coupling = check_real("coupling", coupling, positive=True)
+    coupling = check_real("coupling", coupling, sign="positive")
     return abs(coupling / (2.0 * math.pi) * cutoff_integral(k, cutoff) - 1.0)
 
 
@@ -402,6 +401,7 @@ def one_three_d_bound_energy(
     k directly. The planar case is excluded here because it needs the
     regularized treatment of DeltaCoupling2D.
     """
+    dimension = _check_dimension(dimension)
     if dimension == 1:
         if coupling is None:
             raise ValueError("the line case needs the coupling")
@@ -420,5 +420,4 @@ def one_three_d_bound_energy(
                 "scattering length"
             )
         return DeltaBoundState(3, a_inv, -0.5 * a_inv * a_inv)
-    _check_dimension(dimension)
     raise ValueError("use DeltaCoupling2D for the planar case")

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, check_int
 from .specfun import CylinderFamily, cylinder_rows
 
 #: Lower edge of the first bracket: just above the origin, where J_0 and
@@ -95,7 +95,7 @@ class ZeroTable(Record):
 
     def __post_init__(self) -> None:
         z = np.asarray(self.zeros, dtype=float)
-        self.__dict__["zeros"] = z
+        self.__dict__.update(order=check_int("order", self.order, 0), zeros=z)
         if z.ndim != 1 or z.size == 0:
             raise ValueError("zeros must be a non-empty 1-d array")
         if not np.all(z > 0.0):
@@ -139,8 +139,7 @@ def find_zeros(family: CylinderFamily, order: int, n_max: int) -> ZeroTable:
     :class:`BracketingError` is raised when a bracket holds no sign
     change or the steps fail to settle.
     """
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
-        raise ValueError(f"n_max must be a positive int, got {n_max!r}")
+    n_max, order = check_int("n_max", n_max, 1), check_int("order", order, 0)
     if order not in (0, 1):
         raise ValueError(f"zero tables are tuned for orders 0 and 1, got {order!r}")
     if family not in _FIRST_EDGE:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._record import Record, check_real
+from ._record import Record, check_int, check_real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -67,21 +67,11 @@ class EffectivePotentialSpec(Record):
     def __post_init__(self) -> None:
         if not isinstance(self.family, PotentialFamily):
             raise TypeError(f"family must be a PotentialFamily, got {self.family!r}")
-        m = self.angular_momentum
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-            raise TypeError(f"angular_momentum must be an int, got {m!r}")
-        if m < 0:
-            raise ValueError(f"angular_momentum must be non-negative, got {m}")
-        n = self.n_dim
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise TypeError(f"n_dim must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError(f"n_dim must be at least 1, got {n}")
-        l2 = check_real("classical_l_squared", self.classical_l_squared)
-        if l2 < 0:
-            raise ValueError(f"classical_l_squared must be non-negative, got {l2}")
+        m = check_int("angular_momentum", self.angular_momentum, 0)
+        n = check_int("n_dim", self.n_dim, 1)
+        l2 = check_real("classical_l_squared", self.classical_l_squared, sign="non-negative")
         # numpy integers as ints, whose products in _ratio cannot wrap
-        self.__dict__.update(angular_momentum=int(m), n_dim=int(n), classical_l_squared=l2)
+        self.__dict__.update(angular_momentum=m, n_dim=n, classical_l_squared=l2)
 
     def _ratio(self) -> tuple[int, int]:
         """Exact coefficient of 1/r^2 as an integer numerator and a positive
@@ -125,7 +115,7 @@ def eval_potential(spec: EffectivePotentialSpec, r):
     vanishing one exact zeros, silently.
     """
     coeff = spec.strength
-    radii = check_real("radius", r, positive=True)
+    radii = check_real("radius", r, sign="positive")
     lanes = np.atleast_1d(radii)
     with np.errstate(all="ignore"):
         v = coeff / (lanes * lanes) if coeff else np.zeros(lanes.shape)
@@ -153,12 +143,8 @@ class RadialGrid(Record):
         r_min, r_max = check_real("r_min", self.r_min), check_real("r_max", self.r_max)
         if not (0.0 < r_min < r_max):
             raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
-        n = self.n_points
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise TypeError(f"n_points must be an int, got {n!r}")
-        if n < 3:
-            raise ValueError(f"n_points must be at least 3, got {n}")
-        self.__dict__.update(r_min=r_min, r_max=r_max, n_points=int(n))
+        n = check_int("n_points", self.n_points, 3)
+        self.__dict__.update(r_min=r_min, r_max=r_max, n_points=n)
 
     @property
     def spacing(self) -> float:
@@ -171,5 +157,8 @@ class RadialGrid(Record):
 
 def default_grid(k: float) -> RadialGrid:
     """The 2000-point grid spanning the natural window for wavenumber k."""
-    k = check_real("wavenumber", k, positive=True)
-    return RadialGrid(0.05 / k, 20.0 / k, 2000)
+    k = check_real("wavenumber", k, sign="positive")
+    r_max = 20.0 / k
+    if r_max == np.inf:
+        raise ValueError(f"wavenumber {k!r} is too small: the default window 20 / k overflows")
+    return RadialGrid(0.05 / k, r_max, 2000)

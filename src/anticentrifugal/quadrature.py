@@ -9,10 +9,9 @@ requested tolerance.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable
 
-from ._record import Record
+from ._record import Record, check_real
 
 # 15-point Kronrod abscissae (positive half) and weights; the odd-index
 # abscissae are the embedded 7-point Gauss nodes.
@@ -88,8 +87,7 @@ def gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[f
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> QuadratureResult:
     """Integrate f over [a, b] by worst-first bisection of Kronrod panels,
     until the summed error estimate is below _REL_TOL of the integral."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
+    a, b = check_real("a", a), check_real("b", b)
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
     value, err = gauss_kronrod_15(f, a, b)

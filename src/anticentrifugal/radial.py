@@ -71,7 +71,7 @@ class RadialWave(Record):
                 f"values shape {vals.shape} does not match grid "
                 f"({self.grid.n_points} points)"
             )
-        k = check_real("wavenumber", self.wavenumber, positive=True)
+        k = check_real("wavenumber", self.wavenumber, sign="positive")
         self.__dict__.update(values=vals, wavenumber=k)
         osc = (SolutionFamily.OSCILLATORY_REGULAR, SolutionFamily.OSCILLATORY_SINGULAR)
         mod = (SolutionFamily.GROWING_MODIFIED, SolutionFamily.DECAYING_MODIFIED)
@@ -96,7 +96,7 @@ def analytic_radial(
     if family not in _ANALYTIC:
         raise ValueError(f"no closed form for family {family!r}")
     fn, sign = _ANALYTIC[family]
-    k = check_real("wavenumber", k, positive=True)
+    k = check_real("wavenumber", k, sign="positive")
     r = grid.points
     u = np.sqrt(r) * fn(order, k * r)
     return RadialWave(grid, u, k, sign, family)
@@ -119,11 +119,10 @@ def integrate_radial(
     A step coefficient that is not finite, as where r^2 underflows, raises
     ValueError at its radius.
     """
-    if not (math.isfinite(energy) and energy != 0.0):
-        raise ValueError(f"energy must be nonzero and finite, got {energy!r}")
-    s0, s1 = float(seeds[0]), float(seeds[1])
-    if not (math.isfinite(s0) and math.isfinite(s1)):
-        raise ValueError(f"seed values must be finite, got {seeds!r}")
+    energy = check_real("energy", energy)
+    if energy == 0.0:
+        raise ValueError(f"energy must be nonzero, got {energy!r}")
+    s0, s1 = check_real("seeds[0]", seeds[0]), check_real("seeds[1]", seeds[1])
     r = grid.points
     f = eval_potential(spec, r) - 2.0 * energy
     c = grid.spacing ** 2 / 12.0
@@ -226,6 +225,7 @@ def laplacian_reduction_check(k: float, grid: RadialGrid) -> float:
     mismatch that leaves the double range, as where K_1(k r_min) nears it
     (k below about 1e-306 with r_min = 0.5), raises ValueError.
     """
+    k = check_real("wavenumber", k, sign="positive")
     if not (k * grid.r_min >= sys.float_info.min and math.isfinite(k * k)):
         raise ValueError(f"need k r_min normal and k^2 finite, got k = {k!r}")
     r = grid.points

@@ -66,6 +66,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._record import check_int, check_real
+
 EULER_GAMMA = 0.57721566490153286061
 
 #: Relative accuracy targeted on the primary argument range (0, 50].
@@ -114,15 +116,6 @@ class CylinderFamily(Enum):
     NEUMANN_Y = "Y"
     MODIFIED_I = "I"
     MODIFIED_K = "K"
-
-
-def _check_order(m) -> int:
-    """The order as an int; negative, bool and non-integer orders are rejected."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {m!r}")
-    if m < 0:
-        raise ValueError(f"order must be non-negative, got {m}")
-    return int(m)
 
 
 def _check_argument(family: CylinderFamily, x):
@@ -794,7 +787,7 @@ def cylinder_rows(family: CylinderFamily, x, n: int):
 def _cylinder(family: CylinderFamily, m, x):
     """C_m(x) of *family* after the checks of the order and of x, a float or
     an array: besselj, bessely, besseli and besselk."""
-    m = _check_order(m)
+    m = check_int("order", m, 0)
     x = _check_argument(family, x)
     if family is CylinderFamily.MODIFIED_K and isinstance(x, float):
         return _besselk_float(m, x)
@@ -963,11 +956,8 @@ def sommerfeld_j0_components(kr):
     0.0 turns an all-negative-zero sum into the loop's +0.0.  (np.sum adds
     pairwise, which rounds differently.)
     """
-    array = _is_array(kr)
-    x = np.asarray(kr, dtype=float) if array else np.float64(kr)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueError(f"kr must be finite, got {x[bad].flat[0].item()!r}")
+    kr = check_real("kr", kr)
+    x = np.asarray(kr)
     n = _SOMMERFELD_POINTS
     far = np.abs(x) > _SOMMERFELD_KR_MAX
     if far.any():
@@ -979,7 +969,7 @@ def sommerfeld_j0_components(kr):
         a = x[..., None] * _SOMMERFELD_SIN
         re = np.cumsum(np.cos(a), axis=-1)[..., -1] + 0.0
         im = np.cumsum(np.sin(a), axis=-1)[..., -1] + 0.0
-    if array:
+    if x.ndim:
         return re / n, im / n
     return re.item() / n, im.item() / n
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, check_real
 from .boundstate import (
     coupling_from_k,
     cutoff_integral,
@@ -569,10 +569,7 @@ _ALL_SUITES = (
 
 def run_all(tolerance_scale: float = 1.0) -> list[SuiteResult]:
     """Run every suite in a fixed order and return the flat result list."""
-    if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0.0):
-        raise ValueError(
-            f"tolerance_scale must be a non-negative finite number, got {tolerance_scale!r}"
-        )
+    tolerance_scale = check_real("tolerance_scale", tolerance_scale, sign="non-negative")
     results: list[SuiteResult] = []
     for suite in _ALL_SUITES:
         results.extend(suite(tolerance_scale))

@@ -127,7 +127,11 @@ def test_density_sampling_accepts_grid_and_array():
 
 @pytest.mark.parametrize("dimension", [0, 4, 2.5, None])
 def test_the_dimension_is_checked_by_the_weight_and_the_record(dimension):
-    message = re.escape(f"dimension must be 1, 2 or 3, got {dimension!r}") + "$"
+    # an integer of at least 1 first, then one of the three forms
+    if dimension == 4:
+        message = re.escape("dimension must be 1, 2 or 3, got 4") + "$"
+    else:
+        message = re.escape(f"dimension must be an integer of at least 1, got {dimension!r}") + "$"
     with pytest.raises(ValueError, match=message):
         density_profile(dimension, 1.0, 1.0)
     with pytest.raises(ValueError, match=message):
@@ -640,8 +644,8 @@ def test_cutoff_integral_depends_on_the_ratio_alone_bit_for_bit(k, cutoff):
 def _cutoff_integral_panel_by_panel(k, cutoff):
     # cutoff_integral as it ran one float Kronrod rule per panel, before
     # the array pass; the rule is looked up when called, as there
-    k = check_real("wavenumber", k, positive=True)
-    cutoff = check_real("cutoff", cutoff, positive=True)
+    k = check_real("wavenumber", k, sign="positive")
+    cutoff = check_real("cutoff", cutoff, sign="positive")
     if cutoff / k > 1e154:
         raise ValueError(
             f"cutoff {cutoff!r} exceeds 1e154 times the wavenumber {k!r}, where "

@@ -159,6 +159,16 @@ def test_wavefunction_rejects_bad_wavenumber(capsys, k, window):
     assert err == f"error: wavenumber must be positive and finite, got {float(k)!r}\n"
 
 
+@pytest.mark.parametrize("k", ["1e-320", "1e-308"])
+def test_wavefunction_names_a_wavenumber_too_small_for_the_default_window(capsys, k):
+    # 20 / k overflows: at 1e-320 both ends of the window, at 1e-308 r_max
+    rc, out, err = run(capsys, "wavefunction", "--k", k)
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: wavenumber {float(k)!r} is too small: the default window 20 / k overflows\n"
+    )
+
+
 def test_wavefunction_explicit_window_where_the_default_overflows(capsys):
     # 20 / k overflows at k = 5e-324; a window given in full is still used
     rc, out, err = run(capsys, "wavefunction", "--k", "5e-324",

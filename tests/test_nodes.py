@@ -321,7 +321,7 @@ def test_find_zeros_validation():
 
 def test_find_zeros_takes_a_numpy_integer_count():
     np.testing.assert_array_equal(find_zeros(J, 0, np.int64(5)).zeros, find_zeros(J, 0, 5).zeros)
-    with pytest.raises(ValueError, match=r"^n_max must be a positive int, got True$"):
+    with pytest.raises(ValueError, match=r"^n_max must be an integer of at least 1, got True$"):
         find_zeros(J, 0, True)
 
 
