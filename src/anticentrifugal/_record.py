@@ -5,9 +5,9 @@ optional defaults, as a frozen dataclass would. The fields are read from
 the annotations once, when the class is defined; every method below is
 shared by all records, so defining one compiles nothing.
 
-:func:`check_real` is the one check of a real argument and
-:func:`check_int` the one check of an integer argument, a record's field
-or a function's.
+:func:`check_real` is the one check of a real argument (its twin
+:func:`check_reals` also takes an array) and :func:`check_int` the one
+check of an integer argument, a record's field or a function's.
 """
 
 from __future__ import annotations
@@ -23,22 +23,38 @@ _MISSING = object()
 _SIGNS = {None: None, "positive": operator.gt, "non-negative": operator.ge}
 
 
-def check_real(name: str, value, *, sign: str | None = None):
+def check_reals(name: str, value, *, sign: str | None = None):
     """value as a Python float, or as a float64 array if it has one
-    dimension or more, when every element is finite (and of the sign
-    named, "positive" or "non-negative", if one is); else ValueError names
-    the first element that is not.  A bool, str or None raises the same
-    error."""
+    dimension or more, when it is a real number or an array or sequence of
+    them, every element finite (and of the sign named, "positive" or
+    "non-negative", if one is); else ValueError names the first element
+    that is not, or the value that is not real in the same words: a bool,
+    str, bytes, None or complex value, an array of them, or an int past
+    the float range."""
     above = _SIGNS[sign]
     if type(value) is float and math.isfinite(value) and (above is None or above(value, 0.0)):
         return value  # about 20 times cheaper than the numpy pass, which would agree
-    if not (value is None or isinstance(value, (bool, np.bool_, str))):
-        xs = np.asarray(value, dtype=float)
+    try:  # numpy would read None as nan and a bytearray as bytes
+        xs = np.asarray(value)
+        real = xs.dtype.kind in "iufO" and not (value is None or isinstance(value, bytearray))
+        if real:
+            xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int past the float range
+        real = False
+    if real:
         ok = np.isfinite(xs) if above is None else np.isfinite(xs) & above(xs, 0.0)
         if ok.all():
             return xs if xs.ndim else float(xs)
         value = xs[~ok][0].item()
     raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+
+
+def check_real(name: str, value, *, sign: str | None = None) -> float:
+    """check_reals of an argument that takes a single number: an array of
+    one dimension or more raises ValueError too."""
+    if type(x := check_reals(name, value, sign=sign)) is float:
+        return x
+    raise ValueError(f"{name} must be a single number, got {x!r}")
 
 
 def check_int(name: str, value, low: int) -> int:

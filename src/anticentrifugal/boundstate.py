@@ -13,7 +13,7 @@ sits at a finite ring r = xi / k, with xi a universal constant. Its
 normalized bound-state amplitude is (k / sqrt(pi)) K_0(k r), whose
 2 pi r |Phi|^2 is W above. Each weight depends on k only through
 xi = k r, so its total probability is one number per form, integrated
-once in xi. The planar wavenumber also needs
+once in t = xi^(1/3). The planar wavenumber also needs
 regularization; with a sharp momentum cutoff L the coupling U0 > 0 and the
 wavenumber are tied by
 
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._record import Record, check_int, check_real
+from ._record import Record, check_int, check_real, check_reals
 from .nodes import solve_in_brackets
 from .potentials import RadialGrid
 from .quadrature import gauss_kronrod_15, integrate_adaptive
@@ -51,7 +51,7 @@ def density_profile(dimension: int, k: float, r):
     path, and radii that are all 0 make no K_0 call."""
     dimension = _check_dimension(dimension)
     k = check_real("wavenumber", k, sign="positive")
-    radii = check_real("radius", r, sign=None if dimension == 1 else "non-negative")
+    radii = check_reals("radius", r, sign=None if dimension == 1 else "non-negative")
     if np.ndim(radii):
         return _density_array(dimension, k, radii)
     return _density_array(dimension, k, np.array([radii])).item()
@@ -167,20 +167,23 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
 def normalize_check(pd: ProbabilityDensity) -> float:
     """Total probability of pd's form: one number per form, whatever k.
 
-    W(r) dr = rho(xi) dxi in xi = k r, with rho the weight at k = 1: the
-    total is quadrature of rho over xi in [0, 40], computed on first use and
-    cached, plus the exact tail exp(-80) of the line and radial forms (the
-    ring's, below (pi/2) (1 + 1/320)^2 exp(-80) ~ 3e-35, is left out).
+    W(r) dr = rho(xi) dxi in xi = k r, with rho the weight at k = 1, and
+    xi = t^3 turns the ring's xi ln^2 xi slope at the origin into a smooth
+    one: the total is quadrature of 3 t^2 rho(t^3) over t in [0, 3.5],
+    computed on first use and cached, plus the exact tail exp(-85.75) of
+    the line and radial forms (the ring's, below (pi/2) (1 + 1/343)^2
+    exp(-85.75) ~ 9e-38, is left out).  Each total is within 2^-52 of 1.
     """
     return _scale_free_total(pd.dimension)
 
 
 @lru_cache(maxsize=None)
 def _scale_free_total(dimension: int) -> float:
-    core = integrate_adaptive(_RHO[dimension], 0.0, 40.0).value
+    rho = _RHO[dimension]  # t^2 and t^3 as products: the same nodes on every host
+    core = integrate_adaptive(lambda t: 3.0 * (t * t) * rho(t * t * t), 0.0, 3.5).value
     if dimension == 2:
         return core
-    return (2.0 * core if dimension == 1 else core) + math.exp(-80.0)
+    return (2.0 * core if dimension == 1 else core) + math.exp(-85.75)
 
 
 #: A bracket of the ring constant: the stationarity defect
@@ -255,7 +258,7 @@ def cutoff_integral(k, cutoff: float):
     L / k = 1e154, where (L/k)^2 overflows, ValueError points to the
     closed form.
     """
-    ks = np.atleast_1d(check_real("wavenumber", k, sign="positive")).ravel()
+    ks = np.atleast_1d(check_reals("wavenumber", k, sign="positive")).ravel()
     cutoff = check_real("cutoff", cutoff, sign="positive")
     with np.errstate(over="ignore"):  # an infinite L / k, as on floats
         over = cutoff / ks > 1e154

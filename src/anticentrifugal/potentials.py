@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._record import Record, check_int, check_real
+from ._record import Record, check_int, check_real, check_reals
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -115,7 +115,7 @@ def eval_potential(spec: EffectivePotentialSpec, r):
     vanishing one exact zeros, silently.
     """
     coeff = spec.strength
-    radii = check_real("radius", r, sign="positive")
+    radii = check_reals("radius", r, sign="positive")
     lanes = np.atleast_1d(radii)
     with np.errstate(all="ignore"):
         v = coeff / (lanes * lanes) if coeff else np.zeros(lanes.shape)

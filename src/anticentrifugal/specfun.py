@@ -66,7 +66,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._record import check_int, check_real
+from ._record import check_int, check_reals
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -119,21 +119,18 @@ class CylinderFamily(Enum):
 
 
 def _check_argument(family: CylinderFamily, x):
-    """x as a float, or as a float array if it is an array of one dimension or
-    more, when each element lies in the domain of *family*; else the first
-    element that does not raises."""
+    """x as a float, or as a float array if it has one dimension or more,
+    when it is real and each element is finite (check_reals) and lies in
+    the domain of *family*; else the first that does not raises, one check
+    at a time over all elements, as for a float."""
     closed = family in (CylinderFamily.BESSEL_J, CylinderFamily.MODIFIED_I)
-    if _is_array(x):
-        xs = np.asarray(x, dtype=float)
-        top = MAX_ARGUMENT_I if family is CylinderFamily.MODIFIED_I else sys.float_info.max
-        ok = (xs >= 0.0 if closed else xs > 0.0) & (xs <= top)  # nan and inf fail
+    xs = v = check_reals("argument", x)
+    if isinstance(xs, np.ndarray):
+        top = MAX_ARGUMENT_I if family is CylinderFamily.MODIFIED_I else math.inf
+        ok = (xs >= 0.0 if closed else xs > 0.0) & (xs <= top)
         if ok.all():
             return xs
         v = float(xs[~ok].flat[0])
-    else:
-        xs = v = float(x)
-    if not math.isfinite(v):
-        raise ValueError(f"argument must be finite, got {v!r}")
     if v < 0.0 or (v == 0.0 and not closed):
         raise ValueError(f"{family.value}_m requires x {'>=' if closed else '>'} 0, got {v}")
     if family is CylinderFamily.MODIFIED_I and v > MAX_ARGUMENT_I:
@@ -956,7 +953,7 @@ def sommerfeld_j0_components(kr):
     0.0 turns an all-negative-zero sum into the loop's +0.0.  (np.sum adds
     pairwise, which rounds differently.)
     """
-    kr = check_real("kr", kr)
+    kr = check_reals("kr", kr)
     x = np.asarray(kr)
     n = _SOMMERFELD_POINTS
     far = np.abs(x) > _SOMMERFELD_KR_MAX

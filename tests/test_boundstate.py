@@ -152,15 +152,15 @@ def test_total_probability_is_one(dimension, k):
 @pytest.mark.parametrize(
     "k, total",
     [
-        (0.5, 1.0000000000000093),
-        (1.0, 1.0000000000000093),
-        (2.0, 1.0000000000000093),
-        (7.0, 1.0000000000000093),
+        (0.5, 1.0),
+        (1.0, 1.0),
+        (2.0, 1.0),
+        (7.0, 1.0),
     ],
 )
 def test_ring_normalization_is_pinned_bit_for_bit(k, total):
     # the boundstate output prints this float; a faster K_0 must not move it.
-    # It is integrated in xi = k r, so every k gives the k = 1 value
+    # It is integrated in t = (k r)^(1/3), so every k gives the k = 1 value
     assert normalize_check(density(2, k, np.array([1.0]))) == total
 
 
@@ -175,9 +175,8 @@ def test_normalization_is_a_value_where_40_over_k_overflows(dimension, k):
         assert normalize_check(pd) == normalize_check(density(dimension, 1.0, [0.0]))
 
 
-#: The total of each form, bit for bit: the ring's is the k = 1 value the
-#: r-space quadrature gave, and the exponential forms' round to 1
-SCALE_FREE_TOTALS = {1: 1.0, 2: 1.0000000000000093, 3: 1.0}
+#: The total of each form, bit for bit: each rounds to the exact 1
+SCALE_FREE_TOTALS = {1: 1.0, 2: 1.0, 3: 1.0}
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -207,8 +206,27 @@ def test_normalization_integrates_once_per_form(monkeypatch, cold_totals):
     for k in (0.5, 1.0, 2.0, 7.0, 1e-300, 1e300):
         for dimension in (1, 2, 3):
             assert normalize_check(density(dimension, k, [0.0])) == SCALE_FREE_TOTALS[dimension]
-    assert calls == [(0.0, 40.0)] * 3
+    assert calls == [(0.0, 3.5)] * 3
     assert boundstate._scale_free_total.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_each_total_is_within_one_ulp_of_the_closed_form(cold_totals, dimension):
+    # the integral of each weight over its whole range is exactly 1
+    assert abs(boundstate._scale_free_total(dimension) - 1.0) <= 2.0**-52
+
+
+def test_cold_ring_quadrature_takes_twelve_intervals(monkeypatch, cold_totals):
+    # in xi the ring's logarithmic slope at the origin took 28 intervals
+    results = []
+
+    def counted(*args):
+        results.append(integrate_adaptive(*args))
+        return results[-1]
+
+    monkeypatch.setattr(boundstate, "integrate_adaptive", counted)
+    boundstate._scale_free_total(2)
+    assert [res.intervals for res in results] == [12]
 
 
 def test_cold_ring_total_makes_no_checked_k_call(monkeypatch, cold_totals):

@@ -311,8 +311,24 @@ REALS = {
     "RadialGrid.r_max": Real("r_max", None, lambda v: RadialGrid(0.5, v, 5), 2),
 }
 
+#: the real arguments that take an array as well as a single number
+ARRAY_REALS = {
+    "density_profile.radius.1", "density_profile.radius.2", "density_profile.radius.3",
+    "eval_potential", "cutoff_integral.k", "sommerfeld_j0",
+}
+
 #: the finite values among the refused ones that each sign word takes
 _TAKES = {None: (0.0, -1.0), "positive": (), "non-negative": (0.0,)}
+
+#: an int past the float range
+_HUGE = 10**400
+
+#: values that are not real numbers: each was once read as a number, or
+#: raised a bare TypeError or OverflowError
+_NOT_REAL = (
+    b"1", np.bytes_(b"2"), bytearray(b"1"), np.array(["1"]), np.array([True]),
+    np.array(2 + 0j), 1 + 0j, _HUGE,
+)
 
 
 def _refusals():
@@ -320,14 +336,14 @@ def _refusals():
     array lane holds floats only, and None is the default of
     one_three_d_bound_energy's keywords: the argument is missing."""
     for entry, real in REALS.items():
-        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", None):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", None, *_NOT_REAL):
             if isinstance(bad, float) and bad in _TAKES[real.sign]:
                 continue
             if (real.lane and not isinstance(bad, float)) or (
                 bad is None and entry.startswith("one_three_d")
             ):
                 continue
-            yield pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+            yield pytest.param(entry, bad, id=f"{entry}-{'10**400' if bad is _HUGE else repr(bad)}")
 
 
 @pytest.mark.parametrize("entry, bad", _refusals())
@@ -336,6 +352,19 @@ def test_every_real_argument_is_refused_in_one_wording(entry, bad):
     with pytest.raises(ValueError) as excinfo:
         call(bad)
     assert str(excinfo.value) == f"{name} must be {sign + ' and ' if sign else ''}finite, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([1.0])], ids=["two", "one"])
+@pytest.mark.parametrize(
+    "entry", [entry for entry, real in REALS.items() if not real.lane and entry not in ARRAY_REALS]
+)
+def test_a_single_number_argument_refuses_an_array(entry, bad):
+    # once numpy's "truth value ... is ambiguous", "setting an array element
+    # with a sequence" or an IndexError, from deeper in the call
+    name, _, call = REALS[entry][:3]
+    with pytest.raises(ValueError) as excinfo:
+        call(bad)
+    assert str(excinfo.value) == f"{name} must be a single number, got {bad!r}"
 
 
 def _bits(x):

@@ -476,6 +476,27 @@ def test_non_finite_argument_rejected(bad):
         besselj(0, bad)
 
 
+_NOT_REAL = {
+    "float": [True, np.True_, "1", b"1", np.bytes_(b"2"), bytearray(b"1"), None, 1 + 0j,
+              np.complex128(2.0), 10**400],
+    "array": [np.array(["1.5"]), np.array([b"1"]), np.array([True]), np.array([2 + 0j]),
+              np.array(["0.5", "1.5"])],
+}
+
+
+@pytest.mark.parametrize("family", list(CylinderFamily))
+@pytest.mark.parametrize(
+    "bad", [pytest.param(bad, id=f"{path}-{i}") for path, bads in _NOT_REAL.items()
+            for i, bad in enumerate(bads)]
+)
+def test_an_argument_that_is_not_real_is_refused(family, bad):
+    # each was once read as a number, or raised a bare TypeError or
+    # OverflowError: besselj(0, True) and besselj(0, "1") gave J_0(1)
+    with pytest.raises(ValueError) as excinfo:
+        _EVAL[family](0, bad)
+    assert str(excinfo.value) == f"argument must be finite, got {bad!r}"
+
+
 def test_growing_family_overflow_guard():
     with pytest.raises(OverflowError):
         besseli(0, 705.0)

@@ -708,8 +708,8 @@ def test_float_and_array_arguments_share_one_check(family, bad):
 
 
 @pytest.mark.parametrize("family", list(CylinderFamily))
-def test_none_argument_is_a_type_error(family):
-    with pytest.raises(TypeError):
+def test_none_argument_is_a_value_error(family):
+    with pytest.raises(ValueError, match=r"^argument must be finite, got None$"):
         _EVAL[family](0, None)
 
 
