@@ -46,7 +46,7 @@ _HOMES = {
         "classify_potential",
         "eval_potential",
     ),
-    "quadrature": ("QuadratureError", "gauss_kronrod_15", "integrate_adaptive"),
+    "quadrature": ("gauss_kronrod_15",),
     "radial": (
         "Direction",
         "SolutionFamily",

@@ -30,13 +30,23 @@ def check_reals(name: str, value, *, sign: str | None = None):
     "non-negative", if one is); else ValueError names the first element
     that is not, or the value that is not real in the same words: a bool,
     str, bytes, None or complex value, an array of them, or an int past
-    the float range."""
+    the float range, and in a list or tuple the first element that is one
+    of these."""
     above = _SIGNS[sign]
     if type(value) is float and math.isfinite(value) and (above is None or above(value, 0.0)):
         return value  # about 20 times cheaper than the numpy pass, which would agree
-    try:  # numpy would read None as nan and a bytearray as bytes
+    try:
         xs = np.asarray(value)
-        real = xs.dtype.kind in "iufO" and not (value is None or isinstance(value, bytearray))
+        real = _is_real(value, xs.dtype.kind)
+        if xs.ndim and not isinstance(value, np.ndarray):
+            # numpy types a sequence by all its elements, reading True among
+            # floats as 1.0 and None as nan: each element is judged alone
+            odd = [
+                v for v in np.asarray(value, dtype=object).flat
+                if type(v) not in (float, int) and not _is_real(v, np.asarray(v).dtype.kind)
+            ]
+            if odd:
+                value, real = odd[0], False
         if real:
             xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, or an int past the float range
@@ -47,6 +57,12 @@ def check_reals(name: str, value, *, sign: str | None = None):
             return xs if xs.ndim else float(xs)
         value = xs[~ok][0].item()
     raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+
+
+def _is_real(value, kind: str) -> bool:
+    # kind is numpy's dtype kind of value, which reads None as nan and a
+    # bytearray as bytes
+    return kind in "iufO" and not (value is None or isinstance(value, bytearray))
 
 
 def check_real(name: str, value, *, sign: str | None = None) -> float:

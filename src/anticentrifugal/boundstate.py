@@ -31,13 +31,13 @@ import numpy as np
 from ._record import Record, check_int, check_real, check_reals
 from .nodes import solve_in_brackets
 from .potentials import RadialGrid
-from .quadrature import gauss_kronrod_15, integrate_adaptive
+from .quadrature import gauss_kronrod_15
 from .specfun import CylinderFamily, cylinder_rows, k0_product
 
 
 def _check_dimension(dimension) -> int:
     dimension = check_int("dimension", dimension, 1)
-    if dimension not in _RHO:
+    if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension!r}")
     return dimension
 
@@ -122,24 +122,6 @@ def _ring_weight(k: float, r: np.ndarray, k0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_rho(xi: float) -> float:
-    # K_0 from besselk's float path without its checks where xi is normal,
-    # and from ln xi where it is subnormal
-    k0 = k0_product(1.0, xi) if xi > 0.0 else 0.0
-    return 2.0 * xi * (k0 * k0)
-
-
-#: rho(xi) = W(xi / k) / k of each dimension's form, the weight at k = 1,
-#: at one float xi >= 0: bit for bit density_profile(dimension, 1.0, xi),
-#: since np.exp of a float rounds as on an array, and k0 * k0 as numpy's
-#: square.
-_RHO = {
-    1: lambda xi: float(np.exp(-2.0 * xi)),
-    2: _ring_rho,
-    3: lambda xi: float(2.0 * np.exp(-2.0 * xi)),
-}
-
-
 class ProbabilityDensity(Record):
     """Sampled bound-state weight for one dimension and wavenumber."""
 
@@ -157,8 +139,8 @@ def density(dimension: int, k: float, grid) -> ProbabilityDensity:
     if isinstance(grid, RadialGrid):
         radii = grid.points
     else:
-        radii = np.asarray(grid, dtype=float)
-        if radii.ndim != 1 or radii.size == 0:
+        radii = check_reals("radius", grid)
+        if np.ndim(radii) != 1 or radii.size == 0:
             raise ValueError("grid must be a RadialGrid or a 1-d array of radii")
     w = density_profile(dimension, k, radii)
     return ProbabilityDensity(dimension, check_real("wavenumber", k, sign="positive"), radii, w)
@@ -169,18 +151,26 @@ def normalize_check(pd: ProbabilityDensity) -> float:
 
     W(r) dr = rho(xi) dxi in xi = k r, with rho the weight at k = 1, and
     xi = t^3 turns the ring's xi ln^2 xi slope at the origin into a smooth
-    one: the total is quadrature of 3 t^2 rho(t^3) over t in [0, 3.5],
-    computed on first use and cached, plus the exact tail exp(-85.75) of
-    the line and radial forms (the ring's, below (pi/2) (1 + 1/343)^2
-    exp(-85.75) ~ 9e-38, is left out).  Each total is within 2^-52 of 1.
+    one: the total is a fixed Kronrod quadrature of 3 t^2 rho(t^3) over t
+    in [0, 3.5], computed on first use and cached, plus the exact tail
+    exp(-85.75) of the line and radial forms (the ring's, below (pi/2)
+    (1 + 1/343)^2 exp(-85.75) ~ 9e-38, is left out).  Each total is 1.0.
     """
     return _scale_free_total(pd.dimension)
 
 
 @lru_cache(maxsize=None)
 def _scale_free_total(dimension: int) -> float:
-    rho = _RHO[dimension]  # t^2 and t^3 as products: the same nodes on every host
-    core = integrate_adaptive(lambda t: 3.0 * (t * t) * rho(t * t * t), 0.0, 3.5).value
+    """3 t^2 rho(t^3) over the 48 equal panels of [0, 3.5] in one Kronrod
+    pass, the panel values added by math.fsum, plus the tail; ArithmeticError
+    where the summed error estimate passes 1e-12."""
+    edges = np.linspace(0.0, 3.5, 49)
+    values, errors = gauss_kronrod_15(  # t^2 and t^3 as products: the same nodes on every host
+        lambda t: 3.0 * (t * t) * _density_array(dimension, 1.0, t * t * t), edges[:-1], edges[1:]
+    )
+    if (err := errors.sum()) > 1e-12:
+        raise ArithmeticError(f"normalization error estimate {err:.3e} too large")
+    core = math.fsum(values.tolist())
     if dimension == 2:
         return core
     return (2.0 * core if dimension == 1 else core) + math.exp(-85.75)

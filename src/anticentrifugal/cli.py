@@ -68,7 +68,6 @@ from .potentials import (
     default_grid,
     eval_potential,
 )
-from .quadrature import QuadratureError
 from .specfun import CylinderFamily
 
 if TYPE_CHECKING:
@@ -527,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command].run(args)
-    except (ValueError, ArithmeticError, QuadratureError, BracketingError) as exc:
+    except (ValueError, ArithmeticError, BracketingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,17 +1,15 @@
-"""Adaptive Gauss-Kronrod quadrature on finite intervals.
+"""Fixed-panel Gauss-Kronrod quadrature on finite intervals.
 
 A 7-point Gauss rule embedded in a 15-point Kronrod rule gives each panel
-an integral estimate and an error estimate for free; panels are split at
-their midpoint, worst first, until the summed error estimate meets the
-requested tolerance.
+an integral estimate and an error estimate for free.  The caller picks the
+panels and judges the summed error estimate.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
-from ._record import Record, check_real
+import numpy as np
 
 # 15-point Kronrod abscissae (positive half) and weights; the odd-index
 # abscissae are the embedded 7-point Gauss nodes.
@@ -23,7 +21,6 @@ _XGK = (
     0.5860872354676911,
     0.4058451513773972,
     0.2077849550078985,
-    0.0,
 )
 _WGK = (
     0.022935322010529224,
@@ -42,77 +39,26 @@ _WG = (
     0.4179591836734694,
 )
 
-
-#: Summed error estimate below which any integral counts as converged.
-_ABS_TOL = 1e-15
-
-#: Summed error estimate, relative to the integral, that counts as converged.
-_REL_TOL = 1e-12
-
-#: Kronrod panels allowed before QuadratureError is raised.
-_MAX_INTERVALS = 4000
+#: the 15 nodes on [-1, 1]: the center, then each abscissa below and above it
+_NODES = np.array([0.0, *(s * x for x in _XGK for s in (-1.0, 1.0))])
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the interval budget runs out before the tolerance is met."""
+def gauss_kronrod_15(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
+    """Kronrod panels on [a, b]: returns (integral, error estimate).
 
-
-class QuadratureResult(Record):
-    value: float
-    error_estimate: float
-    intervals: int
-
-
-def gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel on [a, b]: returns (integral, error estimate).
-
-    a and b may also be arrays of panel edges, with f taking an array: the
-    same operations then run once per panel, bit for bit as on floats, and
-    the integrals and error estimates come back as arrays.
+    f is called once, on the 15 nodes of the panel, or on a 15 x n array of
+    them where a and b are arrays of the edges of n panels; the integrals
+    and error estimates then come back as arrays, each panel's bit for bit
+    as its float call gives them.
     """
     center = 0.5 * (a + b)
     halfwidth = 0.5 * (b - a)
-    fc = f(center)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
+    fx = f(center + np.multiply.outer(_NODES, halfwidth))
+    resk = _WGK[7] * fx[0]
+    resg = _WG[3] * fx[0]
     for i in range(7):
-        dx = halfwidth * _XGK[i]
-        pair = f(center - dx) + f(center + dx)
+        pair = fx[2 * i + 1] + fx[2 * i + 2]
         resk = resk + _WGK[i] * pair
         if i % 2 == 1:
             resg = resg + _WG[(i - 1) // 2] * pair
     return resk * halfwidth, abs((resk - resg) * halfwidth)
-
-
-def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> QuadratureResult:
-    """Integrate f over [a, b] by worst-first bisection of Kronrod panels,
-    until the summed error estimate is below _REL_TOL of the integral."""
-    a, b = check_real("a", a), check_real("b", b)
-    if not (b > a):
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    value, err = gauss_kronrod_15(f, a, b)
-    heap = [(-err, a, b, value, err)]
-    total_v = value
-    total_e = err
-    count = 1
-    while total_e > max(_ABS_TOL, _REL_TOL * abs(total_v)):
-        if count >= _MAX_INTERVALS or not heap:
-            raise QuadratureError(
-                f"tolerance not reached after {count} intervals "
-                f"(error estimate {total_e:.3e})"
-            )
-        _, aa, bb, vv, ee = heapq.heappop(heap)
-        mid = 0.5 * (aa + bb)
-        if mid <= aa or mid >= bb:
-            # interval already at floating-point resolution; its residual
-            # error is below representable width, retire it
-            total_e -= ee
-            continue
-        v1, e1 = gauss_kronrod_15(f, aa, mid)
-        v2, e2 = gauss_kronrod_15(f, mid, bb)
-        total_v += v1 + v2 - vv
-        total_e += e1 + e2 - ee
-        heapq.heappush(heap, (-e1, aa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, bb, v2, e2))
-        count += 1
-    return QuadratureResult(total_v, total_e, count)

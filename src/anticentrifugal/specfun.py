@@ -851,7 +851,7 @@ def k0_product(k: float, r):
     besselk's float path without its checks, so a caller that has already
     validated k and r pays for no second check.
     """
-    # _is_array inlined, a call less for each of the ring integrand's floats
+    # _is_array inlined, a call less for each float radius
     if not (isinstance(r, np.ndarray) and r.ndim):
         kr = k * r
         if kr < sys.float_info.min:

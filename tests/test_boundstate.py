@@ -3,8 +3,8 @@
 The striking geometry claim is the planar one: the radial weight
 W(r) = 2 k^2 r K_0(k r)^2 vanishes at the origin and peaks on a ring,
 while the line and spatial weights peak at the origin. The planar
-coupling relation is checked along two routes, the closed form and an
-adaptive quadrature of the momentum integral it came from.
+coupling relation is checked along two routes, the closed form and a
+Kronrod quadrature of the momentum integral it came from.
 """
 
 import math
@@ -20,6 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
 import oracles
 from anticentrifugal import boundstate, specfun
@@ -42,7 +43,7 @@ from anticentrifugal.boundstate import (
 )
 from anticentrifugal.nodes import BracketingError
 from anticentrifugal.potentials import RadialGrid, default_grid
-from anticentrifugal.quadrature import integrate_adaptive
+from anticentrifugal.quadrature import gauss_kronrod_15
 from anticentrifugal.specfun import _FEW_LANES, EULER_GAMMA, besselk, k0_product
 
 
@@ -125,6 +126,25 @@ def test_density_sampling_accepts_grid_and_array():
     assert np.array_equal(pd.weights, pd2.weights)
 
 
+@pytest.mark.parametrize(
+    "dimension, grid, bad",
+    [(1, ["1", 0.5], "1"), (2, (True, 0.5), True), (3, [0.5, None], None), (1, [0.5, b"1"], b"1")],
+    ids=["str", "bool", "None", "bytes"],
+)
+def test_density_refuses_a_grid_element_that_is_not_real(dimension, grid, bad):
+    # the grid was read by np.asarray(grid, dtype=float), which took each as
+    # a number, where density_profile refuses the same list
+    with pytest.raises(ValueError) as excinfo:
+        density(dimension, 1.0, grid)
+    assert str(excinfo.value) == f"radius must be finite, got {bad!r}"
+
+
+@pytest.mark.parametrize("grid", [0.5, [], [[0.5, 1.0]]], ids=["float", "empty", "2-d"])
+def test_density_needs_a_1d_array_of_radii(grid):
+    with pytest.raises(ValueError, match=r"^grid must be a RadialGrid or a 1-d array of radii$"):
+        density(1, 1.0, grid)
+
+
 @pytest.mark.parametrize("dimension", [0, 4, 2.5, None])
 def test_the_dimension_is_checked_by_the_weight_and_the_record(dimension):
     # an integer of at least 1 first, then one of the three forms
@@ -198,46 +218,35 @@ def cold_totals():
 def test_normalization_integrates_once_per_form(monkeypatch, cold_totals):
     calls = []
 
-    def counted(f, a, b, *args, **kwargs):
-        calls.append((a, b))
-        return integrate_adaptive(f, a, b, *args, **kwargs)
+    def counted(f, a, b):
+        calls.append((a.size, a[0], b[-1]))
+        return gauss_kronrod_15(f, a, b)
 
-    monkeypatch.setattr(boundstate, "integrate_adaptive", counted)
+    monkeypatch.setattr(boundstate, "gauss_kronrod_15", counted)
     for k in (0.5, 1.0, 2.0, 7.0, 1e-300, 1e300):
         for dimension in (1, 2, 3):
             assert normalize_check(density(dimension, k, [0.0])) == SCALE_FREE_TOTALS[dimension]
-    assert calls == [(0.0, 3.5)] * 3
+    assert calls == [(48, 0.0, 3.5)] * 3
     assert boundstate._scale_free_total.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_normalization_refuses_a_large_error_estimate(monkeypatch, cold_totals, dimension):
+    # the summed estimates are about 3e-17 (line), 1e-13 (ring) and 7e-17
+    # (sphere): 1e5 times each passes 1e-12
+    def inflated(f, a, b):
+        value, err = gauss_kronrod_15(f, a, b)
+        return value, err * 1e5
+
+    monkeypatch.setattr(boundstate, "gauss_kronrod_15", inflated)
+    with pytest.raises(ArithmeticError, match=r"^normalization error estimate \S+ too large$"):
+        normalize_check(density(dimension, 1.0, [0.0]))
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_each_total_is_within_one_ulp_of_the_closed_form(cold_totals, dimension):
     # the integral of each weight over its whole range is exactly 1
     assert abs(boundstate._scale_free_total(dimension) - 1.0) <= 2.0**-52
-
-
-def test_cold_ring_quadrature_takes_twelve_intervals(monkeypatch, cold_totals):
-    # in xi the ring's logarithmic slope at the origin took 28 intervals
-    results = []
-
-    def counted(*args):
-        results.append(integrate_adaptive(*args))
-        return results[-1]
-
-    monkeypatch.setattr(boundstate, "integrate_adaptive", counted)
-    boundstate._scale_free_total(2)
-    assert [res.intervals for res in results] == [12]
-
-
-def test_cold_ring_total_makes_no_checked_k_call(monkeypatch, cold_totals):
-    # the ring integrand's K_0 goes straight to besselk's float path, its
-    # argument being valid by construction
-    def refuse(*args):
-        raise AssertionError("besselk or its argument check called")
-
-    monkeypatch.setattr(specfun, "besselk", refuse)
-    monkeypatch.setattr(specfun, "_check_argument", refuse)
-    assert boundstate._scale_free_total(2) == SCALE_FREE_TOTALS[2]
 
 
 def _k0_product_checked(k, r):
@@ -284,10 +293,12 @@ def test_import_integrates_nothing():
 
 
 def _r_space_total(dimension, k):
-    # the integral in r on [0, 40 / k] with the tail exp(-2 k (40 / k)),
-    # as normalize_check computed it for every k before it moved to xi
+    # the integral in r on [0, 40 / k] with the tail exp(-2 k (40 / k)), by
+    # QUADPACK's adaptive rule: a route independent of the package's own
     r_cut = 40.0 / k
-    core = integrate_adaptive(lambda r: density_profile(dimension, k, r), 0.0, r_cut).value
+    core, _ = quad(
+        lambda r: density_profile(dimension, k, r), 0.0, r_cut, epsabs=1e-15, epsrel=1e-13, limit=200
+    )
     if dimension == 1:
         return 2.0 * core + math.exp(-2.0 * k * r_cut)
     if dimension == 3:
@@ -487,20 +498,6 @@ def test_underflowing_scalar_weights_return_under_raise():
         want = 2 * mp.mpf(1e-300) ** 2 * mp.mpf(1e301) * mp.besselk(0, 10) ** 2
     # W is subnormal here, rounded once
     assert type(w) is float and w == pytest.approx(float(want), rel=1e-14)
-
-
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_scale_free_integrand_is_the_weight_at_k_1(dimension):
-    rng = np.random.default_rng(61)
-    xi = np.concatenate((
-        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 40.0], rng.uniform(0.0, 40.0, 2000)
-    ))
-    rho = boundstate._RHO[dimension]
-    got = [rho(v) for v in xi.tolist()]
-    assert all(type(v) is float for v in got)
-    want = density_profile(dimension, 1.0, xi).tolist()
-    assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert got == [density_profile(dimension, 1.0, v) for v in xi.tolist()]
 
 
 def _check_ring_weight_against_mpmath(k):

@@ -40,7 +40,6 @@ from anticentrifugal.potentials import (
     classify_potential,
     eval_potential,
 )
-from anticentrifugal.quadrature import QuadratureError
 from anticentrifugal.radial import RadialGrid
 from anticentrifugal.specfun import CylinderFamily, besselk
 
@@ -227,7 +226,7 @@ def test_grid_size_is_bounded(capsys, command):
     assert err.startswith("error: --n-points")
 
 
-@pytest.mark.parametrize("exc", [ArithmeticError, QuadratureError, BracketingError])
+@pytest.mark.parametrize("exc", [ArithmeticError, BracketingError])
 def test_numerical_errors_exit_with_code_two(capsys, monkeypatch, exc):
     def fail(*args):
         raise exc("no sign change")

@@ -60,4 +60,4 @@ def test_dir_and_star_import_list_every_export_in_a_fresh_process():
         "print(len(namespace), sorted(namespace) == sorted(anticentrifugal.__all__))\n"
         "print(all(namespace[n] is getattr(anticentrifugal, n) for n in namespace))\n"
     )
-    assert _fresh_process(code) == "True True\nTrue\n43 True\nTrue\n"
+    assert _fresh_process(code) == "True True\nTrue\n41 True\nTrue\n"

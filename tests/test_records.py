@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from anticentrifugal._record import Record
+from anticentrifugal._record import Record, check_reals
 from anticentrifugal.boundstate import (
     DeltaBoundState,
     DeltaCoupling2D,
@@ -36,7 +36,6 @@ from anticentrifugal.potentials import (
     default_grid,
     eval_potential,
 )
-from anticentrifugal.quadrature import QuadratureResult, integrate_adaptive
 from anticentrifugal.radial import (
     EnergySign,
     RadialGrid,
@@ -70,10 +69,6 @@ class Case(NamedTuple):
 
 
 CASES = [
-    Case(
-        QuadratureResult, ("value", "error_estimate", "intervals"),
-        (1.5, 1e-14, 3), (1.5, 1e-14, 4), True,
-    ),
     Case(
         EffectivePotentialSpec, ("family", "angular_momentum", "n_dim", "classical_l_squared"),
         (PotentialFamily.CLASSICAL, 1, 3, 2.5), (PotentialFamily.CLASSICAL, 1, 3, 3.5), True,
@@ -225,10 +220,6 @@ _PLANAR0 = EffectivePotentialSpec(PotentialFamily.PLANAR_WAVE)
 _GRID9 = RadialGrid(0.5, 2.0, 9)  # enough points for the five-point stencils
 
 
-def _square(x):
-    return x * x
-
-
 class Real(NamedTuple):
     name: str
     sign: str | None  # "positive", "non-negative", or None for finiteness alone
@@ -274,8 +265,6 @@ REALS = {
     "laplacian_reduction_check": Real(
         "wavenumber", "positive", lambda v: laplacian_reduction_check(v, _GRID9), 1
     ),
-    "integrate_adaptive.a": Real("a", None, lambda v: integrate_adaptive(_square, v, 2.0), 0),
-    "integrate_adaptive.b": Real("b", None, lambda v: integrate_adaptive(_square, 0.0, v), 2),
     # each passing run takes the whole self-test: only the refusals run
     "run_all": Real("tolerance_scale", "non-negative", run_all, None),
     "sommerfeld_j0": Real("kr", None, sommerfeld_j0, 1),
@@ -352,6 +341,30 @@ def test_every_real_argument_is_refused_in_one_wording(entry, bad):
     with pytest.raises(ValueError) as excinfo:
         call(bad)
     assert str(excinfo.value) == f"{name} must be {sign + ' and ' if sign else ''}finite, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [True, None])
+@pytest.mark.parametrize(
+    "words, call",
+    [
+        ("x must be", lambda v: check_reals("x", [v, 2.0])),
+        ("x must be", lambda v: check_reals("x", (1.0, v))),
+        ("radius must be", lambda v: density_profile(1, 1.0, [v, 0.5])),
+        ("argument must be", lambda v: besselj(0, [v, 2.0])),
+        ("wavenumber must be positive and", lambda v: cutoff_integral([v, 2.0], 1.0)),
+        ("kr must be", lambda v: sommerfeld_j0([v, 2.0])),
+    ],
+    ids=[
+        "check_reals", "check_reals.tuple", "density_profile", "besselj", "cutoff_integral",
+        "sommerfeld_j0",
+    ],
+)
+def test_a_sequence_element_that_is_not_real_is_refused_by_name(words, call, bad):
+    # numpy types a list by all its elements: True among floats was read as
+    # 1.0, and None was named as nan
+    with pytest.raises(ValueError) as excinfo:
+        call(bad)
+    assert str(excinfo.value) == f"{words} finite, got {bad!r}"
 
 
 @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([1.0])], ids=["two", "one"])
