@@ -35,18 +35,16 @@ def check_reals(name: str, value, *, sign: str | None = None):
     above = _SIGNS[sign]
     if type(value) is float and math.isfinite(value) and (above is None or above(value, 0.0)):
         return value  # about 20 times cheaper than the numpy pass, which would agree
-    try:
+    if isinstance(value, (list, tuple)):
+        # numpy types a list by all its elements, reading True among floats
+        # as 1.0, None as nan and a bytearray as its bytes: the first
+        # element that is not real is judged in the list's place
+        value = next(
+            (v for v in _elements(value) if type(v) is not float and not _is_real_element(v)), value
+        )
+    try:  # numpy would read None as nan and a bytearray as bytes
         xs = np.asarray(value)
-        real = _is_real(value, xs.dtype.kind)
-        if xs.ndim and not isinstance(value, np.ndarray):
-            # numpy types a sequence by all its elements, reading True among
-            # floats as 1.0 and None as nan: each element is judged alone
-            odd = [
-                v for v in np.asarray(value, dtype=object).flat
-                if type(v) not in (float, int) and not _is_real(v, np.asarray(v).dtype.kind)
-            ]
-            if odd:
-                value, real = odd[0], False
+        real = xs.dtype.kind in "iufO" and not (value is None or isinstance(value, bytearray))
         if real:
             xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, or an int past the float range
@@ -59,10 +57,25 @@ def check_reals(name: str, value, *, sign: str | None = None):
     raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
 
 
-def _is_real(value, kind: str) -> bool:
-    # kind is numpy's dtype kind of value, which reads None as nan and a
-    # bytearray as bytes
-    return kind in "iufO" and not (value is None or isinstance(value, bytearray))
+def _elements(seq):
+    """the elements of a list or tuple, and of the lists and tuples in it"""
+    for v in seq:
+        if isinstance(v, (list, tuple)):
+            yield from _elements(v)
+        else:
+            yield v
+
+
+#: the least int that float() overflows on
+_INT_OVERFLOW = 2**1024 - 2**970
+
+
+def _is_real_element(v) -> bool:
+    if type(v) is int:
+        return -_INT_OVERFLOW < v < _INT_OVERFLOW
+    # numpy gives None and an int past int64 dtype kind O, and reads a
+    # bytearray as its bytes
+    return not isinstance(v, bytearray) and np.asarray(v).dtype.kind in "iuf"
 
 
 def check_real(name: str, value, *, sign: str | None = None) -> float:

@@ -343,28 +343,39 @@ def test_every_real_argument_is_refused_in_one_wording(entry, bad):
     assert str(excinfo.value) == f"{name} must be {sign + ' and ' if sign else ''}finite, got {bad!r}"
 
 
-@pytest.mark.parametrize("bad", [True, None])
+@pytest.mark.parametrize(
+    "bad", [True, None, "1", *_NOT_REAL], ids=lambda bad: "10**400" if bad is _HUGE else repr(bad)
+)
 @pytest.mark.parametrize(
     "words, call",
     [
         ("x must be", lambda v: check_reals("x", [v, 2.0])),
         ("x must be", lambda v: check_reals("x", (1.0, v))),
+        ("x must be", lambda v: check_reals("x", [[1.0, 2.0], [0.5, v]])),
         ("radius must be", lambda v: density_profile(1, 1.0, [v, 0.5])),
         ("argument must be", lambda v: besselj(0, [v, 2.0])),
         ("wavenumber must be positive and", lambda v: cutoff_integral([v, 2.0], 1.0)),
         ("kr must be", lambda v: sommerfeld_j0([v, 2.0])),
     ],
     ids=[
-        "check_reals", "check_reals.tuple", "density_profile", "besselj", "cutoff_integral",
-        "sommerfeld_j0",
+        "check_reals", "check_reals.tuple", "check_reals.nested", "density_profile", "besselj",
+        "cutoff_integral", "sommerfeld_j0",
     ],
 )
 def test_a_sequence_element_that_is_not_real_is_refused_by_name(words, call, bad):
     # numpy types a list by all its elements: True among floats was read as
-    # 1.0, and None was named as nan
+    # 1.0, None was named as nan, and a bytearray or an int past the float
+    # range made the whole list the value named
     with pytest.raises(ValueError) as excinfo:
         call(bad)
     assert str(excinfo.value) == f"{words} finite, got {bad!r}"
+
+
+def test_a_bytearray_in_a_nested_list_is_not_read_as_its_bytes():
+    # numpy read [[1.0, 2.0], bytearray(b"12")] as [[1.0, 2.0], [49.0, 50.0]]
+    with pytest.raises(ValueError) as excinfo:
+        check_reals("x", [[1.0, 2.0], bytearray(b"12")])
+    assert str(excinfo.value) == "x must be finite, got bytearray(b'12')"
 
 
 @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([1.0])], ids=["two", "one"])
