@@ -16,8 +16,8 @@ classical schemes, selected by argument size:
   on, one table of coefficients whose cost does not grow with x, so no
   argument is too large; K_m runs on e^x K_m from x = 705 on, where K_0
   is subnormal or zero,
-* an exponentially convergent trapezoid on the cosh-integral for K_0 and
-  K_1 on [3, 20).
+* a Chebyshev series in 1/x for e^x sqrt(x) K_0 and e^x sqrt(x) K_1 on
+  [3, 20), summed by Clenshaw's recurrence (the Cephes k0e form).
 
 Each scheme is used only where it is well conditioned, so plain double
 arithmetic holds the relative error near 1e-14 across the supported range
@@ -32,18 +32,17 @@ only the order-0 Hankel pair: order 1 is needed only to start the
 recurrence.
 
 Every evaluator takes a float or an array of arguments.  The ascending and
-log-augmented series, the Hankel expansions, the K trapezoid and the
+log-augmented series, the Hankel expansions, K's Chebyshev series and the
 upward recurrence are each written once and run the same operations on a
 float (in Python floats, returning a float) and on an array (one lane per
 argument).  The Miller pass and Neumann's series keep a pure-Python kernel
 and an array twin that repeats its operations in the same order, starting
-each lane at its own order.  The K trapezoid takes its exp from numpy on
-both paths; elsewhere array code calls the math module per element
+each lane at its own order.  Array code calls the math module per element
 (``_map``) for log and exp, whose numpy versions may round differently.
 cos, sin, start orders and square and cube roots are computed over the
 whole array, and the rare J start order whose sum sits next to an integer
 is recomputed the scalar way.  J, Y, I and K therefore agree bit for bit
-between the two paths.
+between the two paths, and on every CPU tier numpy dispatches to.
 
 One table gives each family its switch points, the array and float
 kernels of each regime, and its recurrence sign.  Every kernel takes a
@@ -88,10 +87,22 @@ _HANKEL_SWITCH = 20.0
 #: a_k / x^k shrink while k < 2x, and a_26 / 20^26 is already below 2^-56.
 _HANKEL_TERMS = 14
 
-#: Step of the K trapezoid below _HANKEL_SWITCH, and its nodes cosh(_K_STEP j)
-#: for j = 0 .. 25: from x = SERIES_SWITCH_K on, the sum stops by the last.
-_K_STEP = 0.15
-_K_COSH = np.array([math.cosh(_K_STEP * j) for j in range(26)])
+#: Chebyshev coefficients c_16 .. c_0 of e^x sqrt(x) K_0(x) and e^x sqrt(x) K_1(x)
+#: in u = (120/x - 23)/17 on [3, 20], highest first; from tools/k01_chebyshev.py.
+_K01_CHEBYSHEV = (
+    (3.4403708411217755e-17, -2.0504210557225599e-16, 1.260174031967091e-15,
+     -8.012154772350352e-15, 5.28980876423006e-14, -3.643139255331262e-13,
+     2.631883065422998e-12, -2.0082069889575705e-11, 1.6327022111525636e-10,
+     -1.4306198798333203e-09, 1.3719752908265262e-08, -1.4715365026248542e-07,
+     1.8229727928201409e-06, -2.7473910211728183e-05, 0.0005538212826036082,
+     -0.01853838678361545, 2.4531377810797004),
+    (-3.8358485938112215e-17, 2.2979477546133755e-16, -1.4205580085580373e-15,
+     9.092088267616348e-15, -6.048944371040837e-14, 4.203347317816704e-13,
+     -3.0688868389187396e-12, 2.3717166910857188e-11, -1.9588023476301096e-10,
+     1.7509145370503373e-09, -1.7237217489370387e-08, 1.9169318192385705e-07,
+     -2.505539416759725e-06, 4.1261737838539056e-05, -0.000994388934860546,
+     0.06023219467911031, 2.6754643782758865),
+)
 
 #: I_m overflows double precision shortly above this argument.
 MAX_ARGUMENT_I = 700.0
@@ -496,35 +507,22 @@ def _y01_large_array(x: np.ndarray) -> np.ndarray:
     return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
 
 
-def _k01_large(ms, x):
-    """K_0 and K_1 on [SERIES_SWITCH_K, _HANKEL_SWITCH) by trapezoid sums
-    with step _K_STEP on K_m(x) = int_0^inf e^(-x cosh t) cosh(mt) dt, as
-    a tuple of floats or arrays; with one order in *ms* the tuple holds
-    K_0 alone, and only its sum runs.
-
-    The integrand extends to an even analytic function of t, so the
-    trapezoid converges geometrically.  Its exponentials come from numpy's
-    exp on both paths: a float takes all nodes in one call, an array one
-    node per call.  Both sum them in node order and stop after the first
-    node with x (cosh t - 1) > 55; an array stops once its smallest lane
-    has passed that node: rounding is monotone, so that is exactly when
-    every lane has.  Each term a lane adds past its own stop is below e^-55
-    of its sum, so it leaves the sum unchanged.
-    """
-    array = isinstance(x, np.ndarray)
-    both = len(ms) > 1
-    last = float(x.min()) if array else x  # the lane that stops last
-    nx = -x
-    nodes = _K_COSH.tolist()
-    terms = (np.exp(nx * c) for c in nodes) if array else iter(np.exp(nx * _K_COSH).tolist())
-    s0 = s1 = 0.5 * next(terms)
-    for c, f in zip(nodes[1:], terms):
-        s0 = s0 + f
-        if both:
-            s1 = s1 + f * c
-        if last * (c - 1.0) > 55.0:
-            break
-    return (_K_STEP * s0, _K_STEP * s1) if both else (_K_STEP * s0,)
+def _k01_chebyshev(ms, x):
+    """K_0 and K_1 (or K_0 alone) on [SERIES_SWITCH_K, _HANKEL_SWITCH), a
+    float or an array: e^-x / sqrt(x) times the series of _K01_CHEBYSHEV,
+    summed by Clenshaw's recurrence.  e^-x comes from math.exp per element
+    and sqrt is correctly rounded, so both paths agree bit for bit on every
+    host."""
+    e = _map(math.exp, -x) if _is_array(x) else math.exp(-x)
+    scale = e / (np.sqrt if _is_array(x) else math.sqrt)(x)
+    u2 = 2.0 * ((120.0 / x - 23.0) / 17.0)
+    out = []
+    for coefficients in _K01_CHEBYSHEV[: len(ms)]:
+        b0, b1 = coefficients[0], 0.0
+        for c in coefficients[1:]:
+            b0, b1, b2 = u2 * b0 - b1 + c, b0, b1
+        out.append(scale * (0.5 * (b0 - b2)))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -627,8 +625,8 @@ def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
     e, and K_m = s 2^e e^-x is unscaled as ldexp(s exp(-(x - n ln 2)),
     e - n) with n = round(x / ln 2), so no intermediate underflows: a K_m
     below the double range rounds once to a subnormal or zero, and one
-    above it raises OverflowError.  Floats come here as one-element
-    arrays, so both paths agree bit for bit.
+    above it raises OverflowError.  Floats come here as one-element arrays,
+    and exp is math.exp's, so both paths agree bit for bit on every host.
     """
     with np.errstate(over="ignore", under="ignore"):
         scaled = _k01_scaled(x, 2 if m else 1)
@@ -646,7 +644,7 @@ def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
         # order is above x / 2
         n = np.rint(np.minimum(x, 3.7e8) / math.log(2.0))
         r = (x - n * _LN2_HI) - n * _LN2_LO
-        out = np.ldexp(cur * np.exp(-r), e - n.astype(np.int64))
+        out = np.ldexp(cur * _map(math.exp, -r), e - n.astype(np.int64))
     if not np.isfinite(out).all():
         at = x[~np.isfinite(out)][0]
         raise OverflowError(f"K_{m}({at}) exceeds the double-precision range")
@@ -704,7 +702,7 @@ _FAMILIES = {
         (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH),
         (
             (_log_series,) * 2,
-            (_k01_large,) * 2,
+            (_k01_chebyshev,) * 2,
             (_k01_hankel,) * 2,
             (lambda ms, x: np.zeros((len(ms), x.size)), lambda ms, x: (0.0,) * len(ms)),
         ),

@@ -258,7 +258,7 @@ def _k0_product_checked(k, r):
 
 
 def test_k0_product_is_the_checked_besselk_bit_for_bit():
-    # every K regime: the series below 3, the trapezoid to 20, the Hankel
+    # every K regime: the series below 3, the Chebyshev series to 20, the Hankel
     # expansion to 705, the scaled recurrence from 705 on, subnormal and
     # infinite k r, at the switches and on seeded arguments
     rng = np.random.default_rng(33)

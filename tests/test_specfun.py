@@ -42,7 +42,7 @@ from anticentrifugal.specfun import (
     _i_start,
     _j_large,
     _j_start,
-    _k01_large,
+    _k01_chebyshev,
     _log_series,
     _y01_large,
 )
@@ -303,7 +303,7 @@ def test_series_and_large_argument_routes_overlap():
                 _j_large((m,), x)[0], rel=1e-9, abs=1e-15)
 
     for x in (SERIES_SWITCH_K - 0.2, SERIES_SWITCH_K, SERIES_SWITCH_K + 0.2):
-        for lo, hi in zip(_log_series((0, 1), x, 1.0), _k01_large((0, 1), x)):
+        for lo, hi in zip(_log_series((0, 1), x, 1.0), _k01_chebyshev((0, 1), x)):
             assert lo == pytest.approx(hi, rel=1e-9)
 
     for x in (SERIES_SWITCH_I - 0.5, SERIES_SWITCH_I, SERIES_SWITCH_I + 0.5):
@@ -318,7 +318,7 @@ def test_routes_agree_tightly_at_switch_points():
     for a, b in zip(y_lo, y_hi):
         assert a == pytest.approx(b, rel=1e-10)
     k_lo = _log_series((0, 1), SERIES_SWITCH_K, 1.0)
-    k_hi = _k01_large((0, 1), SERIES_SWITCH_K)
+    k_hi = _k01_chebyshev((0, 1), SERIES_SWITCH_K)
     for a, b in zip(k_lo, k_hi):
         assert a == pytest.approx(b, rel=1e-10)
     for m in (0, 1, 2, 5):
@@ -783,10 +783,11 @@ def test_crossover_check_covers_the_hankel_switch(monkeypatch):
 
 
 def test_crossover_check_covers_the_k_hankel_switch(monkeypatch):
-    # K_0 and K_1 leave the trapezoid for the Hankel pair at the same switch
+    # K_0 and K_1 leave the Chebyshev series for the Hankel pair at the same
+    # switch
     for x in (_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH + 1e-6):
-        for trapezoid, hankel in zip(_k01_large((0, 1), x), specfun._k01_hankel((0, 1), x)):
-            assert hankel == pytest.approx(trapezoid, rel=1e-15)
+        for chebyshev, hankel in zip(_k01_chebyshev((0, 1), x), specfun._k01_hankel((0, 1), x)):
+            assert hankel == pytest.approx(chebyshev, rel=1e-15)
     real = specfun._k01_scaled
     monkeypatch.setattr(
         specfun, "_k01_scaled", lambda v, orders=2: tuple(u * (1.0 + 1e-9) for u in real(v, orders))
@@ -861,6 +862,20 @@ def test_k_hankel_regime_matches_mpmath_on_both_paths():
         ref = np.array([oracles.K01_HANKEL_REGIME[v][m] for v in _K01_HANKEL_X])
         floats = np.array([besselk(m, v) for v in _K01_HANKEL_X])
         assert np.max(np.abs(floats - ref) / ref) <= 1e-15
+        np.testing.assert_array_equal(besselk(m, x), floats)
+
+
+_K01_CHEBYSHEV_X = sorted(oracles.K01_CHEBYSHEV_REGIME)
+
+
+def test_k_chebyshev_regime_matches_mpmath_on_both_paths():
+    # the trapezoid that served [3, 20) before read 1.2e-15 here
+    x = np.array(_K01_CHEBYSHEV_X)
+    assert x.size > specfun._FEW_LANES  # the array kernel, not the float one per lane
+    for m in (0, 1):
+        ref = np.array([oracles.K01_CHEBYSHEV_REGIME[v][m] for v in _K01_CHEBYSHEV_X])
+        floats = np.array([besselk(m, v) for v in _K01_CHEBYSHEV_X])
+        assert np.max(np.abs(floats - ref) / ref) <= 6e-16
         np.testing.assert_array_equal(besselk(m, x), floats)
 
 

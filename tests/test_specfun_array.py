@@ -1,7 +1,7 @@
 """The array path of the cylinder functions, pinned to the scalar path.
 
 An array runs either the very kernel a float runs (the series, the Hankel
-expansions, the K trapezoid, the upward recurrence) or an array twin that
+expansions, K's Chebyshev series, the upward recurrence) or an array twin that
 repeats its floating-point operations in the same order, so J, Y, I and K
 must agree bit for bit.  A regime that holds at most _FEW_LANES arguments
 runs the float kernels themselves, so a test that means the array kernels
@@ -32,9 +32,8 @@ from anticentrifugal.specfun import (
     _j_start,
     _j_start_array,
     _FEW_LANES,
-    _K_COSH,
     _K_SCALED_SWITCH,
-    _k01_large,
+    _k01_chebyshev,
     _log_series,
     _miller,
     _miller_array,
@@ -304,9 +303,8 @@ def test_start_orders_match_scalar_path(m):
     np.testing.assert_array_equal(_i_start_array(x, m), [_i_start(v, m) for v in x.tolist()])
 
 
-#: Trapezoid arguments that stop after very different numbers of nodes,
-#: from all 25 at x = 3 to 14 just below the Hankel switch, then the
-#: switch's other side.
+#: Arguments of K's Chebyshev regime at both of its ends and inside it,
+#: then the Hankel switch's other side.
 _K_MIXED = np.array(
     [3.0, 19.9, 5.5, np.nextafter(20.0, 0.0), 3.0 + 1e-12, 11.0, np.nextafter(3.0, 4.0),
      20.0, np.nextafter(20.0, 21.0), 20.5, 7.25]
@@ -314,21 +312,10 @@ _K_MIXED = np.array(
 
 
 def test_k_batch_matches_one_at_a_time():
-    # the trapezoid sums every lane until its last lane stops; the nodes a
-    # lane adds past its own stop must leave it unchanged
+    # each lane's value must not depend on the lanes beside it
     for m in (0, 1, 2):
         want = [besselk(m, _K_MIXED[i : i + 1])[0] for i in range(_K_MIXED.size)]
         np.testing.assert_array_equal(besselk(m, _K_MIXED), want)
-
-
-@pytest.mark.parametrize("x", [SERIES_SWITCH_K - 1e-6, SERIES_SWITCH_K])
-def test_k_trapezoid_nodes_reach_the_stop_at_the_series_switch(x):
-    # the loop runs out of nodes without an error, so the last node must
-    # meet the stop test x (cosh t - 1) > 55 at the smallest argument the
-    # trapezoid serves, and at the crossover check's point below it
-    assert len(_K_COSH) == 26
-    assert x * (_K_COSH[-1] - 1.0) > 55.0
-    assert x * (_K_COSH[-2] - 1.0) <= 55.0
 
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
@@ -473,27 +460,19 @@ def test_few_lane_pairs_match_floats_and_long_arrays(family):
                     np.testing.assert_array_equal(got[m], [fn(m, v) for v in x[:n].tolist()])
 
 
-def test_k_trapezoid_sums_order_zero_alone_bit_for_bit():
-    # K_0 alone skips the K_1 sum, and an array stops on its smallest lane:
-    # the same bits as row 0 of both orders, wherever that lane sits
-    x = np.linspace(SERIES_SWITCH_K, _HANKEL_SWITCH, 57, endpoint=False)[1:]
-    low = SERIES_SWITCH_K + 0.01
-    arrays = (
-        np.concatenate(([low], x)),
-        np.concatenate((x, [low])),
-        np.concatenate((x[:20], [low], x[20:])),
-        np.concatenate((x[:9], [low], x[9:30], [low, low], x[30:])),
-    )
+def test_k_chebyshev_sums_order_zero_alone_bit_for_bit():
+    # K_0 alone skips the K_1 series: the same bits as row 0 of both orders,
+    # for a float, one lane and many lanes
+    x = np.append(np.linspace(SERIES_SWITCH_K, _HANKEL_SWITCH, 57, endpoint=False), 19.999999)
     with _strict():
-        for v in x.tolist() + [low]:
-            assert _k01_large((0,), v) == _k01_large((0, 1), v)[:1]
-        for a in arrays:
-            (alone,) = _k01_large((0,), a)
-            both = _k01_large((0, 1), a)
-            np.testing.assert_array_equal(alone, both[0])
-            for i in range(a.size):
-                np.testing.assert_array_equal(_k01_large((0, 1), a[i : i + 1])[0], both[0][i])
-                np.testing.assert_array_equal(_k01_large((0, 1), a[i : i + 1])[1], both[1][i])
+        (alone,) = _k01_chebyshev((0,), x)
+        both = np.stack(_k01_chebyshev((0, 1), x))
+        np.testing.assert_array_equal(alone, both[0])
+        for i, v in enumerate(x.tolist()):
+            assert _k01_chebyshev((0,), v) == (both[0, i],)
+            assert _k01_chebyshev((0, 1), v) == tuple(both[:, i])
+            np.testing.assert_array_equal(_k01_chebyshev((0,), x[i : i + 1]), both[:1, i : i + 1])
+            np.testing.assert_array_equal(_k01_chebyshev((0, 1), x[i : i + 1]), both[:, i : i + 1])
 
 
 @pytest.mark.parametrize("sign, start, lo, hi", [
@@ -530,6 +509,27 @@ def test_numpy_cos_and_sin_are_the_math_modules():
     x = np.concatenate((rng.uniform(-200.0, 200.0, 50000), 10.0 ** rng.uniform(1.3, 308.0, 50000)))
     for array_fn, fn in ((np.cos, math.cos), (np.sin, math.sin)):
         assert array_fn(x).tolist() == [fn(v) for v in x.tolist()]
+
+
+class _NumpyWithoutTranscendentals:
+    # numpy as specfun sees it, less the ufuncs whose bits depend on the CPU
+    # tier (numpy's cos and sin are the math module's, see above)
+    def __getattr__(self, name):
+        if name in ("exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "power", "cosh", "sinh"):
+            raise AssertionError(f"np.{name} called")
+        return getattr(np, name)
+
+
+def test_k_takes_no_numpy_transcendental(monkeypatch):
+    # K's bits are the same on every tier only if no K kernel takes numpy's
+    # exp or log: every regime, as floats and past _FEW_LANES lanes each
+    ends = ((1e-3, 3.0), (3.0, 20.0), (20.0, 705.0), (705.0, 800.0))
+    x = np.concatenate([np.linspace(a, b, 3 * _FEW_LANES) for a, b in ends])
+    want = {m: besselk(m, x) for m in (0, 1, 5)}
+    monkeypatch.setattr(specfun, "np", _NumpyWithoutTranscendentals())
+    for m in (0, 1, 5):
+        np.testing.assert_array_equal(besselk(m, x), want[m])
+        assert [besselk(m, v) for v in x.tolist()] == want[m].tolist()
 
 
 @pytest.mark.parametrize("sign, start, x, orders", [

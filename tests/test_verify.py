@@ -218,7 +218,7 @@ def test_wronskian_rows_equal_one_call_per_order():
 
 def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
     # counted like test_zero_finder_makes_no_array_miller_pass: a call per
-    # order ran 9 Miller passes, 6 log-series passes, 3 trapezoids and 6
+    # order ran 9 Miller passes, 6 log-series passes, 3 K passes on [3, 20) and 6
     # Hankel evaluations; now each regime's array kernel runs once per
     # family, J and I taking orders 0 to 2 from one pass
     calls = collections.Counter()
