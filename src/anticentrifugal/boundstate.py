@@ -47,8 +47,7 @@ def density_profile(dimension: int, k: float, r):
     The line's r is a signed coordinate, and the ring's and the sphere's
     radii are non-negative.  A scalar radius runs as a one-element array:
     it gives that array's value, or raises its error, under any np.seterr
-    setting.  The ring's K_0 of one radius comes from k0_product's float
-    path, and radii that are all 0 make no K_0 call."""
+    setting.  Radii that are all 0 make no K_0 call."""
     dimension = _check_dimension(dimension)
     k = check_real("wavenumber", k, sign="positive")
     radii = check_reals("radius", r, sign=None if dimension == 1 else "non-negative")
@@ -72,9 +71,7 @@ def _density_array(dimension: int, k: float, r: np.ndarray) -> np.ndarray:
         pos = r > 0.0
         if pos.any():
             rp = r[pos]
-            # one radius, as a scalar's, takes K_0's float path: the same bits
-            k0 = np.array([k0_product(k, rp.item())]) if rp.size == 1 else k0_product(k, rp)
-            out[pos] = _ring_weight(k, rp, k0)
+            out[pos] = _ring_weight(k, rp, k0_product(k, rp))
     return out
 
 
@@ -183,9 +180,9 @@ _RING_BRACKET = (0.05, 0.5)
 
 def _ring_stationarity(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # s = K_0 - 2 x K_1 and s' = 2 x K_0 - K_1, with K_0 and K_1 from one
-    # float pass per lane, as besselk(0) and besselk(1) give them at the
-    # normal arguments below the scaled switch where the bracket lies
-    k0, k1 = np.array([cylinder_rows(CylinderFamily.MODIFIED_K, x, 2) for x in xs.tolist()]).T
+    # pass, as besselk(0) and besselk(1) give them at the normal arguments
+    # below the scaled switch where the bracket lies
+    k0, k1 = cylinder_rows(CylinderFamily.MODIFIED_K, xs, 2)
     return k0 - 2.0 * xs * k1, 2.0 * xs * k0 - k1
 
 

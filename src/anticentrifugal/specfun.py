@@ -209,11 +209,10 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x) if x >= 2.0 * sys.float_info.min else math.log(x) - math.log(2.0)
 
 
-def _log_series(ms, x, sign: float = 1.0):
+def _log_series(ms, x, sign: float):
     """K_0 and K_1 (sign +1) or Y_0 and Y_1 (sign -1) from the log-augmented
     ascending series (x below the switch), as a tuple of floats or arrays;
-    with one order in *ms* the tuple holds order 0 alone.  K's sign is the
-    default, so K's route table holds this kernel itself.
+    with one order in *ms* the tuple holds order 0 alone.
 
     One loop runs the sums of the orders asked for until each has
     converged, with q = x^2/4 and H_k the harmonic numbers; each term
@@ -697,11 +696,10 @@ _FAMILIES = {
         ),
         None,
     ),
-    # the kernels themselves, with no wrapper, serve the ring integrand's K_0
     CylinderFamily.MODIFIED_K: (
         (SERIES_SWITCH_K, _HANKEL_SWITCH, _K_SCALED_SWITCH),
         (
-            (_log_series,) * 2,
+            (lambda ms, x: _log_series(ms, x, 1.0),) * 2,
             (_k01_chebyshev,) * 2,
             (_k01_hankel,) * 2,
             (lambda ms, x: np.zeros((len(ms), x.size)), lambda ms, x: (0.0,) * len(ms)),
@@ -709,9 +707,6 @@ _FAMILIES = {
         1.0,
     ),
 }
-
-# K's row, which _besselk_float reads without hashing an enum member
-_K_SWITCHES, _K_ROUTES = _FAMILIES[CylinderFamily.MODIFIED_K][:2]
 
 
 def _regimes(x, switches: tuple, routes: tuple, ms):
@@ -725,13 +720,6 @@ def _regimes(x, switches: tuple, routes: tuple, ms):
     """
     if isinstance(x, float):
         return routes[bisect.bisect_right(switches, x)][1](ms, x)
-    return _on_lanes(x, switches, routes, ms)
-
-
-def _on_lanes(x: np.ndarray, switches: tuple, routes: tuple, ms) -> np.ndarray:
-    # _regimes' array path, kept out of it so that a float call, such as
-    # each of the ring integrand's K_0, sets up a small frame: about 0.1
-    # microsecond a call less
     flat = x.ravel()
     out = np.empty((len(ms), flat.size))
     regime = np.searchsorted(switches, flat, side="right")
@@ -784,8 +772,6 @@ def _cylinder(family: CylinderFamily, m, x):
     an array: besselj, bessely, besseli and besselk."""
     m = check_int("order", m, 0)
     x = _check_argument(family, x)
-    if family is CylinderFamily.MODIFIED_K and isinstance(x, float):
-        return _besselk_float(m, x)
     switches, routes, sign = _FAMILIES[family]
     if sign is None:
         if family is CylinderFamily.BESSEL_J:
@@ -796,6 +782,8 @@ def _cylinder(family: CylinderFamily, m, x):
     if family is CylinderFamily.MODIFIED_K:
         # the zeros of the scaled regime rode through the recurrence
         scaled = x >= _K_SCALED_SWITCH
+        if isinstance(x, float):
+            return float(_k_scaled(m, np.array([x]))[0]) if scaled else out
         if scaled.any():
             out[scaled] = _k_scaled(m, x[scaled])
     return out
@@ -821,17 +809,6 @@ def besselk(m: int, x):
     return _cylinder(CylinderFamily.MODIFIED_K, m, x)
 
 
-def _besselk_float(m: int, x: float) -> float:
-    """K_m(x) for an int m >= 0 and a float x > 0, finite: besselk's float
-    path after its checks.  Neither is checked, so a caller that has
-    already validated its argument pays for no second check."""
-    if x >= _K_SCALED_SWITCH:
-        return float(_k_scaled(m, np.array([x]))[0])
-    if not m:
-        return _regimes(x, _K_SWITCHES, _K_ROUTES, (0,))[0]
-    return _recur_up(m, x, _regimes(x, _K_SWITCHES, _K_ROUTES, (0, 1)), 1.0)
-
-
 #: K_0(x) = (ln 2 - gamma) - ln x + O(x^2 ln x) as x -> 0 (DLMF 10.31.2)
 _K0_LOG_OFFSET = math.log(2.0) - EULER_GAMMA
 
@@ -844,25 +821,18 @@ def k0_product(k: float, r):
     an infinite argument.  Where k r underflows (to a subnormal or to 0)
     the product has lost its digits, so K_0 is taken from ln k + ln r
     (DLMF 10.31.2), whose remainder O(x^2 ln x) is far below an ulp
-    there.  Elsewhere k r is a valid
-    argument, and K_0 is besselk's value bit for bit; a float r takes
-    besselk's float path without its checks, so a caller that has already
-    validated k and r pays for no second check.
+    there.  Elsewhere k r is a valid argument, and K_0 is besselk's value
+    bit for bit.  A float r runs as a one-element array.
     """
-    # _is_array inlined, a call less for each float radius
-    if not (isinstance(r, np.ndarray) and r.ndim):
-        kr = k * r
-        if kr < sys.float_info.min:
-            return _K0_LOG_OFFSET - math.log(k) - math.log(r)
-        return _besselk_float(0, kr) if kr < math.inf else 0.0
+    rs = np.atleast_1d(r)
     with np.errstate(over="ignore", under="ignore"):
-        kr = k * r
+        kr = k * rs
     k0 = np.zeros(kr.shape)
     tiny = kr < sys.float_info.min
-    k0[tiny] = [_K0_LOG_OFFSET - math.log(k) - math.log(v) for v in r[tiny].tolist()]
+    k0[tiny] = [_K0_LOG_OFFSET - math.log(k) - math.log(v) for v in rs[tiny].tolist()]
     normal = ~tiny & (kr < math.inf)
     k0[normal] = besselk(0, kr[normal])
-    return k0
+    return k0 if _is_array(r) else k0.item()
 
 
 def _recur_up(m: int, x, c, sign: float):

@@ -469,10 +469,10 @@ _POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
 @example(1.0, 705.0)  # the scaled K regime
 @example(1e200, 1e200)  # k r overflows
 def test_k0_and_ring_weight_give_the_same_bits_on_a_float_and_one_lane(k, r):
-    # over k0_product's domain, k > 0 and r > 0 finite: a float radius runs
-    # K_0's float path and a one-lane array its array path, and a scalar
-    # ring weight takes the float K_0 while an array past _FEW_LANES runs
-    # the array kernels: the same bits, or the same error, under raise
+    # over k0_product's domain, k > 0 and r > 0 finite: a float radius and
+    # a one-lane array run the float kernels on their one lane, and so does
+    # a scalar ring weight, while an array past _FEW_LANES runs the array
+    # kernels: the same bits, or the same error, under raise
     alone = _strict_outcome(lambda: k0_product(k, r))
     assert _strict_outcome(lambda: k0_product(k, np.array([r]))) == alone
     weight = _strict_outcome(lambda: density_profile(2, k, r))

@@ -4,11 +4,10 @@ public name lacks a caller.
 A module neither imports an underscore name from a sibling module nor
 reads one as an attribute of a sibling it imported, so each module's
 private names are free to change with the module alone.  specfun keeps
-its dispatch to itself: no other module names its family table, a route
-table, a switch tuple or the dispatcher, whether by import or as an
-attribute.  Every module-level public function and class is exported,
-read by code of the package outside its own definition, or the console
-script's target.
+its dispatch to itself: no other module names its family table or the
+dispatcher, whether by import or as an attribute.  Every module-level
+public function and class is exported, read by code of the package
+outside its own definition, or the console script's target.
 """
 
 import ast
@@ -24,9 +23,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 #: Per module, the underscore names it reaches in its siblings: none.
 PRIVATE_IMPORTS = {}
 
-#: specfun's family table, route tables, switch tuples and dispatcher (with
-#: its array path).
-DISPATCH = re.compile(r"^_FAMILIES$|_ROUTES$|_SWITCHES$|^_regimes$|^_on_lanes$")
+#: specfun's family table and dispatcher.
+DISPATCH = re.compile(r"^_FAMILIES$|^_regimes$")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -91,11 +89,11 @@ def test_only_specfun_names_its_dispatch(path):
 
 
 def test_the_dispatch_pattern_finds_specfuns_own_names():
-    # the pattern above is not vacuous: specfun itself names all four kinds
+    # the pattern above is not vacuous: specfun itself names both
     from anticentrifugal import specfun
 
     names = {n for n in vars(specfun) if DISPATCH.search(n)}
-    assert {"_FAMILIES", "_K_ROUTES", "_K_SWITCHES", "_regimes", "_on_lanes"} <= names
+    assert {"_FAMILIES", "_regimes"} <= names
 
 
 def _names_read(node: ast.AST) -> set[str]:
