@@ -58,7 +58,7 @@ from .boundstate import (
     one_three_d_bound_energy,
     planar_rows,
 )
-from .nodes import BracketingError, bunching_verdict, find_zeros, node_density
+from .nodes import BracketingError, bunching_verdict, find_zero_tables, node_density
 from .potentials import (
     UNITS,
     EffectivePotentialSpec,
@@ -339,10 +339,7 @@ def _cmd_nodes(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max must lie in [2, {_MAX_N_MAX}], got {args.n_max}")
     _check_output(args.output)
     families = (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y)
-    reports = {}
-    for fam in families:
-        for order in (0, 1):
-            reports[(fam, order)] = node_density(find_zeros(fam, order, args.n_max))
+    reports = {(t.family, t.order): node_density(t) for t in find_zero_tables(args.n_max)}
     if args.format == "csv":
         # n is a float column: %.17g prints 1 to 9999 as str(int) does
         blocks = [

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._record import Record, check_int
-from .specfun import CylinderFamily, cylinder_rows
+from .specfun import CylinderFamily, jy01_rows
 
 #: Lower edge of the first bracket: just above the origin, where J_0 and
 #: Y_m are far from zero and J_1 is small but positive.
@@ -32,46 +32,52 @@ class BracketingError(RuntimeError):
 
 
 def solve_in_brackets(value_and_slope: Callable, edges, start) -> np.ndarray:
-    """Polish one simple root in each bracket between consecutive edges,
-    or in each of n independent brackets given as an (n, 2) array of
-    (lo, hi) pairs.
+    """Polish one simple root in each bracket between consecutive edges:
+    n + 1 edges for n brackets, or a row of them for each of t tables of
+    brackets, a (t, n + 1) array; or in each of n independent brackets
+    given as an (n, 2) array of (lo, hi) pairs.
 
-    ``value_and_slope`` maps an array of arguments to the function values
-    and their exact derivatives; for pairs it is called as
-    ``value_and_slope(x, lanes)``, with the bracket of each argument, so
-    the function may depend on it.  ``start`` holds one first guess per
-    bracket.  One evaluation of the edges must find a sign change in every
-    bracket.  All roots then take Newton steps together, each as it would
-    alone, each step shrinking its bracket by the sign of the function.  A
-    step that leaves the bracket, or lands on its far end, becomes the
-    midpoint: on a noisy function two points can each send Newton's step
-    onto the other, each being the other's bracket end.  Iteration stops
-    once every step is within 4 ulp, so the roots are accurate to the
-    rounding of the function.  :class:`BracketingError` is raised for a
-    bracket without a sign change or steps that do not settle.
+    ``start`` holds one first guess per bracket, in the shape of the roots
+    returned: (n,), (t, n) or (n,) respectively.  ``value_and_slope`` maps
+    an array of arguments to the function values and their exact
+    derivatives.  For rows and pairs it is called as
+    ``value_and_slope(x, rows)``, with the row or the pair of each
+    argument, so the function may depend on it; a pair is a row of one
+    bracket.  One evaluation of every distinct edge must find a sign
+    change in every bracket.  All roots then take Newton steps together,
+    one evaluation per step, each as it would alone, each step shrinking
+    its bracket by the sign of the function.  A step that leaves the
+    bracket, or lands on its far end, becomes the midpoint: on a noisy
+    function two points can each send Newton's step onto the other, each
+    being the other's bracket end.  Iteration stops once every step is
+    within 4 ulp, so the roots are accurate to the rounding of the
+    function.  :class:`BracketingError` is raised for a bracket without a
+    sign change or steps that do not settle.
     """
     edges = np.asarray(edges, dtype=float)
     x = np.array(start, dtype=float)
+    shape = x.shape
     if x.ndim == 1 and edges.shape == (x.size + 1,):
-        fn = lambda v, lanes: value_and_slope(v)
-        signs = np.sign(value_and_slope(edges)[0])
-        lo, hi = edges[:-1].copy(), edges[1:].copy()
-        lo_sign, hi_sign = signs[:-1], signs[1:]
+        fn = lambda v, rows: value_and_slope(v)
+        edges, x = edges[None], x[None]
     elif x.ndim == 1 and edges.shape == (x.size, 2):
+        fn, x = value_and_slope, x[:, None]
+    elif x.ndim == 2 and edges.shape == (x.shape[0], x.shape[1] + 1):
         fn = value_and_slope
-        lanes = np.arange(x.size)
-        signs = np.sign(fn(edges.T.ravel(), np.concatenate((lanes, lanes)))[0])
-        lo, hi = edges.T.copy()
-        lo_sign, hi_sign = signs[: x.size], signs[x.size :]
     else:
-        raise ValueError(f"need one start per bracket, got {x.size} for edges {edges.shape}")
+        raise ValueError(f"need one start per bracket, got {x.shape} for edges {edges.shape}")
+    t, n = x.shape
+    signs = np.sign(fn(edges.ravel(), np.repeat(np.arange(t), n + 1))[0]).reshape(t, n + 1)
+    lo, hi = edges[:, :-1].flatten(), edges[:, 1:].flatten()
+    lo_sign, hi_sign = signs[:, :-1].ravel(), signs[:, 1:].ravel()
+    x = x.ravel()
     changes = np.count_nonzero(lo_sign * hi_sign < 0.0)
     if changes != x.size:
         raise BracketingError(f"found {changes} sign changes in the {x.size} brackets")
     live = np.arange(x.size)
     for _ in range(_MAX_STEPS):
         xl = x[live]
-        f, slope = fn(xl, live)
+        f, slope = fn(xl, live // n)
         above = np.sign(f) == lo_sign[live]  # the root lies above xl
         a = np.where(above, xl, lo[live])
         b = np.where(above, hi[live], xl)
@@ -82,7 +88,7 @@ def solve_in_brackets(value_and_slope: Callable, edges, start) -> np.ndarray:
         lo[live], hi[live], x[live] = a, b, step
         live = live[np.abs(step - xl) > 4.0 * np.abs(np.spacing(xl))]
         if live.size == 0:
-            return x
+            return x.reshape(shape)
     raise BracketingError(f"{live.size} of {x.size} roots unsettled after {_MAX_STEPS} steps")
 
 
@@ -120,36 +126,61 @@ def _mcmahon_seeds(family: CylinderFamily, order: int, n_max: int) -> np.ndarray
     return beta - (mu - 1.0) / b8 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8**3)
 
 
-def _value_and_slope(family: CylinderFamily, order: int, x: np.ndarray):
-    # C_0' = -C_1 and C_1' = C_0 - C_1/x, from one cylinder_rows pass per argument
-    c0, c1 = cylinder_rows(family, x, 2)
-    if order == 0:
-        return c0, -c1
-    return c1, c0 - c1 / x
+#: The zero tables that nodes and verify report: orders 0 and 1 of J and of Y.
+ZERO_TABLES = tuple((family, order) for family in _FIRST_EDGE for order in (0, 1))
 
 
-def find_zeros(family: CylinderFamily, order: int, n_max: int) -> ZeroTable:
-    """Locate the first ``n_max`` positive zeros by seeded Newton steps.
+def find_zero_tables(n_max: int, tables=ZERO_TABLES) -> tuple[ZeroTable, ...]:
+    """The first ``n_max`` positive zeros of each (family, order) of
+    ``tables``, by seeded Newton steps, as one :class:`ZeroTable` each.
 
     McMahon's asymptotic expansion seeds every zero at once.  The
     midpoints between neighbouring seeds bracket them, from just above
-    the origin to half a spacing (pi/2) past the last seed, and
-    :func:`solve_in_brackets` polishes all zeros together with the exact
-    derivative.  The zeros are accurate to rounding;
-    :class:`BracketingError` is raised when a bracket holds no sign
-    change or the steps fail to settle.
+    the origin to half a spacing (pi/2) past the last seed, one row of
+    edges per table, and one :func:`solve_in_brackets` loop polishes the
+    zeros of every table together with the exact derivative: each round
+    takes J_0, J_1, Y_0 and Y_1 of every live argument from one
+    :func:`~anticentrifugal.specfun.jy01_rows` call.  Each table is
+    therefore the one it gives alone, bit for bit.  The zeros are accurate
+    to rounding; :class:`BracketingError` is raised when a bracket of any
+    table holds no sign change or the steps fail to settle.
     """
-    n_max, order = check_int("n_max", n_max, 1), check_int("order", order, 0)
-    if order not in (0, 1):
-        raise ValueError(f"zero tables are tuned for orders 0 and 1, got {order!r}")
-    if family not in _FIRST_EDGE:
-        raise ValueError(f"zero tables exist for the oscillatory families only, got {family!r}")
-    seeds = _mcmahon_seeds(family, order, n_max)
-    edges = np.concatenate(
-        ([_FIRST_EDGE[family]], 0.5 * (seeds[:-1] + seeds[1:]), [seeds[-1] + 0.5 * math.pi])
+    n_max = check_int("n_max", n_max, 1)
+    keys = []
+    for family, order in tables:
+        order = check_int("order", order, 0)
+        if order not in (0, 1):
+            raise ValueError(f"zero tables are tuned for orders 0 and 1, got {order!r}")
+        if family not in _FIRST_EDGE:
+            raise ValueError(f"zero tables exist for the oscillatory families only, got {family!r}")
+        keys.append((family, order))
+    if not keys:
+        raise ValueError("need at least one zero table")
+    seeds = np.array([_mcmahon_seeds(family, order, n_max) for family, order in keys])
+    edges = np.column_stack(
+        (
+            [_FIRST_EDGE[family] for family, _ in keys],
+            0.5 * (seeds[:, :-1] + seeds[:, 1:]),
+            seeds[:, -1] + 0.5 * math.pi,
+        )
     )
-    zeros = solve_in_brackets(lambda x: _value_and_slope(family, order, x), edges, seeds)
-    return ZeroTable(family, order, zeros)
+    y = np.array([family is CylinderFamily.NEUMANN_Y for family, _ in keys])
+    one = np.array([order == 1 for _, order in keys])
+
+    def value_and_slope(x, rows):
+        # C_0' = -C_1 and C_1' = C_0 - C_1/x, C the family of each row
+        j0, j1, y0, y1 = jy01_rows(x)
+        c0, c1 = np.where(y[rows], y0, j0), np.where(y[rows], y1, j1)
+        return np.where(one[rows], c1, c0), np.where(one[rows], c0 - c1 / x, -c1)
+
+    zeros = solve_in_brackets(value_and_slope, edges, seeds)
+    return tuple(ZeroTable(family, order, z) for (family, order), z in zip(keys, zeros))
+
+
+def find_zeros(family: CylinderFamily, order: int, n_max: int) -> ZeroTable:
+    """The first ``n_max`` positive zeros of one oscillatory cylinder
+    function of order 0 or 1: :func:`find_zero_tables` for one table."""
+    return find_zero_tables(n_max, ((family, order),))[0]
 
 
 class NodeDensityReport(Record):

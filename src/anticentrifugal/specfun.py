@@ -51,7 +51,9 @@ from one pass; Y and K read its length, 1 or 2.  One dispatcher serves
 floats and arrays: a float runs the float kernel of its regime; so does
 each argument of an array regime that holds at most _FEW_LANES of them,
 since an array kernel's numpy calls cost more than that many
-pure-Python evaluations.
+pure-Python evaluations.  jy01_rows gives the zero finder J_0, J_1, Y_0
+and Y_1 from Y's kernels in one pass per argument, and its Neumann pass
+keeps the float kernel up to _JY01_FEW_LANES arguments.
 
 All functions are pure and keep no state between calls.
 """
@@ -209,10 +211,12 @@ def _log_half(x: float) -> float:
     return math.log(0.5 * x) if x >= 2.0 * sys.float_info.min else math.log(x) - math.log(2.0)
 
 
-def _log_series(ms, x, sign: float):
+def _log_series(ms, x, sign: float, joint: bool = False):
     """K_0 and K_1 (sign +1) or Y_0 and Y_1 (sign -1) from the log-augmented
     ascending series (x below the switch), as a tuple of floats or arrays;
-    with one order in *ms* the tuple holds order 0 alone.
+    with one order in *ms* the tuple holds order 0 alone.  With *joint*
+    (both orders) the C_0 and C_1 below lead the tuple: I_0 and I_1, or J_0
+    and J_1, the layout of _hankel01.
 
     One loop runs the sums of the orders asked for until each has
     converged, with q = x^2/4 and H_k the harmonic numbers; each term
@@ -274,8 +278,10 @@ def _log_series(ms, x, sign: float):
         return out
     c1 = _ascending_series(1, x, sign)  # J_1 or I_1
     if sign < 0.0:
-        return out + ((2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1,)
-    return out + (1.0 / x + lg * c1 - 0.25 * x * s1,)
+        out += ((2.0 / math.pi) * lg * c1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1,)
+    else:
+        out += (1.0 / x + lg * c1 - 0.25 * x * s1,)
+    return (c0, c1) + out if joint else out
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +466,7 @@ def _i_large_array(orders, x: np.ndarray) -> np.ndarray:
     return (np.stack(cms) / denom) * _map(math.exp, x)
 
 
-def _y01_large(x: float) -> tuple[float, float]:
+def _y01_large(x: float, joint: bool = False) -> tuple:
     """Y_0 and Y_1 from Neumann's expansions over the J Miller pass:
 
     Y_0 = (2/pi) ((ln(x/2) + gamma) J_0 + 2 S_0),
@@ -471,7 +477,9 @@ def _y01_large(x: float) -> tuple[float, float]:
     The pass accumulates both sums from the top down on the unnormalized
     values, two orders per step, and normalizes once at the end.  From x = 2
     on, the pass grows by less than 1e42 from its start at 1e-300, so it
-    needs no rescale.
+    needs no rescale.  It is therefore _j_large's pass for orders 0 and 1,
+    step for step, and with *joint* the tuple is led by its J_0 and J_1,
+    _j_large's bits, in the layout of _hankel01.
     """
     prev = 0.0
     cur = total = 1e-300
@@ -488,22 +496,23 @@ def _y01_large(x: float) -> tuple[float, float]:
             total += cur
             t = cur / j
             s0 = s0 + t if j & 1 else s0 - t
-    return _y01_from_sums(x, math.log(0.5 * x) + EULER_GAMMA, cur, prev, cur + 2.0 * total, s0, s1)
+    lg = math.log(0.5 * x) + EULER_GAMMA
+    return _y01_from_sums(x, lg, cur, prev, cur + 2.0 * total, s0, s1, joint)
 
 
-def _y01_from_sums(x, lg, c0, c1, denom, s0, s1):
+def _y01_from_sums(x, lg, c0, c1, denom, s0, s1, joint):
     # _y01_large's closing combination, for floats and arrays alike; lg is
     # ln(x/2) + gamma
     norm = 1.0 / denom
     y0 = (2.0 / math.pi) * (lg * c0 + 2.0 * s0) * norm
     y1 = (2.0 / math.pi) * ((lg - 1.0) * c1 - c0 / x - s1) * norm
-    return y0, y1
+    return (c0 * norm, c1 * norm, y0, y1) if joint else (y0, y1)
 
 
-def _y01_large_array(x: np.ndarray) -> np.ndarray:
+def _y01_large_array(x: np.ndarray, joint: bool = False) -> np.ndarray:
     c1, c0, denom, s0, s1 = _miller_array(x, _j_start_array(x, 0), -1.0, (1,), neumann=True)
     lg = _map(math.log, 0.5 * x) + EULER_GAMMA
-    return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1))
+    return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1, joint))
 
 
 def _k01_chebyshev(ms, x):
@@ -657,8 +666,10 @@ def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
 #: A regime that holds at most this many arguments of an array runs its
 #: float kernel lane by lane.  An array kernel pays for its numpy calls
 #: whatever its lane count, 0.05 ms to 2.6 ms a call, and overtakes the
-#: float kernel only from 12 lanes (K_0's Hankel expansion) to 50 or 60
-#: (the Miller and Neumann passes).
+#: float kernel only from 12 lanes (K_0's Hankel expansion) to 40 or 60
+#: (the Miller and Neumann passes).  Only jy01_rows' Neumann pass, which
+#: the zero finder sends up to 24 arguments a round, takes its own limit,
+#: _JY01_FEW_LANES.
 _FEW_LANES = 11
 
 #: Per family: its switch points; each regime's (array kernel, float
@@ -709,11 +720,11 @@ _FAMILIES = {
 }
 
 
-def _regimes(x, switches: tuple, routes: tuple, ms):
+def _regimes(x, switches: tuple, routes: tuple, ms, few: tuple = (_FEW_LANES,) * 4):
     """Values (at a float x) or rows (on an array x) of the orders *ms* from
     the kernels of routes[i] on the arguments from switches[i - 1] up to
-    below switches[i]; a regime of at most _FEW_LANES arguments runs its
-    float kernel per argument.  Underflow is ignored on the array path: it
+    below switches[i]; a regime of at most few[i] arguments runs its float
+    kernel per argument.  Underflow is ignored on the array path: it
     is as benign there as in the float path's Python arithmetic, which
     never raises.  So are overflow and division by zero: the series' Y_1
     and K_1 overflow for a subnormal x, and _recur_up raises for them.
@@ -724,12 +735,12 @@ def _regimes(x, switches: tuple, routes: tuple, ms):
     out = np.empty((len(ms), flat.size))
     regime = np.searchsorted(switches, flat, side="right")
     with np.errstate(under="ignore", over="ignore", divide="ignore"):
-        for i, (kernel, lane_kernel) in enumerate(routes):
+        for i, ((kernel, lane_kernel), lanes) in enumerate(zip(routes, few)):
             mask = regime == i
             v = flat[mask]
             if not v.size:
                 continue
-            if v.size > _FEW_LANES:
+            if v.size > lanes:
                 out[:, mask] = kernel(ms, v)
             else:
                 out[:, mask] = np.array([lane_kernel(ms, u) for u in v.tolist()]).T
@@ -767,6 +778,31 @@ def cylinder_rows(family: CylinderFamily, x, n: int):
     return (*rows, _recur_up(2, x, rows, sign))
 
 
+#: jy01_rows' Neumann pass runs its float kernel on up to this many lanes:
+#: on a shared 2-vCPU x86-64 host the array pass took about 0.43 ms at 40
+#: lanes, as the float one did, against 0.38 and 0.27 ms at 24.
+_JY01_FEW_LANES = 40
+
+#: J_0, J_1, Y_0 and Y_1 per regime, from Y's kernels (see jy01_rows).
+_JY01_ROUTES = (
+    (lambda ms, x: _log_series((0, 1), x, -1.0, joint=True),) * 2,
+    (lambda ms, x: _y01_large_array(x, joint=True), lambda ms, x: _y01_large(x, joint=True)),
+    (lambda ms, x: _hankel01(x),) * 2,
+)
+
+
+def jy01_rows(x):
+    """J_0, J_1, Y_0 and Y_1 at a float x > 0, or as four rows on an array
+    of them: cylinder_rows(BESSEL_J, x, 2) and cylinder_rows(NEUMANN_Y, x,
+    2) bit for bit, for what the Y rows cost.  Y's kernels already hold J_0
+    and J_1: the log-augmented series sums J_0 and calls J_1's series, the
+    Neumann pass is J's Miller pass, and _hankel01 gives all four.  The
+    arguments are not checked; they must be finite and positive.
+    """
+    few = (_FEW_LANES, _JY01_FEW_LANES, _FEW_LANES)
+    return _regimes(x, (SERIES_SWITCH_JY, _HANKEL_SWITCH), _JY01_ROUTES, range(4), few)
+
+
 def _cylinder(family: CylinderFamily, m, x):
     """C_m(x) of *family* after the checks of the order and of x, a float or
     an array: besselj, bessely, besseli and besselk."""
@@ -778,14 +814,19 @@ def _cylinder(family: CylinderFamily, m, x):
             # upward recurrence from the Hankel J_0, J_1 is stable while m < x
             switches = (SERIES_SWITCH_JY, max(_HANKEL_SWITCH, math.nextafter(m, math.inf)))
         return _regimes(x, switches, routes, (m,))[0]
-    out = _recur_up(m, x, _regimes(x, switches, routes, (0, 1) if m else (0,)), sign)
-    if family is CylinderFamily.MODIFIED_K:
-        # the zeros of the scaled regime rode through the recurrence
-        scaled = x >= _K_SCALED_SWITCH
-        if isinstance(x, float):
-            return float(_k_scaled(m, np.array([x]))[0]) if scaled else out
-        if scaled.any():
-            out[scaled] = _k_scaled(m, x[scaled])
+    rows = lambda v: _recur_up(m, v, _regimes(v, switches, routes, (0, 1) if m else (0,)), sign)
+    if family is not CylinderFamily.MODIFIED_K:
+        return rows(x)
+    # the recurrence serves K below _K_SCALED_SWITCH, then _k_scaled the
+    # rest, so the first argument to overflow raises
+    scaled = x >= _K_SCALED_SWITCH
+    if isinstance(x, float):
+        return float(_k_scaled(m, np.array([x]))[0]) if scaled else rows(x)
+    if not scaled.any():
+        return rows(x)
+    out = np.empty(x.shape)
+    out[~scaled] = rows(x[~scaled])
+    out[scaled] = _k_scaled(m, x[scaled])
     return out
 
 

@@ -28,7 +28,7 @@ from .boundstate import (
     normalize_check,
     ring_peak_parameter,
 )
-from .nodes import ZeroTable, bunching_verdict, find_zeros, node_density, solve_in_brackets
+from .nodes import ZeroTable, bunching_verdict, find_zero_tables, node_density, solve_in_brackets
 from .potentials import (
     EffectivePotentialSpec,
     PotentialFamily,
@@ -381,11 +381,7 @@ def suite_normalization(scale: float = 1.0) -> list[SuiteResult]:
 def suite_nodes(scale: float = 1.0) -> list[SuiteResult]:
     """Node bunching/anti-bunching statistics and the large-index spacing."""
     out = []
-    tables = {
-        (fam, m): find_zeros(fam, m, 51)
-        for fam in (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y)
-        for m in (0, 1)
-    }
+    tables = {(t.family, t.order): t for t in find_zero_tables(51)}
     worst_violation = 0.0
     first_densities = {}
     for fam in (CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y):

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from anticentrifugal import cli
+from anticentrifugal import cli, nodes
 from anticentrifugal.boundstate import coupling_from_k, density_profile, k_from_coupling, planar_rows
 from anticentrifugal.cli import main
 from anticentrifugal.nodes import BracketingError, bunching_verdict, find_zeros, node_density
@@ -231,11 +231,23 @@ def test_numerical_errors_exit_with_code_two(capsys, monkeypatch, exc):
     def fail(*args):
         raise exc("no sign change")
 
-    monkeypatch.setattr(cli, "find_zeros", fail)
+    monkeypatch.setattr(cli, "find_zero_tables", fail)
     rc, out, err = run(capsys, "nodes")
     assert rc == 2
     assert out == ""
     assert err == "error: no sign change\n"
+
+
+def test_nodes_solves_the_four_tables_with_one_evaluation_per_round(capsys, monkeypatch):
+    # one joint J/Y evaluation per Newton round for all four tables, the
+    # first on every distinct bracket edge: 4 x (n_max + 1) arguments
+    sizes = []
+    real = nodes.jy01_rows
+    monkeypatch.setattr(nodes, "jy01_rows", lambda x: sizes.append(x.size) or real(x))
+    rc, out, _ = run(capsys, "nodes", "--n-max", "100")
+    assert rc == 0 and out.count("\n") == 1 + 4 * 99
+    assert len(sizes) == 6 and sizes[0] == 4 * 101
+    assert sizes == sorted(sizes, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +620,7 @@ def test_output_path_that_cannot_be_opened_exits_two(tmp_path, monkeypatch, caps
 _FIRST_COMPUTE = {
     "potential": (["--family", "ndim", "--n-points", "100000"], "cli.eval_potential"),
     "wavefunction": (["--k", "1.0", "--n-points", "100000"], "cli.planar_rows"),
-    "nodes": (["--n-max", "10000"], "cli.find_zeros"),
+    "nodes": (["--n-max", "10000"], "cli.find_zero_tables"),
     "boundstate": (["--dimension", "2", "--k", "1.0"], "cli.density"),
     "verify": ([], "verify.run_all"),
 }

@@ -16,13 +16,15 @@ import oracles
 from anticentrifugal import nodes
 from anticentrifugal.nodes import (
     BracketingError,
+    ZERO_TABLES,
     ZeroTable,
     bunching_verdict,
+    find_zero_tables,
     find_zeros,
     node_density,
     solve_in_brackets,
 )
-from anticentrifugal.specfun import CylinderFamily, besselj, bessely
+from anticentrifugal.specfun import CylinderFamily, besselj, bessely, cylinder_rows
 
 J = CylinderFamily.BESSEL_J
 Y = CylinderFamily.NEUMANN_Y
@@ -261,16 +263,84 @@ def test_independent_brackets_are_solved_as_one_bracket_at_a_time():
 
 @pytest.mark.parametrize("family, order", [(J, 0), (Y, 1)])
 def test_consecutive_edges_as_pairs_give_the_same_zeros(family, order):
-    # the zero finder's brackets, given as independent (lo, hi) pairs
+    # the zero finder's brackets, given as independent (lo, hi) pairs, on
+    # C_0' = -C_1 and C_1' = C_0 - C_1/x from the family's own rows
     seeds = nodes._mcmahon_seeds(family, order, 30)
     edges = np.concatenate(
         ([nodes._FIRST_EDGE[family]], 0.5 * (seeds[:-1] + seeds[1:]), [seeds[-1] + 0.5 * math.pi])
     )
     pairs = np.stack((edges[:-1], edges[1:]), axis=1)
-    zeros = solve_in_brackets(
-        lambda x, lanes: nodes._value_and_slope(family, order, x), pairs, seeds
-    )
+
+    def value_and_slope(x, lanes):
+        c0, c1 = cylinder_rows(family, x, 2)
+        return (c1, c0 - c1 / x) if order else (c0, -c1)
+
+    zeros = solve_in_brackets(value_and_slope, pairs, seeds)
     np.testing.assert_array_equal(zeros, find_zeros(family, order, 30).zeros)
+
+
+def _one_table_on_its_own_rows(family, order, n_max):
+    # the zero finder's solve of one table, each round on its family's own
+    # cylinder_rows: the route each table took before the joint solve
+    seeds = nodes._mcmahon_seeds(family, order, n_max)
+    edges = np.concatenate(
+        ([nodes._FIRST_EDGE[family]], 0.5 * (seeds[:-1] + seeds[1:]), [seeds[-1] + 0.5 * math.pi])
+    )
+
+    def value_and_slope(x):
+        c0, c1 = cylinder_rows(family, x, 2)
+        return (c1, c0 - c1 / x) if order else (c0, -c1)
+
+    return solve_in_brackets(value_and_slope, edges, seeds)
+
+
+@pytest.mark.parametrize("n_max", [2, 7, 51, 100, 1000])
+def test_four_tables_solved_together_are_each_table_alone(n_max):
+    tables = find_zero_tables(n_max)
+    assert [(t.family, t.order) for t in tables] == list(ZERO_TABLES)
+    assert ZERO_TABLES == ((J, 0), (J, 1), (Y, 0), (Y, 1))
+    for t in tables:
+        want = [v.hex() for v in _one_table_on_its_own_rows(t.family, t.order, n_max).tolist()]
+        assert [v.hex() for v in t.zeros.tolist()] == want
+        assert [v.hex() for v in find_zeros(t.family, t.order, n_max).zeros.tolist()] == want
+
+
+def test_rows_of_brackets_are_each_row_alone():
+    # cos(x / a) on the edges k pi a, a different a per row, so each
+    # argument must be evaluated with its row
+    a = np.array([1.0, 2.0, 3.0])
+    edges = np.outer(a, np.arange(5.0)) * math.pi
+    zeros = np.outer(a, np.arange(4.0) + 0.5) * math.pi
+    calls = []
+
+    def value_and_slope(x, rows):
+        calls.append(x.size)
+        return np.cos(x / a[rows]), -np.sin(x / a[rows]) / a[rows]
+
+    got = solve_in_brackets(value_and_slope, edges, zeros + 0.3)
+    assert got.shape == (3, 4) and calls[0] == 15  # every distinct edge once
+    np.testing.assert_allclose(got, zeros, rtol=1e-15)
+    for i in range(3):
+        alone = solve_in_brackets(lambda x: value_and_slope(x, np.full(x.size, i)), edges[i], zeros[i] + 0.3)
+        assert [v.hex() for v in got[i].tolist()] == [v.hex() for v in alone.tolist()]
+
+
+def test_a_bracket_without_a_sign_change_in_one_table_names_all_tables(monkeypatch):
+    good = nodes._mcmahon_seeds
+    shifted = lambda family, order, n: good(family, order, n) + (math.pi if (family, order) == (Y, 1) else 0.0)
+    monkeypatch.setattr(nodes, "_mcmahon_seeds", shifted)
+    with pytest.raises(BracketingError, match=r"sign changes in the 40 brackets"):
+        find_zero_tables(10)
+    find_zero_tables(10, ZERO_TABLES[:3])  # the other three solve
+
+
+def test_zero_tables_check_each_table():
+    with pytest.raises(ValueError, match="orders 0 and 1"):
+        find_zero_tables(5, ((J, 0), (Y, 2)))
+    with pytest.raises(ValueError, match="oscillatory families"):
+        find_zero_tables(5, ((J, 0), (CylinderFamily.MODIFIED_I, 0)))
+    with pytest.raises(ValueError, match="at least one"):
+        find_zero_tables(5, ())
 
 
 def test_independent_brackets_without_a_sign_change_raise():

@@ -852,6 +852,43 @@ def test_k_below_the_scaled_switch_is_unchanged():
     assert on_array_kernels(besselk, 1000, [np.nextafter(705.0, 0.0)])[0] == below
 
 
+_K_MIXED_X = (3.5, 25.0, 700.0, 704.99, 705.0, 760.0, 1500.0, 0.75, 20.0, 1e4)
+
+#: besselk on arrays with lanes on both sides of _K_SCALED_SWITCH, pinned
+#: from the code that ran the recurrence over every lane: (m, x, bits)
+_K_MIXED = (
+    (2, _K_MIXED_X, (
+        "0x1.08a8f1e411412p-5", "0x1.07a80e8072312p-38", "0x1.a4f0fd894ce6ap-1015",
+        "0x1.6d62b6fd465bdp-1022", "0x1.69bf542934d8ep-1022", "0x0.0p+0", "0x0.0p+0",
+        "0x1.92472c0ff2cadp+1", "0x1.5bf86833f7862p-31", "0x0.0p+0",
+    )),
+    (40, _K_MIXED_X, (
+        "0x1.58d492ea03429p+120", "0x1.7c44a25d29abap+1", "0x1.48ad6c1cbfd11p-1013",
+        "0x1.1b02ca92537eep-1020", "0x1.18303bbc4f6cdp-1020", "0x0.0p+0", "0x0.0p+0",
+        "0x1.59b53b72daa6bp+209", "0x1.4c132c4ecc4f5p+16", "0x0.0p+0",
+    )),
+    (800, (705.0, 650.0, 900.0, 704.99, 1200.0), (
+        "0x1.7127602caf9aap-420", "0x1.4d2e92b1f7aa4p-297", "0x1.f6f04bccd2c13p-819",
+        "0x1.76c7e89786503p-420", "0x0.0p+0",
+    )),
+)
+
+
+@pytest.mark.parametrize("m, x, bits", _K_MIXED)
+def test_k_recurrence_runs_below_the_scaled_switch_only(monkeypatch, m, x, bits):
+    # _k_scaled serves the lanes from 705 on, so the upward recurrence that
+    # once also ran over them (and its zeros) now sees the other lanes only
+    seen = []
+    real = specfun._recur_up
+    monkeypatch.setattr(specfun, "_recur_up", lambda *a: seen.append(a[1]) or real(*a))
+    x = np.array(x)
+    assert [v.hex() for v in besselk(m, x).tolist()] == list(bits)
+    assert [v.hex() for v in besselk(m, x.reshape(-1, 1)).ravel().tolist()] == list(bits)
+    assert [besselk(m, v).hex() for v in x.tolist()] == list(bits)
+    assert len(seen) == 2 + np.count_nonzero(x < specfun._K_SCALED_SWITCH)
+    assert all(np.all(np.asarray(v) < specfun._K_SCALED_SWITCH) for v in seen)
+
+
 _K01_HANKEL_X = sorted(oracles.K01_HANKEL_REGIME)
 
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from lanes import on_array_kernels
 from anticentrifugal import specfun
-from anticentrifugal.nodes import find_zeros
+from anticentrifugal.nodes import find_zero_tables, find_zeros
 from anticentrifugal.specfun import (
     SERIES_SWITCH_I,
     SERIES_SWITCH_JY,
@@ -43,6 +43,7 @@ from anticentrifugal.specfun import (
     bessely,
     cylinder_rows,
     cylinder_slope,
+    jy01_rows,
 )
 
 _EVAL = {
@@ -649,6 +650,70 @@ def test_zero_finder_makes_no_array_miller_pass(monkeypatch, family, m):
 
     monkeypatch.setattr(specfun, "_miller_array", counted)
     find_zeros(family, m, 100)
+    assert calls == []
+
+
+def _jy_rows(x):
+    # the rows jy01_rows must give: J's and Y's own, one pass each
+    j = cylinder_rows(CylinderFamily.BESSEL_J, x, 2)
+    y = cylinder_rows(CylinderFamily.NEUMANN_Y, x, 2)
+    return np.array([*j, *y])
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).view(np.int64)
+
+
+#: Log-spaced over [1e-300, 1e3], dense on [2, 20), and 2 and 20 with
+#: their neighbouring floats.
+_JY_SWITCH_ULPS = [
+    v for s in (SERIES_SWITCH_JY, _HANKEL_SWITCH) for v in (math.nextafter(s, 0.0), s, math.nextafter(s, 99.0))
+]
+_JY_GRID = np.concatenate(
+    (
+        np.geomspace(1e-300, 1e3, 20_000),
+        np.random.default_rng(29).uniform(SERIES_SWITCH_JY, _HANKEL_SWITCH, 2_000),
+        _JY_SWITCH_ULPS,
+    )
+)
+
+
+def test_joint_rows_are_the_j_and_y_rows_bit_for_bit():
+    # many lanes (each regime's array kernel), one-lane arrays and floats
+    np.testing.assert_array_equal(_bits(jy01_rows(_JY_GRID)), _bits(_jy_rows(_JY_GRID)))
+    picks = np.concatenate((_JY_GRID[::97], _JY_SWITCH_ULPS))
+    for v in picks.tolist():
+        want = _bits(_jy_rows(v))
+        got = jy01_rows(v)
+        assert all(type(c) is float for c in got)
+        np.testing.assert_array_equal(_bits(got), want)
+        np.testing.assert_array_equal(_bits(jy01_rows(np.array([v]))), want[:, None])
+
+
+@pytest.mark.parametrize("lanes", [specfun._JY01_FEW_LANES, specfun._JY01_FEW_LANES + 1])
+def test_joint_rows_take_the_float_neumann_pass_up_to_their_lane_limit(monkeypatch, lanes):
+    # at the limit the float kernel serves every lane of [2, 20), one past
+    # it the array pass does, and J's and Y's own rows, past _FEW_LANES,
+    # take theirs: the same bits either way, at 2 and 20 less an ulp too
+    calls = []
+    real = specfun._miller_array
+    monkeypatch.setattr(specfun, "_miller_array", lambda *a, **kw: calls.append(a[0].size) or real(*a, **kw))
+    x = np.random.default_rng(31).uniform(SERIES_SWITCH_JY, _HANKEL_SWITCH, lanes)
+    x[:2] = SERIES_SWITCH_JY, math.nextafter(_HANKEL_SWITCH, 0.0)
+    x = np.concatenate((x, [1.0, 25.0]))
+    got = jy01_rows(x)
+    assert calls == ([] if lanes <= specfun._JY01_FEW_LANES else [lanes])
+    calls.clear()
+    np.testing.assert_array_equal(_bits(got), _bits(_jy_rows(x)))
+    assert calls == [lanes, lanes]  # cylinder_rows keeps _FEW_LANES
+
+
+def test_four_zero_tables_make_no_array_miller_pass(monkeypatch):
+    # each round of the joint solve sends at most 24 arguments into [2, 20)
+    calls = []
+    real = specfun._miller_array
+    monkeypatch.setattr(specfun, "_miller_array", lambda *a, **kw: calls.append(a[0].size) or real(*a, **kw))
+    find_zero_tables(100)
     assert calls == []
 
 
