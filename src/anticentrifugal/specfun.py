@@ -4,20 +4,22 @@ Evaluates the oscillatory pair J_m, Y_m and the modified pair I_m, K_m for
 non-negative integer order on the positive real axis, plus the rule that
 gives their first derivatives from the neighbouring orders, K_0 of a
 product k r, and a direct angular-quadrature route to J_0.  No external
-special-function library is used; every value comes from one of five
+special-function library is used; every value comes from one of four
 classical schemes, selected by argument size:
 
 * ascending power series near the origin (log-augmented for Y_m and K_m),
-* backward (Miller) recurrence with a sum-rule normalization for J_m and
-  I_m at moderate and large arguments, as one downward pass that stores
-  no table, so its memory does not grow with the start order,
-* Neumann's series for Y_0 and Y_1, summed over the same J pass,
+* backward (Miller) recurrence with a sum-rule normalization for I_m, and
+  for J_m from order 2 on, at moderate and large arguments, as one
+  downward pass that stores no table, so its memory does not grow with
+  the start order,
 * the Hankel expansions for J_0, J_1, Y_0, Y_1, K_0 and K_1 from x = 20
   on, one table of coefficients whose cost does not grow with x, so no
   argument is too large; K_m runs on e^x K_m from x = 705 on, where K_0
   is subnormal or zero,
-* a Chebyshev series in 1/x for e^x sqrt(x) K_0 and e^x sqrt(x) K_1 on
-  [3, 20), summed by Clenshaw's recurrence (the Cephes k0e form).
+* Chebyshev series in 1/x, fitted with mpmath and summed by Clenshaw's
+  recurrence: on [2, 20) for the amplitudes P and Q of the Hankel form
+  of J_0, J_1, Y_0 and Y_1 (the Cephes j0/y0 form), and on [3, 20) for
+  e^x sqrt(x) K_0 and e^x sqrt(x) K_1 (the Cephes k0e form).
 
 Each scheme is used only where it is well conditioned, so plain double
 arithmetic holds the relative error near 1e-14 across the supported range
@@ -32,12 +34,12 @@ only the order-0 Hankel pair: order 1 is needed only to start the
 recurrence.
 
 Every evaluator takes a float or an array of arguments.  The ascending and
-log-augmented series, the Hankel expansions, K's Chebyshev series and the
+log-augmented series, the Hankel expansions, the Chebyshev series and the
 upward recurrence are each written once and run the same operations on a
 float (in Python floats, returning a float) and on an array (one lane per
-argument).  The Miller pass and Neumann's series keep a pure-Python kernel
-and an array twin that repeats its operations in the same order, starting
-each lane at its own order.  Array code calls the math module per element
+argument).  The Miller pass keeps a pure-Python kernel and an array twin
+that repeats its operations in the same order, starting each lane at its
+own order.  Array code calls the math module per element
 (``_map``) for log and exp, whose numpy versions may round differently.
 cos, sin, start orders and square and cube roots are computed over the
 whole array, and the rare J start order whose sum sits next to an integer
@@ -47,13 +49,14 @@ between the two paths, and on every CPU tier numpy dispatches to.
 One table gives each family its switch points, the array and float
 kernels of each regime, and its recurrence sign.  Every kernel takes a
 tuple of orders: J and I serve each order in it, so orders 0 to 2 come
-from one pass; Y and K read its length, 1 or 2.  One dispatcher serves
-floats and arrays: a float runs the float kernel of its regime; so does
-each argument of an array regime that holds at most _FEW_LANES of them,
-since an array kernel's numpy calls cost more than that many
+from one pass (J_0 and J_1 from the fitted Hankel form on [2, 20), J_2
+from the Miller pass); Y and K read its length, 1 or 2.  One dispatcher
+serves floats and arrays: a float runs the float kernel of its regime;
+so does each argument of an array regime that holds at most _FEW_LANES
+of them, since an array kernel's numpy calls cost more than that many
 pure-Python evaluations.  jy01_rows gives the zero finder J_0, J_1, Y_0
-and Y_1 from Y's kernels in one pass per argument, and its Neumann pass
-keeps the float kernel up to _JY01_FEW_LANES arguments.
+and Y_1 from Y's kernels in one pass per argument, under the same lane
+limit.
 
 All functions are pure and keep no state between calls.
 """
@@ -90,7 +93,7 @@ _HANKEL_SWITCH = 20.0
 _HANKEL_TERMS = 14
 
 #: Chebyshev coefficients c_16 .. c_0 of e^x sqrt(x) K_0(x) and e^x sqrt(x) K_1(x)
-#: in u = (120/x - 23)/17 on [3, 20], highest first; from tools/k01_chebyshev.py.
+#: in u = (120/x - 23)/17 on [3, 20], highest first; from tools/chebyshev_tables.py.
 _K01_CHEBYSHEV = (
     (3.4403708411217755e-17, -2.0504210557225599e-16, 1.260174031967091e-15,
      -8.012154772350352e-15, 5.28980876423006e-14, -3.643139255331262e-13,
@@ -104,6 +107,47 @@ _K01_CHEBYSHEV = (
      1.7509145370503373e-09, -1.7237217489370387e-08, 1.9169318192385705e-07,
      -2.505539416759725e-06, 4.1261737838539056e-05, -0.000994388934860546,
      0.06023219467911031, 2.6754643782758865),
+)
+
+#: Chebyshev coefficients, highest first, of P_0 - 1, Q_0, P_1 - 1 and Q_1,
+#: the Hankel amplitudes of J_m = sqrt(2/(pi x)) (P_m cos w - Q_m sin w) and
+#: Y_m = sqrt(2/(pi x)) (P_m sin w + Q_m cos w), w = x - (2m + 1) pi/4, in
+#: u = (40/x - 11)/9 on [2, 20]; from tools/chebyshev_tables.py.
+_JY01_CHEBYSHEV = (
+    (-3.7675883443841953e-17, 1.1051573148423817e-16, -2.2553384146472945e-16,
+     1.5266811146742897e-17, 2.885877239575611e-15, -1.8939975106129582e-14,
+     8.339719830099677e-14, -2.7432078313600687e-13, 5.562518262690412e-13,
+     6.861461928071958e-13, -1.458634249556041e-11, 9.230087094125275e-11,
+     -3.8759254008163e-10, 9.14227332943675e-10, 2.2632188923920845e-09,
+     -4.36627462981213e-08, 3.0275052565993944e-07, -1.0945495740597917e-06,
+     -3.7783899947771265e-06, 0.00011359625015000888, -0.0010762392368466175,
+     -0.006917003926548796, -0.011799841769351643),
+    (9.53363627531618e-19, -2.4814054908821887e-18, 4.2235129966608755e-18,
+     3.115271356074777e-18, -7.015080095287937e-17, 4.0091706770901885e-16,
+     -1.6423639449075597e-15, 5.2216787970155604e-15, -1.1349257605597675e-14,
+     8.402101410165341e-17, 1.6881483409048292e-13, -1.1473051756516559e-12,
+     5.141392144928835e-12, -1.6141612933575525e-11, 2.0044658462605982e-11,
+     1.7801583877413898e-10, -1.7963163922954346e-09, 9.788229890514358e-09,
+     -3.069048080296425e-08, -4.785216893678985e-08, 1.6046636374913856e-06,
+     -1.3493873904336677e-05, 4.216329171787707e-05, 0.0008689387456332717,
+     -0.025162128136986133, -0.06442942800952284),
+    (4.0860862780835744e-17, -1.2306404516265608e-16, 2.645257743757028e-16,
+     -9.857679013182964e-17, -2.8882463832941595e-15, 2.0193552611044833e-14,
+     -9.194949517527603e-14, 3.134885786531796e-13, -6.872069545533946e-13,
+     -4.530255772210055e-13, 1.5424028457685265e-11, -1.0366601138073099e-10,
+     4.579221318230255e-10, -1.1978032323638426e-09, -1.883299206860709e-09,
+     4.9792193091736466e-08, -3.770411200653498e-07, 1.5599965432647342e-06,
+     3.4570280215741558e-06, -0.0001592396709878045, 0.002015322833652232,
+     0.012115557501489412, 0.02046320549919045),
+    (2.76371609114939e-18, -5.013361134223896e-18, -1.6318420091737037e-18,
+     7.079276248534724e-17, -4.247187590932019e-16, 1.7895017403916447e-15,
+     -5.859767952670955e-15, 1.3465235150906025e-14, -4.6639123222197545e-15,
+     -1.714402865670593e-13, 1.2450254715077677e-12, -5.803479223157681e-12,
+     1.9151788543097672e-11, -2.902214182523176e-11, -1.7700426974121774e-10,
+     2.0192428471661725e-09, -1.1724925561679975e-08, 4.063656124620733e-08,
+     3.038195520003175e-08, -1.9277125086349904e-06, 1.84961462518921e-05,
+     -7.72404783928433e-05, -0.0013007455075122864, 0.08003836186171373,
+     0.199957470010706),
 )
 
 #: I_m overflows double precision shortly above this argument.
@@ -357,7 +401,7 @@ def _miller(x: float, top: int, sign: float, m: int) -> tuple[float, float, floa
     return cm, prev, cur, cur + 2.0 * total
 
 
-def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: bool = False):
+def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders):
     """Array twin of _miller with one lane per argument and a start order
     per lane, capturing C_m at each order m of *orders*.
 
@@ -373,8 +417,7 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: 
     bit for bit.
 
     Returns unnormalized C_m for each m of *orders*, C_0 and the
-    denominator, followed with *neumann* (J only) by the sums S_0 and S_1
-    of _y01_large, as rows in the order of x.
+    denominator, as rows in the order of x.
     """
     stride = 2 if sign < 0.0 else 1
     combine = np.subtract if sign < 0.0 else np.add
@@ -385,7 +428,7 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: 
     reach = dict(zip(starts[ends - 1].tolist(), ends.tolist()))
     capture = {m: i for i, m in enumerate(orders)}
     cms = np.zeros((len(capture), x.size))
-    prev, cur, nxt, total, s0, s1 = np.zeros((6, x.size))
+    prev, cur, nxt, total = np.zeros((4, x.size))
     grow = 2.0 / float(x.min())
     high = low = 0.0  # bounds on |C_k| and |C_{k+1}| over the lanes
     n = 0
@@ -406,7 +449,7 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: 
             high = np.abs(step, out=nxt[:n]).max()
             if high > 1e250:
                 big = nxt[:n] > 1e250
-                for v in (prev, cur, total, *cms, s0, s1):
+                for v in (prev, cur, total, *cms):
                     v[:n][big] *= 1e-250
                 high = np.abs(step, out=nxt[:n]).max()
         k -= 1  # cur is C_k from here on
@@ -414,16 +457,7 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders, neumann: 
             cms[capture[k]] = cur
         if k >= stride and k % stride == 0:
             total[:n] += step
-        if neumann and k > 1:
-            j = k >> 1
-            if k & 1:
-                t = np.multiply(step, k, out=nxt[:n])
-                t /= j * (j + 1)
-                (np.subtract if j & 1 else np.add)(s1[:n], t, out=s1[:n])
-            else:
-                t = np.divide(step, j, out=nxt[:n])
-                (np.add if j & 1 else np.subtract)(s0[:n], t, out=s0[:n])
-    rows = (*cms, cur, cur + 2.0 * total) + ((s0, s1) if neumann else ())
+    rows = (*cms, cur, cur + 2.0 * total)
     out = np.empty((len(rows), x.size))
     out[:, lanes] = rows
     return out
@@ -466,71 +500,54 @@ def _i_large_array(orders, x: np.ndarray) -> np.ndarray:
     return (np.stack(cms) / denom) * _map(math.exp, x)
 
 
-def _y01_large(x: float, joint: bool = False) -> tuple:
-    """Y_0 and Y_1 from Neumann's expansions over the J Miller pass:
+# ----------------------------------------------------------------------
+# Chebyshev series (moderate argument)
+# ----------------------------------------------------------------------
 
-    Y_0 = (2/pi) ((ln(x/2) + gamma) J_0 + 2 S_0),
-    S_0 = sum_{k>=1} (-1)^(k+1) J_2k / k,
-    Y_1 = (2/pi) ((ln(x/2) + gamma - 1) J_1 - J_0/x - S_1),
-    S_1 = sum_{k>=1} (-1)^k (2k+1) J_2k+1 / (k(k+1)).
-
-    The pass accumulates both sums from the top down on the unnormalized
-    values, two orders per step, and normalizes once at the end.  From x = 2
-    on, the pass grows by less than 1e42 from its start at 1e-300, so it
-    needs no rescale.  It is therefore _j_large's pass for orders 0 and 1,
-    step for step, and with *joint* the tuple is led by its J_0 and J_1,
-    _j_large's bits, in the layout of _hankel01.
-    """
-    prev = 0.0
-    cur = total = 1e-300
-    s0 = s1 = 0.0
-    k = _j_start(x, 0)
-    while k > 0:  # cur is C_k, k even
-        odd = (2.0 * k / x) * cur - prev
-        prev, cur = odd, (2.0 * (k - 1) / x) * odd - cur
-        k -= 2
-        j = k >> 1
-        if j:  # orders 2j + 1 and 2j
-            t = odd * (k + 1) / (j * (j + 1))
-            s1 = s1 - t if j & 1 else s1 + t
-            total += cur
-            t = cur / j
-            s0 = s0 + t if j & 1 else s0 - t
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    return _y01_from_sums(x, lg, cur, prev, cur + 2.0 * total, s0, s1, joint)
-
-
-def _y01_from_sums(x, lg, c0, c1, denom, s0, s1, joint):
-    # _y01_large's closing combination, for floats and arrays alike; lg is
-    # ln(x/2) + gamma
-    norm = 1.0 / denom
-    y0 = (2.0 / math.pi) * (lg * c0 + 2.0 * s0) * norm
-    y1 = (2.0 / math.pi) * ((lg - 1.0) * c1 - c0 / x - s1) * norm
-    return (c0 * norm, c1 * norm, y0, y1) if joint else (y0, y1)
-
-
-def _y01_large_array(x: np.ndarray, joint: bool = False) -> np.ndarray:
-    c1, c0, denom, s0, s1 = _miller_array(x, _j_start_array(x, 0), -1.0, (1,), neumann=True)
-    lg = _map(math.log, 0.5 * x) + EULER_GAMMA
-    return np.stack(_y01_from_sums(x, lg, c0, c1, denom, s0, s1, joint))
+def _clenshaw(coefficients: tuple, u2):
+    # c_0/2 + sum_j c_j T_j(u) by Clenshaw's recurrence, from the c_n .. c_0
+    # of a fitted table and u2 = 2u, a float or an array
+    b0, b1 = coefficients[0], 0.0
+    for c in coefficients[1:]:
+        b0, b1, b2 = u2 * b0 - b1 + c, b0, b1
+    return 0.5 * (b0 - b2)
 
 
 def _k01_chebyshev(ms, x):
     """K_0 and K_1 (or K_0 alone) on [SERIES_SWITCH_K, _HANKEL_SWITCH), a
-    float or an array: e^-x / sqrt(x) times the series of _K01_CHEBYSHEV,
-    summed by Clenshaw's recurrence.  e^-x comes from math.exp per element
-    and sqrt is correctly rounded, so both paths agree bit for bit on every
-    host."""
+    float or an array: e^-x / sqrt(x) times the series of _K01_CHEBYSHEV.
+    e^-x comes from math.exp per element and sqrt is correctly rounded, so
+    both paths agree bit for bit on every host."""
     e = _map(math.exp, -x) if _is_array(x) else math.exp(-x)
     scale = e / (np.sqrt if _is_array(x) else math.sqrt)(x)
     u2 = 2.0 * ((120.0 / x - 23.0) / 17.0)
-    out = []
-    for coefficients in _K01_CHEBYSHEV[: len(ms)]:
-        b0, b1 = coefficients[0], 0.0
-        for c in coefficients[1:]:
-            b0, b1, b2 = u2 * b0 - b1 + c, b0, b1
-        out.append(scale * (0.5 * (b0 - b2)))
-    return tuple(out)
+    return tuple(scale * _clenshaw(c, u2) for c in _K01_CHEBYSHEV[: len(ms)])
+
+
+def _jy01_chebyshev(ms, x):
+    """J_m for each m (0 or 1) of *ms*, then Y_m for each, on
+    [SERIES_SWITCH_JY, _HANKEL_SWITCH), a float or an array: _hankel_form
+    of the P_m and Q_m of _JY01_CHEBYSHEV.  Only the orders asked for are
+    summed, and the same operations run on a float and an array, so both
+    paths agree bit for bit."""
+    u2 = 2.0 * ((40.0 / x - 11.0) / 9.0)
+    amplitudes = []
+    for m in ms:
+        p, q = (_clenshaw(c, u2) for c in _JY01_CHEBYSHEV[2 * m : 2 * m + 2])
+        amplitudes.append((m, 1.0 + p, q))
+    return _hankel_form(x, amplitudes)
+
+
+def _j_moderate(ms, x, miller):
+    """J_m for each m of *ms*, ascending, from SERIES_SWITCH_JY up to
+    _HANKEL_SWITCH (up to m for a single order m >= 20): orders 0 and 1
+    from _jy01_chebyshev, higher ones from one Miller pass (*miller*:
+    _j_large or _j_large_array)."""
+    low = [m for m in ms if m < 2]
+    rows = list(_jy01_chebyshev(low, x)[: len(low)]) if low else []
+    if len(low) < len(ms):
+        rows += list(miller(ms[len(low) :], x))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -564,10 +581,10 @@ def _horner(coefficients: tuple, t):
     return acc
 
 
-def _hankel01(x):
-    """J_0, J_1, Y_0 and Y_1 at x >= _HANKEL_SWITCH from the Hankel
-    expansions sqrt(2/(pi x)) (P cos w - Q sin w) and (P sin w + Q cos w),
-    w = x - (2 nu + 1) pi/4, as a tuple of floats or arrays.
+def _hankel_form(x, amplitudes):
+    """J_m for each (m, P_m, Q_m) of *amplitudes*, m 0 or 1, then Y_m for
+    each: sqrt(2/(pi x)) (P cos w - Q sin w) and (P sin w + Q cos w),
+    w = x - (2m + 1) pi/4, as a tuple of floats or arrays.
 
     The phase is built from cos x and sin x as sqrt(1/2) (cos x +- sin x):
     forming x - pi/4 first would lose x times the rounding of pi/4.  The
@@ -580,21 +597,25 @@ def _hankel01(x):
         cos_x, sin_x, sqrt = np.cos(x), np.sin(x), np.sqrt
     else:
         cos_x, sin_x, sqrt = math.cos(x), math.sin(x), math.sqrt
-    r = 1.0 / x
-    t = r * r
-    env = sqrt((2.0 / math.pi) * r)
-    (p0c, q0c), (p1c, q1c) = _HANKEL_PQ
-    p0, q0 = _horner(p0c, t), r * _horner(q0c, t)
-    p1, q1 = _horner(p1c, t), r * _horner(q1c, t)
+    env = sqrt((2.0 / math.pi) * (1.0 / x))
     h = math.sqrt(0.5)
     a = h * (cos_x + sin_x)  # cos(x - pi/4) = -sin(x - 3 pi/4)
     b = h * (sin_x - cos_x)  # sin(x - pi/4) = cos(x - 3 pi/4)
-    return (
-        env * (p0 * a - q0 * b),
-        env * (p1 * b + q1 * a),
-        env * (p0 * b + q0 * a),
-        env * (q1 * b - p1 * a),
-    )
+    js, ys = [], []
+    for m, p, q in amplitudes:
+        c, s = (a, b) if m == 0 else (b, -a)  # cos w, sin w
+        js.append(env * (p * c - q * s))
+        ys.append(env * (p * s + q * c))
+    return (*js, *ys)
+
+
+def _hankel01(x):
+    """J_0, J_1, Y_0 and Y_1 at x >= _HANKEL_SWITCH: _hankel_form of the P
+    and Q of the Hankel expansions (DLMF 10.17.3-10.17.4)."""
+    r = 1.0 / x
+    t = r * r
+    amplitudes = [(m, _horner(p, t), r * _horner(q, t)) for m, (p, q) in enumerate(_HANKEL_PQ)]
+    return _hankel_form(x, amplitudes)
 
 
 def _j_hankel(ms, x):
@@ -664,12 +685,13 @@ def _k_scaled(m: int, x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 #: A regime that holds at most this many arguments of an array runs its
-#: float kernel lane by lane.  An array kernel pays for its numpy calls
-#: whatever its lane count, 0.05 ms to 2.6 ms a call, and overtakes the
-#: float kernel only from 12 lanes (K_0's Hankel expansion) to 40 or 60
-#: (the Miller and Neumann passes).  Only jy01_rows' Neumann pass, which
-#: the zero finder sends up to 24 arguments a round, takes its own limit,
-#: _JY01_FEW_LANES.
+#: float kernel lane by lane, on every route.  An array kernel pays for its
+#: numpy calls whatever its lane count, 0.05 ms to 2.6 ms a call, and
+#: overtakes the float kernel only from 12 lanes (K_0's Hankel expansion)
+#: to 40 or 60 (the Miller passes).  The fitted Hankel form of J_0, J_1,
+#: Y_0 and Y_1 on [2, 20) crosses at about 24 to 27 lanes (24 floats or one
+#: 24-lane array take about 0.17 ms on a shared 2-vCPU x86-64 host), and a
+#: round of the zero finder sends it at most 24.
 _FEW_LANES = 11
 
 #: Per family: its switch points; each regime's (array kernel, float
@@ -677,15 +699,19 @@ _FEW_LANES = 11
 #: float kernel returning floats and the array kernel their bits as rows;
 #: and the sign of the recurrence that takes Y and K past order 1 (None
 #: for J and I, which serve (m,) or 0 .. n - 1 for n <= 3: these orders
-#: share the Miller start order and the switch to the Hankel rows, so
-#: each row is the single order's value bit for bit).  From
+#: share the Miller start order and the switch to the Hankel rows, and
+#: the fitted Hankel form sums each order alone, so each row is the single
+#: order's value bit for bit).  From
 #: _K_SCALED_SWITCH on, K's kernels give zeros until _k_scaled serves K.
 _FAMILIES = {
     CylinderFamily.BESSEL_J: (
         (SERIES_SWITCH_JY, _HANKEL_SWITCH),
         (
             (lambda ms, x: [_ascending_series(m, x, -1.0) for m in ms],) * 2,
-            (_j_large_array, _j_large),
+            (
+                lambda ms, x: _j_moderate(ms, x, _j_large_array),
+                lambda ms, x: _j_moderate(ms, x, _j_large),
+            ),
             (_j_hankel,) * 2,
         ),
         None,
@@ -694,7 +720,7 @@ _FAMILIES = {
         (SERIES_SWITCH_JY, _HANKEL_SWITCH),
         (
             (lambda ms, x: _log_series(ms, x, -1.0),) * 2,
-            (lambda ms, x: _y01_large_array(x)[: len(ms)], lambda ms, x: _y01_large(x)[: len(ms)]),
+            (lambda ms, x: _jy01_chebyshev(ms, x)[len(ms) :],) * 2,
             (lambda ms, x: _hankel01(x)[2 : 2 + len(ms)],) * 2,
         ),
         -1.0,
@@ -720,11 +746,11 @@ _FAMILIES = {
 }
 
 
-def _regimes(x, switches: tuple, routes: tuple, ms, few: tuple = (_FEW_LANES,) * 4):
+def _regimes(x, switches: tuple, routes: tuple, ms):
     """Values (at a float x) or rows (on an array x) of the orders *ms* from
     the kernels of routes[i] on the arguments from switches[i - 1] up to
-    below switches[i]; a regime of at most few[i] arguments runs its float
-    kernel per argument.  Underflow is ignored on the array path: it
+    below switches[i]; a regime of at most _FEW_LANES arguments runs its
+    float kernel per argument.  Underflow is ignored on the array path: it
     is as benign there as in the float path's Python arithmetic, which
     never raises.  So are overflow and division by zero: the series' Y_1
     and K_1 overflow for a subnormal x, and _recur_up raises for them.
@@ -735,12 +761,12 @@ def _regimes(x, switches: tuple, routes: tuple, ms, few: tuple = (_FEW_LANES,) *
     out = np.empty((len(ms), flat.size))
     regime = np.searchsorted(switches, flat, side="right")
     with np.errstate(under="ignore", over="ignore", divide="ignore"):
-        for i, ((kernel, lane_kernel), lanes) in enumerate(zip(routes, few)):
+        for i, (kernel, lane_kernel) in enumerate(routes):
             mask = regime == i
             v = flat[mask]
             if not v.size:
                 continue
-            if v.size > lanes:
+            if v.size > _FEW_LANES:
                 out[:, mask] = kernel(ms, v)
             else:
                 out[:, mask] = np.array([lane_kernel(ms, u) for u in v.tolist()]).T
@@ -778,15 +804,10 @@ def cylinder_rows(family: CylinderFamily, x, n: int):
     return (*rows, _recur_up(2, x, rows, sign))
 
 
-#: jy01_rows' Neumann pass runs its float kernel on up to this many lanes:
-#: on a shared 2-vCPU x86-64 host the array pass took about 0.43 ms at 40
-#: lanes, as the float one did, against 0.38 and 0.27 ms at 24.
-_JY01_FEW_LANES = 40
-
-#: J_0, J_1, Y_0 and Y_1 per regime, from Y's kernels (see jy01_rows).
+#: J_0, J_1, Y_0 and Y_1 per regime (see jy01_rows).
 _JY01_ROUTES = (
     (lambda ms, x: _log_series((0, 1), x, -1.0, joint=True),) * 2,
-    (lambda ms, x: _y01_large_array(x, joint=True), lambda ms, x: _y01_large(x, joint=True)),
+    (lambda ms, x: _jy01_chebyshev((0, 1), x),) * 2,
     (lambda ms, x: _hankel01(x),) * 2,
 )
 
@@ -794,13 +815,13 @@ _JY01_ROUTES = (
 def jy01_rows(x):
     """J_0, J_1, Y_0 and Y_1 at a float x > 0, or as four rows on an array
     of them: cylinder_rows(BESSEL_J, x, 2) and cylinder_rows(NEUMANN_Y, x,
-    2) bit for bit, for what the Y rows cost.  Y's kernels already hold J_0
-    and J_1: the log-augmented series sums J_0 and calls J_1's series, the
-    Neumann pass is J's Miller pass, and _hankel01 gives all four.  The
-    arguments are not checked; they must be finite and positive.
+    2) bit for bit, for what the Y rows cost.  Each of Y's kernels already
+    holds J_0 and J_1: the log-augmented series sums J_0 and calls J_1's
+    series, and the fitted Hankel form on [2, 20) and the Hankel expansions
+    give all four from one phase.  The arguments are not checked; they must
+    be finite and positive.
     """
-    few = (_FEW_LANES, _JY01_FEW_LANES, _FEW_LANES)
-    return _regimes(x, (SERIES_SWITCH_JY, _HANKEL_SWITCH), _JY01_ROUTES, range(4), few)
+    return _regimes(x, (SERIES_SWITCH_JY, _HANKEL_SWITCH), _JY01_ROUTES, range(4))
 
 
 def _cylinder(family: CylinderFamily, m, x):

@@ -109,9 +109,10 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
     J_m Y_m' - J_m' Y_m must equal 2/(pi x) and I_m K_m' - I_m' K_m must
     equal -1/x; each mixes all four evaluation regimes across [0.1, 50].
     Each family is evaluated at orders 0, 1 and 2 by cylinder_rows, bit
-    for bit as by one call per order, with one pass per family: J and I
-    take orders 0 to 2 from one series, Miller or Hankel pass, since those
-    orders share the Miller start order and the switch to the Hankel rows;
+    for bit as by one call per order, with one pass per regime: I takes
+    orders 0 to 2 from one series or Miller pass, and J from one series or
+    Hankel pass, except on [2, 20), where J takes orders 0 and 1 from the
+    fitted Hankel form that Y shares and order 2 from one Miller pass;
     Y and K take orders 0 and 1 from one pass and order 2 from the upward
     step that bessely(2) and besselk(2) run on those rows.
     """

@@ -42,9 +42,9 @@ from anticentrifugal.specfun import (
     _i_start,
     _j_large,
     _j_start,
+    _jy01_chebyshev,
     _k01_chebyshev,
     _log_series,
-    _y01_large,
 )
 
 mp.mp.dps = 40
@@ -296,11 +296,12 @@ def test_series_and_large_argument_routes_overlap():
     """Both routes agree on a band around each switch point, evaluated
     at identical arguments so the comparison sees only route error."""
     for x in (SERIES_SWITCH_JY - 0.1, SERIES_SWITCH_JY, SERIES_SWITCH_JY + 0.1):
-        for lo, hi in zip(_log_series((0, 1), x, -1.0), _y01_large(x)):
+        fitted = _jy01_chebyshev((0, 1), x)
+        for lo, hi in zip(_log_series((0, 1), x, -1.0), fitted[2:]):
             assert lo == pytest.approx(hi, rel=1e-9)
         for m in (0, 1, 2):
-            assert _ascending_series(m, x, -1.0) == pytest.approx(
-                _j_large((m,), x)[0], rel=1e-9, abs=1e-15)
+            hi = fitted[m] if m < 2 else _j_large((m,), x)[0]
+            assert _ascending_series(m, x, -1.0) == pytest.approx(hi, rel=1e-9, abs=1e-15)
 
     for x in (SERIES_SWITCH_K - 0.2, SERIES_SWITCH_K, SERIES_SWITCH_K + 0.2):
         for lo, hi in zip(_log_series((0, 1), x, 1.0), _k01_chebyshev((0, 1), x)):
@@ -314,16 +315,17 @@ def test_series_and_large_argument_routes_overlap():
 def test_routes_agree_tightly_at_switch_points():
     """Both routes evaluated at the same point, not merely nearby ones."""
     y_lo = _log_series((0, 1), SERIES_SWITCH_JY, -1.0)
-    y_hi = _y01_large(SERIES_SWITCH_JY)
-    for a, b in zip(y_lo, y_hi):
+    fitted = _jy01_chebyshev((0, 1), SERIES_SWITCH_JY)
+    for a, b in zip(y_lo, fitted[2:]):
         assert a == pytest.approx(b, rel=1e-10)
     k_lo = _log_series((0, 1), SERIES_SWITCH_K, 1.0)
     k_hi = _k01_chebyshev((0, 1), SERIES_SWITCH_K)
     for a, b in zip(k_lo, k_hi):
         assert a == pytest.approx(b, rel=1e-10)
     for m in (0, 1, 2, 5):
+        j_hi = fitted[m] if m < 2 else _j_large((m,), SERIES_SWITCH_JY)[0]
         assert _ascending_series(m, SERIES_SWITCH_JY, -1.0) == pytest.approx(
-            _j_large((m,), SERIES_SWITCH_JY)[0], rel=1e-10, abs=1e-14)
+            j_hi, rel=1e-10, abs=1e-14)
         assert _ascending_series(m, SERIES_SWITCH_I, 1.0) == pytest.approx(
             _i_large((m,), SERIES_SWITCH_I)[0], rel=1e-10)
 
@@ -558,22 +560,23 @@ def test_numpy_integer_orders_accepted():
 #: order served; they must not move by a single bit.  The J and Y values
 #: at and above the Hankel switch come from the Hankel expansions, which
 #: hold them within 3 ulp of mpmath (the Miller route was 3-22 ulp off).
-#: The Y values in [2, 20) were re-pinned when Neumann's sums moved into
-#: the Miller pass (Y_1(5.5) moved from 63 to 10 ulp of its own value off
-#: mpmath: it sits 0.07 from a zero of Y_1).
+#: The J and Y values in [2, 20) were re-pinned when the fitted Hankel form
+#: replaced the Miller pass and Neumann's series there: J_0(5.5) moved from 29
+#: to 7.7 ulp of its own value off mpmath and Y_1(5.5) from 10 to 2.2 (each
+#: sits near a zero), and every one is within 1.7e-16 of the envelope.
 _LOW_ORDER_PINS = [
-    (besselj, 0, 2.0, 0.2238907791412357),
-    (besselj, 0, 5.5, -0.0068438694178191714),
+    (besselj, 0, 2.0, 0.22389077914123567),
+    (besselj, 0, 5.5, -0.0068438694178192035),
     (besselj, 0, 37.25, 0.04272280640862734),
     (besselj, 0, 320.0, 0.014982017211823502),
-    (besselj, 1, 2.0, 0.5767248077568734),
-    (besselj, 1, 5.5, -0.34143821542904335),
+    (besselj, 1, 2.0, 0.5767248077568733),
+    (besselj, 1, 5.5, -0.3414382154290434),
     (besselj, 1, 37.25, -0.12298405791995136),
     (besselj, 1, 320.0, -0.041988229868644776),
-    (bessely, 0, 2.0, 0.5103756726497453),
+    (bessely, 0, 2.0, 0.5103756726497451),
     (bessely, 0, 37.25, -0.12354629801686481),
     (bessely, 0, 320.0, -0.04201158793049401),
-    (bessely, 1, 5.5, -0.023758238956389583),
+    (bessely, 1, 5.5, -0.02375823895638961),
     (bessely, 1, 320.0, -0.015047678446024677),
     (besseli, 0, 37.25, 986947100407430.2),
     (besseli, 0, 320.0, 2.1025154601542675e137),
@@ -599,14 +602,14 @@ def test_hankel_pins_within_three_ulp_of_mpmath(fn, m, x, pinned):
 
 
 @pytest.mark.parametrize(
-    "m, x, pinned",
-    [p[1:] for p in _LOW_ORDER_PINS if p[0] is bessely and p[2] < _HANKEL_SWITCH],
+    "fn, m, x, pinned",
+    [p for p in _LOW_ORDER_PINS if p[0] in (besselj, bessely) and p[2] < _HANKEL_SWITCH],
 )
-def test_neumann_pins_within_three_ulp_of_mpmath(m, x, pinned):
-    # Neumann's sums carry terms as large as the envelope sqrt(2/(pi x)),
-    # so the bound is 3 ulp of the envelope: near a zero of Y_m no sum of
-    # such terms holds 3 ulp of the value (the table route was 3.9 off)
-    ref = mp.bessely(m, mp.mpf(x))
+def test_fitted_pins_within_three_ulp_of_mpmath(fn, m, x, pinned):
+    # the fitted Hankel form carries terms as large as the envelope
+    # sqrt(2/(pi x)), so the bound is 3 ulp of the envelope: near a zero of
+    # J_m or Y_m no sum of such terms holds 3 ulp of the value
+    ref = mp.besselj(m, mp.mpf(x)) if fn is besselj else mp.bessely(m, mp.mpf(x))
     assert abs(pinned - ref) <= 3 * math.ulp(_envelope(x))
 
 
@@ -672,18 +675,22 @@ def test_miller_rescale_values_frozen(fn, m, x, pinned):
     assert on_array_kernels(fn, m, [x, 0.5 * x])[0] == pinned
 
 
-def test_neumann_y01_against_mpmath_on_a_seeded_sample():
-    # the table route read 1.34e-15 / 1.30e-15 worst and 3.2e-16 / 2.9e-16
-    # mean of the envelope on this sample
+def test_jy01_against_mpmath_on_a_seeded_sample():
+    # the fitted Hankel form, at 2 and 20 less an ulp too; the Miller pass
+    # and Neumann's series read 9.0e-16 to 9.6e-16 worst and 2.1e-16 to
+    # 2.4e-16 mean of the envelope on the 200 draws, against 3.8e-16 to
+    # 5.1e-16 and 8.0e-17 to 9.1e-17 now
     rng = random.Random(0)
-    x = np.array([rng.uniform(SERIES_SWITCH_JY, _HANKEL_SWITCH) for _ in range(200)])
-    for m in (0, 1):
-        got = bessely(m, x)
-        assert got.tolist() == [bessely(m, v) for v in x.tolist()]
-        ref = np.array(oracles.NEUMANN_SAMPLE_Y01[m])
-        err = np.abs(got - ref) / np.sqrt(2.0 / (np.pi * x))
-        assert err.max() <= 1e-15
-        assert err.mean() <= 2.5e-16
+    draws = [rng.uniform(SERIES_SWITCH_JY, _HANKEL_SWITCH) for _ in range(200)]
+    x = np.array(draws + [SERIES_SWITCH_JY, math.nextafter(_HANKEL_SWITCH, 0.0)])
+    for fn, name in ((besselj, "J"), (bessely, "Y")):
+        for m in (0, 1):
+            got = fn(m, x)
+            assert got.tolist() == [fn(m, v) for v in x.tolist()]
+            ref = np.array(oracles.SAMPLE_JY01[name, m])
+            err = np.abs(got - ref) / np.sqrt(2.0 / (np.pi * x))
+            assert err.max() <= 6e-16
+            assert err.mean() <= 1.5e-16
 
 
 @pytest.mark.parametrize("m, x", [(300, 290.0), (3000, 2900.0)])
@@ -717,21 +724,17 @@ def _envelope(x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x))
 
 
-def _miller01(x: float) -> tuple:
-    return _j_large((0,), x) + _j_large((1,), x) + _y01_large(x)
-
-
 def _mp01(x: float) -> list:
     v = mp.mpf(x)
     return [float(f(m, v)) for f in (mp.besselj, mp.bessely) for m in (0, 1)]
 
 
 @pytest.mark.parametrize("x", [_HANKEL_SWITCH - 1e-6, _HANKEL_SWITCH, _HANKEL_SWITCH + 1e-6])
-def test_hankel_meets_miller_at_the_switch(x):
+def test_hankel_meets_the_fitted_form_at_the_switch(x):
     hankel = _hankel01(x)
-    # rows J_0, J_1, Y_0, Y_1 against J_0, J_1 and the Neumann Y_0, Y_1
-    for h, miller, ref in zip(hankel, _miller01(x), _mp01(x)):
-        assert h == pytest.approx(miller, rel=5e-15)
+    # rows J_0, J_1, Y_0, Y_1 against those of the fitted Hankel form
+    for h, fitted, ref in zip(hankel, _jy01_chebyshev((0, 1), x), _mp01(x)):
+        assert h == pytest.approx(fitted, rel=5e-15)
         assert abs(h - ref) <= 1e-15 * _envelope(x)
 
 
@@ -740,8 +743,9 @@ def test_hankel_against_miller_and_mpmath_up_to_3e4(x):
     # the Miller route's own error grows with x, to about 3e-14 of the
     # envelope at 3e4; the Hankel route stays at rounding
     hankel = _hankel01(x)
-    for h, miller, r in zip(hankel, _miller01(x), _mp01(x)):
+    for h, miller in zip(hankel, _j_large((0,), x) + _j_large((1,), x)):
         assert abs(h - miller) <= 1e-13 * _envelope(x)
+    for h, r in zip(hankel, _mp01(x)):
         assert abs(h - r) <= 1e-15 * _envelope(x)
 
 

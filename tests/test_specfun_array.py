@@ -495,19 +495,21 @@ def test_miller_pass_on_shuffled_lanes_matches_the_float_pass(sign, start, lo, h
             # the float pass returns C_m, C_1, C_0 and the denominator
             np.testing.assert_array_equal(_miller_array(x, top, sign, (m,)), want[[0, 2, 3]])
             np.testing.assert_array_equal(_miller_array(x, top, sign, (1,))[0], want[1])
-            if sign < 0.0:
-                neumann = _miller_array(x, top, sign, (m,), neumann=True)
-                np.testing.assert_array_equal(neumann[:3], want[[0, 2, 3]])
         fn = besselj if sign < 0.0 else besseli
         np.testing.assert_array_equal(fn(m, x), [fn(m, v) for v in x.tolist()])
 
 
 def test_numpy_cos_and_sin_are_the_math_modules():
-    # the Hankel expansions and the Sommerfeld trapezoid take numpy's cos
-    # and sin on arrays, for math.cos and math.sin bit for bit; CI runs this
-    # on numpy's default, AVX2 and baseline dispatch tiers
+    # the Hankel expansions, the fitted Hankel form on [2, 20)
+    # (_jy01_chebyshev) and the Sommerfeld trapezoid take numpy's cos and sin
+    # on arrays, for math.cos and math.sin bit for bit; CI runs this on
+    # numpy's default, AVX2 and baseline dispatch tiers
     rng = np.random.default_rng(53)
-    x = np.concatenate((rng.uniform(-200.0, 200.0, 50000), 10.0 ** rng.uniform(1.3, 308.0, 50000)))
+    x = np.concatenate((
+        rng.uniform(-200.0, 200.0, 50000),
+        10.0 ** rng.uniform(1.3, 308.0, 50000),
+        rng.uniform(SERIES_SWITCH_JY, _HANKEL_SWITCH, 50000),
+    ))
     for array_fn, fn in ((np.cos, math.cos), (np.sin, math.sin)):
         assert array_fn(x).tolist() == [fn(v) for v in x.tolist()]
 
@@ -622,8 +624,8 @@ def test_cylinder_rows_are_one_call_per_order(family, n):
 
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
 def test_zero_finder_traffic_matches_floats_and_array_kernels(family):
-    # a Newton step of find_zeros: one series lane, six Miller or Neumann
-    # lanes and 90 Hankel lanes, in no particular order
+    # a Newton step of find_zeros: one series lane, six lanes of the fitted
+    # Hankel form and 90 Hankel lanes, in no particular order
     rng = np.random.default_rng(17)
     lanes = (rng.uniform(0.5, 2.0, 1), rng.uniform(2.0, 20.0, 6), rng.uniform(20.0, 320.0, 90))
     x = rng.permutation(np.concatenate(lanes))
@@ -639,8 +641,8 @@ def test_zero_finder_traffic_matches_floats_and_array_kernels(family):
 @pytest.mark.parametrize("family", [CylinderFamily.BESSEL_J, CylinderFamily.NEUMANN_Y])
 @pytest.mark.parametrize("m", [0, 1])
 def test_zero_finder_makes_no_array_miller_pass(monkeypatch, family, m):
-    # no Newton step sends more than six arguments into [2, 20), so the
-    # float kernels serve them all; one array Miller pass costs about 1 ms
+    # orders 0 and 1 take the fitted Hankel form on [2, 20), so no Newton
+    # step runs an array Miller pass (one costs about 1 ms)
     calls = []
     real = specfun._miller_array
 
@@ -690,26 +692,8 @@ def test_joint_rows_are_the_j_and_y_rows_bit_for_bit():
         np.testing.assert_array_equal(_bits(jy01_rows(np.array([v]))), want[:, None])
 
 
-@pytest.mark.parametrize("lanes", [specfun._JY01_FEW_LANES, specfun._JY01_FEW_LANES + 1])
-def test_joint_rows_take_the_float_neumann_pass_up_to_their_lane_limit(monkeypatch, lanes):
-    # at the limit the float kernel serves every lane of [2, 20), one past
-    # it the array pass does, and J's and Y's own rows, past _FEW_LANES,
-    # take theirs: the same bits either way, at 2 and 20 less an ulp too
-    calls = []
-    real = specfun._miller_array
-    monkeypatch.setattr(specfun, "_miller_array", lambda *a, **kw: calls.append(a[0].size) or real(*a, **kw))
-    x = np.random.default_rng(31).uniform(SERIES_SWITCH_JY, _HANKEL_SWITCH, lanes)
-    x[:2] = SERIES_SWITCH_JY, math.nextafter(_HANKEL_SWITCH, 0.0)
-    x = np.concatenate((x, [1.0, 25.0]))
-    got = jy01_rows(x)
-    assert calls == ([] if lanes <= specfun._JY01_FEW_LANES else [lanes])
-    calls.clear()
-    np.testing.assert_array_equal(_bits(got), _bits(_jy_rows(x)))
-    assert calls == [lanes, lanes]  # cylinder_rows keeps _FEW_LANES
-
-
 def test_four_zero_tables_make_no_array_miller_pass(monkeypatch):
-    # each round of the joint solve sends at most 24 arguments into [2, 20)
+    # the joint solve's rounds take the fitted Hankel form on [2, 20)
     calls = []
     real = specfun._miller_array
     monkeypatch.setattr(specfun, "_miller_array", lambda *a, **kw: calls.append(a[0].size) or real(*a, **kw))

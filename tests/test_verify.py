@@ -220,7 +220,8 @@ def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
     # counted like test_zero_finder_makes_no_array_miller_pass: a call per
     # order ran 9 Miller passes, 6 log-series passes, 3 K passes on [3, 20) and 6
     # Hankel evaluations; now each regime's array kernel runs once per
-    # family, J and I taking orders 0 to 2 from one pass
+    # family, I taking orders 0 to 2 from one pass and J orders 0 and 1 from
+    # the fitted Hankel form, which Y shares, and order 2 from one Miller pass
     calls = collections.Counter()
 
     def counted(key, fn):
@@ -233,11 +234,12 @@ def test_wronskian_suite_runs_one_pass_per_family(monkeypatch):
     for family, (switches, routes, sign) in list(specfun._FAMILIES.items()):
         spied = tuple((counted((family, i), k), lane) for i, (k, lane) in enumerate(routes))
         monkeypatch.setitem(specfun._FAMILIES, family, (switches, spied, sign))
-    for name in ("_miller_array", "_hankel01"):
+    for name in ("_miller_array", "_hankel01", "_jy01_chebyshev"):
         monkeypatch.setattr(specfun, name, counted(name, getattr(specfun, name)))
     assert all(r.passed for r in verify.suite_wronskians())
-    assert calls.pop("_miller_array") == 3
+    assert calls.pop("_miller_array") == 2
     assert calls.pop("_hankel01") == 2
+    assert calls.pop("_jy01_chebyshev") == 2
     # one pass in each regime that [0.1, 50] reaches: three each for J, Y
     # and K, two for I
     assert list(calls.values()) == [1] * 11
