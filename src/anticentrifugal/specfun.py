@@ -9,9 +9,8 @@ classical schemes, selected by argument size:
 
 * ascending power series near the origin (log-augmented for Y_m and K_m),
 * backward (Miller) recurrence with a sum-rule normalization for I_m, and
-  for J_m from order 2 on, at moderate and large arguments, as one
-  downward pass that stores no table, so its memory does not grow with
-  the start order,
+  for J_m from x = 2 up to below x = m, as one downward pass that stores
+  no table, so its memory does not grow with the start order,
 * the Hankel expansions for J_0, J_1, Y_0, Y_1, K_0 and K_1 from x = 20
   on, one table of coefficients whose cost does not grow with x, so no
   argument is too large; K_m runs on e^x K_m from x = 705 on, where K_0
@@ -25,13 +24,13 @@ Each scheme is used only where it is well conditioned, so plain double
 arithmetic holds the relative error near 1e-14 across the supported range
 (target: 1e-12 on (0, 50]).  Orders above 1 come from the three-term
 recurrence in whichever direction is stable for the family: upward for Y
-and K, and for J above x = 20 while the order is below x; downward
-(Miller) for I, and for J below x = 20 or at orders from x on.  Above
-x = 20 a Miller pass's length therefore follows the order served, not
-the argument.  Order-0 calls of Y and K sum only the order-0 part of the
-log-augmented series, whose loop also sums its J_0 or I_0, and K_0 takes
-only the order-0 Hankel pair: order 1 is needed only to start the
-recurrence.
+and K, and for J from x = 2 on while the order is at most x, from the J_0
+and J_1 that Y's kernels give; downward (Miller) for I, and for J_m on
+[2, m).  A J Miller pass therefore serves only orders above its argument,
+and its length follows the order, not the argument.  Order-0 calls of Y
+and K sum only the order-0 part of the log-augmented series, whose loop
+also sums its J_0 or I_0, and K_0 takes only the order-0 Hankel pair:
+order 1 is needed only to start the recurrence.
 
 Every evaluator takes a float or an array of arguments.  The ascending and
 log-augmented series, the Hankel expansions, the Chebyshev series and the
@@ -49,14 +48,15 @@ between the two paths, and on every CPU tier numpy dispatches to.
 One table gives each family its switch points, the array and float
 kernels of each regime, and its recurrence sign.  Every kernel takes a
 tuple of orders: J and I serve each order in it, so orders 0 to 2 come
-from one pass (J_0 and J_1 from the fitted Hankel form on [2, 20), J_2
-from the Miller pass); Y and K read its length, 1 or 2.  One dispatcher
-serves floats and arrays: a float runs the float kernel of its regime;
-so does each argument of an array regime that holds at most _FEW_LANES
-of them, since an array kernel's numpy calls cost more than that many
-pure-Python evaluations.  jy01_rows gives the zero finder J_0, J_1, Y_0
-and Y_1 from Y's kernels in one pass per argument, under the same lane
-limit.
+from one pass (for J from x = 2 on, one J_0 and J_1 evaluation and the
+upward recurrence); Y and K read its length, 1 or 2.  A J_m call splices
+in the Miller pass on [2, m), which serves that one order and is not in
+the table.  One dispatcher serves floats and arrays: a float runs the
+float kernel of its regime; so does each argument of an array regime
+that holds at most _FEW_LANES of them, since an array kernel's numpy
+calls cost more than that many pure-Python evaluations.  jy01_rows gives
+the zero finder J_0, J_1, Y_0 and Y_1 from Y's kernels in one pass per
+argument, under the same lane limit.
 
 All functions are pure and keep no state between calls.
 """
@@ -463,28 +463,24 @@ def _miller_array(x: np.ndarray, top: np.ndarray, sign: float, orders):
     return out
 
 
-def _j_large(orders, x: float) -> tuple:
-    """J_m for each m of *orders*, each 0, 1 or the highest, from one
-    normalized Miller pass from the start order of the highest."""
-    m = max(orders)
-    cm, c1, c0, denom = _miller(x, _j_start(x, m), -1.0, m)
-    norm = 1.0 / denom
-    return tuple((c0, c1, cm)[min(k, 2)] * norm for k in orders)
+def _j_large(ms, x: float) -> tuple:
+    """J_m for the one order m of *ms* from a normalized Miller pass."""
+    (m,) = ms
+    cm, _, _, denom = _miller(x, _j_start(x, m), -1.0, m)
+    return (cm * (1.0 / denom),)
 
 
-def _j_large_array(orders, x: np.ndarray) -> np.ndarray:
-    """J_m for each m of *orders*, as rows, from one pass from the start
-    order of the highest.  Each row is its own order's pass bit for bit
-    where the orders share the start order, as orders 0, 1 and 2 always
-    do: _j_start's top is at least 18, so m + top // 2 <= top for m <= 2."""
-    *cms, _, denom = _miller_array(x, _j_start_array(x, max(orders)), -1.0, orders)
-    return np.stack(cms) * (1.0 / denom)
+def _j_large_array(ms, x: np.ndarray) -> tuple:
+    """_j_large as a row on an array, from _miller_array."""
+    cm, _, denom = _miller_array(x, _j_start_array(x, ms[0]), -1.0, ms)
+    return (cm * (1.0 / denom),)
 
 
 def _i_large(orders, x: float) -> tuple:
-    """I_m for each m of *orders* from one Miller pass, as in _j_large.
-    Every term in the normalization sum is positive, so the result carries
-    plain rounding error only."""
+    """I_m for each m of *orders*, each 0, 1 or the highest, from one
+    normalized Miller pass from the start order of the highest.  Every
+    term in the normalization sum is positive, so the result carries plain
+    rounding error only."""
     m = max(orders)
     cm, c1, c0, denom = _miller(x, _i_start(x, m), 1.0, m)
     e = math.exp(x)
@@ -494,8 +490,10 @@ def _i_large(orders, x: float) -> tuple:
 
 
 def _i_large_array(orders, x: np.ndarray) -> np.ndarray:
-    """I_m for each m of *orders*, as rows, from one pass as in
-    _j_large_array; _i_start's top is at least 30."""
+    """I_m for each m of *orders*, as rows, from one pass from the start
+    order of the highest.  Each row is its own order's pass bit for bit
+    where the orders share the start order, as orders 0, 1 and 2 always
+    do: _i_start's top is at least 30, so m + top // 2 <= top for m <= 2."""
     *cms, _, denom = _miller_array(x, _i_start_array(x, max(orders)), 1.0, orders)
     return (np.stack(cms) / denom) * _map(math.exp, x)
 
@@ -536,18 +534,6 @@ def _jy01_chebyshev(ms, x):
         p, q = (_clenshaw(c, u2) for c in _JY01_CHEBYSHEV[2 * m : 2 * m + 2])
         amplitudes.append((m, 1.0 + p, q))
     return _hankel_form(x, amplitudes)
-
-
-def _j_moderate(ms, x, miller):
-    """J_m for each m of *ms*, ascending, from SERIES_SWITCH_JY up to
-    _HANKEL_SWITCH (up to m for a single order m >= 20): orders 0 and 1
-    from _jy01_chebyshev, higher ones from one Miller pass (*miller*:
-    _j_large or _j_large_array)."""
-    low = [m for m in ms if m < 2]
-    rows = list(_jy01_chebyshev(low, x)[: len(low)]) if low else []
-    if len(low) < len(ms):
-        rows += list(miller(ms[len(low) :], x))
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -609,19 +595,25 @@ def _hankel_form(x, amplitudes):
     return (*js, *ys)
 
 
-def _hankel01(x):
-    """J_0, J_1, Y_0 and Y_1 at x >= _HANKEL_SWITCH: _hankel_form of the P
-    and Q of the Hankel expansions (DLMF 10.17.3-10.17.4)."""
+def _hankel01(ms, x):
+    """J_m for each m (0 or 1) of *ms*, then Y_m for each, at x >=
+    _HANKEL_SWITCH, as _jy01_chebyshev gives them below it: _hankel_form
+    of the P and Q of the Hankel expansions (DLMF 10.17.3-10.17.4)."""
     r = 1.0 / x
     t = r * r
-    amplitudes = [(m, _horner(p, t), r * _horner(q, t)) for m, (p, q) in enumerate(_HANKEL_PQ)]
+    amplitudes = []
+    for m in ms:
+        p, q = _HANKEL_PQ[m]
+        amplitudes.append((m, _horner(p, t), r * _horner(q, t)))
     return _hankel_form(x, amplitudes)
 
 
-def _j_hankel(ms, x):
-    """J_m for each m of *ms*, each below x, by upward recurrence from the
-    J_0 and J_1 of one Hankel evaluation."""
-    c = _hankel01(x)[:2]
+def _j_up(ms, x, kernel):
+    """J_m for each m of *ms*, each at most x, by upward recurrence from
+    the J_0 and J_1 of *kernel* (_jy01_chebyshev or _hankel01), which sums
+    order 1 only if some m is above 0."""
+    n = 2 if max(ms) else 1
+    c = kernel(range(n), x)[:n]
     return [_recur_up(m, x, c, -1.0) for m in ms]
 
 
@@ -698,21 +690,20 @@ _FEW_LANES = 11
 #: kernel), both called as kernel(ms, x) with a tuple ms of orders, the
 #: float kernel returning floats and the array kernel their bits as rows;
 #: and the sign of the recurrence that takes Y and K past order 1 (None
-#: for J and I, which serve (m,) or 0 .. n - 1 for n <= 3: these orders
-#: share the Miller start order and the switch to the Hankel rows, and
-#: the fitted Hankel form sums each order alone, so each row is the single
-#: order's value bit for bit).  From
-#: _K_SCALED_SWITCH on, K's kernels give zeros until _k_scaled serves K.
+#: for J and I, which serve (m,) or 0 .. n - 1 for n <= 3: I's orders
+#: share the Miller start order, and J's come from x = 2 on by upward
+#: recurrence from the J_0 and J_1 that the fitted Hankel form and the
+#: Hankel expansions sum each alone, so each row is the single order's
+#: value bit for bit).  J's Miller pass serves one order m on [2, m), and
+#: _cylinder splices it in.  From _K_SCALED_SWITCH on, K's kernels give
+#: zeros until _k_scaled serves K.
 _FAMILIES = {
     CylinderFamily.BESSEL_J: (
         (SERIES_SWITCH_JY, _HANKEL_SWITCH),
         (
             (lambda ms, x: [_ascending_series(m, x, -1.0) for m in ms],) * 2,
-            (
-                lambda ms, x: _j_moderate(ms, x, _j_large_array),
-                lambda ms, x: _j_moderate(ms, x, _j_large),
-            ),
-            (_j_hankel,) * 2,
+            (lambda ms, x: _j_up(ms, x, _jy01_chebyshev),) * 2,
+            (lambda ms, x: _j_up(ms, x, _hankel01),) * 2,
         ),
         None,
     ),
@@ -721,7 +712,7 @@ _FAMILIES = {
         (
             (lambda ms, x: _log_series(ms, x, -1.0),) * 2,
             (lambda ms, x: _jy01_chebyshev(ms, x)[len(ms) :],) * 2,
-            (lambda ms, x: _hankel01(x)[2 : 2 + len(ms)],) * 2,
+            (lambda ms, x: _hankel01(ms, x)[len(ms) :],) * 2,
         ),
         -1.0,
     ),
@@ -808,7 +799,7 @@ def cylinder_rows(family: CylinderFamily, x, n: int):
 _JY01_ROUTES = (
     (lambda ms, x: _log_series((0, 1), x, -1.0, joint=True),) * 2,
     (lambda ms, x: _jy01_chebyshev((0, 1), x),) * 2,
-    (lambda ms, x: _hankel01(x),) * 2,
+    (lambda ms, x: _hankel01((0, 1), x),) * 2,
 )
 
 
@@ -832,8 +823,9 @@ def _cylinder(family: CylinderFamily, m, x):
     switches, routes, sign = _FAMILIES[family]
     if sign is None:
         if family is CylinderFamily.BESSEL_J:
-            # upward recurrence from the Hankel J_0, J_1 is stable while m < x
-            switches = (SERIES_SWITCH_JY, max(_HANKEL_SWITCH, math.nextafter(m, math.inf)))
+            # the Miller pass serves J_m on [2, m), the upward recurrence from m on
+            switches = (SERIES_SWITCH_JY, max(SERIES_SWITCH_JY, m), max(_HANKEL_SWITCH, m))
+            routes = (routes[0], (_j_large_array, _j_large), *routes[1:])
         return _regimes(x, switches, routes, (m,))[0]
     rows = lambda v: _recur_up(m, v, _regimes(v, switches, routes, (0, 1) if m else (0,)), sign)
     if family is not CylinderFamily.MODIFIED_K:
@@ -901,7 +893,7 @@ def _recur_up(m: int, x, c, sign: float):
     # Upward recurrence C_{k+1} = (2k/x) C_k + sign C_{k-1} from c, which
     # holds C_0 and, for m >= 1, C_1: sign -1 for Y, +1 for K, whose
     # magnitudes grow with order so the direction is stable, and for J
-    # while m < x.  The same arithmetic serves floats and arrays.
+    # while m <= x.  The same arithmetic serves floats and arrays.
     if m == 0:
         return c[0]  # |C_0| grows no faster than ln(1/x)
     prev, cur = c

@@ -110,11 +110,11 @@ def suite_wronskians(scale: float = 1.0) -> list[SuiteResult]:
     equal -1/x; each mixes all four evaluation regimes across [0.1, 50].
     Each family is evaluated at orders 0, 1 and 2 by cylinder_rows, bit
     for bit as by one call per order, with one pass per regime: I takes
-    orders 0 to 2 from one series or Miller pass, and J from one series or
-    Hankel pass, except on [2, 20), where J takes orders 0 and 1 from the
-    fitted Hankel form that Y shares and order 2 from one Miller pass;
-    Y and K take orders 0 and 1 from one pass and order 2 from the upward
-    step that bessely(2) and besselk(2) run on those rows.
+    orders 0 to 2 from one series or Miller pass, and J from one series
+    pass below x = 2; J from x = 2 on, and Y and K, take orders 0 and 1
+    from one pass (J's from the fitted Hankel form or the Hankel
+    expansions that Y shares) and order 2 from the upward step that
+    besselj(2), bessely(2) and besselk(2) run on those rows.
     """
     xs = np.linspace(0.1, 50.0, 1000)
     # the slopes of orders 0 and 1 need nothing else

@@ -364,10 +364,15 @@ def test_integer_arrays_are_accepted():
 
 
 #: Per family, the regimes of orders 0 to 5 from the smallest argument up:
-#: J_5 leaves its Miller pass at the Hankel switch as J_0 does.
+#: J_5 takes its Miller pass on [2, 5) and the upward recurrence from the
+#: fitted J_0 and J_1 on [5, 20), where orders up to 2 take the recurrence
+#: on both bands.
 _REGIMES = {
     CylinderFamily.BESSEL_J: (
-        (0.0, SERIES_SWITCH_JY), (SERIES_SWITCH_JY, _HANKEL_SWITCH), (_HANKEL_SWITCH, 400.0)
+        (0.0, SERIES_SWITCH_JY),
+        (SERIES_SWITCH_JY, 5.0),
+        (5.0, _HANKEL_SWITCH),
+        (_HANKEL_SWITCH, 400.0),
     ),
     CylinderFamily.NEUMANN_Y: (
         (1e-3, SERIES_SWITCH_JY), (SERIES_SWITCH_JY, _HANKEL_SWITCH), (_HANKEL_SWITCH, 400.0)
@@ -558,14 +563,10 @@ def test_one_miller_pass_captures_each_order_as_its_own_pass(sign, start, x, ord
         np.testing.assert_array_equal(denom, [w[3] for w in want])
 
 
-@pytest.mark.parametrize("family, fn, lo, hi", [
-    (CylinderFamily.BESSEL_J, besselj, SERIES_SWITCH_JY, _HANKEL_SWITCH),
-    (CylinderFamily.MODIFIED_I, besseli, SERIES_SWITCH_I, 700.0),
-])
-def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch, family, fn, lo, hi):
-    # _FEW_LANES arguments inside the Miller regime run the float kernel,
+def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch):
+    # _FEW_LANES arguments inside I's Miller regime run the float kernel,
     # which serves orders 0, 1 and 2 from one pass
-    x = np.linspace(lo, hi, _FEW_LANES + 2)[1:-1]
+    x = np.linspace(SERIES_SWITCH_I, 700.0, _FEW_LANES + 2)[1:-1]
     passes = []
 
     def spy(v, *args):
@@ -573,11 +574,33 @@ def test_rows_on_few_lanes_take_one_miller_pass_per_lane(monkeypatch, family, fn
         return _miller(v, *args)
 
     monkeypatch.setattr(specfun, "_miller", spy)
-    got = cylinder_rows(family, x, 3)
+    got = cylinder_rows(CylinderFamily.MODIFIED_I, x, 3)
     assert passes == x.tolist()
     monkeypatch.undo()
     for m in range(3):
-        np.testing.assert_array_equal(got[m], [fn(m, v) for v in x.tolist()])
+        np.testing.assert_array_equal(got[m], [besseli(m, v) for v in x.tolist()])
+
+
+@pytest.mark.parametrize("n", [2, _FEW_LANES, 200])
+def test_j_rows_on_the_fitted_regime_make_no_miller_pass(monkeypatch, n):
+    # J_0 to J_2 on [2, 20], both ends included, come from the fitted Hankel
+    # form and the upward recurrence, on float and array kernels alike
+    x = np.linspace(SERIES_SWITCH_JY, _HANKEL_SWITCH, n)
+    passes = []
+
+    def spy(real):
+        return lambda *args: passes.append(args) or real(*args)
+
+    monkeypatch.setattr(specfun, "_miller", spy(_miller))
+    monkeypatch.setattr(specfun, "_miller_array", spy(_miller_array))
+    got = cylinder_rows(CylinderFamily.BESSEL_J, x, 3)
+    floats = [cylinder_rows(CylinderFamily.BESSEL_J, v, 3) for v in x.tolist()]
+    assert passes == []
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got.T, floats)
+    for m in range(3):
+        np.testing.assert_array_equal(got[m], besselj(m, x))
+        np.testing.assert_array_equal(got[m], [besselj(m, v) for v in x.tolist()])
 
 
 @pytest.mark.parametrize("family, fn, hi", [
